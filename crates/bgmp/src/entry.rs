@@ -115,6 +115,12 @@ pub struct ForwardingTable {
     sg: BTreeMap<(SourceId, McastAddr), u32>,
     star_slab: Slab<GroupEntry>,
     sg_slab: Slab<SgEntry>,
+    /// `agg_lens[l]` counts the aggregated (*,G-prefix) entries of
+    /// mask length `l < 32` in `star`. [`ForwardingTable::star_lookup`]
+    /// falls back past the exact `/32` probe only to lengths counted
+    /// here, so a table of exact groups answers in one keyed probe.
+    // lint:allow(snapshot-field-coverage) — derived count; decode rebuilds it from the keys it inserts
+    agg_lens: [u32; 32],
 }
 
 impl ForwardingTable {
@@ -128,13 +134,46 @@ impl ForwardingTable {
         Prefix::containing(g, 32).expect("/32 always valid")
     }
 
-    /// Longest-prefix-match lookup of the shared-tree entry for `g`.
+    /// Longest-prefix-match lookup of the shared-tree entry for `g`:
+    /// the exact `/32` first, then one keyed probe per aggregated mask
+    /// length present in the table, longest first.
     pub fn star_lookup(&self, g: McastAddr) -> Option<(&Prefix, &GroupEntry)> {
+        let probe = |len: u8| {
+            let key = Prefix::containing(g, len).expect("len <= 32");
+            self.star.get_key_value(&key)
+        };
+        probe(32)
+            .or_else(|| {
+                (0..32u8)
+                    .rev()
+                    .filter(|l| self.agg_lens[*l as usize] > 0)
+                    .find_map(probe)
+            })
+            .map(|(p, i)| (p, self.star_slab.get(*i)))
+    }
+
+    /// The pre-index lookup — a linear scan for the longest covering
+    /// prefix — kept as the reference the property tests compare
+    /// [`ForwardingTable::star_lookup`] against.
+    #[cfg(test)]
+    fn star_lookup_linear(&self, g: McastAddr) -> Option<(&Prefix, &GroupEntry)> {
         self.star
             .iter()
             .filter(|(p, _)| p.contains(g))
             .max_by_key(|(p, _)| p.len())
             .map(|(p, i)| (p, self.star_slab.get(*i)))
+    }
+
+    /// The exact (*,G) entries of the groups inside `range`, ascending
+    /// by group. Aggregated (*,G-prefix) entries are skipped.
+    pub fn star_exact_in(
+        &self,
+        range: Prefix,
+    ) -> impl Iterator<Item = (McastAddr, &GroupEntry)> + '_ {
+        self.star
+            .range(Self::key(range.base())..=Self::key(range.last()))
+            .filter(|(p, _)| p.len() == 32)
+            .map(|(p, i)| (p.base(), self.star_slab.get(*i)))
     }
 
     /// The exact (*,G) entry for `g`, if present.
@@ -151,17 +190,27 @@ impl ForwardingTable {
 
     /// Inserts/replaces the exact (*,G) entry.
     pub fn star_insert(&mut self, g: McastAddr, e: GroupEntry) {
-        Self::map_insert(&mut self.star, &mut self.star_slab, Self::key(g), e);
+        self.star_insert_prefix(Self::key(g), e);
     }
 
     /// Inserts a prefix-aggregated (*,G-prefix) entry (§7).
     pub fn star_insert_prefix(&mut self, p: Prefix, e: GroupEntry) {
-        Self::map_insert(&mut self.star, &mut self.star_slab, p, e);
+        if Self::map_insert(&mut self.star, &mut self.star_slab, p, e) && p.len() < 32 {
+            self.agg_lens[p.len() as usize] += 1;
+        }
     }
 
     /// Removes the exact (*,G) entry, returning it.
     pub fn star_remove(&mut self, g: McastAddr) -> Option<GroupEntry> {
-        let i = self.star.remove(&Self::key(g))?;
+        self.star_remove_prefix(Self::key(g))
+    }
+
+    /// Removes the entry keyed by exactly `p`.
+    fn star_remove_prefix(&mut self, p: Prefix) -> Option<GroupEntry> {
+        let i = self.star.remove(&p)?;
+        if p.len() < 32 {
+            self.agg_lens[p.len() as usize] -= 1;
+        }
         Some(self.star_slab.remove(i))
     }
 
@@ -203,12 +252,17 @@ impl ForwardingTable {
         self.sg.iter().map(|(k, i)| (k, self.sg_slab.get(*i)))
     }
 
-    /// Insert-or-replace through an index map into its slab.
-    fn map_insert<K: Ord, T>(map: &mut BTreeMap<K, u32>, slab: &mut Slab<T>, k: K, e: T) {
+    /// Insert-or-replace through an index map into its slab; returns
+    /// whether the key is new.
+    fn map_insert<K: Ord, T>(map: &mut BTreeMap<K, u32>, slab: &mut Slab<T>, k: K, e: T) -> bool {
         match map.entry(k) {
-            std::collections::btree_map::Entry::Occupied(o) => *slab.get_mut(*o.get()) = e,
+            std::collections::btree_map::Entry::Occupied(o) => {
+                *slab.get_mut(*o.get()) = e;
+                false
+            }
             std::collections::btree_map::Entry::Vacant(v) => {
                 v.insert(slab.insert(e));
+                true
             }
         }
     }
@@ -229,11 +283,9 @@ impl ForwardingTable {
                 };
                 if self.star_slab.get(ia) == self.star_slab.get(ib) {
                     let parent = k.parent().expect("buddy implies parent");
-                    self.star.remove(&k);
-                    self.star.remove(&buddy);
-                    let entry = self.star_slab.remove(ia);
-                    self.star_slab.remove(ib);
-                    Self::map_insert(&mut self.star, &mut self.star_slab, parent, entry);
+                    let entry = self.star_remove_prefix(k).expect("present above");
+                    self.star_remove_prefix(buddy);
+                    self.star_insert_prefix(parent, entry);
                     merged = true;
                     break;
                 }
@@ -333,7 +385,9 @@ impl snapshot::Snapshot for ForwardingTable {
         for _ in 0..dec.seq()? {
             let p = Prefix::decode(dec)?;
             let e = GroupEntry::decode(dec)?;
-            Self::map_insert(&mut t.star, &mut t.star_slab, p, e);
+            if Self::map_insert(&mut t.star, &mut t.star_slab, p, e) && p.len() < 32 {
+                t.agg_lens[p.len() as usize] += 1;
+            }
         }
         for _ in 0..dec.seq()? {
             let k = <(SourceId, McastAddr)>::decode(dec)?;
@@ -389,6 +443,142 @@ mod tests {
         assert_eq!(e.parent, Some(Target::Peer(9)));
         // Outside both: nothing.
         assert!(t.star_lookup(g(0x0201)).is_none());
+    }
+
+    /// The aggregated-entry count per mask length, recomputed from the
+    /// map itself.
+    fn agg_lens_recount(t: &ForwardingTable) -> [u32; 32] {
+        let mut lens = [0u32; 32];
+        for (p, _) in t.star_entries().filter(|(p, _)| p.len() < 32) {
+            lens[p.len() as usize] += 1;
+        }
+        lens
+    }
+
+    #[test]
+    fn aggregated_count_stays_exact_across_churn_and_snapshot_decode() {
+        use snapshot::Snapshot;
+        let mut t = ForwardingTable::new();
+        let e = entry(Some(Target::Peer(1)), &[Target::Migp]);
+        let p24: Prefix = "224.0.1.0/24".parse().unwrap();
+        let p16: Prefix = "224.0.0.0/16".parse().unwrap();
+        t.star_insert_prefix(p24, e.clone());
+        t.star_insert_prefix(p16, e.clone());
+        // Replacing an aggregated entry must not count it twice, and a
+        // /32 through the prefix API is not an aggregate.
+        t.star_insert_prefix(p24, entry(Some(Target::Peer(2)), &[]));
+        t.star_insert_prefix("224.0.1.7/32".parse().unwrap(), e.clone());
+        t.star_insert(g(0x0109), e.clone());
+        assert_eq!(t.agg_lens, agg_lens_recount(&t));
+        assert_eq!(t.agg_lens.iter().sum::<u32>(), 2);
+        // Removing exact groups — present, absent, or shadowing an
+        // aggregate's base address — leaves the count alone.
+        assert!(t.star_remove(g(0x0107)).is_some());
+        assert!(t.star_remove(g(0x0107)).is_none());
+        assert!(t.star_remove(g(0x0100)).is_none());
+        assert_eq!(t.agg_lens.iter().sum::<u32>(), 2);
+
+        let mut enc = snapshot::Enc::new();
+        t.encode(&mut enc);
+        let bytes = enc.finish();
+        let back = ForwardingTable::decode(&mut snapshot::Dec::new(&bytes)).unwrap();
+        assert_eq!(back.agg_lens, t.agg_lens);
+        assert_eq!(back.agg_lens, agg_lens_recount(&back));
+        assert_eq!(back.star_lookup(g(0x0142)).unwrap().0, &p24);
+        assert_eq!(back.star_lookup(g(0x0909)).unwrap().0, &p16);
+
+        // Buddy merging moves entries between lengths.
+        let mut t = ForwardingTable::new();
+        for x in 0..4 {
+            t.star_insert(g(0x0100 + x), e.clone());
+        }
+        t.aggregate_star();
+        assert_eq!(t.agg_lens, agg_lens_recount(&t));
+        assert_eq!(t.agg_lens[30], 1);
+    }
+
+    #[test]
+    fn star_exact_in_lists_exact_groups_of_a_range_only() {
+        let mut t = ForwardingTable::new();
+        let e = entry(Some(Target::Peer(1)), &[Target::Migp]);
+        t.star_insert_prefix("224.0.1.0/24".parse().unwrap(), e.clone());
+        for x in [0x00ff, 0x0100, 0x0180, 0x01ff, 0x0200] {
+            t.star_insert(g(x), e.clone());
+        }
+        let groups_in =
+            |range: Prefix| -> Vec<McastAddr> { t.star_exact_in(range).map(|(g, _)| g).collect() };
+        assert_eq!(
+            groups_in("224.0.1.0/24".parse().unwrap()),
+            vec![g(0x0100), g(0x0180), g(0x01ff)]
+        );
+        assert_eq!(groups_in(ForwardingTable::key(g(0x0180))), vec![g(0x0180)]);
+        assert_eq!(groups_in(Prefix::new(0, 0).unwrap()).len(), 5);
+    }
+
+    mod lookup_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One table operation over a small address window, so nested
+        /// prefixes, exact entries under aggregates and re-inserts all
+        /// collide often.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(u32),
+            InsertPrefix(u32, u8),
+            Remove(u32),
+            Aggregate,
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u32..64).prop_map(Op::Insert),
+                (0u32..64).prop_map(Op::Insert),
+                (0u32..64, 20u8..=32).prop_map(|(x, l)| Op::InsertPrefix(x, l)),
+                (0u32..64).prop_map(Op::Remove),
+                (0u32..64).prop_map(Op::Remove),
+                Just(Op::Aggregate),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Exact-first, per-length keyed probing answers every
+            /// lookup exactly as the linear longest-match scan does,
+            /// and the aggregated-entry counts never drift from the
+            /// map under insert/remove/aggregate churn.
+            #[test]
+            fn star_lookup_matches_linear_reference(
+                ops in prop::collection::vec(arb_op(), 0..48),
+                peers in prop::collection::vec(1u32..4, 48),
+            ) {
+                let mut t = ForwardingTable::new();
+                for (op, peer) in ops.iter().zip(&peers) {
+                    // Few distinct entries, so buddies do merge.
+                    let e = entry(Some(Target::Peer(*peer)), &[Target::Migp]);
+                    match *op {
+                        Op::Insert(x) => t.star_insert(g(0x0100 + x), e),
+                        Op::InsertPrefix(x, len) => {
+                            let p = Prefix::containing(g(0x0100 + x), len).unwrap();
+                            t.star_insert_prefix(p, e);
+                        }
+                        Op::Remove(x) => {
+                            t.star_remove(g(0x0100 + x));
+                        }
+                        Op::Aggregate => {
+                            t.aggregate_star();
+                        }
+                    }
+                    prop_assert_eq!(t.agg_lens, agg_lens_recount(&t));
+                    // The window plus a margin outside every prefix.
+                    for x in 0..80 {
+                        let addr = g(0x00f8 + x);
+                        prop_assert_eq!(t.star_lookup(addr), t.star_lookup_linear(addr));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use bgp::RouterId;
 use mcast_addr::McastAddr;
 use topology::DomainId;
 
+use crate::domain::HostId;
 use crate::internet::Internet;
 
 /// The inter-domain edges of a group's shared tree, as (child domain,
@@ -148,14 +149,28 @@ pub fn total_star_entries(net: &Internet, g: Option<McastAddr>) -> usize {
     n
 }
 
-/// The inter-domain hop count of the path packet `id` took to reach
-/// each receiving host cannot be read off the log directly; instead the
-/// harnesses compare *who* received against membership. This helper
-/// checks exact-once delivery to the expected hosts.
-pub fn delivered_exactly(net: &Internet, id: u64, expected: &[crate::domain::HostId]) -> bool {
-    let got = net.deliveries(id);
-    let mut want: Vec<crate::domain::HostId> = expected.to_vec();
-    want.sort();
-    want.dedup();
-    got == want && net.total_duplicates() == 0
+/// How many of `packets` — `(id, expected receivers)` pairs — missed
+/// or overshot their receivers. One pass over the delivery logs
+/// however many packets are checked (the hop count of a packet's path
+/// cannot be read off the log; harnesses compare *who* received
+/// against membership).
+pub fn misdelivered<'a>(
+    net: &Internet,
+    packets: impl IntoIterator<Item = (u64, &'a [HostId])>,
+) -> usize {
+    let got = net.deliveries_by_packet();
+    packets
+        .into_iter()
+        .filter(|(id, expected)| {
+            let mut want = expected.to_vec();
+            want.sort();
+            want.dedup();
+            got.get(id).map_or(&[][..], Vec::as_slice) != want
+        })
+        .count()
+}
+
+/// Exact-once delivery of packet `id` to the expected hosts.
+pub fn delivered_exactly(net: &Internet, id: u64, expected: &[HostId]) -> bool {
+    misdelivered(net, [(id, expected)]) == 0 && net.total_duplicates() == 0
 }

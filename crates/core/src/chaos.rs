@@ -410,10 +410,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 
     // ---- Accounting -------------------------------------------------
     let sent = packet_ids.len() as u64;
-    let mut delivered = 0u64;
-    for id in &packet_ids {
-        delivered += net.deliveries(*id).len() as u64;
-    }
+    let received = net.deliveries_by_packet();
+    let delivered: u64 = packet_ids
+        .iter()
+        .filter_map(|id| received.get(id))
+        .map(|hosts| hosts.len() as u64)
+        .sum();
     // Every chaos packet, undisturbed, reaches every member host (the
     // sending host is never a member: hosts 5 vs 1).
     let expected = sent * members.len() as u64;

@@ -10,10 +10,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgmp::{
-    BgmpAction, BgmpMsg, BgmpRouter, ForwardDecision, NextHop, RouteLookup, SourceId, Target,
+    BgmpAction, BgmpMsg, BgmpRouter, ForwardDecision, GroupEntry, NextHop, RouteLookup, SourceId,
+    Target,
 };
 use bgp::session::{Session, SessionAction, SessionEvent, SessionState, SessionTimers};
-use bgp::{Asn, BgpEvent, BgpMsg, BgpSpeaker, OutMsg, RouterId};
+use bgp::{Asn, BgpEvent, BgpMsg, BgpSpeaker, OutMsg, Rib, RouterId};
 use masc::{MascAction, MascMsg, MascNode};
 use mcast_addr::{McastAddr, Prefix, Secs};
 use migp::{Delivery, LocalRouter, Migp, MigpEvent};
@@ -155,32 +156,53 @@ pub struct BorderRouter {
     pub bgmp: BgmpRouter,
 }
 
-/// Pre-resolved G-RIB/M-RIB answers for one (group, source-domain)
-/// pair, computed from a border router's BGP speaker before the BGMP
-/// engine runs (the paper's G-RIB lookup, §4.2/§5.2). Pre-resolving
-/// keeps the engine call free of simultaneous borrows of the speaker
-/// and the BGMP component.
-#[derive(Debug, Clone, Copy)]
-struct Resolved {
-    group: McastAddr,
-    group_nh: Option<NextHop>,
-    domain: Option<(Asn, Option<NextHop>)>,
+/// G-RIB/M-RIB answers for the BGMP engine, read from one border
+/// router's BGP speaker when asked (the paper's G-RIB lookup,
+/// §4.2/§5.2). The speaker and the BGMP component are disjoint fields
+/// of [`BorderRouter`], so the engine holds this while it mutates its
+/// own table — and a call that never asks (a join onto an existing
+/// entry, a packet that hits forwarding state) never walks the RIB.
+struct RibLookup<'a> {
+    rib: &'a Rib,
+    own_routers: &'a BTreeSet<RouterId>,
+    asn: Asn,
 }
 
-impl RouteLookup for Resolved {
-    fn toward_group(&self, g: McastAddr) -> Option<NextHop> {
-        debug_assert_eq!(g, self.group, "resolved for a different group");
-        self.group_nh
-    }
-    fn toward_domain(&self, asn: Asn) -> Option<NextHop> {
-        match self.domain {
-            Some((a, nh)) if a == asn => nh,
-            _ => {
-                debug_assert!(false, "resolved for a different domain");
-                None
+impl RibLookup<'_> {
+    fn next_hop(&self, route: &bgp::Route) -> NextHop {
+        if route.local {
+            NextHop::Local
+        } else if self.own_routers.contains(&route.next_hop) {
+            NextHop::Internal {
+                exit: route.next_hop,
             }
+        } else {
+            NextHop::ExternalPeer(route.next_hop)
         }
     }
+}
+
+impl RouteLookup for RibLookup<'_> {
+    fn toward_group(&self, g: McastAddr) -> Option<NextHop> {
+        self.rib.lookup_group(g).map(|r| self.next_hop(r))
+    }
+    fn toward_domain(&self, asn: Asn) -> Option<NextHop> {
+        if asn == self.asn {
+            Some(NextHop::Local)
+        } else {
+            self.rib.lookup_domain(asn).map(|r| self.next_hop(r))
+        }
+    }
+}
+
+/// The range every group lies in: the widest repair scope.
+fn all_groups() -> Prefix {
+    Prefix::new(0, 0).expect("0/0 is aligned")
+}
+
+/// The single-group range of `g`.
+fn group_range(g: McastAddr) -> Prefix {
+    Prefix::containing(g, 32).expect("/32 always valid")
 }
 
 /// Timer key for the 1 s session-liveness tick. MASC deadline timers
@@ -284,16 +306,20 @@ pub struct DomainActor {
     /// Incremented on every restart and carried in keepalives, so
     /// peers detect a reboot that was shorter than their hold time.
     boot_gen: u64,
+    /// Group ranges whose tree state the next repair pass must
+    /// examine. Whether a group needs repair depends only on its (*,G)
+    /// entries at this domain's routers, those routers' G-RIB answer
+    /// for it, and its local membership; every change to one of the
+    /// three records the group (or the G-RIB prefix) here, and a
+    /// repair pass drains the set as its scope. Groups outside it are
+    /// exactly as the last pass left them.
+    // lint:allow(snapshot-field-coverage) — transient work list; a restore marks every group instead, which the next repair pass drains
+    dirty: BTreeSet<Prefix>,
+    /// How deeply `forward_at` is nested inside the event being
+    /// handled.
+    // lint:allow(snapshot-field-coverage) — zero between events, the only time a checkpoint can be taken
+    forward_depth: usize,
 }
-
-/// Snapshot of a `(*,G)` entry taken before tree repair:
-/// (group, parent, via_exit, children).
-type StarSnapshot = (
-    McastAddr,
-    Option<Target>,
-    Option<RouterId>,
-    BTreeSet<Target>,
-);
 
 impl DomainActor {
     /// Creates a domain actor. Peering and node maps are wired by the
@@ -321,6 +347,8 @@ impl DomainActor {
             session_timers: None,
             sessions: BTreeMap::new(),
             boot_gen: 0,
+            dirty: BTreeSet::new(),
+            forward_depth: 0,
         }
     }
 
@@ -431,6 +459,7 @@ impl DomainActor {
         }
         let changed = br.speaker.take_changed_groups();
         br.bgmp.grib_changed_prefixes(&changed);
+        self.dirty.extend(changed);
     }
 
     fn send_bgp(&mut self, ctx: &mut Ctx<'_, Wire>, from: RouterId, outs: Vec<OutMsg>) {
@@ -474,68 +503,106 @@ impl DomainActor {
     /// is torn down locally and its children re-joined along the
     /// current route. (The paper leaves route-change handling to the
     /// protocol spec; this is the minimal correct version.)
-    fn repair_dangling(&mut self, ctx: &mut Ctx<'_, Wire>) {
+    ///
+    /// Only groups inside `scope` — disjoint ranges, ascending — are
+    /// examined; [`all_groups`] is the widest scope. Every step visits
+    /// routers in creation order and groups ascending within a router,
+    /// so a narrower scope emits the wide scope's messages with the
+    /// untouched groups' (empty) share left out.
+    fn repair_dangling(&mut self, ctx: &mut Ctx<'_, Wire>, scope: &[Prefix]) {
         // Tearing one entry down can orphan another (an internal leg
         // whose exit entry this pass removes), so iterate to a fixed
         // point; two or three rounds settle any real topology.
         for _ in 0..4 {
-            if !self.repair_dangling_once(ctx) {
+            if !self.repair_dangling_once(ctx, scope) {
                 break;
             }
         }
-        self.prune_redundant_attachments(ctx);
+        self.prune_redundant_attachments(ctx, scope);
+        #[cfg(debug_assertions)]
+        self.assert_scope_sufficed();
+    }
+
+    /// Repairs whatever changed since the last pass: drains the dirty
+    /// ranges into a scope (nested ranges folded into their cover) and
+    /// runs [`DomainActor::repair_dangling`] over it.
+    fn repair_dirty(&mut self, ctx: &mut Ctx<'_, Wire>) {
+        let mut scope: Vec<Prefix> = Vec::new();
+        // Ascending (base, len): a covering range sorts before
+        // everything it covers.
+        for p in std::mem::take(&mut self.dirty) {
+            if !scope.last().is_some_and(|q| q.covers(&p)) {
+                scope.push(p);
+            }
+        }
+        self.repair_dangling(ctx, &scope);
+    }
+
+    /// The groups inside `scope` with an exact (*,G) entry at router
+    /// `idx`, ascending.
+    fn scoped_groups(&self, idx: usize, scope: &[Prefix]) -> Vec<McastAddr> {
+        let table = self.routers[idx].bgmp.table();
+        if table.star_len() == 0 {
+            return Vec::new();
+        }
+        scope
+            .iter()
+            .flat_map(|p| table.star_exact_in(*p))
+            .map(|(g, _)| g)
+            .collect()
+    }
+
+    /// An internal leg is only healthy while the exit router still
+    /// carries the matching entry with the MIGP child; a teardown at
+    /// the exit (its upstream died) must pull the dependents down with
+    /// it even when the G-RIB still names the same exit.
+    fn leg_alive(&self, e: &GroupEntry, g: McastAddr) -> bool {
+        match (e.parent, e.via_exit) {
+            (Some(Target::Migp), Some(x)) => self.router_index.get(&x).is_some_and(|&xi| {
+                self.routers[xi]
+                    .bgmp
+                    .table()
+                    .star_exact(g)
+                    .is_some_and(|e| e.children.contains(&Target::Migp))
+            }),
+            _ => true,
+        }
+    }
+
+    /// Does router `idx` hold a (*,`g`) entry that disagrees with its
+    /// current G-RIB next hop for `g`, or hangs off a dead internal
+    /// leg? Reads state only.
+    fn needs_repair(&self, idx: usize, g: McastAddr) -> bool {
+        let Some(e) = self.routers[idx].bgmp.table().star_exact(g) else {
+            return false;
+        };
+        let current = (e.parent, e.via_exit);
+        let matches = match self.routes(idx).toward_group(g) {
+            Some(NextHop::ExternalPeer(p)) => current == (Some(Target::Peer(p)), None),
+            Some(NextHop::Internal { exit }) => current == (Some(Target::Migp), Some(exit)),
+            Some(NextHop::Local) => current == (Some(Target::Migp), None),
+            None => e.parent.is_none(), // unreachable: dangling is correct
+        };
+        !(matches && self.leg_alive(e, g))
     }
 
     /// One repair sweep; returns whether anything was torn down.
-    fn repair_dangling_once(&mut self, ctx: &mut Ctx<'_, Wire>) -> bool {
-        let router_ids: Vec<RouterId> = self.routers.iter().map(|r| r.id).collect();
+    fn repair_dangling_once(&mut self, ctx: &mut Ctx<'_, Wire>, scope: &[Prefix]) -> bool {
         let mut changed = false;
-        for rid in router_ids {
-            let idx = self.router_index[&rid];
-            let entries: Vec<StarSnapshot> = self.routers[idx]
-                .bgmp
-                .table()
-                .star_entries()
-                .filter(|(p, _)| p.len() == 32)
-                .map(|(p, e)| (p.base(), e.parent, e.via_exit, e.children.clone()))
-                .collect();
-            for (g, parent, via_exit, children) in entries {
-                let lookup = self.resolve(rid, g, None);
-                let nh = bgmp::RouteLookup::toward_group(&lookup, g);
-                let expected: Option<(Option<Target>, Option<RouterId>)> = match nh {
-                    Some(NextHop::ExternalPeer(p)) => Some((Some(Target::Peer(p)), None)),
-                    Some(NextHop::Internal { exit }) => Some((Some(Target::Migp), Some(exit))),
-                    Some(NextHop::Local) => Some((Some(Target::Migp), None)),
-                    None => None,
-                };
-                let current = (parent, via_exit);
-                let matches = match &expected {
-                    Some(exp) => *exp == current,
-                    None => parent.is_none(), // unreachable: dangling is correct
-                };
-                // An internal leg is only healthy while the exit router
-                // still carries the matching entry with the MIGP child;
-                // a teardown at the exit (its upstream died) must pull
-                // the dependents down with it even when the G-RIB still
-                // names the same exit.
-                let leg_alive = match (parent, via_exit) {
-                    (Some(Target::Migp), Some(x)) => self.router_index.get(&x).is_some_and(|&xi| {
-                        self.routers[xi]
-                            .bgmp
-                            .table()
-                            .star_exact(g)
-                            .is_some_and(|e| e.children.contains(&Target::Migp))
-                    }),
-                    _ => true,
-                };
-                if matches && leg_alive {
+        for idx in 0..self.routers.len() {
+            let rid = self.routers[idx].id;
+            for g in self.scoped_groups(idx, scope) {
+                if !self.needs_repair(idx, g) {
                     continue;
                 }
                 changed = true;
+                let table = self.routers[idx].bgmp.table();
+                let stale = table.star_exact(g).expect("needs_repair saw it").clone();
+                let leg_alive = self.leg_alive(&stale, g);
                 // Tear down the stale attachment (prune toward the old
                 // parent if it is a live peer) and re-join the children
                 // along the current route.
-                if let Some(Target::Peer(old)) = parent {
+                if let Some(Target::Peer(old)) = stale.parent {
                     let msg = BgmpMsg::Prune(g);
                     if self.own_routers.contains(&old) {
                         self.bgmp_from_peer(ctx, old, rid, msg);
@@ -551,17 +618,18 @@ impl DomainActor {
                     }
                 }
                 self.routers[idx].bgmp.table_mut().star_remove(g);
+                self.dirty.insert(group_range(g));
                 // Retract our half of a (still-live) internal leg so
                 // the exit's MIGP child doesn't linger as a phantom
                 // downstream.
-                if parent == Some(Target::Migp) {
-                    if let Some(x) = via_exit {
+                if stale.parent == Some(Target::Migp) {
+                    if let Some(x) = stale.via_exit {
                         if x != rid && self.router_index.contains_key(&x) && leg_alive {
                             self.bgmp_prune(ctx, x, Target::Migp, g);
                         }
                     }
                 }
-                for c in children {
+                for c in stale.children {
                     self.bgmp_join(ctx, rid, c, g);
                 }
             }
@@ -575,22 +643,20 @@ impl DomainActor {
     /// An entry whose only child is the MIGP component is legitimate
     /// only at the domain's best exit for the group (serving local
     /// members) or at a router referenced as the internal exit of
-    /// another router's entry; anything else is pruned.
-    fn prune_redundant_attachments(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        use std::collections::BTreeSet;
-        let router_ids: Vec<RouterId> = self.routers.iter().map(|r| r.id).collect();
-        // group -> routers referenced as via_exit.
-        let mut referenced: BTreeMap<McastAddr, BTreeSet<RouterId>> = BTreeMap::new();
+    /// another router's entry; this lists the others inside `scope`,
+    /// router-major. Reads state only.
+    fn redundant_attachments(&self, scope: &[Prefix]) -> Vec<(RouterId, McastAddr)> {
+        // (group, router referenced as some entry's via_exit).
+        let mut referenced: BTreeSet<(McastAddr, RouterId)> = BTreeSet::new();
         let mut candidates: Vec<(RouterId, McastAddr)> = Vec::new();
-        for rid in &router_ids {
-            let idx = self.router_index[rid];
-            for (p, e) in self.routers[idx].bgmp.table().star_entries() {
-                if p.len() != 32 {
-                    continue;
-                }
-                let g = p.base();
+        for br in &self.routers {
+            let table = br.bgmp.table();
+            if table.star_len() == 0 {
+                continue;
+            }
+            for (g, e) in scope.iter().flat_map(|p| table.star_exact_in(*p)) {
                 if let Some(exit) = e.via_exit {
-                    referenced.entry(g).or_default().insert(exit);
+                    referenced.insert((g, exit));
                 }
                 let migp_only = e.children.len() == 1 && e.children.contains(&Target::Migp);
                 let upstream_parent = matches!(e.parent, Some(Target::Peer(_)));
@@ -599,17 +665,21 @@ impl DomainActor {
                 // so the entry can never move a packet — churn residue.
                 let internal_phantom = e.parent == Some(Target::Migp) && e.via_exit.is_some();
                 if migp_only && (upstream_parent || internal_phantom) {
-                    candidates.push((*rid, g));
+                    candidates.push((br.id, g));
                 }
             }
         }
-        for (rid, g) in candidates {
-            let is_best_exit = self.best_exit_for_group(g) == Some(rid);
-            let is_referenced = referenced.get(&g).is_some_and(|s| s.contains(&rid));
-            let serves_members = self.migp.has_members(g);
-            if (is_best_exit && serves_members) || is_referenced {
-                continue;
-            }
+        candidates.retain(|&(rid, g)| {
+            let serves_members =
+                self.migp.has_members(g) && self.best_exit_for_group(g) == Some(rid);
+            !(serves_members || referenced.contains(&(g, rid)))
+        });
+        candidates
+    }
+
+    /// Prunes the [`DomainActor::redundant_attachments`] of `scope`.
+    fn prune_redundant_attachments(&mut self, ctx: &mut Ctx<'_, Wire>, scope: &[Prefix]) {
+        for (rid, g) in self.redundant_attachments(scope) {
             self.bgmp_prune(ctx, rid, Target::Migp, g);
         }
         // A pruned attachment may have been the one actually carrying
@@ -617,7 +687,42 @@ impl DomainActor {
         // leg); re-anchor any group that just lost service at the
         // canonical best exit, synchronously — domains without the
         // session tick have no periodic refresh to catch this later.
-        self.refresh_membership(ctx);
+        self.refresh_membership(ctx, scope);
+    }
+
+    /// The scope rule's oracle: once a repair pass returns, the widest
+    /// scope must find nothing to do for any group that is not already
+    /// recorded for the next pass. If this fires, some change to a
+    /// group's entries, routes or membership was not recorded in
+    /// `dirty` — record it; never narrow this check.
+    #[cfg(debug_assertions)]
+    fn assert_scope_sufficed(&self) {
+        let pending = |g: McastAddr| self.dirty.iter().any(|p| p.contains(g));
+        let all = [all_groups()];
+        for idx in 0..self.routers.len() {
+            for g in self.scoped_groups(idx, &all) {
+                assert!(
+                    pending(g) || !self.needs_repair(idx, g),
+                    "AS{}: (*,{g}) at router {} needs repair outside the scope",
+                    self.asn,
+                    self.routers[idx].id,
+                );
+            }
+        }
+        for (rid, g) in self.redundant_attachments(&all) {
+            assert!(
+                pending(g),
+                "AS{}: redundant (*,{g}) attachment at router {rid} outside the scope",
+                self.asn,
+            );
+        }
+        for (g, exit) in self.unserved_member_groups(&all) {
+            assert!(
+                pending(g),
+                "AS{}: members of {g} unserved (best exit {exit}) outside the scope",
+                self.asn,
+            );
+        }
     }
 
     /// Originates a group route at every border router (the MASC range
@@ -698,14 +803,8 @@ impl DomainActor {
                     let local = self.router(at_router).local;
                     self.migp.border_subscribe(local, group);
                     if exit != at_router {
-                        let lookup = self.resolve(exit, group, Some(source.domain));
-                        let idx = self.router_index[&exit];
-                        let acts = self.routers[idx].bgmp.source_join(
-                            Target::Migp,
-                            source,
-                            group,
-                            &lookup,
-                        );
+                        let (bgmp, routes) = self.bgmp_with_routes(exit);
+                        let acts = bgmp.source_join(Target::Migp, source, group, &routes);
                         self.apply_bgmp_actions(ctx, exit, acts);
                     }
                 }
@@ -728,37 +827,25 @@ impl DomainActor {
         }
     }
 
-    fn classify(&self, route: &bgp::Route) -> NextHop {
-        if route.local {
-            NextHop::Local
-        } else if self.own_routers.contains(&route.next_hop) {
-            NextHop::Internal {
-                exit: route.next_hop,
-            }
-        } else {
-            NextHop::ExternalPeer(route.next_hop)
+    /// Router `idx`'s G-RIB/M-RIB view.
+    fn routes(&self, idx: usize) -> RibLookup<'_> {
+        RibLookup {
+            rib: self.routers[idx].speaker.rib(),
+            own_routers: &self.own_routers,
+            asn: self.asn,
         }
     }
 
-    /// Pre-resolves the route lookups the BGMP engine may make while
-    /// handling `g` (and optionally a source domain).
-    fn resolve(&self, router: RouterId, g: McastAddr, src_domain: Option<Asn>) -> Resolved {
-        let idx = self.router_index[&router];
-        let speaker = &self.routers[idx].speaker;
-        let group_nh = speaker.rib().lookup_group(g).map(|r| self.classify(r));
-        let domain = src_domain.map(|asn| {
-            let nh = if asn == self.asn {
-                Some(NextHop::Local)
-            } else {
-                speaker.rib().lookup_domain(asn).map(|r| self.classify(r))
-            };
-            (asn, nh)
-        });
-        Resolved {
-            group: g,
-            group_nh,
-            domain,
-        }
+    /// A router's BGMP engine together with the route view it resolves
+    /// next hops through.
+    fn bgmp_with_routes(&mut self, router: RouterId) -> (&mut BgmpRouter, RibLookup<'_>) {
+        let br = &mut self.routers[self.router_index[&router]];
+        let routes = RibLookup {
+            rib: br.speaker.rib(),
+            own_routers: &self.own_routers,
+            asn: self.asn,
+        };
+        (&mut br.bgmp, routes)
     }
 
     /// Feeds a join into a router's BGMP component.
@@ -769,9 +856,9 @@ impl DomainActor {
         child: Target,
         g: McastAddr,
     ) {
-        let lookup = self.resolve(router, g, None);
-        let idx = self.router_index[&router];
-        let actions = self.routers[idx].bgmp.join(child, g, &lookup);
+        self.dirty.insert(group_range(g));
+        let (bgmp, routes) = self.bgmp_with_routes(router);
+        let actions = bgmp.join(child, g, &routes);
         self.apply_bgmp_actions(ctx, router, actions);
     }
 
@@ -783,6 +870,7 @@ impl DomainActor {
         child: Target,
         g: McastAddr,
     ) {
+        self.dirty.insert(group_range(g));
         let idx = self.router_index[&router];
         let actions = self.routers[idx].bgmp.prune(child, g);
         self.apply_bgmp_actions(ctx, router, actions);
@@ -795,14 +883,12 @@ impl DomainActor {
         from: RouterId,
         msg: BgmpMsg,
     ) {
-        let lookup = match msg {
-            BgmpMsg::Join(g) | BgmpMsg::Prune(g) => self.resolve(router, g, None),
-            BgmpMsg::SourceJoin(s, g) | BgmpMsg::SourcePrune(s, g) => {
-                self.resolve(router, g, Some(s.domain))
-            }
-        };
-        let idx = self.router_index[&router];
-        let actions = self.routers[idx].bgmp.from_peer(from, msg, &lookup);
+        // Source-specific messages touch (S,G) state only.
+        if let BgmpMsg::Join(g) | BgmpMsg::Prune(g) = msg {
+            self.dirty.insert(group_range(g));
+        }
+        let (bgmp, routes) = self.bgmp_with_routes(router);
+        let actions = bgmp.from_peer(from, msg, &routes);
         self.apply_bgmp_actions(ctx, router, actions);
     }
 
@@ -813,6 +899,7 @@ impl DomainActor {
     fn host_join(&mut self, ctx: &mut Ctx<'_, Wire>, host: HostId, g: McastAddr) {
         debug_assert_eq!(host.domain, self.asn);
         self.members.entry(g).or_default().insert(host);
+        self.dirty.insert(group_range(g));
         let local = self.router_of_host(host);
         let events = self.migp.host_join(local, g);
         for ev in events {
@@ -827,6 +914,7 @@ impl DomainActor {
     }
 
     fn host_leave(&mut self, ctx: &mut Ctx<'_, Wire>, host: HostId, g: McastAddr) {
+        self.dirty.insert(group_range(g));
         if let Some(set) = self.members.get_mut(&g) {
             set.remove(&host);
             if set.is_empty() {
@@ -850,12 +938,10 @@ impl DomainActor {
 
     /// Records deliveries to local member hosts at the given routers.
     fn record_deliveries(&mut self, packet: DataPacket, member_routers: &[LocalRouter]) {
-        let hosts: Vec<HostId> = self
-            .members
-            .get(&packet.group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for h in hosts {
+        let Some(hosts) = self.members.get(&packet.group) else {
+            return;
+        };
+        for &h in hosts {
             // The sending host does not count its own loopback copy.
             if packet.source.domain == self.asn && packet.source.host == h.host {
                 continue;
@@ -1020,17 +1106,36 @@ impl DomainActor {
             return;
         }
         self.encap_from.insert(key, encap_router);
-        let lookup = self.resolve(decap_router, packet.group, Some(packet.source.domain));
-        let actions =
-            self.routers[idx]
-                .bgmp
-                .source_join(Target::Migp, packet.source, packet.group, &lookup);
+        let (bgmp, routes) = self.bgmp_with_routes(decap_router);
+        let actions = bgmp.source_join(Target::Migp, packet.source, packet.group, &routes);
         self.apply_bgmp_actions(ctx, decap_router, actions);
     }
 
     /// Runs the BGMP forwarding decision at a border router and ships
     /// copies onward.
     fn forward_at(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        router: RouterId,
+        from: Option<Target>,
+        packet: DataPacket,
+    ) {
+        // Join/prune churn can leave border routers subscribed inside
+        // the domain with no tree state; each re-injects what the MIGP
+        // hands it, and two of them bounce one packet between each
+        // other without end. A chain through a domain visits a router
+        // once per arrival target, so anything this deep is that loop:
+        // drop the copy instead of exhausting the stack.
+        if self.forward_depth > 4 * self.routers.len() + 16 {
+            self.log.dropped += 1;
+            return;
+        }
+        self.forward_depth += 1;
+        self.forward_hop(ctx, router, from, packet);
+        self.forward_depth -= 1;
+    }
+
+    fn forward_hop(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         router: RouterId,
@@ -1047,16 +1152,13 @@ impl DomainActor {
         // flagging it would drop the packet's own decapsulated copy.
         if let Some(Target::Peer(_)) = from {
             let key = (packet.source, packet.group);
-            let has_sg = {
-                let idx = self.router_index[&router];
-                self.routers[idx]
-                    .bgmp
-                    .table()
-                    .sg(packet.source, packet.group)
-                    .is_some()
-            };
-            let at_rpf_entry = self.best_exit_for_domain(packet.source.domain) == Some(router);
-            if has_sg && at_rpf_entry {
+            let idx = self.router_index[&router];
+            let has_sg = self.routers[idx]
+                .bgmp
+                .table()
+                .sg(packet.source, packet.group)
+                .is_some();
+            if has_sg && self.best_exit_for_domain(packet.source.domain) == Some(router) {
                 self.native_sg.insert(key);
                 if let Some(&encap) = self.encap_from.get(&key) {
                     self.encap_from.remove(&key);
@@ -1064,11 +1166,10 @@ impl DomainActor {
                 }
             }
         }
-        let lookup = self.resolve(router, packet.group, Some(packet.source.domain));
-        let idx = self.router_index[&router];
-        let decision = self.routers[idx]
-            .bgmp
-            .forward(from, packet.source, packet.group, &lookup);
+        // The route view is consulted only off-tree: (S,G) and (*,G)
+        // hits, and the BGMP lookup memo, answer without the RIB.
+        let (bgmp, routes) = self.bgmp_with_routes(router);
+        let decision = bgmp.forward(from, packet.source, packet.group, &routes);
         match decision {
             ForwardDecision::Targets(targets) => {
                 for t in targets {
@@ -1287,39 +1388,20 @@ impl DomainActor {
         // BGP flushes and fails over first, so the BGMP re-joins below
         // see post-failover routes.
         self.bgp_event(ctx, router, BgpEvent::PeerDown(peer));
-        let lookup_groups: Vec<McastAddr> = {
-            let idx = self.router_index[&router];
-            self.routers[idx]
-                .bgmp
-                .table()
-                .star_entries()
-                .map(|(p, _)| p.base())
-                .collect()
-        };
-        // Pre-resolve per group is per-call; peer_down needs a
-        // lookup valid for every group it re-joins. Handle by
-        // processing groups one at a time.
+        // Exact groups only: a (*,G-prefix) aggregate is not a group.
+        let gone = Target::Peer(peer);
         let idx = self.router_index[&router];
+        let affected: Vec<McastAddr> = self.routers[idx]
+            .bgmp
+            .table()
+            .star_exact_in(all_groups())
+            .filter(|(_, e)| e.parent == Some(gone) || e.children.contains(&gone))
+            .map(|(g, _)| g)
+            .collect();
         let mut all_actions = Vec::new();
-        for g in lookup_groups {
-            let lookup = self.resolve(router, g, None);
-            let parent_is_dead = self.routers[idx]
-                .bgmp
-                .table()
-                .star_exact(g)
-                .is_some_and(|e| e.parent == Some(Target::Peer(peer)));
-            let child_is_dead = self.routers[idx]
-                .bgmp
-                .table()
-                .star_exact(g)
-                .is_some_and(|e| e.children.contains(&Target::Peer(peer)));
-            if parent_is_dead || child_is_dead {
-                // peer_down on the full table is safe to call
-                // repeatedly; restrict by doing it here where
-                // the lookup matches the group being rerouted.
-                let acts = self.routers[idx].bgmp.peer_down_for_group(peer, g, &lookup);
-                all_actions.extend(acts);
-            }
+        for g in affected {
+            let (bgmp, routes) = self.bgmp_with_routes(router);
+            all_actions.extend(bgmp.peer_down_for_group(peer, g, &routes));
         }
         self.apply_bgmp_actions(ctx, router, all_actions);
         // The flush above changed this domain's own routes without any
@@ -1327,8 +1409,11 @@ impl DomainActor {
         // repair pass), so entries at *other* routers that pointed
         // through the dead peering — e.g. an internal leg whose
         // via-exit router just lost its upstream — would dangle
-        // forever. Repair them now against the post-failover routes.
-        self.repair_dangling(ctx);
+        // forever. Repair them now against the post-failover routes,
+        // every group: the per-group rerouting above bypassed the
+        // dirty bookkeeping.
+        self.dirty.clear();
+        self.repair_dangling(ctx, &[all_groups()]);
     }
 
     fn send_keepalive(&mut self, ctx: &mut Ctx<'_, Wire>, router: RouterId, peer: RouterId) {
@@ -1386,7 +1471,7 @@ impl DomainActor {
                 SessionAction::Up | SessionAction::None => {}
             }
         }
-        self.refresh_membership(ctx);
+        self.refresh_membership(ctx, &[all_groups()]);
         ctx.set_timer(SimDuration::from_secs(1), KEY_SESSION_TICK);
     }
 
@@ -1477,27 +1562,34 @@ impl DomainActor {
         }
     }
 
+    /// Member groups inside `scope` with no (*,G) entry delivering
+    /// into the MIGP although a best exit exists to join through, with
+    /// that exit; ascending. Reads state only.
+    fn unserved_member_groups(&self, scope: &[Prefix]) -> Vec<(McastAddr, RouterId)> {
+        scope
+            .iter()
+            .flat_map(|p| self.members.range(p.base()..=p.last()))
+            .filter(|(g, _)| {
+                !self.routers.iter().any(|br| {
+                    br.bgmp
+                        .table()
+                        .star_exact(**g)
+                        .is_some_and(|e| e.targets().any(|t| t == Target::Migp))
+                })
+            })
+            .filter_map(|(g, _)| Some((*g, self.best_exit_for_group(*g)?)))
+            .collect()
+    }
+
     /// The periodic membership refresh a real MIGP's domain-wide
     /// reports provide: any group with local members but no (*,G)
     /// entry delivering into the MIGP re-joins the tree through the
     /// current best exit. This is what re-attaches members whose state
     /// was torn down completely — after a node restart, or when a
     /// repair ran while no alternate route existed yet.
-    fn refresh_membership(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        let groups: Vec<McastAddr> = self.members.keys().copied().collect();
-        for g in groups {
-            let served = self.routers.iter().any(|br| {
-                br.bgmp
-                    .table()
-                    .star_exact(g)
-                    .is_some_and(|e| e.targets().any(|t| t == Target::Migp))
-            });
-            if served {
-                continue;
-            }
-            if let Some(exit) = self.best_exit_for_group(g) {
-                self.bgmp_join(ctx, exit, Target::Migp, g);
-            }
+    fn refresh_membership(&mut self, ctx: &mut Ctx<'_, Wire>, scope: &[Prefix]) {
+        for (g, exit) in self.unserved_member_groups(scope) {
+            self.bgmp_join(ctx, exit, Target::Migp, g);
         }
     }
 }
@@ -1546,17 +1638,19 @@ impl Node<Wire> for DomainActor {
             Wire::Bgp { from, to, msg } => {
                 self.bgp_event(ctx, to, BgpEvent::FromPeer { from, msg });
                 // Route changes may let dangling tree state (entries
-                // that lost their parent during an outage) re-join.
-                self.repair_dangling(ctx);
+                // that lost their parent during an outage) re-join:
+                // the groups under the G-RIB prefixes the iBGP fan-out
+                // just moved (none, for an M-RIB-only change).
+                self.repair_dirty(ctx);
             }
             Wire::Bgmp { from, to, msg } => {
                 self.bgmp_from_peer(ctx, to, from, msg);
                 // A prune cascade can remove an exit router's entry
                 // while other routers' internal legs still reference
                 // it (the MIGP child at an exit is shared, not
-                // refcounted); sweep for dangling legs before the
-                // next event observes the table.
-                self.repair_dangling(ctx);
+                // refcounted); sweep the message's group for dangling
+                // legs before the next event observes the table.
+                self.repair_dirty(ctx);
             }
             Wire::Masc { from, msg } => {
                 if self.masc.is_some() {
@@ -1615,6 +1709,8 @@ impl Node<Wire> for DomainActor {
         }
         self.encap_from.clear();
         self.native_sg.clear();
+        // Every member group just lost its tree state.
+        self.dirty.insert(all_groups());
         if let Some(t) = self.session_timers {
             for ps in self.sessions.values_mut() {
                 *ps = PeerSession::new(t);
@@ -1892,6 +1988,7 @@ impl snapshot::SnapshotState for DomainActor {
         self.static_next = dec.u64()?;
         self.sessions = Snapshot::decode(dec)?;
         self.boot_gen = dec.u64()?;
+        self.dirty = BTreeSet::from([all_groups()]);
         Ok(())
     }
 }

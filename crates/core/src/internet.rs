@@ -522,6 +522,22 @@ impl Internet {
         out
     }
 
+    /// The hosts that received each packet (sorted), across domains, in
+    /// one pass over the delivery logs — [`Internet::deliveries`] is a
+    /// pass per packet. Packets nobody received have no key.
+    pub fn deliveries_by_packet(&self) -> BTreeMap<u64, Vec<HostId>> {
+        let mut out: BTreeMap<u64, Vec<HostId>> = BTreeMap::new();
+        for d in self.graph.domains() {
+            for (id, h) in &self.domain(d).log.received {
+                out.entry(*id).or_default().push(*h);
+            }
+        }
+        for hosts in out.values_mut() {
+            hosts.sort();
+        }
+        out
+    }
+
     /// All hosts that received packet `id`, across domains.
     pub fn deliveries(&self, id: u64) -> Vec<HostId> {
         let mut out = Vec::new();

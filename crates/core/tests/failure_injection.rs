@@ -190,3 +190,128 @@ fn partitioned_member_rejoins_after_heal() {
     assert!(got2.contains(&hc));
     assert_eq!(net.total_duplicates(), 0);
 }
+
+#[test]
+fn peer_down_leaves_aggregated_entries_alone() {
+    use bgmp::{GroupEntry, Target};
+    use mcast_addr::Prefix;
+
+    let (mut net, ids) = build();
+    let (a, b, c, d) = (ids[0], ids[1], ids[2], ids[3]);
+    let g = net.group_addr(c);
+    let ha = HostId {
+        domain: asn_of(a),
+        host: 1,
+    };
+    let hc = HostId {
+        domain: asn_of(c),
+        host: 1,
+    };
+    net.host_join(ha, g);
+    net.host_join(hc, g);
+    net.converge();
+
+    // A's attachment: the router whose (*,G) parent is an external
+    // peer, and that peer.
+    let (attach, upstream) = net
+        .domain(a)
+        .routers
+        .iter()
+        .find_map(|br| match br.bgmp.table().star_exact(g)?.parent? {
+            Target::Peer(p) => Some((br.id, p)),
+            Target::Migp => None,
+        })
+        .expect("A is attached through a peer");
+    // Beside it, a (*,G-prefix) aggregate (§7) through the same peer.
+    // Its base address is `g` itself, so a repair that read aggregates
+    // as groups would walk the exact entry a second time.
+    let agg: Prefix = Prefix::containing(g, 24).unwrap();
+    assert_eq!(agg.base(), g);
+    let agg_entry = GroupEntry {
+        parent: Some(Target::Peer(upstream)),
+        via_exit: None,
+        children: [Target::Migp].into(),
+    };
+    {
+        let actor = net.domain_mut(a);
+        let br = actor.routers.iter_mut().find(|br| br.id == attach).unwrap();
+        br.bgmp
+            .table_mut()
+            .star_insert_prefix(agg, agg_entry.clone());
+    }
+
+    // Kill the peering the attachment runs over.
+    let via_b = net.domain(b).routers.iter().any(|br| br.id == upstream);
+    net.fail_link(a, if via_b { b } else { d });
+    net.converge();
+
+    // The exact entry moved to the surviving side; the aggregate is
+    // neither a group to reroute nor a casualty of the repair.
+    let br = net.domain(a).routers.iter().find(|br| br.id == attach);
+    let table = br.unwrap().bgmp.table();
+    let (p, e) = table
+        .star_entries()
+        .find(|(p, _)| p.len() == 24)
+        .expect("aggregate survives the peer-down");
+    assert_eq!((*p, e), (agg, &agg_entry));
+    assert!(verify_tree(&net, g, c, &[a, c]).is_empty());
+    let sender = HostId {
+        domain: asn_of(c),
+        host: 5,
+    };
+    let id = net.send_data(sender, g);
+    net.converge();
+    assert_eq!(net.deliveries(id), vec![ha, hc]);
+    assert_eq!(net.total_duplicates(), 0);
+}
+
+#[test]
+fn stale_migp_subscriptions_cannot_bounce_a_packet_forever() {
+    // A hub with three border routers. Two of them hold no tree state
+    // but are (still) subscribed to the group inside the domain — the
+    // residue join/prune churn can leave behind — and both route the
+    // group through the third. Each re-injects what the MIGP hands it,
+    // which reaches the other: before the depth bound in
+    // `forward_at` this recursed until the stack ran out.
+    let mut graph = DomainGraph::new();
+    let hub = graph.add_domain("H");
+    let spokes: Vec<DomainId> = ["R", "S", "T"]
+        .iter()
+        .map(|n| graph.add_domain(*n))
+        .collect();
+    for s in &spokes {
+        graph.add_peering(hub, *s);
+    }
+    let cfg = InternetConfig {
+        borders: BorderPlan::PerEdge,
+        addressing: Addressing::Static,
+        ..Default::default()
+    };
+    let mut net = Internet::build(graph, &cfg);
+    net.converge();
+    let g = net.group_addr(spokes[0]);
+
+    let exit = net.domain(hub).best_exit_for_group(g).expect("route to R");
+    let actor = net.domain_mut(hub);
+    let stale: Vec<_> = actor
+        .routers
+        .iter()
+        .filter(|br| br.id != exit)
+        .map(|br| br.local)
+        .collect();
+    assert_eq!(stale.len(), 2);
+    for local in stale {
+        actor.migp.border_subscribe(local, g);
+    }
+
+    let sender = HostId {
+        domain: asn_of(hub),
+        host: 5,
+    };
+    net.send_data(sender, g);
+    net.converge();
+    assert!(
+        net.domain(hub).log.dropped > 0,
+        "the bouncing copy is dropped, not followed"
+    );
+}
