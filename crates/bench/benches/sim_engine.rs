@@ -5,19 +5,14 @@
 //! lifetimes (48 h waiting periods, 30-day leases).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simnet::{BinaryHeapQueue, Ctx, Engine, Event, EventQueue, Node, NodeId, SimDuration, SimTime};
+use simnet::{Ctx, Engine, Event, EventQueue, Node, NodeId, SimDuration, SimTime};
 use std::hint::black_box;
 
 /// The MASC-like timer mix: a standing population of far timers (every
 /// allocation server holds a 30-day lease expiry / 48 h waiting-period
 /// deadline — fig2 runs ~2500 of them) while near-horizon protocol
-/// chatter churns at the front of the queue. `push`/`pop` are closures
-/// so both queue types share the workload.
-fn timer_mix<Q>(
-    mut push: impl FnMut(&mut Q, SimTime),
-    mut pop: impl FnMut(&mut Q) -> Option<SimTime>,
-    q: &mut Q,
-) -> u64 {
+/// chatter churns at the front of the queue.
+fn timer_mix(q: &mut EventQueue<u32>) -> u64 {
     let mut rng: u64 = 0x9E3779B97F4A7C15;
     let mut next = move || {
         rng ^= rng << 13;
@@ -25,12 +20,15 @@ fn timer_mix<Q>(
         rng ^= rng << 17;
         rng
     };
+    let mut seq = 0u64;
+    let mut push = |q: &mut EventQueue<u32>, t: u64| {
+        let node = NodeId(0);
+        q.push(SimTime(t), 0, seq, Event::Timer { node, key: 0 });
+        seq += 1;
+    };
     // Standing far timers: uniform over [48 h, 30 d].
     for _ in 0..8_192u64 {
-        push(
-            q,
-            SimTime(172_800_000 + next() % (2_592_000_000 - 172_800_000)),
-        );
+        push(q, 172_800_000 + next() % (2_592_000_000 - 172_800_000));
     }
     let mut now = 0u64;
     let mut popped = 0u64;
@@ -40,21 +38,21 @@ fn timer_mix<Q>(
     for step in 0..16_000u64 {
         // Burst of near events (chatter within ~1 s of now).
         for _ in 0..3 {
-            push(q, SimTime(now + next() % 1_000));
+            push(q, now + next() % 1_000);
         }
         // Occasional fresh far timer (a renewal).
         if step % 64 == 0 {
-            push(q, SimTime(now + 172_800_000));
+            push(q, now + 172_800_000);
         }
         // Drain a few, advancing the clock.
         for _ in 0..3 {
-            if let Some(t) = pop(q) {
+            if let Some((t, _)) = q.pop() {
                 now = t.0;
                 popped += 1;
             }
         }
     }
-    while pop(q).is_some() {
+    while q.pop().is_some() {
         popped += 1;
     }
     popped
@@ -62,24 +60,7 @@ fn timer_mix<Q>(
 
 fn queue_benches(c: &mut Criterion) {
     c.bench_function("queue_timer_mix_wheel", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<u32> = EventQueue::new();
-            black_box(timer_mix(
-                |q, t| q.push_timer(t, NodeId(0), 0),
-                |q| q.pop().map(|(t, _)| t),
-                &mut q,
-            ))
-        });
-    });
-    c.bench_function("queue_timer_mix_binaryheap", |b| {
-        b.iter(|| {
-            let mut q: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
-            black_box(timer_mix(
-                |q, t| q.push_timer(t, NodeId(0), 0),
-                |q| q.pop().map(|(t, _)| t),
-                &mut q,
-            ))
-        });
+        b.iter(|| black_box(timer_mix(&mut EventQueue::new())));
     });
     // Same-timestamp batches: the run_until fast path's common case.
     c.bench_function("queue_same_time_batches_wheel", |b| {
@@ -89,6 +70,8 @@ fn queue_benches(c: &mut Criterion) {
                 for i in 0..16u32 {
                     q.push(
                         SimTime(batch * 10),
+                        0,
+                        batch * 16 + i as u64,
                         Event::Timer {
                             node: NodeId(0),
                             key: i as u64,

@@ -14,11 +14,10 @@
 //! Usage: `ablation_faults [--smoke] [--threads N] [--seed S]
 //!         [--domains D] [--secs T] [--shards K]`
 //!
-//! `--shards K` (default 0) runs every cell's engine sharded with
-//! conservative lookahead; the CSV is byte-identical for any K ≥ 1
-//! (CI diffs `--shards 4` against
-//! `crates/bench/tests/golden/faults_small_shard.csv`), while K = 0
-//! keeps the legacy serial engine and the historical golden.
+//! `--shards K` (default 0) spreads every cell's engine over K shards
+//! with conservative lookahead; the CSV is byte-identical for any K
+//! (0 and 1 are the same inline run) and is diffed against the one
+//! committed golden.
 
 use masc_bgmp_bench::faults::{flap_grid, run, series, FaultsParams};
 use masc_bgmp_bench::{banner, results_dir, Args};
@@ -38,15 +37,11 @@ fn main() {
     banner(
         "FAULTS",
         &format!(
-            "loss x flaps chaos sweep ({} domains, {} s chaos, seed {}, {} engine{})",
+            "loss x flaps chaos sweep ({} domains, {} s chaos, seed {}, {} engine shard(s){})",
             p.domains,
             p.chaos_secs,
             p.seed,
-            if p.shards == 0 {
-                "serial".to_string()
-            } else {
-                format!("{}-shard", p.shards)
-            },
+            p.shards.max(1),
             if smoke { ", smoke grid" } else { "" }
         ),
     );

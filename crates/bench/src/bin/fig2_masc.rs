@@ -23,12 +23,11 @@
 //! and resumed emits byte-identical CSVs to one uninterrupted run,
 //! at any `--threads`.
 //!
-//! `--shards K` (default 0) runs each replication on the sharded
-//! engine with conservative lookahead. The CSVs are byte-identical
-//! for every K ≥ 1 (CI diffs K = 1/2/4 against each other); K = 0 is
-//! the legacy serial engine with the historical output. A sharded
-//! checkpoint resumes at any `--shards ≥ 1`, not just the count that
-//! wrote it.
+//! `--shards K` (default 0) spreads each replication's engine over K
+//! shards with conservative lookahead. The CSVs are byte-identical
+//! for every K (CI diffs K = 0/1/2/4 against the committed golden; 0
+//! and 1 are the same inline run), and a checkpoint resumes at any
+//! `--shards`, not just the count that wrote it.
 //!
 //! Usage: `fig2_masc [--days 800] [--seed 1] [--sample 5] [--tops 50]
 //! [--children 50] [--seeds 1] [--threads 1] [--shards K]
@@ -75,11 +74,7 @@ fn run_one(
                 (sample_every, tops, children, seed),
                 "checkpoint was taken with different run parameters"
             );
-            // A serial blob resumes serially regardless of --shards; a
-            // sharded blob resumes at the requested count (any count
-            // continues the same byte-deterministic execution).
-            let sim =
-                HierarchySim::resume_sharded(&ck.sim, shards.max(1)).expect("resume checkpoint");
+            let sim = HierarchySim::resume_sharded(&ck.sim, shards).expect("resume checkpoint");
             (sim, ck.rows, ck.day)
         }
         None => {
@@ -173,12 +168,8 @@ fn main() {
         "FIG2",
         &format!(
             "MASC claim algorithm: {tops} top-level x {children} children, {days} days, \
-             seed {seed}, {seeds} replication(s), {threads} thread(s), {} engine",
-            if shards == 0 {
-                "serial".to_string()
-            } else {
-                format!("{shards}-shard")
-            }
+             seed {seed}, {seeds} replication(s), {threads} thread(s), {} engine shard(s)",
+            shards.max(1)
         ),
     );
 

@@ -39,8 +39,8 @@ pub struct FaultsParams {
     pub threads: usize,
     /// Small grid for CI (diffed against the committed golden CSV).
     pub smoke: bool,
-    /// Engine shards per cell (0 = legacy serial engine; ≥ 1 = the
-    /// sharded engine, byte-identical across shard counts) [0].
+    /// Engine shards per cell; the grid is byte-identical at every
+    /// count, 0 and 1 being the same run [0].
     pub shards: usize,
 }
 

@@ -29,9 +29,9 @@
 //!   timers beyond the wheel span, plus ring messages); unit = engine
 //!   events.
 //! * `shard` — the scale workload: a ≥100k-domain MASC hierarchy on
-//!   the sharded engine (4 shards) with a serial reference run of the
-//!   same population; unit = sharded engine events, with the serial
-//!   rate and speedup recorded in `params`.
+//!   4 engine shards next to the same population on 1 shard (inline);
+//!   unit = engine events of the 4-shard run, with the 1-shard rate
+//!   and the speedup recorded in `params`.
 //! * `bier` — BIFT construction for every ingress of an Internet-like
 //!   graph plus bitstring forwarding to a fixed membership; unit =
 //!   BIFT entries built + link copies forwarded (both deterministic).
@@ -250,17 +250,16 @@ pub fn run_faults(cfg: &PerfConfig) -> BenchRecord {
 }
 
 /// SHARD: the scale workload. A large MASC hierarchy (full: 100 tops
-/// × 1000 children = 100 100 domains; quick: 20 × 100) run on the
-/// sharded engine with 4 shards, next to a serial-engine reference of
-/// the same population. The record's rate is the sharded run; the
-/// serial rate and the resulting speedup are recorded in `params` so
-/// the JSON stays honest about the host (a single-core runner shows
-/// speedup ≤ 1 — the sharded path then runs its windows inline).
+/// × 1000 children = 100 100 domains; quick: 20 × 100) run on 4 engine
+/// shards, next to the same population on 1 shard (inline, no
+/// windows). The record's rate is the 4-shard run; the 1-shard rate
+/// and the resulting speedup are recorded in `params` so the JSON
+/// stays honest about the host (a single-core runner shows speedup
+/// ≤ 1 — the windows then run one shard after the other).
 ///
-/// Quick mode additionally runs the same population at 1 shard and
-/// asserts the event totals match the 4-shard run: the perf workload
-/// itself double-checks shard-count invariance, not just the CI
-/// golden CSVs.
+/// The two runs must process the same number of events: the perf
+/// workload itself double-checks shard-count invariance, not just the
+/// CI golden CSVs.
 pub fn run_shard(cfg: &PerfConfig) -> BenchRecord {
     let (tops, children, days) = if cfg.quick {
         (20, 100, 8)
@@ -276,41 +275,28 @@ pub fn run_shard(cfg: &PerfConfig) -> BenchRecord {
     };
     let domains = tops * (1 + children);
 
-    // Serial reference (the legacy engine, shards = 0).
-    let mut serial = HierarchySim::new(params.clone());
-    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
-    serial.run_to_day(days);
-    let serial_wall = t0.elapsed();
-    let serial_events = serial.engine.stats().events;
-    drop(serial);
+    let timed = |shards: usize| {
+        let mut sim = HierarchySim::new_sharded(params.clone(), shards);
+        let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
+        sim.run_to_day(days);
+        (sim.engine.stats().events, t0.elapsed())
+    };
+    let (one_events, one_wall) = timed(1);
+    let (events, wall) = timed(4);
+    assert_eq!(
+        one_events, events,
+        "the engine must process identical event totals at any shard count"
+    );
 
-    // Measured run: 4 shards.
-    let mut sharded = HierarchySim::new_sharded(params.clone(), 4);
-    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
-    sharded.run_to_day(days);
-    let wall = t0.elapsed();
-    let events = sharded.engine.stats().events;
-    drop(sharded);
-
-    if cfg.quick {
-        let mut one = HierarchySim::new_sharded(params, 1);
-        one.run_to_day(days);
-        assert_eq!(
-            one.engine.stats().events,
-            events,
-            "sharded engine must process identical event totals at any shard count"
-        );
-    }
-
-    let serial_eps = serial_events as f64 / serial_wall.as_secs_f64().max(1e-9);
+    let one_eps = one_events as f64 / one_wall.as_secs_f64().max(1e-9);
     let sharded_eps = events as f64 / wall.as_secs_f64().max(1e-9);
     BenchRecord::new(
         "shard",
         format!(
-            "{tops}x{children} hierarchy ({domains} domains), {days} days, seed {}, 4 shards; serial ref {:.0} ev/s ({serial_events} events), speedup {:.2}x",
+            "{tops}x{children} hierarchy ({domains} domains), {days} days, seed {}, 4 shards; 1 shard inline {:.0} ev/s, speedup {:.2}x",
             cfg.seed,
-            serial_eps,
-            sharded_eps / serial_eps.max(1e-9)
+            one_eps,
+            sharded_eps / one_eps.max(1e-9)
         ),
         "engine-events",
         cfg,

@@ -1,11 +1,8 @@
 //! Determinism regression for the fault ablation: the chaos sweep is
 //! seeded per cell and merged in task order, so its CSV must be
-//! byte-identical across thread counts *and* must reproduce the
-//! committed golden file — the same file CI regenerates and diffs.
-//! The sharded engine is its own determinism family with its own
-//! golden: byte-identical across shard counts, but (expectedly)
-//! different from serial in the lossy cells, because per-node RNG
-//! streams draw a different sequence than the serial single stream.
+//! byte-identical across thread counts *and* engine shard counts,
+//! and must reproduce the one committed golden file — the same file
+//! CI regenerates and diffs.
 
 use masc_bgmp_bench::faults::{run, series, FaultsParams};
 use metrics::emit;
@@ -27,7 +24,7 @@ fn faults_smoke_is_thread_invariant_and_matches_golden() {
     let serial = smoke_csv(1, 0);
     let par = smoke_csv(4, 0);
     assert_eq!(serial, par, "CSV diverged between --threads 1 and 4");
-    // The committed golden is the serial smoke run with the binary's
+    // The committed golden is the smoke run with the binary's
     // defaults; a mismatch means chaos runs stopped being replayable.
     assert_eq!(
         serial,
@@ -74,13 +71,13 @@ fn protection_never_recovers_slower_than_reconvergence() {
 }
 
 #[test]
-fn faults_smoke_is_shard_count_invariant_and_matches_shard_golden() {
-    let one = smoke_csv(1, 1);
-    let four = smoke_csv(1, 4);
-    assert_eq!(one, four, "CSV diverged between --shards 1 and 4");
-    assert_eq!(
-        one,
-        include_str!("golden/faults_small_shard.csv"),
-        "sharded smoke sweep no longer reproduces its committed golden CSV"
-    );
+fn faults_smoke_is_shard_count_invariant_and_matches_golden() {
+    let golden = include_str!("golden/faults_small_serial.csv");
+    for shards in [1, 2, 4] {
+        assert_eq!(
+            smoke_csv(1, shards),
+            golden,
+            "smoke sweep at --shards {shards} no longer reproduces the committed golden CSV"
+        );
+    }
 }

@@ -90,8 +90,8 @@ struct Outcome {
 
 fn run(seed: u64) -> Outcome {
     let mut eng: Engine<Keepalive> = Engine::new(seed, SimDuration::from_millis(10));
-    let a = eng.add_node_with(|_| Box::new(Endpoint::new(NodeId(1))));
-    let b = eng.add_node_with(|_| Box::new(Endpoint::new(NodeId(0))));
+    let a = eng.add_node(Box::new(Endpoint::new(NodeId(1))));
+    let b = eng.add_node(Box::new(Endpoint::new(NodeId(0))));
 
     // Phase 1 — clean link: both sides establish.
     eng.run_until(SimTime(20_000));

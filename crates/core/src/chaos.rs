@@ -57,8 +57,8 @@ pub struct ChaosConfig {
     /// Assert `check_running` after every fault event (panics on
     /// violation when enabled).
     pub check_mid_run: bool,
-    /// Engine shards (see [`InternetConfig::shards`]): `0` = legacy
-    /// serial engine; `≥ 1` = sharded, byte-identical across counts.
+    /// Engine shards (see [`InternetConfig::shards`]): the outcome is
+    /// byte-identical at every count, `0` and `1` being the same run.
     pub shards: usize,
 }
 

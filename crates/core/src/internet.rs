@@ -20,7 +20,7 @@ use bgp::{Asn, BgpSpeaker, ExportPolicy, PeerConfig, PeerRel, RouterId};
 use masc::{MascConfig, MascNode};
 use mcast_addr::{McastAddr, Prefix, Secs};
 use migp::{DomainNet, MigpKind};
-use simnet::{NodeId, SimDuration, SimEngine, SimTime};
+use simnet::{Engine, NodeId, SimDuration, SimTime};
 use topology::{DomainGraph, DomainId, MascHierarchy, Rel};
 
 use crate::domain::{BorderRouter, DomainActor, HostId, Wire};
@@ -80,12 +80,10 @@ pub struct InternetConfig {
     pub sessions: Option<SessionTimers>,
     /// RNG seed.
     pub seed: u64,
-    /// Number of engine shards. `0` (the default) runs the legacy
-    /// serial engine — byte-identical to every historical golden.
-    /// `shards ≥ 1` runs the domain-decomposed engine, whose outputs
-    /// are byte-identical across shard counts (but form a separate
-    /// determinism family from serial: per-node RNG streams). Domains
-    /// are assigned to shards in contiguous index bands.
+    /// Number of engine shards; `0` (the default) and `1` both run
+    /// one shard inline. Outputs are byte-identical at every count —
+    /// more shards only spread the work over threads. Domains are
+    /// assigned to shards in contiguous index bands.
     pub shards: usize,
 }
 
@@ -107,9 +105,8 @@ impl Default for InternetConfig {
 
 /// A running simulated internet.
 pub struct Internet {
-    /// The event engine (serial or sharded per
-    /// [`InternetConfig::shards`]).
-    pub engine: SimEngine<Wire>,
+    /// The event engine ([`InternetConfig::shards`] shards).
+    pub engine: Engine<Wire>,
     /// The domain graph it was built from.
     pub graph: DomainGraph,
     /// Simulator node of each domain (indexed by `DomainId.0`).
@@ -174,7 +171,7 @@ impl Internet {
     /// let BGP settle.
     pub fn build(graph: DomainGraph, cfg: &InternetConfig) -> Internet {
         let n = graph.len();
-        let mut engine: SimEngine<Wire> = SimEngine::with_shards(
+        let mut engine: Engine<Wire> = Engine::with_shards(
             cfg.seed,
             SimDuration::from_millis(cfg.link_latency_ms),
             cfg.shards,
@@ -182,13 +179,7 @@ impl Internet {
         // Contiguous index bands — deterministic, and hierarchy
         // builders lay out siblings adjacently so intra-band chatter
         // mostly stays on-shard.
-        let shard_of = |d: DomainId| {
-            if cfg.shards == 0 {
-                0
-            } else {
-                d.0 * cfg.shards / n.max(1)
-            }
-        };
+        let shard_of = |d: DomainId| d.0 * cfg.shards / n.max(1);
 
         // ---- Router id plan ----------------------------------------
         // Per domain: list of (router id, peer domain(s)).

@@ -2,13 +2,14 @@
 //! flaps + a node crash/restart, with invariants checked mid-run and
 //! full re-convergence demanded afterwards.
 
+use masc_bgmp_core::analysis::grib_sizes;
 use masc_bgmp_core::chaos::chaos_session_timers;
 use masc_bgmp_core::chaos::{run_chaos, ChaosConfig};
 use masc_bgmp_core::invariants::check_quiescent;
 use masc_bgmp_core::{asn_of, Addressing, BorderPlan, HostId, Internet, InternetConfig, Wire};
 use mcast_addr::Secs;
 use simnet::{FaultModel, SimDuration};
-use topology::{DomainGraph, DomainId};
+use topology::{internet_like, DomainGraph, DomainId, InternetSpec};
 
 /// The issue's acceptance scenario: loss ≥ 10%, at least 5 flaps and a
 /// crash/restart. The run must stay invariant-clean mid-run (asserted
@@ -67,9 +68,9 @@ fn chaos_is_byte_reproducible_for_a_fixed_seed() {
     );
 }
 
-/// The sharded engine is one determinism family: the same chaos
-/// scenario produces byte-identical outcomes — fingerprint, event
-/// totals, fault draws, convergence time — at every shard count ≥ 1.
+/// The engine is one determinism family: the same chaos scenario
+/// produces byte-identical outcomes — fingerprint, event totals, fault
+/// draws, convergence time — at every shard count.
 #[test]
 fn sharded_chaos_outcome_is_shard_count_invariant() {
     let base = ChaosConfig {
@@ -99,6 +100,59 @@ fn sharded_chaos_outcome_is_shard_count_invariant() {
             format!("{:?}", b.fault_stats),
             "fault draws diverged at shards={k}"
         );
+    }
+}
+
+/// Shard invariance where same-tick order is densest: a cold BGP
+/// flood over an Internet-like graph (every tick carries hundreds of
+/// updates pushed in scattered key order) and four backbone flap/heal
+/// cycles. Every shard count must choose the same routes, count the
+/// same events and fill every G-RIB.
+#[test]
+fn flood_and_backbone_flaps_are_shard_count_invariant() {
+    let n = 150;
+    let run = |shards: usize| {
+        let graph = internet_like(&InternetSpec {
+            n,
+            backbones: 8,
+            attach: 2,
+            extra_peerings: 10,
+            seed: 5,
+        });
+        let cfg = InternetConfig {
+            borders: BorderPlan::Single,
+            addressing: Addressing::Static,
+            shards,
+            ..Default::default()
+        };
+        let mut net = Internet::build(graph, &cfg);
+        net.converge();
+        for (a, b) in [(0, 1), (2, 5), (3, 7), (4, 6)] {
+            net.fail_link(DomainId(a), DomainId(b));
+            net.converge();
+            net.heal_link(DomainId(a), DomainId(b));
+            net.converge();
+        }
+        let mut loc_rib = Vec::new();
+        for d in net.graph.domains() {
+            for br in &net.domain(d).routers {
+                for r in br.speaker.rib().loc_rib() {
+                    loc_rib.push((br.id, r.next_hop, r.as_path.to_vec()));
+                }
+            }
+        }
+        (
+            loc_rib,
+            grib_sizes(&net),
+            net.engine.stats(),
+            format!("{:?}", net.engine.faults().stats()),
+        )
+    };
+    let one = run(1);
+    assert!(one.1.iter().all(|size| *size == n), "a G-RIB is not full");
+    assert!(one.2.delivered > 100_000, "the flood did not happen");
+    for k in [2, 4] {
+        assert!(run(k) == one, "shards=1 vs shards={k}");
     }
 }
 

@@ -12,7 +12,7 @@ use masc_bgmp_core::invariants::check_quiescent;
 use masc_bgmp_core::{asn_of, Addressing, BorderPlan, HostId, Internet, InternetConfig, Wire};
 use mcast_addr::McastAddr;
 use simnet::{FaultModel, SimDuration, SimTime};
-use topology::{DomainGraph, DomainId};
+use topology::{internet_like, DomainGraph, DomainId, InternetSpec};
 
 fn ring(n: usize) -> (DomainGraph, Vec<DomainId>) {
     let mut g = DomainGraph::new();
@@ -255,11 +255,12 @@ fn truncated_checkpoints_error_cleanly() {
     assert_eq!(state_fingerprint(&fresh), state_fingerprint(&net));
 }
 
-/// The sharded engine's checkpoint contract: a checkpoint taken
-/// mid-chaos is byte-identical across the shard counts that write it,
-/// and resumes byte-identically at a *different* shard count — the
-/// blob is shard-count-invariant, so the fleet size at resume time is
-/// free to change.
+/// The engine's checkpoint contract: a checkpoint taken mid-chaos is
+/// byte-identical across the shard counts that write it, and resumes
+/// byte-identically at a *different* shard count — the blob is
+/// shard-count-invariant, so the fleet size at resume time is free to
+/// change. Then the same on an Internet-like graph with several live
+/// groups, from one shard (inline) to two and four.
 #[test]
 fn sharded_checkpoint_resumes_across_shard_counts() {
     let (n, seed, cp_ms, end_ms) = (6, 13, 26_000, 60_000);
@@ -349,6 +350,89 @@ fn sharded_checkpoint_resumes_across_shard_counts() {
         blobs[0], blobs[1],
         "checkpoint bytes must not depend on the writer's shard count"
     );
+
+    // ---- An internet with live groups: 1 shard → 2 and 4 --------
+    let groups = 6;
+    let inet = |shards: usize| {
+        let graph = internet_like(&InternetSpec {
+            n: 40,
+            backbones: 4,
+            attach: 2,
+            extra_peerings: 4,
+            seed,
+        });
+        let cfg = InternetConfig {
+            borders: BorderPlan::Single,
+            addressing: Addressing::Static,
+            seed,
+            shards,
+            ..Default::default()
+        };
+        Internet::build(graph, &cfg)
+    };
+    // Group `k` is rooted at domain `k`; its members are every
+    // seventh domain from `k + 1`.
+    let member = |k: usize, i: usize| HostId {
+        domain: asn_of(DomainId((k + 1 + 7 * i) % 40)),
+        host: 1,
+    };
+    let join_all = |net: &mut Internet| -> Vec<McastAddr> {
+        net.converge();
+        let addrs: Vec<McastAddr> = (0..groups).map(|k| net.group_addr(DomainId(k))).collect();
+        for (k, g) in addrs.iter().enumerate() {
+            for i in 0..5 {
+                net.host_join(member(k, i), *g);
+            }
+        }
+        net.converge();
+        addrs
+    };
+    // Step `s`: every group carries one packet from a rotating member;
+    // a backbone link fails at step 2 and heals at step 6; one member
+    // leaves at step 4.
+    let steps = |net: &mut Internet, addrs: &[McastAddr], from: usize, to: usize| {
+        for s in from..to {
+            match s {
+                2 => net.fail_link(DomainId(0), DomainId(1)),
+                4 => net.host_leave(member(3, 2), addrs[3]),
+                6 => net.heal_link(DomainId(0), DomainId(1)),
+                _ => {}
+            }
+            for (k, g) in addrs.iter().enumerate() {
+                net.send_data(member(k, s % 5), *g);
+            }
+            net.run_for(SimDuration::from_millis(700));
+        }
+    };
+    let observe = |net: &Internet| {
+        (
+            state_fingerprint(net),
+            net.engine.stats(),
+            format!("{:?}", net.engine.faults().stats()),
+            net.deliveries_by_packet(),
+            net.checkpoint().expect("checkpoint"),
+        )
+    };
+
+    let mut mono = inet(1);
+    let addrs = join_all(&mut mono);
+    steps(&mut mono, &addrs, 0, 9);
+    let want = observe(&mono);
+    assert!(want.3.values().all(|rx| rx.len() >= 3), "groups went dark");
+
+    let mut head = inet(1);
+    assert_eq!(join_all(&mut head), addrs);
+    steps(&mut head, &addrs, 0, 5);
+    let bytes = head.checkpoint().expect("checkpoint with live groups");
+    for k in [2, 4] {
+        let mut resumed = inet(k);
+        resumed.resume_from(&bytes).expect("resume");
+        steps(&mut resumed, &addrs, 5, 9);
+        assert!(
+            observe(&resumed) == want,
+            "1-shard checkpoint resumed at {k} shards diverged"
+        );
+    }
 }
 
 /// A shell with the wrong shape must be rejected up front.

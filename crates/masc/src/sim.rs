@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use mcast_addr::{Prefix, Secs};
 use rand::Rng;
-use simnet::{Ctx, Node, NodeId, SimDuration, SimEngine, SimTime};
+use simnet::{Ctx, Engine, Node, NodeId, SimDuration, SimTime};
 
 use crate::config::MascConfig;
 use crate::msg::{DomainAsn, MascAction, MascMsg};
@@ -294,45 +294,36 @@ pub struct HierarchyMetrics {
 
 /// A running two-level MASC hierarchy simulation.
 pub struct HierarchySim {
-    /// The event engine (serial, or sharded via
+    /// The event engine (one shard, or several via
     /// [`HierarchySim::new_sharded`]).
-    pub engine: SimEngine<MascWire>,
+    pub engine: Engine<MascWire>,
     /// Node ids of top-level domains (ASN = index + 1).
     pub tops: Vec<NodeId>,
     /// Node ids of child domains.
     pub children: Vec<NodeId>,
     params: HierarchySimParams,
-    shards: usize,
 }
 
 impl HierarchySim {
-    /// Builds the hierarchy on the serial engine: ASNs 1..=T are
-    /// top-level; children of top `t` are `T + (t-1)*C + 1 ..= T + t*C`.
+    /// Builds the hierarchy on one shard: ASNs 1..=T are top-level;
+    /// children of top `t` are `T + (t-1)*C + 1 ..= T + t*C`.
     /// Node id = ASN - 1.
     pub fn new(params: HierarchySimParams) -> Self {
-        Self::new_sharded(params, 0)
+        Self::new_sharded(params, 1)
     }
 
-    /// Builds the hierarchy on the sharded engine (`shards = 0` falls
-    /// back to serial). Each top-level domain and all of its children
-    /// land on the same shard — MASC traffic is overwhelmingly
-    /// parent↔child and sibling↔sibling, so subtree placement keeps
-    /// almost all chatter on-shard. Results are byte-identical across
-    /// every `shards ≥ 1` count (and form a separate determinism
-    /// family from `shards = 0`; see `simnet::shard`).
+    /// Builds the hierarchy on `shards` engine shards (`0` means 1).
+    /// Each top-level domain and all of its children land on the same
+    /// shard — MASC traffic is overwhelmingly parent↔child and
+    /// sibling↔sibling, so subtree placement keeps almost all chatter
+    /// on-shard. Results are byte-identical at every shard count.
     pub fn new_sharded(params: HierarchySimParams, shards: usize) -> Self {
         let t = params.top_level;
         let c = params.children_per;
-        let mut engine: SimEngine<MascWire> =
-            SimEngine::with_shards(params.seed, SimDuration::from_millis(50), shards);
+        let mut engine: Engine<MascWire> =
+            Engine::with_shards(params.seed, SimDuration::from_millis(50), shards);
         // Subtree → shard: contiguous bands of top-level indices.
-        let shard_of_top = |asn: DomainAsn| {
-            if shards == 0 {
-                0
-            } else {
-                (asn as usize - 1) * shards / t.max(1)
-            }
-        };
+        let shard_of_top = |asn: DomainAsn| (asn as usize - 1) * shards / t.max(1);
         let top_asns: Vec<DomainAsn> = (1..=t as u32).collect();
         let mut tops = Vec::new();
         let mut children = Vec::new();
@@ -383,7 +374,6 @@ impl HierarchySim {
             tops,
             children,
             params,
-            shards,
         }
     }
 
@@ -460,18 +450,10 @@ impl HierarchySim {
         &self.params
     }
 
-    /// The shard count the simulation was built with (0 = serial).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Serializes the whole simulation — parameters plus full engine
     /// state — so a later process can [`HierarchySim::resume`] it and
-    /// produce byte-identical results to an uninterrupted run.
-    ///
-    /// Format v2 records whether the run is sharded; a sharded engine
-    /// blob is itself shard-count-invariant, so resume may pick a
-    /// *different* shard count than the checkpointing process used.
+    /// produce byte-identical results to an uninterrupted run. The
+    /// blob does not depend on the shard count it was taken at.
     pub fn checkpoint(&self) -> Result<Vec<u8>, snapshot::SnapError> {
         use snapshot::Snapshot;
         let mut enc = snapshot::Enc::with_header(SNAP_KIND_HIERARCHY);
@@ -480,29 +462,25 @@ impl HierarchySim {
         self.params.workload.encode(&mut enc);
         self.params.config.encode(&mut enc);
         enc.u64(self.params.seed);
-        enc.bool(self.shards > 0);
         enc.bytes(&self.engine.checkpoint::<MascActor>()?);
         Ok(enc.finish())
     }
 
-    /// Rebuilds a simulation from [`HierarchySim::checkpoint`] bytes:
-    /// reconstructs the hierarchy from the encoded parameters, then
-    /// restores every actor and the engine's clock/queue/RNG.
-    ///
-    /// Serial checkpoints (and every pre-sharding v1 blob) resume onto
-    /// the serial engine. Sharded checkpoints resume onto a sharded
-    /// engine with `shards` shards — any count ≥ 1 continues the same
-    /// byte-deterministic execution.
+    /// Rebuilds a simulation (on one shard) from
+    /// [`HierarchySim::checkpoint`] bytes: reconstructs the hierarchy
+    /// from the encoded parameters, then restores every actor and the
+    /// engine's clock, queue and RNG streams.
     pub fn resume(bytes: &[u8]) -> Result<Self, snapshot::SnapError> {
         Self::resume_sharded(bytes, 1)
     }
 
-    /// [`HierarchySim::resume`] with an explicit shard count for
-    /// sharded blobs (ignored when the blob is serial).
+    /// [`HierarchySim::resume`] onto `shards` engine shards; any count
+    /// continues the same byte-deterministic execution, whatever count
+    /// took the checkpoint.
     pub fn resume_sharded(bytes: &[u8], shards: usize) -> Result<Self, snapshot::SnapError> {
         use snapshot::Snapshot;
         let mut dec = snapshot::Dec::new(bytes);
-        let version = dec.header(SNAP_KIND_HIERARCHY)?;
+        dec.header(SNAP_KIND_HIERARCHY)?;
         let params = HierarchySimParams {
             top_level: dec.usize()?,
             children_per: dec.usize()?,
@@ -510,15 +488,9 @@ impl HierarchySim {
             config: MascConfig::decode(&mut dec)?,
             seed: dec.u64()?,
         };
-        // v1 blobs predate sharding: always serial.
-        let sharded = if version >= 2 { dec.bool()? } else { false };
         let engine_blob = dec.bytes()?.to_vec();
         dec.finish()?;
-        let mut sim = if sharded {
-            HierarchySim::new_sharded(params, shards.max(1))
-        } else {
-            HierarchySim::new(params)
-        };
+        let mut sim = HierarchySim::new_sharded(params, shards);
         sim.engine.resume::<MascActor>(&engine_blob)?;
         Ok(sim)
     }

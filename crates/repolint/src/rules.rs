@@ -50,9 +50,9 @@ pub const DECODE_PATHS: &[&str] = &[
 ];
 
 /// The blessed homes for raw OS threads: the deterministic fork/join
-/// harness, and the sharded engine's scoped per-window fan-out (whose
-/// serial fallback is byte-identical).
-pub const SPAWN_OK_PATHS: &[&str] = &["crates/bench/src/par.rs", "crates/simnet/src/shard.rs"];
+/// harness, and the engine's scoped per-window shard fan-out (whose
+/// inline fallback is byte-identical).
+pub const SPAWN_OK_PATHS: &[&str] = &["crates/bench/src/par.rs", "crates/simnet/src/engine.rs"];
 
 /// Per-event hot paths with an allocation budget: the BGP decision
 /// process and the BGMP tree table run once per simulated event, and
@@ -625,7 +625,7 @@ mod tests {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(run("crates/core/src/x.rs", src).len(), 1);
         assert!(run("crates/bench/src/par.rs", src).is_empty());
-        assert!(run("crates/simnet/src/shard.rs", src).is_empty());
+        assert!(run("crates/simnet/src/engine.rs", src).is_empty());
     }
 
     #[test]

@@ -1,4 +1,62 @@
 //! The discrete-event engine tying nodes, links, and the queue together.
+//!
+//! There is one engine. Its nodes live in K ≥ 1 shards, each owning
+//! its nodes, their RNG streams and emit counters, and a bucket-wheel
+//! [`EventQueue`] — the domain-decomposition shape of cellular_raza's
+//! chili backend (a domain deconstructs into subdomains that each own
+//! their cells), applied to the AS graph. K = 1 ([`Engine::new`]) is
+//! one shard run inline on the caller's thread as a plain
+//! pop-and-dispatch loop; K ≥ 2 ([`Engine::with_shards`]) advances the
+//! shards in conservative-lookahead windows. Both produce the same
+//! bytes.
+//!
+//! # The determinism argument
+//!
+//! 1. **Keys.** Every event carries a `(time, rank, seq)` key that
+//!    does not depend on the partitioning: rank is the source node's
+//!    id + 1 (0 for external injections), seq the source's private
+//!    emit counter (one engine-wide counter for external injections).
+//!    Queues pop in key order, so the events delivered to any single
+//!    node are the same sequence under every layout.
+//! 2. **RNG.** Each node owns a `StdRng` seeded from
+//!    `seed ^ splitmix64(id)`; fault draws for a send use the sending
+//!    node's stream. No draw order is shared across nodes, so the
+//!    order in which *different* nodes run cannot leak into results.
+//! 3. **Windows (K ≥ 2 only).** Let `L = min link latency (≥ 1 ms)`.
+//!    A window anchors at the global earliest pending event time `W`
+//!    and spans `[W, W + L)`. Any message sent while handling an event
+//!    at time `t` in the window arrives at `t + latency ≥ W + L` —
+//!    beyond the window — whether its recipient is local (it lands in
+//!    the shard queue but is not popped this window) or remote (it
+//!    lands in the outbox and merges at the barrier). So event
+//!    handling inside a window depends only on state established
+//!    before the window, which every shard has in full for the nodes
+//!    and links it owns.
+//!
+//! One shard needs no lookahead: its single queue already holds every
+//! pending event, so popping in key order *is* the global order, and
+//! zero-latency links (a send that lands in the tick being drained)
+//! are legal there. With every latency ≥ 1 ms, 1 shard and K shards
+//! deliver the same per-node event sequences, make the same per-node
+//! draws, and sum to the same counters — byte-identical outputs,
+//! fingerprints, and checkpoints at any shard count.
+//!
+//! # Shard 0 is the master copy
+//!
+//! Configuration between runs ([`Engine::links_mut`],
+//! [`Engine::faults_mut`]) lands on shard 0's link table and fault
+//! plane. A run pushes them to the other shards on entry and folds the
+//! other shards' link transitions, crashed-node sets and counters back
+//! into shard 0 on exit, so between runs shard 0 holds the merged
+//! view. With one shard both steps have nothing to do.
+//!
+//! # Threads
+//!
+//! Shards with work in the current window run on scoped threads when
+//! the host has more than one core (and at least two shards are
+//! active); otherwise the window executes serially on the caller.
+//! Both paths produce identical bytes — threading here is purely a
+//! wall-clock lever, exactly like `bench::par`'s task fan-out.
 
 use std::any::Any;
 
@@ -15,13 +73,6 @@ use crate::trace::Trace;
 
 /// Snapshot kind tag for an [`Engine`] checkpoint.
 pub const SNAP_KIND_ENGINE: u16 = 1;
-
-/// Mode byte distinguishing serial from sharded engine blobs inside a
-/// v2 [`SNAP_KIND_ENGINE`] snapshot (v1 blobs predate the byte and are
-/// always serial).
-pub(crate) const ENGINE_MODE_SERIAL: u8 = 0;
-/// See [`ENGINE_MODE_SERIAL`].
-pub(crate) const ENGINE_MODE_SHARDED: u8 = 1;
 
 /// A rejected fault-schedule request. Returned instead of silently
 /// mis-scheduling: a release build used to accept a backwards window
@@ -53,7 +104,7 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// Running counters maintained by the engine.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Messages delivered to a node's `on_message`.
     pub delivered: u64,
@@ -65,104 +116,416 @@ pub struct EngineStats {
     pub events: u64,
 }
 
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, o: Self) {
+        self.delivered += o.delivered;
+        self.dropped += o.dropped;
+        self.timers += o.timers;
+        self.events += o.events;
+    }
+}
+
+/// splitmix64 finalizer — the same per-stream seed derivation the
+/// bench harness uses for task seeds, here keyed by node id.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The shard that counts a link event and logs it for the master
+/// table: the owner of its first *registered* endpoint (shard 0 when
+/// neither is), so replicated copies count once under any layout.
+fn primary_shard(owner: &[u32], a: NodeId, b: NodeId) -> usize {
+    owner
+        .get(a.0)
+        .or_else(|| owner.get(b.0))
+        .map_or(0, |&s| s as usize)
+}
+
+/// The node a message or timer event is delivered to.
+fn target<M>(ev: &Event<M>) -> NodeId {
+    match ev {
+        Event::Message { to, .. } => *to,
+        Event::Timer { node, .. } => *node,
+        _ => unreachable!("only messages and timers are delivered to a node"),
+    }
+}
+
+fn trace_line<M>(ev: &Event<M>) -> String {
+    match ev {
+        Event::Message { from, to, .. } => format!("msg {}->{}", from.0, to.0),
+        Event::Timer { node, key } => format!("timer node={} key={key}", node.0),
+        Event::LinkDown(a, b) => format!("link down {}-{}", a.0, b.0),
+        Event::LinkUp(a, b) => format!("link up {}-{}", a.0, b.0),
+        Event::NodeDown(n) => format!("node down {}", n.0),
+        Event::NodeUp(n) => format!("node up {}", n.0),
+    }
+}
+
+/// A registered node with the two pieces of per-node engine state that
+/// make its behaviour independent of the shard layout.
+struct Slot<M> {
+    /// `None` only while the node is handling an event.
+    node: Option<Box<dyn Node<M> + Send>>,
+    /// The node's private RNG stream.
+    rng: StdRng,
+    /// The node's emit counter: the `seq` of the next event it emits.
+    emit: u64,
+}
+
+/// Where a shard sits in the engine: handed to every shard call so a
+/// shard can resolve node ids without owning the tables.
+#[derive(Clone, Copy)]
+struct Place<'a> {
+    /// Node id → owning shard; empty when there is only one shard
+    /// (nothing is remote and no link event is a replica).
+    owner: &'a [u32],
+    /// Node id → index within its shard's `slots`.
+    local: &'a [u32],
+    /// This shard's index.
+    me: u32,
+}
+
+impl Place<'_> {
+    /// Index of `id`'s slot within its shard (out of range for an id
+    /// that was never registered).
+    fn slot_of(&self, id: NodeId) -> usize {
+        self.local.get(id.0).map_or(usize::MAX, |&li| li as usize)
+    }
+}
+
+/// One shard: the nodes it owns and their queue, plus a link table and
+/// fault plane (shard 0's are the engine's master copies; the others
+/// are working copies — see the module docs).
+struct Shard<M> {
+    slots: Vec<Slot<M>>,
+    queue: EventQueue<M>,
+    links: LinkTable,
+    /// Configuration mirrors shard 0; the down set and counters are
+    /// authoritative for owned nodes.
+    faults: FaultPlane<M>,
+    /// This shard's share of the engine counters.
+    stats: EngineStats,
+    /// Time of the last event this shard dispatched.
+    now: SimTime,
+    /// Cross-shard sends of the current window, `(t, rank, seq, ev)`.
+    outbox: Vec<(u64, u64, u64, Event<M>)>,
+    /// Link transitions whose primary copy ran here (never on shard
+    /// 0, which applies them to the master table directly), for
+    /// replay onto the master table after the run.
+    link_log: Vec<(NodeId, NodeId, bool)>,
+    /// Dispatch-level event trace; `None` (the default) costs nothing.
+    trace: Option<Trace>,
+}
+
+impl<M: 'static> Shard<M> {
+    fn new(default_latency: SimDuration) -> Self {
+        Shard {
+            slots: Vec::new(),
+            queue: EventQueue::new(),
+            links: LinkTable::new(default_latency),
+            faults: FaultPlane::new(),
+            stats: EngineStats::default(),
+            now: SimTime::ZERO,
+            outbox: Vec::new(),
+            link_log: Vec::new(),
+            trace: None,
+        }
+    }
+
+    /// Runs every pending event with `time <= until`.
+    ///
+    /// Fast path: `pop_le` locates and removes the next due event in
+    /// one queue operation, so same-timestamp batches drain without a
+    /// peek-then-pop double scan per event. `more_at` keeps the sparse
+    /// case — one event per (timestamp, node), the bulk of timer-driven
+    /// load — on the plain path: batching only engages when another
+    /// same-tick event is actually pending, and consecutive same-tick
+    /// events for one node are delivered in a single node borrow
+    /// ([`Shard::dispatch_node_batch`]).
+    fn run(&mut self, p: Place<'_>, until: SimTime) {
+        while let Some((at, event)) = self.queue.pop_le(until) {
+            match event {
+                ev @ (Event::Message { .. } | Event::Timer { .. }) if self.queue.more_at(at) => {
+                    self.dispatch_node_batch(p, at, ev)
+                }
+                other => self.dispatch(p, at, other),
+            }
+        }
+    }
+
+    /// Dispatches one popped event.
+    fn dispatch(&mut self, p: Place<'_>, at: SimTime, event: Event<M>) {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        if let Some(trace) = &mut self.trace {
+            trace.push(at, trace_line(&event));
+        }
+        match event {
+            Event::Message { from, to, msg } => {
+                self.stats.events += 1;
+                if self.faults.is_down(to) {
+                    self.faults.stats.dropped_at_down_node += 1;
+                    return;
+                }
+                self.stats.delivered += 1;
+                self.with_node(p, at, to, |node, ctx| node.on_message(ctx, from, msg));
+            }
+            Event::Timer { node, key } => {
+                self.stats.events += 1;
+                if self.faults.is_down(node) {
+                    self.faults.stats.timers_suppressed += 1;
+                    return;
+                }
+                self.stats.timers += 1;
+                self.with_node(p, at, node, |n, ctx| n.on_timer(ctx, key));
+            }
+            Event::LinkDown(a, b) => {
+                self.count_link_event(p, a, b, false);
+                self.links.set_down(a, b);
+            }
+            Event::LinkUp(a, b) => {
+                self.count_link_event(p, a, b, true);
+                self.links.set_up(a, b);
+            }
+            Event::NodeDown(n) => {
+                self.stats.events += 1;
+                self.faults.mark_down(n);
+            }
+            Event::NodeUp(n) => {
+                self.stats.events += 1;
+                if self.faults.mark_up(n) {
+                    self.with_node(p, at, n, |node, ctx| node.on_restart(ctx));
+                }
+            }
+        }
+    }
+
+    /// A link event is replicated to both endpoint owners; only its
+    /// primary copy counts, and logs the transition for the master
+    /// table unless it ran on the master itself.
+    fn count_link_event(&mut self, p: Place<'_>, a: NodeId, b: NodeId, up: bool) {
+        if !p.owner.is_empty() && primary_shard(p.owner, a, b) != p.me as usize {
+            return;
+        }
+        self.stats.events += 1;
+        if p.me != 0 {
+            self.link_log.push((a, b, up));
+        }
+    }
+
+    fn with_node(
+        &mut self,
+        p: Place<'_>,
+        at: SimTime,
+        id: NodeId,
+        f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>),
+    ) {
+        let Some(slot) = self.slots.get_mut(p.slot_of(id)) else {
+            return; // addressed to a node that was never registered
+        };
+        let Some(mut node) = slot.node.take() else {
+            return; // re-entrant dispatch cannot happen; treat as gone
+        };
+        let mut ctx = Ctx {
+            id,
+            now: at,
+            queue: &mut self.queue,
+            links: &self.links,
+            rng: &mut slot.rng,
+            emit: &mut slot.emit,
+            faults: &mut self.faults,
+            dropped: &mut self.stats.dropped,
+            owner: p.owner,
+            shard: p.me,
+            outbox: &mut self.outbox,
+        };
+        f(node.as_mut(), &mut ctx);
+        slot.node = Some(node);
+    }
+
+    /// Dispatches `first` to its target node, then drains the
+    /// contiguous run of same-timestamp events for that same node
+    /// without returning the node to its slot in between (one
+    /// take/put-back per batch instead of per event). Pop order —
+    /// and so every observable outcome — is identical to dispatching
+    /// one event at a time: only the queue's head is ever taken (see
+    /// [`EventQueue::pop_if_for`]). A handler cannot crash or restart
+    /// a node (only scheduled events do, and those end the batch), so
+    /// the down check holds for the whole batch.
+    fn dispatch_node_batch(&mut self, p: Place<'_>, at: SimTime, first: Event<M>) {
+        let id = target(&first);
+        let Some(slot) = self.slots.get_mut(p.slot_of(id)) else {
+            return self.dispatch(p, at, first);
+        };
+        debug_assert!(at >= self.now);
+        self.now = at;
+        let mut node = slot.node.take();
+        let down = self.faults.is_down(id);
+        let mut next = Some(first);
+        while let Some(ev) = next {
+            self.stats.events += 1;
+            if let Some(trace) = &mut self.trace {
+                trace.push(at, trace_line(&ev));
+            }
+            let is_msg = matches!(ev, Event::Message { .. });
+            match (is_msg, down) {
+                (true, true) => self.faults.stats.dropped_at_down_node += 1,
+                (false, true) => self.faults.stats.timers_suppressed += 1,
+                (true, false) => self.stats.delivered += 1,
+                (false, false) => self.stats.timers += 1,
+            }
+            if let (false, Some(n)) = (down, node.as_mut()) {
+                let mut ctx = Ctx {
+                    id,
+                    now: at,
+                    queue: &mut self.queue,
+                    links: &self.links,
+                    rng: &mut slot.rng,
+                    emit: &mut slot.emit,
+                    faults: &mut self.faults,
+                    dropped: &mut self.stats.dropped,
+                    owner: p.owner,
+                    shard: p.me,
+                    outbox: &mut self.outbox,
+                };
+                match ev {
+                    Event::Message { from, msg, .. } => n.on_message(&mut ctx, from, msg),
+                    Event::Timer { key, .. } => n.on_timer(&mut ctx, key),
+                    _ => unreachable!("batch dispatch is only for node-delivered events"),
+                }
+            }
+            next = self.queue.pop_if_for(at, id);
+        }
+        slot.node = node;
+    }
+}
+
 /// A deterministic discrete-event simulator over message type `M`.
 ///
 /// Typical use: register nodes, configure links (or rely on the default
 /// latency), call [`Engine::start`], inject workload via
 /// [`Engine::schedule_message`], then [`Engine::run_until`] /
-/// [`Engine::run_until_idle`].
+/// [`Engine::run_until_idle`]. See the module docs for the execution
+/// and determinism model.
 pub struct Engine<M> {
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
-    queue: EventQueue<M>,
-    links: LinkTable,
+    shards: Vec<Shard<M>>,
+    /// Node id → owning shard.
+    owner: Vec<u32>,
+    /// Node id → index within its shard.
+    local: Vec<u32>,
     now: SimTime,
-    rng: StdRng,
-    faults: FaultPlane<M>,
-    stats: EngineStats,
+    seed: u64,
+    /// Sequence counter for externally injected events (rank 0).
+    ext_seq: u64,
     started: bool,
-    /// Dispatch-level event trace; `None` (the default) costs nothing.
-    trace: Option<Trace>,
 }
 
-impl<M: 'static> Engine<M> {
-    /// Creates an engine with the given RNG seed and default link
-    /// latency for unconfigured links.
+impl<M: Send + 'static> Engine<M> {
+    /// Creates a one-shard engine with the given RNG seed and default
+    /// link latency for unconfigured links.
     pub fn new(seed: u64, default_latency: SimDuration) -> Self {
+        Self::with_shards(seed, default_latency, 1)
+    }
+
+    /// Creates an engine with `shards` shards; `0` means 1. Results
+    /// do not depend on the count (every link latency must be ≥ 1 ms
+    /// when it is 2 or more).
+    pub fn with_shards(seed: u64, default_latency: SimDuration, shards: usize) -> Self {
         Engine {
-            nodes: Vec::new(),
-            queue: EventQueue::new(),
-            links: LinkTable::new(default_latency),
+            shards: (0..shards.max(1))
+                .map(|_| Shard::new(default_latency))
+                .collect(),
+            owner: Vec::new(),
+            local: Vec::new(),
             now: SimTime::ZERO,
-            rng: StdRng::seed_from_u64(seed),
-            faults: FaultPlane::new(),
-            stats: EngineStats::default(),
+            seed,
+            ext_seq: 0,
             started: false,
-            trace: None,
         }
     }
 
     /// Enables the dispatch-level event trace, retaining the last
     /// `cap` lines. Tracing only changes what is recorded, never the
     /// schedule, so enabling it cannot perturb a deterministic run.
+    /// **One shard only** — several shards have no single dispatch
+    /// order to record, so this is a no-op there.
     pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(Trace::new(cap));
+        if let [only] = &mut self.shards[..] {
+            only.trace = Some(Trace::new(cap));
+        }
     }
 
     /// The dispatch trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.shards[0].trace.as_ref()
     }
 
-    /// Registers a node, returning its id.
-    pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Some(node));
-        id
+    /// Registers a node (on shard 0), returning its id.
+    pub fn add_node(&mut self, node: Box<dyn Node<M> + Send>) -> NodeId {
+        self.add_node_in(0, node)
     }
 
-    /// Registers a node built from its own id (for actors that must
-    /// know their address at construction time).
-    pub fn add_node_with(&mut self, f: impl FnOnce(NodeId) -> Box<dyn Node<M>>) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Some(f(id)));
-        id
+    /// Registers a node on `shard` (clamped to the shard count),
+    /// returning its globally sequential id.
+    pub fn add_node_in(&mut self, shard: usize, node: Box<dyn Node<M> + Send>) -> NodeId {
+        let id = self.owner.len();
+        let s = shard.min(self.shards.len() - 1);
+        self.owner.push(s as u32);
+        self.local.push(self.shards[s].slots.len() as u32);
+        self.shards[s].slots.push(Slot {
+            node: Some(node),
+            rng: StdRng::seed_from_u64(self.seed ^ splitmix64(id as u64)),
+            emit: 0,
+        });
+        NodeId(id)
     }
 
     /// Number of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.owner.len()
+    }
+
+    fn slot(&self, id: NodeId) -> Option<&Slot<M>> {
+        let s = *self.owner.get(id.0)? as usize;
+        self.shards[s].slots.get(self.local[id.0] as usize)
     }
 
     /// Immutable access to a node downcast to its concrete type.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        let node = self.nodes.get(id.0)?.as_deref()?;
+        let node = self.slot(id)?.node.as_deref()?;
         (node as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutable access to a node downcast to its concrete type.
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let node = self.nodes.get_mut(id.0)?.as_deref_mut()?;
-        (node as &mut dyn Any).downcast_mut::<T>()
+        let s = *self.owner.get(id.0)? as usize;
+        let slot = self.shards[s].slots.get_mut(self.local[id.0] as usize)?;
+        (slot.node.as_deref_mut()? as &mut dyn Any).downcast_mut::<T>()
     }
 
-    /// The link table, for configuration.
+    /// The link table, for configuration (valid between runs).
     pub fn links_mut(&mut self) -> &mut LinkTable {
-        &mut self.links
+        &mut self.shards[0].links
     }
 
-    /// The link table, read-only.
+    /// The link table, read-only (the merged view between runs).
     pub fn links(&self) -> &LinkTable {
-        &self.links
+        &self.shards[0].links
     }
 
-    /// The fault-injection plane, for configuration.
+    /// The fault-injection plane, for configuration (valid between
+    /// runs).
     pub fn faults_mut(&mut self) -> &mut FaultPlane<M> {
-        &mut self.faults
+        &mut self.shards[0].faults
     }
 
-    /// The fault-injection plane, read-only.
+    /// The fault-injection plane, read-only (the merged view between
+    /// runs).
     pub fn faults(&self) -> &FaultPlane<M> {
-        &self.faults
+        &self.shards[0].faults
     }
 
     /// Current simulated time.
@@ -170,28 +533,65 @@ impl<M: 'static> Engine<M> {
         self.now
     }
 
-    /// Counters.
+    /// Counters (valid between runs).
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        self.shards[0].stats
+    }
+
+    /// Pending event count (diagnostics).
+    pub fn pending(&self) -> usize {
+        self.shards.iter().map(|s| s.queue.len()).sum()
+    }
+
+    /// Puts a keyed event into the queue of the shard that owns its
+    /// target (shard 0 for ids that were never registered). A link
+    /// event goes to the owners of both endpoints under one shared key.
+    fn enqueue(&mut self, at: SimTime, rank: u64, seq: u64, ev: Event<M>) {
+        let shard_of = |n: &NodeId| self.owner.get(n.0).map(|&s| s as usize);
+        let dst = match &ev {
+            Event::Message { to: n, .. }
+            | Event::Timer { node: n, .. }
+            | Event::NodeDown(n)
+            | Event::NodeUp(n) => shard_of(n).unwrap_or(0),
+            Event::LinkDown(a, b) | Event::LinkUp(a, b) => {
+                let primary = primary_shard(&self.owner, *a, *b);
+                if let Some(other) = shard_of(b).filter(|&s| s != primary) {
+                    let replica = if matches!(ev, Event::LinkDown(..)) {
+                        Event::LinkDown(*a, *b)
+                    } else {
+                        Event::LinkUp(*a, *b)
+                    };
+                    self.shards[other].queue.push(at, rank, seq, replica);
+                }
+                primary
+            }
+        };
+        self.shards[dst].queue.push(at, rank, seq, ev);
+    }
+
+    /// Enqueues an external injection: rank 0, engine-wide sequence.
+    fn inject(&mut self, at: SimTime, ev: Event<M>) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let seq = self.ext_seq;
+        self.ext_seq += 1;
+        self.enqueue(at, 0, seq, ev);
     }
 
     /// Injects a message from [`NodeId::EXTERNAL`] to `to` at absolute
     /// time `at` (must not be in the past).
     pub fn schedule_message(&mut self, at: SimTime, to: NodeId, msg: M) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        self.queue.push_message(at, NodeId::EXTERNAL, to, msg);
+        self.schedule_message_from(at, NodeId::EXTERNAL, to, msg);
     }
 
-    /// Injects a message with an explicit sender.
+    /// Injects a message with an explicit sender. Still an external
+    /// injection for ordering purposes (rank 0).
     pub fn schedule_message_from(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        self.queue.push_message(at, from, to, msg);
+        self.inject(at, Event::Message { from, to, msg });
     }
 
     /// Schedules a timer firing on `node` at absolute time `at`.
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, key: u64) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        self.queue.push_timer(at, node, key);
+        self.inject(at, Event::Timer { node, key });
     }
 
     /// Schedules the link between `a` and `b` to fail at `at` and
@@ -208,12 +608,11 @@ impl<M: 'static> Engine<M> {
         at: SimTime,
         until: SimTime,
     ) -> Result<(), ScheduleError> {
-        debug_assert!(at >= self.now, "scheduling into the past");
         if until < at {
             return Err(ScheduleError::BackwardsWindow { at, until });
         }
-        self.queue.push(at, Event::LinkDown(a, b));
-        self.queue.push(until, Event::LinkUp(a, b));
+        self.inject(at, Event::LinkDown(a, b));
+        self.inject(until, Event::LinkUp(a, b));
         Ok(())
     }
 
@@ -229,263 +628,241 @@ impl<M: 'static> Engine<M> {
         at: SimTime,
         until: SimTime,
     ) -> Result<(), ScheduleError> {
-        debug_assert!(at >= self.now, "scheduling into the past");
         if until < at {
             return Err(ScheduleError::BackwardsWindow { at, until });
         }
-        self.queue.push(at, Event::NodeDown(node));
-        self.queue.push(until, Event::NodeUp(node));
+        self.inject(at, Event::NodeDown(node));
+        self.inject(until, Event::NodeUp(node));
         Ok(())
     }
 
-    /// Calls every node's `on_start` (idempotent; also invoked lazily
-    /// by the first `step`).
+    /// This shard's [`Place`]. A free-standing borrow of the two
+    /// tables so a shard can be borrowed mutably alongside it.
+    fn place<'a>(owner: &'a [u32], local: &'a [u32], shards: usize, me: usize) -> Place<'a> {
+        Place {
+            owner: if shards > 1 { owner } else { &[] },
+            local,
+            me: me as u32,
+        }
+    }
+
+    /// Calls every node's `on_start` in id order (idempotent; also
+    /// invoked by the first run).
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for i in 0..self.nodes.len() {
-            self.with_node(NodeId(i), |node, ctx| node.on_start(ctx));
+        self.sync_config();
+        let k = self.shards.len();
+        for id in 0..self.owner.len() {
+            let s = self.owner[id] as usize;
+            let p = Self::place(&self.owner, &self.local, k, s);
+            self.shards[s].with_node(p, self.now, NodeId(id), |n, ctx| n.on_start(ctx));
+        }
+        // Startup runs outside any window, so cross-shard sends from
+        // `on_start` must reach their owners now — leaving them for
+        // the first window's barrier would both defer them past their
+        // due time and trip the lookahead check (they can land
+        // *inside* the first window, which anchors at the global
+        // minimum event time).
+        self.deliver_mail(None);
+        self.merge();
+    }
+
+    /// Starts the engine, or — once started — pushes configuration
+    /// applied since the last run down to the shards.
+    fn enter_run(&mut self) {
+        if self.started {
+            self.sync_config();
+        } else {
+            self.start();
         }
     }
 
-    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {
-        let Some(slot) = self.nodes.get_mut(id.0) else {
+    /// Copies the master link table and fault configuration into every
+    /// other shard.
+    fn sync_config(&mut self) {
+        let (master, rest) = self.shards.split_first_mut().expect("at least one shard");
+        for sh in rest {
+            sh.links = master.links.clone();
+            sh.faults.copy_config_from(&master.faults);
+        }
+    }
+
+    /// Folds the other shards' state back into shard 0: link
+    /// transitions replay onto the master table, the down set becomes
+    /// the union of what each shard holds for its own nodes, counters
+    /// move over (leaving zeros behind, so sums stay right).
+    fn merge(&mut self) {
+        let (master, rest) = self.shards.split_first_mut().expect("at least one shard");
+        if rest.is_empty() {
             return;
-        };
-        let Some(mut node) = slot.take() else {
-            return; // re-entrant dispatch cannot happen; treat as gone
-        };
-        let mut ctx = Ctx {
-            id,
-            now: self.now,
-            queue: &mut self.queue,
-            links: &self.links,
-            rng: &mut self.rng,
-            faults: &mut self.faults,
-            dropped: &mut self.stats.dropped,
-            route: None,
-        };
-        f(node.as_mut(), &mut ctx);
-        self.nodes[id.0] = Some(node);
-    }
-
-    /// Advances the clock to `at` and dispatches one popped event.
-    fn dispatch(&mut self, at: SimTime, event: Event<M>) {
-        debug_assert!(at >= self.now);
-        self.now = at;
-        self.stats.events += 1;
-        if let Some(trace) = &mut self.trace {
-            let line = match &event {
-                Event::Message { from, to, .. } => format!("msg {}->{}", from.0, to.0),
-                Event::Timer { node, key } => format!("timer node={} key={key}", node.0),
-                Event::LinkDown(a, b) => format!("link down {}-{}", a.0, b.0),
-                Event::LinkUp(a, b) => format!("link up {}-{}", a.0, b.0),
-                Event::NodeDown(n) => format!("node down {}", n.0),
-                Event::NodeUp(n) => format!("node up {}", n.0),
-            };
-            trace.push(at, line);
         }
-        match event {
-            Event::Message { from, to, msg } => {
-                if self.faults.is_down(to) {
-                    self.faults.stats.dropped_at_down_node += 1;
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.with_node(to, |node, ctx| node.on_message(ctx, from, msg));
-            }
-            Event::Timer { node, key } => {
-                if self.faults.is_down(node) {
-                    self.faults.stats.timers_suppressed += 1;
-                    return;
-                }
-                self.stats.timers += 1;
-                self.with_node(node, |n, ctx| n.on_timer(ctx, key));
-            }
-            Event::LinkDown(a, b) => self.links.set_down(a, b),
-            Event::LinkUp(a, b) => self.links.set_up(a, b),
-            Event::NodeDown(n) => self.faults.mark_down(n),
-            Event::NodeUp(n) => {
-                if self.faults.mark_up(n) {
-                    self.with_node(n, |node, ctx| node.on_restart(ctx));
+        let owner = &self.owner;
+        master
+            .faults
+            .down
+            .retain(|n| owner.get(n.0).is_none_or(|&s| s == 0));
+        for sh in rest {
+            for (a, b, up) in sh.link_log.drain(..) {
+                if up {
+                    master.links.set_up(a, b);
+                } else {
+                    master.links.set_down(a, b);
                 }
             }
+            master.faults.down.extend(sh.faults.down.iter().copied());
+            master.faults.stats += std::mem::take(&mut sh.faults.stats);
+            master.stats += std::mem::take(&mut sh.stats);
         }
     }
 
-    /// Processes the next event. Returns `false` when the queue is
-    /// empty.
-    pub fn step(&mut self) -> bool {
-        self.start();
-        let Some((at, event)) = self.queue.pop() else {
-            return false;
-        };
-        self.dispatch(at, event);
-        true
+    /// Drains every shard's outbox into the destination queues.
+    /// `window_end` is the inclusive end of the window the mail was
+    /// produced in (`None` at startup); conservative lookahead
+    /// guarantees in-window executions never produce mail due inside
+    /// the window. Keys decide the order, so delivery order is free.
+    fn deliver_mail(&mut self, window_end: Option<SimTime>) {
+        for src in 0..self.shards.len() {
+            let mut mail = std::mem::take(&mut self.shards[src].outbox);
+            for (t, rank, seq, ev) in mail.drain(..) {
+                debug_assert!(
+                    window_end.is_none_or(|end| t > end.0),
+                    "lookahead violation: cross-shard arrival inside window"
+                );
+                let dst = self.owner[target(&ev).0] as usize;
+                self.shards[dst].queue.push(SimTime(t), rank, seq, ev);
+            }
+            self.shards[src].outbox = mail;
+        }
     }
 
-    /// Dispatches `first` to its target node, then drains the
-    /// contiguous run of same-timestamp events for that same node
-    /// without returning the node to its slot in between (one
-    /// take/put-back per batch instead of per event). Pop order —
-    /// and so every observable outcome — is identical to dispatching
-    /// one event at a time: only the queue's global head is ever
-    /// taken (see [`EventQueue::pop_if_for`]).
-    ///
-    /// [`EventQueue::pop_if_for`]: crate::event::EventQueue::pop_if_for
-    fn dispatch_node_batch(&mut self, at: SimTime, first: Event<M>) {
-        debug_assert!(at >= self.now);
-        self.now = at;
-        let id = match &first {
-            Event::Message { to, .. } => *to,
-            Event::Timer { node, .. } => *node,
-            _ => unreachable!("batch dispatch is only for node-delivered events"),
-        };
-        let mut node = self.nodes.get_mut(id.0).and_then(|slot| slot.take());
-        let mut ev = first;
-        loop {
-            self.stats.events += 1;
-            if let Some(trace) = &mut self.trace {
-                let line = match &ev {
-                    Event::Message { from, to, .. } => format!("msg {}->{}", from.0, to.0),
-                    Event::Timer { node, key } => format!("timer node={} key={key}", node.0),
-                    _ => unreachable!(),
-                };
-                trace.push(at, line);
+    /// Events dispatched so far, summed over shards.
+    fn events_run(&self) -> u64 {
+        self.shards.iter().map(|s| s.stats.events).sum()
+    }
+
+    /// Runs lookahead-bounded barrier windows until nothing is due at
+    /// or before `until`, or `budget` events have run (checked between
+    /// windows). Between windows the next anchor jumps straight to the
+    /// global earliest pending event, so idle stretches (night-time in
+    /// a MASC run) cost zero barriers.
+    fn run_windows(&mut self, until: SimTime, budget: u64) {
+        // No message can arrive sooner than this after its send. A
+        // zero-latency link would make windows empty, so it is
+        // rejected outright.
+        let la = self.shards[0].links.min_latency().as_millis();
+        assert!(
+            la >= 1,
+            "more than one shard requires every link latency >= 1 ms (lookahead bound)"
+        );
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let k = self.shards.len();
+        let before = self.events_run();
+        while let Some(w) = self.shards.iter().filter_map(|s| s.queue.peek_time()).min() {
+            if w > until || self.events_run() - before >= budget {
+                break;
             }
-            // Re-checked every iteration: a handler can only change
-            // fault state through scheduled NodeDown/NodeUp events
-            // (which end the batch), but stay defensive.
-            let down = self.faults.is_down(id);
-            match ev {
-                Event::Message { from, msg, .. } => {
-                    if down {
-                        self.faults.stats.dropped_at_down_node += 1;
-                    } else {
-                        self.stats.delivered += 1;
-                        if let Some(n) = node.as_mut() {
-                            let mut ctx = Ctx {
-                                id,
-                                now: self.now,
-                                queue: &mut self.queue,
-                                links: &self.links,
-                                rng: &mut self.rng,
-                                faults: &mut self.faults,
-                                dropped: &mut self.stats.dropped,
-                                route: None,
-                            };
-                            n.on_message(&mut ctx, from, msg);
-                        }
+            // Inclusive window end: [W, W + L) ∩ [0, until].
+            let end = SimTime(w.0.saturating_add(la - 1).min(until.0));
+            let (owner, local) = (&self.owner[..], &self.local[..]);
+            let active = self
+                .shards
+                .iter()
+                .filter(|s| s.queue.peek_time().is_some_and(|t| t <= end))
+                .count();
+            if active >= 2 && cores > 1 {
+                std::thread::scope(|sc| {
+                    for (i, sh) in self.shards.iter_mut().enumerate() {
+                        sc.spawn(move || sh.run(Self::place(owner, local, k, i), end));
                     }
+                });
+            } else {
+                for (i, sh) in self.shards.iter_mut().enumerate() {
+                    sh.run(Self::place(owner, local, k, i), end);
                 }
-                Event::Timer { key, .. } => {
-                    if down {
-                        self.faults.stats.timers_suppressed += 1;
-                    } else {
-                        self.stats.timers += 1;
-                        if let Some(n) = node.as_mut() {
-                            let mut ctx = Ctx {
-                                id,
-                                now: self.now,
-                                queue: &mut self.queue,
-                                links: &self.links,
-                                rng: &mut self.rng,
-                                faults: &mut self.faults,
-                                dropped: &mut self.stats.dropped,
-                                route: None,
-                            };
-                            n.on_timer(&mut ctx, key);
-                        }
-                    }
-                }
-                _ => unreachable!(),
             }
-            match self.queue.pop_if_for(at, id) {
-                Some(next) => ev = next,
-                None => break,
-            }
-        }
-        if let Some(n) = node {
-            self.nodes[id.0] = Some(n);
+            self.deliver_mail(Some(end));
         }
     }
 
     /// Runs all events scheduled up to and including `until`, then
     /// advances the clock to `until`.
-    ///
-    /// Fast path: `pop_le` locates and removes the next due event in
-    /// one queue operation, so same-timestamp batches drain without a
-    /// peek-then-pop double scan per event. `more_at` keeps the sparse
-    /// case — one event per (timestamp, node), the bulk of timer-driven
-    /// load — on the plain path: batching only engages when another
-    /// same-tick event is actually pending, and consecutive same-tick
-    /// events for one node are delivered in a single node borrow
-    /// ([`Engine::dispatch_node_batch`]). (Returning the same-tick
-    /// hint from the pop itself was tried and measured slower — see
-    /// [`EventQueue::pop_le`]'s docs.)
     pub fn run_until(&mut self, until: SimTime) {
-        self.start();
-        while let Some((at, event)) = self.queue.pop_le(until) {
-            match event {
-                ev @ (Event::Message { .. } | Event::Timer { .. }) if self.queue.more_at(at) => {
-                    self.dispatch_node_batch(at, ev)
-                }
-                other => self.dispatch(at, other),
-            }
+        self.enter_run();
+        if let [only] = &mut self.shards[..] {
+            only.run(Self::place(&self.owner, &self.local, 1, 0), until);
+        } else {
+            self.run_windows(until, u64::MAX);
+            self.merge();
         }
-        if until > self.now {
-            self.now = until;
-        }
+        self.now = self.now.max(until);
     }
 
     /// Runs until no events remain or `max_events` have been processed
-    /// (a guard against livelocked protocols). Returns the number of
-    /// events processed.
+    /// (a guard against livelocked protocols), leaving the clock at
+    /// the last event run. Returns the number of events processed.
+    /// With one shard the cap is exact and events run one at a time
+    /// (`run_until_idle(1)` is a single step); with several it is
+    /// checked between windows.
     pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
-        self.start();
-        let mut n = 0;
-        while n < max_events && self.step() {
-            n += 1;
+        self.enter_run();
+        let before = self.events_run();
+        if let [only] = &mut self.shards[..] {
+            let p = Self::place(&self.owner, &self.local, 1, 0);
+            while only.stats.events - before < max_events {
+                let Some((at, ev)) = only.queue.pop() else {
+                    break;
+                };
+                only.dispatch(p, at, ev);
+            }
+        } else {
+            self.run_windows(SimTime(u64::MAX), max_events);
         }
-        n
-    }
-
-    /// Pending event count (diagnostics).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+        let ran = self.events_run() - before;
+        let last = self.shards.iter().map(|s| s.now).max();
+        self.now = self.now.max(last.expect("at least one shard"));
+        self.merge();
+        ran
     }
 }
 
-impl<M: Snapshot + 'static> Engine<M> {
-    /// Captures the engine's complete dynamic state — clock, RNG
-    /// stream position, pending events, link table, fault plane,
-    /// trace, counters, and every node's state — as one snapshot
-    /// blob.
+impl<M: Snapshot + Send + 'static> Engine<M> {
+    /// Captures the engine's complete dynamic state as one
+    /// **shard-count-invariant** blob: clock, counters, link table,
+    /// fault plane and trace, then per-node state (RNG stream, emit
+    /// counter, node state) in id order, then all pending events with
+    /// their keys in key order (replicated link events deduplicated to
+    /// their primary copy). Checkpointing the same simulation at any
+    /// shard count yields byte-identical blobs, and a blob restores
+    /// onto an engine built with any shard count.
     ///
     /// `N` is the concrete node type (the engine stores `dyn Node<M>`,
     /// so capture requires a homogeneous node population, which every
-    /// harness in this workspace has). Call only between events, never
+    /// harness in this workspace has). Call only between runs, never
     /// from inside a dispatch.
     ///
     /// Contract: `run(0→T2)` ≡ `checkpoint(T1)` + `resume(T1→T2)` —
     /// the resumed engine produces byte-identical state, stats, and
     /// fault counters to the uninterrupted run.
     pub fn checkpoint<N: Node<M> + SnapshotState>(&self) -> Result<Vec<u8>, SnapError> {
+        let master = &self.shards[0];
         let mut enc = snapshot::Enc::with_header(SNAP_KIND_ENGINE);
-        enc.u8(ENGINE_MODE_SERIAL);
         enc.u64(self.now.0);
-        self.rng.state().encode(&mut enc);
-        self.stats.encode(&mut enc);
+        enc.u64(self.ext_seq);
         enc.bool(self.started);
-        self.queue.encode(&mut enc);
-        self.links.encode(&mut enc);
-        self.faults.encode_state(&mut enc);
-        self.trace.encode(&mut enc);
-        enc.seq(self.nodes.len());
-        for slot in &self.nodes {
+        master.stats.encode(&mut enc);
+        master.links.encode(&mut enc);
+        master.faults.encode_state(&mut enc);
+        master.trace.encode(&mut enc);
+        enc.seq(self.owner.len());
+        for id in 0..self.owner.len() {
+            let slot = self.slot(NodeId(id)).expect("registered node");
+            slot.rng.state().encode(&mut enc);
+            enc.u64(slot.emit);
             let node = slot
+                .node
                 .as_deref()
                 .ok_or(SnapError::Invalid("checkpoint during dispatch"))?;
             let node = (node as &dyn Any)
@@ -493,40 +870,67 @@ impl<M: Snapshot + 'static> Engine<M> {
                 .ok_or(SnapError::Invalid("node is not the expected type"))?;
             node.encode_state(&mut enc);
         }
+        let mut items: Vec<(u64, u64, u64, &Event<M>)> = Vec::with_capacity(self.pending());
+        for (si, sh) in self.shards.iter().enumerate() {
+            items.extend(sh.queue.items_keyed().filter(|(_, _, _, ev)| match ev {
+                Event::LinkDown(a, b) | Event::LinkUp(a, b) => {
+                    primary_shard(&self.owner, *a, *b) == si
+                }
+                _ => true,
+            }));
+        }
+        items.sort_unstable_by_key(|&(t, rank, seq, _)| (t, rank, seq));
+        enc.seq(items.len());
+        for (t, rank, seq, ev) in items {
+            enc.u64(t);
+            enc.u64(rank);
+            enc.u64(seq);
+            ev.encode(&mut enc);
+        }
         Ok(enc.finish())
     }
 
     /// Restores the dynamic state captured by [`Engine::checkpoint`]
     /// onto this engine, which must have been rebuilt exactly as at
-    /// tick zero (same topology, node count, and construction order).
+    /// tick zero (same topology, node count, and construction order)
+    /// — but with **any** shard count: the blob is node-major, so
+    /// events and per-node streams re-distribute to whatever layout
+    /// this engine has. On error the engine is left half-restored and
+    /// must be discarded.
     ///
-    /// The trace (if one was captured) records a `resume @ tick`
-    /// marker, so failure reports show the restore boundary.
+    /// A captured trace is restored only onto a one-shard engine,
+    /// where it records a `resume @ tick` marker so failure reports
+    /// show the restore boundary.
     pub fn resume<N: Node<M> + SnapshotState>(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut dec = snapshot::Dec::new(bytes);
-        let version = dec.header(SNAP_KIND_ENGINE)?;
-        // Format v1 predates the engine-mode byte (all v1 blobs are
-        // serial); v2 blobs carry it so a sharded checkpoint cannot be
-        // mistaken for a serial one.
-        if version >= 2 && dec.u8()? != ENGINE_MODE_SERIAL {
-            return Err(SnapError::Invalid(
-                "snapshot is from the sharded engine; resume it with `ShardedEngine::resume`",
-            ));
-        }
+        dec.header(SNAP_KIND_ENGINE)?;
         let now = SimTime(dec.u64()?);
-        let rng_state = <[u64; 4]>::decode(&mut dec)?;
-        let stats = EngineStats::decode(&mut dec)?;
+        let ext_seq = dec.u64()?;
         let started = dec.bool()?;
-        let queue = EventQueue::decode(&mut dec)?;
+        let stats = EngineStats::decode(&mut dec)?;
         let links = LinkTable::decode(&mut dec)?;
-        self.faults.restore_state(&mut dec)?;
+        for sh in &mut self.shards {
+            sh.queue = EventQueue::new();
+            sh.now = now;
+            sh.outbox.clear();
+            sh.link_log.clear();
+            sh.stats = EngineStats::default();
+            sh.faults.stats = Default::default();
+            sh.faults.down.clear();
+        }
+        self.shards[0].faults.restore_state(&mut dec)?;
         let mut trace = Option::<Trace>::decode(&mut dec)?;
-        let n = dec.seq()?;
-        if n != self.nodes.len() {
+        if dec.seq()? != self.owner.len() {
             return Err(SnapError::Invalid("node count differs from snapshot"));
         }
-        for slot in &mut self.nodes {
+        for id in 0..self.owner.len() {
+            let rng_state = <[u64; 4]>::decode(&mut dec)?;
+            let emit = dec.u64()?;
+            let slot = &mut self.shards[self.owner[id] as usize].slots[self.local[id] as usize];
+            slot.rng = StdRng::from_state(rng_state);
+            slot.emit = emit;
             let node = slot
+                .node
                 .as_deref_mut()
                 .ok_or(SnapError::Invalid("resume during dispatch"))?;
             let node = (node as &mut dyn Any)
@@ -534,17 +938,34 @@ impl<M: Snapshot + 'static> Engine<M> {
                 .ok_or(SnapError::Invalid("node is not the expected type"))?;
             node.restore_state(&mut dec)?;
         }
+        for _ in 0..dec.seq()? {
+            let t = SimTime(dec.u64()?);
+            let rank = dec.u64()?;
+            let seq = dec.u64()?;
+            let ev = Event::<M>::decode(&mut dec)?;
+            self.enqueue(t, rank, seq, ev);
+        }
         dec.finish()?;
-        if let Some(trace) = &mut trace {
-            trace.mark_resume(now);
+        // Shard 0 keeps the merged down set and the totals; every
+        // other shard needs the crashed nodes it owns.
+        let (master, rest) = self.shards.split_first_mut().expect("at least one shard");
+        for &n in &master.faults.down {
+            if let Some(&s) = self.owner.get(n.0).filter(|&&s| s != 0) {
+                rest[s as usize - 1].faults.down.insert(n);
+            }
+        }
+        master.stats = stats;
+        master.links = links;
+        if rest.is_empty() {
+            if let Some(trace) = &mut trace {
+                trace.mark_resume(now);
+            }
+            master.trace = trace;
         }
         self.now = now;
-        self.rng = StdRng::from_state(rng_state);
-        self.stats = stats;
+        self.ext_seq = ext_seq;
         self.started = started;
-        self.queue = queue;
-        self.links = links;
-        self.trace = trace;
+        self.sync_config();
         Ok(())
     }
 }
@@ -553,6 +974,7 @@ impl<M: Snapshot + 'static> Engine<M> {
 mod tests {
     use super::*;
     use crate::fault::{FaultModel, FaultStats};
+    use rand::Rng;
 
     /// A node that counts pings and echoes pongs back.
     struct Echo {
@@ -597,12 +1019,10 @@ mod tests {
     fn ping_pong_roundtrip_with_latency() {
         let mut eng: Engine<Msg> = Engine::new(1, SimDuration::from_millis(10));
         let echo = eng.add_node(Box::new(Echo { pings: 0 }));
-        let pinger = eng.add_node_with(|_id| {
-            Box::new(Pinger {
-                peer: echo,
-                pongs: 0,
-            })
-        });
+        let pinger = eng.add_node(Box::new(Pinger {
+            peer: echo,
+            pongs: 0,
+        }));
         eng.run_until_idle(100);
         assert_eq!(eng.node_as::<Echo>(echo).unwrap().pings, 1);
         assert_eq!(eng.node_as::<Pinger>(pinger).unwrap().pongs, 1);
@@ -643,12 +1063,11 @@ mod tests {
     fn scheduled_partition_heals() {
         let mut eng: Engine<Msg> = Engine::new(1, SimDuration::from_millis(10));
         let echo = eng.add_node(Box::new(Echo { pings: 0 }));
-        let ext_target = echo;
         eng.schedule_partition(NodeId::EXTERNAL, echo, SimTime(0), SimTime(50))
             .unwrap();
-        // External sends bypass links only if the link is up; EXTERNAL
-        // delivery is scheduled directly so it always arrives.
-        eng.schedule_message(SimTime(10), ext_target, Msg::Ping);
+        // EXTERNAL delivery is scheduled directly, so it arrives even
+        // while the link is down.
+        eng.schedule_message(SimTime(10), echo, Msg::Ping);
         eng.run_until_idle(10);
         assert_eq!(eng.node_as::<Echo>(echo).unwrap().pings, 1);
         assert!(eng.links().is_up(NodeId::EXTERNAL, echo));
@@ -656,34 +1075,36 @@ mod tests {
 
     #[test]
     fn backwards_fault_windows_are_rejected_not_enqueued() {
-        let mut eng: Engine<Msg> = Engine::new(1, SimDuration::from_millis(10));
-        let echo = eng.add_node(Box::new(Echo { pings: 0 }));
-        let err = eng
-            .schedule_partition(NodeId::EXTERNAL, echo, SimTime(100), SimTime(50))
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "backwards fault window: recovery at 50 precedes failure at 100"
-        );
-        assert!(matches!(
-            eng.schedule_crash(echo, SimTime(9), SimTime(8)),
-            Err(ScheduleError::BackwardsWindow {
-                at: SimTime(9),
-                until: SimTime(8),
-            })
-        ));
-        // Nothing was enqueued: the link never goes down, the node
-        // never crashes, and no stray Up/Down events run.
-        assert_eq!(eng.pending(), 0);
-        eng.run_until_idle(10);
-        assert!(eng.links().is_up(NodeId::EXTERNAL, echo));
-        assert_eq!(eng.faults().stats().crashes, 0);
-        assert_eq!(eng.stats().events, 0);
-        // Zero-length windows (at == until) remain legal.
-        eng.schedule_crash(echo, SimTime(5), SimTime(5)).unwrap();
-        eng.run_until_idle(10);
-        assert_eq!(eng.faults().stats().crashes, 1);
-        assert_eq!(eng.faults().stats().restarts, 1);
+        for shards in [1, 2] {
+            let mut eng: Engine<Msg> = Engine::with_shards(1, SimDuration::from_millis(10), shards);
+            let echo = eng.add_node(Box::new(Echo { pings: 0 }));
+            let err = eng
+                .schedule_partition(NodeId::EXTERNAL, echo, SimTime(100), SimTime(50))
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "backwards fault window: recovery at 50 precedes failure at 100"
+            );
+            assert!(matches!(
+                eng.schedule_crash(echo, SimTime(9), SimTime(8)),
+                Err(ScheduleError::BackwardsWindow {
+                    at: SimTime(9),
+                    until: SimTime(8),
+                })
+            ));
+            // Nothing was enqueued: the link never goes down, the node
+            // never crashes, and no stray Up/Down events run.
+            assert_eq!(eng.pending(), 0);
+            eng.run_until_idle(10);
+            assert!(eng.links().is_up(NodeId::EXTERNAL, echo));
+            assert_eq!(eng.faults().stats().crashes, 0);
+            assert_eq!(eng.stats().events, 0);
+            // Zero-length windows (at == until) remain legal.
+            eng.schedule_crash(echo, SimTime(5), SimTime(5)).unwrap();
+            eng.run_until_idle(10);
+            assert_eq!(eng.faults().stats().crashes, 1);
+            assert_eq!(eng.faults().stats().restarts, 1);
+        }
     }
 
     /// Timers fire in order and deterministically.
@@ -787,8 +1208,7 @@ mod tests {
         assert_eq!(pings_a, pings_b);
         assert_eq!(stats_a.lost, stats_b.lost);
         assert_eq!(stats_a.duplicated, stats_b.duplicated);
-        // The echo's Pongs travel src←echo over the modelled link too;
-        // with 200 pings at 30% loss some faults must have fired.
+        // With 200 pings at 30% loss some faults must have fired.
         assert!(stats_a.lost > 0);
         assert!(stats_a.duplicated > 0);
         // A different seed gives a different trace (overwhelmingly).
@@ -807,7 +1227,7 @@ mod tests {
             }));
             if configure {
                 // A NONE model on some other link must not perturb the
-                // RNG stream or the schedule.
+                // RNG streams or the schedule.
                 eng.faults_mut()
                     .set_link_model(NodeId(7), NodeId(8), FaultModel::NONE);
             }
@@ -815,6 +1235,19 @@ mod tests {
             (eng.stats().events, eng.now())
         }
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn zero_latency_links_are_legal_on_one_shard() {
+        let mut eng: Engine<Msg> = Engine::new(1, SimDuration::ZERO);
+        let echo = eng.add_node(Box::new(Echo { pings: 0 }));
+        let pinger = eng.add_node(Box::new(Pinger {
+            peer: echo,
+            pongs: 0,
+        }));
+        eng.run_until(SimTime(5));
+        assert_eq!(eng.node_as::<Pinger>(pinger).unwrap().pongs, 1);
+        assert_eq!(eng.stats().delivered, 2);
     }
 
     impl Snapshot for Msg {
@@ -843,7 +1276,7 @@ mod tests {
         }
     }
 
-    /// Builds the lossy echo rig used by the resume-equivalence test.
+    /// Builds the lossy echo rig used by the resume tests.
     fn lossy_echo_rig() -> (Engine<Msg>, NodeId) {
         let mut eng: Engine<Msg> = Engine::new(11, SimDuration::from_millis(3));
         let echo = eng.add_node(Box::new(Echo { pings: 0 }));
@@ -865,7 +1298,6 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_equals_uninterrupted_run() {
-        // Uninterrupted run to T2.
         let (mut mono, echo) = lossy_echo_rig();
         mono.run_until(SimTime(200));
         let t1_blob = {
@@ -886,15 +1318,17 @@ mod tests {
             resumed.node_as::<Echo>(echo2).unwrap().pings,
             mono.node_as::<Echo>(echo).unwrap().pings
         );
-        let (a, b) = (mono.stats(), resumed.stats());
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.events, b.events);
+        assert_eq!(mono.stats(), resumed.stats());
         let (fa, fb) = (mono.faults().stats(), resumed.faults().stats());
         assert_eq!(fa.lost, fb.lost);
         assert_eq!(fa.duplicated, fb.duplicated);
         assert_eq!(fa.jittered, fb.jittered);
         assert_eq!(mono.pending(), resumed.pending());
         assert_eq!(mono.now(), resumed.now());
+        assert_eq!(
+            mono.checkpoint::<Echo>().unwrap(),
+            resumed.checkpoint::<Echo>().unwrap()
+        );
         // The fault model actually fired, so the equality is earned.
         assert!(fa.lost > 0 && fa.duplicated > 0);
     }
@@ -939,17 +1373,168 @@ mod tests {
         assert!(wrong.resume::<Echo>(&blob).is_err());
     }
 
-    #[test]
-    fn determinism_same_seed_same_trace() {
-        fn run(seed: u64) -> (u64, SimTime) {
-            let mut eng: Engine<Msg> = Engine::new(seed, SimDuration::from_millis(7));
-            let echo = eng.add_node(Box::new(Echo { pings: 0 }));
-            for i in 0..50 {
-                eng.schedule_message(SimTime(i * 13), echo, Msg::Ping);
+    /// A node that accumulates a digest of everything it observes and
+    /// pings a random peer back — RNG-dependent, order-sensitive.
+    struct Gossip {
+        peers: usize,
+        digest: u64,
+        hops: u64,
+    }
+
+    impl Node<u64> for Gossip {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
+            self.digest = self
+                .digest
+                .wrapping_mul(0x100_0000_01b3)
+                .wrapping_add(msg ^ from.0 as u64 ^ ctx.now().0);
+            if self.hops < 40 {
+                self.hops += 1;
+                let next = NodeId(ctx.rng().gen_range(0..self.peers));
+                ctx.send(next, msg.wrapping_add(1));
             }
-            eng.run_until_idle(1000);
-            (eng.stats().events, eng.now())
         }
-        assert_eq!(run(42), run(42));
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, key: u64) {
+            self.digest = self.digest.wrapping_add(key ^ ctx.now().0);
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            let delay = ctx.rng().gen_range(1..50);
+            ctx.set_timer(SimDuration::from_millis(delay), 7);
+        }
+    }
+
+    impl SnapshotState for Gossip {
+        fn encode_state(&self, enc: &mut snapshot::Enc) {
+            enc.usize(self.peers);
+            enc.u64(self.digest);
+            enc.u64(self.hops);
+        }
+        fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), SnapError> {
+            self.peers = dec.usize()?;
+            self.digest = dec.u64()?;
+            self.hops = dec.u64()?;
+            Ok(())
+        }
+    }
+
+    fn gossip(shards: usize, n: usize) -> Engine<u64> {
+        let mut eng = Engine::with_shards(42, SimDuration::from_millis(5), shards);
+        for i in 0..n {
+            eng.add_node_in(
+                i * shards / n,
+                Box::new(Gossip {
+                    peers: n,
+                    digest: 0,
+                    hops: 0,
+                }),
+            );
+        }
+        for i in 0..n {
+            eng.schedule_message(SimTime(3 + (i as u64 % 7)), NodeId(i), i as u64);
+        }
+        eng
+    }
+
+    fn fingerprint(eng: &Engine<u64>, n: usize) -> (Vec<u64>, EngineStats, SimTime) {
+        let digests = (0..n)
+            .map(|i| eng.node_as::<Gossip>(NodeId(i)).unwrap().digest)
+            .collect();
+        (digests, eng.stats(), eng.now())
+    }
+
+    #[test]
+    fn shard_counts_agree_exactly() {
+        let n = 24;
+        let mut outcomes = Vec::new();
+        for shards in [1, 2, 4] {
+            let mut eng = gossip(shards, n);
+            eng.run_until(SimTime(10_000));
+            outcomes.push(fingerprint(&eng, n));
+            // Running to idle leaves every layout at the same clock.
+            let mut eng = gossip(shards, n);
+            eng.run_until_idle(u64::MAX);
+            outcomes.push(fingerprint(&eng, n));
+        }
+        assert_eq!(outcomes[0], outcomes[2]);
+        assert_eq!(outcomes[0], outcomes[4]);
+        assert_eq!(outcomes[1], outcomes[3]);
+        assert_eq!(outcomes[1], outcomes[5]);
+        assert_eq!(outcomes[0].0, outcomes[1].0);
+        assert!(outcomes[0].1.events > 0, "events actually ran");
+    }
+
+    #[test]
+    fn partitions_crashes_and_faults_agree_across_shard_counts() {
+        let n = 16;
+        let run = |shards: usize| {
+            let mut eng = gossip(shards, n);
+            eng.faults_mut().set_default_model(FaultModel {
+                loss: 0.1,
+                dup: 0.05,
+                jitter_ms: 3,
+            });
+            eng.schedule_partition(NodeId(0), NodeId(1), SimTime(20), SimTime(400))
+                .unwrap();
+            // Endpoints on the last two shards: neither copy of this
+            // link event runs on the master.
+            eng.schedule_partition(NodeId(n - 1), NodeId(n / 2), SimTime(25), SimTime(9_000))
+                .unwrap();
+            eng.schedule_crash(NodeId(2), SimTime(30), SimTime(500))
+                .unwrap();
+            eng.schedule_crash(NodeId(n - 1), SimTime(40), SimTime(9_000))
+                .unwrap();
+            eng.run_until(SimTime(300));
+            eng.run_until(SimTime(5_000));
+            let fs = eng.faults().stats();
+            (
+                fingerprint(&eng, n),
+                (fs.lost, fs.duplicated, fs.crashes, fs.restarts),
+                eng.faults().down_nodes().clone(),
+                eng.links().is_up(NodeId(0), NodeId(1)),
+                eng.links().is_up(NodeId(n - 1), NodeId(n / 2)),
+                eng.checkpoint::<Gossip>().unwrap(),
+            )
+        };
+        let a = run(1);
+        assert_eq!(a, run(3));
+        assert_eq!(a, run(4));
+        assert_eq!((a.1 .2, a.1 .3), (2, 1), "two crashes, one restart so far");
+        assert!(a.2.contains(&NodeId(n - 1)) && a.3 && !a.4);
+    }
+
+    #[test]
+    fn checkpoints_are_identical_across_shard_counts_and_resume_anywhere() {
+        let n = 16;
+        let mid = SimTime(60);
+        let done = SimTime(5_000);
+        let blob_at = |shards: usize| {
+            let mut eng = gossip(shards, n);
+            eng.schedule_crash(NodeId(n - 1), SimTime(40), SimTime(900))
+                .unwrap();
+            eng.run_until(mid);
+            eng.checkpoint::<Gossip>().unwrap()
+        };
+        let blob = blob_at(1);
+        assert_eq!(blob, blob_at(2), "checkpoint blob is shard-count-invariant");
+        assert_eq!(blob, blob_at(4));
+
+        let finish = |shards: usize| {
+            // A fresh engine pre-queues workload; resume wipes it.
+            let mut eng = gossip(shards, n);
+            eng.resume::<Gossip>(&blob).unwrap();
+            assert_eq!(eng.now(), mid);
+            assert_eq!(eng.checkpoint::<Gossip>().unwrap(), blob);
+            eng.run_until(done);
+            (fingerprint(&eng, n), eng.checkpoint::<Gossip>().unwrap())
+        };
+        let want = finish(1);
+        assert_eq!(finish(3), want);
+        assert_eq!(finish(4), want);
+        assert_eq!(want.0 .1, {
+            let mut mono = gossip(2, n);
+            mono.schedule_crash(NodeId(n - 1), SimTime(40), SimTime(900))
+                .unwrap();
+            mono.run_until(done);
+            mono.stats()
+        });
     }
 }

@@ -1,49 +1,48 @@
 //! The time-ordered event queue.
 //!
-//! Ties on time are broken by insertion sequence number, which makes
-//! execution order — and therefore every simulation result — fully
-//! deterministic for a given seed and workload.
+//! Every event carries a `(time, rank, seq)` key supplied by the
+//! engine — rank is the emitting node's id + 1 (0 for injections from
+//! outside the simulation), seq that source's private emit counter —
+//! and the queue pops in key order whatever the push order was. The
+//! key does not depend on which shard holds the event, which is what
+//! makes a run byte-identical at any shard count.
 //!
 //! # Structure
 //!
 //! MASC workloads mix two very different time scales: dense
 //! millisecond-latency protocol messages around the current instant,
 //! and standing far-future timers (48 h waiting periods, 30-day lease
-//! lifetimes, hour-scale retry jitter). A single [`BinaryHeap`] makes
+//! lifetimes, hour-scale retry jitter). A single binary heap makes
 //! every near-term message pay `O(log n)` sift costs against the
 //! standing timer population, so [`EventQueue`] is a two-tier
 //! scheduler instead:
 //!
-//! * a **near-horizon wheel**: one FIFO bucket per millisecond for the
+//! * a **near-horizon wheel**: one bucket per millisecond for the
 //!   [`WHEEL_SPAN`] ms starting at the earliest pending event, with a
-//!   bitmap for constant-time next-bucket scans — near-term traffic is
-//!   O(1) to push and pop. Buckets are intrusive singly-linked lists
-//!   over one slab of slots, so steady-state operation performs no
-//!   allocation at all;
+//!   bitmap for constant-time next-bucket scans. Buckets are intrusive
+//!   singly-linked lists over one slab of slots, so steady-state
+//!   operation performs no allocation at all;
 //! * an **overflow map** (`BTreeMap<(time, rank, seq), event>`) for
-//!   everything past the wheel horizon — keying by `(time, rank, seq)`
-//!   keeps same-time order in plain map order; when the wheel drains,
-//!   it re-anchors at the earliest overflow time and the next window
-//!   of events moves over in one batch.
+//!   everything past the wheel horizon; when the wheel drains, it
+//!   re-anchors at the earliest overflow time and the next window of
+//!   events moves over in one batch.
 //!
-//! Because a given timestamp always maps to exactly one tier between
-//! re-anchors, and both tiers keep per-timestamp FIFOs in key order,
-//! the (time, rank, sequence) pop order is *identical* to the
-//! original heap's — property-tested against [`BinaryHeapQueue`] in
+//! # How a bucket gets its order
+//!
+//! A push into a bucket is an O(1) append, in whatever order pushes
+//! arrive; an append that lands below the bucket's tail key marks the
+//! bucket in the `unsorted` bitmap. The bucket is put into key order
+//! **once**, when the pop cursor first reaches it. A flood that
+//! scatters thousands of same-tick sends across receivers therefore
+//! costs one `n log n` sort per tick instead of a list walk per send.
+//! Only a push into the bucket *currently being drained* (a zero-delay
+//! timer, a zero-latency send) walks the list to its place, and only
+//! when it sorts below the tail.
+//!
+//! Pop order is property-tested against a binary-heap oracle in
 //! `tests/prop_event.rs`.
-//!
-//! # Ordering keys and sharding
-//!
-//! [`EventQueue::push`] assigns rank 0 and a queue-local monotone
-//! sequence — plain insertion-order FIFO, exactly the historical
-//! behaviour (and an O(1) bucket append, since keys only grow).
-//! [`EventQueue::push_keyed`] lets the caller supply the full
-//! `(rank, seq)` key; the sharded engine uses it with
-//! shard-layout-invariant keys (rank = source node id + 1, seq = the
-//! source's emit counter) so that per-shard queues pop the *same*
-//! global order no matter how nodes are partitioned.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -85,15 +84,17 @@ const OCC_WORDS: usize = (WHEEL_SPAN as usize) / 64;
 /// Sentinel for "no slot" in the wheel's intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: an event threaded into its bucket's FIFO list.
+/// Sentinel for "no bucket is being drained".
+const NO_BUCKET: usize = usize::MAX;
+
+/// One slab entry: an event threaded into its bucket's list.
 struct Slot<M> {
     /// Next slot in the same bucket (or the slot free list); [`NIL`]
     /// terminates.
     next: u32,
-    /// Major tie-break (0 for plain pushes; source-derived for keyed
-    /// pushes — see the module docs).
+    /// Major tie-break: the source's rank.
     rank: u64,
-    /// Minor tie-break: insertion sequence within the rank.
+    /// Minor tie-break: the source's emit sequence.
     seq: u64,
     /// The event; `None` once popped (slot is then on the free list).
     ev: Option<Event<M>>,
@@ -101,52 +102,40 @@ struct Slot<M> {
 
 /// Priority queue of pending events: near-horizon bucket wheel plus a
 /// far-future overflow map. See the module docs for the design.
-// The queue's Snapshot impl serializes the logical content (pending
-// events in (time, seq) order) and replays it into a fresh queue, so
-// every structural field below is rebuilt by push() on decode rather
-// than serialized — hence the per-field coverage exemptions.
 pub struct EventQueue<M> {
     /// Slot arena; bucket lists and the free list index into it.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     slots: Vec<Slot<M>>,
     /// Head of the free-slot list ([`NIL`] when exhausted).
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     free: u32,
     /// Per-millisecond bucket list heads over
     /// `[wheel_start, wheel_start + WHEEL_SPAN)`; [`NIL`] = empty.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     head: Vec<u32>,
     /// Per-bucket list tails (valid only when the head is not [`NIL`]).
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     tail: Vec<u32>,
     /// Occupancy bitmap over buckets (bit set ⇔ bucket non-empty).
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     occ: [u64; OCC_WORDS],
+    /// Buckets holding an append that landed below the then-tail key:
+    /// their list is not in key order until the cursor reaches them.
+    unsorted: [u64; OCC_WORDS],
     /// Absolute time (ms) of bucket 0.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     wheel_start: u64,
     /// No non-empty bucket lies below this index.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     cursor: usize,
+    /// The bucket the last wheel pop came from: its list is in key
+    /// order and it is the wheel's earliest, so its head is the
+    /// wheel's head. [`NO_BUCKET`] after a re-anchor or a push below
+    /// the cursor.
+    draining: usize,
     /// Events currently in the wheel.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     wheel_len: usize,
-    /// Far-future (or, defensively, past-of-window) events. Keying by
-    /// `(time, rank, seq)` gives same-time order by plain map order
-    /// with no per-timestamp container.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
+    /// Far-future (or, defensively, past-of-window) events; map order
+    /// is pop order.
     overflow: BTreeMap<(u64, u64, u64), Event<M>>,
     /// Cached time of the overflow head (`u64::MAX` when empty), so
     /// the pop fast path costs one compare instead of a tree descent.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
     overflow_min: u64,
-    seq: u64,
-    /// True once [`EventQueue::push_keyed`] has run: bucket FIFOs may
-    /// then hold non-zero ranks, so plain pushes must key-compare
-    /// against the tail. While false (every serial-engine queue), a
-    /// plain push is the historical unconditional tail append.
-    // lint:allow(snapshot-field-coverage) — wheel structure; rebuilt by replaying events on decode
-    keyed: bool,
+    /// Reused `(rank, seq, slot)` buffer for bucket sorts.
+    scratch: Vec<(u64, u64, u32)>,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -164,13 +153,14 @@ impl<M> EventQueue<M> {
             head: vec![NIL; WHEEL_SPAN as usize],
             tail: vec![NIL; WHEEL_SPAN as usize],
             occ: [0; OCC_WORDS],
+            unsorted: [0; OCC_WORDS],
             wheel_start: 0,
             cursor: 0,
+            draining: NO_BUCKET,
             wheel_len: 0,
             overflow: BTreeMap::new(),
             overflow_min: u64::MAX,
-            seq: 0,
-            keyed: false,
+            scratch: Vec::new(),
         }
     }
 
@@ -197,46 +187,41 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Inserts into bucket `idx`'s list, keeping it sorted by
-    /// `(rank, seq)`. Plain pushes (rank 0, monotone seq) always land
-    /// on the tail, so the historical FIFO path stays an O(1) append;
-    /// only keyed pushes arriving out of key order pay the (outlined,
-    /// cold) list walk — keeping this body small enough to inline into
-    /// the engine's push path, which the wheel microbench notices.
+    /// Appends to bucket `idx`'s list; see the module docs for when
+    /// the list is put in order.
     #[inline]
     fn bucket_push(&mut self, idx: usize, rank: u64, seq: u64, ev: Event<M>) {
         let i = self.alloc_slot(rank, seq, ev);
+        self.wheel_len += 1;
         if self.head[idx] == NIL {
             self.head[idx] = i;
             self.tail[idx] = i;
             self.occ[idx >> 6] |= 1 << (idx & 63);
-        } else {
-            let t = self.tail[idx] as usize;
-            // A never-keyed queue (every serial engine) is pure
-            // insertion-order FIFO: skip the tail key load entirely.
-            if !self.keyed || (self.slots[t].rank, self.slots[t].seq) <= (rank, seq) {
-                self.slots[t].next = i;
-                self.tail[idx] = i;
-            } else {
-                self.bucket_insert_sorted(idx, i, rank, seq);
+            if idx < self.cursor {
+                // Scheduling below the scan cursor (into the window's
+                // past) — only possible from misuse the engine's
+                // debug_asserts catch, but stay well-ordered anyway.
+                self.cursor = idx;
+                self.draining = NO_BUCKET;
             }
+            return;
         }
-        self.wheel_len += 1;
-        if idx < self.cursor {
-            // Scheduling below the scan cursor (into the window's
-            // past) — only possible from misuse the engine's
-            // debug_asserts catch, but stay well-ordered anyway.
-            self.cursor = idx;
+        let t = self.tail[idx] as usize;
+        if (self.slots[t].rank, self.slots[t].seq) > (rank, seq) {
+            if idx == self.draining {
+                return self.insert_sorted(idx, i, rank, seq);
+            }
+            self.unsorted[idx >> 6] |= 1 << (idx & 63);
         }
+        self.slots[t].next = i;
+        self.tail[idx] = i;
     }
 
-    /// Sorted insert for an out-of-key-order keyed push: the new slot
-    /// lands strictly before some existing slot, so the tail is
-    /// unchanged. Outlined and cold — the sharded engine's barrier
-    /// delivery pre-sorts its mail, so in practice this only runs for
-    /// adversarial push orders (the property tests).
+    /// Walks the bucket being drained (already in key order) to the
+    /// new slot's place. The slot sorts below the tail, so it lands
+    /// strictly before some existing slot and the tail is unchanged.
     #[cold]
-    fn bucket_insert_sorted(&mut self, idx: usize, i: u32, rank: u64, seq: u64) {
+    fn insert_sorted(&mut self, idx: usize, i: u32, rank: u64, seq: u64) {
         let mut prev = NIL;
         let mut cur = self.head[idx];
         while cur != NIL {
@@ -255,6 +240,28 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Relinks bucket `idx` in `(rank, seq)` order.
+    fn sort_bucket(&mut self, idx: usize) {
+        let mut order = std::mem::take(&mut self.scratch);
+        order.clear();
+        let mut i = self.head[idx];
+        while i != NIL {
+            let s = &self.slots[i as usize];
+            order.push((s.rank, s.seq, i));
+            i = s.next;
+        }
+        order.sort_unstable();
+        let mut next = NIL;
+        for &(_, _, i) in order.iter().rev() {
+            self.slots[i as usize].next = next;
+            next = i;
+        }
+        self.head[idx] = next;
+        self.tail[idx] = order.last().expect("an unsorted bucket is non-empty").2;
+        self.unsorted[idx >> 6] &= !(1 << (idx & 63));
+        self.scratch = order;
+    }
+
     /// Pops the front of (non-empty) bucket `idx`, recycling its slot.
     #[inline]
     fn bucket_pop(&mut self, idx: usize) -> Event<M> {
@@ -271,31 +278,12 @@ impl<M> EventQueue<M> {
         ev
     }
 
-    /// Schedules an arbitrary event at `at` (rank 0, insertion-order
-    /// FIFO — the historical single-stream behaviour).
+    /// Schedules `event` at `at` under the tie-break key
+    /// `(rank, seq)`. Same-time events pop in key order regardless of
+    /// push order; callers must keep keys unique per timestamp (the
+    /// engine derives them from the source node and its emit counter).
     #[inline]
-    pub fn push(&mut self, at: SimTime, event: Event<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_inner(at, 0, seq, event);
-    }
-
-    /// Schedules an event at `at` under an explicit `(rank, seq)`
-    /// tie-break key. Same-time events pop in `(rank, seq)` order
-    /// regardless of push order, which is what lets the sharded
-    /// engine keep one global order across any partitioning: callers
-    /// must guarantee `(rank, seq)` pairs are unique per timestamp
-    /// (the sharded engine derives them from the source node and its
-    /// emit counter). Marks the queue keyed for good: plain pushes
-    /// then key-compare against bucket tails instead of appending.
-    #[inline]
-    pub fn push_keyed(&mut self, at: SimTime, rank: u64, seq: u64, event: Event<M>) {
-        self.keyed = true;
-        self.push_inner(at, rank, seq, event);
-    }
-
-    #[inline]
-    fn push_inner(&mut self, at: SimTime, rank: u64, seq: u64, event: Event<M>) {
+    pub fn push(&mut self, at: SimTime, rank: u64, seq: u64, event: Event<M>) {
         let t = at.0;
         if t >= self.wheel_start && t - self.wheel_start < WHEEL_SPAN {
             self.bucket_push((t - self.wheel_start) as usize, rank, seq, event);
@@ -305,16 +293,6 @@ impl<M> EventQueue<M> {
                 self.overflow_min = t;
             }
         }
-    }
-
-    /// Schedules a message delivery.
-    pub fn push_message(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        self.push(at, Event::Message { from, to, msg });
-    }
-
-    /// Schedules a timer firing.
-    pub fn push_timer(&mut self, at: SimTime, node: NodeId, key: u64) {
-        self.push(at, Event::Timer { node, key });
     }
 
     /// First non-empty bucket at or above the cursor, if any.
@@ -339,8 +317,7 @@ impl<M> EventQueue<M> {
 
     /// Re-anchors the (empty) wheel at the earliest overflow time and
     /// moves the next window of overflow events into it. Map order is
-    /// `(time, rank, seq)`, so same-time events land in their bucket
-    /// FIFO already in key order (each move is the O(1) append path).
+    /// key order, so every move is an in-order append.
     fn refill(&mut self) {
         debug_assert_eq!(self.wheel_len, 0);
         if self.overflow_min == u64::MAX {
@@ -349,6 +326,7 @@ impl<M> EventQueue<M> {
         let start = self.overflow_min;
         self.wheel_start = start;
         self.cursor = 0;
+        self.draining = NO_BUCKET;
         while let Some((&(t, _, _), _)) = self.overflow.first_key_value() {
             if t - start >= WHEEL_SPAN {
                 self.overflow_min = t;
@@ -404,7 +382,11 @@ impl<M> EventQueue<M> {
         if wheel_t > until.0 {
             return None;
         }
+        if self.unsorted[idx >> 6] & (1 << (idx & 63)) != 0 {
+            self.sort_bucket(idx);
+        }
         self.cursor = idx;
+        self.draining = idx;
         Some((SimTime(wheel_t), self.bucket_pop(idx)))
     }
 
@@ -419,17 +401,17 @@ impl<M> EventQueue<M> {
     ///
     /// The probe must cost O(1) on a miss — it runs once per
     /// dispatched event — so it never scans the occupancy bitmap.
-    /// While `t` is inside the window, every same-time event sits in
-    /// bucket `t - wheel_start` (one tier per timestamp), so a
-    /// drained bucket ends the batch immediately. The remaining
-    /// guards refuse to batch in states where bucket-head ≠ global
-    /// head: the cursor resting elsewhere (a past-of-window push
-    /// moved it) or an overflow stray at or below `t`. Refusing is
-    /// always sound — the engine just falls back to `pop_le`.
+    /// While `t`'s bucket is the one being drained, every same-time
+    /// event sits in it in key order (one tier per timestamp), so a
+    /// drained bucket ends the batch immediately. The guards refuse to
+    /// batch in states where bucket-head ≠ global head: another bucket
+    /// is (or none is) being drained, or an overflow stray sits at or
+    /// below `t`. Refusing is always sound — the engine just falls
+    /// back to `pop_le`.
     #[inline]
     pub fn pop_if_for(&mut self, t: SimTime, node: NodeId) -> Option<Event<M>> {
         let off = t.0.wrapping_sub(self.wheel_start) as usize;
-        if off >= WHEEL_SPAN as usize || self.cursor != off || self.overflow_min <= t.0 {
+        if off >= WHEEL_SPAN as usize || off != self.draining || self.overflow_min <= t.0 {
             return None;
         }
         let head = self.head[off];
@@ -490,27 +472,23 @@ impl<M> EventQueue<M> {
     }
 
     /// Every pending event with its full `(time, rank, seq)` key, in
-    /// key order. The sharded engine's checkpoint walks this to emit a
-    /// shard-count-invariant event list (the keys are layout-invariant
-    /// by construction, so the sorted stream is identical no matter
-    /// which shard held which event).
-    pub(crate) fn items_keyed(&self) -> Vec<(u64, u64, u64, &Event<M>)> {
-        let mut items: Vec<(u64, u64, u64, &Event<M>)> = Vec::with_capacity(self.len());
-        for idx in 0..WHEEL_SPAN as usize {
-            let mut i = self.head[idx];
-            while i != NIL {
-                let s = &self.slots[i as usize];
-                if let Some(ev) = &s.ev {
-                    items.push((self.wheel_start + idx as u64, s.rank, s.seq, ev));
-                }
-                i = s.next;
-            }
-        }
-        for (&(t, rank, seq), ev) in &self.overflow {
-            items.push((t, rank, seq, ev));
-        }
-        items.sort_by_key(|&(t, rank, seq, _)| (t, rank, seq));
-        items
+    /// no particular order. The engine's checkpoint merges these
+    /// across shards and sorts once; the keys do not depend on the
+    /// layout, so the sorted stream is identical no matter which shard
+    /// held which event.
+    pub(crate) fn items_keyed(&self) -> impl Iterator<Item = (u64, u64, u64, &Event<M>)> {
+        let wheel = self.head.iter().enumerate().flat_map(move |(idx, &head)| {
+            let t = self.wheel_start + idx as u64;
+            std::iter::successors((head != NIL).then(|| &self.slots[head as usize]), |s| {
+                (s.next != NIL).then(|| &self.slots[s.next as usize])
+            })
+            .filter_map(move |s| s.ev.as_ref().map(|ev| (t, s.rank, s.seq, ev)))
+        });
+        let far = self
+            .overflow
+            .iter()
+            .map(|(&(t, rank, seq), ev)| (t, rank, seq, ev));
+        wheel.chain(far)
     }
 }
 
@@ -569,162 +547,51 @@ impl<M: snapshot::Snapshot> snapshot::Snapshot for Event<M> {
     }
 }
 
-impl<M: snapshot::Snapshot> snapshot::Snapshot for EventQueue<M> {
-    /// Encodes pending events in global `(time, seq)` order and
-    /// replays them into a fresh queue on decode. The restored queue
-    /// assigns new contiguous sequence numbers `0..n`, which preserves
-    /// every pairwise ordering: restored events keep their relative
-    /// order (re-pushed in sorted order), and any event pushed after
-    /// resume receives a larger sequence number than all of them —
-    /// exactly as in the uninterrupted run.
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let items = self.items_keyed();
-        enc.seq(items.len());
-        for (t, _, _, ev) in items {
-            enc.u64(t);
-            ev.encode(enc);
-        }
-    }
-
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let n = dec.seq()?;
-        let mut q = EventQueue::new();
-        for _ in 0..n {
-            let t = dec.u64()?;
-            let ev = Event::<M>::decode(dec)?;
-            q.push(SimTime(t), ev);
-        }
-        Ok(q)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reference implementation
-// ---------------------------------------------------------------------
-
-struct HeapEntry<M> {
-    at: SimTime,
-    seq: u64,
-    event: Event<M>,
-}
-
-impl<M> PartialEq for HeapEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for HeapEntry<M> {}
-impl<M> PartialOrd for HeapEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for HeapEntry<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed queue, kept as the executable
-/// specification of pop order: `tests/prop_event.rs` checks the wheel
-/// queue against it on random interleavings, and
-/// `benches/sim_engine.rs` uses it as the speedup baseline.
-pub struct BinaryHeapQueue<M> {
-    heap: BinaryHeap<HeapEntry<M>>,
-    seq: u64,
-}
-
-impl<M> Default for BinaryHeapQueue<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> BinaryHeapQueue<M> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules an arbitrary event at `at`.
-    pub fn push(&mut self, at: SimTime, event: Event<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(HeapEntry { at, seq, event });
-    }
-
-    /// Schedules a message delivery.
-    pub fn push_message(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        self.push(at, Event::Message { from, to, msg });
-    }
-
-    /// Schedules a timer firing.
-    pub fn push_timer(&mut self, at: SimTime, node: NodeId, key: u64) {
-        self.push(at, Event::Timer { node, key });
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, Event<M>)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_message(SimTime(30), NodeId(0), NodeId(1), 3);
-        q.push_message(SimTime(10), NodeId(0), NodeId(1), 1);
-        q.push_message(SimTime(20), NodeId(0), NodeId(1), 2);
+    /// Pushes timer `key` under `(rank, seq)`.
+    fn timer(q: &mut EventQueue<u32>, t: u64, rank: u64, seq: u64, key: u64) {
+        let node = NodeId(rank as usize);
+        q.push(SimTime(t), rank, seq, Event::Timer { node, key });
+    }
+
+    /// Drains the queue into `(time, timer key)` pairs.
+    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u64)> {
         let mut got = Vec::new();
-        while let Some((t, Event::Message { msg, .. })) = q.pop() {
-            got.push((t.0, msg));
+        while let Some((t, Event::Timer { key, .. })) = q.pop() {
+            got.push((t.0, key));
         }
-        assert_eq!(got, vec![(10, 1), (20, 2), (30, 3)]);
+        got
     }
 
     #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        timer(&mut q, 30, 0, 0, 3);
+        timer(&mut q, 10, 0, 1, 1);
+        timer(&mut q, 20, 0, 2, 2);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
+    }
+
+    #[test]
+    fn ties_break_by_seq_within_a_rank() {
+        let mut q = EventQueue::new();
         for i in 0..10 {
-            q.push_message(SimTime(5), NodeId(0), NodeId(1), i);
+            timer(&mut q, 5, 0, i, i);
         }
-        let mut got = Vec::new();
-        while let Some((_, Event::Message { msg, .. })) = q.pop() {
-            got.push(msg);
-        }
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        let want: Vec<(u64, u64)> = (0..10).map(|i| (5, i)).collect();
+        assert_eq!(drain(&mut q), want);
     }
 
     #[test]
     fn peek_and_len() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.push_timer(SimTime(7), NodeId(0), 1);
-        q.push_timer(SimTime(3), NodeId(0), 2);
+        timer(&mut q, 7, 0, 0, 1);
+        timer(&mut q, 3, 0, 1, 2);
         assert_eq!(q.peek_time(), Some(SimTime(3)));
         assert_eq!(q.len(), 2);
     }
@@ -733,7 +600,7 @@ mod tests {
     fn far_future_events_cross_the_horizon() {
         // Events beyond WHEEL_SPAN land in overflow and come back out
         // in order across several refills.
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         let times = [
             0,
             WHEEL_SPAN - 1,
@@ -743,48 +610,38 @@ mod tests {
             30 * 86_400_000, // a 30-day lease lifetime
         ];
         for (i, t) in times.iter().enumerate().rev() {
-            q.push_message(SimTime(*t), NodeId(0), NodeId(1), i as u32);
+            timer(&mut q, *t, 0, i as u64, i as u64);
         }
-        let mut got = Vec::new();
-        while let Some((t, Event::Message { msg, .. })) = q.pop() {
-            got.push((t.0, msg));
-        }
-        let want: Vec<(u64, u32)> = times
+        let want: Vec<(u64, u64)> = times
             .iter()
             .enumerate()
-            .map(|(i, t)| (*t, i as u32))
+            .map(|(i, t)| (*t, i as u64))
             .collect();
-        assert_eq!(got, want);
+        assert_eq!(drain(&mut q), want);
     }
 
     #[test]
     fn ties_preserved_across_refill() {
         // Same far-future timestamp, pushed both before and after an
-        // unrelated pop forces a refill: FIFO order must survive.
+        // unrelated pop forces a refill: key order must survive.
         let far = 10 * WHEEL_SPAN;
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_message(SimTime(far), NodeId(0), NodeId(1), 0);
-        q.push_message(SimTime(1), NodeId(0), NodeId(1), 99);
-        q.push_message(SimTime(far), NodeId(0), NodeId(1), 1);
+        let mut q = EventQueue::new();
+        timer(&mut q, far, 0, 0, 0);
+        timer(&mut q, 1, 0, 1, 99);
+        timer(&mut q, far, 0, 2, 1);
         assert!(matches!(
             q.pop(),
-            Some((SimTime(1), Event::Message { msg: 99, .. }))
+            Some((SimTime(1), Event::Timer { key: 99, .. }))
         ));
-        // Refill happens on this pop; both `far` events move together.
-        q.push_message(SimTime(far), NodeId(0), NodeId(1), 2);
-        let mut got = Vec::new();
-        while let Some((t, Event::Message { msg, .. })) = q.pop() {
-            assert_eq!(t.0, far);
-            got.push(msg);
-        }
-        assert_eq!(got, vec![0, 1, 2]);
+        timer(&mut q, far, 0, 3, 2);
+        assert_eq!(drain(&mut q), vec![(far, 0), (far, 1), (far, 2)]);
     }
 
     #[test]
     fn pop_le_respects_limit() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_message(SimTime(10), NodeId(0), NodeId(1), 1);
-        q.push_message(SimTime(WHEEL_SPAN + 50), NodeId(0), NodeId(1), 2);
+        let mut q = EventQueue::new();
+        timer(&mut q, 10, 0, 0, 1);
+        timer(&mut q, WHEEL_SPAN + 50, 0, 1, 2);
         assert!(q.pop_le(SimTime(5)).is_none());
         assert!(matches!(q.pop_le(SimTime(10)), Some((SimTime(10), _))));
         // Limit below the earliest remaining (overflow) event: nothing,
@@ -802,138 +659,72 @@ mod tests {
     fn past_of_window_push_still_ordered() {
         // Anchor the wheel at a far-future event, then (mis)schedule
         // below the window: the early event must still pop first.
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_message(SimTime(100 * WHEEL_SPAN), NodeId(0), NodeId(1), 1);
+        let mut q = EventQueue::new();
+        timer(&mut q, 100 * WHEEL_SPAN, 0, 0, 1);
         assert!(q.pop_le(SimTime(0)).is_none()); // no refill past the limit
-        let _ = q.peek_time();
-        // Force a refill by popping with no limit, then push early.
-        q.push_message(SimTime(100 * WHEEL_SPAN + 1), NodeId(0), NodeId(1), 2);
+        timer(&mut q, 100 * WHEEL_SPAN + 1, 0, 1, 2);
         let (t1, _) = q.pop().unwrap();
         assert_eq!(t1.0, 100 * WHEEL_SPAN);
-        q.push_message(SimTime(3), NodeId(0), NodeId(1), 0);
+        timer(&mut q, 3, 0, 2, 0);
         assert_eq!(q.peek_time(), Some(SimTime(3)));
-        let (t0, _) = q.pop().unwrap();
-        assert_eq!(t0.0, 3);
-        let (t2, _) = q.pop().unwrap();
-        assert_eq!(t2.0, 100 * WHEEL_SPAN + 1);
+        assert_eq!(drain(&mut q), vec![(3, 0), (100 * WHEEL_SPAN + 1, 2)]);
     }
 
     #[test]
-    fn keyed_pushes_order_by_rank_then_seq_not_push_order() {
+    fn scrambled_pushes_pop_by_rank_then_seq() {
         // Push in scrambled key order at one timestamp; pops must come
-        // back in (rank, seq) order — the shard-layout-invariant
-        // contract — and an interleaved plain push (rank 0) sorts
-        // ahead of every ranked event.
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_keyed(
-            SimTime(5),
-            2,
-            0,
-            Event::Timer {
-                node: NodeId(1),
-                key: 20,
-            },
-        );
-        q.push_keyed(
-            SimTime(5),
-            1,
-            7,
-            Event::Timer {
-                node: NodeId(0),
-                key: 17,
-            },
-        );
-        q.push_keyed(
-            SimTime(5),
-            1,
-            3,
-            Event::Timer {
-                node: NodeId(0),
-                key: 13,
-            },
-        );
-        q.push(
-            SimTime(5),
-            Event::Timer {
-                node: NodeId(9),
-                key: 90,
-            },
-        );
-        q.push_keyed(
-            SimTime(5),
-            3,
-            1,
-            Event::Timer {
-                node: NodeId(2),
-                key: 31,
-            },
-        );
-        let mut got = Vec::new();
-        while let Some((t, Event::Timer { key, .. })) = q.pop() {
-            assert_eq!(t, SimTime(5));
-            got.push(key);
-        }
-        assert_eq!(got, vec![90, 13, 17, 20, 31]);
+        // back in (rank, seq) order — the layout-invariant contract —
+        // with rank 0 (external injections) ahead of every node.
+        let mut q = EventQueue::new();
+        timer(&mut q, 5, 2, 0, 20);
+        timer(&mut q, 5, 1, 7, 17);
+        timer(&mut q, 5, 1, 3, 13);
+        timer(&mut q, 5, 0, 4, 90);
+        timer(&mut q, 5, 3, 1, 31);
+        let keys: Vec<u64> = drain(&mut q).into_iter().map(|(_, k)| k).collect();
+        assert_eq!(keys, vec![90, 13, 17, 20, 31]);
+    }
+
+    #[test]
+    fn pushes_into_the_draining_bucket_land_in_key_order() {
+        let mut q = EventQueue::new();
+        timer(&mut q, 5, 4, 0, 40);
+        timer(&mut q, 5, 2, 0, 20);
+        timer(&mut q, 5, 6, 0, 60);
+        // The first pop sorts the bucket; later pushes must find their
+        // place among what is left, below and above the tail.
+        assert!(matches!(q.pop(), Some((_, Event::Timer { key: 20, .. }))));
+        timer(&mut q, 5, 5, 0, 50);
+        timer(&mut q, 5, 3, 0, 30);
+        timer(&mut q, 5, 7, 0, 70);
+        let keys: Vec<u64> = drain(&mut q).into_iter().map(|(_, k)| k).collect();
+        assert_eq!(keys, vec![30, 40, 50, 60, 70]);
     }
 
     #[test]
     fn keyed_order_survives_overflow_and_refill() {
-        // Same scrambled keys, but landing beyond the wheel horizon so
-        // they cross overflow and a re-anchor before popping.
+        // Scrambled keys landing beyond the wheel horizon cross
+        // overflow and a re-anchor before popping.
         let far = 12 * WHEEL_SPAN;
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_keyed(
-            SimTime(far),
-            2,
-            0,
-            Event::Timer {
-                node: NodeId(1),
-                key: 20,
-            },
-        );
-        q.push_keyed(
-            SimTime(far),
-            1,
-            7,
-            Event::Timer {
-                node: NodeId(0),
-                key: 17,
-            },
-        );
-        q.push_message(SimTime(1), NodeId(0), NodeId(1), 0);
-        q.push_keyed(
-            SimTime(far),
-            1,
-            3,
-            Event::Timer {
-                node: NodeId(0),
-                key: 13,
-            },
-        );
+        let mut q = EventQueue::new();
+        timer(&mut q, far, 2, 0, 20);
+        timer(&mut q, far, 1, 7, 17);
+        timer(&mut q, 1, 0, 0, 0);
+        timer(&mut q, far, 1, 3, 13);
         assert!(matches!(q.pop(), Some((SimTime(1), _)))); // forces later refill
-        q.push_keyed(
-            SimTime(far),
-            0,
-            9,
-            Event::Timer {
-                node: NodeId(3),
-                key: 9,
-            },
+        timer(&mut q, far, 0, 9, 9);
+        assert_eq!(
+            drain(&mut q),
+            vec![(far, 9), (far, 13), (far, 17), (far, 20)]
         );
-        let mut got = Vec::new();
-        while let Some((t, Event::Timer { key, .. })) = q.pop() {
-            assert_eq!(t.0, far);
-            got.push(key);
-        }
-        assert_eq!(got, vec![9, 13, 17, 20]);
     }
 
     #[test]
     fn more_at_flags_same_tick_batches_after_pop() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.push_message(SimTime(4), NodeId(0), NodeId(1), 0);
-        q.push_message(SimTime(4), NodeId(0), NodeId(1), 1);
-        q.push_message(SimTime(9), NodeId(0), NodeId(1), 2);
+        let mut q = EventQueue::new();
+        timer(&mut q, 4, 0, 0, 0);
+        timer(&mut q, 4, 0, 1, 1);
+        timer(&mut q, 9, 0, 2, 2);
         let (t, _) = q.pop_le(SimTime(100)).unwrap();
         assert_eq!((t, q.more_at(t)), (SimTime(4), true));
         let (t, _) = q.pop_le(SimTime(100)).unwrap();
@@ -941,26 +732,5 @@ mod tests {
         let (t, _) = q.pop_le(SimTime(100)).unwrap();
         assert_eq!((t, q.more_at(t)), (SimTime(9), false));
         assert!(q.pop_le(SimTime(100)).is_none());
-    }
-
-    #[test]
-    fn reference_queue_matches_basic_order() {
-        let mut q: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
-        assert!(q.is_empty());
-        q.push_message(SimTime(5), NodeId(0), NodeId(1), 1);
-        q.push_timer(SimTime(5), NodeId(0), 9);
-        q.push_message(SimTime(2), NodeId(0), NodeId(1), 0);
-        assert_eq!(q.peek_time(), Some(SimTime(2)));
-        assert_eq!(q.len(), 3);
-        assert!(matches!(q.pop(), Some((SimTime(2), _))));
-        assert!(matches!(
-            q.pop(),
-            Some((SimTime(5), Event::Message { msg: 1, .. }))
-        ));
-        assert!(matches!(
-            q.pop(),
-            Some((SimTime(5), Event::Timer { key: 9, .. }))
-        ));
-        assert!(q.pop().is_none());
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's robustness story (BGMP tree repair after peer loss,
 //! MASC claim–collide under message loss) only means something if the
 //! chaos itself is reproducible. This module therefore injects every
-//! fault from the engine's single seeded RNG stream:
+//! fault from the sending node's seeded RNG stream:
 //!
 //! * **per-link [`FaultModel`]s** — independent message loss,
 //!   duplication, and bounded-jitter re-enqueue (reordering) applied at
@@ -19,7 +19,7 @@
 //!
 //! # Determinism contract
 //!
-//! Fault decisions draw from the engine RNG in a fixed order per send
+//! Fault decisions draw from the sender's RNG in a fixed order per send
 //! (loss, then jitter, then duplication, then the duplicate's jitter),
 //! and **only** when the link's model is active and the message class
 //! is faultable. A run with no models configured performs zero draws,
@@ -95,6 +95,18 @@ pub struct FaultStats {
     pub restarts: u64,
 }
 
+impl std::ops::AddAssign for FaultStats {
+    fn add_assign(&mut self, o: Self) {
+        self.lost += o.lost;
+        self.duplicated += o.duplicated;
+        self.jittered += o.jittered;
+        self.dropped_at_down_node += o.dropped_at_down_node;
+        self.timers_suppressed += o.timers_suppressed;
+        self.crashes += o.crashes;
+        self.restarts += o.restarts;
+    }
+}
+
 fn faultable_default<M>(_: &M) -> bool {
     true
 }
@@ -104,7 +116,7 @@ fn faultable_default<M>(_: &M) -> bool {
 pub struct FaultPlane<M> {
     default_model: FaultModel,
     per_link: BTreeMap<LinkKey, FaultModel>,
-    down: BTreeSet<NodeId>,
+    pub(crate) down: BTreeSet<NodeId>,
     // lint:allow(snapshot-field-coverage) — fn-pointer filter, volatile by design; resume keeps the rebuilt plane's filter
     pub(crate) faultable: fn(&M) -> bool,
     pub(crate) stats: FaultStats,
@@ -177,23 +189,12 @@ impl<M> FaultPlane<M> {
 
     /// Copies the *configuration* (models and faultable filter) from
     /// `master`, leaving dynamic state (down set, counters) alone. The
-    /// sharded engine calls this at every `run_until` entry so each
-    /// shard's plane reflects configuration applied to the master
-    /// plane between runs.
+    /// engine calls this on entry to every run so each shard's plane
+    /// reflects configuration applied to shard 0's between runs.
     pub(crate) fn copy_config_from(&mut self, master: &FaultPlane<M>) {
         self.default_model = master.default_model;
         self.per_link = master.per_link.clone();
         self.faultable = master.faultable;
-    }
-
-    /// The crashed-node set, mutable (shard merge/resume plumbing).
-    pub(crate) fn down_mut(&mut self) -> &mut BTreeSet<NodeId> {
-        &mut self.down
-    }
-
-    /// Replaces the counters (shard merge/resume plumbing).
-    pub(crate) fn set_stats(&mut self, stats: FaultStats) {
-        self.stats = stats;
     }
 
     pub(crate) fn mark_down(&mut self, node: NodeId) {

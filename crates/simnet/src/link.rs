@@ -108,8 +108,8 @@ impl LinkTable {
 
     /// The smallest latency any link can deliver at: the minimum of
     /// the default and every configured link's latency. This is the
-    /// sharded engine's conservative lookahead bound — no message sent
-    /// at time `t` can arrive before `t + min_latency()`.
+    /// engine's conservative lookahead bound between shards — no
+    /// message sent at time `t` can arrive before `t + min_latency()`.
     pub fn min_latency(&self) -> SimDuration {
         self.links
             .values()

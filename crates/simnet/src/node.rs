@@ -45,72 +45,52 @@ pub trait Node<M>: Any {
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, M>) {}
 }
 
-/// Shard-routing state threaded into a [`Ctx`] by the sharded engine
-/// (`None` under the serial engine). Every effect a node emits gets a
-/// shard-layout-invariant `(rank, seq)` ordering key — rank is the
-/// emitting node's id + 1, seq its private emit counter — and
-/// cross-shard messages divert to the shard's outbox for delivery at
-/// the next barrier instead of landing in the local queue.
-pub(crate) struct ShardRoute<'a, M> {
-    /// Node id → owning shard, for the whole simulation.
-    pub(crate) owner: &'a [u32],
-    /// The shard this context is executing in.
-    pub(crate) shard: u32,
-    /// Cross-shard sends accumulated during the current window, as
-    /// `(time, rank, seq, event)`.
-    pub(crate) outbox: &'a mut Vec<(u64, u64, u64, Event<M>)>,
-    /// Ordering rank of the emitting node (id + 1; 0 is reserved for
-    /// external injections).
-    pub(crate) rank: u64,
-    /// The emitting node's monotone emit counter.
-    pub(crate) emit: &'a mut u64,
-}
-
 /// The effect interface handed to a node while it handles an event.
+///
+/// Every effect the node emits is keyed `(time, rank, seq)` — rank is
+/// the node's id + 1 (0 is reserved for external injections), seq its
+/// private emit counter — so its place in the global order does not
+/// depend on how nodes are spread over shards.
 pub struct Ctx<'a, M> {
     pub(crate) id: NodeId,
     pub(crate) now: SimTime,
     pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) links: &'a LinkTable,
     pub(crate) rng: &'a mut StdRng,
+    /// The handling node's monotone emit counter.
+    pub(crate) emit: &'a mut u64,
     pub(crate) faults: &'a mut FaultPlane<M>,
     pub(crate) dropped: &'a mut u64,
-    /// `Some` when executing inside a shard (see [`ShardRoute`]).
-    pub(crate) route: Option<ShardRoute<'a, M>>,
+    /// Node id → owning shard; empty when the engine has a single
+    /// shard (nothing is remote).
+    pub(crate) owner: &'a [u32],
+    /// The shard this context is executing in.
+    pub(crate) shard: u32,
+    /// Where sends to nodes on other shards wait for the next window
+    /// barrier, as `(time, rank, seq, event)`.
+    pub(crate) outbox: &'a mut Vec<(u64, u64, u64, Event<M>)>,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Enqueues a message, routing through the shard mailbox when the
-    /// recipient lives on another shard. The serial path is the
-    /// historical direct push (queue-local insertion order); the
-    /// sharded path is outlined so the serial fast path stays one
-    /// predictable branch (see [`Ctx::set_timer_routed`] for why the
-    /// cold hint is safe for sharded throughput too).
+    /// Enqueues `ev` under this node's next key: into the shard's own
+    /// queue, or its outbox when `to` lives on another shard.
     #[inline]
-    fn push_msg(&mut self, at: SimTime, to: NodeId, msg: M) {
-        if self.route.is_none() {
-            self.queue.push_message(at, self.id, to, msg);
+    fn enqueue(&mut self, at: SimTime, to: NodeId, ev: Event<M>) {
+        let (rank, seq) = (self.id.0 as u64 + 1, *self.emit);
+        *self.emit += 1;
+        if self.owner.get(to.0).is_some_and(|s| *s != self.shard) {
+            self.outbox.push((at.0, rank, seq, ev));
         } else {
-            self.push_msg_routed(at, to, msg);
+            self.queue.push(at, rank, seq, ev);
         }
     }
 
-    #[cold]
-    fn push_msg_routed(&mut self, at: SimTime, to: NodeId, msg: M) {
-        let r = self.route.as_mut().expect("checked by push_msg");
-        let seq = *r.emit;
-        *r.emit += 1;
-        let ev = Event::Message {
-            from: self.id,
-            to,
-            msg,
-        };
-        if r.owner.get(to.0).copied() == Some(r.shard) {
-            self.queue.push_keyed(at, r.rank, seq, ev);
-        } else {
-            r.outbox.push((at.0, r.rank, seq, ev));
-        }
+    #[inline]
+    fn push_msg(&mut self, at: SimTime, to: NodeId, msg: M) {
+        let from = self.id;
+        self.enqueue(at, to, Event::Message { from, to, msg });
     }
+
     /// The handling node's own id.
     pub fn id(&self) -> NodeId {
         self.id
@@ -186,32 +166,13 @@ impl<'a, M> Ctx<'a, M> {
     /// Schedules `on_timer(key)` on this node after `delay`.
     #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, key: u64) {
-        let at = self.now + delay;
-        if self.route.is_none() {
-            self.queue.push_timer(at, self.id, key);
-        } else {
-            self.set_timer_routed(at, key);
-        }
+        let node = self.id;
+        self.enqueue(self.now + delay, node, Event::Timer { node, key });
     }
 
-    /// Timers are always node-local, so they stay in the shard's own
-    /// queue — but still keyed, so their order against arriving
-    /// messages is layout-invariant. Outlined like
-    /// [`Ctx::push_msg_routed`]: the sharded sims are
-    /// protocol-dominated, so pushing their enqueue off the serial
-    /// fast path costs them nothing measurable while keeping the
-    /// serial wheel microbench at full speed.
-    #[cold]
-    fn set_timer_routed(&mut self, at: SimTime, key: u64) {
-        let r = self.route.as_mut().expect("checked by set_timer");
-        let seq = *r.emit;
-        *r.emit += 1;
-        let ev = Event::Timer { node: self.id, key };
-        self.queue.push_keyed(at, r.rank, seq, ev);
-    }
-
-    /// Deterministic per-engine RNG (a single seeded stream; event
-    /// order is deterministic, so draws are too).
+    /// The handling node's own seeded RNG stream
+    /// (`seed ^ splitmix64(id)`): draws depend only on the events this
+    /// node has handled, never on what other nodes drew.
     pub fn rng(&mut self) -> &mut impl Rng {
         self.rng
     }

@@ -1,8 +1,9 @@
 //! Differential property test for same-tick event batching:
 //! [`Engine::run_until`] (which batches consecutive same-time events
 //! to one node around a single node checkout) must be observationally
-//! identical to the unbatched one-event-at-a-time [`Engine::step`]
-//! loop — same per-node logs, same counters, same fault accounting —
+//! identical to the unbatched one-event-at-a-time
+//! `run_until_idle(1)` loop — same per-node logs, same counters, same
+//! fault accounting —
 //! on arbitrary workloads, including zero-latency message storms and
 //! crash windows.
 
@@ -85,7 +86,7 @@ fn run(w: &Workload, seed: u64, batched: bool) -> (Vec<NodeLog>, Vec<u64>) {
         // Far past every chain (12 ms injections + 15 hops × 3 ms).
         eng.run_until(SimTime(1_000_000));
     } else {
-        while eng.step() {}
+        while eng.run_until_idle(1) == 1 {}
     }
     assert_eq!(eng.pending(), 0, "run left events queued");
     let logs = ids

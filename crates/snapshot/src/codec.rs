@@ -26,15 +26,15 @@ use crate::Snapshot;
 pub const MAGIC: [u8; 4] = *b"MBSN";
 
 /// Current format version. Bump on any incompatible layout change and
-/// update the committed golden header (`tests/golden_header.rs`), so
-/// format drift fails loudly instead of misdecoding.
+/// commit a new `tests/golden/wire_vN.bin`, so format drift fails
+/// loudly instead of misdecoding.
 ///
-/// History: v1 had no engine-mode byte (every engine blob was serial);
-/// v2 adds a mode byte after the engine header so sharded checkpoints
-/// are distinguishable, and adds the sharded node-major payload. v1
-/// blobs remain decodable — [`Dec::header`] accepts `1..=FORMAT_VERSION`
-/// and returns the version so decoders can branch.
-pub const FORMAT_VERSION: u16 = 2;
+/// Only the current version decodes: [`Dec::header`] rejects every
+/// other with [`SnapError::BadVersion`]. (v3 is the node-major,
+/// shard-count-invariant engine blob with keyed events; v1 and v2
+/// engine blobs carried a single shared RNG stream and unkeyed events
+/// that the one engine cannot continue.)
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Decode failure. Every variant is a recoverable error — corrupt or
 /// truncated snapshots must never panic the host.
@@ -82,7 +82,7 @@ impl std::fmt::Display for SnapError {
             SnapError::BadVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot version {found} (supported: 1..={FORMAT_VERSION})"
+                    "unsupported snapshot version {found} (supported: {FORMAT_VERSION})"
                 )
             }
             SnapError::BadKind { want, found } => {
@@ -223,14 +223,14 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    /// Reads and validates the snapshot header, returning the version.
-    pub fn header(&mut self, want_kind: u16) -> Result<u16, SnapError> {
+    /// Reads and validates the snapshot header.
+    pub fn header(&mut self, want_kind: u16) -> Result<(), SnapError> {
         let magic = self.take(4)?;
         if magic != MAGIC {
             return Err(SnapError::BadMagic);
         }
         let version = self.u16()?;
-        if version == 0 || version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(SnapError::BadVersion { found: version });
         }
         let kind = self.u16()?;
@@ -240,7 +240,7 @@ impl<'a> Dec<'a> {
                 found: kind,
             });
         }
-        Ok(version)
+        Ok(())
     }
 
     /// Reads one byte.
@@ -555,20 +555,17 @@ mod tests {
     }
 
     #[test]
-    fn past_versions_accepted_future_and_zero_rejected() {
+    fn only_the_current_version_is_accepted() {
         let bytes = Enc::with_header(3).finish();
-        assert_eq!(Dec::new(&bytes).header(3), Ok(FORMAT_VERSION));
-        let mut v1 = bytes.clone();
-        v1[4] = 1;
-        v1[5] = 0;
-        assert_eq!(Dec::new(&v1).header(3), Ok(1));
-        let mut v0 = bytes;
-        v0[4] = 0;
-        v0[5] = 0;
-        assert_eq!(
-            Dec::new(&v0).header(3),
-            Err(SnapError::BadVersion { found: 0 })
-        );
+        assert_eq!(Dec::new(&bytes).header(3), Ok(()));
+        for found in [0, 1, 2, FORMAT_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[4..6].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                Dec::new(&other).header(3),
+                Err(SnapError::BadVersion { found })
+            );
+        }
     }
 
     #[test]

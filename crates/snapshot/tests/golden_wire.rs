@@ -4,17 +4,15 @@
 //! encodings makes this test fail before it can silently invalidate
 //! checkpoints on disk.
 //!
-//! Two goldens are committed: the current-version image (what the
-//! encoder produces today) and the frozen v1 image (what pre-sharding
-//! checkpoints on disk look like). The payload bytes are identical —
-//! only the header version differs — and both must stay decodable.
+//! One golden is committed, for the one version that decodes; an
+//! image with any other version in its header is a deterministic
+//! `BadVersion`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use snapshot::{Dec, Enc, SnapError, Snapshot, FORMAT_VERSION, MAGIC};
 
-const GOLDEN_V1: &[u8] = include_bytes!("golden/wire_v1.bin");
-const GOLDEN_V2: &[u8] = include_bytes!("golden/wire_v2.bin");
+const GOLDEN: &[u8] = include_bytes!("golden/wire_v3.bin");
 
 /// Kind tag reserved for this test; never a real subsystem.
 const KIND: u16 = 0x7e57;
@@ -48,7 +46,7 @@ fn encode_exemplar() -> Vec<u8> {
 fn wire_format_matches_committed_golden() {
     let bytes = encode_exemplar();
     assert_eq!(
-        bytes, GOLDEN_V2,
+        bytes, GOLDEN,
         "snapshot wire format drifted from the committed v{FORMAT_VERSION} golden; \
          if the change is intentional, bump FORMAT_VERSION and add a new \
          crates/snapshot/tests/golden/wire_vN.bin (never regenerate old ones)"
@@ -56,66 +54,59 @@ fn wire_format_matches_committed_golden() {
 }
 
 #[test]
-fn golden_headers_are_magic_version_kind() {
-    for (golden, version) in [(GOLDEN_V1, 1u16), (GOLDEN_V2, FORMAT_VERSION)] {
-        assert_eq!(&golden[..4], MAGIC, "magic");
-        assert_eq!(
-            u16::from_le_bytes([golden[4], golden[5]]),
-            version,
-            "format version"
-        );
-        assert_eq!(u16::from_le_bytes([golden[6], golden[7]]), KIND, "kind");
-    }
-}
-
-#[test]
-fn goldens_decode_back_to_the_exemplar() {
-    // The v1 image (old checkpoints on disk) and the v2 image carry
-    // the same payload; both must decode, reporting their version.
-    for (golden, version) in [(GOLDEN_V1, 1u16), (GOLDEN_V2, FORMAT_VERSION)] {
-        let mut dec = Dec::new(golden);
-        assert_eq!(dec.header(KIND), Ok(version));
-        assert_eq!(dec.u8(), Ok(0x01));
-        assert_eq!(dec.u16(), Ok(0x0203));
-        assert_eq!(dec.u32(), Ok(0x0405_0607));
-        assert_eq!(dec.u64(), Ok(0x0809_0a0b_0c0d_0e0f));
-        assert_eq!(dec.usize(), Ok(42));
-        assert_eq!(dec.bool(), Ok(true));
-        assert_eq!(dec.bool(), Ok(false));
-        assert_eq!(dec.f64(), Ok(-1.5));
-        assert_eq!(dec.str().as_deref(), Ok("masc/bgmp"));
-        assert_eq!(dec.bytes(), Ok(&[0xde, 0xad][..]));
-        assert_eq!(<[u64; 4]>::decode(&mut dec), Ok([0xaa, 0xbb, 0xcc, 0xdd]));
-        assert_eq!(Option::<u32>::decode(&mut dec), Ok(Some(7)));
-        assert_eq!(Option::<u32>::decode(&mut dec), Ok(None));
-        assert_eq!(Vec::<u16>::decode(&mut dec), Ok(vec![1, 2, 3]));
-        assert_eq!(VecDeque::<u8>::decode(&mut dec), Ok(VecDeque::from([9, 8])));
-        assert_eq!(
-            BTreeSet::<u32>::decode(&mut dec),
-            Ok(BTreeSet::from([5, 6]))
-        );
-        assert_eq!(
-            BTreeMap::<u8, u64>::decode(&mut dec),
-            Ok(BTreeMap::from([(1, 2), (3, 4)]))
-        );
-        assert_eq!(<(u8, u16)>::decode(&mut dec), Ok((0x11, 0x2222)));
-        assert_eq!(
-            <(u8, u16, u32)>::decode(&mut dec),
-            Ok((0x33, 0x4444, 0x5555_5555))
-        );
-        assert_eq!(dec.finish(), Ok(()));
-    }
-}
-
-#[test]
-fn version_bump_is_rejected_not_misread() {
-    let mut bytes = GOLDEN_V2.to_vec();
-    bytes[4] = bytes[4].wrapping_add(1);
-    let mut dec = Dec::new(&bytes);
+fn golden_header_is_magic_version_kind() {
+    assert_eq!(&GOLDEN[..4], MAGIC, "magic");
     assert_eq!(
-        dec.header(KIND),
-        Err(SnapError::BadVersion {
-            found: FORMAT_VERSION + 1
-        })
+        u16::from_le_bytes([GOLDEN[4], GOLDEN[5]]),
+        FORMAT_VERSION,
+        "format version"
     );
+    assert_eq!(u16::from_le_bytes([GOLDEN[6], GOLDEN[7]]), KIND, "kind");
+}
+
+#[test]
+fn golden_decodes_back_to_the_exemplar() {
+    let mut dec = Dec::new(GOLDEN);
+    assert_eq!(dec.header(KIND), Ok(()));
+    assert_eq!(dec.u8(), Ok(0x01));
+    assert_eq!(dec.u16(), Ok(0x0203));
+    assert_eq!(dec.u32(), Ok(0x0405_0607));
+    assert_eq!(dec.u64(), Ok(0x0809_0a0b_0c0d_0e0f));
+    assert_eq!(dec.usize(), Ok(42));
+    assert_eq!(dec.bool(), Ok(true));
+    assert_eq!(dec.bool(), Ok(false));
+    assert_eq!(dec.f64(), Ok(-1.5));
+    assert_eq!(dec.str().as_deref(), Ok("masc/bgmp"));
+    assert_eq!(dec.bytes(), Ok(&[0xde, 0xad][..]));
+    assert_eq!(<[u64; 4]>::decode(&mut dec), Ok([0xaa, 0xbb, 0xcc, 0xdd]));
+    assert_eq!(Option::<u32>::decode(&mut dec), Ok(Some(7)));
+    assert_eq!(Option::<u32>::decode(&mut dec), Ok(None));
+    assert_eq!(Vec::<u16>::decode(&mut dec), Ok(vec![1, 2, 3]));
+    assert_eq!(VecDeque::<u8>::decode(&mut dec), Ok(VecDeque::from([9, 8])));
+    assert_eq!(
+        BTreeSet::<u32>::decode(&mut dec),
+        Ok(BTreeSet::from([5, 6]))
+    );
+    assert_eq!(
+        BTreeMap::<u8, u64>::decode(&mut dec),
+        Ok(BTreeMap::from([(1, 2), (3, 4)]))
+    );
+    assert_eq!(<(u8, u16)>::decode(&mut dec), Ok((0x11, 0x2222)));
+    assert_eq!(
+        <(u8, u16, u32)>::decode(&mut dec),
+        Ok((0x33, 0x4444, 0x5555_5555))
+    );
+    assert_eq!(dec.finish(), Ok(()));
+}
+
+#[test]
+fn every_other_version_is_rejected_not_misread() {
+    for found in [1, 2, FORMAT_VERSION + 1] {
+        let mut bytes = GOLDEN.to_vec();
+        bytes[4..6].copy_from_slice(&found.to_le_bytes());
+        assert_eq!(
+            Dec::new(&bytes).header(KIND),
+            Err(SnapError::BadVersion { found })
+        );
+    }
 }
