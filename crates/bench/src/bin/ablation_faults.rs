@@ -19,6 +19,7 @@
 //! (0 and 1 are the same inline run) and is diffed against the one
 //! committed golden.
 
+use bier::Plane;
 use masc_bgmp_bench::faults::{flap_grid, run, series, FaultsParams};
 use masc_bgmp_bench::{banner, results_dir, Args};
 use metrics::emit;
@@ -47,31 +48,21 @@ fn main() {
     );
 
     let cells = run(&p);
-    println!(
-        "{:>8} {:>7} {:>14} {:>14} {:>6} | {:>9} {:>9} {:>9} {:>9}",
-        "loss",
-        "flaps",
-        "bgmp_deliv",
-        "bgmp_conv_ms",
-        "probe",
-        "bier_dlv",
-        "bier_rec",
-        "menc_dlv",
-        "menc_rec"
-    );
-    for c in &cells {
-        println!(
-            "{:>8.2} {:>7} {:>14.4} {:>14} {:>6} | {:>9.4} {:>9} {:>9.4} {:>9}",
-            c.loss,
-            c.flaps,
-            c.delivery_ratio,
-            c.convergence_ms,
-            c.probe_clean,
-            c.bier_delivery,
-            c.bier_recovery_ms,
-            c.mapencap_delivery,
-            c.mapencap_recovery_ms
+    print!("{:>8} {:>7} {:>6}", "loss", "flaps", "probe");
+    for plane in Plane::ALL {
+        print!(
+            " | {:>14} {:>12}",
+            format!("{}_deliv", plane.name()),
+            "recover_ms"
         );
+    }
+    println!();
+    for c in &cells {
+        print!("{:>8.2} {:>7} {:>6}", c.loss, c.flaps, c.probe_clean);
+        for pc in &c.planes {
+            print!(" | {:>14.4} {:>12}", pc.delivery, pc.recovery_ms);
+        }
+        println!();
         assert!(c.probe_clean, "post-quiesce probe lost or duplicated");
     }
     // One series pair per flap count, loss on the x axis.
@@ -84,9 +75,9 @@ fn main() {
     println!("timers — flaps stretch it, loss barely moves it, and every cell still ends");
     println!("invariant-clean with an exactly-once probe: repair is lossy-channel-proof.");
     println!();
-    println!("BIER columns replay the same derived flap/crash schedule through the");
-    println!("stateless planes: with 1:1 backup paths a flap costs only the detection");
-    println!("delay (bier_rec), while map-and-encap waits out the outage plus");
-    println!("reconvergence (menc_rec); crashes are unprotected under both and show up");
-    println!("in the delivery columns instead.");
+    println!("recover_ms is measured for bgmp (fault cessation to a clean quiescent");
+    println!("check) and modelled for the stateless planes, which replay the cell's one");
+    println!("schedule: with 1:1 backup paths a flap costs bier only the detection delay,");
+    println!("while mapencap waits out the outage plus reconvergence; crashes are");
+    println!("unprotected under both and show up in the delivery columns instead.");
 }

@@ -15,6 +15,7 @@
 //! sweeps but is a no-op: the tree-quality grid is analytic (graph +
 //! SPF), with no event engine to shard.
 
+use bier::Plane;
 use masc_bgmp_bench::fig4::{run, series, Fig4Params};
 use masc_bgmp_bench::{banner, results_dir, Args};
 use metrics::emit;
@@ -40,38 +41,32 @@ fn main() {
         ),
     );
 
-    println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "recv",
-        "uni_avg",
-        "uni_max",
-        "bi_avg",
-        "bi_max",
-        "hy_avg",
-        "hy_max",
-        "bgmp_state",
-        "bier_state",
-        "menc_state",
-        "bier_copy",
-        "menc_copy"
-    );
+    print!("{:>6}", "recv");
+    for col in ["uni_avg", "uni_max", "bi_avg", "bi_max", "hy_avg", "hy_max"] {
+        print!(" {col:>9}");
+    }
+    print!(" |");
+    for plane in Plane::ALL {
+        print!(" {:>14}", format!("{}_state", plane.name()));
+    }
+    for plane in Plane::ALL.iter().filter(|p| p.stateless()) {
+        print!(" {:>14}", format!("{}_copies", plane.name()));
+    }
+    println!();
     let points = run(&p);
     for pt in &points {
-        println!(
-            "{:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} | {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-            pt.recv,
-            pt.avg[0],
-            pt.max[0],
-            pt.avg[1],
-            pt.max[1],
-            pt.avg[2],
-            pt.max[2],
-            pt.state[0],
-            pt.state[1],
-            pt.state[2],
-            pt.copies[0],
-            pt.copies[1]
-        );
+        print!("{:>6}", pt.recv);
+        for i in 0..3 {
+            print!(" {:>9.3} {:>9.3}", pt.avg[i], pt.max[i]);
+        }
+        print!(" |");
+        for pl in &pt.planes {
+            print!(" {:>14.1}", pl.state);
+        }
+        for (_, copies) in pt.planes.iter().filter_map(|pl| pl.spt) {
+            print!(" {copies:>14.1}");
+        }
+        println!();
     }
 
     let out = series(&points);
@@ -107,17 +102,15 @@ fn main() {
     let last = points.last().unwrap();
     println!();
     println!("-- architecture ablation (largest receiver set) --");
-    println!(
-        "per-group state:  BGMP tree {:.0} routers, BIER ingress {:.0} bitstring(s), map-and-encap {:.0} encaps",
-        last.state[0], last.state[1], last.state[2]
-    );
-    println!(
-        "path stretch:     BIER {:.2}, map-and-encap {:.2} (both ride unicast SPT)",
-        last.stretch[0], last.stretch[1]
-    );
-    println!(
-        "link copies/send: BIER {:.1} vs map-and-encap {:.1}",
-        last.copies[0], last.copies[1]
-    );
+    println!("per-group state: tree routers (bgmp), ingress bitstrings (bier), ingress encaps (mapencap)");
+    for (plane, pl) in Plane::ALL.iter().zip(&last.planes) {
+        print!("{:>9}: state {:>7.0}", plane.name(), pl.state);
+        match pl.spt {
+            Some((stretch, copies)) => {
+                println!(", stretch over SPT {stretch:.2}, link copies/send {copies:.1}")
+            }
+            None => println!(" (paths: the bidirectional columns above)"),
+        }
+    }
     println!("results written to {}", dir.display());
 }

@@ -10,20 +10,11 @@
 //! Mid-run invariants stay asserted inside the harness: a cell that
 //! corrupts tree state panics the sweep instead of emitting numbers.
 
-use bier::sim::{replay, Crash, FaultTimeline, Flap, ReplayParams, Send};
-use bier::{SubDomain, DEFAULT_BSL};
-use masc_bgmp_core::chaos::{derive_schedule, ring_graph, run_chaos, ChaosConfig, ChaosSchedule};
+use bier::{replay, Plane, SubDomain, DEFAULT_BSL};
+use masc_bgmp_core::chaos::{derive_schedule, ring_graph, run_schedule, ChaosConfig};
 use metrics::Series;
-use topology::DomainId;
 
 use crate::par::{run_tasks, task_seed};
-
-/// Local failure-detection delay charged to the protection plane
-/// (BFD-style liveness on the adjacency).
-const DETECT_MS: u64 = 50;
-/// Routing reconvergence delay charged when a fault has no 1:1 backup
-/// and repair must wait for the control plane.
-const REROUTE_MS: u64 = 1_000;
 
 /// Inputs of a FAULTS run (`ablation_faults` CLI defaults in
 /// brackets; `--smoke` switches to the small committed-golden grid).
@@ -51,29 +42,43 @@ pub struct FaultCell {
     pub loss: f64,
     /// Silent link flaps injected during the chaos phase.
     pub flaps: usize,
-    /// `delivered / expected` for chaos-phase packets.
-    pub delivery_ratio: f64,
-    /// Simulated ms from fault cessation to a clean quiescent check.
-    pub convergence_ms: u64,
     /// Whether the post-quiesce probe reached every member once.
     pub probe_clean: bool,
     /// Engine events processed in the cell (deterministic per seed).
     pub events: u64,
-    /// BIER delivery ratio over the same fault schedule, with the
-    /// BIER-TE 1:1 backup-path protection plane active.
-    pub bier_delivery: f64,
-    /// Worst *link*-fault repair latency (ms) with protection:
-    /// detection-only for covered flaps. Link-only on purpose — the
+    /// Every plane's result under the cell's one schedule, in
+    /// [`Plane::ALL`] order.
+    pub planes: [PlaneCell; 3],
+}
+
+/// One plane's result in one cell.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlaneCell {
+    /// `delivered / expected` for chaos-phase packets.
+    pub delivery: f64,
+    /// BGMP (event-driven): simulated ms from fault cessation to a
+    /// clean quiescent check. BIER / map-and-encap (replayed): worst
+    /// *link*-fault repair latency in ms — link-only on purpose, the
     /// cell's crash is unprotected under every plane and would swamp
     /// the column (see `ReplayOutcome::max_link_recovery_ms`).
-    pub bier_recovery_ms: u64,
-    /// Map-and-encap delivery ratio over the same schedule — ingress
-    /// replication on unicast routes, no protection plane, so every
-    /// fault waits for reconvergence.
-    pub mapencap_delivery: f64,
-    /// Worst link-fault repair latency (ms) without protection: full
-    /// outage + reconvergence.
-    pub mapencap_recovery_ms: u64,
+    pub recovery_ms: u64,
+}
+
+/// The two series a plane contributes per flap count. The event-driven
+/// plane's are the harness's original, unprefixed columns.
+fn column_names(plane: Plane, flaps: usize) -> [String; 2] {
+    if plane.stateless() {
+        let name = plane.name();
+        [
+            format!("{name}_delivery_f{flaps}"),
+            format!("{name}_recovery_ms_f{flaps}"),
+        ]
+    } else {
+        [
+            format!("delivery_f{flaps}"),
+            format!("convergence_ms_f{flaps}"),
+        ]
+    }
 }
 
 /// Loss probabilities swept (x axis).
@@ -117,123 +122,65 @@ pub fn run(p: &FaultsParams) -> Vec<FaultCell> {
             check_mid_run: true,
             shards: p.shards,
         };
-        let out = run_chaos(&cfg);
+        // One derived schedule per cell, faced by every plane: BGMP
+        // runs it event by event, the stateless planes replay it over
+        // the same ring.
+        let schedule = derive_schedule(&cfg);
+        let out = run_schedule(&cfg, &schedule);
         assert!(
             out.quiescent_violations.is_empty(),
             "cell (loss={loss}, flaps={flaps}) left violations: {:?}",
             out.quiescent_violations
         );
-
-        // Replay the *same* derived fault schedule through the two
-        // stateless planes: BIER with 1:1 protection on, map-and-encap
-        // with reconvergence-only repair. Same ring, same flap/crash
-        // windows, same send times as the BGMP chaos run above.
         let ring = ring_graph(p.domains);
         let sub = SubDomain::new(p.domains, DEFAULT_BSL);
-        let timeline = timeline_of(&derive_schedule(&cfg), p.domains);
-        let base = ReplayParams {
-            loss,
-            detect_ms: DETECT_MS,
-            reroute_ms: REROUTE_MS,
-            protection: true,
-            seed: cfg.seed,
-        };
-        let bier = replay(&ring, &sub, &timeline, &base);
-        let mapencap = replay(
-            &ring,
-            &sub,
-            &timeline,
-            &ReplayParams {
-                protection: false,
-                ..base
-            },
-        );
+        let planes = Plane::ALL.map(|plane| {
+            if plane.stateless() {
+                let r = replay(&ring, &sub, &schedule, plane, loss, cfg.seed);
+                PlaneCell {
+                    delivery: r.delivery_ratio,
+                    recovery_ms: r.max_link_recovery_ms,
+                }
+            } else {
+                PlaneCell {
+                    delivery: out.delivery_ratio,
+                    recovery_ms: out.convergence_ms.unwrap_or_else(|| {
+                        panic!("cell (loss={loss}, flaps={flaps}) never re-converged")
+                    }),
+                }
+            }
+        });
 
         FaultCell {
             loss,
             flaps,
-            delivery_ratio: out.delivery_ratio,
-            convergence_ms: out
-                .convergence_ms
-                .unwrap_or_else(|| panic!("cell (loss={loss}, flaps={flaps}) never re-converged")),
             probe_clean: out.probe_clean,
             events: out.events,
-            bier_delivery: bier.delivery_ratio,
-            bier_recovery_ms: bier.max_link_recovery_ms,
-            mapencap_delivery: mapencap.delivery_ratio,
-            mapencap_recovery_ms: mapencap.max_link_recovery_ms,
+            planes,
         }
     })
 }
 
-/// Converts a chaos schedule into the BIER replay timeline: ring edge
-/// `e` connects domains `e` and `(e + 1) % n`.
-fn timeline_of(s: &ChaosSchedule, n: usize) -> FaultTimeline {
-    FaultTimeline {
-        flaps: s
-            .flaps
-            .iter()
-            .map(|f| Flap {
-                a: DomainId(f.edge),
-                b: DomainId((f.edge + 1) % n),
-                at: f.at,
-                dur: f.dur,
-            })
-            .collect(),
-        crashes: s
-            .crashes
-            .iter()
-            .map(|c| Crash {
-                d: DomainId(c.domain),
-                at: c.at,
-                dur: c.down,
-            })
-            .collect(),
-        sends: s
-            .sends
-            .iter()
-            .map(|&(at, idx)| Send {
-                at,
-                from: DomainId(idx),
-            })
-            .collect(),
-    }
-}
-
-/// The output series (`ablation_faults`): per flap count, delivery
-/// ratio and convergence time against loss on the x axis — BGMP's
-/// columns first (pinned column order), then the BIER and map-and-encap
-/// replay columns for the same flap counts.
+/// The output series (`ablation_faults`): per flap count and plane,
+/// delivery ratio and recovery time against loss on the x axis —
+/// BGMP's columns for every flap count first (pinned column order),
+/// then the replayed planes' for the same flap counts.
 pub fn series(cells: &[FaultCell], smoke: bool) -> Vec<Series> {
-    let flaps = flap_grid(smoke);
-    let mut out = Vec::new();
-    for &f in &flaps {
-        let mut d = Series::new(format!("delivery_f{f}"));
-        let mut c = Series::new(format!("convergence_ms_f{f}"));
-        for cell in cells.iter().filter(|x| x.flaps == f) {
-            d.push(cell.loss, cell.delivery_ratio);
-            c.push(cell.loss, cell.convergence_ms as f64);
+    let mut columns = Vec::new();
+    for f in flap_grid(smoke) {
+        for (i, &plane) in Plane::ALL.iter().enumerate() {
+            let [delivery, recovery] = column_names(plane, f);
+            let (mut d, mut r) = (Series::new(delivery), Series::new(recovery));
+            for cell in cells.iter().filter(|x| x.flaps == f) {
+                d.push(cell.loss, cell.planes[i].delivery);
+                r.push(cell.loss, cell.planes[i].recovery_ms as f64);
+            }
+            columns.push((plane, [d, r]));
         }
-        out.push(d);
-        out.push(c);
     }
-    for &f in &flaps {
-        let mut bd = Series::new(format!("bier_delivery_f{f}"));
-        let mut br = Series::new(format!("bier_recovery_ms_f{f}"));
-        let mut md = Series::new(format!("mapencap_delivery_f{f}"));
-        let mut mr = Series::new(format!("mapencap_recovery_ms_f{f}"));
-        for cell in cells.iter().filter(|x| x.flaps == f) {
-            bd.push(cell.loss, cell.bier_delivery);
-            br.push(cell.loss, cell.bier_recovery_ms as f64);
-            md.push(cell.loss, cell.mapencap_delivery);
-            mr.push(cell.loss, cell.mapencap_recovery_ms as f64);
-        }
-        out.push(bd);
-        out.push(br);
-        out.push(md);
-        out.push(mr);
-    }
-    out
+    // Stable: within each half the (flaps, plane) order stands.
+    columns.sort_by_key(|(plane, _)| plane.stateless());
+    columns.into_iter().flat_map(|(_, pair)| pair).collect()
 }
 
 #[cfg(test)]

@@ -7,8 +7,7 @@
 //! [`task_seed`]`(seed, cell-index)`, so the result — and hence the
 //! emitted CSV/JSON — is byte-identical for any `--threads` value.
 
-use bier::state::{bier_link_copies, mapencap_link_copies};
-use bier::{GroupState, SubDomain, DEFAULT_BSL};
+use bier::{Plane, SubDomain, DEFAULT_BSL};
 use masc_bgmp_core::trees::compare_trees_full;
 use metrics::Series;
 use rand::rngs::StdRng;
@@ -35,35 +34,29 @@ pub struct Fig4Params {
 
 /// One receiver-count point: per-protocol average and worst ratios,
 /// protocol order `[unidirectional, bidirectional, hybrid]`, plus the
-/// three-architecture ablation columns (BGMP shared tree vs BIER vs
-/// map-and-encap ingress replication).
+/// architecture ablation — one entry per plane, in [`Plane::ALL`]
+/// order. A single trial is a point too; [`run`] folds trials into
+/// means (`max` into the worst).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Fig4Point {
     pub recv: usize,
     pub avg: [f64; 3],
     pub max: [f64; 3],
-    /// Mean per-group control-state entries `[bgmp, bier, mapencap]`:
-    /// routers on the shared tree vs ingress bitstrings vs ingress
-    /// encapsulations.
-    pub state: [f64; 3],
-    /// Mean path stretch over SPT `[bier, mapencap]` — both ride
-    /// unicast shortest paths, so both are exactly 1.0; emitted so the
-    /// CSV states it rather than implying it.
-    pub stretch: [f64; 2],
-    /// Mean data-plane link copies per delivery `[bier, mapencap]`:
-    /// SPT-subtree edges per touched set vs sum of unicast path
-    /// lengths.
-    pub copies: [f64; 2],
+    pub planes: [PlaneStats; 3],
 }
 
-/// Per-trial sample for one grid cell.
+/// One plane's columns at one receiver count.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct TrialStats {
-    avg: [f64; 3],
-    max: [f64; 3],
-    state: [f64; 3],
-    stretch: [f64; 2],
-    copies: [f64; 2],
+pub struct PlaneStats {
+    /// Per-group control-state entries: routers on the shared tree,
+    /// ingress bitstrings, or ingress encapsulations.
+    pub state: f64,
+    /// For the planes that forward on the source's shortest-path tree:
+    /// `(path stretch over SPT, link copies per delivery)`. The stretch
+    /// is exactly 1.0; emitted so the CSV states it rather than
+    /// implying it. `None` for BGMP, whose paths are the
+    /// `bidirectional` columns.
+    pub spt: Option<(f64, f64)>,
 }
 
 /// Receiver counts swept: the paper's 1..1000 with log-ish spacing.
@@ -97,35 +90,27 @@ pub fn run(p: &Fig4Params) -> Vec<Fig4Point> {
 
     // Fold trials into points. Task-order merge makes the float
     // summation order independent of scheduling.
-    sizes
-        .iter()
-        .zip(cells.chunks(p.trials))
-        .map(|(&k, chunk)| {
-            let mut avg = [0.0f64; 3];
-            let mut max = [0.0f64; 3];
-            let mut state = [0.0f64; 3];
-            let mut stretch = [0.0f64; 2];
-            let mut copies = [0.0f64; 2];
-            for s in chunk {
+    let t = p.trials as f64;
+    cells
+        .chunks(p.trials)
+        .map(|chunk| {
+            let mut pt = chunk[0];
+            for s in &chunk[1..] {
                 for i in 0..3 {
-                    avg[i] += s.avg[i];
-                    max[i] = max[i].max(s.max[i]);
-                    state[i] += s.state[i];
-                }
-                for i in 0..2 {
-                    stretch[i] += s.stretch[i];
-                    copies[i] += s.copies[i];
+                    pt.avg[i] += s.avg[i];
+                    pt.max[i] = pt.max[i].max(s.max[i]);
+                    pt.planes[i].state += s.planes[i].state;
+                    if let (Some(sum), Some(x)) = (&mut pt.planes[i].spt, s.planes[i].spt) {
+                        *sum = (sum.0 + x.0, sum.1 + x.1);
+                    }
                 }
             }
-            let t = p.trials as f64;
-            Fig4Point {
-                recv: k,
-                avg: avg.map(|v| v / t),
-                max,
-                state: state.map(|v| v / t),
-                stretch: stretch.map(|v| v / t),
-                copies: copies.map(|v| v / t),
+            pt.avg = pt.avg.map(|v| v / t);
+            for pl in &mut pt.planes {
+                pl.state /= t;
+                pl.spt = pl.spt.map(|(stretch, copies)| (stretch / t, copies / t));
             }
+            pt
         })
         .collect()
 }
@@ -136,7 +121,7 @@ pub fn run(p: &Fig4Params) -> Vec<Fig4Point> {
 /// output series are pinned by committed goldens, and every BIER /
 /// map-and-encap metric is computed *after* the draws so they stay
 /// byte-identical.
-fn trial(graph: &DomainGraph, all: &[DomainId], k: usize, seed: u64) -> TrialStats {
+fn trial(graph: &DomainGraph, all: &[DomainId], k: usize, seed: u64) -> Fig4Point {
     let mut rng = StdRng::seed_from_u64(seed);
     // Random source; receivers sampled without replacement;
     // root = the initiator's domain (first receiver, §5.1);
@@ -152,13 +137,13 @@ fn trial(graph: &DomainGraph, all: &[DomainId], k: usize, seed: u64) -> TrialSta
     let pl = &tc.paths;
 
     let sub = SubDomain::new(all.len(), DEFAULT_BSL);
-    let gs = GroupState::compute(&sub, tc.shared_tree_size, &receivers);
-    // BIER and map-and-encap both forward on unicast shortest paths, so
-    // their stretch over SPT is 1.0 by construction (the forwarding
-    // tests pin hops == BFS distances); `avg_ratio(&pl.spt)` states it
-    // from the same code path as the tree ratios.
+    // The stateless planes forward on unicast shortest paths, so their
+    // stretch over SPT is 1.0 by construction (the forwarding tests pin
+    // hops == BFS distances); `avg_ratio(&pl.spt)` states it from the
+    // same code path as the tree ratios.
     let unicast_stretch = pl.avg_ratio(&pl.spt);
-    TrialStats {
+    Fig4Point {
+        recv: k,
         avg: [
             pl.avg_ratio(&pl.unidirectional),
             pl.avg_ratio(&pl.bidirectional),
@@ -169,49 +154,52 @@ fn trial(graph: &DomainGraph, all: &[DomainId], k: usize, seed: u64) -> TrialSta
             pl.max_ratio(&pl.bidirectional),
             pl.max_ratio(&pl.hybrid),
         ],
-        state: [
-            gs.bgmp_entries as f64,
-            gs.bier_ingress_entries as f64,
-            gs.mapencap_ingress_entries as f64,
-        ],
-        stretch: [unicast_stretch, unicast_stretch],
-        copies: [
-            bier_link_copies(&tc.from_source, &sub, &receivers) as f64,
-            mapencap_link_copies(&tc.from_source, &receivers) as f64,
-        ],
+        planes: Plane::ALL.map(|plane| PlaneStats {
+            state: plane.control_entries(&sub, tc.shared_tree_size, &receivers) as f64,
+            spt: plane
+                .link_copies(&tc.from_source, &sub, &receivers)
+                .map(|copies| (unicast_stretch, copies as f64)),
+        }),
     }
 }
 
 /// The output series (`fig4_tree_quality`) from the folded points: the
 /// paper's six tree-quality columns first (order pinned by goldens),
-/// then the architecture-ablation columns.
+/// then the architecture ablation, metric-major over [`Plane::ALL`] —
+/// state for every plane, stretch and link copies for the stateless
+/// ones.
 pub fn series(points: &[Fig4Point]) -> Vec<Series> {
-    let mut out = vec![
-        Series::new("unidirectional_avg"),
-        Series::new("unidirectional_max"),
-        Series::new("bidirectional_avg"),
-        Series::new("bidirectional_max"),
-        Series::new("hybrid_avg"),
-        Series::new("hybrid_max"),
-        Series::new("bgmp_state_avg"),
-        Series::new("bier_state_avg"),
-        Series::new("mapencap_state_avg"),
-        Series::new("bier_stretch_avg"),
-        Series::new("mapencap_stretch_avg"),
-        Series::new("bier_link_copies_avg"),
-        Series::new("mapencap_link_copies_avg"),
-    ];
-    for pt in points {
-        let x = pt.recv as f64;
-        for i in 0..3 {
-            out[2 * i].push(x, pt.avg[i]);
-            out[2 * i + 1].push(x, pt.max[i]);
-            out[6 + i].push(x, pt.state[i]);
+    let column = |name: String, y: &dyn Fn(&Fig4Point) -> f64| {
+        let mut s = Series::new(name);
+        for pt in points {
+            s.push(pt.recv as f64, y(pt));
         }
-        for i in 0..2 {
-            out[9 + i].push(x, pt.stretch[i]);
-            out[11 + i].push(x, pt.copies[i]);
-        }
+        s
+    };
+    let mut out = Vec::new();
+    for (i, tree) in ["unidirectional", "bidirectional", "hybrid"]
+        .iter()
+        .enumerate()
+    {
+        out.push(column(format!("{tree}_avg"), &|pt| pt.avg[i]));
+        out.push(column(format!("{tree}_max"), &|pt| pt.max[i]));
+    }
+    let spt = |pt: &Fig4Point, i: usize| pt.planes[i].spt.expect("stateless planes ride the SPT");
+    let planes = || Plane::ALL.iter().enumerate();
+    for (i, p) in planes() {
+        out.push(column(format!("{}_state_avg", p.name()), &|pt| {
+            pt.planes[i].state
+        }));
+    }
+    for (i, p) in planes().filter(|(_, p)| p.stateless()) {
+        out.push(column(format!("{}_stretch_avg", p.name()), &|pt| {
+            spt(pt, i).0
+        }));
+    }
+    for (i, p) in planes().filter(|(_, p)| p.stateless()) {
+        out.push(column(format!("{}_link_copies_avg", p.name()), &|pt| {
+            spt(pt, i).1
+        }));
     }
     out
 }
@@ -244,39 +232,58 @@ mod tests {
             maxrx: 20,
             threads: 1,
         });
+        let of = |pt: &Fig4Point, plane: Plane| {
+            pt.planes[Plane::ALL.iter().position(|p| *p == plane).unwrap()]
+        };
         for pt in &points {
-            // Stateless planes ride unicast shortest paths: stretch is
-            // exactly 1.0, not approximately.
-            assert_eq!(pt.stretch, [1.0, 1.0], "recv={}", pt.recv);
+            for (plane, pl) in Plane::ALL.iter().zip(&pt.planes) {
+                // Stateless planes ride unicast shortest paths: stretch
+                // is exactly 1.0, not approximately. BGMP has no SPT
+                // columns.
+                assert_eq!(pl.spt.map(|s| s.0), plane.stateless().then_some(1.0));
+            }
             // Map-and-encap ingress state is exactly the receiver count;
             // 120 domains fit one 256-bit set, so BIER holds one entry.
-            assert_eq!(pt.state[2], pt.recv as f64);
-            assert_eq!(pt.state[1], 1.0);
+            assert_eq!(of(pt, Plane::MapEncap).state, pt.recv as f64);
+            assert_eq!(of(pt, Plane::Bier).state, 1.0);
             // Ingress replication can never use fewer link copies than
             // the shared-subtree forwarding over the same SPT.
-            assert!(pt.copies[1] >= pt.copies[0], "recv={}", pt.recv);
+            let copies = |plane| of(pt, plane).spt.unwrap().1;
+            assert!(
+                copies(Plane::MapEncap) >= copies(Plane::Bier),
+                "recv={}",
+                pt.recv
+            );
         }
         // BGMP's shared tree grows with the receiver set while BIER's
         // ingress state stays flat — the ablation's headline.
-        let first = &points[0];
-        let last = points.last().unwrap();
-        assert!(last.state[0] > first.state[0]);
+        let (first, last) = (&points[0], points.last().unwrap());
+        assert!(of(last, Plane::Bgmp).state > of(first, Plane::Bgmp).state);
     }
 
+    /// Column names and order are an interface (goldens, plots, the CI
+    /// diffs): pin the whole list, so a reorder of the plane list or of
+    /// the metric loops cannot pass silently.
     #[test]
     fn series_order_keeps_golden_prefix() {
         let names: Vec<String> = series(&[]).into_iter().map(|s| s.name).collect();
         assert_eq!(
-            &names[..6],
-            &[
+            names,
+            [
                 "unidirectional_avg",
                 "unidirectional_max",
                 "bidirectional_avg",
                 "bidirectional_max",
                 "hybrid_avg",
-                "hybrid_max"
+                "hybrid_max",
+                "bgmp_state_avg",
+                "bier_state_avg",
+                "mapencap_state_avg",
+                "bier_stretch_avg",
+                "mapencap_stretch_avg",
+                "bier_link_copies_avg",
+                "mapencap_link_copies_avg",
             ]
         );
-        assert_eq!(names.len(), 13);
     }
 }

@@ -4,6 +4,7 @@
 //! and must reproduce the one committed golden file — the same file
 //! CI regenerates and diffs.
 
+use bier::Plane;
 use masc_bgmp_bench::faults::{run, series, FaultsParams};
 use metrics::emit;
 
@@ -44,30 +45,60 @@ fn protection_never_recovers_slower_than_reconvergence() {
         smoke: true,
         shards: 0,
     });
+    let of = |c: &masc_bgmp_bench::faults::FaultCell, plane: Plane| {
+        c.planes[Plane::ALL.iter().position(|p| *p == plane).unwrap()]
+    };
     for c in &cells {
         // Same fault schedule, same detection delay: 1:1 backup paths
         // can only remove the outage+reconvergence term, never add one.
+        let (bier, mapencap) = (of(c, Plane::Bier), of(c, Plane::MapEncap));
         assert!(
-            c.bier_recovery_ms <= c.mapencap_recovery_ms,
+            bier.recovery_ms <= mapencap.recovery_ms,
             "flaps={} loss={}: protected {}ms > unprotected {}ms",
             c.flaps,
             c.loss,
-            c.bier_recovery_ms,
-            c.mapencap_recovery_ms
+            bier.recovery_ms,
+            mapencap.recovery_ms
         );
-        assert!((0.0..=1.0).contains(&c.bier_delivery));
-        assert!((0.0..=1.0).contains(&c.mapencap_delivery));
-        if c.flaps == 0 {
-            // No link faults: the link-recovery column is exactly zero
-            // under both planes (the crash is accounted elsewhere).
-            assert_eq!(c.bier_recovery_ms, 0);
-            assert_eq!(c.mapencap_recovery_ms, 0);
+        for (plane, pc) in Plane::ALL.iter().zip(&c.planes) {
+            assert!((0.0..=1.0).contains(&pc.delivery), "{plane:?}");
+            if c.flaps == 0 && plane.stateless() {
+                // No link faults: the modelled link-recovery column is
+                // exactly zero (the crash is accounted elsewhere).
+                assert_eq!(pc.recovery_ms, 0, "{plane:?}");
+            }
         }
     }
     // On a 5-ring every adjacency has a way around, so flap cells show
     // the headline gap: detection-only vs outage + reconvergence.
     let flapped = cells.iter().find(|c| c.flaps > 0).unwrap();
-    assert!(flapped.bier_recovery_ms < flapped.mapencap_recovery_ms);
+    assert!(of(flapped, Plane::Bier).recovery_ms < of(flapped, Plane::MapEncap).recovery_ms);
+}
+
+/// Column names and order are an interface (the golden, CI's diff, the
+/// plots): pin the whole list, so a reorder of the plane list or of the
+/// series loops cannot pass by regenerating the golden.
+#[test]
+fn smoke_csv_columns_are_pinned() {
+    let header = include_str!("golden/faults_small_serial.csv")
+        .lines()
+        .next()
+        .unwrap();
+    let mut want = vec!["x".to_string()];
+    for f in [0, 5] {
+        want.extend([format!("delivery_f{f}"), format!("convergence_ms_f{f}")]);
+    }
+    for f in [0, 5] {
+        for plane in ["bier", "mapencap"] {
+            want.extend([
+                format!("{plane}_delivery_f{f}"),
+                format!("{plane}_recovery_ms_f{f}"),
+            ]);
+        }
+    }
+    assert_eq!(header.split(',').collect::<Vec<_>>(), want);
+    let empty = series(&[], true).into_iter().map(|s| s.name);
+    assert_eq!(empty.collect::<Vec<_>>(), want[1..]);
 }
 
 #[test]

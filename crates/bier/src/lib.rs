@@ -27,10 +27,11 @@
 //! * [`protect`] — BIER-TE-style 1:1 link protection (per-adjacency
 //!   precomputed backup *paths*, used after a fixed detection delay
 //!   instead of a routing reconvergence);
-//! * [`state`] — the per-group control-state model compared in fig4
-//!   (BGMP shared tree vs BIER vs map-and-encap ingress replication);
-//! * [`sim`] — a deterministic analytic replay of a fault timeline
-//!   (link flap windows, node crash windows, timed sends) yielding
+//! * [`state`] — [`Plane`], the closed list of architectures compared
+//!   (BGMP shared tree, BIER, map-and-encap ingress replication) and
+//!   the state / traffic / repair model each one owns;
+//! * [`sim`] — a deterministic analytic replay of the shared
+//!   `topology::ChaosSchedule` through the stateless planes, yielding
 //!   delivery ratio and recovery time for the fault ablation;
 //! * [`msg`] — the wire codec for BIER messages in the house style
 //!   (total decode, no panics; repolint `panicky-decode` scope);
@@ -52,6 +53,6 @@ pub use bitstring::{BfrId, BitString, SetId, SubDomain, DEFAULT_BSL};
 pub use forward::{Delivery, Network};
 pub use msg::BierMsg;
 pub use protect::Protection;
-pub use sim::{FaultTimeline, ReplayOutcome, ReplayParams};
+pub use sim::{replay, ReplayOutcome};
 pub use snap::{BierPlane, SNAP_KIND_BIER};
-pub use state::GroupState;
+pub use state::Plane;

@@ -1,27 +1,29 @@
-//! Deterministic analytic replay of a fault timeline.
+//! Deterministic analytic replay of a chaos schedule through the
+//! stateless planes.
 //!
 //! The fault ablation drives the BGMP stack through `core::chaos` —
 //! link flap windows, node crash windows, timed sends — and measures
-//! delivery ratio and convergence. This module replays the *same*
-//! timeline against the BIER plane: for each send it applies the fault
-//! view active at that instant, forwards a bitstring packet to every
-//! member, applies seeded per-hop loss, and accounts delivery. Repair
-//! is modeled analytically:
+//! delivery ratio and convergence. This module replays the same
+//! [`ChaosSchedule`] against BIER and map-and-encap: for each send it
+//! applies the schedule's fault view at that second (an element is down
+//! for the union of its windows, the definition the BGMP run cuts and
+//! restores links by), forwards to
+//! every member over unicast shortest paths, applies seeded per-hop
+//! loss, and accounts delivery. Repair latency is each [`Plane`]'s own
+//! model:
 //!
 //! * **BIER-TE 1:1 protection** — a protected adjacency switches to its
-//!   precomputed backup path after a fixed local-detection delay
-//!   ([`ReplayParams::detect_ms`], ~tens of ms), so a flap window costs
-//!   only the detection gap, not the window;
-//! * **unprotected / reconvergence repair** (map-and-encap's unicast
-//!   reroute, or BIER without protection) — traffic through the failed
-//!   element is lost until routing reconverges
-//!   ([`ReplayParams::reroute_ms`] after detection);
+//!   precomputed backup path after a fixed local-detection delay, so a
+//!   flap window costs only the detection gap, not the window;
+//! * **map-and-encap** — no backup paths: traffic through the failed
+//!   link is lost until unicast routing reconverges;
 //! * **node crashes** — 1:1 *link* protection does not cover them; every
 //!   architecture waits out the crash window plus reconvergence.
 //!
-//! Everything is a pure function of (graph, timeline, params): replay
-//! twice, get identical numbers — same contract as the rest of the
-//! workspace.
+//! BGMP is not replayed: its forwarding state is built and repaired by
+//! protocol exchange, which is what the event-driven run measures.
+//! Everything is a pure function of the arguments: replay twice, get
+//! identical numbers — same contract as the rest of the workspace.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,68 +31,8 @@ use rand::{Rng, SeedableRng};
 use crate::bitstring::SubDomain;
 use crate::forward::Network;
 use crate::protect::Protection;
-use topology::{DomainGraph, DomainId};
-
-/// A link down-window: `a–b` is out during `[at, at + dur)` (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flap {
-    /// One endpoint.
-    pub a: DomainId,
-    /// Other endpoint.
-    pub b: DomainId,
-    /// Start second.
-    pub at: u64,
-    /// Duration in seconds.
-    pub dur: u64,
-}
-
-/// A router down-window: `d` is out during `[at, at + dur)` (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crash {
-    /// The crashed router.
-    pub d: DomainId,
-    /// Start second.
-    pub at: u64,
-    /// Duration in seconds.
-    pub dur: u64,
-}
-
-/// A timed multicast send: `from` transmits to the whole group at `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Send {
-    /// Send second.
-    pub at: u64,
-    /// Sending domain.
-    pub from: DomainId,
-}
-
-/// The full fault + traffic schedule, shared verbatim with the BGMP
-/// chaos run so the architectures face identical conditions.
-#[derive(Debug, Clone, Default)]
-pub struct FaultTimeline {
-    /// Link flap windows.
-    pub flaps: Vec<Flap>,
-    /// Node crash windows.
-    pub crashes: Vec<Crash>,
-    /// Timed sends, in time order.
-    pub sends: Vec<Send>,
-}
-
-/// Replay knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayParams {
-    /// Per-hop packet loss probability (matches the chaos `loss` knob).
-    pub loss: f64,
-    /// Local failure-detection delay in milliseconds (BFD-style).
-    pub detect_ms: u64,
-    /// Routing reconvergence delay in milliseconds, paid when 1:1
-    /// protection is absent or does not cover the failure.
-    pub reroute_ms: u64,
-    /// Whether the 1:1 backup-path protection plane is active.
-    pub protection: bool,
-    /// Seed for the per-hop loss draws.
-    pub seed: u64,
-}
+use crate::state::{repair_ms, Plane};
+use topology::{ChaosSchedule, DomainGraph, DomainId};
 
 /// What the replay measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +59,8 @@ pub struct ReplayOutcome {
     pub unprotected_events: usize,
 }
 
-/// Replays `timeline` over `g` and returns delivery/repair metrics.
+/// Replays `schedule` over `g` under `plane` (BIER or map-and-encap)
+/// with per-hop loss probability `loss`, drawn from `seed`.
 ///
 /// Group membership is every domain (mirroring the chaos harness,
 /// where each domain hosts one member): each send fans out to all
@@ -125,34 +68,38 @@ pub struct ReplayOutcome {
 pub fn replay(
     g: &DomainGraph,
     sub: &SubDomain,
-    timeline: &FaultTimeline,
-    params: &ReplayParams,
+    schedule: &ChaosSchedule,
+    plane: Plane,
+    loss: f64,
+    seed: u64,
 ) -> ReplayOutcome {
+    assert!(
+        plane.stateless(),
+        "BGMP is run event by event, not replayed"
+    );
     let mut net = Network::build(g, sub);
-    let prot = params.protection.then(|| Protection::build(g));
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xB1E5_7A7E_5EED_0001);
+    let prot = Protection::build(g);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xB1E5_7A7E_5EED_0001);
 
     let all: Vec<DomainId> = g.domains().collect();
     let mut expected = 0usize;
     let mut delivered = 0usize;
 
-    for send in &timeline.sends {
+    for &(at, from) in &schedule.sends {
         net.clear_faults();
-        for f in &timeline.flaps {
-            if send.at >= f.at && send.at < f.at + f.dur {
-                net.set_link_down(f.a, f.b);
-            }
+        for f in schedule.flaps.iter().filter(|f| f.covers(at)) {
+            net.set_link_down(f.a, f.b);
         }
-        for c in &timeline.crashes {
-            if send.at >= c.at && send.at < c.at + c.dur {
-                net.set_node_down(c.d);
-            }
+        for c in schedule.crashes.iter().filter(|c| c.covers(at)) {
+            net.set_node_down(c.d);
         }
-        let receivers: Vec<DomainId> = all.iter().copied().filter(|d| *d != send.from).collect();
+        let receivers: Vec<DomainId> = all.iter().copied().filter(|d| *d != from).collect();
         expected += receivers.len();
-        let got = net.deliver_all(send.from, &receivers, prot.as_ref());
+        let got = net.deliver_all(from, &receivers, plane.protection(&prot));
+        // One draw per delivered receiver, in delivery order: the
+        // committed CSVs pin this stream.
         for (_r, hops) in &got.reached {
-            let p_survive = (1.0 - params.loss).powi(*hops as i32);
+            let p_survive = (1.0 - loss).powi(*hops as i32);
             if rng.gen_bool(p_survive.clamp(0.0, 1.0)) {
                 delivered += 1;
             }
@@ -160,29 +107,14 @@ pub fn replay(
     }
 
     // Repair latency per fault window, independent of traffic timing.
-    let mut max_recovery_ms = 0u64;
     let mut max_link_recovery_ms = 0u64;
     let mut protected_events = 0usize;
-    let mut unprotected_events = 0usize;
-    let reconverge = |dur_s: u64| dur_s * 1000 + params.detect_ms + params.reroute_ms;
-    for f in &timeline.flaps {
-        let covered = prot.as_ref().is_some_and(|p| {
-            p.backup_path(f.a, f.b).is_some() && p.backup_path(f.b, f.a).is_some()
-        });
-        let ms = if covered {
-            protected_events += 1;
-            params.detect_ms
-        } else {
-            unprotected_events += 1;
-            reconverge(f.dur)
-        };
-        max_recovery_ms = max_recovery_ms.max(ms);
-        max_link_recovery_ms = max_link_recovery_ms.max(ms);
+    for f in &schedule.flaps {
+        let covered = plane.backs_up(&prot, f);
+        protected_events += usize::from(covered);
+        max_link_recovery_ms = max_link_recovery_ms.max(repair_ms(covered, f.dur));
     }
-    for c in &timeline.crashes {
-        unprotected_events += 1;
-        max_recovery_ms = max_recovery_ms.max(reconverge(c.dur));
-    }
+    let crash_ms = schedule.crashes.iter().map(|c| repair_ms(false, c.dur));
 
     ReplayOutcome {
         expected,
@@ -192,10 +124,10 @@ pub fn replay(
         } else {
             delivered as f64 / expected as f64
         },
-        max_recovery_ms,
+        max_recovery_ms: crash_ms.max().unwrap_or(0).max(max_link_recovery_ms),
         max_link_recovery_ms,
         protected_events,
-        unprotected_events,
+        unprotected_events: schedule.flaps.len() + schedule.crashes.len() - protected_events,
     }
 }
 
@@ -203,6 +135,7 @@ pub fn replay(
 mod tests {
     use super::*;
     use crate::bitstring::DEFAULT_BSL;
+    use topology::{LinkWindow, NodeWindow};
 
     fn ring(n: usize) -> DomainGraph {
         let mut g = DomainGraph::new();
@@ -213,41 +146,33 @@ mod tests {
         g
     }
 
-    fn params(loss: f64, protection: bool) -> ReplayParams {
-        ReplayParams {
-            loss,
-            detect_ms: 50,
-            reroute_ms: 1000,
-            protection,
-            seed: 7,
+    /// Sends every 2 s from second 4, as `core::chaos::derive_schedule`
+    /// spaces them.
+    fn schedule(
+        n: usize,
+        horizon: u64,
+        flaps: Vec<LinkWindow>,
+        crashes: Vec<NodeWindow>,
+    ) -> ChaosSchedule {
+        let sends = (0..)
+            .map(|k| (4 + 2 * k as u64, DomainId((k * 7 + 3) % n)))
+            .take_while(|(t, _)| *t < horizon)
+            .collect();
+        ChaosSchedule {
+            flaps,
+            crashes,
+            sends,
+            horizon,
         }
     }
 
-    fn sends_every_2s(n: usize, horizon: u64) -> Vec<Send> {
-        let mut out = Vec::new();
-        let mut t = 4;
-        let mut k = 0usize;
-        while t < horizon {
-            out.push(Send {
-                at: t,
-                from: DomainId((k * 7 + 3) % n),
-            });
-            t += 2;
-            k += 1;
-        }
-        out
+    fn run(n: usize, s: &ChaosSchedule, plane: Plane, loss: f64) -> ReplayOutcome {
+        replay(&ring(n), &SubDomain::new(n, DEFAULT_BSL), s, plane, loss, 7)
     }
 
     #[test]
     fn clean_timeline_delivers_everything() {
-        let g = ring(8);
-        let sub = SubDomain::new(8, DEFAULT_BSL);
-        let tl = FaultTimeline {
-            flaps: vec![],
-            crashes: vec![],
-            sends: sends_every_2s(8, 20),
-        };
-        let out = replay(&g, &sub, &tl, &params(0.0, false));
+        let out = run(8, &schedule(8, 20, vec![], vec![]), Plane::MapEncap, 0.0);
         assert_eq!(out.expected, 8 * 7);
         assert_eq!(out.delivered, out.expected);
         assert_eq!(out.delivery_ratio, 1.0);
@@ -256,28 +181,23 @@ mod tests {
 
     #[test]
     fn protection_turns_flap_loss_into_detection_blip() {
-        let g = ring(8);
-        let sub = SubDomain::new(8, DEFAULT_BSL);
-        let tl = FaultTimeline {
-            flaps: vec![Flap {
-                a: DomainId(0),
-                b: DomainId(1),
-                at: 0,
-                dur: 30,
-            }],
-            crashes: vec![],
-            sends: sends_every_2s(8, 20),
+        let flap = LinkWindow {
+            a: DomainId(0),
+            b: DomainId(1),
+            at: 0,
+            dur: 30,
         };
+        let s = schedule(8, 20, vec![flap], vec![]);
         // Unprotected: sends during the window lose the receivers
-        // behind the cut (ring → the other way is longer but BIFT
-        // still points through the dead link for some bits).
-        let unprot = replay(&g, &sub, &tl, &params(0.0, false));
+        // behind the cut (unicast routes still point through the dead
+        // link until reconvergence).
+        let unprot = run(8, &s, Plane::MapEncap, 0.0);
         assert!(unprot.delivery_ratio < 1.0);
         assert_eq!(unprot.unprotected_events, 1);
         assert_eq!(unprot.max_recovery_ms, 30 * 1000 + 50 + 1000);
         // Protected: the ring minus one link is still connected, so the
         // backup path restores every delivery.
-        let prot = replay(&g, &sub, &tl, &params(0.0, true));
+        let prot = run(8, &s, Plane::Bier, 0.0);
         assert_eq!(prot.delivery_ratio, 1.0, "1:1 repair covers the flap");
         assert_eq!(prot.protected_events, 1);
         assert_eq!(prot.max_recovery_ms, 50);
@@ -286,18 +206,12 @@ mod tests {
 
     #[test]
     fn crash_is_not_covered_by_link_protection() {
-        let g = ring(8);
-        let sub = SubDomain::new(8, DEFAULT_BSL);
-        let tl = FaultTimeline {
-            flaps: vec![],
-            crashes: vec![Crash {
-                d: DomainId(2),
-                at: 0,
-                dur: 20,
-            }],
-            sends: sends_every_2s(8, 20),
+        let crash = NodeWindow {
+            d: DomainId(2),
+            at: 0,
+            dur: 20,
         };
-        let out = replay(&g, &sub, &tl, &params(0.0, true));
+        let out = run(8, &schedule(8, 20, vec![], vec![crash]), Plane::Bier, 0.0);
         assert!(out.delivery_ratio < 1.0);
         assert_eq!(out.unprotected_events, 1);
         assert_eq!(out.max_recovery_ms, 20 * 1000 + 50 + 1000);
@@ -308,37 +222,58 @@ mod tests {
 
     #[test]
     fn loss_draws_are_deterministic_in_seed() {
-        let g = ring(10);
-        let sub = SubDomain::new(10, DEFAULT_BSL);
-        let tl = FaultTimeline {
-            flaps: vec![],
-            crashes: vec![],
-            sends: sends_every_2s(10, 60),
-        };
-        let a = replay(&g, &sub, &tl, &params(0.10, false));
-        let b = replay(&g, &sub, &tl, &params(0.10, false));
-        assert_eq!(a, b);
+        let s = schedule(10, 60, vec![], vec![]);
+        let a = run(10, &s, Plane::MapEncap, 0.10);
+        assert_eq!(a, run(10, &s, Plane::MapEncap, 0.10));
         assert!(a.delivered < a.expected, "10% loss must bite");
         assert!(a.delivery_ratio > 0.5);
     }
 
     #[test]
     fn sends_outside_fault_windows_are_unaffected() {
-        let g = ring(6);
-        let sub = SubDomain::new(6, DEFAULT_BSL);
-        let tl = FaultTimeline {
-            flaps: vec![Flap {
-                a: DomainId(0),
-                b: DomainId(1),
-                at: 100,
-                dur: 5,
-            }],
-            crashes: vec![],
-            sends: sends_every_2s(6, 20), // all before the window
+        // Every send comes before the window.
+        let flap = LinkWindow {
+            a: DomainId(0),
+            b: DomainId(1),
+            at: 100,
+            dur: 5,
         };
-        let out = replay(&g, &sub, &tl, &params(0.0, false));
+        let out = run(
+            6,
+            &schedule(6, 20, vec![flap], vec![]),
+            Plane::MapEncap,
+            0.0,
+        );
         assert_eq!(out.delivery_ratio, 1.0);
         // The window still counts as a repair event.
         assert_eq!(out.unprotected_events, 1);
+    }
+
+    /// Two windows on one edge overlap: the link is down for their
+    /// union, so a send after the first window's end but inside the
+    /// second still loses the receivers behind the cut.
+    #[test]
+    fn overlapping_windows_keep_the_link_down_for_their_union() {
+        let (a, b) = (DomainId(0), DomainId(1));
+        let flaps = vec![
+            LinkWindow {
+                a,
+                b,
+                at: 3,
+                dur: 4,
+            },
+            LinkWindow {
+                a,
+                b,
+                at: 5,
+                dur: 10,
+            },
+        ];
+        let mut s = schedule(6, 0, flaps, vec![]);
+        s.sends = vec![(8, a)]; // first window ended at 7
+        assert!(run(6, &s, Plane::MapEncap, 0.0).delivery_ratio < 1.0);
+        assert_eq!(run(6, &s, Plane::Bier, 0.0).delivery_ratio, 1.0);
+        s.sends = vec![(15, a)]; // both over
+        assert_eq!(run(6, &s, Plane::MapEncap, 0.0).delivery_ratio, 1.0);
     }
 }

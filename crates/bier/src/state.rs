@@ -1,53 +1,123 @@
-//! Per-group control-state accounting for the three architectures.
+//! The three forwarding planes under comparison and the model each
+//! one owns.
 //!
-//! The fig4 ablation's central question is *where multicast state
-//! lives and how it scales with groups and receivers*:
+//! The ablations ask *where multicast state lives, what a delivery
+//! costs on the wire, and what a link failure costs* under:
 //!
 //! * **BGMP shared tree** — every on-tree border router holds one
 //!   `(group → target list)` entry, so per-group state = tree size
-//!   (the paper's G-RIB column);
+//!   (the paper's G-RIB column); a failure is repaired by the protocol
+//!   itself, which is why its fault side is run event by event
+//!   (`core::chaos::run_chaos`) rather than modelled here;
 //! * **BIER** — transit routers hold zero per-group state (the BIFT is
 //!   group-independent); the ingress holds one bitstring per set the
-//!   receiver set touches;
+//!   receiver set touches; BIER-TE 1:1 backup paths turn a link
+//!   failure into a local-detection blip;
 //! * **map-and-encap (ingress replication)** — transit routers hold
 //!   zero state, but the ingress holds one unicast encapsulation per
 //!   receiver and sends one copy each — state and traffic both linear
-//!   in receivers.
+//!   in receivers; a failure waits for unicast reconvergence.
 //!
-//! [`GroupState`] packages those three counts for one group so the
-//! bench can aggregate them without re-deriving the model in two
-//! places.
+//! [`Plane`] is that closed list. `bench::fig4`, `bench::faults` and
+//! [`crate::sim::replay`] iterate [`Plane::ALL`] and ask each plane for
+//! its numbers, so the model is written once.
 
 use std::collections::BTreeMap;
 
 use crate::bitstring::SubDomain;
-use snapshot::{Dec, Enc, SnapError, Snapshot};
-use topology::{DomainId, SpTree};
+use crate::protect::Protection;
+use topology::{DomainId, LinkWindow, SpTree};
 
-/// Control-state footprint of one multicast group under each
-/// architecture.
+/// Local failure-detection delay on an adjacency (BFD-style liveness).
+const DETECT_MS: u64 = 50;
+/// Unicast reconvergence delay after detection, paid when no
+/// precomputed backup covers the failure.
+const REROUTE_MS: u64 = 1_000;
+
+/// A forwarding architecture in the comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupState {
-    /// BGMP: G-RIB entries = routers on the bidirectional shared tree.
-    pub bgmp_entries: usize,
-    /// BIER: ingress bitstrings = sets the receiver list touches
-    /// (transit entries are zero by construction).
-    pub bier_ingress_entries: usize,
-    /// Map-and-encap: ingress encapsulation entries = receiver count.
-    pub mapencap_ingress_entries: usize,
+pub enum Plane {
+    /// BGMP bidirectional shared tree.
+    Bgmp,
+    /// BIER with BIER-TE 1:1 backup-path protection.
+    Bier,
+    /// Map-and-encap: ingress replication over unicast routes.
+    MapEncap,
 }
 
-impl GroupState {
-    /// Computes the three footprints for one group.
-    ///
-    /// `shared_tree_size` is the BGMP bidirectional tree's router count
-    /// (from `core::trees`); `receivers` the group's member domains.
-    pub fn compute(sub: &SubDomain, shared_tree_size: usize, receivers: &[DomainId]) -> Self {
-        GroupState {
-            bgmp_entries: shared_tree_size,
-            bier_ingress_entries: sub.sets_touched(receivers),
-            mapencap_ingress_entries: receivers.len(),
+impl Plane {
+    /// Every plane, in output-column order.
+    pub const ALL: [Plane; 3] = [Plane::Bgmp, Plane::Bier, Plane::MapEncap];
+
+    /// Column-name stem.
+    pub fn name(self) -> &'static str {
+        match self {
+            Plane::Bgmp => "bgmp",
+            Plane::Bier => "bier",
+            Plane::MapEncap => "mapencap",
         }
+    }
+
+    /// Whether transit routers hold no per-group state: forwarding is
+    /// then a pure function of unicast routing, so deliveries ride the
+    /// source's shortest-path tree and the plane can be replayed
+    /// analytically ([`crate::sim::replay`]). BGMP's tree state is built
+    /// and repaired by protocol exchange.
+    pub fn stateless(self) -> bool {
+        self != Plane::Bgmp
+    }
+
+    /// Per-group control entries: routers on the shared tree
+    /// (`shared_tree_size`, from `core::trees`), ingress bitstrings
+    /// (sets the receivers touch), or ingress encapsulations (one per
+    /// receiver).
+    pub fn control_entries(
+        self,
+        sub: &SubDomain,
+        shared_tree_size: usize,
+        receivers: &[DomainId],
+    ) -> usize {
+        match self {
+            Plane::Bgmp => shared_tree_size,
+            Plane::Bier => sub.sets_touched(receivers),
+            Plane::MapEncap => receivers.len(),
+        }
+    }
+
+    /// Link copies of one delivery from the source of SPT `t` to
+    /// `receivers` under a stateless plane (path stretch over the SPT
+    /// is then 1 by construction). `None` for BGMP, whose paths are the
+    /// shared tree's.
+    pub fn link_copies(self, t: &SpTree, sub: &SubDomain, receivers: &[DomainId]) -> Option<usize> {
+        match self {
+            Plane::Bgmp => None,
+            Plane::Bier => Some(bier_link_copies(t, sub, receivers)),
+            Plane::MapEncap => Some(mapencap_link_copies(t, receivers)),
+        }
+    }
+
+    /// The backup-path table this plane forwards with, given the
+    /// topology's: only BIER carries one.
+    pub fn protection(self, prot: &Protection) -> Option<&Protection> {
+        (self == Plane::Bier).then_some(prot)
+    }
+
+    /// Whether this plane holds a precomputed backup path for both
+    /// directions of the window's adjacency.
+    pub fn backs_up(self, prot: &Protection, w: &LinkWindow) -> bool {
+        self.protection(prot)
+            .is_some_and(|p| p.backup_path(w.a, w.b).is_some() && p.backup_path(w.b, w.a).is_some())
+    }
+}
+
+/// Repair latency (ms) of a `dur_s`-second outage: local detection
+/// only when a backup path covers it, otherwise the whole outage, then
+/// detection and reconvergence (every node crash, under every plane).
+pub fn repair_ms(covered: bool, dur_s: u64) -> u64 {
+    if covered {
+        DETECT_MS
+    } else {
+        dur_s * 1000 + DETECT_MS + REROUTE_MS
     }
 }
 
@@ -57,7 +127,7 @@ impl GroupState {
 /// follows unicast next hops and shares links until bits diverge —
 /// pinned by the forwarding tests). Mark-walk per set, O(k·depth);
 /// unreachable receivers contribute nothing.
-pub fn bier_link_copies(t: &SpTree, sub: &SubDomain, receivers: &[DomainId]) -> usize {
+fn bier_link_copies(t: &SpTree, sub: &SubDomain, receivers: &[DomainId]) -> usize {
     let mut by_set: BTreeMap<u32, Vec<DomainId>> = BTreeMap::new();
     for &r in receivers {
         if t.dist_to(r).is_none() {
@@ -87,30 +157,12 @@ pub fn bier_link_copies(t: &SpTree, sub: &SubDomain, receivers: &[DomainId]) -> 
 /// Link copies ingress replication (map-and-encap) costs: one unicast
 /// copy per receiver, each traversing its full shortest path — no
 /// sharing, the whole reason the hybrid loses on traffic.
-pub fn mapencap_link_copies(t: &SpTree, receivers: &[DomainId]) -> usize {
+fn mapencap_link_copies(t: &SpTree, receivers: &[DomainId]) -> usize {
     receivers
         .iter()
         .filter_map(|r| t.dist_to(*r))
         .map(|d| d as usize)
         .sum()
-}
-
-impl Snapshot for GroupState {
-    fn encode(&self, enc: &mut Enc) {
-        enc.usize(self.bgmp_entries);
-        enc.usize(self.bier_ingress_entries);
-        enc.usize(self.mapencap_ingress_entries);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let bgmp_entries = dec.usize()?;
-        let bier_ingress_entries = dec.usize()?;
-        let mapencap_ingress_entries = dec.usize()?;
-        Ok(GroupState {
-            bgmp_entries,
-            bier_ingress_entries,
-            mapencap_ingress_entries,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -189,31 +241,48 @@ mod tests {
     #[test]
     fn footprints_follow_the_model() {
         let sub = SubDomain::new(600, 256);
-        let receivers: Vec<DomainId> = vec![DomainId(1), DomainId(300), DomainId(599)];
-        let gs = GroupState::compute(&sub, 42, &receivers);
-        assert_eq!(gs.bgmp_entries, 42);
-        assert_eq!(gs.bier_ingress_entries, 3); // sets 0, 1, 2
-        assert_eq!(gs.mapencap_ingress_entries, 3);
-
+        let entries =
+            |tree: usize, rs: &[DomainId]| Plane::ALL.map(|p| p.control_entries(&sub, tree, rs));
+        // Sparse receivers in three sets: tree routers / sets / receivers.
+        let sparse = [DomainId(1), DomainId(300), DomainId(599)];
+        assert_eq!(entries(42, &sparse), [42, 3, 3]);
         // Dense receiver set in one set: BIER state stays at 1.
         let dense: Vec<DomainId> = (0..200).map(DomainId).collect();
-        let gs = GroupState::compute(&sub, 250, &dense);
-        assert_eq!(gs.bier_ingress_entries, 1);
-        assert_eq!(gs.mapencap_ingress_entries, 200);
+        assert_eq!(entries(250, &dense), [250, 1, 200]);
     }
 
     #[test]
-    fn snapshot_roundtrip() {
-        let gs = GroupState {
-            bgmp_entries: 7,
-            bier_ingress_entries: 2,
-            mapencap_ingress_entries: 19,
+    fn the_plane_list_is_closed_and_ordered() {
+        assert_eq!(Plane::ALL.map(Plane::name), ["bgmp", "bier", "mapencap"]);
+        let g = star_chain();
+        let t = bfs(&g, DomainId(0));
+        let sub = SubDomain::new(7, 256);
+        let rs = [DomainId(1), DomainId(5), DomainId(6)];
+        assert_eq!(
+            Plane::ALL.map(|p| p.link_copies(&t, &sub, &rs)),
+            [None, Some(4), Some(6)]
+        );
+    }
+
+    /// A link with a way around (0–1 on a triangle) and a bridge (2–3).
+    #[test]
+    fn only_bier_turns_a_covered_window_into_a_detection_blip() {
+        let mut g = DomainGraph::new();
+        let d: Vec<DomainId> = (0..4).map(|i| g.add_domain(format!("D{i}"))).collect();
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 3)] {
+            g.add_peering(d[a], d[b]);
+        }
+        let prot = Protection::build(&g);
+        let window = |a: usize, b: usize| LinkWindow {
+            a: d[a],
+            b: d[b],
+            at: 5,
+            dur: 30,
         };
-        let mut e = Enc::new();
-        gs.encode(&mut e);
-        let bytes = e.finish();
-        let mut d = Dec::new(&bytes);
-        assert_eq!(GroupState::decode(&mut d).unwrap(), gs);
-        d.finish().unwrap();
+        let covered = |w: LinkWindow| Plane::ALL.map(|p| p.backs_up(&prot, &w));
+        assert_eq!(covered(window(0, 1)), [false, true, false]);
+        assert_eq!(covered(window(2, 3)), [false; 3]);
+        assert_eq!(repair_ms(true, 30), 50);
+        assert_eq!(repair_ms(false, 30), 31_050);
     }
 }

@@ -29,7 +29,8 @@ use mcast_addr::McastAddr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{FaultModel, FaultStats, SimDuration};
-use topology::{DomainGraph, DomainId};
+pub use topology::ChaosSchedule;
+use topology::{DomainGraph, DomainId, LinkWindow, NodeWindow};
 
 use crate::domain::{HostId, Wire};
 use crate::internet::{asn_of, Addressing, BorderPlan, Internet, InternetConfig};
@@ -112,51 +113,12 @@ pub struct ChaosOutcome {
 /// What the schedule applies at a point in simulated time.
 #[derive(Debug, Clone, Copy)]
 enum FaultEvent {
-    /// Silently cut the ring edge (i, i+1).
-    Cut(usize),
+    /// Silently cut the link.
+    Cut(DomainId, DomainId),
     /// Silently restore it.
-    Restore(usize),
+    Restore(DomainId, DomainId),
     /// Send a data packet from a host in the domain.
     Send(DomainId),
-}
-
-/// One link-flap window: ring edge `(i, i+1 mod n)` is silently down
-/// during `[at, at + dur)` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledFlap {
-    /// Ring edge index (connects domain `edge` and `(edge + 1) % n`).
-    pub edge: usize,
-    /// Start second.
-    pub at: u64,
-    /// Duration in seconds.
-    pub dur: u64,
-}
-
-/// One fail-stop crash window: domain index `domain` is down during
-/// `[at, at + down)` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledCrash {
-    /// Domain index into the ring.
-    pub domain: usize,
-    /// Start second.
-    pub at: u64,
-    /// Outage length in seconds.
-    pub down: u64,
-}
-
-/// The seed-derived fault + traffic schedule of one chaos run,
-/// extracted so other planes (the BIER replay in `ablation_faults`)
-/// can face the *same* flaps, crashes and sends as the BGMP stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosSchedule {
-    /// Link flap windows, in draw order.
-    pub flaps: Vec<ScheduledFlap>,
-    /// Crash windows, in draw order.
-    pub crashes: Vec<ScheduledCrash>,
-    /// Timed sends `(second, domain index)`, in time order.
-    pub sends: Vec<(u64, usize)>,
-    /// Chaos-phase length in seconds (`chaos_secs`, min 60).
-    pub horizon: u64,
 }
 
 /// The ring topology every chaos run uses: two disjoint paths between
@@ -171,10 +133,11 @@ pub fn ring_graph(n: usize) -> DomainGraph {
     graph
 }
 
-/// Derives the fault schedule from the config seed. Pure function of
-/// the config; [`run_chaos`] consumes exactly this schedule, with the
-/// RNG draws in the same order they have been since the harness was
-/// introduced (so extracting it changed no goldens).
+/// Derives the fault schedule from the config seed, over
+/// [`ring_graph`]`(cfg.domains)`: ring edge `e` is the link
+/// `e – (e + 1) % n`. Pure function of the config; [`run_chaos`] and
+/// the stateless planes' replay (`bier::sim::replay`) consume exactly
+/// this schedule. The RNG draw order is pinned by every chaos golden.
 pub fn derive_schedule(cfg: &ChaosConfig) -> ChaosSchedule {
     let n = cfg.domains;
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
@@ -184,23 +147,28 @@ pub fn derive_schedule(cfg: &ChaosConfig) -> ChaosSchedule {
         let edge = rng.gen_range(0..n);
         let at = rng.gen_range(5..horizon.saturating_sub(30).max(6));
         let dur: u64 = rng.gen_range(8..=20);
-        flaps.push(ScheduledFlap { edge, at, dur });
+        flaps.push(LinkWindow {
+            a: DomainId(edge),
+            b: DomainId((edge + 1) % n),
+            at,
+            dur,
+        });
     }
     let mut crashes = Vec::with_capacity(cfg.crashes);
     for i in 0..cfg.crashes {
         // Crash any non-root domain; keep outages longer than the
         // hold time so every neighbour notices organically (shorter
         // ones are caught by the boot-generation bounce instead).
-        let domain = rng.gen_range(1..n);
+        let d = DomainId(rng.gen_range(1..n));
         let at = rng.gen_range(10..horizon / 2 + 10 + i as u64);
-        let down = rng.gen_range(18..=30);
-        crashes.push(ScheduledCrash { domain, at, down });
+        let dur = rng.gen_range(18..=30);
+        crashes.push(NodeWindow { d, at, dur });
     }
     let mut sends = Vec::new();
     let mut t = 4;
     let mut k = 0usize;
     while t < horizon {
-        sends.push((t, (k * 7 + 3) % n));
+        sends.push((t, DomainId((k * 7 + 3) % n)));
         t += 2;
         k += 1;
     }
@@ -298,8 +266,16 @@ pub fn chaos_session_timers() -> SessionTimers {
     }
 }
 
-/// Runs one deterministic chaos scenario. See the module docs.
+/// Runs one deterministic chaos scenario under the schedule derived
+/// from `cfg`. See the module docs.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
+    run_schedule(cfg, &derive_schedule(cfg))
+}
+
+/// Runs the scenario of `cfg` under `plan` (over `ring_graph(cfg.domains)`)
+/// instead of the derived schedule; `cfg`'s `flaps`, `crashes` and
+/// `chaos_secs` are then unused.
+pub fn run_schedule(cfg: &ChaosConfig, plan: &ChaosSchedule) -> ChaosOutcome {
     assert!(cfg.domains >= 4, "ring needs at least 4 domains");
     let n = cfg.domains;
     let graph = ring_graph(n);
@@ -338,24 +314,23 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
     net.converge();
 
-    // ---- Seed-derived fault schedule --------------------------------
-    let plan = derive_schedule(cfg);
+    // ---- The schedule as timed events --------------------------------
     let t0 = net.engine.now();
     let horizon = plan.horizon;
     let mut schedule: Vec<(u64, FaultEvent)> = Vec::new();
     for f in &plan.flaps {
-        schedule.push((f.at * 1000, FaultEvent::Cut(f.edge)));
-        schedule.push(((f.at + f.dur) * 1000, FaultEvent::Restore(f.edge)));
+        schedule.push((f.at * 1000, FaultEvent::Cut(f.a, f.b)));
+        schedule.push(((f.at + f.dur) * 1000, FaultEvent::Restore(f.a, f.b)));
     }
     for c in &plan.crashes {
         net.schedule_crash(
-            ids[c.domain],
+            c.d,
             SimDuration::from_secs(c.at),
-            SimDuration::from_secs(c.down),
+            SimDuration::from_secs(c.dur),
         );
     }
     for &(t, d) in &plan.sends {
-        schedule.push((t * 1000, FaultEvent::Send(ids[d])));
+        schedule.push((t * 1000, FaultEvent::Send(d)));
     }
     schedule.sort_by_key(|(at, _)| *at);
 
@@ -366,17 +341,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         jitter_ms: cfg.jitter_ms,
     });
     let mut packet_ids = Vec::new();
-    let mut cut_edges: Vec<usize> = Vec::new();
+    let mut cut_links: Vec<(DomainId, DomainId)> = Vec::new();
     for (at_ms, ev) in schedule {
         net.engine.run_until(t0 + SimDuration::from_millis(at_ms));
         match ev {
-            FaultEvent::Cut(e) => {
-                net.cut_link(ids[e], ids[(e + 1) % n]);
-                cut_edges.push(e);
+            FaultEvent::Cut(a, b) => {
+                net.cut_link(a, b);
+                cut_links.push((a, b));
             }
-            FaultEvent::Restore(e) => {
-                net.restore_link(ids[e], ids[(e + 1) % n]);
-                cut_edges.retain(|x| *x != e);
+            FaultEvent::Restore(a, b) => {
+                net.restore_link(a, b);
+                cut_links.retain(|l| *l != (a, b));
             }
             FaultEvent::Send(d) => {
                 let host = HostId {
@@ -395,8 +370,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
 
     // ---- Quiesce ----------------------------------------------------
     net.engine.faults_mut().clear_models();
-    for e in cut_edges {
-        net.restore_link(ids[e], ids[(e + 1) % n]);
+    for (a, b) in cut_links {
+        net.restore_link(a, b);
     }
     let mut convergence_ms = None;
     for step in 1..=40u64 {
