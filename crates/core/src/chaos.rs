@@ -341,17 +341,16 @@ pub fn run_schedule(cfg: &ChaosConfig, plan: &ChaosSchedule) -> ChaosOutcome {
         jitter_ms: cfg.jitter_ms,
     });
     let mut packet_ids = Vec::new();
-    let mut cut_links: Vec<(DomainId, DomainId)> = Vec::new();
     for (at_ms, ev) in schedule {
         net.engine.run_until(t0 + SimDuration::from_millis(at_ms));
         match ev {
-            FaultEvent::Cut(a, b) => {
-                net.cut_link(a, b);
-                cut_links.push((a, b));
-            }
+            FaultEvent::Cut(a, b) => net.cut_link(a, b),
+            // A window's end brings the link up only if no other
+            // window still covers it: down for the union.
             FaultEvent::Restore(a, b) => {
-                net.restore_link(a, b);
-                cut_links.retain(|l| *l != (a, b));
+                if !plan.link_down(a, b, at_ms / 1000) {
+                    net.restore_link(a, b);
+                }
             }
             FaultEvent::Send(d) => {
                 let host = HostId {
@@ -370,8 +369,8 @@ pub fn run_schedule(cfg: &ChaosConfig, plan: &ChaosSchedule) -> ChaosOutcome {
 
     // ---- Quiesce ----------------------------------------------------
     net.engine.faults_mut().clear_models();
-    for (a, b) in cut_links {
-        net.restore_link(a, b);
+    for f in &plan.flaps {
+        net.restore_link(f.a, f.b);
     }
     let mut convergence_ms = None;
     for step in 1..=40u64 {
