@@ -168,12 +168,12 @@ pub fn run(p: &FaultsParams) -> Vec<FaultCell> {
 pub fn series(cells: &[FaultCell], smoke: bool) -> Vec<Series> {
     let mut columns = Vec::new();
     for f in flap_grid(smoke) {
-        for (i, &plane) in Plane::ALL.iter().enumerate() {
+        for plane in Plane::ALL {
             let [delivery, recovery] = column_names(plane, f);
             let (mut d, mut r) = (Series::new(delivery), Series::new(recovery));
             for cell in cells.iter().filter(|x| x.flaps == f) {
-                d.push(cell.loss, cell.planes[i].delivery);
-                r.push(cell.loss, cell.planes[i].recovery_ms as f64);
+                d.push(cell.loss, cell.planes[plane as usize].delivery);
+                r.push(cell.loss, cell.planes[plane as usize].recovery_ms as f64);
             }
             columns.push((plane, [d, r]));
         }

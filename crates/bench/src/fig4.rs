@@ -184,21 +184,21 @@ pub fn series(points: &[Fig4Point]) -> Vec<Series> {
         out.push(column(format!("{tree}_avg"), &|pt| pt.avg[i]));
         out.push(column(format!("{tree}_max"), &|pt| pt.max[i]));
     }
-    let spt = |pt: &Fig4Point, i: usize| pt.planes[i].spt.expect("stateless planes ride the SPT");
-    let planes = || Plane::ALL.iter().enumerate();
-    for (i, p) in planes() {
+    let spt = |pt: &Fig4Point, p: Plane| pt.planes[p as usize].spt.expect("a stateless plane");
+    let stateless = || Plane::ALL.into_iter().filter(|p| p.stateless());
+    for p in Plane::ALL {
         out.push(column(format!("{}_state_avg", p.name()), &|pt| {
-            pt.planes[i].state
+            pt.planes[p as usize].state
         }));
     }
-    for (i, p) in planes().filter(|(_, p)| p.stateless()) {
+    for p in stateless() {
         out.push(column(format!("{}_stretch_avg", p.name()), &|pt| {
-            spt(pt, i).0
+            spt(pt, p).0
         }));
     }
-    for (i, p) in planes().filter(|(_, p)| p.stateless()) {
+    for p in stateless() {
         out.push(column(format!("{}_link_copies_avg", p.name()), &|pt| {
-            spt(pt, i).1
+            spt(pt, p).1
         }));
     }
     out
@@ -232,9 +232,7 @@ mod tests {
             maxrx: 20,
             threads: 1,
         });
-        let of = |pt: &Fig4Point, plane: Plane| {
-            pt.planes[Plane::ALL.iter().position(|p| *p == plane).unwrap()]
-        };
+        let of = |pt: &Fig4Point, plane: Plane| pt.planes[plane as usize];
         for pt in &points {
             for (plane, pl) in Plane::ALL.iter().zip(&pt.planes) {
                 // Stateless planes ride unicast shortest paths: stretch

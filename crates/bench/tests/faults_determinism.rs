@@ -45,9 +45,7 @@ fn protection_never_recovers_slower_than_reconvergence() {
         smoke: true,
         shards: 0,
     });
-    let of = |c: &masc_bgmp_bench::faults::FaultCell, plane: Plane| {
-        c.planes[Plane::ALL.iter().position(|p| *p == plane).unwrap()]
-    };
+    let of = |c: &masc_bgmp_bench::faults::FaultCell, plane: Plane| c.planes[plane as usize];
     for c in &cells {
         // Same fault schedule, same detection delay: 1:1 backup paths
         // can only remove the outage+reconvergence term, never add one.

@@ -46,7 +46,8 @@ pub enum Plane {
 }
 
 impl Plane {
-    /// Every plane, in output-column order.
+    /// Every plane, in declaration (= output-column) order: `plane as
+    /// usize` indexes any `[_; 3]` built with `ALL.map`.
     pub const ALL: [Plane; 3] = [Plane::Bgmp, Plane::Bier, Plane::MapEncap];
 
     /// Column-name stem.
@@ -254,6 +255,7 @@ mod tests {
     #[test]
     fn the_plane_list_is_closed_and_ordered() {
         assert_eq!(Plane::ALL.map(Plane::name), ["bgmp", "bier", "mapencap"]);
+        assert_eq!(Plane::ALL.map(|p| p as usize), [0, 1, 2]);
         let g = star_chain();
         let t = bfs(&g, DomainId(0));
         let sub = SubDomain::new(7, 256);
