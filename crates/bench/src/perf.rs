@@ -44,7 +44,7 @@ use bier::{Network, SubDomain, DEFAULT_BSL};
 use masc::sim::{HierarchySim, HierarchySimParams, Workload};
 use masc::MascConfig;
 use serde::{Deserialize, Serialize};
-use simnet::{Engine, NodeId, SimDuration, SimTime};
+use simnet::{Engine, NodeId, SimDuration, SimTime, WindowStats};
 use topology::{internet_like, DomainId, InternetSpec};
 
 use crate::faults::{self, FaultsParams};
@@ -274,15 +274,19 @@ pub fn run_shard(cfg: &PerfConfig) -> BenchRecord {
         seed: cfg.seed,
     };
     let domains = tops * (1 + children);
+    print_work_span(cfg);
 
     let timed = |shards: usize| {
         let mut sim = HierarchySim::new_sharded(params.clone(), shards);
         let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
         sim.run_to_day(days);
-        (sim.engine.stats().events, t0.elapsed())
+        let w = sim.engine.window_stats();
+        (sim.engine.stats().events, t0.elapsed(), w)
     };
-    let (one_events, one_wall) = timed(1);
-    let (events, wall) = timed(4);
+    let (one_events, one_wall, _) = timed(1);
+    let (events, wall, w) = timed(4);
+    println!("       and of this area's own {tops}x{children} run, {days} days:");
+    print_work_span_row(4, &w);
     assert_eq!(
         one_events, events,
         "the engine must process identical event totals at any shard count"
@@ -303,6 +307,39 @@ pub fn run_shard(cfg: &PerfConfig) -> BenchRecord {
         events,
         wall,
     )
+}
+
+/// Work/span accounting of the figure-2 hierarchy (50 × 50, 45 days —
+/// the repository benchmark's `masc_shard` input; quick: 16 × 16, 8
+/// days) at K = 2, 4, 8, 16 shards, printed as a table. The last
+/// column, work / span, bounds the speedup of *any* K-shard execution
+/// of this schedule over one shard; it is a count, so this 2-core host
+/// can state it for 16 shards (ROADMAP item 1(a)).
+fn print_work_span(cfg: &PerfConfig) {
+    let (tops, children, days) = if cfg.quick { (16, 16, 8) } else { (50, 50, 45) };
+    let params = HierarchySimParams {
+        top_level: tops,
+        children_per: children,
+        ..HierarchySimParams::paper_fig2(cfg.seed)
+    };
+    println!("       work/span, {tops}x{children} hierarchy, {days} days:");
+    println!("       shards    windows  both-active  events/window       mail  work/span");
+    for k in [2, 4, 8, 16] {
+        let mut sim = HierarchySim::new_sharded(params.clone(), k);
+        sim.run_to_day(days);
+        print_work_span_row(k, &sim.engine.window_stats());
+    }
+}
+
+fn print_work_span_row(shards: usize, w: &WindowStats) {
+    println!(
+        "       {shards:>6} {:>10} {:>11.1}% {:>14.2} {:>10} {:>10.3}",
+        w.windows,
+        100.0 * w.both_active as f64 / w.windows.max(1) as f64,
+        w.events_sum as f64 / w.windows.max(1) as f64,
+        w.mail,
+        w.events_sum as f64 / w.events_max_sum.max(1) as f64,
+    );
 }
 
 /// BIER: the stateless-plane hot paths. Phase 1 builds a BIFT for

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::route::{Asn, Route, RouterId};
+use crate::route::{Asn, RouterId};
 
 /// Commercial relationship of a *peer* to this speaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,11 +114,6 @@ impl snapshot::Snapshot for RouteSourceKind {
         }
     }
 }
-
-/// Extra filtering hook: a predicate over (route, destination peer).
-/// Tests and the policy ablation use this to model bespoke filters
-/// (e.g. "do not propagate this /24 to that neighbor").
-pub type RouteFilter = fn(&Route, &PeerConfig) -> bool;
 
 #[cfg(test)]
 mod tests {

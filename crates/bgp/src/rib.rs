@@ -1,51 +1,172 @@
-//! Routing information bases: Adj-RIB-In, Loc-RIB, and the G-RIB view
-//! with longest-prefix match.
+//! The per-speaker route table: Adj-RIB-In, Loc-RIB, Adj-RIB-Out and
+//! the G-RIB view with longest-prefix match.
 //!
-//! # RIB internals
-//!
-//! Three structures back the public API:
-//!
-//! * `adj_in` is keyed `(Nlri, RouterId)` — NLRI first — so the
-//!   decision process for one NLRI is a contiguous
-//!   [`BTreeMap::range`] walk over exactly the candidate routes,
-//!   instead of a scan of every route from every peer.
-//! * `by_peer` is the reverse index (peer → NLRIs it contributed)
-//!   that keeps [`Rib::flush_peer`] proportional to what the peer
-//!   actually advertised.
-//! * `grib_index` is a binary [`PrefixTrie`] over the *selected*
-//!   group prefixes, maintained incrementally whenever the decision
-//!   process changes the Loc-RIB. [`Rib::lookup_group`] walks it in
-//!   O(prefix length) regardless of G-RIB size.
+//! One [`BTreeMap`] keyed by NLRI holds a row per destination: the
+//! selected candidate inline, the candidates that lost to it, and what
+//! each peer was last told. A binary [`PrefixTrie`] indexes the
+//! *selected* group prefixes, kept in step whenever a selection appears
+//! or goes. DESIGN.md "RIB internals" has the layout, what is derived
+//! and how snapshots frame it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use mcast_addr::{McastAddr, Prefix};
+use snapshot::{Dec, Enc, SnapError, Snapshot};
 
-use crate::route::{prefer, Nlri, Route, RouterId};
+use crate::policy::RouteSourceKind;
+use crate::route::{prefer, AsPath, Nlri, Route, RouterId};
 use crate::trie::PrefixTrie;
 
-/// The per-speaker routing table. `Adj-RIB-In` keeps everything heard
-/// per peer; `Loc-RIB` holds the selected best route per NLRI; the
-/// G-RIB is the Loc-RIB filtered to group routes, queried by
-/// longest-prefix match (BGMP's "look up the group in the G-RIB",
-/// §4.2/§5).
+/// A candidate route and who advertised it.
+#[derive(Debug, Clone)]
+pub(crate) struct Heard {
+    /// `RouterId::MAX` for a local origination.
+    pub(crate) peer: RouterId,
+    /// How the route entered the domain; `None` until a speaker says.
+    pub(crate) kind: Option<RouteSourceKind>,
+    pub(crate) route: Route,
+}
+
+/// What one peer was last told about an NLRI: the fields advertisements
+/// differ in (the next hop is the speaker, `local` is never set).
+#[derive(Debug, Clone, PartialEq)]
+struct Sent {
+    to: RouterId,
+    path: AsPath,
+    ebgp: bool,
+}
+
+/// Everything known about one NLRI.
 #[derive(Debug, Default, Clone)]
-pub struct Rib {
-    /// Keyed `(Nlri, RouterId)` so all candidates for one NLRI are
-    /// adjacent; locally originated routes use `RouterId::MAX`.
-    adj_in: BTreeMap<(Nlri, RouterId), Route>,
-    /// Reverse index for `flush_peer`: which NLRIs each peer has live
-    /// in `adj_in`.
-    // lint:allow(snapshot-field-coverage) — derived index, rebuilt from adj_in on decode
-    by_peer: BTreeMap<RouterId, BTreeSet<Nlri>>,
-    /// Best route per NLRI plus the peer that contributed it
-    /// (`RouterId::MAX` for locally originated routes).
-    loc: BTreeMap<Nlri, (RouterId, Route)>,
+struct Row {
+    /// The selected candidate, held in the row itself so that a read is
+    /// one map probe and nothing more. `None` only when no candidate
+    /// lost either.
+    best: Option<Heard>,
+    /// What reads never look at, out of line so that rows stay small.
+    /// `None` when both lists are empty (see [`Row::tidy`]).
+    other: Option<Box<Other>>,
+}
+
+/// The lists are sorted by peer and grow one slot at a time: they are
+/// short and there are many.
+#[derive(Debug, Default, Clone)]
+struct Other {
+    /// The candidates that lost.
+    rest: Vec<Heard>,
+    sent: Vec<Sent>,
+}
+
+impl Row {
+    fn rest(&self) -> &[Heard] {
+        self.other.as_deref().map_or(&[], |o| &o.rest)
+    }
+
+    fn sent(&self) -> &[Sent] {
+        self.other.as_deref().map_or(&[], |o| &o.sent)
+    }
+
+    /// The lists, to put an entry in.
+    fn other(&mut self) -> &mut Other {
+        self.other.get_or_insert_with(Box::default)
+    }
+
+    /// Every candidate, in peer order.
+    fn heard(&self) -> impl Iterator<Item = &Heard> {
+        let before = |b: &Heard| self.rest().partition_point(|h| h.peer < b.peer);
+        let (low, high) = self.rest().split_at(self.best.as_ref().map_or(0, before));
+        low.iter().chain(&self.best).chain(high)
+    }
+
+    fn heard_mut(&mut self, peer: RouterId) -> Option<&mut Heard> {
+        match &mut self.best {
+            Some(b) if b.peer == peer => Some(b),
+            _ => {
+                let rest = &mut self.other.as_deref_mut()?.rest;
+                let i = rest.binary_search_by_key(&peer, |h| h.peer).ok()?;
+                rest.get_mut(i)
+            }
+        }
+    }
+
+    /// Puts (`Some`) or removes (`None`) `peer`'s candidate and returns
+    /// the one that was there. Leaves `best` to [`Row::decide`].
+    fn put_heard(&mut self, peer: RouterId, new: Option<Heard>) -> Option<Heard> {
+        match &self.best {
+            Some(b) if b.peer != peer => match new {
+                Some(_) => put(&mut self.other().rest, peer, |h| h.peer, new),
+                None => put(&mut self.other.as_deref_mut()?.rest, peer, |h| h.peer, None),
+            },
+            _ => std::mem::replace(&mut self.best, new),
+        }
+    }
+
+    /// The decision process: `best` becomes the first candidate in peer
+    /// order that no other is preferred to.
+    fn decide(&mut self) {
+        let Some(Other { rest, .. }) = self.other.as_deref_mut() else {
+            return;
+        };
+        let mut top = 0;
+        for (i, h) in rest.iter().enumerate().skip(1) {
+            if prefer(&h.route, &rest[top].route) {
+                top = i;
+            }
+        }
+        let Some(c) = rest.get(top) else { return };
+        let stays = |b: &Heard| {
+            prefer(&b.route, &c.route) || (!prefer(&c.route, &b.route) && b.peer < c.peer)
+        };
+        if !self.best.as_ref().is_some_and(stays) {
+            let winner = rest.remove(top);
+            if let Some(loser) = self.best.replace(winner) {
+                put(rest, loser.peer, |h| h.peer, Some(loser));
+            }
+        }
+    }
+
+    /// Lets go of the lists if both are empty; true if the row then
+    /// holds nothing at all.
+    fn tidy(&mut self) -> bool {
+        if self.rest().is_empty() && self.sent().is_empty() {
+            self.other = None;
+        }
+        self.best.is_none() && self.other.is_none()
+    }
+}
+
+/// Puts (`Some`) or removes (`None`) `peer`'s entry in a peer-sorted
+/// list and returns the entry that was there.
+fn put<T>(list: &mut Vec<T>, peer: RouterId, of: fn(&T) -> RouterId, new: Option<T>) -> Option<T> {
+    match (list.binary_search_by_key(&peer, of), new) {
+        (Ok(i), Some(e)) => Some(std::mem::replace(&mut list[i], e)),
+        (Ok(i), None) => Some(list.remove(i)),
+        (Err(i), Some(e)) => {
+            list.reserve_exact(1);
+            list.insert(i, e);
+            None
+        }
+        (Err(_), None) => None,
+    }
+}
+
+/// The row to put an entry in (`make`) or take one from.
+fn row_mut(table: &mut BTreeMap<Nlri, Row>, nlri: Nlri, make: bool) -> Option<&mut Row> {
+    if make {
+        Some(table.entry(nlri).or_default())
+    } else {
+        table.get_mut(&nlri)
+    }
+}
+
+/// The G-RIB side of the table: what longest-prefix match and the
+/// hosts' caches need to hear of a decision.
+#[derive(Debug, Default, Clone)]
+struct Grib {
     /// Selected group prefixes, for O(prefix-len) LPM in
     /// `lookup_group`. Invariant: contains exactly the prefixes `p`
-    /// with `Nlri::Group(p)` in `loc`.
-    // lint:allow(snapshot-field-coverage) — derived trie, rebuilt from loc on decode
-    grib_index: PrefixTrie<()>,
+    /// whose `Nlri::Group(p)` row has a selection.
+    index: PrefixTrie<()>,
     /// Group prefixes whose Loc-RIB selection changed since the last
     /// [`Rib::take_changed_groups`] drain. An LPM answer for an
     /// address can only change when some prefix covering that address
@@ -53,8 +174,32 @@ pub struct Rib {
     /// exactly these ranges instead of wholesale. Transient: not
     /// snapshotted (drains are empty across a checkpoint boundary
     /// because restore rebuilds caches from scratch).
-    // lint:allow(snapshot-field-coverage) — transient drain, intentionally empty across checkpoints
-    changed_groups: Vec<Prefix>,
+    changed: Vec<Prefix>,
+}
+
+impl Grib {
+    /// Records that `nlri`'s selection changed, and whether it has one.
+    fn note(&mut self, nlri: Nlri, selected: bool) {
+        if let Nlri::Group(p) = nlri {
+            self.changed.push(p);
+            if selected {
+                self.index.insert(p, ());
+            } else {
+                self.index.remove(&p);
+            }
+        }
+    }
+}
+
+/// The per-speaker routing table. `Adj-RIB-In` keeps everything heard
+/// per peer; `Loc-RIB` is the selected best route per NLRI; the G-RIB
+/// is the Loc-RIB filtered to group routes, queried by longest-prefix
+/// match (BGMP's "look up the group in the G-RIB", §4.2/§5).
+#[derive(Debug, Default, Clone)]
+pub struct Rib {
+    table: BTreeMap<Nlri, Row>,
+    // lint:allow(snapshot-field-coverage) — the trie is rebuilt from the table on decode; the drain is transient and empty across checkpoints
+    grib: Grib,
 }
 
 impl Rib {
@@ -67,100 +212,104 @@ impl Rib {
     /// process for its NLRI. Returns the new best route if the
     /// selection *changed* (including changing to `None`).
     pub fn update_from(&mut self, peer: RouterId, route: Route) -> Option<Option<&Route>> {
-        let nlri = route.nlri;
-        self.adj_in.insert((nlri, peer), route);
-        self.by_peer.entry(peer).or_default().insert(nlri);
-        self.decide(nlri)
+        self.set_heard(route.nlri, peer, Some((route, None)))
     }
 
     /// Removes `peer`'s route for `nlri` (a withdraw) and re-decides.
     pub fn withdraw_from(&mut self, peer: RouterId, nlri: Nlri) -> Option<Option<&Route>> {
-        self.adj_in.remove(&(nlri, peer))?;
-        self.unindex_peer(peer, nlri);
-        self.decide(nlri)
+        self.set_heard(nlri, peer, None)
     }
 
     /// Installs or replaces a locally originated route and re-decides.
     pub fn originate(&mut self, route: Route) -> Option<Option<&Route>> {
         debug_assert!(route.local);
-        let nlri = route.nlri;
-        self.adj_in.insert((nlri, RouterId::MAX), route);
-        self.by_peer.entry(RouterId::MAX).or_default().insert(nlri);
-        self.decide(nlri)
+        self.update_from(RouterId::MAX, route)
     }
 
     /// Removes a local origination.
     pub fn withdraw_local(&mut self, nlri: Nlri) -> Option<Option<&Route>> {
-        self.adj_in.remove(&(nlri, RouterId::MAX))?;
-        self.unindex_peer(RouterId::MAX, nlri);
-        self.decide(nlri)
+        self.withdraw_from(RouterId::MAX, nlri)
     }
 
-    /// Drops everything heard from `peer` (session reset). Returns the
-    /// NLRIs whose best route changed.
-    pub fn flush_peer(&mut self, peer: RouterId) -> Vec<Nlri> {
-        let Some(gone) = self.by_peer.remove(&peer) else {
-            return Vec::new();
-        };
-        let mut changed = Vec::new();
-        for n in gone {
-            self.adj_in.remove(&(n, peer));
-            if self.decide(n).is_some() {
-                changed.push(n);
-            }
+    /// Puts (`Some`, with its entry kind) or removes (`None`) `peer`'s
+    /// candidate for `nlri` and re-decides; returns what
+    /// [`Rib::update_from`] does.
+    pub(crate) fn set_heard(
+        &mut self,
+        nlri: Nlri,
+        peer: RouterId,
+        new: Option<(Route, Option<RouteSourceKind>)>,
+    ) -> Option<Option<&Route>> {
+        let row = row_mut(&mut self.table, nlri, new.is_some())?;
+        let was = row.best.as_ref().map(|h| h.peer);
+        let old = row.put_heard(peer, new.map(|(route, kind)| Heard { peer, kind, route }));
+        row.decide();
+        let now = row.best.as_ref();
+        // A selection is a (peer, route) pair: it stands if the same
+        // peer wins and, where that is `peer`, with an equal route.
+        let same = was == now.map(|h| h.peer)
+            && (was != Some(peer) || old.map(|o| o.route).as_ref() == now.map(|h| &h.route));
+        let selected = now.is_some();
+        if row.tidy() {
+            self.table.remove(&nlri);
         }
+        if same {
+            return None;
+        }
+        self.grib.note(nlri, selected);
+        Some(self.best(nlri))
+    }
+
+    /// Drops everything heard from `peer` and everything it was told
+    /// (session reset) in one pass over the table. Returns the NLRIs
+    /// whose best route changed.
+    pub fn flush_peer(&mut self, peer: RouterId) -> Vec<Nlri> {
+        let mut changed = Vec::new();
+        self.table.retain(|nlri, row| {
+            if let Some(o) = row.other.as_deref_mut() {
+                put(&mut o.sent, peer, |s| s.to, None);
+            }
+            let led = row.best.as_ref().is_some_and(|h| h.peer == peer);
+            row.put_heard(peer, None);
+            // Taking a loser away leaves the winner where it was.
+            if led {
+                row.decide();
+                changed.push(*nlri);
+                self.grib.note(*nlri, row.best.is_some());
+            }
+            !row.tidy()
+        });
         changed
     }
 
-    fn unindex_peer(&mut self, peer: RouterId, nlri: Nlri) {
-        if let Some(set) = self.by_peer.get_mut(&peer) {
-            set.remove(&nlri);
-            if set.is_empty() {
-                self.by_peer.remove(&peer);
+    /// Forgets what `to` was told about every NLRI (its session came
+    /// back without state).
+    pub(crate) fn forget_told(&mut self, to: RouterId) {
+        self.table.retain(|_, row| {
+            if let Some(o) = row.other.as_deref_mut() {
+                put(&mut o.sent, to, |s| s.to, None);
             }
-        }
+            !row.tidy()
+        });
     }
 
-    /// Runs the decision process for one NLRI over the contiguous
-    /// `adj_in` range holding its candidates. `Some(best)` if the
-    /// selection changed, where `best` is the new best (or `None` if
-    /// the NLRI became unreachable).
-    fn decide(&mut self, nlri: Nlri) -> Option<Option<&Route>> {
-        let mut best: Option<(RouterId, &Route)> = None;
-        for ((_, peer), r) in self
-            .adj_in
-            .range((nlri, RouterId::MIN)..=(nlri, RouterId::MAX))
-        {
-            match best {
-                None => best = Some((*peer, r)),
-                Some((_, b)) if prefer(r, b) => best = Some((*peer, r)),
-                _ => {}
-            }
+    /// Records the path and `ebgp` flag `to` is told for `nlri` now
+    /// (`None`: the route is withdrawn from it). False if that is what
+    /// it was last told.
+    pub(crate) fn tell(&mut self, to: RouterId, nlri: Nlri, now: Option<(AsPath, bool)>) -> bool {
+        let Some(row) = row_mut(&mut self.table, nlri, now.is_some()) else {
+            return false;
+        };
+        let now = now.map(|(path, ebgp)| Sent { to, path, ebgp });
+        let at = row.sent().binary_search_by_key(&to, |s| s.to);
+        if at.ok().map(|i| &row.sent()[i]) == now.as_ref() {
+            return false;
         }
-        let best = best.map(|(peer, r)| (peer, r.clone()));
-        let changed = self.loc.get(&nlri) != best.as_ref();
-        if changed {
-            if let Nlri::Group(p) = nlri {
-                self.changed_groups.push(p);
-            }
-            match best {
-                Some(b) => {
-                    self.loc.insert(nlri, b);
-                    if let Nlri::Group(p) = nlri {
-                        self.grib_index.insert(p, ());
-                    }
-                }
-                None => {
-                    self.loc.remove(&nlri);
-                    if let Nlri::Group(p) = nlri {
-                        self.grib_index.remove(&p);
-                    }
-                }
-            }
-            Some(self.loc.get(&nlri).map(|(_, r)| r))
-        } else {
-            None
+        put(&mut row.other().sent, to, |s| s.to, now);
+        if row.tidy() {
+            self.table.remove(&nlri);
         }
+        true
     }
 
     /// Drains the group prefixes whose selection changed since the
@@ -168,23 +317,28 @@ impl Rib {
     /// Callers holding caches derived from `lookup_group` answers
     /// need only invalidate addresses covered by these prefixes.
     pub fn take_changed_groups(&mut self) -> Vec<Prefix> {
-        std::mem::take(&mut self.changed_groups)
+        std::mem::take(&mut self.grib.changed)
     }
 
     /// True when no group selection changed since the last drain.
     pub fn changed_groups_is_empty(&self) -> bool {
-        self.changed_groups.is_empty()
+        self.grib.changed.is_empty()
+    }
+
+    /// The selected candidate for an NLRI.
+    pub(crate) fn selected(&self, nlri: Nlri) -> Option<&Heard> {
+        self.table.get(&nlri)?.best.as_ref()
     }
 
     /// The selected best route for an NLRI.
     pub fn best(&self, nlri: Nlri) -> Option<&Route> {
-        self.loc.get(&nlri).map(|(_, r)| r)
+        self.selected(nlri).map(|h| &h.route)
     }
 
     /// The best route and the peer it came from (`RouterId::MAX` when
     /// locally originated).
     pub fn best_with_source(&self, nlri: Nlri) -> Option<(RouterId, &Route)> {
-        self.loc.get(&nlri).map(|(p, r)| (*p, r))
+        self.selected(nlri).map(|h| (h.peer, &h.route))
     }
 
     /// Longest-prefix match over the G-RIB: the most specific group
@@ -198,72 +352,154 @@ impl Rib {
     /// construction; the rule is stated so callers and reference
     /// implementations agree on the contract.)
     pub fn lookup_group(&self, addr: McastAddr) -> Option<&Route> {
-        let (prefix, ()) = self.grib_index.lookup(addr)?;
-        self.loc.get(&Nlri::Group(prefix)).map(|(_, r)| r)
+        let (prefix, ()) = self.grib.index.lookup(addr)?;
+        self.best(Nlri::Group(prefix))
     }
 
     /// Best route toward a domain (the unicast/M-RIB view).
     pub fn lookup_domain(&self, asn: u32) -> Option<&Route> {
-        self.loc.get(&Nlri::Domain(asn)).map(|(_, r)| r)
+        self.best(Nlri::Domain(asn))
+    }
+
+    /// The selected group prefixes that strictly cover `g`.
+    pub(crate) fn covering_groups(&self, g: &Prefix) -> impl Iterator<Item = Prefix> + '_ {
+        self.grib.index.covering(g).map(|(p, ())| p)
+    }
+
+    /// Every selection with its NLRI, in NLRI order.
+    fn selections(&self) -> impl Iterator<Item = (&Nlri, &Heard)> {
+        let rows = self.table.iter();
+        rows.filter_map(|(n, row)| Some((n, row.best.as_ref()?)))
     }
 
     /// All selected group routes, most specific first for equal bases.
     pub fn group_routes(&self) -> impl Iterator<Item = (&Prefix, &Route)> {
-        self.loc.iter().filter_map(|(n, (_, r))| match n {
-            Nlri::Group(p) => Some((p, r)),
-            _ => None,
+        self.selections().filter_map(|(n, h)| match n {
+            Nlri::Group(p) => Some((p, &h.route)),
+            Nlri::Domain(_) => None,
         })
     }
 
     /// Number of selected group routes — the paper's "G-RIB size"
     /// metric (figure 2(b)). O(1): the trie tracks its entry count.
     pub fn grib_size(&self) -> usize {
-        self.grib_index.len()
+        self.grib.index.len()
     }
 
     /// All selected routes.
     pub fn loc_rib(&self) -> impl Iterator<Item = &Route> {
-        self.loc.values().map(|(_, r)| r)
+        self.selections().map(|(_, h)| &h.route)
     }
 
     /// Internal consistency check used by the property tests: the trie
     /// must mirror the Loc-RIB's group entries exactly.
     #[doc(hidden)]
     pub fn check_grib_index(&self) -> bool {
-        let in_loc: BTreeSet<Prefix> = self.loc.keys().filter_map(|n| n.as_group()).collect();
-        let in_trie: BTreeSet<Prefix> = self.grib_index.iter().map(|(p, _)| p).collect();
-        in_loc == in_trie && self.grib_index.len() == in_loc.len()
+        let in_loc: BTreeSet<Prefix> = self.group_routes().map(|(p, _)| *p).collect();
+        let in_trie: BTreeSet<Prefix> = self.grib.index.iter().map(|(p, _)| p).collect();
+        in_loc == in_trie && self.grib.index.len() == in_loc.len()
+    }
+
+    /// The speaker's `kinds` section: (peer, NLRI) → entry kind.
+    pub(crate) fn encode_kinds(&self, enc: &mut Enc) {
+        let mut kinds = Vec::new();
+        for (nlri, row) in &self.table {
+            kinds.extend(row.heard().filter_map(|h| Some(((h.peer, *nlri), h.kind?))));
+        }
+        kinds.sort_by_key(|((peer, _), _)| *peer); // stable: NLRI order stands within a peer
+        kinds.encode(enc);
+    }
+
+    /// Reads the `kinds` section onto the candidates already decoded.
+    pub(crate) fn decode_kinds(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
+        for _ in 0..dec.seq()? {
+            let ((peer, nlri), kind) = <((RouterId, Nlri), RouteSourceKind)>::decode(dec)?;
+            let heard = self
+                .table
+                .get_mut(&nlri)
+                .and_then(|row| row.heard_mut(peer));
+            heard
+                .ok_or(SnapError::Invalid("kind of a route Adj-RIB-In lacks"))?
+                .kind = Some(kind);
+        }
+        Ok(())
+    }
+
+    /// The speaker's `out` section: (peer, NLRI) → the route `router`
+    /// advertised.
+    pub(crate) fn encode_told(&self, enc: &mut Enc, router: RouterId) {
+        let rows = self.table.iter();
+        let mut told: Vec<_> = rows
+            .flat_map(|(n, row)| row.sent().iter().map(|s| (*n, s)))
+            .collect();
+        told.sort_by_key(|(_, s)| s.to); // stable, as for `kinds`
+        enc.seq(told.len());
+        for (nlri, s) in told {
+            (s.to, nlri).encode(enc);
+            // A `Route`, field by field as `Route::encode` writes it.
+            nlri.encode(enc);
+            s.path.encode(enc);
+            enc.u32(router);
+            enc.bool(false);
+            enc.bool(s.ebgp);
+        }
+    }
+
+    /// Reads the `out` section; an entry `router` cannot have sent is
+    /// invalid.
+    pub(crate) fn decode_told(
+        &mut self,
+        dec: &mut Dec<'_>,
+        router: RouterId,
+    ) -> Result<(), SnapError> {
+        for _ in 0..dec.seq()? {
+            let ((to, nlri), route) = <((RouterId, Nlri), Route)>::decode(dec)?;
+            if route.nlri != nlri || route.next_hop != router || route.local {
+                return Err(SnapError::Invalid(
+                    "Adj-RIB-Out entry this router never sent",
+                ));
+            }
+            self.tell(to, nlri, Some((route.as_path, route.ebgp)));
+        }
+        Ok(())
     }
 }
 
-impl snapshot::Snapshot for Rib {
-    /// Encodes `adj_in` and `loc` verbatim; the peer reverse index and
-    /// the G-RIB trie are derived state, rebuilt on decode.
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        self.adj_in.encode(enc);
-        self.loc.encode(enc);
-    }
-
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let adj_in: BTreeMap<(Nlri, RouterId), Route> = snapshot::Snapshot::decode(dec)?;
-        let loc: BTreeMap<Nlri, (RouterId, Route)> = snapshot::Snapshot::decode(dec)?;
-        let mut by_peer: BTreeMap<RouterId, BTreeSet<Nlri>> = BTreeMap::new();
-        for (nlri, peer) in adj_in.keys() {
-            by_peer.entry(*peer).or_default().insert(*nlri);
-        }
-        let mut grib_index = PrefixTrie::new();
-        for nlri in loc.keys() {
-            if let Nlri::Group(p) = nlri {
-                grib_index.insert(*p, ());
+impl Snapshot for Rib {
+    /// Frames the candidates as the Adj-RIB-In map, (NLRI, peer) →
+    /// route, then the selections as the Loc-RIB map, NLRI → (peer,
+    /// route). Kinds and `sent` go in the speaker's sections.
+    fn encode(&self, enc: &mut Enc) {
+        enc.seq(self.table.values().map(|row| row.heard().count()).sum());
+        for (nlri, row) in &self.table {
+            for h in row.heard() {
+                (*nlri, h.peer).encode(enc);
+                h.route.encode(enc);
             }
         }
-        Ok(Rib {
-            adj_in,
-            by_peer,
-            loc,
-            grib_index,
-            changed_groups: Vec::new(),
-        })
+        enc.seq(self.selections().count());
+        for (nlri, h) in self.selections() {
+            (*nlri, h.peer).encode(enc);
+            h.route.encode(enc);
+        }
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let mut rib = Rib::default();
+        for _ in 0..dec.seq()? {
+            let ((nlri, peer), route) = <((Nlri, RouterId), Route)>::decode(dec)?;
+            rib.set_heard(nlri, peer, Some((route, None)));
+        }
+        rib.grib.changed.clear();
+        // The Loc-RIB is derived; the section must agree with it.
+        let loc: Vec<(Nlri, (RouterId, Route))> = Snapshot::decode(dec)?;
+        let stated = loc.iter().map(|(n, (peer, route))| (n, *peer, route));
+        let rows = rib.table.iter();
+        let derived = rows.filter_map(|(n, row)| Some((n, row.best.as_ref()?)));
+        if !stated.eq(derived.map(|(n, h)| (n, h.peer, &h.route))) {
+            return Err(SnapError::Invalid("Loc-RIB is not what Adj-RIB-In selects"));
+        }
+        Ok(rib)
     }
 }
 

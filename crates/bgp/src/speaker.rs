@@ -49,20 +49,20 @@ pub enum BgpEvent {
 /// A sans-io BGP speaker for one border router.
 #[derive(Debug, Clone)]
 pub struct BgpSpeaker {
-    router: RouterId, // lint:allow(snapshot-field-coverage) — identity; stays with the rebuilt instance
+    /// Identity: stays with the rebuilt instance across a restore.
+    router: RouterId,
     asn: Asn, // lint:allow(snapshot-field-coverage) — identity; stays with the rebuilt instance
     peers: BTreeMap<RouterId, PeerConfig>, // lint:allow(snapshot-field-coverage) — peering config; stays with the rebuilt instance
+    /// Per NLRI: the candidates heard with their domain-entry kinds,
+    /// the selection, and the Adj-RIB-Out (what each peer was last
+    /// told, to emit minimal diffs).
     rib: Rib,
     policy: ExportPolicy, // lint:allow(snapshot-field-coverage) — static policy config; stays with the rebuilt instance
     /// Suppress exporting customer group routes covered by our own
     /// originations (§4.2/§4.3.2). On by default.
     pub aggregate_suppress: bool,
-    /// Domain-entry classification of each adj-in entry.
-    kinds: BTreeMap<(RouterId, Nlri), RouteSourceKind>,
     /// Group prefixes this speaker's domain originates.
     local_groups: BTreeSet<Prefix>,
-    /// Adj-RIB-Out: what we last told each peer, to emit minimal diffs.
-    out: BTreeMap<(RouterId, Nlri), Route>,
     /// Peers whose session is currently down.
     down: BTreeSet<RouterId>,
 }
@@ -78,9 +78,7 @@ impl BgpSpeaker {
             rib: Rib::new(),
             policy,
             aggregate_suppress: true,
-            kinds: BTreeMap::new(),
             local_groups: BTreeSet::new(),
-            out: BTreeMap::new(),
             down: BTreeSet::new(),
         }
     }
@@ -116,20 +114,8 @@ impl BgpSpeaker {
     /// Originates a group route for `prefix` (MASC finished a claim).
     pub fn originate_group(&mut self, prefix: Prefix) -> Vec<OutMsg> {
         self.local_groups.insert(prefix);
-        let nlri = Nlri::Group(prefix);
-        self.kinds
-            .insert((RouterId::MAX, nlri), RouteSourceKind::Local);
-        let mut msgs = Vec::new();
-        if self
-            .rib
-            .originate(Route::originate(nlri, self.asn, self.router))
-            .is_some()
-        {
-            msgs.extend(self.export(nlri));
-        }
         // A new covering origin may newly suppress child routes.
-        msgs.extend(self.re_export_covered(prefix));
-        msgs
+        self.originate(Nlri::Group(prefix), Some(prefix))
     }
 
     /// Withdraws a previously originated group route (lifetime expiry
@@ -137,29 +123,34 @@ impl BgpSpeaker {
     pub fn withdraw_group(&mut self, prefix: Prefix) -> Vec<OutMsg> {
         self.local_groups.remove(&prefix);
         let nlri = Nlri::Group(prefix);
-        self.kinds.remove(&(RouterId::MAX, nlri));
-        let mut msgs = Vec::new();
-        if self.rib.withdraw_local(nlri).is_some() {
-            msgs.extend(self.export(nlri));
-        }
-        msgs.extend(self.re_export_covered(prefix));
-        msgs
+        let changed = self.rib.withdraw_local(nlri).is_some();
+        self.announce(nlri, changed, Some(prefix))
     }
 
     /// Originates the domain-reachability route for our own domain.
     pub fn originate_domain(&mut self) -> Vec<OutMsg> {
-        let nlri = Nlri::Domain(self.asn);
-        self.kinds
-            .insert((RouterId::MAX, nlri), RouteSourceKind::Local);
-        if self
-            .rib
-            .originate(Route::originate(nlri, self.asn, self.router))
-            .is_some()
-        {
-            self.export(nlri)
-        } else {
-            Vec::new()
+        self.originate(Nlri::Domain(self.asn), None)
+    }
+
+    fn originate(&mut self, nlri: Nlri, cover: Option<Prefix>) -> Vec<OutMsg> {
+        let route = Route::originate(nlri, self.asn, self.router);
+        let local = Some((route, Some(RouteSourceKind::Local)));
+        let changed = self.rib.set_heard(nlri, RouterId::MAX, local).is_some();
+        self.announce(nlri, changed, cover)
+    }
+
+    /// What to send once `nlri`'s decision has run: its own diffs if
+    /// the selection `changed`, then those of the group routes under
+    /// `cover`, whose suppression may have flipped.
+    fn announce(&mut self, nlri: Nlri, changed: bool, cover: Option<Prefix>) -> Vec<OutMsg> {
+        let mut msgs = Vec::new();
+        if changed {
+            msgs.extend(self.export(nlri));
         }
+        if let Some(prefix) = cover {
+            msgs.extend(self.re_export_covered(prefix));
+        }
+        msgs
     }
 
     /// Feeds one event, returning the messages to send.
@@ -168,44 +159,23 @@ impl BgpSpeaker {
             BgpEvent::FromPeer { from, msg } => self.handle_msg(from, msg),
             BgpEvent::PeerDown(peer) => {
                 self.down.insert(peer);
-                // Forget what we advertised to it; on PeerUp we resend.
-                let stale: Vec<(RouterId, Nlri)> = self
-                    .out
-                    .keys()
-                    .filter(|(p, _)| *p == peer)
-                    .copied()
-                    .collect();
-                for k in stale {
-                    self.out.remove(&k);
-                }
+                // Forget its routes and what we advertised to it; on
+                // PeerUp we resend.
                 let changed = self.rib.flush_peer(peer);
-                for (_, n) in self.kinds.clone().keys().filter(|(p, _)| *p == peer) {
-                    self.kinds.remove(&(peer, *n));
-                }
-                let mut msgs = Vec::new();
-                for n in changed {
-                    msgs.extend(self.export(n));
-                }
-                msgs
+                changed.into_iter().flat_map(|n| self.export(n)).collect()
             }
             BgpEvent::PeerUp(peer) => {
                 self.down.remove(&peer);
                 // The peer lost its session state; resend from scratch.
-                let stale: Vec<(RouterId, Nlri)> = self
-                    .out
-                    .keys()
-                    .filter(|(p, _)| *p == peer)
-                    .copied()
-                    .collect();
-                for k in stale {
-                    self.out.remove(&k);
-                }
+                self.rib.forget_told(peer);
+                let Some(to) = self.peers.get(&peer).copied() else {
+                    return Vec::new();
+                };
                 let nlris: Vec<Nlri> = self.rib.loc_rib().map(|r| r.nlri).collect();
                 let mut msgs = Vec::new();
                 for n in nlris {
-                    if let Some(m) = self.sync_one(peer, n) {
-                        msgs.push(m);
-                    }
+                    let desired = self.desired_route(&to, n);
+                    msgs.extend(Self::sync_one(&mut self.rib, desired, peer, n));
                 }
                 msgs
             }
@@ -216,7 +186,7 @@ impl BgpSpeaker {
         let Some(peer) = self.peers.get(&from).copied() else {
             return Vec::new(); // unknown peer: drop
         };
-        match msg {
+        let (nlri, changed, may_suppress) = match msg {
             BgpMsg::Update { mut route, kind } => {
                 let external = !peer.is_internal();
                 if external && route.path_contains(self.asn) {
@@ -225,55 +195,28 @@ impl BgpSpeaker {
                 // eBGP-vs-iBGP is a receiver-side attribute.
                 route.ebgp = external;
                 let kind = if external { classify(peer.rel) } else { kind };
-                let nlri = route.nlri;
-                self.kinds.insert((from, nlri), kind);
-                if self.rib.update_from(from, route).is_some() {
-                    let mut msgs = self.export(nlri);
-                    // A domain-origin group route arriving over iBGP can
-                    // newly suppress covered customer routes.
-                    if let Nlri::Group(g) = nlri {
-                        if kind == RouteSourceKind::Local {
-                            msgs.extend(self.re_export_covered(g));
-                        }
-                    }
-                    msgs
-                } else {
-                    Vec::new()
-                }
+                let (nlri, new) = (route.nlri, Some((route, Some(kind))));
+                // A domain-origin group route arriving over iBGP can
+                // newly suppress covered customer routes.
+                let changed = self.rib.set_heard(nlri, from, new).is_some();
+                (nlri, changed, kind == RouteSourceKind::Local)
             }
-            BgpMsg::Withdraw(nlri) => {
-                self.kinds.remove(&(from, nlri));
-                if self.rib.withdraw_from(from, nlri).is_some() {
-                    let mut msgs = self.export(nlri);
-                    if let Nlri::Group(g) = nlri {
-                        msgs.extend(self.re_export_covered(g));
-                    }
-                    msgs
-                } else {
-                    Vec::new()
-                }
-            }
+            BgpMsg::Withdraw(nlri) => (nlri, self.rib.withdraw_from(from, nlri).is_some(), true),
+        };
+        if !changed {
+            return Vec::new();
         }
-    }
-
-    /// The domain-entry classification of the current best route for
-    /// `nlri`.
-    fn best_kind(&self, nlri: Nlri) -> Option<RouteSourceKind> {
-        let (src, _) = self.rib.best_with_source(nlri)?;
-        self.kinds.get(&(src, nlri)).copied()
+        self.announce(nlri, true, nlri.as_group().filter(|_| may_suppress))
     }
 
     /// Recomputes what each peer should see for `nlri` and emits diffs
     /// against the Adj-RIB-Out.
     fn export(&mut self, nlri: Nlri) -> Vec<OutMsg> {
-        let peer_ids: Vec<RouterId> = self.peers.keys().copied().collect();
         let mut msgs = Vec::new();
-        for to in peer_ids {
-            if self.down.contains(&to) {
-                continue;
-            }
-            if let Some(m) = self.sync_one(to, nlri) {
-                msgs.push(m);
+        for (to, peer) in &self.peers {
+            if !self.down.contains(to) {
+                let desired = self.desired_route(peer, nlri);
+                msgs.extend(Self::sync_one(&mut self.rib, desired, *to, nlri));
             }
         }
         msgs
@@ -288,57 +231,44 @@ impl BgpSpeaker {
             .filter(|(p, _)| prefix.covers(p) && **p != prefix)
             .map(|(p, _)| Nlri::Group(*p))
             .collect();
-        let mut msgs = Vec::new();
-        for n in covered {
-            msgs.extend(self.export(n));
-        }
-        msgs
+        covered.into_iter().flat_map(|n| self.export(n)).collect()
     }
 
-    /// Computes the desired advertisement of `nlri` to `to` and emits a
-    /// message iff it differs from what `to` was last told.
-    fn sync_one(&mut self, to: RouterId, nlri: Nlri) -> Option<OutMsg> {
-        let desired = self.desired_route(to, nlri);
-        let current = self.out.get(&(to, nlri));
-        if current == desired.as_ref() {
+    /// Emits a message iff `desired`, the advertisement of `nlri` that
+    /// `to` should now hold, differs from what it was last told.
+    fn sync_one(
+        rib: &mut Rib,
+        desired: Option<(Route, RouteSourceKind)>,
+        to: RouterId,
+        nlri: Nlri,
+    ) -> Option<OutMsg> {
+        let want = desired.as_ref().map(|(r, _)| (r.as_path.clone(), r.ebgp));
+        if !rib.tell(to, nlri, want) {
             return None;
         }
-        match desired {
-            Some(route) => {
-                self.out.insert((to, nlri), route.clone());
-                let kind = self.best_kind(nlri).unwrap_or(RouteSourceKind::Local);
-                Some(OutMsg {
-                    to,
-                    msg: BgpMsg::Update { route, kind },
-                })
-            }
-            None => {
-                self.out.remove(&(to, nlri));
-                Some(OutMsg {
-                    to,
-                    msg: BgpMsg::Withdraw(nlri),
-                })
-            }
-        }
+        let msg = match desired {
+            Some((route, kind)) => BgpMsg::Update { route, kind },
+            None => BgpMsg::Withdraw(nlri),
+        };
+        Some(OutMsg { to, msg })
     }
 
-    /// The route (if any) that peer `to` should currently be told for
-    /// `nlri`.
-    fn desired_route(&self, to: RouterId, nlri: Nlri) -> Option<Route> {
-        let peer = self.peers.get(&to)?;
-        let (src, best) = self.rib.best_with_source(nlri)?;
+    /// The route (if any) that `peer` should currently be told for
+    /// `nlri`, with the domain-entry kind of the best route behind it.
+    fn desired_route(&self, peer: &PeerConfig, nlri: Nlri) -> Option<(Route, RouteSourceKind)> {
+        let best = self.rib.selected(nlri)?;
         // Split horizon: never echo a route back to its contributor.
-        if src == to {
+        if best.peer == peer.router {
             return None;
         }
-        let src_internal =
-            src != RouterId::MAX && self.peers.get(&src).is_some_and(|p| p.is_internal());
+        let src_internal = best.peer != RouterId::MAX
+            && self.peers.get(&best.peer).is_some_and(|p| p.is_internal());
         // iBGP no-reflection: internal-learned routes don't go to
         // internal peers.
         if src_internal && peer.is_internal() {
             return None;
         }
-        let kind = self.best_kind(nlri)?;
+        let kind = best.kind?;
         if !peer.is_internal() {
             // Export policy.
             if !self.policy.allows(kind, peer.rel) {
@@ -349,48 +279,46 @@ impl BgpSpeaker {
             // aggregate (§4.2). A covering origin is visible either as
             // our own origination or as an iBGP-learned route whose
             // domain-entry kind is Local.
-            if self.aggregate_suppress && kind == RouteSourceKind::Customer {
-                if let Nlri::Group(g) = nlri {
-                    let covered_by_origin = self
-                        .rib
-                        .group_routes()
-                        .filter(|(o, _)| **o != g && o.covers(&g))
-                        .any(|(o, _)| {
-                            self.local_groups.contains(o)
-                                || self.best_kind(Nlri::Group(*o)) == Some(RouteSourceKind::Local)
-                        });
-                    if covered_by_origin {
-                        return None;
-                    }
+            if let (true, RouteSourceKind::Customer, Nlri::Group(g)) =
+                (self.aggregate_suppress, kind, nlri)
+            {
+                let origin = Some(RouteSourceKind::Local);
+                let is_origin = |o: Prefix| {
+                    self.local_groups.contains(&o)
+                        || self
+                            .rib
+                            .selected(Nlri::Group(o))
+                            .is_some_and(|h| h.kind == origin)
+                };
+                if self.rib.covering_groups(&g).any(is_origin) {
+                    return None;
                 }
             }
         }
-        // Build the outgoing route.
-        let mut route = best.clone();
+        // Build the outgoing route: next-hop-self (paper §4.2), and
+        // our ASN in front when it leaves the domain.
+        let mut route = best.route.clone();
         route.local = false;
-        if peer.is_internal() {
-            route.next_hop = self.router; // next-hop-self (paper §4.2)
-        } else {
-            route.next_hop = self.router;
-            if route.as_path.first() != Some(&self.asn) {
-                route.as_path = route.as_path.prepend(self.asn);
-            }
+        route.next_hop = self.router;
+        if !peer.is_internal() && route.as_path.first() != Some(&self.asn) {
+            route.as_path = route.as_path.prepend(self.asn);
         }
-        Some(route)
+        Some((route, kind))
     }
 }
 
 impl snapshot::SnapshotState for BgpSpeaker {
     /// Dynamic state only: the RIB, entry-kind classifications, local
-    /// originations, Adj-RIB-Out, and down-peer set. Identity and
-    /// peering configuration (`router`, `asn`, `peers`, `policy`) stay
-    /// with the rebuilt instance.
+    /// originations, Adj-RIB-Out, and down-peer set, framed as the
+    /// separate maps they once were. Identity and peering configuration
+    /// (`router`, `asn`, `peers`, `policy`) stay with the rebuilt
+    /// instance.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
         self.rib.encode(enc);
-        self.kinds.encode(enc);
+        self.rib.encode_kinds(enc);
         self.local_groups.encode(enc);
-        self.out.encode(enc);
+        self.rib.encode_told(enc, self.router);
         self.down.encode(enc);
         enc.bool(self.aggregate_suppress);
     }
@@ -398,9 +326,9 @@ impl snapshot::SnapshotState for BgpSpeaker {
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
         self.rib = Rib::decode(dec)?;
-        self.kinds = Snapshot::decode(dec)?;
+        self.rib.decode_kinds(dec)?;
         self.local_groups = Snapshot::decode(dec)?;
-        self.out = Snapshot::decode(dec)?;
+        self.rib.decode_told(dec, self.router)?;
         self.down = Snapshot::decode(dec)?;
         self.aggregate_suppress = dec.bool()?;
         Ok(())

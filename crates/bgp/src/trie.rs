@@ -154,6 +154,22 @@ impl<V> PrefixTrie<V> {
         })
     }
 
+    /// The stored prefixes that strictly cover `prefix` — its proper
+    /// ancestors — shortest first, in at most 32 steps.
+    pub fn covering(&self, prefix: &Prefix) -> impl Iterator<Item = (Prefix, &V)> {
+        let base = prefix.base_u32();
+        let mut node = Some(&self.root);
+        (0..prefix.len()).filter_map(move |depth| {
+            let here = node?;
+            node = here.children[bit_at(base, depth)].as_deref();
+            let p = Prefix::containing(McastAddr(base), depth);
+            Some((
+                p.expect("trie depth is a valid mask length"),
+                here.value.as_ref()?,
+            ))
+        })
+    }
+
     /// All stored `(Prefix, &V)` pairs, in ascending (base, len) order
     /// of the path walk. Mostly useful for tests and debugging.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {

@@ -1,7 +1,9 @@
 //! Property tests for the RIB and aggregation: arbitrary interleavings
 //! of updates and withdraws keep the decision process consistent.
 
-use bgp::{aggregate, Nlri, Rib, Route};
+use std::collections::{BTreeMap, BTreeSet};
+
+use bgp::{aggregate, Nlri, Rib, Route, RouterId};
 use mcast_addr::{McastAddr, Prefix};
 use proptest::prelude::*;
 
@@ -249,6 +251,40 @@ proptest! {
         }
     }
 
+    /// `covering` yields exactly the stored proper ancestors of a
+    /// prefix, shortest first — the linear filter the speaker's
+    /// suppression check used to run over every selected route.
+    #[test]
+    fn trie_covering_equals_linear_filter(
+        ops in prop::collection::vec(arb_trie_op(), 1..60),
+        probes in prop::collection::vec(arb_pool_prefix(), 12),
+    ) {
+        let mut trie: bgp::PrefixTrie<u32> = bgp::PrefixTrie::new();
+        let mut reference: std::collections::BTreeMap<Prefix, u32> = Default::default();
+        for op in &ops {
+            match op {
+                TrieOp::Insert { prefix, val } => {
+                    trie.insert(*prefix, *val);
+                    reference.insert(*prefix, *val);
+                }
+                TrieOp::Remove { prefix } => {
+                    trie.remove(prefix);
+                    reference.remove(prefix);
+                }
+            }
+        }
+        for q in &probes {
+            let mut linear: Vec<(Prefix, u32)> = reference
+                .iter()
+                .filter(|(p, _)| *p != q && p.covers(q))
+                .map(|(p, v)| (*p, *v))
+                .collect();
+            linear.sort_by_key(|(p, _)| p.len());
+            let got: Vec<(Prefix, u32)> = trie.covering(q).map(|(p, v)| (p, *v)).collect();
+            prop_assert_eq!(got, linear, "covering diverged at {}", q);
+        }
+    }
+
     /// Churn: arbitrary interleavings of updates, withdraws, session
     /// flushes, and re-advertisements leave the RIB identical to a
     /// naive reference that recomputes everything from a flat
@@ -356,4 +392,191 @@ fn arb_churn_op() -> impl Strategy<Value = ChurnOp> {
         (0u32..4, arb_pool_prefix()).prop_map(|(peer, prefix)| ChurnOp::Withdraw { peer, prefix }),
         (0u32..4).prop_map(|peer| ChurnOp::Flush { peer }),
     ]
+}
+
+// ---------------------------------------------------------------------
+// One table vs the three maps it replaced
+// ---------------------------------------------------------------------
+
+/// The RIB as it was before its maps were merged into one NLRI-keyed
+/// table: Adj-RIB-In keyed (NLRI, peer), the peer reverse index, and a
+/// Loc-RIB holding a copy of each winner. Kept here as the reference
+/// the table is compared against.
+#[derive(Default)]
+struct ThreeMaps {
+    adj_in: BTreeMap<(Nlri, RouterId), Route>,
+    by_peer: BTreeMap<RouterId, BTreeSet<Nlri>>,
+    loc: BTreeMap<Nlri, (RouterId, Route)>,
+    changed_groups: Vec<Prefix>,
+}
+
+impl ThreeMaps {
+    fn update_from(&mut self, peer: RouterId, route: Route) -> Option<Option<Route>> {
+        let nlri = route.nlri;
+        self.adj_in.insert((nlri, peer), route);
+        self.by_peer.entry(peer).or_default().insert(nlri);
+        self.decide(nlri)
+    }
+
+    fn withdraw_from(&mut self, peer: RouterId, nlri: Nlri) -> Option<Option<Route>> {
+        self.adj_in.remove(&(nlri, peer))?;
+        if let Some(set) = self.by_peer.get_mut(&peer) {
+            set.remove(&nlri);
+            if set.is_empty() {
+                self.by_peer.remove(&peer);
+            }
+        }
+        self.decide(nlri)
+    }
+
+    fn flush_peer(&mut self, peer: RouterId) -> Vec<Nlri> {
+        let gone = self.by_peer.remove(&peer).unwrap_or_default();
+        let mut changed = Vec::new();
+        for n in gone {
+            self.adj_in.remove(&(n, peer));
+            if self.decide(n).is_some() {
+                changed.push(n);
+            }
+        }
+        changed
+    }
+
+    fn decide(&mut self, nlri: Nlri) -> Option<Option<Route>> {
+        let mut best: Option<(RouterId, &Route)> = None;
+        for ((_, peer), r) in self
+            .adj_in
+            .range((nlri, RouterId::MIN)..=(nlri, RouterId::MAX))
+        {
+            match best {
+                None => best = Some((*peer, r)),
+                Some((_, b)) if bgp::route::prefer(r, b) => best = Some((*peer, r)),
+                _ => {}
+            }
+        }
+        let best = best.map(|(peer, r)| (peer, r.clone()));
+        if self.loc.get(&nlri) == best.as_ref() {
+            return None;
+        }
+        if let Nlri::Group(p) = nlri {
+            self.changed_groups.push(p);
+        }
+        match best {
+            Some(b) => self.loc.insert(nlri, b),
+            None => self.loc.remove(&nlri),
+        };
+        Some(self.loc.get(&nlri).map(|(_, r)| r.clone()))
+    }
+}
+
+#[derive(Debug, Clone)]
+enum RibOp {
+    Update {
+        peer: u32,
+        nlri: Nlri,
+        path_len: usize,
+        next_hop: u32,
+        ebgp: bool,
+    },
+    Withdraw {
+        peer: u32,
+        nlri: Nlri,
+    },
+    Originate {
+        nlri: Nlri,
+    },
+    WithdrawLocal {
+        nlri: Nlri,
+    },
+    Flush {
+        peer: u32,
+    },
+    Drain,
+}
+
+/// A few nested group prefixes and a few domains, so operations
+/// collide on an NLRI often.
+fn arb_nlri() -> impl Strategy<Value = Nlri> {
+    prop_oneof![
+        arb_pool_prefix().prop_map(Nlri::Group),
+        (1u32..5).prop_map(Nlri::Domain),
+    ]
+}
+
+fn arb_rib_op() -> impl Strategy<Value = RibOp> {
+    prop_oneof![
+        (0u32..4, arb_nlri(), 1usize..4, 0u32..3, any::<bool>()).prop_map(
+            |(peer, nlri, path_len, next_hop, ebgp)| RibOp::Update {
+                peer,
+                nlri,
+                path_len,
+                next_hop,
+                ebgp
+            }
+        ),
+        (0u32..4, arb_nlri()).prop_map(|(peer, nlri)| RibOp::Withdraw { peer, nlri }),
+        arb_nlri().prop_map(|nlri| RibOp::Originate { nlri }),
+        arb_nlri().prop_map(|nlri| RibOp::WithdrawLocal { nlri }),
+        (0u32..4).prop_map(|peer| RibOp::Flush { peer }),
+        Just(RibOp::Drain),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-table `Rib` and the three maps it replaced agree on
+    /// every return value, on the Loc-RIB in order, on who contributed
+    /// each winner, and on the sequence of changed group prefixes.
+    #[test]
+    fn one_table_matches_three_maps(ops in prop::collection::vec(arb_rib_op(), 1..120)) {
+        let mut rib = Rib::new();
+        let mut old = ThreeMaps::default();
+        for op in &ops {
+            match op {
+                RibOp::Update { peer, nlri, path_len, next_hop, ebgp } => {
+                    let route = Route {
+                        nlri: *nlri,
+                        as_path: (0..*path_len as u32).map(|i| i + 10 + peer).collect(),
+                        next_hop: *next_hop,
+                        local: false,
+                        ebgp: *ebgp,
+                    };
+                    let want = old.update_from(*peer, route.clone());
+                    let got = rib.update_from(*peer, route).map(|b| b.cloned());
+                    prop_assert_eq!(got, want, "{:?}", op);
+                }
+                RibOp::Withdraw { peer, nlri } => {
+                    let want = old.withdraw_from(*peer, *nlri);
+                    let got = rib.withdraw_from(*peer, *nlri).map(|b| b.cloned());
+                    prop_assert_eq!(got, want, "{:?}", op);
+                }
+                RibOp::Originate { nlri } => {
+                    let route = Route::originate(*nlri, 7, 70);
+                    let want = old.update_from(RouterId::MAX, route.clone());
+                    let got = rib.originate(route).map(|b| b.cloned());
+                    prop_assert_eq!(got, want, "{:?}", op);
+                }
+                RibOp::WithdrawLocal { nlri } => {
+                    let want = old.withdraw_from(RouterId::MAX, *nlri);
+                    let got = rib.withdraw_local(*nlri).map(|b| b.cloned());
+                    prop_assert_eq!(got, want, "{:?}", op);
+                }
+                RibOp::Flush { peer } => {
+                    prop_assert_eq!(rib.flush_peer(*peer), old.flush_peer(*peer), "{:?}", op);
+                }
+                RibOp::Drain => {
+                    let want = std::mem::take(&mut old.changed_groups);
+                    prop_assert_eq!(rib.take_changed_groups(), want);
+                }
+            }
+            prop_assert!(rib.check_grib_index());
+        }
+        let loc: Vec<Route> = old.loc.values().map(|(_, r)| r.clone()).collect();
+        prop_assert_eq!(rib.loc_rib().cloned().collect::<Vec<_>>(), loc);
+        for (nlri, (peer, route)) in &old.loc {
+            prop_assert_eq!(rib.best_with_source(*nlri), Some((*peer, route)));
+        }
+        prop_assert_eq!(rib.grib_size(), old.loc.keys().filter(|n| n.as_group().is_some()).count());
+        prop_assert_eq!(rib.take_changed_groups(), old.changed_groups);
+    }
 }

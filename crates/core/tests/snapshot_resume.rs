@@ -667,3 +667,57 @@ mod random_cases {
         }
     }
 }
+
+/// FNV-1a over the blob, so a format change shows as one number.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A converged 40-domain internet (per-edge borders, so iBGP and
+/// every entry kind occur) with one backbone link signalled down: its
+/// checkpoint is pinned byte for byte. The constants were computed at
+/// commit 4993540, before the BGP speaker's five maps became one
+/// table; the speaker section of the blob must not move.
+#[test]
+fn converged_internet_blob_is_pinned() {
+    const BLOB_LEN: usize = 2_746_887;
+    const BLOB_FNV1A: u64 = 15_983_302_165_335_203_612;
+
+    let build = || {
+        let graph = internet_like(&InternetSpec {
+            n: 40,
+            backbones: 4,
+            attach: 2,
+            extra_peerings: 4,
+            seed: 7,
+        });
+        let cfg = InternetConfig {
+            borders: BorderPlan::PerEdge,
+            addressing: Addressing::Static,
+            sessions: None,
+            seed: 7,
+            ..Default::default()
+        };
+        Internet::build(graph, &cfg)
+    };
+    let mut net = build();
+    net.converge();
+    net.fail_link(DomainId(0), DomainId(1));
+    net.converge();
+    let blob = net.checkpoint().expect("checkpoint");
+    assert_eq!(
+        (blob.len(), fnv1a(&blob)),
+        (BLOB_LEN, BLOB_FNV1A),
+        "the internet checkpoint's bytes changed"
+    );
+
+    let mut resumed = build();
+    resumed.resume_from(&blob).expect("resume");
+    let again = resumed.checkpoint().expect("checkpoint after resume");
+    assert!(
+        blob == again,
+        "checkpoint → resume → checkpoint moved bytes"
+    );
+}

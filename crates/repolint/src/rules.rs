@@ -10,7 +10,7 @@
 //! | `wall-clock`    | every crate                             | `Instant::now`, `SystemTime::now` |
 //! | `unordered-iter`| deterministic crates                    | iterating `HashMap`/`HashSet` |
 //! | `ambient-rng`   | every crate                             | `thread_rng`, `rand::random`, `OsRng`, `from_entropy` |
-//! | `raw-spawn`     | all but `bench::par`, `simnet::shard`   | `thread::spawn`, `thread::scope` |
+//! | `raw-spawn`     | all but `bench::par`, `simnet::engine`  | `thread::spawn`, `thread::scope` |
 //! | `panicky-decode`| wire/message decode modules             | `unwrap`/`expect`/panicking macros/indexing |
 //! | `hot-alloc`     | per-event hot paths (RIB, BGMP table)   | `clone()` of `AsPath`/`Route`/tree entries |
 

@@ -125,6 +125,27 @@ impl std::ops::AddAssign for EngineStats {
     }
 }
 
+/// Work/span accounting of the window loop that runs K ≥ 2 shards:
+/// counts of the schedule itself, the same on any host.
+/// `events_sum / events_max_sum` is an upper bound on the speedup any
+/// execution of those windows can reach over one shard, however many
+/// cores it has: a window cannot end before its busiest shard has.
+/// All zero on one shard. Diagnostic only — not part of
+/// [`EngineStats`], not snapshotted, reset by nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Lookahead windows run.
+    pub windows: u64,
+    /// Windows in which at least two shards had an event due.
+    pub both_active: u64,
+    /// Events run inside windows, over all shards (the work).
+    pub events_sum: u64,
+    /// Each window's busiest shard's events, summed (the span).
+    pub events_max_sum: u64,
+    /// Events handed to another shard at a window's end.
+    pub mail: u64,
+}
+
 /// splitmix64 finalizer — the same per-stream seed derivation the
 /// bench harness uses for task seeds, here keyed by node id.
 fn splitmix64(mut x: u64) -> u64 {
@@ -421,6 +442,8 @@ pub struct Engine<M> {
     /// Sequence counter for externally injected events (rank 0).
     ext_seq: u64,
     started: bool,
+    /// See [`WindowStats`]; kept out of checkpoints.
+    windows: WindowStats,
 }
 
 impl<M: Send + 'static> Engine<M> {
@@ -444,6 +467,7 @@ impl<M: Send + 'static> Engine<M> {
             seed,
             ext_seq: 0,
             started: false,
+            windows: WindowStats::default(),
         }
     }
 
@@ -760,6 +784,8 @@ impl<M: Send + 'static> Engine<M> {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let k = self.shards.len();
         let before = self.events_run();
+        // Per shard, the events it had run when the last window ended.
+        let mut ran: Vec<u64> = self.shards.iter().map(|s| s.stats.events).collect();
         while let Some(w) = self.shards.iter().filter_map(|s| s.queue.peek_time()).min() {
             if w > until || self.events_run() - before >= budget {
                 break;
@@ -783,8 +809,24 @@ impl<M: Send + 'static> Engine<M> {
                     sh.run(Self::place(owner, local, k, i), end);
                 }
             }
+            let mut busiest = 0;
+            for (sh, ran) in self.shards.iter().zip(&mut ran) {
+                let here = sh.stats.events - std::mem::replace(ran, sh.stats.events);
+                self.windows.events_sum += here;
+                busiest = busiest.max(here);
+                self.windows.mail += sh.outbox.len() as u64;
+            }
+            self.windows.events_max_sum += busiest;
+            self.windows.windows += 1;
+            self.windows.both_active += u64::from(active >= 2);
             self.deliver_mail(Some(end));
         }
+    }
+
+    /// Work/span counts of every window run so far (all zero on one
+    /// shard).
+    pub fn window_stats(&self) -> WindowStats {
+        self.windows
     }
 
     /// Runs all events scheduled up to and including `until`, then
@@ -1449,6 +1491,23 @@ mod tests {
             let mut eng = gossip(shards, n);
             eng.run_until(SimTime(10_000));
             outcomes.push(fingerprint(&eng, n));
+            // The work/span counts describe the window schedule: none
+            // on one shard, and the span between work / K and work.
+            let (w, k) = (eng.window_stats(), shards as u64);
+            if shards == 1 {
+                assert_eq!(w, WindowStats::default());
+            } else {
+                assert!(0 < w.both_active && w.both_active <= w.windows);
+                assert!(w.events_max_sum <= w.events_sum && w.events_sum <= k * w.events_max_sum);
+                assert!(0 < w.mail && w.events_sum <= eng.stats().events);
+                let mut again = gossip(shards, n);
+                again.run_until(SimTime(10_000));
+                assert_eq!(
+                    w,
+                    again.window_stats(),
+                    "a count of the schedule, not of the host"
+                );
+            }
             // Running to idle leaves every layout at the same clock.
             let mut eng = gossip(shards, n);
             eng.run_until_idle(u64::MAX);

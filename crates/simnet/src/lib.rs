@@ -27,7 +27,7 @@ mod snap;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, EngineStats, ScheduleError, SNAP_KIND_ENGINE};
+pub use engine::{Engine, EngineStats, ScheduleError, WindowStats, SNAP_KIND_ENGINE};
 pub use event::{Event, EventQueue, WHEEL_SPAN};
 pub use fault::{FaultModel, FaultPlane, FaultStats};
 pub use link::{Link, LinkKey, LinkTable};

@@ -15,16 +15,25 @@
 //!   (never panic), and when it returns `Ok(v)`, re-encoding `v` must
 //!   decode back to `v`.
 //!
+//! The BGP speaker's snapshot state gets the same treatment at the end
+//! of the file: its blob is the five maps the speaker once held, and a
+//! `kinds` or `out` section that disagrees with the Adj-RIB-In section
+//! is either refused or carried through unchanged.
+//!
 //! The vendored proptest is seeded and deterministic; rerun a failure
 //! with `PROPTEST_SEED`.
 
 use bgmp::{BgmpMsg, SourceId};
-use bgp::{AsPath, BgpMsg, Nlri, Route, RouteSourceKind};
+use bgp::{
+    AsPath, BgpEvent, BgpMsg, BgpSpeaker, ExportPolicy, Nlri, OutMsg, PeerConfig, PeerRel, Route,
+    RouteSourceKind, RouterId,
+};
 use bier::{BfrId, BierMsg, BitString, SetId};
 use masc::MascMsg;
 use mcast_addr::{McastAddr, Prefix};
 use proptest::prelude::*;
-use snapshot::{Dec, Enc, Snapshot};
+use snapshot::{Dec, Enc, SnapError, Snapshot, SnapshotState};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Encodes one message the way every session layer frames it: bare
 /// payload from a fresh encoder, no snapshot header.
@@ -215,5 +224,282 @@ proptest! {
             "{} frame with bit {} of byte {} flipped decoded to a value that does not round-trip",
             proto, bit, i
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The BGP speaker's snapshot state
+// ---------------------------------------------------------------------
+
+/// The speaker's dynamic state as the separate maps it was before they
+/// became one NLRI-keyed table — and still the layout of its blob.
+#[derive(Clone, Default)]
+struct FiveMaps {
+    adj_in: BTreeMap<(Nlri, RouterId), Route>,
+    loc: BTreeMap<Nlri, (RouterId, Route)>,
+    kinds: BTreeMap<(RouterId, Nlri), RouteSourceKind>,
+    local_groups: BTreeSet<Prefix>,
+    out: BTreeMap<(RouterId, Nlri), Route>,
+    down: BTreeSet<RouterId>,
+}
+
+impl FiveMaps {
+    fn blob(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        self.adj_in.encode(&mut enc);
+        self.loc.encode(&mut enc);
+        self.kinds.encode(&mut enc);
+        self.local_groups.encode(&mut enc);
+        self.out.encode(&mut enc);
+        self.down.encode(&mut enc);
+        enc.bool(true); // aggregate_suppress
+        enc.finish()
+    }
+}
+
+const ME: RouterId = 10;
+const MY_ASN: u32 = 1;
+
+fn fresh_speaker() -> BgpSpeaker {
+    let peer = |router, asn, rel| PeerConfig { router, asn, rel };
+    let peers = vec![
+        peer(11, MY_ASN, PeerRel::Internal),
+        peer(20, 2, PeerRel::Customer),
+        peer(30, 3, PeerRel::Provider),
+        peer(40, 4, PeerRel::Peer),
+    ];
+    BgpSpeaker::new(ME, MY_ASN, peers, ExportPolicy::ProviderCustomer)
+}
+
+/// Restores `blob` onto a fresh speaker and re-encodes it.
+fn through_speaker(blob: &[u8]) -> Result<Vec<u8>, SnapError> {
+    let mut sp = fresh_speaker();
+    let mut dec = Dec::new(blob);
+    sp.restore_state(&mut dec)?;
+    dec.finish()?;
+    let mut enc = Enc::new();
+    sp.encode_state(&mut enc);
+    Ok(enc.finish())
+}
+
+/// Drives a speaker through originations, updates from every kind of
+/// peer, a withdraw and a session loss, mirroring into [`FiveMaps`]
+/// what each event must leave behind: what was fed in (with the
+/// receiver-side `ebgp` flag and entry kind), and the last thing each
+/// peer was told.
+fn live_speaker() -> (BgpSpeaker, FiveMaps) {
+    let mut sp = fresh_speaker();
+    let mut maps = FiveMaps::default();
+    fn told(maps: &mut FiveMaps, msgs: Vec<OutMsg>) {
+        for OutMsg { to, msg } in msgs {
+            match msg {
+                BgpMsg::Update { route, .. } => maps.out.insert((to, route.nlri), route),
+                BgpMsg::Withdraw(nlri) => maps.out.remove(&(to, nlri)),
+            };
+        }
+    }
+    let own = prefix(0xE100_0000, 12);
+    let local = |nlri| Route::originate(nlri, MY_ASN, ME);
+    maps.local_groups.insert(own);
+    for nlri in [Nlri::Group(own), Nlri::Domain(MY_ASN)] {
+        maps.adj_in.insert((nlri, RouterId::MAX), local(nlri));
+        maps.kinds
+            .insert((RouterId::MAX, nlri), RouteSourceKind::Local);
+    }
+    let msgs = sp.originate_group(own);
+    told(&mut maps, msgs);
+    let msgs = sp.originate_domain();
+    told(&mut maps, msgs);
+
+    let heard: [(RouterId, Nlri, &[u32], RouteSourceKind); 7] = [
+        (
+            20,
+            Nlri::Group(prefix(0xE100_8000, 24)),
+            &[2],
+            RouteSourceKind::Customer,
+        ),
+        (20, Nlri::Domain(2), &[2], RouteSourceKind::Customer),
+        (
+            30,
+            Nlri::Group(prefix(0xE200_0000, 8)),
+            &[3, 9],
+            RouteSourceKind::Provider,
+        ),
+        (
+            40,
+            Nlri::Group(prefix(0xE200_0000, 8)),
+            &[4, 8, 9],
+            RouteSourceKind::Peer,
+        ),
+        (40, Nlri::Domain(2), &[4, 7, 2], RouteSourceKind::Peer),
+        (
+            11,
+            Nlri::Group(prefix(0xE300_0000, 16)),
+            &[5],
+            RouteSourceKind::Peer,
+        ),
+        (11, Nlri::Domain(3), &[3], RouteSourceKind::Provider),
+    ];
+    for (from, nlri, path, kind) in heard {
+        let mut route = Route {
+            nlri,
+            as_path: AsPath::new(path),
+            next_hop: from,
+            local: false,
+            ebgp: false,
+        };
+        let msg = BgpMsg::Update {
+            route: route.clone(),
+            kind,
+        };
+        let msgs = sp.handle(BgpEvent::FromPeer { from, msg });
+        told(&mut maps, msgs);
+        route.ebgp = from != 11;
+        maps.adj_in.insert((nlri, from), route);
+        maps.kinds.insert((from, nlri), kind);
+    }
+    let gone = Nlri::Domain(2);
+    let msgs = sp.handle(BgpEvent::FromPeer {
+        from: 40,
+        msg: BgpMsg::Withdraw(gone),
+    });
+    told(&mut maps, msgs);
+    maps.adj_in.remove(&(gone, 40));
+    maps.kinds.remove(&(40, gone));
+
+    let msgs = sp.handle(BgpEvent::PeerDown(30));
+    told(&mut maps, msgs);
+    maps.down.insert(30);
+    maps.adj_in.retain(|(_, peer), _| *peer != 30);
+    maps.kinds.retain(|(peer, _), _| *peer != 30);
+    maps.out.retain(|(peer, _), _| *peer != 30);
+
+    for r in sp.rib().loc_rib() {
+        let (src, best) = sp.rib().best_with_source(r.nlri).expect("selected");
+        maps.loc.insert(r.nlri, (src, best.clone()));
+    }
+    (sp, maps)
+}
+
+/// The blob is the five maps, framed by the generic map codec.
+#[test]
+fn speaker_blob_is_the_five_maps_it_replaced() {
+    let (sp, maps) = live_speaker();
+    assert!(
+        maps.adj_in.len() >= 7 && maps.out.len() >= 6,
+        "the scenario went quiet"
+    );
+    let mut enc = Enc::new();
+    sp.encode_state(&mut enc);
+    let blob = enc.finish();
+    assert!(
+        blob == maps.blob(),
+        "speaker state is no longer framed as the five maps"
+    );
+    assert!(through_speaker(&blob).expect("own blob restores") == blob);
+}
+
+/// A `kinds` entry for a route the Adj-RIB-In section does not hold has
+/// nowhere to live: refused, not dropped.
+#[test]
+fn kind_of_an_unheard_route_is_refused() {
+    let (_, maps) = live_speaker();
+    for stray in [
+        (40, Nlri::Domain(2)),                     // peer known, route withdrawn
+        (20, Nlri::Group(prefix(0xE200_0000, 8))), // NLRI known, not from this peer
+        (20, Nlri::Group(prefix(0xEE00_0000, 8))), // NLRI unknown
+        (77, Nlri::Domain(2)),                     // peer unknown
+    ] {
+        let mut bad = maps.clone();
+        bad.kinds.insert(stray, RouteSourceKind::Peer);
+        let got = through_speaker(&bad.blob());
+        assert!(
+            matches!(got, Err(SnapError::Invalid(_))),
+            "{stray:?}: {got:?}"
+        );
+    }
+}
+
+/// An `out` entry is independent of what the peer advertised: one for a
+/// pair — even an NLRI — the Adj-RIB-In section lacks survives a
+/// restore byte for byte. One this router cannot have sent is refused.
+#[test]
+fn out_entries_stand_alone_or_are_refused() {
+    let (_, maps) = live_speaker();
+    let sent = |nlri, next_hop, local| Route {
+        nlri,
+        as_path: AsPath::new(&[MY_ASN, 6]),
+        next_hop,
+        local,
+        ebgp: true,
+    };
+    for stray in [
+        (20, Nlri::Group(prefix(0xE200_0000, 8))),
+        (40, Nlri::Group(prefix(0xEE00_0000, 8))),
+        (77, Nlri::Domain(9)),
+    ] {
+        let mut odd = maps.clone();
+        odd.out.insert(stray, sent(stray.1, ME, false));
+        let blob = odd.blob();
+        assert!(
+            through_speaker(&blob).expect("restores") == blob,
+            "{stray:?} moved bytes"
+        );
+    }
+    let at = (20, Nlri::Domain(9));
+    for forged in [
+        sent(at.1, 99, false),
+        sent(at.1, ME, true),
+        sent(Nlri::Domain(8), ME, false),
+    ] {
+        let mut bad = maps.clone();
+        bad.out.insert(at, forged);
+        let got = through_speaker(&bad.blob());
+        assert!(matches!(got, Err(SnapError::Invalid(_))), "{got:?}");
+    }
+    // A Loc-RIB section that is not what the candidates select.
+    let mut bad = maps.clone();
+    bad.loc.remove(&Nlri::Domain(MY_ASN));
+    assert!(matches!(
+        through_speaker(&bad.blob()),
+        Err(SnapError::Invalid(_))
+    ));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Stray `kinds` and `out` entries in any mix, then a flipped bit:
+    /// the restore never panics, and whatever it accepts it writes back
+    /// unchanged — nothing is silently dropped.
+    #[test]
+    fn speaker_blob_is_refused_or_carried_through(
+        strays in prop::collection::vec((any::<bool>(), 0u32..6, 0u32..8), 0..4),
+        flip in (any::<bool>(), any::<u32>(), 0u32..8),
+    ) {
+        let (_, mut maps) = live_speaker();
+        let peers = [11, 20, 30, 40, 77, RouterId::MAX];
+        for (is_kind, peer, n) in strays {
+            let nlri = if n < 4 { Nlri::Domain(n) } else { Nlri::Group(prefix(0xE000_0000 + (n << 24), 8)) };
+            let key = (peers[peer as usize], nlri);
+            if is_kind {
+                maps.kinds.insert(key, RouteSourceKind::Customer);
+            } else {
+                let route = Route { nlri, as_path: AsPath::new(&[MY_ASN]), next_hop: ME, local: false, ebgp: n % 2 == 0 };
+                maps.out.insert(key, route);
+            }
+        }
+        let mut blob = maps.blob();
+        let unflipped = through_speaker(&blob);
+        if let Ok(again) = &unflipped {
+            prop_assert!(*again == blob, "an accepted blob came back different");
+        }
+        if flip.0 {
+            let i = flip.1 as usize % blob.len();
+            blob[i] ^= 1 << flip.2;
+            // Totality only: a flipped count or key can reorder a map,
+            // which the codec has always re-encoded sorted.
+            let _ = through_speaker(&blob);
+        }
     }
 }
