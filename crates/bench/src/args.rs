@@ -24,20 +24,29 @@ impl Args {
         Args { argv }
     }
 
-    /// `--name value` as a `u64`, or `default`.
+    /// `--name value` as a `u64`: `Ok(None)` when the flag is absent,
+    /// `Err` naming flag and value when the value is not a number.
+    fn try_u64(&self, name: &str) -> Result<Option<u64>, String> {
+        let Some(v) = self.str_opt(name) else {
+            return Ok(None);
+        };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("--{name}: `{v}` is not a non-negative integer"))
+    }
+
+    /// `--name value` as a `u64`, or `default` when the flag is absent.
+    /// A value that does not parse exits with status 2 — a typo
+    /// (`--seed 1O`) must not silently run, and write results, under
+    /// the default.
     pub fn u64(&self, name: &str, default: u64) -> u64 {
-        let key = format!("--{name}");
-        let mut it = self.argv.iter();
-        while let Some(a) = it.next() {
-            if *a == key {
-                if let Some(v) = it.next() {
-                    if let Ok(n) = v.parse() {
-                        return n;
-                    }
-                }
+        match self.try_u64(name) {
+            Ok(n) => n.unwrap_or(default),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2)
             }
         }
-        default
     }
 
     /// `--name value` as a `usize`, or `default`.
@@ -117,10 +126,15 @@ mod tests {
 
     #[test]
     fn flags_and_malformed_values() {
-        let a = args(&["bin", "--fast", "--seed", "notanumber"]);
+        let a = args(&["bin", "--fast", "--seed", "1O", "--trials"]);
         assert!(a.flag("fast"));
         assert!(!a.flag("slow"));
-        assert_eq!(a.seed(7), 7); // malformed value falls back
+        // A malformed value is an error naming flag and value (`u64`
+        // exits 2 on it), never a silent fall-back to the default.
+        let err = a.try_u64("seed").unwrap_err();
+        assert!(err.contains("--seed") && err.contains("`1O`"), "{err}");
+        assert_eq!(a.try_u64("slow"), Ok(None));
+        assert_eq!(a.trials(3), 3); // key with no value: the default
     }
 
     #[test]

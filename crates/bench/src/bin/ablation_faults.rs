@@ -12,12 +12,7 @@
 //! corrupts tree state aborts the sweep instead of producing numbers.
 //!
 //! Usage: `ablation_faults [--smoke] [--threads N] [--seed S]
-//!         [--domains D] [--secs T] [--shards K]`
-//!
-//! `--shards K` (default 0) spreads every cell's engine over K shards
-//! with conservative lookahead; the CSV is byte-identical for any K
-//! (0 and 1 are the same inline run) and is diffed against the one
-//! committed golden.
+//!         [--domains D] [--secs T]`
 
 use bier::Plane;
 use masc_bgmp_bench::faults::{flap_grid, run, series, FaultsParams};
@@ -33,16 +28,14 @@ fn main() {
         seed: args.seed(7),
         threads: args.threads(),
         smoke,
-        shards: args.usize("shards", 0),
     };
     banner(
         "FAULTS",
         &format!(
-            "loss x flaps chaos sweep ({} domains, {} s chaos, seed {}, {} engine shard(s){})",
+            "loss x flaps chaos sweep ({} domains, {} s chaos, seed {}{})",
             p.domains,
             p.chaos_secs,
             p.seed,
-            p.shards.max(1),
             if smoke { ", smoke grid" } else { "" }
         ),
     );

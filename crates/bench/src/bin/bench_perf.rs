@@ -1,15 +1,16 @@
 //! PERF — pinned performance workloads (see `bench::perf`).
 //!
 //! ```text
-//! bench_perf [--quick] [--seed N] [--areas fig2,fig4,faults,wheel,shard]
+//! bench_perf [--quick] [--seed N] [--areas fig2,fig4,faults,wheel,scale,bier]
 //!            [--out DIR] [--check DIR] [--tolerance PCT]
 //! ```
 //!
 //! Runs every requested area, writes one `BENCH_<area>.json` per area
 //! into `--out` (default `results/perf`, quick mode
 //! `results/perf/quick`), and — when `--check DIR` names a baseline
-//! directory — exits non-zero if any area's events/sec regressed more
-//! than `--tolerance` percent (default 30) below its baseline.
+//! directory — exits non-zero if any area's deterministic event count
+//! differs from its baseline's, or its events/sec regressed more than
+//! `--tolerance` percent (default 30) below it.
 //!
 //! CI runs `bench_perf --quick --out target/perf --check results/perf/quick`.
 
@@ -86,9 +87,10 @@ fn main() -> ExitCode {
                 }
                 CheckOutcome::EventCountChanged { baseline, current } => {
                     println!(
-                        "       NOTE: deterministic event count changed {baseline} -> {current}; \
-                         refresh the baseline with this binary"
+                        "       FAIL: {area} deterministic event count changed \
+                         {baseline} -> {current}: the schedule moved"
                     );
+                    failed = true;
                 }
                 CheckOutcome::Regressed {
                     baseline_eps,

@@ -23,14 +23,8 @@
 //! and resumed emits byte-identical CSVs to one uninterrupted run,
 //! at any `--threads`.
 //!
-//! `--shards K` (default 0) spreads each replication's engine over K
-//! shards with conservative lookahead. The CSVs are byte-identical
-//! for every K (CI diffs K = 0/1/2/4 against the committed golden; 0
-//! and 1 are the same inline run), and a checkpoint resumes at any
-//! `--shards`, not just the count that wrote it.
-//!
 //! Usage: `fig2_masc [--days 800] [--seed 1] [--sample 5] [--tops 50]
-//! [--children 50] [--seeds 1] [--threads 1] [--shards K]
+//! [--children 50] [--seeds 1] [--threads 1]
 //! [--checkpoint-every N] [--checkpoint-dir DIR] [--stop-at D]
 //! [--resume-from DIR]`
 
@@ -55,7 +49,6 @@ struct CheckpointPlan {
 /// Runs (or continues) one replication and samples it on the fixed
 /// day grid. `stop_at` caps the horizon so a run can be split; the
 /// concatenation of the split halves equals one uninterrupted run.
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     days: u64,
     stop_at: u64,
@@ -63,7 +56,6 @@ fn run_one(
     tops: usize,
     children: usize,
     seed: u64,
-    shards: usize,
     plan: &CheckpointPlan,
 ) -> Vec<Fig2Row> {
     let (mut sim, mut rows, mut d) = match &plan.resume_from {
@@ -74,20 +66,17 @@ fn run_one(
                 (sample_every, tops, children, seed),
                 "checkpoint was taken with different run parameters"
             );
-            let sim = HierarchySim::resume_sharded(&ck.sim, shards).expect("resume checkpoint");
+            let sim = HierarchySim::resume(&ck.sim).expect("resume checkpoint");
             (sim, ck.rows, ck.day)
         }
         None => {
-            let sim = HierarchySim::new_sharded(
-                HierarchySimParams {
-                    top_level: tops,
-                    children_per: children,
-                    workload: Workload::paper_fig2(),
-                    config: MascConfig::default(),
-                    seed,
-                },
-                shards,
-            );
+            let sim = HierarchySim::new(HierarchySimParams {
+                top_level: tops,
+                children_per: children,
+                workload: Workload::paper_fig2(),
+                config: MascConfig::default(),
+                seed,
+            });
             (sim, Vec::new(), 0)
         }
     };
@@ -153,7 +142,6 @@ fn main() {
     let children = args.usize("children", 50);
     let seeds = args.usize("seeds", 1).max(1);
     let threads = args.threads();
-    let shards = args.usize("shards", 0);
     let stop_at = args.u64("stop-at", days);
     let plan = CheckpointPlan {
         every: args.u64("checkpoint-every", 0),
@@ -168,8 +156,7 @@ fn main() {
         "FIG2",
         &format!(
             "MASC claim algorithm: {tops} top-level x {children} children, {days} days, \
-             seed {seed}, {seeds} replication(s), {threads} thread(s), {} engine shard(s)",
-            shards.max(1)
+             seed {seed}, {seeds} replication(s), {threads} thread(s)"
         ),
     );
 
@@ -179,16 +166,7 @@ fn main() {
         .map(|i| if i == 0 { seed } else { task_seed(seed, i) })
         .collect();
     let runs = run_tasks(threads, &task_seeds, |_, &s| {
-        run_one(
-            days,
-            stop_at,
-            sample_every,
-            tops,
-            children,
-            s,
-            shards,
-            &plan,
-        )
+        run_one(days, stop_at, sample_every, tops, children, s, &plan)
     });
 
     if stop_at < days {

@@ -9,11 +9,8 @@
 //! ≲ 1.3× (max ≤ 4.5×); unidirectional avg ≈ 2× (max ≤ 6×).
 //!
 //! Usage: `fig4_trees [--domains 3326] [--trials 10] [--seed 7]
-//! [--maxrx 1000] [--threads N] [--shards K]` — any `--threads` value
-//! produces byte-identical output (each grid cell is independently
-//! seeded). `--shards` is accepted for CLI uniformity with the other
-//! sweeps but is a no-op: the tree-quality grid is analytic (graph +
-//! SPF), with no event engine to shard.
+//! [--maxrx 1000] [--threads N]` — any `--threads` value produces
+//! byte-identical output (each grid cell is independently seeded).
 
 use bier::Plane;
 use masc_bgmp_bench::fig4::{run, series, Fig4Params};
@@ -29,9 +26,6 @@ fn main() {
         maxrx: args.usize("maxrx", 1000),
         threads: args.threads(),
     };
-    if args.usize("shards", 0) > 0 {
-        println!("note: --shards ignored (fig4 is analytic; no event engine involved)");
-    }
 
     banner(
         "FIG4",

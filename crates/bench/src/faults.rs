@@ -30,9 +30,6 @@ pub struct FaultsParams {
     pub threads: usize,
     /// Small grid for CI (diffed against the committed golden CSV).
     pub smoke: bool,
-    /// Engine shards per cell; the grid is byte-identical at every
-    /// count, 0 and 1 being the same run [0].
-    pub shards: usize,
 }
 
 /// One grid cell's outcome.
@@ -120,7 +117,7 @@ pub fn run(p: &FaultsParams) -> Vec<FaultCell> {
             chaos_secs: p.chaos_secs,
             seed: task_seed(p.seed, i as u64),
             check_mid_run: true,
-            shards: p.shards,
+            ..ChaosConfig::default()
         };
         // One derived schedule per cell, faced by every plane: BGMP
         // runs it event by event, the stateless planes replay it over

@@ -28,10 +28,9 @@
 //!   event queue (short periodic timers, mid-range timers, overflow
 //!   timers beyond the wheel span, plus ring messages); unit = engine
 //!   events.
-//! * `shard` — the scale workload: a ≥100k-domain MASC hierarchy on
-//!   4 engine shards next to the same population on 1 shard (inline);
-//!   unit = engine events of the 4-shard run, with the 1-shard rate
-//!   and the speedup recorded in `params`.
+//! * `scale` — a ≥100k-domain MASC hierarchy, run once; unit = engine
+//!   events. Run it alone (`--areas scale`) and its `peak_rss_kb` is
+//!   the footprint of that one population.
 //! * `bier` — BIFT construction for every ingress of an Internet-like
 //!   graph plus bitstring forwarding to a fixed membership; unit =
 //!   BIFT entries built + link copies forwarded (both deterministic).
@@ -41,10 +40,9 @@ use std::time::Duration;
 use std::time::Instant;
 
 use bier::{Network, SubDomain, DEFAULT_BSL};
-use masc::sim::{HierarchySim, HierarchySimParams, Workload};
-use masc::MascConfig;
+use masc::sim::{HierarchySim, HierarchySimParams};
 use serde::{Deserialize, Serialize};
-use simnet::{Engine, NodeId, SimDuration, SimTime, WindowStats};
+use simnet::{Engine, NodeId, SimDuration, SimTime};
 use topology::{internet_like, DomainId, InternetSpec};
 
 use crate::faults::{self, FaultsParams};
@@ -71,7 +69,7 @@ impl Default for PerfConfig {
 /// One emitted `BENCH_<area>.json` record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// Workload id (`fig2`, `fig4`, `faults`, `wheel`).
+    /// Workload id: one of [`AREAS`].
     pub area: String,
     /// Human-readable pinned parameters.
     pub params: String,
@@ -141,7 +139,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// All known areas, in run order.
-pub const AREAS: [&str; 6] = ["fig2", "fig4", "faults", "wheel", "shard", "bier"];
+pub const AREAS: [&str; 6] = ["fig2", "fig4", "faults", "wheel", "scale", "bier"];
 
 /// Runs one area by name. Panics on an unknown area (the CLI validates
 /// first).
@@ -151,7 +149,7 @@ pub fn run_area(area: &str, cfg: &PerfConfig) -> BenchRecord {
         "fig4" => run_fig4(cfg),
         "faults" => run_faults(cfg),
         "wheel" => run_wheel(cfg),
-        "shard" => run_shard(cfg),
+        "scale" => run_scale(cfg),
         "bier" => run_bier(cfg),
         other => panic!("unknown perf area `{other}` (known: {})", AREAS.join(", ")),
     }
@@ -227,7 +225,6 @@ pub fn run_faults(cfg: &PerfConfig) -> BenchRecord {
         seed: cfg.seed.wrapping_add(6),
         threads: 1,
         smoke: true,
-        shards: 0,
     };
     let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
     let cells = faults::run(&p);
@@ -249,97 +246,36 @@ pub fn run_faults(cfg: &PerfConfig) -> BenchRecord {
     )
 }
 
-/// SHARD: the scale workload. A large MASC hierarchy (full: 100 tops
-/// × 1000 children = 100 100 domains; quick: 20 × 100) run on 4 engine
-/// shards, next to the same population on 1 shard (inline, no
-/// windows). The record's rate is the 4-shard run; the 1-shard rate
-/// and the resulting speedup are recorded in `params` so the JSON
-/// stays honest about the host (a single-core runner shows speedup
-/// ≤ 1 — the windows then run one shard after the other).
-///
-/// The two runs must process the same number of events: the perf
-/// workload itself double-checks shard-count invariance, not just the
-/// CI golden CSVs.
-pub fn run_shard(cfg: &PerfConfig) -> BenchRecord {
+/// SCALE: a large MASC hierarchy (full: 100 tops × 1000 children =
+/// 100 100 domains; quick: 20 × 100) run once. The one workload here
+/// far past the paper's population (2 550 domains), so events/sec and
+/// peak RSS at that size have a trend line.
+pub fn run_scale(cfg: &PerfConfig) -> BenchRecord {
     let (tops, children, days) = if cfg.quick {
         (20, 100, 8)
     } else {
         (100, 1_000, 10)
     };
-    let params = HierarchySimParams {
-        top_level: tops,
-        children_per: children,
-        workload: Workload::paper_fig2(),
-        config: MascConfig::default(),
-        seed: cfg.seed,
-    };
-    let domains = tops * (1 + children);
-    print_work_span(cfg);
-
-    let timed = |shards: usize| {
-        let mut sim = HierarchySim::new_sharded(params.clone(), shards);
-        let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
-        sim.run_to_day(days);
-        let w = sim.engine.window_stats();
-        (sim.engine.stats().events, t0.elapsed(), w)
-    };
-    let (one_events, one_wall, _) = timed(1);
-    let (events, wall, w) = timed(4);
-    println!("       and of this area's own {tops}x{children} run, {days} days:");
-    print_work_span_row(4, &w);
-    assert_eq!(
-        one_events, events,
-        "the engine must process identical event totals at any shard count"
-    );
-
-    let one_eps = one_events as f64 / one_wall.as_secs_f64().max(1e-9);
-    let sharded_eps = events as f64 / wall.as_secs_f64().max(1e-9);
-    BenchRecord::new(
-        "shard",
-        format!(
-            "{tops}x{children} hierarchy ({domains} domains), {days} days, seed {}, 4 shards; 1 shard inline {:.0} ev/s, speedup {:.2}x",
-            cfg.seed,
-            one_eps,
-            sharded_eps / one_eps.max(1e-9)
-        ),
-        "engine-events",
-        cfg,
-        events,
-        wall,
-    )
-}
-
-/// Work/span accounting of the figure-2 hierarchy (50 × 50, 45 days —
-/// the repository benchmark's `masc_shard` input; quick: 16 × 16, 8
-/// days) at K = 2, 4, 8, 16 shards, printed as a table. The last
-/// column, work / span, bounds the speedup of *any* K-shard execution
-/// of this schedule over one shard; it is a count, so this 2-core host
-/// can state it for 16 shards (ROADMAP item 1(a)).
-fn print_work_span(cfg: &PerfConfig) {
-    let (tops, children, days) = if cfg.quick { (16, 16, 8) } else { (50, 50, 45) };
-    let params = HierarchySimParams {
+    let mut sim = HierarchySim::new(HierarchySimParams {
         top_level: tops,
         children_per: children,
         ..HierarchySimParams::paper_fig2(cfg.seed)
-    };
-    println!("       work/span, {tops}x{children} hierarchy, {days} days:");
-    println!("       shards    windows  both-active  events/window       mail  work/span");
-    for k in [2, 4, 8, 16] {
-        let mut sim = HierarchySim::new_sharded(params.clone(), k);
-        sim.run_to_day(days);
-        print_work_span_row(k, &sim.engine.window_stats());
-    }
-}
-
-fn print_work_span_row(shards: usize, w: &WindowStats) {
-    println!(
-        "       {shards:>6} {:>10} {:>11.1}% {:>14.2} {:>10} {:>10.3}",
-        w.windows,
-        100.0 * w.both_active as f64 / w.windows.max(1) as f64,
-        w.events_sum as f64 / w.windows.max(1) as f64,
-        w.mail,
-        w.events_sum as f64 / w.events_max_sum.max(1) as f64,
-    );
+    });
+    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
+    sim.run_to_day(days);
+    let wall = t0.elapsed();
+    BenchRecord::new(
+        "scale",
+        format!(
+            "{tops}x{children} hierarchy ({} domains), {days} days, seed {}",
+            tops * (1 + children),
+            cfg.seed
+        ),
+        "engine-events",
+        cfg,
+        sim.engine.stats().events,
+        wall,
+    )
 }
 
 /// BIER: the stateless-plane hot paths. Phase 1 builds a BIFT for
@@ -484,8 +420,8 @@ pub enum CheckOutcome {
     /// (new areas land before their first baseline).
     MissingBaseline,
     /// Same mode + seed but a different deterministic event count:
-    /// the schedule changed, so the baseline needs a refresh. Reported
-    /// but non-fatal (throughput is the gate).
+    /// the schedule changed. A failure, and reported ahead of
+    /// throughput — a different schedule's rate compares to nothing.
     EventCountChanged { baseline: u64, current: u64 },
 }
 
@@ -501,16 +437,16 @@ pub fn check_against_baseline(
     let Ok(base) = read_record(&path) else {
         return CheckOutcome::MissingBaseline;
     };
-    if current.events_per_sec < base.events_per_sec * (1.0 - tolerance) {
-        return CheckOutcome::Regressed {
-            baseline_eps: base.events_per_sec,
-            current_eps: current.events_per_sec,
-        };
-    }
     if base.quick == current.quick && base.seed == current.seed && base.events != current.events {
         return CheckOutcome::EventCountChanged {
             baseline: base.events,
             current: current.events,
+        };
+    }
+    if current.events_per_sec < base.events_per_sec * (1.0 - tolerance) {
+        return CheckOutcome::Regressed {
+            baseline_eps: base.events_per_sec,
+            current_eps: current.events_per_sec,
         };
     }
     CheckOutcome::Ok
@@ -564,11 +500,17 @@ mod tests {
             check_against_baseline(&rec("wheel", 600.0, 42), &dir, 0.30),
             CheckOutcome::Regressed { .. }
         ));
-        // Same mode but different deterministic count: flagged.
-        assert!(matches!(
-            check_against_baseline(&rec("wheel", 1000.0, 43), &dir, 0.30),
-            CheckOutcome::EventCountChanged { .. }
-        ));
+        // Same mode but different deterministic count: flagged, and
+        // ahead of a throughput drop.
+        for eps in [1000.0, 600.0] {
+            assert_eq!(
+                check_against_baseline(&rec("wheel", eps, 43), &dir, 0.30),
+                CheckOutcome::EventCountChanged {
+                    baseline: 42,
+                    current: 43
+                }
+            );
+        }
         // Unknown area: missing baseline.
         assert_eq!(
             check_against_baseline(&rec("nope", 1.0, 1), &dir, 0.30),

@@ -1,29 +1,27 @@
 //! Determinism regression for the fault ablation: the chaos sweep is
 //! seeded per cell and merged in task order, so its CSV must be
-//! byte-identical across thread counts *and* engine shard counts,
-//! and must reproduce the one committed golden file — the same file
-//! CI regenerates and diffs.
+//! byte-identical across thread counts, and must reproduce the one
+//! committed golden file — the same file CI regenerates and diffs.
 
 use bier::Plane;
 use masc_bgmp_bench::faults::{run, series, FaultsParams};
 use metrics::emit;
 
-fn smoke_csv(threads: usize, shards: usize) -> String {
+fn smoke_csv(threads: usize) -> String {
     let cells = run(&FaultsParams {
         domains: 5,
         chaos_secs: 60,
         seed: 7,
         threads,
         smoke: true,
-        shards,
     });
     emit::to_csv(&series(&cells, true))
 }
 
 #[test]
 fn faults_smoke_is_thread_invariant_and_matches_golden() {
-    let serial = smoke_csv(1, 0);
-    let par = smoke_csv(4, 0);
+    let serial = smoke_csv(1);
+    let par = smoke_csv(4);
     assert_eq!(serial, par, "CSV diverged between --threads 1 and 4");
     // The committed golden is the smoke run with the binary's
     // defaults; a mismatch means chaos runs stopped being replayable.
@@ -43,7 +41,6 @@ fn protection_never_recovers_slower_than_reconvergence() {
         seed: 7,
         threads: 4,
         smoke: true,
-        shards: 0,
     });
     let of = |c: &masc_bgmp_bench::faults::FaultCell, plane: Plane| c.planes[plane as usize];
     for c in &cells {
@@ -97,16 +94,4 @@ fn smoke_csv_columns_are_pinned() {
     assert_eq!(header.split(',').collect::<Vec<_>>(), want);
     let empty = series(&[], true).into_iter().map(|s| s.name);
     assert_eq!(empty.collect::<Vec<_>>(), want[1..]);
-}
-
-#[test]
-fn faults_smoke_is_shard_count_invariant_and_matches_golden() {
-    let golden = include_str!("golden/faults_small_serial.csv");
-    for shards in [1, 2, 4] {
-        assert_eq!(
-            smoke_csv(1, shards),
-            golden,
-            "smoke sweep at --shards {shards} no longer reproduces the committed golden CSV"
-        );
-    }
 }

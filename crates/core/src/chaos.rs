@@ -58,8 +58,8 @@ pub struct ChaosConfig {
     /// Assert `check_running` after every fault event (panics on
     /// violation when enabled).
     pub check_mid_run: bool,
-    /// Engine shards (see [`InternetConfig::shards`]): the outcome is
-    /// byte-identical at every count, `0` and `1` being the same run.
+    // Read by nothing: exists only for `benchmark/` (read-only) and goes with its `masc_shard`.
+    #[doc(hidden)]
     pub shards: usize,
 }
 
@@ -285,7 +285,6 @@ pub fn run_schedule(cfg: &ChaosConfig, plan: &ChaosSchedule) -> ChaosOutcome {
         addressing: Addressing::Static,
         sessions: Some(chaos_session_timers()),
         seed: cfg.seed,
-        shards: cfg.shards,
         ..Default::default()
     };
     let mut net = Internet::build(graph, &icfg);

@@ -80,11 +80,6 @@ pub struct InternetConfig {
     pub sessions: Option<SessionTimers>,
     /// RNG seed.
     pub seed: u64,
-    /// Number of engine shards; `0` (the default) and `1` both run
-    /// one shard inline. Outputs are byte-identical at every count —
-    /// more shards only spread the work over threads. Domains are
-    /// assigned to shards in contiguous index bands.
-    pub shards: usize,
 }
 
 impl Default for InternetConfig {
@@ -98,14 +93,13 @@ impl Default for InternetConfig {
             aggregate_suppress: true,
             sessions: None,
             seed: 1,
-            shards: 0,
         }
     }
 }
 
 /// A running simulated internet.
 pub struct Internet {
-    /// The event engine ([`InternetConfig::shards`] shards).
+    /// The event engine.
     pub engine: Engine<Wire>,
     /// The domain graph it was built from.
     pub graph: DomainGraph,
@@ -171,15 +165,8 @@ impl Internet {
     /// let BGP settle.
     pub fn build(graph: DomainGraph, cfg: &InternetConfig) -> Internet {
         let n = graph.len();
-        let mut engine: Engine<Wire> = Engine::with_shards(
-            cfg.seed,
-            SimDuration::from_millis(cfg.link_latency_ms),
-            cfg.shards,
-        );
-        // Contiguous index bands — deterministic, and hierarchy
-        // builders lay out siblings adjacently so intra-band chatter
-        // mostly stays on-shard.
-        let shard_of = |d: DomainId| d.0 * cfg.shards / n.max(1);
+        let mut engine: Engine<Wire> =
+            Engine::new(cfg.seed, SimDuration::from_millis(cfg.link_latency_ms));
 
         // ---- Router id plan ----------------------------------------
         // Per domain: list of (router id, peer domain(s)).
@@ -297,7 +284,7 @@ impl Internet {
                 actor.masc = Some(node);
             }
 
-            let node = engine.add_node_in(shard_of(d), Box::new(actor));
+            let node = engine.add_node(Box::new(actor));
             nodes.push(node);
         }
 

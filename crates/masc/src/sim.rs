@@ -294,8 +294,7 @@ pub struct HierarchyMetrics {
 
 /// A running two-level MASC hierarchy simulation.
 pub struct HierarchySim {
-    /// The event engine (one shard, or several via
-    /// [`HierarchySim::new_sharded`]).
+    /// The event engine.
     pub engine: Engine<MascWire>,
     /// Node ids of top-level domains (ASN = index + 1).
     pub tops: Vec<NodeId>,
@@ -305,25 +304,13 @@ pub struct HierarchySim {
 }
 
 impl HierarchySim {
-    /// Builds the hierarchy on one shard: ASNs 1..=T are top-level;
+    /// Builds the hierarchy: ASNs 1..=T are top-level;
     /// children of top `t` are `T + (t-1)*C + 1 ..= T + t*C`.
     /// Node id = ASN - 1.
     pub fn new(params: HierarchySimParams) -> Self {
-        Self::new_sharded(params, 1)
-    }
-
-    /// Builds the hierarchy on `shards` engine shards (`0` means 1).
-    /// Each top-level domain and all of its children land on the same
-    /// shard — MASC traffic is overwhelmingly parent↔child and
-    /// sibling↔sibling, so subtree placement keeps almost all chatter
-    /// on-shard. Results are byte-identical at every shard count.
-    pub fn new_sharded(params: HierarchySimParams, shards: usize) -> Self {
         let t = params.top_level;
         let c = params.children_per;
-        let mut engine: Engine<MascWire> =
-            Engine::with_shards(params.seed, SimDuration::from_millis(50), shards);
-        // Subtree → shard: contiguous bands of top-level indices.
-        let shard_of_top = |asn: DomainAsn| (asn as usize - 1) * shards / t.max(1);
+        let mut engine: Engine<MascWire> = Engine::new(params.seed, SimDuration::from_millis(50));
         let top_asns: Vec<DomainAsn> = (1..=t as u32).collect();
         let mut tops = Vec::new();
         let mut children = Vec::new();
@@ -341,10 +328,7 @@ impl HierarchySim {
                 params.seed,
             );
             let bootstrap = vec![(Prefix::MULTICAST, Secs::MAX)];
-            let id = engine.add_node_in(
-                shard_of_top(asn),
-                Box::new(MascActor::new(node, None, bootstrap)),
-            );
+            let id = engine.add_node(Box::new(MascActor::new(node, None, bootstrap)));
             tops.push(id);
         }
         for &asn in &top_asns {
@@ -362,10 +346,11 @@ impl HierarchySim {
                     params.config.clone(),
                     params.seed,
                 );
-                let id = engine.add_node_in(
-                    shard_of_top(asn),
-                    Box::new(MascActor::new(node, Some(params.workload), Vec::new())),
-                );
+                let id = engine.add_node(Box::new(MascActor::new(
+                    node,
+                    Some(params.workload),
+                    Vec::new(),
+                )));
                 children.push(id);
             }
         }
@@ -375,6 +360,12 @@ impl HierarchySim {
             children,
             params,
         }
+    }
+
+    // Inert: exists only for `benchmark/` (read-only) and goes with its `masc_shard`.
+    #[doc(hidden)]
+    pub fn new_sharded(params: HierarchySimParams, _shards: usize) -> Self {
+        Self::new(params)
     }
 
     /// Advances the simulation to the given day.
@@ -452,8 +443,7 @@ impl HierarchySim {
 
     /// Serializes the whole simulation — parameters plus full engine
     /// state — so a later process can [`HierarchySim::resume`] it and
-    /// produce byte-identical results to an uninterrupted run. The
-    /// blob does not depend on the shard count it was taken at.
+    /// produce byte-identical results to an uninterrupted run.
     pub fn checkpoint(&self) -> Result<Vec<u8>, snapshot::SnapError> {
         use snapshot::Snapshot;
         let mut enc = snapshot::Enc::with_header(SNAP_KIND_HIERARCHY);
@@ -466,18 +456,11 @@ impl HierarchySim {
         Ok(enc.finish())
     }
 
-    /// Rebuilds a simulation (on one shard) from
-    /// [`HierarchySim::checkpoint`] bytes: reconstructs the hierarchy
-    /// from the encoded parameters, then restores every actor and the
-    /// engine's clock, queue and RNG streams.
+    /// Rebuilds a simulation from [`HierarchySim::checkpoint`] bytes:
+    /// reconstructs the hierarchy from the encoded parameters, then
+    /// restores every actor and the engine's clock, queue and RNG
+    /// streams.
     pub fn resume(bytes: &[u8]) -> Result<Self, snapshot::SnapError> {
-        Self::resume_sharded(bytes, 1)
-    }
-
-    /// [`HierarchySim::resume`] onto `shards` engine shards; any count
-    /// continues the same byte-deterministic execution, whatever count
-    /// took the checkpoint.
-    pub fn resume_sharded(bytes: &[u8], shards: usize) -> Result<Self, snapshot::SnapError> {
         use snapshot::Snapshot;
         let mut dec = snapshot::Dec::new(bytes);
         dec.header(SNAP_KIND_HIERARCHY)?;
@@ -490,7 +473,7 @@ impl HierarchySim {
         };
         let engine_blob = dec.bytes()?.to_vec();
         dec.finish()?;
-        let mut sim = HierarchySim::new_sharded(params, shards);
+        let mut sim = HierarchySim::new(params);
         sim.engine.resume::<MascActor>(&engine_blob)?;
         Ok(sim)
     }

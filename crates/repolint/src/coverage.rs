@@ -24,8 +24,8 @@
 //!   `dec.header` somewhere in its crate.
 //!
 //! Scope is impl-driven: any crate defining a `Snapshot`/`SnapshotState`
-//! impl is covered, so future crates (`bier`, shard crates) are scanned
-//! the day their first impl lands — no registry to update.
+//! impl is covered, so a future crate is scanned the day its first
+//! impl lands — no registry to update.
 
 use std::collections::{BTreeMap, BTreeSet};
 

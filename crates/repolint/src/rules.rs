@@ -10,7 +10,7 @@
 //! | `wall-clock`    | every crate                             | `Instant::now`, `SystemTime::now` |
 //! | `unordered-iter`| deterministic crates                    | iterating `HashMap`/`HashSet` |
 //! | `ambient-rng`   | every crate                             | `thread_rng`, `rand::random`, `OsRng`, `from_entropy` |
-//! | `raw-spawn`     | all but `bench::par`, `simnet::engine`  | `thread::spawn`, `thread::scope` |
+//! | `raw-spawn`     | all but `bench::par`                    | `thread::spawn`, `thread::scope` |
 //! | `panicky-decode`| wire/message decode modules             | `unwrap`/`expect`/panicking macros/indexing |
 //! | `hot-alloc`     | per-event hot paths (RIB, BGMP table)   | `clone()` of `AsPath`/`Route`/tree entries |
 
@@ -49,10 +49,9 @@ pub const DECODE_PATHS: &[&str] = &[
     "crates/actors/src/wire.rs",
 ];
 
-/// The blessed homes for raw OS threads: the deterministic fork/join
-/// harness, and the engine's scoped per-window shard fan-out (whose
-/// inline fallback is byte-identical).
-pub const SPAWN_OK_PATHS: &[&str] = &["crates/bench/src/par.rs", "crates/simnet/src/engine.rs"];
+/// The one blessed home for raw OS threads: the deterministic
+/// fork/join harness.
+pub const SPAWN_OK_PATHS: &[&str] = &["crates/bench/src/par.rs"];
 
 /// Per-event hot paths with an allocation budget: the BGP decision
 /// process and the BGMP tree table run once per simulated event, and
@@ -621,11 +620,15 @@ mod tests {
     }
 
     #[test]
-    fn raw_spawn_allowed_only_in_bench_par_and_shard() {
+    fn raw_spawn_allowed_only_in_bench_par() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(run("crates/core/src/x.rs", src).len(), 1);
         assert!(run("crates/bench/src/par.rs", src).is_empty());
-        assert!(run("crates/simnet/src/engine.rs", src).is_empty());
+        // The engine is one thread: a scoped fan-out there is flagged.
+        let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
+        let f = run("crates/simnet/src/engine.rs", scoped);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "raw-spawn");
     }
 
     #[test]

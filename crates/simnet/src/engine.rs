@@ -1,62 +1,33 @@
 //! The discrete-event engine tying nodes, links, and the queue together.
 //!
-//! There is one engine. Its nodes live in K ≥ 1 shards, each owning
-//! its nodes, their RNG streams and emit counters, and a bucket-wheel
-//! [`EventQueue`] — the domain-decomposition shape of cellular_raza's
-//! chili backend (a domain deconstructs into subdomains that each own
-//! their cells), applied to the AS graph. K = 1 ([`Engine::new`]) is
-//! one shard run inline on the caller's thread as a plain
-//! pop-and-dispatch loop; K ≥ 2 ([`Engine::with_shards`]) advances the
-//! shards in conservative-lookahead windows. Both produce the same
-//! bytes.
+//! There is one engine, one queue and one thread: every registered
+//! node sits in a slot indexed by its [`NodeId`], every pending event
+//! in one bucket-wheel [`EventQueue`], and a run is a plain
+//! pop-and-dispatch loop on the caller's thread. Parallelism lives a
+//! level up, over independent simulations (`bench::par`), where it
+//! needs no synchronisation at all.
 //!
-//! # The determinism argument
+//! # The determinism contract
 //!
-//! 1. **Keys.** Every event carries a `(time, rank, seq)` key that
-//!    does not depend on the partitioning: rank is the source node's
-//!    id + 1 (0 for external injections), seq the source's private
-//!    emit counter (one engine-wide counter for external injections).
-//!    Queues pop in key order, so the events delivered to any single
-//!    node are the same sequence under every layout.
+//! 1. **Keys.** Every event carries a `(time, rank, seq)` key: rank is
+//!    the source node's id + 1 (0 for external injections), seq the
+//!    source's private emit counter (one engine-wide counter for
+//!    external injections). The queue pops in key order whatever the
+//!    push order was, so same-tick order is a function of *who sent
+//!    what*, never of how the queue happened to be filled.
 //! 2. **RNG.** Each node owns a `StdRng` seeded from
 //!    `seed ^ splitmix64(id)`; fault draws for a send use the sending
 //!    node's stream. No draw order is shared across nodes, so the
 //!    order in which *different* nodes run cannot leak into results.
-//! 3. **Windows (K ≥ 2 only).** Let `L = min link latency (≥ 1 ms)`.
-//!    A window anchors at the global earliest pending event time `W`
-//!    and spans `[W, W + L)`. Any message sent while handling an event
-//!    at time `t` in the window arrives at `t + latency ≥ W + L` —
-//!    beyond the window — whether its recipient is local (it lands in
-//!    the shard queue but is not popped this window) or remote (it
-//!    lands in the outbox and merges at the barrier). So event
-//!    handling inside a window depends only on state established
-//!    before the window, which every shard has in full for the nodes
-//!    and links it owns.
 //!
-//! One shard needs no lookahead: its single queue already holds every
-//! pending event, so popping in key order *is* the global order, and
+//! Popping the single queue in key order *is* the global order, so
 //! zero-latency links (a send that lands in the tick being drained)
-//! are legal there. With every latency ≥ 1 ms, 1 shard and K shards
-//! deliver the same per-node event sequences, make the same per-node
-//! draws, and sum to the same counters — byte-identical outputs,
-//! fingerprints, and checkpoints at any shard count.
-//!
-//! # Shard 0 is the master copy
-//!
-//! Configuration between runs ([`Engine::links_mut`],
-//! [`Engine::faults_mut`]) lands on shard 0's link table and fault
-//! plane. A run pushes them to the other shards on entry and folds the
-//! other shards' link transitions, crashed-node sets and counters back
-//! into shard 0 on exit, so between runs shard 0 holds the merged
-//! view. With one shard both steps have nothing to do.
-//!
-//! # Threads
-//!
-//! Shards with work in the current window run on scoped threads when
-//! the host has more than one core (and at least two shards are
-//! active); otherwise the window executes serially on the caller.
-//! Both paths produce identical bytes — threading here is purely a
-//! wall-clock lever, exactly like `bench::par`'s task fan-out.
+//! are legal. Neither rule mentions how nodes are laid out in memory:
+//! an engine that spread them over several queues would, on the same
+//! keys and streams, deliver the same per-node event sequences. One
+//! was built (conservative-lookahead windows) and removed because it
+//! never measured above 1×; DESIGN.md §13 has the numbers and what
+//! bringing it back would take.
 
 use std::any::Any;
 
@@ -116,36 +87,6 @@ pub struct EngineStats {
     pub events: u64,
 }
 
-impl std::ops::AddAssign for EngineStats {
-    fn add_assign(&mut self, o: Self) {
-        self.delivered += o.delivered;
-        self.dropped += o.dropped;
-        self.timers += o.timers;
-        self.events += o.events;
-    }
-}
-
-/// Work/span accounting of the window loop that runs K ≥ 2 shards:
-/// counts of the schedule itself, the same on any host.
-/// `events_sum / events_max_sum` is an upper bound on the speedup any
-/// execution of those windows can reach over one shard, however many
-/// cores it has: a window cannot end before its busiest shard has.
-/// All zero on one shard. Diagnostic only — not part of
-/// [`EngineStats`], not snapshotted, reset by nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Lookahead windows run.
-    pub windows: u64,
-    /// Windows in which at least two shards had an event due.
-    pub both_active: u64,
-    /// Events run inside windows, over all shards (the work).
-    pub events_sum: u64,
-    /// Each window's busiest shard's events, summed (the span).
-    pub events_max_sum: u64,
-    /// Events handed to another shard at a window's end.
-    pub mail: u64,
-}
-
 /// splitmix64 finalizer — the same per-stream seed derivation the
 /// bench harness uses for task seeds, here keyed by node id.
 fn splitmix64(mut x: u64) -> u64 {
@@ -153,16 +94,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// The shard that counts a link event and logs it for the master
-/// table: the owner of its first *registered* endpoint (shard 0 when
-/// neither is), so replicated copies count once under any layout.
-fn primary_shard(owner: &[u32], a: NodeId, b: NodeId) -> usize {
-    owner
-        .get(a.0)
-        .or_else(|| owner.get(b.0))
-        .map_or(0, |&s| s as usize)
 }
 
 /// The node a message or timer event is delivered to.
@@ -185,8 +116,8 @@ fn trace_line<M>(ev: &Event<M>) -> String {
     }
 }
 
-/// A registered node with the two pieces of per-node engine state that
-/// make its behaviour independent of the shard layout.
+/// A registered node with the two pieces of per-node engine state the
+/// determinism contract rests on.
 struct Slot<M> {
     /// `None` only while the node is handling an event.
     node: Option<Box<dyn Node<M> + Send>>,
@@ -194,234 +125,6 @@ struct Slot<M> {
     rng: StdRng,
     /// The node's emit counter: the `seq` of the next event it emits.
     emit: u64,
-}
-
-/// Where a shard sits in the engine: handed to every shard call so a
-/// shard can resolve node ids without owning the tables.
-#[derive(Clone, Copy)]
-struct Place<'a> {
-    /// Node id → owning shard; empty when there is only one shard
-    /// (nothing is remote and no link event is a replica).
-    owner: &'a [u32],
-    /// Node id → index within its shard's `slots`.
-    local: &'a [u32],
-    /// This shard's index.
-    me: u32,
-}
-
-impl Place<'_> {
-    /// Index of `id`'s slot within its shard (out of range for an id
-    /// that was never registered).
-    fn slot_of(&self, id: NodeId) -> usize {
-        self.local.get(id.0).map_or(usize::MAX, |&li| li as usize)
-    }
-}
-
-/// One shard: the nodes it owns and their queue, plus a link table and
-/// fault plane (shard 0's are the engine's master copies; the others
-/// are working copies — see the module docs).
-struct Shard<M> {
-    slots: Vec<Slot<M>>,
-    queue: EventQueue<M>,
-    links: LinkTable,
-    /// Configuration mirrors shard 0; the down set and counters are
-    /// authoritative for owned nodes.
-    faults: FaultPlane<M>,
-    /// This shard's share of the engine counters.
-    stats: EngineStats,
-    /// Time of the last event this shard dispatched.
-    now: SimTime,
-    /// Cross-shard sends of the current window, `(t, rank, seq, ev)`.
-    outbox: Vec<(u64, u64, u64, Event<M>)>,
-    /// Link transitions whose primary copy ran here (never on shard
-    /// 0, which applies them to the master table directly), for
-    /// replay onto the master table after the run.
-    link_log: Vec<(NodeId, NodeId, bool)>,
-    /// Dispatch-level event trace; `None` (the default) costs nothing.
-    trace: Option<Trace>,
-}
-
-impl<M: 'static> Shard<M> {
-    fn new(default_latency: SimDuration) -> Self {
-        Shard {
-            slots: Vec::new(),
-            queue: EventQueue::new(),
-            links: LinkTable::new(default_latency),
-            faults: FaultPlane::new(),
-            stats: EngineStats::default(),
-            now: SimTime::ZERO,
-            outbox: Vec::new(),
-            link_log: Vec::new(),
-            trace: None,
-        }
-    }
-
-    /// Runs every pending event with `time <= until`.
-    ///
-    /// Fast path: `pop_le` locates and removes the next due event in
-    /// one queue operation, so same-timestamp batches drain without a
-    /// peek-then-pop double scan per event. `more_at` keeps the sparse
-    /// case — one event per (timestamp, node), the bulk of timer-driven
-    /// load — on the plain path: batching only engages when another
-    /// same-tick event is actually pending, and consecutive same-tick
-    /// events for one node are delivered in a single node borrow
-    /// ([`Shard::dispatch_node_batch`]).
-    fn run(&mut self, p: Place<'_>, until: SimTime) {
-        while let Some((at, event)) = self.queue.pop_le(until) {
-            match event {
-                ev @ (Event::Message { .. } | Event::Timer { .. }) if self.queue.more_at(at) => {
-                    self.dispatch_node_batch(p, at, ev)
-                }
-                other => self.dispatch(p, at, other),
-            }
-        }
-    }
-
-    /// Dispatches one popped event.
-    fn dispatch(&mut self, p: Place<'_>, at: SimTime, event: Event<M>) {
-        debug_assert!(at >= self.now);
-        self.now = at;
-        if let Some(trace) = &mut self.trace {
-            trace.push(at, trace_line(&event));
-        }
-        match event {
-            Event::Message { from, to, msg } => {
-                self.stats.events += 1;
-                if self.faults.is_down(to) {
-                    self.faults.stats.dropped_at_down_node += 1;
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.with_node(p, at, to, |node, ctx| node.on_message(ctx, from, msg));
-            }
-            Event::Timer { node, key } => {
-                self.stats.events += 1;
-                if self.faults.is_down(node) {
-                    self.faults.stats.timers_suppressed += 1;
-                    return;
-                }
-                self.stats.timers += 1;
-                self.with_node(p, at, node, |n, ctx| n.on_timer(ctx, key));
-            }
-            Event::LinkDown(a, b) => {
-                self.count_link_event(p, a, b, false);
-                self.links.set_down(a, b);
-            }
-            Event::LinkUp(a, b) => {
-                self.count_link_event(p, a, b, true);
-                self.links.set_up(a, b);
-            }
-            Event::NodeDown(n) => {
-                self.stats.events += 1;
-                self.faults.mark_down(n);
-            }
-            Event::NodeUp(n) => {
-                self.stats.events += 1;
-                if self.faults.mark_up(n) {
-                    self.with_node(p, at, n, |node, ctx| node.on_restart(ctx));
-                }
-            }
-        }
-    }
-
-    /// A link event is replicated to both endpoint owners; only its
-    /// primary copy counts, and logs the transition for the master
-    /// table unless it ran on the master itself.
-    fn count_link_event(&mut self, p: Place<'_>, a: NodeId, b: NodeId, up: bool) {
-        if !p.owner.is_empty() && primary_shard(p.owner, a, b) != p.me as usize {
-            return;
-        }
-        self.stats.events += 1;
-        if p.me != 0 {
-            self.link_log.push((a, b, up));
-        }
-    }
-
-    fn with_node(
-        &mut self,
-        p: Place<'_>,
-        at: SimTime,
-        id: NodeId,
-        f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>),
-    ) {
-        let Some(slot) = self.slots.get_mut(p.slot_of(id)) else {
-            return; // addressed to a node that was never registered
-        };
-        let Some(mut node) = slot.node.take() else {
-            return; // re-entrant dispatch cannot happen; treat as gone
-        };
-        let mut ctx = Ctx {
-            id,
-            now: at,
-            queue: &mut self.queue,
-            links: &self.links,
-            rng: &mut slot.rng,
-            emit: &mut slot.emit,
-            faults: &mut self.faults,
-            dropped: &mut self.stats.dropped,
-            owner: p.owner,
-            shard: p.me,
-            outbox: &mut self.outbox,
-        };
-        f(node.as_mut(), &mut ctx);
-        slot.node = Some(node);
-    }
-
-    /// Dispatches `first` to its target node, then drains the
-    /// contiguous run of same-timestamp events for that same node
-    /// without returning the node to its slot in between (one
-    /// take/put-back per batch instead of per event). Pop order —
-    /// and so every observable outcome — is identical to dispatching
-    /// one event at a time: only the queue's head is ever taken (see
-    /// [`EventQueue::pop_if_for`]). A handler cannot crash or restart
-    /// a node (only scheduled events do, and those end the batch), so
-    /// the down check holds for the whole batch.
-    fn dispatch_node_batch(&mut self, p: Place<'_>, at: SimTime, first: Event<M>) {
-        let id = target(&first);
-        let Some(slot) = self.slots.get_mut(p.slot_of(id)) else {
-            return self.dispatch(p, at, first);
-        };
-        debug_assert!(at >= self.now);
-        self.now = at;
-        let mut node = slot.node.take();
-        let down = self.faults.is_down(id);
-        let mut next = Some(first);
-        while let Some(ev) = next {
-            self.stats.events += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.push(at, trace_line(&ev));
-            }
-            let is_msg = matches!(ev, Event::Message { .. });
-            match (is_msg, down) {
-                (true, true) => self.faults.stats.dropped_at_down_node += 1,
-                (false, true) => self.faults.stats.timers_suppressed += 1,
-                (true, false) => self.stats.delivered += 1,
-                (false, false) => self.stats.timers += 1,
-            }
-            if let (false, Some(n)) = (down, node.as_mut()) {
-                let mut ctx = Ctx {
-                    id,
-                    now: at,
-                    queue: &mut self.queue,
-                    links: &self.links,
-                    rng: &mut slot.rng,
-                    emit: &mut slot.emit,
-                    faults: &mut self.faults,
-                    dropped: &mut self.stats.dropped,
-                    owner: p.owner,
-                    shard: p.me,
-                    outbox: &mut self.outbox,
-                };
-                match ev {
-                    Event::Message { from, msg, .. } => n.on_message(&mut ctx, from, msg),
-                    Event::Timer { key, .. } => n.on_timer(&mut ctx, key),
-                    _ => unreachable!("batch dispatch is only for node-delivered events"),
-                }
-            }
-            next = self.queue.pop_if_for(at, id);
-        }
-        slot.node = node;
-    }
 }
 
 /// A deterministic discrete-event simulator over message type `M`.
@@ -432,74 +135,57 @@ impl<M: 'static> Shard<M> {
 /// [`Engine::run_until_idle`]. See the module docs for the execution
 /// and determinism model.
 pub struct Engine<M> {
-    shards: Vec<Shard<M>>,
-    /// Node id → owning shard.
-    owner: Vec<u32>,
-    /// Node id → index within its shard.
-    local: Vec<u32>,
+    /// Registered nodes, indexed by [`NodeId`].
+    slots: Vec<Slot<M>>,
+    queue: EventQueue<M>,
+    links: LinkTable,
+    faults: FaultPlane<M>,
+    stats: EngineStats,
+    /// Time of the last event dispatched, or the end of the last
+    /// [`Engine::run_until`] slice if that is later.
     now: SimTime,
     seed: u64,
     /// Sequence counter for externally injected events (rank 0).
     ext_seq: u64,
     started: bool,
-    /// See [`WindowStats`]; kept out of checkpoints.
-    windows: WindowStats,
+    /// Dispatch-level event trace; `None` (the default) costs nothing.
+    trace: Option<Trace>,
 }
 
 impl<M: Send + 'static> Engine<M> {
-    /// Creates a one-shard engine with the given RNG seed and default
-    /// link latency for unconfigured links.
+    /// Creates an engine with the given RNG seed and default link
+    /// latency for unconfigured links.
     pub fn new(seed: u64, default_latency: SimDuration) -> Self {
-        Self::with_shards(seed, default_latency, 1)
-    }
-
-    /// Creates an engine with `shards` shards; `0` means 1. Results
-    /// do not depend on the count (every link latency must be ≥ 1 ms
-    /// when it is 2 or more).
-    pub fn with_shards(seed: u64, default_latency: SimDuration, shards: usize) -> Self {
         Engine {
-            shards: (0..shards.max(1))
-                .map(|_| Shard::new(default_latency))
-                .collect(),
-            owner: Vec::new(),
-            local: Vec::new(),
+            slots: Vec::new(),
+            queue: EventQueue::new(),
+            links: LinkTable::new(default_latency),
+            faults: FaultPlane::new(),
+            stats: EngineStats::default(),
             now: SimTime::ZERO,
             seed,
             ext_seq: 0,
             started: false,
-            windows: WindowStats::default(),
+            trace: None,
         }
     }
 
     /// Enables the dispatch-level event trace, retaining the last
     /// `cap` lines. Tracing only changes what is recorded, never the
     /// schedule, so enabling it cannot perturb a deterministic run.
-    /// **One shard only** — several shards have no single dispatch
-    /// order to record, so this is a no-op there.
     pub fn enable_trace(&mut self, cap: usize) {
-        if let [only] = &mut self.shards[..] {
-            only.trace = Some(Trace::new(cap));
-        }
+        self.trace = Some(Trace::new(cap));
     }
 
     /// The dispatch trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.shards[0].trace.as_ref()
+        self.trace.as_ref()
     }
 
-    /// Registers a node (on shard 0), returning its id.
+    /// Registers a node, returning its (sequential) id.
     pub fn add_node(&mut self, node: Box<dyn Node<M> + Send>) -> NodeId {
-        self.add_node_in(0, node)
-    }
-
-    /// Registers a node on `shard` (clamped to the shard count),
-    /// returning its globally sequential id.
-    pub fn add_node_in(&mut self, shard: usize, node: Box<dyn Node<M> + Send>) -> NodeId {
-        let id = self.owner.len();
-        let s = shard.min(self.shards.len() - 1);
-        self.owner.push(s as u32);
-        self.local.push(self.shards[s].slots.len() as u32);
-        self.shards[s].slots.push(Slot {
+        let id = self.slots.len();
+        self.slots.push(Slot {
             node: Some(node),
             rng: StdRng::seed_from_u64(self.seed ^ splitmix64(id as u64)),
             emit: 0,
@@ -509,47 +195,39 @@ impl<M: Send + 'static> Engine<M> {
 
     /// Number of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.owner.len()
-    }
-
-    fn slot(&self, id: NodeId) -> Option<&Slot<M>> {
-        let s = *self.owner.get(id.0)? as usize;
-        self.shards[s].slots.get(self.local[id.0] as usize)
+        self.slots.len()
     }
 
     /// Immutable access to a node downcast to its concrete type.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        let node = self.slot(id)?.node.as_deref()?;
+        let node = self.slots.get(id.0)?.node.as_deref()?;
         (node as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutable access to a node downcast to its concrete type.
     pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let s = *self.owner.get(id.0)? as usize;
-        let slot = self.shards[s].slots.get_mut(self.local[id.0] as usize)?;
-        (slot.node.as_deref_mut()? as &mut dyn Any).downcast_mut::<T>()
+        let node = self.slots.get_mut(id.0)?.node.as_deref_mut()?;
+        (node as &mut dyn Any).downcast_mut::<T>()
     }
 
-    /// The link table, for configuration (valid between runs).
+    /// The link table, for configuration.
     pub fn links_mut(&mut self) -> &mut LinkTable {
-        &mut self.shards[0].links
+        &mut self.links
     }
 
-    /// The link table, read-only (the merged view between runs).
+    /// The link table, read-only.
     pub fn links(&self) -> &LinkTable {
-        &self.shards[0].links
+        &self.links
     }
 
-    /// The fault-injection plane, for configuration (valid between
-    /// runs).
+    /// The fault-injection plane, for configuration.
     pub fn faults_mut(&mut self) -> &mut FaultPlane<M> {
-        &mut self.shards[0].faults
+        &mut self.faults
     }
 
-    /// The fault-injection plane, read-only (the merged view between
-    /// runs).
+    /// The fault-injection plane, read-only.
     pub fn faults(&self) -> &FaultPlane<M> {
-        &self.shards[0].faults
+        &self.faults
     }
 
     /// Current simulated time.
@@ -557,40 +235,14 @@ impl<M: Send + 'static> Engine<M> {
         self.now
     }
 
-    /// Counters (valid between runs).
+    /// Counters.
     pub fn stats(&self) -> EngineStats {
-        self.shards[0].stats
+        self.stats
     }
 
     /// Pending event count (diagnostics).
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Puts a keyed event into the queue of the shard that owns its
-    /// target (shard 0 for ids that were never registered). A link
-    /// event goes to the owners of both endpoints under one shared key.
-    fn enqueue(&mut self, at: SimTime, rank: u64, seq: u64, ev: Event<M>) {
-        let shard_of = |n: &NodeId| self.owner.get(n.0).map(|&s| s as usize);
-        let dst = match &ev {
-            Event::Message { to: n, .. }
-            | Event::Timer { node: n, .. }
-            | Event::NodeDown(n)
-            | Event::NodeUp(n) => shard_of(n).unwrap_or(0),
-            Event::LinkDown(a, b) | Event::LinkUp(a, b) => {
-                let primary = primary_shard(&self.owner, *a, *b);
-                if let Some(other) = shard_of(b).filter(|&s| s != primary) {
-                    let replica = if matches!(ev, Event::LinkDown(..)) {
-                        Event::LinkDown(*a, *b)
-                    } else {
-                        Event::LinkUp(*a, *b)
-                    };
-                    self.shards[other].queue.push(at, rank, seq, replica);
-                }
-                primary
-            }
-        };
-        self.shards[dst].queue.push(at, rank, seq, ev);
+        self.queue.len()
     }
 
     /// Enqueues an external injection: rank 0, engine-wide sequence.
@@ -598,7 +250,7 @@ impl<M: Send + 'static> Engine<M> {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.ext_seq;
         self.ext_seq += 1;
-        self.enqueue(at, 0, seq, ev);
+        self.queue.push(at, 0, seq, ev);
     }
 
     /// Injects a message from [`NodeId::EXTERNAL`] to `to` at absolute
@@ -660,16 +312,6 @@ impl<M: Send + 'static> Engine<M> {
         Ok(())
     }
 
-    /// This shard's [`Place`]. A free-standing borrow of the two
-    /// tables so a shard can be borrowed mutably alongside it.
-    fn place<'a>(owner: &'a [u32], local: &'a [u32], shards: usize, me: usize) -> Place<'a> {
-        Place {
-            owner: if shards > 1 { owner } else { &[] },
-            local,
-            me: me as u32,
-        }
-    }
-
     /// Calls every node's `on_start` in id order (idempotent; also
     /// invoked by the first run).
     pub fn start(&mut self) {
@@ -677,167 +319,31 @@ impl<M: Send + 'static> Engine<M> {
             return;
         }
         self.started = true;
-        self.sync_config();
-        let k = self.shards.len();
-        for id in 0..self.owner.len() {
-            let s = self.owner[id] as usize;
-            let p = Self::place(&self.owner, &self.local, k, s);
-            self.shards[s].with_node(p, self.now, NodeId(id), |n, ctx| n.on_start(ctx));
+        for id in 0..self.slots.len() {
+            self.with_node(self.now, NodeId(id), |n, ctx| n.on_start(ctx));
         }
-        // Startup runs outside any window, so cross-shard sends from
-        // `on_start` must reach their owners now — leaving them for
-        // the first window's barrier would both defer them past their
-        // due time and trip the lookahead check (they can land
-        // *inside* the first window, which anchors at the global
-        // minimum event time).
-        self.deliver_mail(None);
-        self.merge();
-    }
-
-    /// Starts the engine, or — once started — pushes configuration
-    /// applied since the last run down to the shards.
-    fn enter_run(&mut self) {
-        if self.started {
-            self.sync_config();
-        } else {
-            self.start();
-        }
-    }
-
-    /// Copies the master link table and fault configuration into every
-    /// other shard.
-    fn sync_config(&mut self) {
-        let (master, rest) = self.shards.split_first_mut().expect("at least one shard");
-        for sh in rest {
-            sh.links = master.links.clone();
-            sh.faults.copy_config_from(&master.faults);
-        }
-    }
-
-    /// Folds the other shards' state back into shard 0: link
-    /// transitions replay onto the master table, the down set becomes
-    /// the union of what each shard holds for its own nodes, counters
-    /// move over (leaving zeros behind, so sums stay right).
-    fn merge(&mut self) {
-        let (master, rest) = self.shards.split_first_mut().expect("at least one shard");
-        if rest.is_empty() {
-            return;
-        }
-        let owner = &self.owner;
-        master
-            .faults
-            .down
-            .retain(|n| owner.get(n.0).is_none_or(|&s| s == 0));
-        for sh in rest {
-            for (a, b, up) in sh.link_log.drain(..) {
-                if up {
-                    master.links.set_up(a, b);
-                } else {
-                    master.links.set_down(a, b);
-                }
-            }
-            master.faults.down.extend(sh.faults.down.iter().copied());
-            master.faults.stats += std::mem::take(&mut sh.faults.stats);
-            master.stats += std::mem::take(&mut sh.stats);
-        }
-    }
-
-    /// Drains every shard's outbox into the destination queues.
-    /// `window_end` is the inclusive end of the window the mail was
-    /// produced in (`None` at startup); conservative lookahead
-    /// guarantees in-window executions never produce mail due inside
-    /// the window. Keys decide the order, so delivery order is free.
-    fn deliver_mail(&mut self, window_end: Option<SimTime>) {
-        for src in 0..self.shards.len() {
-            let mut mail = std::mem::take(&mut self.shards[src].outbox);
-            for (t, rank, seq, ev) in mail.drain(..) {
-                debug_assert!(
-                    window_end.is_none_or(|end| t > end.0),
-                    "lookahead violation: cross-shard arrival inside window"
-                );
-                let dst = self.owner[target(&ev).0] as usize;
-                self.shards[dst].queue.push(SimTime(t), rank, seq, ev);
-            }
-            self.shards[src].outbox = mail;
-        }
-    }
-
-    /// Events dispatched so far, summed over shards.
-    fn events_run(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats.events).sum()
-    }
-
-    /// Runs lookahead-bounded barrier windows until nothing is due at
-    /// or before `until`, or `budget` events have run (checked between
-    /// windows). Between windows the next anchor jumps straight to the
-    /// global earliest pending event, so idle stretches (night-time in
-    /// a MASC run) cost zero barriers.
-    fn run_windows(&mut self, until: SimTime, budget: u64) {
-        // No message can arrive sooner than this after its send. A
-        // zero-latency link would make windows empty, so it is
-        // rejected outright.
-        let la = self.shards[0].links.min_latency().as_millis();
-        assert!(
-            la >= 1,
-            "more than one shard requires every link latency >= 1 ms (lookahead bound)"
-        );
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let k = self.shards.len();
-        let before = self.events_run();
-        // Per shard, the events it had run when the last window ended.
-        let mut ran: Vec<u64> = self.shards.iter().map(|s| s.stats.events).collect();
-        while let Some(w) = self.shards.iter().filter_map(|s| s.queue.peek_time()).min() {
-            if w > until || self.events_run() - before >= budget {
-                break;
-            }
-            // Inclusive window end: [W, W + L) ∩ [0, until].
-            let end = SimTime(w.0.saturating_add(la - 1).min(until.0));
-            let (owner, local) = (&self.owner[..], &self.local[..]);
-            let active = self
-                .shards
-                .iter()
-                .filter(|s| s.queue.peek_time().is_some_and(|t| t <= end))
-                .count();
-            if active >= 2 && cores > 1 {
-                std::thread::scope(|sc| {
-                    for (i, sh) in self.shards.iter_mut().enumerate() {
-                        sc.spawn(move || sh.run(Self::place(owner, local, k, i), end));
-                    }
-                });
-            } else {
-                for (i, sh) in self.shards.iter_mut().enumerate() {
-                    sh.run(Self::place(owner, local, k, i), end);
-                }
-            }
-            let mut busiest = 0;
-            for (sh, ran) in self.shards.iter().zip(&mut ran) {
-                let here = sh.stats.events - std::mem::replace(ran, sh.stats.events);
-                self.windows.events_sum += here;
-                busiest = busiest.max(here);
-                self.windows.mail += sh.outbox.len() as u64;
-            }
-            self.windows.events_max_sum += busiest;
-            self.windows.windows += 1;
-            self.windows.both_active += u64::from(active >= 2);
-            self.deliver_mail(Some(end));
-        }
-    }
-
-    /// Work/span counts of every window run so far (all zero on one
-    /// shard).
-    pub fn window_stats(&self) -> WindowStats {
-        self.windows
     }
 
     /// Runs all events scheduled up to and including `until`, then
     /// advances the clock to `until`.
+    ///
+    /// Fast path: `pop_le` locates and removes the next due event in
+    /// one queue operation, so same-timestamp batches drain without a
+    /// peek-then-pop double scan per event. `more_at` keeps the sparse
+    /// case — one event per (timestamp, node), the bulk of timer-driven
+    /// load — on the plain path: batching only engages when another
+    /// same-tick event is actually pending, and consecutive same-tick
+    /// events for one node are delivered in a single node borrow
+    /// ([`Engine::dispatch_node_batch`]).
     pub fn run_until(&mut self, until: SimTime) {
-        self.enter_run();
-        if let [only] = &mut self.shards[..] {
-            only.run(Self::place(&self.owner, &self.local, 1, 0), until);
-        } else {
-            self.run_windows(until, u64::MAX);
-            self.merge();
+        self.start();
+        while let Some((at, event)) = self.queue.pop_le(until) {
+            match event {
+                ev @ (Event::Message { .. } | Event::Timer { .. }) if self.queue.more_at(at) => {
+                    self.dispatch_node_batch(at, ev)
+                }
+                other => self.dispatch(at, other),
+            }
         }
         self.now = self.now.max(until);
     }
@@ -845,40 +351,142 @@ impl<M: Send + 'static> Engine<M> {
     /// Runs until no events remain or `max_events` have been processed
     /// (a guard against livelocked protocols), leaving the clock at
     /// the last event run. Returns the number of events processed.
-    /// With one shard the cap is exact and events run one at a time
-    /// (`run_until_idle(1)` is a single step); with several it is
-    /// checked between windows.
+    /// The cap is exact and events run one at a time
+    /// (`run_until_idle(1)` is a single step).
     pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
-        self.enter_run();
-        let before = self.events_run();
-        if let [only] = &mut self.shards[..] {
-            let p = Self::place(&self.owner, &self.local, 1, 0);
-            while only.stats.events - before < max_events {
-                let Some((at, ev)) = only.queue.pop() else {
-                    break;
-                };
-                only.dispatch(p, at, ev);
-            }
-        } else {
-            self.run_windows(SimTime(u64::MAX), max_events);
+        self.start();
+        let before = self.stats.events;
+        while self.stats.events - before < max_events {
+            let Some((at, ev)) = self.queue.pop() else {
+                break;
+            };
+            self.dispatch(at, ev);
         }
-        let ran = self.events_run() - before;
-        let last = self.shards.iter().map(|s| s.now).max();
-        self.now = self.now.max(last.expect("at least one shard"));
-        self.merge();
-        ran
+        self.stats.events - before
+    }
+
+    /// Dispatches one popped event.
+    fn dispatch(&mut self, at: SimTime, event: Event<M>) {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.stats.events += 1;
+        if let Some(trace) = &mut self.trace {
+            trace.push(at, trace_line(&event));
+        }
+        match event {
+            Event::Message { from, to, msg } => {
+                if self.faults.is_down(to) {
+                    self.faults.stats.dropped_at_down_node += 1;
+                    return;
+                }
+                self.stats.delivered += 1;
+                self.with_node(at, to, |node, ctx| node.on_message(ctx, from, msg));
+            }
+            Event::Timer { node, key } => {
+                if self.faults.is_down(node) {
+                    self.faults.stats.timers_suppressed += 1;
+                    return;
+                }
+                self.stats.timers += 1;
+                self.with_node(at, node, |n, ctx| n.on_timer(ctx, key));
+            }
+            Event::LinkDown(a, b) => self.links.set_down(a, b),
+            Event::LinkUp(a, b) => self.links.set_up(a, b),
+            Event::NodeDown(n) => self.faults.mark_down(n),
+            Event::NodeUp(n) => {
+                if self.faults.mark_up(n) {
+                    self.with_node(at, n, |node, ctx| node.on_restart(ctx));
+                }
+            }
+        }
+    }
+
+    fn with_node(
+        &mut self,
+        at: SimTime,
+        id: NodeId,
+        f: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>),
+    ) {
+        let Some(slot) = self.slots.get_mut(id.0) else {
+            return; // addressed to a node that was never registered
+        };
+        let Some(mut node) = slot.node.take() else {
+            return; // re-entrant dispatch cannot happen; treat as gone
+        };
+        let mut ctx = Ctx {
+            id,
+            now: at,
+            queue: &mut self.queue,
+            links: &self.links,
+            rng: &mut slot.rng,
+            emit: &mut slot.emit,
+            faults: &mut self.faults,
+            dropped: &mut self.stats.dropped,
+        };
+        f(node.as_mut(), &mut ctx);
+        slot.node = Some(node);
+    }
+
+    /// Dispatches `first` to its target node, then drains the
+    /// contiguous run of same-timestamp events for that same node
+    /// without returning the node to its slot in between (one
+    /// take/put-back per batch instead of per event). Pop order —
+    /// and so every observable outcome — is identical to dispatching
+    /// one event at a time: only the queue's head is ever taken (see
+    /// [`EventQueue::pop_if_for`]). A handler cannot crash or restart
+    /// a node (only scheduled events do, and those end the batch), so
+    /// the down check holds for the whole batch.
+    fn dispatch_node_batch(&mut self, at: SimTime, first: Event<M>) {
+        let id = target(&first);
+        let Some(slot) = self.slots.get_mut(id.0) else {
+            return self.dispatch(at, first);
+        };
+        debug_assert!(at >= self.now);
+        self.now = at;
+        let mut node = slot.node.take();
+        let down = self.faults.is_down(id);
+        let mut next = Some(first);
+        while let Some(ev) = next {
+            self.stats.events += 1;
+            if let Some(trace) = &mut self.trace {
+                trace.push(at, trace_line(&ev));
+            }
+            let is_msg = matches!(ev, Event::Message { .. });
+            match (is_msg, down) {
+                (true, true) => self.faults.stats.dropped_at_down_node += 1,
+                (false, true) => self.faults.stats.timers_suppressed += 1,
+                (true, false) => self.stats.delivered += 1,
+                (false, false) => self.stats.timers += 1,
+            }
+            if let (false, Some(n)) = (down, node.as_mut()) {
+                let mut ctx = Ctx {
+                    id,
+                    now: at,
+                    queue: &mut self.queue,
+                    links: &self.links,
+                    rng: &mut slot.rng,
+                    emit: &mut slot.emit,
+                    faults: &mut self.faults,
+                    dropped: &mut self.stats.dropped,
+                };
+                match ev {
+                    Event::Message { from, msg, .. } => n.on_message(&mut ctx, from, msg),
+                    Event::Timer { key, .. } => n.on_timer(&mut ctx, key),
+                    _ => unreachable!("batch dispatch is only for node-delivered events"),
+                }
+            }
+            next = self.queue.pop_if_for(at, id);
+        }
+        slot.node = node;
     }
 }
 
 impl<M: Snapshot + Send + 'static> Engine<M> {
-    /// Captures the engine's complete dynamic state as one
-    /// **shard-count-invariant** blob: clock, counters, link table,
-    /// fault plane and trace, then per-node state (RNG stream, emit
-    /// counter, node state) in id order, then all pending events with
-    /// their keys in key order (replicated link events deduplicated to
-    /// their primary copy). Checkpointing the same simulation at any
-    /// shard count yields byte-identical blobs, and a blob restores
-    /// onto an engine built with any shard count.
+    /// Captures the engine's complete dynamic state as one node-major
+    /// blob: clock, counters, link table, fault plane and trace, then
+    /// per-node state (RNG stream, emit counter, node state) in id
+    /// order, then all pending events with their keys in key order.
+    /// Nothing in it depends on how the queue is laid out in memory.
     ///
     /// `N` is the concrete node type (the engine stores `dyn Node<M>`,
     /// so capture requires a homogeneous node population, which every
@@ -889,18 +497,16 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
     /// the resumed engine produces byte-identical state, stats, and
     /// fault counters to the uninterrupted run.
     pub fn checkpoint<N: Node<M> + SnapshotState>(&self) -> Result<Vec<u8>, SnapError> {
-        let master = &self.shards[0];
         let mut enc = snapshot::Enc::with_header(SNAP_KIND_ENGINE);
         enc.u64(self.now.0);
         enc.u64(self.ext_seq);
         enc.bool(self.started);
-        master.stats.encode(&mut enc);
-        master.links.encode(&mut enc);
-        master.faults.encode_state(&mut enc);
-        master.trace.encode(&mut enc);
-        enc.seq(self.owner.len());
-        for id in 0..self.owner.len() {
-            let slot = self.slot(NodeId(id)).expect("registered node");
+        self.stats.encode(&mut enc);
+        self.links.encode(&mut enc);
+        self.faults.encode_state(&mut enc);
+        self.trace.encode(&mut enc);
+        enc.seq(self.slots.len());
+        for slot in &self.slots {
             slot.rng.state().encode(&mut enc);
             enc.u64(slot.emit);
             let node = slot
@@ -912,15 +518,7 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
                 .ok_or(SnapError::Invalid("node is not the expected type"))?;
             node.encode_state(&mut enc);
         }
-        let mut items: Vec<(u64, u64, u64, &Event<M>)> = Vec::with_capacity(self.pending());
-        for (si, sh) in self.shards.iter().enumerate() {
-            items.extend(sh.queue.items_keyed().filter(|(_, _, _, ev)| match ev {
-                Event::LinkDown(a, b) | Event::LinkUp(a, b) => {
-                    primary_shard(&self.owner, *a, *b) == si
-                }
-                _ => true,
-            }));
-        }
+        let mut items: Vec<_> = self.queue.items_keyed().collect();
         items.sort_unstable_by_key(|&(t, rank, seq, _)| (t, rank, seq));
         enc.seq(items.len());
         for (t, rank, seq, ev) in items {
@@ -934,43 +532,31 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
 
     /// Restores the dynamic state captured by [`Engine::checkpoint`]
     /// onto this engine, which must have been rebuilt exactly as at
-    /// tick zero (same topology, node count, and construction order)
-    /// — but with **any** shard count: the blob is node-major, so
-    /// events and per-node streams re-distribute to whatever layout
-    /// this engine has. On error the engine is left half-restored and
-    /// must be discarded.
+    /// tick zero (same topology, node count, and construction order);
+    /// whatever it had queued is discarded. On error the engine is
+    /// left half-restored and must be discarded.
     ///
-    /// A captured trace is restored only onto a one-shard engine,
-    /// where it records a `resume @ tick` marker so failure reports
-    /// show the restore boundary.
+    /// A captured trace records a `resume @ tick` marker so failure
+    /// reports show the restore boundary.
     pub fn resume<N: Node<M> + SnapshotState>(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut dec = snapshot::Dec::new(bytes);
         dec.header(SNAP_KIND_ENGINE)?;
-        let now = SimTime(dec.u64()?);
-        let ext_seq = dec.u64()?;
-        let started = dec.bool()?;
-        let stats = EngineStats::decode(&mut dec)?;
-        let links = LinkTable::decode(&mut dec)?;
-        for sh in &mut self.shards {
-            sh.queue = EventQueue::new();
-            sh.now = now;
-            sh.outbox.clear();
-            sh.link_log.clear();
-            sh.stats = EngineStats::default();
-            sh.faults.stats = Default::default();
-            sh.faults.down.clear();
+        self.now = SimTime(dec.u64()?);
+        self.ext_seq = dec.u64()?;
+        self.started = dec.bool()?;
+        self.stats = EngineStats::decode(&mut dec)?;
+        self.links = LinkTable::decode(&mut dec)?;
+        self.faults.restore_state(&mut dec)?;
+        self.trace = Option::<Trace>::decode(&mut dec)?;
+        if let Some(trace) = &mut self.trace {
+            trace.mark_resume(self.now);
         }
-        self.shards[0].faults.restore_state(&mut dec)?;
-        let mut trace = Option::<Trace>::decode(&mut dec)?;
-        if dec.seq()? != self.owner.len() {
+        if dec.seq()? != self.slots.len() {
             return Err(SnapError::Invalid("node count differs from snapshot"));
         }
-        for id in 0..self.owner.len() {
-            let rng_state = <[u64; 4]>::decode(&mut dec)?;
-            let emit = dec.u64()?;
-            let slot = &mut self.shards[self.owner[id] as usize].slots[self.local[id] as usize];
-            slot.rng = StdRng::from_state(rng_state);
-            slot.emit = emit;
+        for slot in &mut self.slots {
+            slot.rng = StdRng::from_state(<[u64; 4]>::decode(&mut dec)?);
+            slot.emit = dec.u64()?;
             let node = slot
                 .node
                 .as_deref_mut()
@@ -980,35 +566,14 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
                 .ok_or(SnapError::Invalid("node is not the expected type"))?;
             node.restore_state(&mut dec)?;
         }
+        self.queue = EventQueue::new();
         for _ in 0..dec.seq()? {
             let t = SimTime(dec.u64()?);
             let rank = dec.u64()?;
             let seq = dec.u64()?;
-            let ev = Event::<M>::decode(&mut dec)?;
-            self.enqueue(t, rank, seq, ev);
+            self.queue.push(t, rank, seq, Event::decode(&mut dec)?);
         }
-        dec.finish()?;
-        // Shard 0 keeps the merged down set and the totals; every
-        // other shard needs the crashed nodes it owns.
-        let (master, rest) = self.shards.split_first_mut().expect("at least one shard");
-        for &n in &master.faults.down {
-            if let Some(&s) = self.owner.get(n.0).filter(|&&s| s != 0) {
-                rest[s as usize - 1].faults.down.insert(n);
-            }
-        }
-        master.stats = stats;
-        master.links = links;
-        if rest.is_empty() {
-            if let Some(trace) = &mut trace {
-                trace.mark_resume(now);
-            }
-            master.trace = trace;
-        }
-        self.now = now;
-        self.ext_seq = ext_seq;
-        self.started = started;
-        self.sync_config();
-        Ok(())
+        dec.finish()
     }
 }
 
@@ -1117,36 +682,34 @@ mod tests {
 
     #[test]
     fn backwards_fault_windows_are_rejected_not_enqueued() {
-        for shards in [1, 2] {
-            let mut eng: Engine<Msg> = Engine::with_shards(1, SimDuration::from_millis(10), shards);
-            let echo = eng.add_node(Box::new(Echo { pings: 0 }));
-            let err = eng
-                .schedule_partition(NodeId::EXTERNAL, echo, SimTime(100), SimTime(50))
-                .unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                "backwards fault window: recovery at 50 precedes failure at 100"
-            );
-            assert!(matches!(
-                eng.schedule_crash(echo, SimTime(9), SimTime(8)),
-                Err(ScheduleError::BackwardsWindow {
-                    at: SimTime(9),
-                    until: SimTime(8),
-                })
-            ));
-            // Nothing was enqueued: the link never goes down, the node
-            // never crashes, and no stray Up/Down events run.
-            assert_eq!(eng.pending(), 0);
-            eng.run_until_idle(10);
-            assert!(eng.links().is_up(NodeId::EXTERNAL, echo));
-            assert_eq!(eng.faults().stats().crashes, 0);
-            assert_eq!(eng.stats().events, 0);
-            // Zero-length windows (at == until) remain legal.
-            eng.schedule_crash(echo, SimTime(5), SimTime(5)).unwrap();
-            eng.run_until_idle(10);
-            assert_eq!(eng.faults().stats().crashes, 1);
-            assert_eq!(eng.faults().stats().restarts, 1);
-        }
+        let mut eng: Engine<Msg> = Engine::new(1, SimDuration::from_millis(10));
+        let echo = eng.add_node(Box::new(Echo { pings: 0 }));
+        let err = eng
+            .schedule_partition(NodeId::EXTERNAL, echo, SimTime(100), SimTime(50))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "backwards fault window: recovery at 50 precedes failure at 100"
+        );
+        assert!(matches!(
+            eng.schedule_crash(echo, SimTime(9), SimTime(8)),
+            Err(ScheduleError::BackwardsWindow {
+                at: SimTime(9),
+                until: SimTime(8),
+            })
+        ));
+        // Nothing was enqueued: the link never goes down, the node
+        // never crashes, and no stray Up/Down events run.
+        assert_eq!(eng.pending(), 0);
+        eng.run_until_idle(10);
+        assert!(eng.links().is_up(NodeId::EXTERNAL, echo));
+        assert_eq!(eng.faults().stats().crashes, 0);
+        assert_eq!(eng.stats().events, 0);
+        // Zero-length windows (at == until) remain legal.
+        eng.schedule_crash(echo, SimTime(5), SimTime(5)).unwrap();
+        eng.run_until_idle(10);
+        assert_eq!(eng.faults().stats().crashes, 1);
+        assert_eq!(eng.faults().stats().restarts, 1);
     }
 
     /// Timers fire in order and deterministically.
@@ -1280,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_latency_links_are_legal_on_one_shard() {
+    fn zero_latency_links_are_legal() {
         let mut eng: Engine<Msg> = Engine::new(1, SimDuration::ZERO);
         let echo = eng.add_node(Box::new(Echo { pings: 0 }));
         let pinger = eng.add_node(Box::new(Pinger {
@@ -1458,17 +1021,14 @@ mod tests {
         }
     }
 
-    fn gossip(shards: usize, n: usize) -> Engine<u64> {
-        let mut eng = Engine::with_shards(42, SimDuration::from_millis(5), shards);
-        for i in 0..n {
-            eng.add_node_in(
-                i * shards / n,
-                Box::new(Gossip {
-                    peers: n,
-                    digest: 0,
-                    hops: 0,
-                }),
-            );
+    fn gossip(n: usize) -> Engine<u64> {
+        let mut eng = Engine::new(42, SimDuration::from_millis(5));
+        for _ in 0..n {
+            eng.add_node(Box::new(Gossip {
+                peers: n,
+                digest: 0,
+                hops: 0,
+            }));
         }
         for i in 0..n {
             eng.schedule_message(SimTime(3 + (i as u64 % 7)), NodeId(i), i as u64);
@@ -1484,48 +1044,25 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_agree_exactly() {
+    fn run_until_and_run_until_idle_agree() {
         let n = 24;
-        let mut outcomes = Vec::new();
-        for shards in [1, 2, 4] {
-            let mut eng = gossip(shards, n);
-            eng.run_until(SimTime(10_000));
-            outcomes.push(fingerprint(&eng, n));
-            // The work/span counts describe the window schedule: none
-            // on one shard, and the span between work / K and work.
-            let (w, k) = (eng.window_stats(), shards as u64);
-            if shards == 1 {
-                assert_eq!(w, WindowStats::default());
-            } else {
-                assert!(0 < w.both_active && w.both_active <= w.windows);
-                assert!(w.events_max_sum <= w.events_sum && w.events_sum <= k * w.events_max_sum);
-                assert!(0 < w.mail && w.events_sum <= eng.stats().events);
-                let mut again = gossip(shards, n);
-                again.run_until(SimTime(10_000));
-                assert_eq!(
-                    w,
-                    again.window_stats(),
-                    "a count of the schedule, not of the host"
-                );
-            }
-            // Running to idle leaves every layout at the same clock.
-            let mut eng = gossip(shards, n);
-            eng.run_until_idle(u64::MAX);
-            outcomes.push(fingerprint(&eng, n));
-        }
-        assert_eq!(outcomes[0], outcomes[2]);
-        assert_eq!(outcomes[0], outcomes[4]);
-        assert_eq!(outcomes[1], outcomes[3]);
-        assert_eq!(outcomes[1], outcomes[5]);
-        assert_eq!(outcomes[0].0, outcomes[1].0);
-        assert!(outcomes[0].1.events > 0, "events actually ran");
+        let mut sliced = gossip(n);
+        sliced.run_until(SimTime(10_000));
+        let mut idle = gossip(n);
+        idle.run_until_idle(u64::MAX);
+        // The batched `pop_le` loop and the one-at-a-time loop deliver
+        // the same per-node sequences; only the final clock differs.
+        let (a, b) = (fingerprint(&sliced, n), fingerprint(&idle, n));
+        assert_eq!((a.0, a.1), (b.0, b.1));
+        assert!(b.2 < a.2 && a.2 == SimTime(10_000));
+        assert!(a.1.events > 0, "events actually ran");
     }
 
     #[test]
-    fn partitions_crashes_and_faults_agree_across_shard_counts() {
+    fn partitions_crashes_and_faults_do_not_depend_on_run_slicing() {
         let n = 16;
-        let run = |shards: usize| {
-            let mut eng = gossip(shards, n);
+        let run = |slices: &[u64]| {
+            let mut eng = gossip(n);
             eng.faults_mut().set_default_model(FaultModel {
                 loss: 0.1,
                 dup: 0.05,
@@ -1533,16 +1070,15 @@ mod tests {
             });
             eng.schedule_partition(NodeId(0), NodeId(1), SimTime(20), SimTime(400))
                 .unwrap();
-            // Endpoints on the last two shards: neither copy of this
-            // link event runs on the master.
             eng.schedule_partition(NodeId(n - 1), NodeId(n / 2), SimTime(25), SimTime(9_000))
                 .unwrap();
             eng.schedule_crash(NodeId(2), SimTime(30), SimTime(500))
                 .unwrap();
             eng.schedule_crash(NodeId(n - 1), SimTime(40), SimTime(9_000))
                 .unwrap();
-            eng.run_until(SimTime(300));
-            eng.run_until(SimTime(5_000));
+            for &t in slices {
+                eng.run_until(SimTime(t));
+            }
             let fs = eng.faults().stats();
             (
                 fingerprint(&eng, n),
@@ -1553,47 +1089,39 @@ mod tests {
                 eng.checkpoint::<Gossip>().unwrap(),
             )
         };
-        let a = run(1);
-        assert_eq!(a, run(3));
-        assert_eq!(a, run(4));
+        let a = run(&[5_000]);
+        assert_eq!(a, run(&[300, 5_000]));
+        assert!(a.1 .0 > 0 && a.1 .1 > 0, "the fault model fired");
         assert_eq!((a.1 .2, a.1 .3), (2, 1), "two crashes, one restart so far");
         assert!(a.2.contains(&NodeId(n - 1)) && a.3 && !a.4);
     }
 
     #[test]
-    fn checkpoints_are_identical_across_shard_counts_and_resume_anywhere() {
+    fn checkpoint_resumes_onto_a_preloaded_engine() {
         let n = 16;
         let mid = SimTime(60);
         let done = SimTime(5_000);
-        let blob_at = |shards: usize| {
-            let mut eng = gossip(shards, n);
+        let crashed = || {
+            let mut eng = gossip(n);
             eng.schedule_crash(NodeId(n - 1), SimTime(40), SimTime(900))
                 .unwrap();
-            eng.run_until(mid);
-            eng.checkpoint::<Gossip>().unwrap()
+            eng
         };
-        let blob = blob_at(1);
-        assert_eq!(blob, blob_at(2), "checkpoint blob is shard-count-invariant");
-        assert_eq!(blob, blob_at(4));
+        let mut mono = crashed();
+        mono.run_until(mid);
+        let blob = mono.checkpoint::<Gossip>().unwrap();
+        mono.run_until(done);
 
-        let finish = |shards: usize| {
-            // A fresh engine pre-queues workload; resume wipes it.
-            let mut eng = gossip(shards, n);
-            eng.resume::<Gossip>(&blob).unwrap();
-            assert_eq!(eng.now(), mid);
-            assert_eq!(eng.checkpoint::<Gossip>().unwrap(), blob);
-            eng.run_until(done);
-            (fingerprint(&eng, n), eng.checkpoint::<Gossip>().unwrap())
-        };
-        let want = finish(1);
-        assert_eq!(finish(3), want);
-        assert_eq!(finish(4), want);
-        assert_eq!(want.0 .1, {
-            let mut mono = gossip(2, n);
-            mono.schedule_crash(NodeId(n - 1), SimTime(40), SimTime(900))
-                .unwrap();
-            mono.run_until(done);
-            mono.stats()
-        });
+        // A fresh engine pre-queues workload; resume wipes it.
+        let mut eng = gossip(n);
+        eng.resume::<Gossip>(&blob).unwrap();
+        assert_eq!(eng.now(), mid);
+        assert_eq!(eng.checkpoint::<Gossip>().unwrap(), blob);
+        eng.run_until(done);
+        assert_eq!(fingerprint(&eng, n), fingerprint(&mono, n));
+        assert_eq!(
+            eng.checkpoint::<Gossip>().unwrap(),
+            mono.checkpoint::<Gossip>().unwrap()
+        );
     }
 }

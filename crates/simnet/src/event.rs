@@ -3,9 +3,8 @@
 //! Every event carries a `(time, rank, seq)` key supplied by the
 //! engine — rank is the emitting node's id + 1 (0 for injections from
 //! outside the simulation), seq that source's private emit counter —
-//! and the queue pops in key order whatever the push order was. The
-//! key does not depend on which shard holds the event, which is what
-//! makes a run byte-identical at any shard count.
+//! and the queue pops in key order whatever the push order was, so
+//! same-tick order is a function of who emitted what.
 //!
 //! # Structure
 //!
@@ -472,10 +471,8 @@ impl<M> EventQueue<M> {
     }
 
     /// Every pending event with its full `(time, rank, seq)` key, in
-    /// no particular order. The engine's checkpoint merges these
-    /// across shards and sorts once; the keys do not depend on the
-    /// layout, so the sorted stream is identical no matter which shard
-    /// held which event.
+    /// no particular order. The engine's checkpoint sorts them once,
+    /// so the blob does not depend on how the queue is laid out.
     pub(crate) fn items_keyed(&self) -> impl Iterator<Item = (u64, u64, u64, &Event<M>)> {
         let wheel = self.head.iter().enumerate().flat_map(move |(idx, &head)| {
             let t = self.wheel_start + idx as u64;

@@ -95,18 +95,6 @@ pub struct FaultStats {
     pub restarts: u64,
 }
 
-impl std::ops::AddAssign for FaultStats {
-    fn add_assign(&mut self, o: Self) {
-        self.lost += o.lost;
-        self.duplicated += o.duplicated;
-        self.jittered += o.jittered;
-        self.dropped_at_down_node += o.dropped_at_down_node;
-        self.timers_suppressed += o.timers_suppressed;
-        self.crashes += o.crashes;
-        self.restarts += o.restarts;
-    }
-}
-
 fn faultable_default<M>(_: &M) -> bool {
     true
 }
@@ -116,7 +104,7 @@ fn faultable_default<M>(_: &M) -> bool {
 pub struct FaultPlane<M> {
     default_model: FaultModel,
     per_link: BTreeMap<LinkKey, FaultModel>,
-    pub(crate) down: BTreeSet<NodeId>,
+    down: BTreeSet<NodeId>,
     // lint:allow(snapshot-field-coverage) — fn-pointer filter, volatile by design; resume keeps the rebuilt plane's filter
     pub(crate) faultable: fn(&M) -> bool,
     pub(crate) stats: FaultStats,
@@ -185,16 +173,6 @@ impl<M> FaultPlane<M> {
     /// Injection counters so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Copies the *configuration* (models and faultable filter) from
-    /// `master`, leaving dynamic state (down set, counters) alone. The
-    /// engine calls this on entry to every run so each shard's plane
-    /// reflects configuration applied to shard 0's between runs.
-    pub(crate) fn copy_config_from(&mut self, master: &FaultPlane<M>) {
-        self.default_model = master.default_model;
-        self.per_link = master.per_link.clone();
-        self.faultable = master.faultable;
     }
 
     pub(crate) fn mark_down(&mut self, node: NodeId) {

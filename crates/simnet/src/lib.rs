@@ -14,9 +14,8 @@
 //!   sending node's seeded stream;
 //! * [`link`] — per-pair latency and up/down (partition) state;
 //! * [`node`] — the actor trait and its effect context;
-//! * [`engine`] — the dispatcher: register nodes (in one shard or
-//!   several), inject workload, run; byte-deterministic at any shard
-//!   count.
+//! * [`engine`] — the dispatcher: register nodes, inject workload,
+//!   run; one queue, one thread, byte-deterministic.
 
 pub mod engine;
 pub mod event;
@@ -27,7 +26,7 @@ mod snap;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, EngineStats, ScheduleError, WindowStats, SNAP_KIND_ENGINE};
+pub use engine::{Engine, EngineStats, ScheduleError, SNAP_KIND_ENGINE};
 pub use event::{Event, EventQueue, WHEEL_SPAN};
 pub use fault::{FaultModel, FaultPlane, FaultStats};
 pub use link::{Link, LinkKey, LinkTable};

@@ -105,17 +105,6 @@ impl LinkTable {
     pub fn default_latency(&self) -> SimDuration {
         self.default_latency
     }
-
-    /// The smallest latency any link can deliver at: the minimum of
-    /// the default and every configured link's latency. This is the
-    /// engine's conservative lookahead bound between shards — no
-    /// message sent at time `t` can arrive before `t + min_latency()`.
-    pub fn min_latency(&self) -> SimDuration {
-        self.links
-            .values()
-            .map(|l| l.latency)
-            .fold(self.default_latency, |a, b| if b < a { b } else { a })
-    }
 }
 
 impl snapshot::Snapshot for LinkKey {

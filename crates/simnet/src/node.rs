@@ -49,8 +49,8 @@ pub trait Node<M>: Any {
 ///
 /// Every effect the node emits is keyed `(time, rank, seq)` — rank is
 /// the node's id + 1 (0 is reserved for external injections), seq its
-/// private emit counter — so its place in the global order does not
-/// depend on how nodes are spread over shards.
+/// private emit counter — so its place in the global order is a
+/// function of who emitted it, not of when it reached the queue.
 pub struct Ctx<'a, M> {
     pub(crate) id: NodeId,
     pub(crate) now: SimTime,
@@ -61,34 +61,21 @@ pub struct Ctx<'a, M> {
     pub(crate) emit: &'a mut u64,
     pub(crate) faults: &'a mut FaultPlane<M>,
     pub(crate) dropped: &'a mut u64,
-    /// Node id → owning shard; empty when the engine has a single
-    /// shard (nothing is remote).
-    pub(crate) owner: &'a [u32],
-    /// The shard this context is executing in.
-    pub(crate) shard: u32,
-    /// Where sends to nodes on other shards wait for the next window
-    /// barrier, as `(time, rank, seq, event)`.
-    pub(crate) outbox: &'a mut Vec<(u64, u64, u64, Event<M>)>,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Enqueues `ev` under this node's next key: into the shard's own
-    /// queue, or its outbox when `to` lives on another shard.
+    /// Enqueues `ev` under this node's next key.
     #[inline]
-    fn enqueue(&mut self, at: SimTime, to: NodeId, ev: Event<M>) {
+    fn enqueue(&mut self, at: SimTime, ev: Event<M>) {
         let (rank, seq) = (self.id.0 as u64 + 1, *self.emit);
         *self.emit += 1;
-        if self.owner.get(to.0).is_some_and(|s| *s != self.shard) {
-            self.outbox.push((at.0, rank, seq, ev));
-        } else {
-            self.queue.push(at, rank, seq, ev);
-        }
+        self.queue.push(at, rank, seq, ev);
     }
 
     #[inline]
     fn push_msg(&mut self, at: SimTime, to: NodeId, msg: M) {
         let from = self.id;
-        self.enqueue(at, to, Event::Message { from, to, msg });
+        self.enqueue(at, Event::Message { from, to, msg });
     }
 
     /// The handling node's own id.
@@ -167,7 +154,7 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, key: u64) {
         let node = self.id;
-        self.enqueue(self.now + delay, node, Event::Timer { node, key });
+        self.enqueue(self.now + delay, Event::Timer { node, key });
     }
 
     /// The handling node's own seeded RNG stream

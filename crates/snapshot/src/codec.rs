@@ -30,10 +30,10 @@ pub const MAGIC: [u8; 4] = *b"MBSN";
 /// loudly instead of misdecoding.
 ///
 /// Only the current version decodes: [`Dec::header`] rejects every
-/// other with [`SnapError::BadVersion`]. (v3 is the node-major,
-/// shard-count-invariant engine blob with keyed events; v1 and v2
+/// other with [`SnapError::BadVersion`]. (v3 is the node-major
+/// engine blob with keyed events and per-node RNG streams; v1 and v2
 /// engine blobs carried a single shared RNG stream and unkeyed events
-/// that the one engine cannot continue.)
+/// that the engine cannot continue.)
 pub const FORMAT_VERSION: u16 = 3;
 
 /// Decode failure. Every variant is a recoverable error — corrupt or
