@@ -4,30 +4,91 @@
 //! trio the parallel harness understands: `--threads N` (worker count,
 //! default 1 = serial), `--seed S`, and `--trials T`. Parsing once
 //! through [`Args`] replaces the per-binary copies of ad-hoc argv
-//! scanning.
+//! scanning. A binary reads every flag up front and then calls
+//! [`Args::finish`], which rejects any `--flag` it did not read.
+
+use std::cell::RefCell;
 
 /// Parsed command line of an experiment binary.
 pub struct Args {
     argv: Vec<String>,
+    /// Every `--name` an accessor was asked for: the flags the binary
+    /// knows, which [`Args::finish`] checks argv against.
+    asked: RefCell<Vec<String>>,
+}
+
+/// Reports a command-line error and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 impl Args {
     /// Captures the process arguments.
     pub fn parse() -> Self {
-        Args {
-            argv: std::env::args().collect(),
-        }
+        Args::from_vec(std::env::args().collect())
     }
 
     /// A parser over an explicit argv (tests).
     pub fn from_vec(argv: Vec<String>) -> Self {
-        Args { argv }
+        Args {
+            argv,
+            asked: RefCell::default(),
+        }
+    }
+
+    /// `--name`, recorded as a flag this binary knows.
+    fn key(&self, name: &str) -> String {
+        let key = format!("--{name}");
+        self.asked.borrow_mut().push(key.clone());
+        key
+    }
+
+    /// The `--tokens` on the command line that no accessor asked about.
+    fn unknown(&self) -> Vec<&str> {
+        let asked = self.asked.borrow();
+        self.argv
+            .iter()
+            .skip(1)
+            .filter(|a| a.starts_with("--") && !asked.contains(a))
+            .map(String::as_str)
+            .collect()
+    }
+
+    /// Call once every flag has been read (it consumes the parser)
+    /// and before any work: exits with status 2 naming each `--token`
+    /// in argv that the binary never asked about — a typo (`--quik`)
+    /// must not silently run the defaults.
+    pub fn finish(self) {
+        let unknown = self.unknown();
+        if !unknown.is_empty() {
+            usage_error(&format!(
+                "unknown flag {} (known: {})",
+                unknown.join(" "),
+                self.asked.borrow().join(" ")
+            ));
+        }
+    }
+
+    /// `--name value` as a string: `Ok(None)` when the flag is absent
+    /// or last on the line, `Err` when the token after it is itself a
+    /// flag (`--out --quick` must not write into a directory called
+    /// `--quick`).
+    fn try_str(&self, name: &str) -> Result<Option<String>, String> {
+        let key = self.key(name);
+        let mut after = self.argv.iter().skip_while(|a| **a != key).skip(1);
+        match after.next() {
+            Some(v) if v.starts_with("--") => {
+                Err(format!("{key}: expected a value, found the flag `{v}`"))
+            }
+            v => Ok(v.cloned()),
+        }
     }
 
     /// `--name value` as a `u64`: `Ok(None)` when the flag is absent,
     /// `Err` naming flag and value when the value is not a number.
     fn try_u64(&self, name: &str) -> Result<Option<u64>, String> {
-        let Some(v) = self.str_opt(name) else {
+        let Some(v) = self.try_str(name)? else {
             return Ok(None);
         };
         v.parse()
@@ -42,10 +103,7 @@ impl Args {
     pub fn u64(&self, name: &str, default: u64) -> u64 {
         match self.try_u64(name) {
             Ok(n) => n.unwrap_or(default),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2)
-            }
+            Err(e) => usage_error(&e),
         }
     }
 
@@ -54,22 +112,15 @@ impl Args {
         self.u64(name, default as u64) as usize
     }
 
-    /// `--name value` as a string, when present with a value.
+    /// `--name value` as a string, when present with a value. Exits
+    /// with status 2 when the value is itself a `--flag`.
     pub fn str_opt(&self, name: &str) -> Option<String> {
-        let key = format!("--{name}");
-        let mut it = self.argv.iter();
-        while let Some(a) = it.next() {
-            if *a == key {
-                return it.next().cloned();
-            }
-        }
-        None
+        self.try_str(name).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// True when `--name` is present.
     pub fn flag(&self, name: &str) -> bool {
-        let key = format!("--{name}");
-        self.argv.contains(&key)
+        self.argv.contains(&self.key(name))
     }
 
     /// `--threads N`: parallel harness worker count (default 1,
@@ -87,18 +138,6 @@ impl Args {
     pub fn trials(&self, default: usize) -> usize {
         self.usize("trials", default).max(1)
     }
-}
-
-/// Parses `--key value` style args (numbers) with a default, from the
-/// process argv. Prefer [`Args`] in binaries; this remains for one-off
-/// use.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    Args::parse().u64(name, default)
-}
-
-/// True when `--flag` is present on the process argv.
-pub fn arg_flag(name: &str) -> bool {
-    Args::parse().flag(name)
 }
 
 #[cfg(test)]
@@ -143,5 +182,26 @@ mod tests {
         assert_eq!(a.str_opt("resume-from").as_deref(), Some("cp/dir"));
         assert_eq!(a.str_opt("missing"), None);
         assert_eq!(a.str_opt("bare"), None); // key with no value
+    }
+
+    #[test]
+    fn a_flag_is_never_a_value() {
+        let a = args(&["bin", "--out", "--quick", "--seed", "--areas", "x"]);
+        let err = a.try_str("out").unwrap_err();
+        assert!(err.contains("--out") && err.contains("`--quick`"), "{err}");
+        assert!(a.try_u64("seed").is_err());
+        assert_eq!(a.try_str("areas"), Ok(Some("x".to_string())));
+    }
+
+    #[test]
+    fn finish_names_flags_nobody_asked_about() {
+        let a = args(&["bin", "--quik", "--seed", "3", "--shards", "4", "--threads"]);
+        assert_eq!(a.seed(1), 3);
+        assert_eq!(a.threads(), 1);
+        assert!(!a.flag("quick"));
+        // Values and argv[0] are not flags; absent known flags are fine.
+        assert_eq!(a.unknown(), ["--quik", "--shards"]);
+        assert_eq!(args(&["--bin", "--seed", "3"]).unknown(), ["--seed"]);
+        assert!(args(&["bin"]).unknown().is_empty());
     }
 }

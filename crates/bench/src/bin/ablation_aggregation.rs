@@ -38,6 +38,7 @@ fn run(depth: usize, fanout: usize, suppress: bool) -> Summary {
 fn main() {
     let args = Args::parse();
     let fanout = args.usize("fanout", 3);
+    args.finish();
     banner(
         "AGG",
         "G-RIB size with and without covered-route suppression, nested ranges",

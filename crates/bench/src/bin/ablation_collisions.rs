@@ -107,6 +107,7 @@ fn main() {
     let seed = args.seed(3);
     let maxn = args.usize("maxn", 64);
     let threads = args.threads();
+    args.finish();
     banner(
         "CLAIM-N",
         "simultaneous claimers: claims and collisions until disjoint grants",

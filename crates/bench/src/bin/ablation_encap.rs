@@ -90,6 +90,7 @@ fn run(packets: usize, branches: bool) -> (Vec<u64>, u64) {
 fn main() {
     let args = Args::parse();
     let packets = args.usize("packets", 20);
+    args.finish();
     banner(
         "ENCAP",
         "figure-3 DVMRP encapsulation with/without source-specific branches",

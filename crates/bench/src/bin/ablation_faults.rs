@@ -5,9 +5,9 @@
 //! chaos phase and re-convergence time after the faults cease.
 //!
 //! Each cell is independently seeded, so the emitted CSV is
-//! byte-identical across `--threads` values and reruns; CI regenerates
-//! the `--smoke` grid and diffs it against the committed golden file
-//! (`crates/bench/tests/golden/faults_small_serial.csv`). Mid-run
+//! byte-identical across `--threads` values and reruns; Tier-1
+//! `tests/faults_determinism.rs` diffs the `--smoke` grid against the
+//! committed golden (`tests/golden/faults_small_serial.csv`). Mid-run
 //! invariants are asserted inside every cell — a chaos run that
 //! corrupts tree state aborts the sweep instead of producing numbers.
 //!
@@ -29,6 +29,7 @@ fn main() {
         threads: args.threads(),
         smoke,
     };
+    args.finish();
     banner(
         "FAULTS",
         &format!(

@@ -157,6 +157,7 @@ fn run(wait: Secs, heal_at: Secs, seed: u64) -> Outcome {
 fn main() {
     let args = Args::parse();
     let wait = args.u64("wait", 3600);
+    args.finish();
     banner(
         "WAIT-48",
         &format!(

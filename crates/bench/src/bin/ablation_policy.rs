@@ -56,6 +56,7 @@ fn main() {
     let args = Args::parse();
     let islands = args.usize("islands", 6);
     let customers = args.usize("customers", 4);
+    args.finish();
     banner(
         "POLICY",
         &format!(

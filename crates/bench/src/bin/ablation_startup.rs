@@ -96,6 +96,7 @@ fn main() {
     let tops = args.usize("tops", 12);
     let seed = args.seed(2);
     let threads = args.threads();
+    args.finish();
     banner(
         "STARTUP",
         &format!("{tops} top-level providers bootstrapping from k exchanges"),

@@ -78,6 +78,7 @@ fn main() {
     let args = Args::parse();
     let groups = args.usize("groups", 32);
     let seed = args.seed(5);
+    args.finish();
     banner(
         "STATE",
         "(*,G-prefix) forwarding-state aggregation (paper §7)",

@@ -151,6 +151,7 @@ fn main() {
             .unwrap_or_else(|| results_dir().join("checkpoints")),
         resume_from: args.str_opt("resume-from").map(PathBuf::from),
     };
+    args.finish();
 
     banner(
         "FIG2",

@@ -26,6 +26,7 @@ fn main() {
         maxrx: args.usize("maxrx", 1000),
         threads: args.threads(),
     };
+    args.finish();
 
     banner(
         "FIG4",

@@ -9,7 +9,7 @@ pub mod fig4;
 pub mod par;
 pub mod perf;
 
-pub use args::{arg_flag, arg_u64, Args};
+pub use args::Args;
 pub use checkpoint::{Fig2Checkpoint, Fig2Row, SNAP_KIND_FIG2_RUN};
 pub use par::{run_tasks, task_seed};
 

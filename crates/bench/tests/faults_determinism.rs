@@ -1,7 +1,8 @@
 //! Determinism regression for the fault ablation: the chaos sweep is
 //! seeded per cell and merged in task order, so its CSV must be
 //! byte-identical across thread counts, and must reproduce the one
-//! committed golden file — the same file CI regenerates and diffs.
+//! committed golden file — the same bytes CI's `stale-results` job
+//! regenerates from the release binary as `results/ablation_faults.csv`.
 
 use bier::Plane;
 use masc_bgmp_bench::faults::{run, series, FaultsParams};

@@ -1,7 +1,7 @@
-//! The fig-2 goldens' Tier-1 reader: the `fig2_masc` binary, on the
-//! small grid CI's `snapshot-smoke` job runs, must emit the two
-//! committed CSVs byte for byte — at any `--threads`, and when the run
-//! is stopped at its midpoint and resumed from the checkpoints.
+//! The fig-2 goldens' reader: the `fig2_masc` binary, on a small
+//! grid, must emit the two committed CSVs byte for byte — at any
+//! `--threads`, and when the run is stopped at its midpoint and
+//! resumed from the checkpoints, serially or at `--threads 4`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -86,7 +86,15 @@ fn fig2_grid_stopped_and_resumed_matches_golden() {
         !out.join("fig2_grib.csv").exists(),
         "the stopped half must not emit results"
     );
-    fig2(&out, &["--resume-from", cp]);
-    assert_golden(&out, "stopped at day 20 and resumed");
+    // A resume writes no checkpoint of its own, so both start from
+    // the same day-20 state.
+    for threads in ["1", "4"] {
+        let resumed = out.join(format!("resumed{threads}"));
+        fig2(&resumed, &["--resume-from", cp, "--threads", threads]);
+        assert_golden(
+            &resumed,
+            &format!("stopped at day 20, resumed at --threads {threads}"),
+        );
+    }
     std::fs::remove_dir_all(&out).ok();
 }

@@ -7,9 +7,9 @@ use masc_bgmp_bench::fig4::{run, series, Fig4Params};
 use masc_bgmp_bench::{run_tasks, task_seed};
 use metrics::emit;
 
-fn fig4_output(threads: usize) -> (String, String) {
+fn fig4_output(domains: usize, threads: usize) -> (String, String) {
     let points = run(&Fig4Params {
-        domains: 150,
+        domains,
         trials: 4,
         seed: 7,
         maxrx: 50,
@@ -23,9 +23,21 @@ fn fig4_output(threads: usize) -> (String, String) {
 }
 
 #[test]
+fn fig4_parallel_run_matches_golden() {
+    // What `fig4_trees --domains 200 --trials 4 --maxrx 50 --seed 7
+    // --threads 4` writes: the golden carries the per-plane state,
+    // stretch and link-copy columns after the paper's six.
+    assert_eq!(
+        fig4_output(200, 4).0,
+        include_str!("golden/fig4_small_serial.csv"),
+        "fig4 grid no longer reproduces the committed golden CSV"
+    );
+}
+
+#[test]
 fn fig4_parallel_output_is_byte_identical_to_serial() {
-    let (csv1, json1) = fig4_output(1);
-    let (csv4, json4) = fig4_output(4);
+    let (csv1, json1) = fig4_output(150, 1);
+    let (csv4, json4) = fig4_output(150, 4);
     assert_eq!(csv1, csv4, "CSV diverged between --threads 1 and 4");
     assert_eq!(json1, json4, "JSON diverged between --threads 1 and 4");
     // Sanity: the output actually contains the swept points.
@@ -36,7 +48,7 @@ fn fig4_parallel_output_is_byte_identical_to_serial() {
 #[test]
 fn fig4_rerun_is_reproducible() {
     // Same seed, same thread count, fresh graph build: identical bytes.
-    assert_eq!(fig4_output(4), fig4_output(4));
+    assert_eq!(fig4_output(150, 4), fig4_output(150, 4));
 }
 
 #[test]

@@ -7,8 +7,9 @@
 # them to the code once a refactor lands unless something re-derives
 # them. This script re-runs every sweep that finishes in seconds (the
 # eight ablations, the smoke faults grid, and the full fig4 sweep; the
-# long-horizon fig2 sweep is covered by its own golden-diff CI job at
-# reduced size) and diffs the output against the committed files.
+# long-horizon fig2 sweep is covered at reduced size by Tier-1
+# `crates/bench/tests/fig2_golden.rs`) and diffs the output against
+# the committed files.
 #
 # Usage: scripts/regen_results.sh [--update]
 #   --update  overwrite the committed files instead of failing on
