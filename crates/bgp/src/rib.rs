@@ -125,6 +125,18 @@ impl Row {
         }
     }
 
+    /// The row that `heard` (in peer order; drained) makes: the first
+    /// leads until [`Row::decide`], run once over them all, says otherwise.
+    fn decided(heard: &mut Vec<Heard>) -> Row {
+        let mut rest = heard.drain(..);
+        let best = rest.next();
+        let (rest, sent): (Vec<_>, _) = (rest.collect(), Vec::new());
+        let other = (!rest.is_empty()).then(|| Box::new(Other { rest, sent }));
+        let mut row = Row { best, other };
+        row.decide();
+        row
+    }
+
     /// Lets go of the lists if both are empty; true if the row then
     /// holds nothing at all.
     fn tidy(&mut self) -> bool {
@@ -412,17 +424,12 @@ impl Rib {
 
     /// Reads the `kinds` section onto the candidates already decoded.
     pub(crate) fn decode_kinds(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        for _ in 0..dec.seq()? {
-            let ((peer, nlri), kind) = <((RouterId, Nlri), RouteSourceKind)>::decode(dec)?;
-            let heard = self
-                .table
-                .get_mut(&nlri)
-                .and_then(|row| row.heard_mut(peer));
-            heard
+        decode_in_step(&mut self.table, dec, |peer, _, kind, row| {
+            row.and_then(|row| row.heard_mut(peer))
                 .ok_or(SnapError::Invalid("kind of a route Adj-RIB-In lacks"))?
                 .kind = Some(kind);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// The speaker's `out` section: (peer, NLRI) → the route `router`
@@ -452,17 +459,54 @@ impl Rib {
         dec: &mut Dec<'_>,
         router: RouterId,
     ) -> Result<(), SnapError> {
-        for _ in 0..dec.seq()? {
-            let ((to, nlri), route) = <((RouterId, Nlri), Route)>::decode(dec)?;
+        let mut unheard = Vec::new();
+        decode_in_step(&mut self.table, dec, |to, nlri, route: Route, row| {
             if route.nlri != nlri || route.next_hop != router || route.local {
                 return Err(SnapError::Invalid(
                     "Adj-RIB-Out entry this router never sent",
                 ));
             }
-            self.tell(to, nlri, Some((route.as_path, route.ebgp)));
+            let (path, ebgp) = (route.as_path, route.ebgp);
+            let sent = Sent { to, path, ebgp };
+            match row {
+                Some(row) => drop(put(&mut row.other().sent, to, |s| s.to, Some(sent))),
+                None => unheard.push((nlri, sent)),
+            }
+            Ok(())
+        })?;
+        // A pair nobody advertised is legitimate: its row is made once the walk is over.
+        for (nlri, s) in unheard {
+            self.tell(s.to, nlri, Some((s.path, s.ebgp)));
         }
         Ok(())
     }
+}
+
+/// A record that is not after the one before it: `encode` writes the
+/// candidates in strict (NLRI, peer) order, `kinds` and `out` in (peer, NLRI).
+const DISORDER: SnapError = SnapError::Invalid("RIB section out of order");
+
+/// Reads a speaker section of `((peer, NLRI), T)` records, handing each
+/// to `each` with the NLRI's row if there is one: one walk of the table
+/// per peer, not one probe per record.
+fn decode_in_step<T: Snapshot>(
+    table: &mut BTreeMap<Nlri, Row>,
+    dec: &mut Dec<'_>,
+    mut each: impl FnMut(RouterId, Nlri, T, Option<&mut Row>) -> Result<(), SnapError>,
+) -> Result<(), SnapError> {
+    let (mut last, mut rows) = (None, table.iter_mut().peekable());
+    for _ in 0..dec.seq()? {
+        let ((peer, nlri), item) = <((RouterId, Nlri), T)>::decode(dec)?;
+        match last.replace((peer, nlri)) {
+            Some(l) if l >= (peer, nlri) => return Err(DISORDER),
+            Some((p, _)) if p != peer => rows = table.iter_mut().peekable(),
+            _ => {}
+        }
+        while rows.next_if(|(n, _)| **n < nlri).is_some() {}
+        let row = rows.next_if(|(n, _)| **n == nlri).map(|(_, row)| row);
+        each(peer, nlri, item, row)?;
+    }
+    Ok(())
 }
 
 impl Snapshot for Rib {
@@ -484,20 +528,39 @@ impl Snapshot for Rib {
         }
     }
 
+    /// One pass: a row is decided once, when the last of its candidates
+    /// is read, and the table built from the rows as they came. A Loc-RIB
+    /// section that is not what the candidates select is invalid.
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let mut rib = Rib::default();
+        let mut rows: Vec<(Nlri, Row)> = Vec::new();
+        let (mut heard, mut last) = (Vec::new(), None);
         for _ in 0..dec.seq()? {
             let ((nlri, peer), route) = <((Nlri, RouterId), Route)>::decode(dec)?;
-            rib.set_heard(nlri, peer, Some((route, None)));
+            match last.replace((nlri, peer)) {
+                Some(l) if l >= (nlri, peer) => return Err(DISORDER),
+                Some((n, _)) if n != nlri => rows.push((n, Row::decided(&mut heard))),
+                _ => {}
+            }
+            let kind = None;
+            heard.push(Heard { peer, kind, route });
         }
-        rib.grib.changed.clear();
-        // The Loc-RIB is derived; the section must agree with it.
-        let loc: Vec<(Nlri, (RouterId, Route))> = Snapshot::decode(dec)?;
-        let stated = loc.iter().map(|(n, (peer, route))| (n, *peer, route));
-        let rows = rib.table.iter();
-        let derived = rows.filter_map(|(n, row)| Some((n, row.best.as_ref()?)));
-        if !stated.eq(derived.map(|(n, h)| (n, h.peer, &h.route))) {
-            return Err(SnapError::Invalid("Loc-RIB is not what Adj-RIB-In selects"));
+        if let Some((n, _)) = last {
+            rows.push((n, Row::decided(&mut heard)));
+        }
+        let (table, grib) = (rows.into_iter().collect(), Grib::default());
+        let mut rib = Rib { table, grib };
+        let differs = SnapError::Invalid("Loc-RIB is not what Adj-RIB-In selects");
+        if dec.seq()? != rib.table.len() {
+            return Err(differs);
+        }
+        for (nlri, row) in &rib.table {
+            let (at, route) = <((Nlri, RouterId), Route)>::decode(dec)?;
+            if row.best.as_ref().map(|h| ((*nlri, h.peer), &h.route)) != Some((at, &route)) {
+                return Err(differs);
+            }
+            if let Nlri::Group(p) = nlri {
+                rib.grib.index.insert(*p, ());
+            }
         }
         Ok(rib)
     }

@@ -30,6 +30,8 @@ thread_local! {
     /// pointer identity. Thread-local so the table needs no locking
     /// (parallel harnesses run one simulation per thread).
     static AS_PATH_INTERN: RefCell<HashSet<Arc<[Asn]>>> = RefCell::new(HashSet::new());
+    /// The path being decoded, so that only one not yet interned allocates.
+    static DECODING: RefCell<Vec<Asn>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An interned, immutable AS path. Behaves like `[Asn]` via `Deref`;
@@ -136,8 +138,14 @@ impl snapshot::Snapshot for AsPath {
         }
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let v: Vec<Asn> = snapshot::Snapshot::decode(dec)?;
-        Ok(Self::from(v))
+        let n = dec.seq()?;
+        DECODING.with_borrow_mut(|path| {
+            path.clear();
+            for _ in 0..n {
+                path.push(dec.u32()?);
+            }
+            Ok(Self::new(path))
+        })
     }
 }
 

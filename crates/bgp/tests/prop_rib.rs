@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use bgp::{aggregate, Nlri, Rib, Route, RouterId};
 use mcast_addr::{McastAddr, Prefix};
 use proptest::prelude::*;
+use snapshot::{Dec, Enc, Snapshot};
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (8u8..=28, any::<u32>()).prop_map(|(len, bits)| {
@@ -526,9 +527,16 @@ proptest! {
 
     /// The one-table `Rib` and the three maps it replaced agree on
     /// every return value, on the Loc-RIB in order, on who contributed
-    /// each winner, and on the sequence of changed group prefixes.
+    /// each winner, and on the sequence of changed group prefixes. And
+    /// one-shot decide ≡ incremental decide: the table decoded from this
+    /// one's bytes, each row decided once from all its candidates
+    /// (equal-preference ties across peers and a local origination
+    /// among them), is this table.
     #[test]
-    fn one_table_matches_three_maps(ops in prop::collection::vec(arb_rib_op(), 1..120)) {
+    fn one_table_matches_three_maps(
+        ops in prop::collection::vec(arb_rib_op(), 1..120),
+        probes in prop::collection::vec((0u32..6, any::<u32>()), 8),
+    ) {
         let mut rib = Rib::new();
         let mut old = ThreeMaps::default();
         for op in &ops {
@@ -578,5 +586,33 @@ proptest! {
         }
         prop_assert_eq!(rib.grib_size(), old.loc.keys().filter(|n| n.as_group().is_some()).count());
         prop_assert_eq!(rib.take_changed_groups(), old.changed_groups);
+
+        let encoded = |rib: &Rib| {
+            let mut enc = Enc::new();
+            rib.encode(&mut enc);
+            enc.finish()
+        };
+        let bytes = encoded(&rib);
+        let mut dec = Dec::new(&bytes);
+        let mut back = Rib::decode(&mut dec).expect("its own bytes decode");
+        prop_assert_eq!(dec.finish(), Ok(()));
+        prop_assert_eq!(encoded(&back), bytes);
+        for op in &ops {
+            if let RibOp::Update { nlri, .. }
+            | RibOp::Withdraw { nlri, .. }
+            | RibOp::Originate { nlri }
+            | RibOp::WithdrawLocal { nlri } = op
+            {
+                prop_assert_eq!(back.best_with_source(*nlri), rib.best_with_source(*nlri));
+            }
+        }
+        prop_assert_eq!(back.grib_size(), rib.grib_size());
+        prop_assert!(back.check_grib_index());
+        prop_assert!(back.take_changed_groups().is_empty());
+        for (i, off) in &probes {
+            let base = i.wrapping_mul(0x0123_4567);
+            let addr = McastAddr(0xE000_0000 | (base.wrapping_add(off & 0xFFFF) & 0x0FFF_FFFF));
+            prop_assert_eq!(back.lookup_group(addr), rib.lookup_group(addr), "at {}", addr);
+        }
     }
 }

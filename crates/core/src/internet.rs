@@ -555,7 +555,7 @@ impl Internet {
         let mut enc = snapshot::Enc::with_header(SNAP_KIND_INTERNET);
         enc.usize(self.nodes.len());
         enc.u64(self.next_packet);
-        enc.bytes(&self.engine.checkpoint::<DomainActor>()?);
+        enc.frame(|enc| self.engine.checkpoint_into::<DomainActor>(enc))?;
         Ok(enc.finish())
     }
 
@@ -574,9 +574,9 @@ impl Internet {
             ));
         }
         let next_packet = dec.u64()?;
-        let engine_blob = dec.bytes()?.to_vec();
+        let engine_blob = dec.bytes()?;
         dec.finish()?;
-        self.engine.resume::<DomainActor>(&engine_blob)?;
+        self.engine.resume::<DomainActor>(engine_blob)?;
         self.next_packet = next_packet;
         Ok(())
     }

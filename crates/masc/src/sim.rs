@@ -452,7 +452,7 @@ impl HierarchySim {
         self.params.workload.encode(&mut enc);
         self.params.config.encode(&mut enc);
         enc.u64(self.params.seed);
-        enc.bytes(&self.engine.checkpoint::<MascActor>()?);
+        enc.frame(|enc| self.engine.checkpoint_into::<MascActor>(enc))?;
         Ok(enc.finish())
     }
 
@@ -471,10 +471,10 @@ impl HierarchySim {
             config: MascConfig::decode(&mut dec)?,
             seed: dec.u64()?,
         };
-        let engine_blob = dec.bytes()?.to_vec();
+        let engine_blob = dec.bytes()?;
         dec.finish()?;
         let mut sim = HierarchySim::new(params);
-        sim.engine.resume::<MascActor>(&engine_blob)?;
+        sim.engine.resume::<MascActor>(engine_blob)?;
         Ok(sim)
     }
 }

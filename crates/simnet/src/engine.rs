@@ -497,17 +497,28 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
     /// the resumed engine produces byte-identical state, stats, and
     /// fault counters to the uninterrupted run.
     pub fn checkpoint<N: Node<M> + SnapshotState>(&self) -> Result<Vec<u8>, SnapError> {
-        let mut enc = snapshot::Enc::with_header(SNAP_KIND_ENGINE);
+        let mut enc = snapshot::Enc::new();
+        self.checkpoint_into::<N>(&mut enc)?;
+        Ok(enc.finish())
+    }
+
+    /// Appends the [`Engine::checkpoint`] blob, header and all, to `enc`:
+    /// a harness frames it in its own snapshot ([`snapshot::Enc::frame`]).
+    pub fn checkpoint_into<N: Node<M> + SnapshotState>(
+        &self,
+        enc: &mut snapshot::Enc,
+    ) -> Result<(), SnapError> {
+        enc.header(SNAP_KIND_ENGINE);
         enc.u64(self.now.0);
         enc.u64(self.ext_seq);
         enc.bool(self.started);
-        self.stats.encode(&mut enc);
-        self.links.encode(&mut enc);
-        self.faults.encode_state(&mut enc);
-        self.trace.encode(&mut enc);
+        self.stats.encode(enc);
+        self.links.encode(enc);
+        self.faults.encode_state(enc);
+        self.trace.encode(enc);
         enc.seq(self.slots.len());
         for slot in &self.slots {
-            slot.rng.state().encode(&mut enc);
+            slot.rng.state().encode(enc);
             enc.u64(slot.emit);
             let node = slot
                 .node
@@ -516,7 +527,7 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
             let node = (node as &dyn Any)
                 .downcast_ref::<N>()
                 .ok_or(SnapError::Invalid("node is not the expected type"))?;
-            node.encode_state(&mut enc);
+            node.encode_state(enc);
         }
         let mut items: Vec<_> = self.queue.items_keyed().collect();
         items.sort_unstable_by_key(|&(t, rank, seq, _)| (t, rank, seq));
@@ -525,9 +536,9 @@ impl<M: Snapshot + Send + 'static> Engine<M> {
             enc.u64(t);
             enc.u64(rank);
             enc.u64(seq);
-            ev.encode(&mut enc);
+            ev.encode(enc);
         }
-        Ok(enc.finish())
+        Ok(())
     }
 
     /// Restores the dynamic state captured by [`Engine::checkpoint`]
@@ -936,6 +947,22 @@ mod tests {
         );
         // The fault model actually fired, so the equality is earned.
         assert!(fa.lost > 0 && fa.duplicated > 0);
+    }
+
+    #[test]
+    fn checkpoint_is_checkpoint_into_and_frames_in_place() {
+        let (mut eng, _) = lossy_echo_rig();
+        eng.run_until(SimTime(90));
+        let blob = eng.checkpoint::<Echo>().unwrap();
+        let mut copied = snapshot::Enc::new();
+        copied.u8(7);
+        copied.bytes(&blob);
+        let mut framed = snapshot::Enc::new();
+        framed.u8(7);
+        framed
+            .frame(|enc| eng.checkpoint_into::<Echo>(enc))
+            .unwrap();
+        assert_eq!(framed.finish(), copied.finish());
     }
 
     #[test]

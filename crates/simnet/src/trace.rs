@@ -100,7 +100,7 @@ impl snapshot::Snapshot for Trace {
         if n > cap {
             return Err(snapshot::SnapError::Invalid("trace ring exceeds cap"));
         }
-        let mut ring = VecDeque::with_capacity(cap);
+        let mut ring = VecDeque::with_capacity(dec.reserve::<(SimTime, String)>(n));
         for _ in 0..n {
             let t = SimTime::decode(dec)?;
             let line = dec.str()?;

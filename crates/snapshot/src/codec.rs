@@ -165,6 +165,19 @@ impl Enc {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends what `body` writes as a length-prefixed byte string: the
+    /// bytes of `self.bytes(&inner)` with no `inner`, the length put in last.
+    pub fn frame<E>(&mut self, body: impl FnOnce(&mut Enc) -> Result<(), E>) -> Result<(), E> {
+        let at = self.buf.len();
+        self.u64(0);
+        body(self)?;
+        let len = (self.buf.len() - at - 8) as u64;
+        if let Some(slot) = self.buf.get_mut(at..at + 8) {
+            slot.copy_from_slice(&len.to_le_bytes());
+        }
+        Ok(())
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
@@ -305,14 +318,19 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a sequence length prefix, sanity-checked against the
-    /// remaining input (a corrupt count cannot force a giant
-    /// allocation: every element costs at least one byte).
+    /// remaining input: every element costs at least one byte.
     pub fn seq(&mut self) -> Result<usize, SnapError> {
         let n = self.usize()?;
         if n > self.remaining() {
             return Err(SnapError::Invalid("sequence length exceeds input"));
         }
         Ok(n)
+    }
+
+    /// How many `T` to reserve for a stated count of `n`: no more memory
+    /// than there is input left; growth past that is paid for by bytes read.
+    pub fn reserve<T>(&self, n: usize) -> usize {
+        n.min(self.remaining() / std::mem::size_of::<T>().max(1))
     }
 
     /// Checks that every byte was consumed.
@@ -389,7 +407,7 @@ impl<T: Snapshot> Snapshot for Vec<T> {
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let n = dec.seq()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(dec.reserve::<T>(n));
         for _ in 0..n {
             out.push(T::decode(dec)?);
         }
@@ -406,7 +424,7 @@ impl<T: Snapshot> Snapshot for VecDeque<T> {
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let n = dec.seq()?;
-        let mut out = VecDeque::with_capacity(n);
+        let mut out = VecDeque::with_capacity(dec.reserve::<T>(n));
         for _ in 0..n {
             out.push_back(T::decode(dec)?);
         }

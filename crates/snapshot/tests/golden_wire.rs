@@ -53,6 +53,37 @@ fn wire_format_matches_committed_golden() {
     );
 }
 
+/// A nested snapshot written in place through `frame` is, byte for
+/// byte, one encoded apart and copied in with `bytes` — here the golden
+/// itself, nested in an outer snapshot and read back.
+#[test]
+fn frame_in_place_is_the_bytes_of_a_copied_blob() {
+    let inner = encode_exemplar();
+    let mut copied = Enc::with_header(KIND);
+    copied.bytes(&inner);
+    copied.u8(0xff);
+    let mut framed = Enc::with_header(KIND);
+    let wrote = framed.frame(|enc| {
+        inner.iter().for_each(|b| enc.u8(*b));
+        Ok::<(), SnapError>(())
+    });
+    assert_eq!(wrote, Ok(()));
+    framed.u8(0xff);
+    let framed = framed.finish();
+    assert_eq!(framed, copied.finish());
+    let mut dec = Dec::new(&framed);
+    assert_eq!(dec.header(KIND), Ok(()));
+    assert_eq!(dec.bytes(), Ok(GOLDEN));
+    assert_eq!(dec.u8(), Ok(0xff));
+    assert_eq!(dec.finish(), Ok(()));
+    // The body's error is the frame's.
+    assert_eq!(Enc::new().frame(|_| Err(7)), Err(7));
+    // An empty frame is an empty string.
+    let mut empty = Enc::new();
+    assert_eq!(empty.frame(|_| Ok::<(), ()>(())), Ok(()));
+    assert_eq!(empty.finish(), 0u64.to_le_bytes());
+}
+
 #[test]
 fn golden_header_is_magic_version_kind() {
     assert_eq!(&GOLDEN[..4], MAGIC, "magic");

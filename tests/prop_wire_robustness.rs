@@ -243,14 +243,37 @@ struct FiveMaps {
     down: BTreeSet<RouterId>,
 }
 
+/// The three sections a restore walks in step with the table, as
+/// record lists: a list is framed as the map it came from, in whatever
+/// order it is in.
+#[derive(Clone)]
+struct Walked {
+    adj_in: Vec<((Nlri, RouterId), Route)>,
+    kinds: Vec<((RouterId, Nlri), RouteSourceKind)>,
+    out: Vec<((RouterId, Nlri), Route)>,
+}
+
 impl FiveMaps {
+    fn walked(&self) -> Walked {
+        Walked {
+            adj_in: self.adj_in.clone().into_iter().collect(),
+            kinds: self.kinds.clone().into_iter().collect(),
+            out: self.out.clone().into_iter().collect(),
+        }
+    }
+
     fn blob(&self) -> Vec<u8> {
+        self.blob_with(&self.walked())
+    }
+
+    /// The blob with `lists` where the maps they came from go.
+    fn blob_with(&self, lists: &Walked) -> Vec<u8> {
         let mut enc = Enc::new();
-        self.adj_in.encode(&mut enc);
+        lists.adj_in.encode(&mut enc);
         self.loc.encode(&mut enc);
-        self.kinds.encode(&mut enc);
+        lists.kinds.encode(&mut enc);
         self.local_groups.encode(&mut enc);
-        self.out.encode(&mut enc);
+        lists.out.encode(&mut enc);
         self.down.encode(&mut enc);
         enc.bool(true); // aggregate_suppress
         enc.finish()
@@ -420,6 +443,29 @@ fn kind_of_an_unheard_route_is_refused() {
     }
 }
 
+/// The restore reads each section once, in step with the table, so a
+/// record that is not after the one before it — which `encode_state`
+/// never writes — is refused, not sorted into place.
+#[test]
+fn speaker_sections_out_of_order_are_refused() {
+    let (_, maps) = live_speaker();
+    let sorted = maps.walked();
+    let twice = sorted.kinds.windows(2).position(|w| w[0].0 .0 == w[1].0 .0);
+    let i = twice.expect("a peer with two kinds");
+    let refused = |what: &str, edit: &dyn Fn(&mut Walked)| {
+        let mut lists = sorted.clone();
+        edit(&mut lists);
+        let got = through_speaker(&maps.blob_with(&lists));
+        assert!(matches!(got, Err(SnapError::Invalid(_))), "{what}: {got:?}");
+    };
+    refused("two Adj-RIB-In records swapped", &|l| l.adj_in.swap(0, 1));
+    refused("an Adj-RIB-In record twice", &|l| {
+        l.adj_in.insert(0, l.adj_in[0].clone())
+    });
+    refused("two kinds of one peer swapped", &|l| l.kinds.swap(i, i + 1));
+    refused("two out records swapped", &|l| l.out.swap(0, 1));
+}
+
 /// An `out` entry is independent of what the peer advertised: one for a
 /// pair — even an NLRI — the Adj-RIB-In section lacks survives a
 /// restore byte for byte. One this router cannot have sent is refused.
@@ -446,6 +492,14 @@ fn out_entries_stand_alone_or_are_refused() {
             "{stray:?} moved bytes"
         );
     }
+    // Two peers told of an NLRI nobody advertised share the row made for it.
+    let mut odd = maps.clone();
+    let unheard = Nlri::Group(prefix(0xEE00_0000, 8));
+    for to in [20, 40] {
+        odd.out.insert((to, unheard), sent(unheard, ME, false));
+    }
+    let blob = odd.blob();
+    assert!(through_speaker(&blob).expect("restores") == blob);
     let at = (20, Nlri::Domain(9));
     for forged in [
         sent(at.1, 99, false),
@@ -497,8 +551,8 @@ proptest! {
         if flip.0 {
             let i = flip.1 as usize % blob.len();
             blob[i] ^= 1 << flip.2;
-            // Totality only: a flipped count or key can reorder a map,
-            // which the codec has always re-encoded sorted.
+            // Totality only: a flipped key can reorder `local_groups`
+            // or `down`, which the set codec re-encodes sorted.
             let _ = through_speaker(&blob);
         }
     }
