@@ -55,10 +55,9 @@ impl OuterSpace {
     /// (active) flags, keeping claims that still fall inside some
     /// range.
     pub fn set_ranges_flagged(&mut self, ranges: &[(Prefix, Secs, bool)]) {
-        // Fast path: same roots and flags, only expiries moved. The
-        // trackers and claim placements depend on neither, so nothing
-        // needs rebuilding. Parents re-advertise their ranges after
-        // every grant, so this is the overwhelmingly common case.
+        // Fast path: same roots and flags, only expiries moved (the
+        // parent renewed). The trackers and claim placements depend on
+        // neither, so nothing needs touching.
         if self.ranges.len() == ranges.len()
             && self
                 .ranges
@@ -71,14 +70,50 @@ impl OuterSpace {
             }
             return;
         }
-        let old_claims = std::mem::take(&mut self.claims);
+        // A correct parent's ranges are carved from free space, so its
+        // roots neither nest nor repeat and a claim fits one tracker
+        // only: a surviving root's tracker moves over as it stands, and
+        // what it lacks of the claims under it sat under a root that
+        // overlapped it and has therefore departed. Only the claims
+        // under departed roots (what is left in `old`) are placed again
+        // — into a doubled root, or nowhere. Nested or repeated roots
+        // let a claim fit several trackers: then no tracker is kept and
+        // every claim is placed afresh.
+        let nested = (ranges.iter().enumerate())
+            .any(|(i, a)| ranges[..i].iter().any(|b| a.0.overlaps(&b.0)));
+        let mut old = std::mem::take(&mut self.ranges);
         self.ranges = ranges
             .iter()
-            .map(|(p, exp, act)| (*exp, *act, SpaceTracker::new(*p)))
+            .map(|(p, exp, act)| {
+                let kept = old.iter().position(|(_, _, t)| !nested && t.root() == *p);
+                let t = kept.map_or_else(|| SpaceTracker::new(*p), |i| old.swap_remove(i).2);
+                (*exp, *act, t)
+            })
             .collect();
-        self.min_expiry = None;
-        for c in old_claims {
-            self.insert_claim(c);
+        if !old.is_empty() {
+            let mut displaced = Vec::new();
+            self.claims.retain(|c| {
+                let stays = !nested && !old.iter().any(|(_, _, t)| t.root().covers(&c.prefix));
+                if !stays {
+                    displaced.push(*c);
+                }
+                stays
+            });
+            self.min_expiry = self.claims.iter().map(|k| k.expires).min();
+            for c in displaced {
+                self.insert_claim(c);
+            }
+        }
+        // The rebuild this replaces regrew `claims` from empty, which
+        // is what gave back the start-up peak's capacity: keep to what
+        // that growth would hold. Copied out, not shrunk in place — the
+        // hole a shrink leaves behind each vector cost the figure-2 run
+        // 4 MB of resident memory.
+        let grown = self.claims.len().next_power_of_two().max(4);
+        if self.claims.capacity() > grown {
+            let mut fitted = Vec::with_capacity(grown);
+            fitted.extend_from_slice(&self.claims);
+            self.claims = fitted;
         }
     }
 

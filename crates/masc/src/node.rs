@@ -269,7 +269,7 @@ impl MascNode {
     /// Announce a local block allocation to children so their claims
     /// avoid it (parent-authoritative divergence, see module docs).
     fn announce_local_use(
-        &mut self,
+        &self,
         now: Secs,
         block: Prefix,
         expires: Secs,
@@ -284,15 +284,15 @@ impl MascNode {
             expires,
             at: now,
         };
-        for c in self.children.clone() {
+        for c in &self.children {
             actions.push(MascAction::Send {
-                to: c,
+                to: *c,
                 msg: msg.clone(),
             });
         }
     }
 
-    fn announce_local_release(&mut self, _now: Secs, block: Prefix, actions: &mut Vec<MascAction>) {
+    fn announce_local_release(&self, _now: Secs, block: Prefix, actions: &mut Vec<MascAction>) {
         if self.children.is_empty() {
             return;
         }
@@ -300,9 +300,9 @@ impl MascNode {
             claimer: self.domain,
             prefix: block,
         };
-        for c in self.children.clone() {
+        for c in &self.children {
             actions.push(MascAction::Send {
-                to: c,
+                to: *c,
                 msg: msg.clone(),
             });
         }
@@ -401,39 +401,6 @@ impl MascNode {
         actions.push(MascAction::ClaimFailed { demand });
     }
 
-    /// Shrink pressure (§4.3.1/§4.3.3: lifetimes exist so allocations
-    /// "organize themselves based on the usage patterns"): when active
-    /// occupancy is far below target, claim a right-sized consolidation
-    /// prefix; the grant deactivates the oversized ranges, which then
-    /// drain and recycle.
-    ///
-    /// NOT wired into the default renewal path: measured on the
-    /// figure-2 workload it *worsens* both G-RIB size and utilization
-    /// (consolidation churn forces children to migrate, costing leases
-    /// and re-claims). Exposed for the ablation harness, which
-    /// quantifies exactly that trade-off.
-    pub fn maybe_shrink(&mut self, now: Secs, actions: &mut Vec<MascAction>) {
-        if self.claim_in_flight() {
-            return;
-        }
-        let used = self.active_used() + self.queued_demand();
-        let cap = self.alloc.active_capacity();
-        if cap == 0 || used == 0 {
-            return; // empty ranges are handled by the release path
-        }
-        let occ = used as f64 / cap as f64;
-        if occ >= self.cfg.target_occupancy / 2.0 {
-            return;
-        }
-        let want_size = ((used as f64 / self.cfg.target_occupancy) as u64).max(1);
-        let want_len = Prefix::len_for_size(want_size).min(self.cfg.min_claim_len);
-        // Only worth the churn if it at least halves capacity.
-        if (1u64 << (32 - want_len as u32)) * 2 > cap {
-            return;
-        }
-        self.try_claim_new(now, want_len, ClaimPurpose::Consolidate, actions);
-    }
-
     fn try_claim_new(
         &mut self,
         now: Secs,
@@ -490,19 +457,7 @@ impl MascNode {
             expires,
             at: now,
         };
-        match self.parent {
-            // Child: inform the parent; it propagates to our siblings.
-            Some(p) => actions.push(MascAction::Send { to: p, msg }),
-            // Top-level: inform all sibling top-level domains (§4.1).
-            None => {
-                for s in self.siblings.clone() {
-                    actions.push(MascAction::Send {
-                        to: s,
-                        msg: msg.clone(),
-                    });
-                }
-            }
-        }
+        self.broadcast_sibling(msg, actions);
     }
 
     /// Abandons a waiting claim (lost a collision) and retries.
@@ -537,7 +492,9 @@ impl MascNode {
 
     fn broadcast_sibling(&self, msg: MascMsg, actions: &mut Vec<MascAction>) {
         match self.parent {
+            // Child: inform the parent; it propagates to our siblings.
             Some(p) => actions.push(MascAction::Send { to: p, msg }),
+            // Top-level: inform all sibling top-level domains (§4.1).
             None => {
                 for s in &self.siblings {
                     actions.push(MascAction::Send {
@@ -562,7 +519,7 @@ impl MascNode {
                     self.outer.set_ranges_flagged(&ranges);
                     // Re-record our own claims (set_ranges keeps claims
                     // inside surviving ranges; re-insert to be safe).
-                    for c in self.own.clone() {
+                    for c in &self.own {
                         self.outer.insert_claim(KnownClaim {
                             owner: self.domain,
                             prefix: c.prefix,
@@ -855,6 +812,7 @@ impl MascNode {
         msg: MascMsg,
         actions: &mut Vec<MascAction>,
     ) {
+        actions.reserve(self.children.len());
         for c in &self.children {
             if *c != except {
                 actions.push(MascAction::Send {
@@ -1101,6 +1059,7 @@ impl MascNode {
             })
             .collect();
         let msg = MascMsg::ParentAdvertise { ranges };
+        actions.reserve(self.children.len());
         for c in &self.children {
             actions.push(MascAction::Send {
                 to: *c,

@@ -5,6 +5,45 @@ use masc::claims::{KnownClaim, OuterSpace};
 use mcast_addr::{McastAddr, Prefix};
 use proptest::prelude::*;
 
+/// One advertised range: a `/6…/12` around one of the eight `/7`s of
+/// 224/4, so that roots nest, repeat, double and come back across
+/// rounds often, and a claimable flag.
+fn arb_range() -> impl Strategy<Value = (Prefix, u64, bool)> {
+    (0u32..8, 6u8..=12, 1_000u64..2_000, any::<bool>()).prop_map(|(slot, len, exp, act)| {
+        let root = Prefix::containing(McastAddr(0xE000_0000 | slot << 25), len).unwrap();
+        (root, exp, act)
+    })
+}
+
+/// A claim to place: which advertised range (224/4 itself when the
+/// index names none, so some claims fall outside every range), how
+/// much longer its mask is, where inside, owner and expiry.
+type ClaimSpec = (usize, u8, u32, u32, u64);
+
+fn arb_claim() -> impl Strategy<Value = ClaimSpec> {
+    (0usize..6, 1u8..=4, any::<u32>(), 1u32..=3, 1u64..1_000)
+}
+
+fn place(spec: ClaimSpec, ranges: &[(Prefix, u64, bool)]) -> KnownClaim {
+    let (idx, extra, bits, owner, expires) = spec;
+    let root = ranges.get(idx).map_or(Prefix::MULTICAST, |r| r.0);
+    let at = McastAddr(root.base_u32() | bits & !root.mask());
+    let prefix = Prefix::containing(at, root.len() + extra).unwrap();
+    KnownClaim {
+        owner,
+        prefix,
+        expires,
+        at: 0,
+    }
+}
+
+fn bytes(s: &OuterSpace) -> Vec<u8> {
+    use snapshot::Snapshot as _;
+    let mut e = snapshot::Enc::with_header(0);
+    s.encode(&mut e);
+    e.finish()
+}
+
 fn arb_sub(rootlen: u8) -> impl Strategy<Value = Prefix> {
     ((rootlen + 1)..=30, any::<u32>()).prop_map(move |(len, bits)| {
         let root = Prefix::new(0xE000_0000, rootlen).unwrap();
@@ -77,6 +116,40 @@ proptest! {
             if let Some(e) = exp {
                 prop_assert_eq!(e, parent);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A re-advertisement applied to a live space leaves exactly what
+    /// a fresh space given the new ranges and the old claims, in
+    /// order, would hold — whichever of the diff and the rebuild
+    /// `set_ranges_flagged` took (roots here are added, dropped,
+    /// doubled, nested, repeated and re-flagged).
+    #[test]
+    fn readvertise_equals_rebuild(
+        rounds in prop::collection::vec(
+            (prop::collection::vec(arb_range(), 0..=5), prop::collection::vec(arb_claim(), 0..=11)),
+            1..=5,
+        ),
+    ) {
+        let mut live = OuterSpace::new();
+        for (ranges, claims) in rounds {
+            let mut fresh = OuterSpace::new();
+            fresh.set_ranges_flagged(&ranges);
+            for c in live.claims() {
+                fresh.insert_claim(*c);
+            }
+            live.set_ranges_flagged(&ranges);
+            prop_assert_eq!(bytes(&live), bytes(&fresh), "after advertising {:?}", ranges);
+            prop_assert_eq!(live.next_claim_expiry(), fresh.next_claim_expiry());
+            for spec in claims {
+                let c = place(spec, &ranges);
+                prop_assert_eq!(live.insert_claim(c), fresh.insert_claim(c), "placing {:?}", c);
+            }
+            prop_assert_eq!(bytes(&live), bytes(&fresh));
         }
     }
 }

@@ -122,8 +122,9 @@ impl BlockAllocator {
             if len < o.prefix.len() {
                 continue;
             }
-            let free = o.blocks.free_prefixes();
-            if let Some(block) = free
+            if let Some(block) = o
+                .blocks
+                .free_blocks()
                 .iter()
                 .find(|f| f.len() <= len)
                 .and_then(|f| f.first_subprefix(len))
@@ -184,9 +185,10 @@ impl BlockAllocator {
 
     /// Could a `/len` block be allocated right now, without allocating?
     pub fn can_alloc(&self, len: u8) -> bool {
-        self.owned.iter().filter(|o| o.active).any(|o| {
-            len >= o.prefix.len() && o.blocks.free_prefixes().iter().any(|f| f.len() <= len)
-        })
+        self.owned
+            .iter()
+            .filter(|o| o.active)
+            .any(|o| len >= o.prefix.len() && o.blocks.free_blocks().iter().any(|f| f.len() <= len))
     }
 
     /// Owned prefixes in address order.

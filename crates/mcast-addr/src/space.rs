@@ -252,9 +252,14 @@ impl SpaceTracker {
     /// union of the result plus the union of entries equals the root,
     /// and no two results are mergeable into a larger free prefix.
     pub fn free_prefixes(&self) -> Vec<Prefix> {
+        self.free_blocks().to_vec()
+    }
+
+    /// [`SpaceTracker::free_prefixes`], borrowed.
+    pub fn free_blocks(&self) -> &[Prefix] {
         // Disjoint blocks have distinct bases, so sort order (base,
         // len) is address order.
-        self.free.clone()
+        &self.free
     }
 
     fn collect_free(node: Prefix, in_use: &[Prefix], out: &mut Vec<Prefix>) {
