@@ -1,7 +1,7 @@
 //! Claim bookkeeping: the outer space a domain claims from, and the
 //! states of its own claims.
 
-use mcast_addr::{Prefix, Secs, SpaceTracker};
+use mcast_addr::{FreeSpace, Prefix, Secs, SpaceTracker};
 
 use crate::msg::DomainAsn;
 
@@ -18,17 +18,53 @@ pub struct KnownClaim {
     pub at: Secs,
 }
 
+/// A [`KnownClaim`] as [`OuterSpace`] keeps it, in 20 bytes: times in
+/// `u32` seconds (800 days are 6.9 × 10⁷ s; decode refuses more).
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    prefix: Prefix,
+    owner: DomainAsn,
+    expires: u32,
+    at: u32,
+}
+
+fn secs32(t: Secs) -> u32 {
+    debug_assert!(t <= u32::MAX.into(), "claim time {t} past u32 seconds");
+    t.min(u32::MAX.into()) as u32
+}
+
+impl Held {
+    fn new(c: KnownClaim) -> Self {
+        Held {
+            prefix: c.prefix,
+            owner: c.owner,
+            expires: secs32(c.expires),
+            at: secs32(c.at),
+        }
+    }
+
+    fn known(self) -> KnownClaim {
+        KnownClaim {
+            owner: self.owner,
+            prefix: self.prefix,
+            expires: self.expires.into(),
+            at: self.at.into(),
+        }
+    }
+}
+
 /// The space a domain may claim from: the parent's advertised ranges
 /// (or the bootstrap/exchange ranges for a top-level domain), minus
-/// every known claim.
+/// every known claim. A claim sits in the first range whose root
+/// covers it; a range keeps only its root's free decomposition.
 #[derive(Debug, Clone, Default)]
 pub struct OuterSpace {
-    /// One tracker per parent range; entries are known claims. The
-    /// flag marks ranges new claims may be made from (parent-active).
-    ranges: Vec<(Secs, bool, SpaceTracker)>,
-    /// All known claims (including our own), sorted by (prefix,
-    /// owner) — at most one entry per key, found by binary search.
-    claims: Vec<KnownClaim>,
+    /// One free layer per parent range. The flag marks ranges new
+    /// claims may be made from (parent-active).
+    ranges: Vec<(Secs, bool, FreeSpace)>,
+    /// Every known claim (ours too), one per (prefix, owner), in that
+    /// order: prefixes sort by (base, len), so those inside one are a run.
+    claims: Vec<Held>,
     /// Derived: the earliest expiry among `claims`, kept exact across
     /// every mutation so the per-event deadline probe is O(1) instead
     /// of a scan. Recomputed on decode; never serialized.
@@ -56,14 +92,14 @@ impl OuterSpace {
     /// range.
     pub fn set_ranges_flagged(&mut self, ranges: &[(Prefix, Secs, bool)]) {
         // Fast path: same roots and flags, only expiries moved (the
-        // parent renewed). The trackers and claim placements depend on
-        // neither, so nothing needs touching.
+        // parent renewed). The free layers and claim placements depend
+        // on neither, so nothing needs touching.
         if self.ranges.len() == ranges.len()
             && self
                 .ranges
                 .iter()
                 .zip(ranges)
-                .all(|((_, act, t), (p, _, a))| t.root() == *p && act == a)
+                .all(|((_, act, f), (p, _, a))| f.root() == *p && act == a)
         {
             for (r, (_, exp, _)) in self.ranges.iter_mut().zip(ranges) {
                 r.0 = *exp;
@@ -71,37 +107,37 @@ impl OuterSpace {
             return;
         }
         // A correct parent's ranges are carved from free space, so its
-        // roots neither nest nor repeat and a claim fits one tracker
-        // only: a surviving root's tracker moves over as it stands, and
-        // what it lacks of the claims under it sat under a root that
-        // overlapped it and has therefore departed. Only the claims
-        // under departed roots (what is left in `old`) are placed again
-        // — into a doubled root, or nowhere. Nested or repeated roots
-        // let a claim fit several trackers: then no tracker is kept and
-        // every claim is placed afresh.
+        // roots neither nest nor repeat and a claim fits one range
+        // only: a surviving root's free layer moves over as it stands,
+        // and what it lacks of the claims under it sat under a root
+        // that overlapped it and has therefore departed. Only the
+        // claims under departed roots (what is left in `old`) are
+        // placed again — into a doubled root, or nowhere. Nested or
+        // repeated roots let a claim fit several ranges: then no layer
+        // is kept and every claim is placed afresh.
         let nested = (ranges.iter().enumerate())
             .any(|(i, a)| ranges[..i].iter().any(|b| a.0.overlaps(&b.0)));
         let mut old = std::mem::take(&mut self.ranges);
         self.ranges = ranges
             .iter()
             .map(|(p, exp, act)| {
-                let kept = old.iter().position(|(_, _, t)| !nested && t.root() == *p);
-                let t = kept.map_or_else(|| SpaceTracker::new(*p), |i| old.swap_remove(i).2);
-                (*exp, *act, t)
+                let kept = old.iter().position(|(_, _, f)| !nested && f.root() == *p);
+                let f = kept.map_or_else(|| FreeSpace::new(*p), |i| old.swap_remove(i).2);
+                (*exp, *act, f)
             })
             .collect();
         if !old.is_empty() {
             let mut displaced = Vec::new();
             self.claims.retain(|c| {
-                let stays = !nested && !old.iter().any(|(_, _, t)| t.root().covers(&c.prefix));
+                let stays = !nested && !old.iter().any(|(_, _, f)| f.root().covers(&c.prefix));
                 if !stays {
                     displaced.push(*c);
                 }
                 stays
             });
-            self.min_expiry = self.claims.iter().map(|k| k.expires).min();
+            self.min_expiry = self.claims.iter().map(|k| k.expires.into()).min();
             for c in displaced {
-                self.insert_claim(c);
+                self.insert_claim(c.known());
             }
         }
         // The rebuild this replaces regrew `claims` from empty, which
@@ -117,28 +153,41 @@ impl OuterSpace {
         }
     }
 
-    /// The parent ranges currently known.
-    pub fn ranges(&self) -> impl Iterator<Item = (Prefix, Secs)> + '_ {
-        self.ranges.iter().map(|(exp, _, t)| (t.root(), *exp))
-    }
-
     /// Is `p` within some parent range?
     pub fn in_range(&self, p: &Prefix) -> bool {
-        self.ranges.iter().any(|(_, _, t)| t.root().covers(p))
+        self.home(p).is_some()
     }
 
-    /// Is `p` within some *claimable* (active) parent range?
-    pub fn in_claimable_range(&self, p: &Prefix) -> bool {
-        self.ranges
-            .iter()
-            .any(|(_, act, t)| *act && t.root().covers(p))
+    /// The range a claim on `p` sits in: the first whose root covers it.
+    fn home(&self, p: &Prefix) -> Option<usize> {
+        self.ranges.iter().position(|(_, _, f)| f.root().covers(p))
+    }
+
+    /// The index run of the claims inside `p` (`p` included), searched
+    /// from `from` on.
+    fn run_within(&self, p: &Prefix, from: usize) -> std::ops::Range<usize> {
+        let last = p.last().0;
+        let start = from + self.claims[from..].partition_point(|c| c.prefix < *p);
+        let end = start + self.claims[start..].partition_point(|c| c.prefix.base_u32() <= last);
+        start..end
+    }
+
+    /// The prefixes of the claims sitting in range `i`, once each, in
+    /// order: its root's run, less what an earlier range covers (only
+    /// an earlier root that overlaps this one can).
+    fn held_in(&self, i: usize) -> impl Iterator<Item = Prefix> + Clone + '_ {
+        let root = self.ranges[i].2.root();
+        let nested = (self.ranges[..i].iter()).any(|(_, _, f)| f.root().overlaps(&root));
+        (self.claims[self.run_within(&root, 0)].chunk_by(|a, b| a.prefix == b.prefix))
+            .map(|same| same[0].prefix)
+            .filter(move |q| !nested || self.home(q) == Some(i))
     }
 
     /// Maintains the cached minimum after a claim with `expires` left
     /// the set (rescans only when the departed expiry was the minimum).
     fn note_removed_expiry(&mut self, expires: Secs) {
         if self.min_expiry == Some(expires) {
-            self.min_expiry = self.claims.iter().map(|k| k.expires).min();
+            self.min_expiry = self.claims.iter().map(|k| k.expires.into()).min();
         }
     }
 
@@ -152,27 +201,28 @@ impl OuterSpace {
     /// Records a claim. Returns false if it falls outside every range
     /// (the caller may then send a collision per §4.4).
     pub fn insert_claim(&mut self, c: KnownClaim) -> bool {
-        let mut placed = false;
-        for (_, _, t) in &mut self.ranges {
-            if t.root().covers(&c.prefix) {
-                t.insert(c.prefix);
-                placed = true;
-                break;
+        let c = Held::new(c);
+        let Some(home) = self.home(&c.prefix) else {
+            return false;
+        };
+        match self.claim_pos(&c.prefix, c.owner) {
+            Ok(pos) => {
+                // Re-announcement: replace in place.
+                let old = std::mem::replace(&mut self.claims[pos], c);
+                self.note_removed_expiry(old.expires.into());
             }
-        }
-        if placed {
-            match self.claim_pos(&c.prefix, c.owner) {
-                Ok(pos) => {
-                    // Re-announcement: replace in place.
-                    let old = self.claims[pos].expires;
-                    self.claims[pos] = c;
-                    self.note_removed_expiry(old);
+            Err(pos) => {
+                // Claims on one prefix sort next to each other.
+                let held = |i: usize| self.claims.get(i).is_some_and(|k| k.prefix == c.prefix);
+                if !held(pos) && !pos.checked_sub(1).is_some_and(held) {
+                    self.ranges[home].2.occupy(c.prefix);
                 }
-                Err(pos) => self.claims.insert(pos, c),
+                self.claims.insert(pos, c);
             }
-            self.min_expiry = Some(self.min_expiry.map_or(c.expires, |m| m.min(c.expires)));
         }
-        placed
+        let expires = c.expires.into();
+        self.min_expiry = Some(self.min_expiry.map_or(expires, |m| m.min(expires)));
+        true
     }
 
     /// Removes a claim by owner and prefix.
@@ -181,20 +231,22 @@ impl OuterSpace {
             return false;
         };
         let gone = self.claims.remove(pos);
-        self.note_removed_expiry(gone.expires);
-        // Only clear the tracker entry if no other claim holds the
-        // exact same prefix (overlapping claims during waiting). Same-
-        // prefix claims sort adjacently, so checking the neighbors of
-        // the removed slot suffices.
-        let same_prefix_survives = self.claims.get(pos).is_some_and(|k| k.prefix == *prefix)
-            || pos
-                .checked_sub(1)
-                .is_some_and(|i| self.claims[i].prefix == *prefix);
-        if !same_prefix_survives {
-            for (_, _, t) in &mut self.ranges {
-                t.remove(prefix);
-            }
+        self.note_removed_expiry(gone.expires.into());
+        // The space stays in use while a claim holds the same prefix
+        // (waiting overlap) or an ancestor in its range.
+        let home = self.home(prefix).expect("every claim sits in a range");
+        let root_len = self.ranges[home].2.root().len();
+        let mut held = std::iter::successors(Some(*prefix), Prefix::parent)
+            .take_while(|a| a.len() >= root_len);
+        if held.any(|a| self.claims.binary_search_by(|c| c.prefix.cmp(&a)).is_ok()) {
+            return true;
         }
+        let inside: Vec<Prefix> = self.claims[self.run_within(prefix, pos)]
+            .iter()
+            .map(|c| c.prefix)
+            .filter(|q| self.home(q) == Some(home))
+            .collect();
+        self.ranges[home].2.release(prefix, &inside);
         true
     }
 
@@ -203,13 +255,9 @@ impl OuterSpace {
         let Ok(pos) = self.claim_pos(prefix, owner) else {
             return false;
         };
-        let old = self.claims[pos].expires;
-        self.claims[pos].expires = expires;
-        if self.min_expiry == Some(old) {
-            self.min_expiry = self.claims.iter().map(|k| k.expires).min();
-        } else {
-            self.min_expiry = self.min_expiry.map(|m| m.min(expires));
-        }
+        let old = std::mem::replace(&mut self.claims[pos].expires, secs32(expires));
+        self.note_removed_expiry(old.into());
+        self.min_expiry = self.min_expiry.map(|m| m.min(expires));
         true
     }
 
@@ -224,8 +272,8 @@ impl OuterSpace {
         let expired: Vec<KnownClaim> = self
             .claims
             .iter()
+            .map(|k| k.known())
             .filter(|k| k.expires <= now)
-            .copied()
             .collect();
         for e in &expired {
             self.remove_claim(e.owner, &e.prefix);
@@ -238,9 +286,9 @@ impl OuterSpace {
         self.min_expiry
     }
 
-    /// All known claims.
-    pub fn claims(&self) -> &[KnownClaim] {
-        &self.claims
+    /// All known claims, sorted by (prefix, owner).
+    pub fn claims(&self) -> Vec<KnownClaim> {
+        self.claims.iter().map(|k| k.known()).collect()
     }
 
     /// Claims overlapping `p`, excluding those owned by `except`.
@@ -248,15 +296,13 @@ impl OuterSpace {
         self.claims
             .iter()
             .filter(|k| Some(k.owner) != except && k.prefix.overlaps(p))
-            .copied()
+            .map(|k| k.known())
             .collect()
     }
 
     /// Is `p` entirely free (inside a range, overlapping no claim)?
     pub fn is_free(&self, p: &Prefix) -> bool {
-        self.ranges
-            .iter()
-            .any(|(_, _, t)| t.root().covers(p) && t.is_free(p))
+        self.ranges.iter().any(|(_, _, f)| f.is_free(p))
     }
 
     /// Claim candidates of the requested mask length, per the paper's
@@ -269,32 +315,26 @@ impl OuterSpace {
         // nothing to allocate from), so such candidates take the first
         // half instead.
         //
-        // The trackers maintain their free blocks indexed by size
-        // class, so the globally-largest blocks are found without
-        // recomputing any range's free decomposition.
+        // Each range maintains its free blocks, so the globally-largest
+        // blocks are found without recomputing any decomposition.
         let Some(min_len) = self
             .ranges
             .iter()
             .filter(|(_, act, _)| *act)
-            .filter_map(|(_, _, t)| t.shortest_free_len())
+            .filter_map(|(_, _, f)| f.shortest_free_len())
             .filter(|l| *l <= want_len)
             .min()
         else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (_, act, t) in &self.ranges {
+        for (_, act, f) in &self.ranges {
             if !*act {
                 continue;
             }
-            let root = t.root();
-            let effective = if want_len == root.len() {
-                want_len + 1
-            } else {
-                want_len
-            };
+            let effective = want_len + u8::from(want_len == f.root().len());
             out.extend(
-                t.free_of_len(min_len)
+                f.free_of_len(min_len)
                     .filter_map(|blk| blk.first_subprefix(effective.min(32))),
             );
         }
@@ -306,14 +346,10 @@ impl OuterSpace {
     pub fn expansion_of(&self, p: &Prefix) -> Option<Prefix> {
         let buddy = p.buddy()?;
         let parent = p.parent()?;
-        if !self.in_claimable_range(&parent) {
+        if !(self.ranges.iter()).any(|(_, act, f)| *act && f.root().covers(&parent)) {
             return None;
         }
-        if self.is_free(&buddy) {
-            Some(parent)
-        } else {
-            None
-        }
+        self.is_free(&buddy).then_some(parent)
     }
 
     /// The expiry of the range containing `p`, capping claim lifetimes
@@ -322,7 +358,7 @@ impl OuterSpace {
     pub fn range_expiry_for(&self, p: &Prefix) -> Option<Secs> {
         self.ranges
             .iter()
-            .find(|(_, _, t)| t.root().covers(p))
+            .find(|(_, _, f)| f.root().covers(p))
             .map(|(exp, _, _)| *exp)
     }
 }
@@ -455,28 +491,46 @@ impl snapshot::Snapshot for OwnClaim {
 }
 
 impl snapshot::Snapshot for OuterSpace {
-    /// Both fields are encoded verbatim: `claims` is a `Vec` sorted by
-    /// (prefix, owner), and each range's tracker holds the claim
-    /// decomposition.
+    /// Each range's expiry, flag and the `SpaceTracker` of the claims in
+    /// it — its root's run of the sorted claims, so one pass over them
+    /// for disjoint roots — then the claims as `KnownClaim`s.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.ranges.encode(enc);
-        self.claims.encode(enc);
+        enc.seq(self.ranges.len());
+        for (i, (exp, act, f)) in self.ranges.iter().enumerate() {
+            enc.u64(*exp);
+            enc.bool(*act);
+            f.encode_tracker(self.held_in(i), enc);
+        }
+        enc.seq(self.claims.len());
+        self.claims.iter().for_each(|c| c.known().encode(enc));
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let ranges: Vec<(Secs, bool, SpaceTracker)> = snapshot::Snapshot::decode(dec)?;
+        use snapshot::SnapError::Invalid;
+        let trackers: Vec<(Secs, bool, SpaceTracker)> = snapshot::Snapshot::decode(dec)?;
         let claims: Vec<KnownClaim> = snapshot::Snapshot::decode(dec)?;
         if claims
             .windows(2)
             .any(|w| (w[0].prefix, w[0].owner) >= (w[1].prefix, w[1].owner))
         {
-            return Err(snapshot::SnapError::Invalid("claims out of order"));
+            return Err(Invalid("claims out of order"));
         }
-        let min_expiry = claims.iter().map(|k| k.expires).min();
-        Ok(OuterSpace {
-            ranges,
-            claims,
-            min_expiry,
-        })
+        if claims.iter().any(|c| c.expires.max(c.at) > u32::MAX.into()) {
+            return Err(Invalid("claim time past u32 seconds"));
+        }
+        let space = OuterSpace {
+            ranges: (trackers.iter())
+                .map(|(exp, act, t)| (*exp, *act, FreeSpace::clone(t)))
+                .collect(),
+            claims: claims.iter().map(|c| Held::new(*c)).collect(),
+            min_expiry: claims.iter().map(|k| k.expires).min(),
+        };
+        if space.claims.iter().any(|c| !space.in_range(&c.prefix))
+            || (trackers.iter().enumerate())
+                .any(|(i, t)| !t.2.in_use().copied().eq(space.held_in(i)))
+        {
+            return Err(Invalid("range entries differ from the claims in them"));
+        }
+        Ok(space)
     }
 }
 

@@ -27,6 +27,7 @@
 //! collides with one is refused with a collision announcement (§4.4
 //! gives the parent exactly this enforcement role).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use mcast_addr::{BlockAllocator, LeaseTable, Prefix, Secs};
@@ -114,6 +115,11 @@ pub struct MascNode {
     /// Statistics.
     pub stats: MascStats,
     rng: StdRng,
+    /// Derived: [`MascNode::next_deadline`] less the outer claims' expiry,
+    /// `None` until rescanned; every `&mut` entry point clears it but the
+    /// messages that change only the outer claims.
+    // lint:allow(snapshot-field-coverage) — derived minimum, cleared on restore and rescanned on the next probe
+    own_deadline: Cell<Option<Option<Secs>>>,
 }
 
 impl MascNode {
@@ -147,6 +153,7 @@ impl MascNode {
             signalled: std::collections::BTreeMap::new(),
             stats: MascStats::default(),
             rng: StdRng::seed_from_u64(seed ^ (domain as u64) << 17),
+            own_deadline: Cell::new(None),
         }
     }
 
@@ -163,6 +170,7 @@ impl MascNode {
     /// Bootstraps the outer space directly (top-level domains pick the
     /// prefix of a nearby exchange, §4.4).
     pub fn bootstrap_ranges(&mut self, ranges: &[(Prefix, Secs)]) {
+        self.own_deadline.take();
         self.outer.set_ranges(ranges);
     }
 
@@ -178,12 +186,6 @@ impl MascNode {
     /// Addresses in use: local block leases plus child claims.
     pub fn used(&self) -> u64 {
         self.alloc.used()
-    }
-
-    /// Addresses leased to local clients only (excludes child claims).
-    pub fn local_used(&self) -> u64 {
-        let child: u64 = self.child_claims.iter().map(|c| c.prefix.size()).sum();
-        self.alloc.used().saturating_sub(child)
     }
 
     /// Total capacity of granted ranges (active + inactive).
@@ -238,6 +240,7 @@ impl MascNode {
         lifetime: Secs,
         actions: &mut Vec<MascAction>,
     ) -> BlockOutcome {
+        self.own_deadline.take();
         if let Some(block) = self.alloc.alloc_block(len) {
             let expires = now + lifetime;
             self.leases.insert(block, expires);
@@ -260,6 +263,7 @@ impl MascNode {
 
     /// Returns a leased block early.
     pub fn release_block(&mut self, now: Secs, block: Prefix, actions: &mut Vec<MascAction>) {
+        self.own_deadline.take();
         if self.leases.cancel(&block).is_some() {
             self.alloc.free_block(&block);
             self.announce_local_release(now, block, actions);
@@ -315,6 +319,7 @@ impl MascNode {
     /// Starts an expansion claim for `demand` more addresses, if none
     /// is in flight.
     pub fn start_expansion(&mut self, now: Secs, demand: u64, actions: &mut Vec<MascAction>) {
+        self.own_deadline.take();
         if self.claim_in_flight() {
             // Remember the demand; it is re-examined when the claim
             // in flight is granted.
@@ -512,6 +517,21 @@ impl MascNode {
 
     /// Handles a MASC message from another domain.
     pub fn on_message(&mut self, now: Secs, from: DomainAsn, msg: MascMsg) -> Vec<MascAction> {
+        // A sibling's claim on none of our ranges, or a sibling's
+        // release, changes only the outer claims.
+        let outer_only = match &msg {
+            MascMsg::Claim {
+                claimer, prefix, ..
+            } => {
+                !self.own.iter().any(|c| c.prefix.overlaps(prefix))
+                    && !self.children.contains(claimer)
+            }
+            MascMsg::Release { claimer, .. } => !self.children.contains(claimer),
+            _ => false,
+        };
+        if !outer_only {
+            self.own_deadline.take();
+        }
         let mut actions = Vec::new();
         match msg {
             MascMsg::ParentAdvertise { ranges } => {
@@ -637,13 +657,7 @@ impl MascNode {
                         .map(|c| c.prefix)
                         .collect();
                     for p in mine {
-                        actions.push(MascAction::Send {
-                            to: claimer,
-                            msg: MascMsg::Collision {
-                                holder: self.domain,
-                                prefix: p,
-                            },
-                        });
+                        self.collide(claimer, p, &mut actions);
                     }
                 }
             }
@@ -702,13 +716,7 @@ impl MascNode {
                 .iter()
                 .any(|o| o.active && o.prefix.covers(&prefix));
             if !in_our_ranges {
-                actions.push(MascAction::Send {
-                    to: claimer,
-                    msg: MascMsg::Collision {
-                        holder: self.domain,
-                        prefix,
-                    },
-                });
+                self.collide(claimer, prefix, actions);
                 return;
             }
             // Collision with our own allocated blocks: we are
@@ -725,13 +733,7 @@ impl MascNode {
                 let overlaps_other_child =
                     self.child_claims.iter().any(|c| c.prefix.overlaps(&prefix));
                 if !overlaps_other_child {
-                    actions.push(MascAction::Send {
-                        to: claimer,
-                        msg: MascMsg::Collision {
-                            holder: self.domain,
-                            prefix,
-                        },
-                    });
+                    self.collide(claimer, prefix, actions);
                     return;
                 }
             }
@@ -776,34 +778,26 @@ impl MascNode {
                 .copied()
                 .collect();
             for c in mine {
-                if !c.is_waiting() {
-                    // Established ranges always win (§4.1: "if two
-                    // domains claim the same range, one will win").
-                    actions.push(MascAction::Send {
-                        to: claimer,
-                        msg: MascMsg::Collision {
-                            holder: self.domain,
-                            prefix: c.prefix,
-                        },
-                    });
+                // Established ranges always win (§4.1: "if two domains
+                // claim the same range, one will win"). Both waiting:
+                // earlier claim wins, ties to lower domain id — a
+                // symmetric, deterministic rule.
+                if !c.is_waiting() || (c.at, self.domain) < (at, claimer) {
+                    self.collide(claimer, c.prefix, actions);
                 } else {
-                    // Both waiting: earlier claim wins, ties to lower
-                    // domain id — a symmetric, deterministic rule.
-                    let we_win = (c.at, self.domain) < (at, claimer);
-                    if we_win {
-                        actions.push(MascAction::Send {
-                            to: claimer,
-                            msg: MascMsg::Collision {
-                                holder: self.domain,
-                                prefix: c.prefix,
-                            },
-                        });
-                    } else {
-                        self.abandon_claim(now, c.prefix, actions);
-                    }
+                    self.abandon_claim(now, c.prefix, actions);
                 }
             }
         }
+    }
+
+    /// Tells `to` that its claim collides with our `prefix`.
+    fn collide(&self, to: DomainAsn, prefix: Prefix, actions: &mut Vec<MascAction>) {
+        let msg = MascMsg::Collision {
+            holder: self.domain,
+            prefix,
+        };
+        actions.push(MascAction::Send { to, msg });
     }
 
     fn forward_to_children_except(
@@ -848,44 +842,50 @@ impl MascNode {
 
     /// The earliest time at which [`MascNode::on_tick`] has work.
     pub fn next_deadline(&self) -> Option<Secs> {
-        let mut t: Option<Secs> = None;
-        let mut consider = |v: Option<Secs>| {
-            if let Some(v) = v {
-                t = Some(t.map_or(v, |cur: Secs| cur.min(v)));
-            }
-        };
-        for c in &self.own {
-            match c.phase {
-                ClaimPhase::Waiting { until } => consider(Some(until)),
-                ClaimPhase::Granted => {
-                    // Inactive (draining) ranges are never extended:
-                    // their next event is hard expiry (release-on-drain
-                    // is triggered by lease/child-claim expiries, which
-                    // have their own deadlines). Active ranges renew at
-                    // the margin when the outer range allows extension.
-                    let inactive = self.alloc.owner_of(&c.prefix).is_some_and(|o| !o.active);
-                    let cap = match self.outer.range_expiry_for(&c.prefix) {
-                        Some(cap) => cap,
-                        None if self.parent.is_none() => Secs::MAX,
-                        None => c.expires,
-                    };
-                    if !inactive && cap > c.expires {
-                        consider(Some(c.expires.saturating_sub(self.cfg.renew_margin)));
-                    } else {
-                        consider(Some(c.expires));
-                    }
+        let own = self
+            .own_deadline
+            .get()
+            .unwrap_or_else(|| self.scan_own_deadline());
+        debug_assert_eq!(own, self.scan_own_deadline(), "stale cached deadline");
+        self.own_deadline.set(Some(own));
+        own.into_iter().chain(self.outer.next_claim_expiry()).min()
+    }
+
+    /// [`MascNode::next_deadline`] without the outer claims' expiry, by
+    /// a full scan.
+    fn scan_own_deadline(&self) -> Option<Secs> {
+        let own = self.own.iter().map(|c| match c.phase {
+            ClaimPhase::Waiting { until } => until,
+            ClaimPhase::Granted => {
+                // Inactive (draining) ranges are never extended: their
+                // next event is hard expiry (release-on-drain is
+                // triggered by lease/child-claim expiries, which have
+                // their own deadlines). Active ranges renew at the
+                // margin when the outer range allows extension.
+                let inactive = self.alloc.owner_of(&c.prefix).is_some_and(|o| !o.active);
+                let cap = match self.outer.range_expiry_for(&c.prefix) {
+                    Some(cap) => cap,
+                    None if self.parent.is_none() => Secs::MAX,
+                    None => c.expires,
+                };
+                if !inactive && cap > c.expires {
+                    c.expires.saturating_sub(self.cfg.renew_margin)
+                } else {
+                    c.expires
                 }
             }
-        }
-        consider(self.outer.next_claim_expiry());
-        consider(self.child_min_expiry);
-        consider(self.leases.next_expiry());
-        consider(self.retry_at);
-        t
+        });
+        let timers = [
+            self.child_min_expiry,
+            self.leases.next_expiry(),
+            self.retry_at,
+        ];
+        own.chain(timers.into_iter().flatten()).min()
     }
 
     /// Processes everything due at or before `now`.
     pub fn on_tick(&mut self, now: Secs) -> Vec<MascAction> {
+        self.own_deadline.take();
         let mut actions = Vec::new();
 
         // 1. Claims finishing their waiting period.
@@ -1270,6 +1270,7 @@ impl snapshot::SnapshotState for MascNode {
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
+        self.own_deadline.take();
         self.outer = Snapshot::decode(dec)?;
         self.own = Snapshot::decode(dec)?;
         self.alloc = Snapshot::decode(dec)?;

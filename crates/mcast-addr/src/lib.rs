@@ -27,4 +27,4 @@ pub mod space;
 pub use block::{BlockAllocator, OwnedPrefix};
 pub use lifetimes::{LeaseTable, LifetimePool, Secs};
 pub use prefix::{McastAddr, Prefix, PrefixError};
-pub use space::SpaceTracker;
+pub use space::{FreeSpace, SpaceTracker};

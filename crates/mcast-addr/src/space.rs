@@ -17,15 +17,16 @@
 //!
 //! # Representation
 //!
-//! The maximal free decomposition is maintained **incrementally**, as
-//! sorted vectors of disjoint maximal free blocks and of in-use
-//! entries (address order). Inserting an entry carves the covering
-//! free block into the buddy chain along the path (or, when the entry
-//! only overlaps other entries, discards the free blocks it covers);
-//! removing an entry re-frees the decomposition of the entry minus
-//! its surviving overlaps and buddy-coalesces upward. Queries —
-//! candidates, largest blocks, `is_free`, used size — are binary
-//! searches or short scans over the maintained vectors.
+//! [`FreeSpace`] maintains the maximal free decomposition
+//! **incrementally**, as a sorted vector of disjoint maximal free blocks
+//! (address order). Occupying a prefix carves the covering free block
+//! into the buddy chain along the path (or, when it only overlaps space
+//! in use, discards the free blocks it covers); releasing one re-frees
+//! it minus the entries surviving inside it and buddy-coalesces upward.
+//! Queries — candidates, largest blocks, `is_free`, used size — are
+//! binary searches or short scans. [`SpaceTracker`] adds the sorted
+//! in-use entries; a caller that keeps them elsewhere (MASC's outer
+//! space) holds the free layer alone.
 //!
 //! At the scale a MASC domain sees (tens to a few hundred sibling
 //! claims), sorted vectors beat tree sets on both lookups and
@@ -37,41 +38,34 @@
 //! `decomposition_is_canonical`) — and the snapshot encoding of the
 //! sorted vectors is byte-identical to the earlier tree-set layout.
 
+use std::ops::Deref;
+
 use crate::prefix::Prefix;
 
-/// Tracks in-use sub-prefixes of a root prefix; see module docs.
+/// The free decomposition of a root prefix minus entries kept by the
+/// caller; see module docs.
 #[derive(Debug, Clone)]
-pub struct SpaceTracker {
+pub struct FreeSpace {
     root: Prefix,
-    /// Recorded entries, sorted ascending, no duplicates.
-    in_use: Vec<Prefix>,
     /// Disjoint maximal free blocks, sorted (= address order).
     free: Vec<Prefix>,
     /// Total addresses in `free` (kept so `used_size` is O(1)).
-    // lint:allow(snapshot-field-coverage) — derived counter, recomputed from free on decode
     free_size: u64,
-    /// Free-block count per mask length (index = len). Makes
-    /// `shortest_free_len` a fixed 33-slot scan; callers probe it far
-    /// more often than the free set changes shape at the top class.
-    // lint:allow(snapshot-field-coverage) — derived histogram, recomputed from free on decode
-    len_counts: [u32; 33],
 }
 
-impl SpaceTracker {
-    /// Creates an empty tracker over `root`.
+impl FreeSpace {
+    /// An entirely free root.
     pub fn new(root: Prefix) -> Self {
-        let mut t = SpaceTracker {
+        let mut s = FreeSpace {
             root,
-            in_use: Vec::new(),
             free: Vec::new(),
             free_size: 0,
-            len_counts: [0; 33],
         };
-        t.add_free(root);
-        t
+        s.add_free(root);
+        s
     }
 
-    /// The root prefix this tracker covers.
+    /// The root prefix this space covers.
     pub fn root(&self) -> Prefix {
         self.root
     }
@@ -89,7 +83,6 @@ impl SpaceTracker {
             top = parent;
         }
         self.free_size += p.size();
-        self.len_counts[top.len() as usize] += 1;
         if top.len() == p.len() {
             let at = self.free.binary_search(&p).unwrap_err();
             self.free.insert(at, p);
@@ -105,22 +98,7 @@ impl SpaceTracker {
             .take_while(|b| b.base_u32() <= last)
             .count();
         debug_assert_eq!(count as u8, p.len() - top.len());
-        for b in &self.free[start..start + count] {
-            self.len_counts[b.len() as usize] -= 1;
-        }
         self.free.splice(start..start + count, std::iter::once(top));
-    }
-
-    /// Removes an exact block from the free set.
-    fn remove_free(&mut self, p: &Prefix) {
-        match self.free.binary_search(p) {
-            Ok(at) => {
-                self.free.remove(at);
-                self.free_size -= p.size();
-                self.len_counts[p.len() as usize] -= 1;
-            }
-            Err(_) => debug_assert!(false, "free block {p} missing"),
-        }
     }
 
     /// The free block covering `p` (free blocks are disjoint, so there
@@ -133,47 +111,14 @@ impl SpaceTracker {
         self.free[..at].last().filter(|b| b.covers(p)).copied()
     }
 
-    /// Records `p` as in use. Returns `false` (and records nothing) if
-    /// `p` is not within the root or was already recorded.
-    pub fn insert(&mut self, p: Prefix) -> bool {
-        if !self.root.covers(&p) {
-            return false;
-        }
-        let at = match self.in_use.binary_search(&p) {
-            Ok(_) => return false,
-            Err(at) => at,
-        };
-        self.in_use.insert(at, p);
-        if let Some(blk) = self.free_block_covering(&p) {
-            // `p` was entirely free: carve it out of `blk`, freeing the
-            // buddies along the path from `blk` down to `p`. None of
-            // those buddies can coalesce (each one's buddy is on the
-            // carve path), and together they fill the gap `blk` leaves
-            // in sort order, so one splice replaces the per-level
-            // insertions.
-            self.remove_free(&blk);
-            if p.len() > blk.len() {
-                let mut buddies = [p; 32];
-                let mut n = 0;
-                let mut cur = p;
-                while cur.len() > blk.len() {
-                    buddies[n] = cur.buddy().expect("len > 0 on path");
-                    n += 1;
-                    cur = cur.parent().expect("len > 0 on path");
-                }
-                let buddies = &mut buddies[..n];
-                buddies.sort_unstable();
-                for b in buddies.iter() {
-                    self.free_size += b.size();
-                    self.len_counts[b.len() as usize] += 1;
-                }
-                let at = self.free.partition_point(|x| x < &buddies[0]);
-                self.free.splice(at..at, buddies.iter().copied());
-            }
-        } else {
-            // `p` overlaps existing entries; any free blocks inside it
-            // disappear (blocks covering it were handled above, and
-            // prefixes cannot partially overlap).
+    /// Marks `p`, inside the root, in use. Space already in use stays
+    /// so.
+    pub fn occupy(&mut self, p: Prefix) {
+        debug_assert!(self.root.covers(&p), "{p} outside {}", self.root);
+        let Some(blk) = self.free_block_covering(&p) else {
+            // `p` overlaps space in use; any free blocks inside it
+            // disappear (no block covers it, and prefixes cannot
+            // partially overlap).
             let last = p.last().0;
             let start = self.free.partition_point(|b| *b < p);
             let end = start
@@ -181,66 +126,49 @@ impl SpaceTracker {
                     .iter()
                     .take_while(|b| b.base_u32() <= last)
                     .count();
-            let SpaceTracker {
-                free,
-                free_size,
-                len_counts,
-                ..
-            } = self;
-            for v in free.drain(start..end) {
-                *free_size -= v.size();
-                len_counts[v.len() as usize] -= 1;
+            for v in self.free.drain(start..end) {
+                self.free_size -= v.size();
             }
+            return;
+        };
+        // `p` was entirely free: carve it out of `blk`, freeing the
+        // buddies along the path from `blk` down to `p`. None of those
+        // buddies can coalesce (each one's buddy is on the carve path),
+        // and together they fill the gap `blk` leaves in sort order, so
+        // one splice replaces the block with them.
+        let mut buddies = [p; 32];
+        let mut n = 0;
+        let mut cur = p;
+        while cur.len() > blk.len() {
+            buddies[n] = cur.buddy().expect("len > 0 on path");
+            n += 1;
+            cur = cur.parent().expect("len > 0 on path");
         }
-        true
+        let buddies = &mut buddies[..n];
+        buddies.sort_unstable();
+        self.free_size -= p.size();
+        let at = self
+            .free
+            .binary_search(&blk)
+            .expect("covering block is free");
+        self.free.splice(at..=at, buddies.iter().copied());
     }
 
-    /// Forgets `p`. Returns whether it was present.
-    pub fn remove(&mut self, p: &Prefix) -> bool {
-        match self.in_use.binary_search(p) {
-            Ok(at) => {
-                self.in_use.remove(at);
-            }
-            Err(_) => return false,
-        }
-        // Covered by a surviving broader entry? Then nothing frees.
-        let mut anc = *p;
-        while anc.len() > self.root.len() {
-            anc = anc.parent().expect("len > root len");
-            if self.in_use.binary_search(&anc).is_ok() {
-                return true;
-            }
-        }
-        // Newly free space = `p` minus the surviving entries inside it.
-        let last = p.last().0;
-        let start = self.in_use.partition_point(|q| q < p);
-        if self.in_use.get(start).is_none_or(|q| q.base_u32() > last) {
+    /// Frees `p` minus the entries that survive inside it (`inside`, in
+    /// any order). The caller has checked that no surviving entry
+    /// covers `p`.
+    pub fn release(&mut self, p: &Prefix, inside: &[Prefix]) {
+        if inside.is_empty() {
             // Nothing survives inside `p` (the common leaf case): the
             // whole block frees without the recursive decomposition.
             self.add_free(*p);
-            return true;
+            return;
         }
-        let inside: Vec<Prefix> = self.in_use[start..]
-            .iter()
-            .take_while(|q| q.base_u32() <= last)
-            .copied()
-            .collect();
         let mut freed = Vec::new();
-        Self::collect_free(*p, &inside, &mut freed);
+        collect_free(*p, inside, &mut freed);
         for f in freed {
             self.add_free(f);
         }
-        true
-    }
-
-    /// All recorded in-use prefixes, in address order.
-    pub fn in_use(&self) -> impl Iterator<Item = &Prefix> {
-        self.in_use.iter()
-    }
-
-    /// Number of recorded in-use prefixes.
-    pub fn count(&self) -> usize {
-        self.in_use.len()
     }
 
     /// Is the whole of `p` free (within the root, overlapping no entry)?
@@ -255,37 +183,18 @@ impl SpaceTracker {
         self.free_blocks().to_vec()
     }
 
-    /// [`SpaceTracker::free_prefixes`], borrowed.
+    /// [`FreeSpace::free_prefixes`], borrowed.
     pub fn free_blocks(&self) -> &[Prefix] {
         // Disjoint blocks have distinct bases, so sort order (base,
         // len) is address order.
         &self.free
     }
 
-    fn collect_free(node: Prefix, in_use: &[Prefix], out: &mut Vec<Prefix>) {
-        if in_use.is_empty() {
-            out.push(node);
-            return;
-        }
-        // Any entry covering this node means nothing here is free.
-        if in_use.iter().any(|u| u.covers(&node)) {
-            return;
-        }
-        let Some((l, r)) = node.split() else {
-            return; // /32 overlapped by an entry
-        };
-        let lv: Vec<Prefix> = in_use.iter().filter(|u| u.overlaps(&l)).copied().collect();
-        let rv: Vec<Prefix> = in_use.iter().filter(|u| u.overlaps(&r)).copied().collect();
-        Self::collect_free(l, &lv, out);
-        Self::collect_free(r, &rv, out);
-    }
-
     /// The shortest mask length among free blocks (the size class of
-    /// the largest free blocks), if any space is free.
+    /// the largest free blocks), if any space is free. A scan: a
+    /// domain's free set is a dozen or so blocks.
     pub fn shortest_free_len(&self) -> Option<u8> {
-        let len = self.len_counts.iter().position(|c| *c > 0).map(|l| l as u8);
-        debug_assert_eq!(len, self.free.iter().map(|p| p.len()).min());
-        len
+        self.free.iter().map(|p| p.len()).min()
     }
 
     /// The free blocks of exactly the given mask length, address order.
@@ -307,8 +216,8 @@ impl SpaceTracker {
     /// sub-prefix of that size. Empty when no free block is big enough.
     pub fn claim_candidates(&self, want_len: u8) -> Vec<Prefix> {
         // The largest blocks share one mask length, so either every one
-        // can hold a /want_len or none can; checking the cached class
-        // first makes the (common) empty answer allocation-free.
+        // can hold a /want_len or none can; checking the class first
+        // makes the (common) empty answer allocation-free.
         match self.shortest_free_len() {
             Some(len) if len <= want_len => self
                 .free_of_len(len)
@@ -326,17 +235,123 @@ impl SpaceTracker {
         if !self.root.covers(&parent) {
             return None;
         }
-        if self.is_free(&buddy) {
-            Some(parent)
-        } else {
-            None
-        }
+        self.is_free(&buddy).then_some(parent)
     }
 
     /// Total number of addresses covered by the union of entries.
     /// Overlapping entries are not double-counted.
     pub fn used_size(&self) -> u64 {
         self.root.size() - self.free_size
+    }
+
+    /// Encodes this space as the [`SpaceTracker`] holding `in_use`
+    /// (sorted, no duplicates) encodes: root, entries, and the
+    /// maximal-free decomposition verbatim.
+    pub fn encode_tracker(
+        &self,
+        in_use: impl Iterator<Item = Prefix> + Clone,
+        enc: &mut snapshot::Enc,
+    ) {
+        use snapshot::Snapshot as _;
+        self.root.encode(enc);
+        enc.seq(in_use.clone().count());
+        in_use.for_each(|p| p.encode(enc));
+        self.free.encode(enc);
+    }
+}
+
+/// Maximal free sub-prefixes of `node` minus the union of `in_use`.
+fn collect_free(node: Prefix, in_use: &[Prefix], out: &mut Vec<Prefix>) {
+    if in_use.is_empty() {
+        out.push(node);
+        return;
+    }
+    // Any entry covering this node means nothing here is free.
+    if in_use.iter().any(|u| u.covers(&node)) {
+        return;
+    }
+    let Some((l, r)) = node.split() else {
+        return; // /32 overlapped by an entry
+    };
+    let lv: Vec<Prefix> = in_use.iter().filter(|u| u.overlaps(&l)).copied().collect();
+    let rv: Vec<Prefix> = in_use.iter().filter(|u| u.overlaps(&r)).copied().collect();
+    collect_free(l, &lv, out);
+    collect_free(r, &rv, out);
+}
+
+/// Tracks in-use sub-prefixes of a root prefix: a [`FreeSpace`], which
+/// it dereferences to for every query, plus the entries; see module
+/// docs.
+#[derive(Debug, Clone)]
+pub struct SpaceTracker {
+    space: FreeSpace,
+    /// Recorded entries, sorted ascending, no duplicates.
+    in_use: Vec<Prefix>,
+}
+
+impl Deref for SpaceTracker {
+    type Target = FreeSpace;
+    fn deref(&self) -> &FreeSpace {
+        &self.space
+    }
+}
+
+impl SpaceTracker {
+    /// Creates an empty tracker over `root`.
+    pub fn new(root: Prefix) -> Self {
+        SpaceTracker {
+            space: FreeSpace::new(root),
+            in_use: Vec::new(),
+        }
+    }
+
+    /// Records `p` as in use. Returns `false` (and records nothing) if
+    /// `p` is not within the root or was already recorded.
+    pub fn insert(&mut self, p: Prefix) -> bool {
+        if !self.root().covers(&p) {
+            return false;
+        }
+        let Err(at) = self.in_use.binary_search(&p) else {
+            return false;
+        };
+        self.in_use.insert(at, p);
+        self.space.occupy(p);
+        true
+    }
+
+    /// Forgets `p`. Returns whether it was present.
+    pub fn remove(&mut self, p: &Prefix) -> bool {
+        let Ok(at) = self.in_use.binary_search(p) else {
+            return false;
+        };
+        self.in_use.remove(at);
+        // Covered by a surviving broader entry? Then nothing frees.
+        let mut anc = *p;
+        while anc.len() > self.root().len() {
+            anc = anc.parent().expect("len > root len");
+            if self.in_use.binary_search(&anc).is_ok() {
+                return true;
+            }
+        }
+        // Newly free space = `p` minus the surviving entries inside it,
+        // which sort right after where `p` was.
+        let last = p.last().0;
+        let inside = self.in_use[at..]
+            .iter()
+            .take_while(|q| q.base_u32() <= last)
+            .count();
+        self.space.release(p, &self.in_use[at..at + inside]);
+        true
+    }
+
+    /// All recorded in-use prefixes, in address order.
+    pub fn in_use(&self) -> impl Iterator<Item = &Prefix> {
+        self.in_use.iter()
+    }
+
+    /// Number of recorded in-use prefixes.
+    pub fn count(&self) -> usize {
+        self.in_use.len()
     }
 
     /// Removes every entry covered by `covering` and returns them.
@@ -361,14 +376,12 @@ impl SpaceTracker {
 }
 
 impl snapshot::Snapshot for SpaceTracker {
-    /// Encodes root, entries, and the maximal-free decomposition
-    /// verbatim; the free-size counter is recomputed on decode
-    /// (derived state). The sorted vectors serialize byte-identically
-    /// to the tree sets earlier revisions stored.
+    /// Root, entries, and the maximal-free decomposition verbatim; the
+    /// free-size counter is recomputed on decode (derived state). The
+    /// sorted vectors serialize byte-identically to the tree sets
+    /// earlier revisions stored.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.root.encode(enc);
-        self.in_use.encode(enc);
-        self.free.encode(enc);
+        self.space.encode_tracker(self.in_use.iter().copied(), enc);
     }
 
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
@@ -381,24 +394,16 @@ impl snapshot::Snapshot for SpaceTracker {
         if free.windows(2).any(|w| w[0] >= w[1]) {
             return Err(snapshot::SnapError::Invalid("free blocks out of order"));
         }
-        let mut free_size = 0u64;
-        for f in &free {
-            if !root.covers(f) {
-                return Err(snapshot::SnapError::Invalid("free block outside root"));
-            }
-            free_size += f.size();
+        if !free.iter().all(|f| root.covers(f)) {
+            return Err(snapshot::SnapError::Invalid("free block outside root"));
         }
-        let mut len_counts = [0u32; 33];
-        for f in &free {
-            len_counts[f.len() as usize] += 1;
-        }
-        Ok(SpaceTracker {
+        let free_size = free.iter().map(|f| f.size()).sum();
+        let space = FreeSpace {
             root,
-            in_use,
             free,
             free_size,
-            len_counts,
-        })
+        };
+        Ok(SpaceTracker { space, in_use })
     }
 }
 
