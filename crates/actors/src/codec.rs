@@ -4,6 +4,17 @@
 //! [`WireMsg`](crate::wire::WireMsg). Frames are capped to keep a
 //! misbehaving peer from ballooning memory.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use bytes::{Buf, BufMut, BytesMut};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 
@@ -47,7 +58,10 @@ impl From<std::io::Error> for CodecError {
 
 /// Encodes a message into a length-prefixed frame.
 pub fn encode(msg: &WireMsg) -> BytesMut {
-    // lint:allow(panicky-decode) — encode side: serializes a locally-constructed WireMsg, which is infallible; no peer-controlled input reaches this expect
+    #[expect(
+        clippy::expect_used,
+        reason = "encode side: a locally built WireMsg always serializes"
+    )]
     let body = serde_json::to_vec(msg).expect("WireMsg serializes");
     let mut buf = BytesMut::with_capacity(4 + body.len());
     buf.put_u32(body.len() as u32);

@@ -412,7 +412,10 @@ async fn ship_bgmp(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a decision, the packet it routes, and the task state it writes to"
+)]
 async fn dispatch_data(
     decision: ForwardDecision,
     _from: Option<Target>,

@@ -7,6 +7,17 @@
 //! pair — the protocol engines themselves are the same sans-io state
 //! machines the simulator drives.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use bgmp::{BgmpMsg, SourceId};
 use bgp::{BgpMsg, RouterId};
 use masc::{DomainAsn, MascMsg};

@@ -39,14 +39,24 @@ pub struct Fig2Row {
 
 impl Snapshot for Fig2Row {
     fn encode(&self, enc: &mut Enc) {
-        enc.f64(self.day);
-        enc.f64(self.util);
-        enc.f64(self.leased);
-        enc.f64(self.claimed);
-        enc.f64(self.grib_avg);
-        enc.f64(self.grib_max);
-        enc.f64(self.global);
-        enc.f64(self.pending);
+        let Self {
+            day,
+            util,
+            leased,
+            claimed,
+            grib_avg,
+            grib_max,
+            global,
+            pending,
+        } = self;
+        enc.f64(*day);
+        enc.f64(*util);
+        enc.f64(*leased);
+        enc.f64(*claimed);
+        enc.f64(*grib_avg);
+        enc.f64(*grib_max);
+        enc.f64(*global);
+        enc.f64(*pending);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(Fig2Row {

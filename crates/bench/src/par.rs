@@ -36,6 +36,10 @@ pub fn task_seed(seed: u64, index: u64) -> u64 {
 /// `threads <= 1` (or a single task) degenerates to a plain serial
 /// loop — same code path the determinism regression test compares
 /// against. Worker panics propagate.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one home of OS threads; results merge in task order"
+)]
 pub fn run_tasks<T, R, F>(threads: usize, tasks: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -10,8 +10,8 @@
 //! so a behaviour change edits its constant in the same commit.
 //!
 //! The timing fields measure the *host*, not the simulation — the only
-//! place in the workspace allowed to look at a real clock (the
-//! `wall-clock` repolint rule is suppressed line-by-line below). They
+//! place in the workspace allowed to look at a real clock (each timer
+//! below is an `#[expect]` against `clippy.toml`'s ban). They
 //! are printed for orientation and gated nowhere: time and bytes are
 //! compared by the repository benchmark (`benchmark/run.sh --compare`).
 //!
@@ -133,7 +133,8 @@ pub fn run_area(area: &str, cfg: &PerfConfig) -> BenchRecord {
 pub fn run_fig2(cfg: &PerfConfig) -> BenchRecord {
     let days = if cfg.quick { 20 } else { 120 };
     let mut sim = HierarchySim::new(HierarchySimParams::paper_fig2(cfg.seed));
-    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
+    #[expect(clippy::disallowed_methods, reason = "this harness measures the host")]
+    let t0 = Instant::now();
     sim.run_to_day(days);
     let wall = t0.elapsed();
     let events = sim.engine.stats().events;
@@ -157,7 +158,8 @@ pub fn run_faults(cfg: &PerfConfig) -> BenchRecord {
         threads: 1,
         smoke: true,
     };
-    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
+    #[expect(clippy::disallowed_methods, reason = "this harness measures the host")]
+    let t0 = Instant::now();
     let cells = faults::run(&p);
     let wall = t0.elapsed();
     let events: u64 = cells.iter().map(|c| c.events).sum();
@@ -191,7 +193,8 @@ pub fn run_scale(cfg: &PerfConfig) -> BenchRecord {
         children_per: children,
         ..HierarchySimParams::paper_fig2(cfg.seed)
     });
-    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
+    #[expect(clippy::disallowed_methods, reason = "this harness measures the host")]
+    let t0 = Instant::now();
     sim.run_to_day(days);
     let wall = t0.elapsed();
     BenchRecord::new(
@@ -258,7 +261,8 @@ pub fn run_wheel(cfg: &PerfConfig) -> BenchRecord {
     for id in ids.iter().step_by(8) {
         engine.schedule_message(SimTime::ZERO, *id, Token);
     }
-    let t0 = Instant::now(); // lint:allow(wall-clock) — host-side throughput measurement is this harness's purpose
+    #[expect(clippy::disallowed_methods, reason = "this harness measures the host")]
+    let t0 = Instant::now();
     engine.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
     let wall = t0.elapsed();
     let events = engine.stats().events;

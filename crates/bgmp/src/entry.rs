@@ -119,7 +119,6 @@ pub struct ForwardingTable {
     /// mask length `l < 32` in `star`. [`ForwardingTable::star_lookup`]
     /// falls back past the exact `/32` probe only to lengths counted
     /// here, so a table of exact groups answers in one keyed probe.
-    // lint:allow(snapshot-field-coverage) — derived count; decode rebuilds it from the keys it inserts
     agg_lens: [u32; 32],
 }
 
@@ -319,8 +318,9 @@ impl snapshot::Snapshot for Target {
 
 impl snapshot::Snapshot for SourceId {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.domain);
-        enc.u32(self.host);
+        let Self { domain, host } = self;
+        enc.u32(*domain);
+        enc.u32(*host);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(SourceId {
@@ -332,9 +332,14 @@ impl snapshot::Snapshot for SourceId {
 
 impl snapshot::Snapshot for GroupEntry {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.parent.encode(enc);
-        self.via_exit.encode(enc);
-        self.children.encode(enc);
+        let Self {
+            parent,
+            via_exit,
+            children,
+        } = self;
+        parent.encode(enc);
+        via_exit.encode(enc);
+        children.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let parent = snapshot::Snapshot::decode(dec)?;
@@ -349,9 +354,14 @@ impl snapshot::Snapshot for GroupEntry {
 
 impl snapshot::Snapshot for SgEntry {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.parent.encode(enc);
-        self.via_exit.encode(enc);
-        self.children.encode(enc);
+        let Self {
+            parent,
+            via_exit,
+            children,
+        } = self;
+        parent.encode(enc);
+        via_exit.encode(enc);
+        children.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let parent = snapshot::Snapshot::decode(dec)?;
@@ -369,15 +379,23 @@ impl snapshot::Snapshot for ForwardingTable {
     /// `BTreeMap<_, Entry>` layout did; slab keys are never on the
     /// wire.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.seq(self.star.len());
-        for (p, i) in &self.star {
+        let Self {
+            star,
+            sg,
+            star_slab,
+            sg_slab,
+            // derived count; decode rebuilds it from the keys it inserts
+            agg_lens: _,
+        } = self;
+        enc.seq(star.len());
+        for (p, i) in star {
             p.encode(enc);
-            self.star_slab.get(*i).encode(enc);
+            star_slab.get(*i).encode(enc);
         }
-        enc.seq(self.sg.len());
-        for (k, i) in &self.sg {
+        enc.seq(sg.len());
+        for (k, i) in sg {
             k.encode(enc);
-            self.sg_slab.get(*i).encode(enc);
+            sg_slab.get(*i).encode(enc);
         }
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {

@@ -1,5 +1,16 @@
 //! BGMP protocol messages and engine actions.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use bgp::RouterId;
 use mcast_addr::McastAddr;
 use serde::{Deserialize, Serialize};
@@ -63,7 +74,6 @@ impl snapshot::Snapshot for BgmpMsg {
 
 /// How a group join/prune resolves toward its root domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// lint:allow(wire-variant-coverage) — host-interface lookup result, computed per call; never serialized
 pub enum NextHop {
     /// The root domain is this router's own domain (we originated the
     /// covering group route).
@@ -92,7 +102,6 @@ pub trait RouteLookup {
 
 /// Effects requested by the BGMP engine, executed by the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// lint:allow(wire-variant-coverage) — effect requests consumed synchronously by the host; never serialized
 pub enum BgmpAction {
     /// Transmit a message to a BGMP peer (internal or external).
     SendToPeer {

@@ -39,7 +39,7 @@ const LOOKUP_MEMO_CAP: usize = 4096;
 /// The BGMP component of one border router.
 #[derive(Debug, Default)]
 pub struct BgmpRouter {
-    router: RouterId, // lint:allow(snapshot-field-coverage) — identity; stays with the rebuilt instance across restore
+    router: RouterId,
     table: ForwardingTable,
     /// Counters.
     pub stats: BgmpStats,
@@ -48,7 +48,6 @@ pub struct BgmpRouter {
     /// Interior-mutable because [`BgmpRouter::forward`] takes `&self`;
     /// flushed by [`BgmpRouter::grib_changed`] and on peer loss so a
     /// stale hop is never served after routes move.
-    // lint:allow(snapshot-field-coverage) — derived memo; restore flushes it via grib_changed()
     lookup_memo: RefCell<BTreeMap<McastAddr, Option<NextHop>>>,
 }
 
@@ -542,10 +541,16 @@ impl BgmpRouter {
 
 impl snapshot::Snapshot for BgmpStats {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u64(self.joins);
-        enc.u64(self.prunes);
-        enc.u64(self.source_joins);
-        enc.u64(self.source_prunes);
+        let Self {
+            joins,
+            prunes,
+            source_joins,
+            source_prunes,
+        } = self;
+        enc.u64(*joins);
+        enc.u64(*prunes);
+        enc.u64(*source_joins);
+        enc.u64(*source_prunes);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(BgmpStats {
@@ -565,14 +570,30 @@ impl snapshot::SnapshotState for BgmpRouter {
     /// than trusting a snapshot to match the restored RIB.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
-        self.table.encode(enc);
-        self.stats.encode(enc);
+        let Self {
+            table,
+            stats,
+            // identity; stays with the rebuilt instance
+            router: _,
+            // derived memo over the host's G-RIB; a restore flushes it
+            lookup_memo: _,
+        } = self;
+        table.encode(enc);
+        stats.encode(enc);
     }
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
-        self.table = ForwardingTable::decode(dec)?;
-        self.stats = BgmpStats::decode(dec)?;
+        let Self {
+            table,
+            stats,
+            // identity; stays with the rebuilt instance
+            router: _,
+            // derived memo, flushed by grib_changed() below
+            lookup_memo: _,
+        } = self;
+        *table = ForwardingTable::decode(dec)?;
+        *stats = BgmpStats::decode(dec)?;
         self.grib_changed();
         Ok(())
     }

@@ -1,5 +1,16 @@
 //! BGP wire messages exchanged between speakers.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use serde::{Deserialize, Serialize};
 
 use crate::policy::RouteSourceKind;
@@ -61,8 +72,9 @@ impl snapshot::Snapshot for BgpMsg {
 
 impl snapshot::Snapshot for OutMsg {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.to);
-        self.msg.encode(enc);
+        let Self { to, msg } = self;
+        enc.u32(*to);
+        msg.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(OutMsg {

@@ -210,7 +210,6 @@ impl Grib {
 #[derive(Debug, Default, Clone)]
 pub struct Rib {
     table: BTreeMap<Nlri, Row>,
-    // lint:allow(snapshot-field-coverage) — the trie is rebuilt from the table on decode; the drain is transient and empty across checkpoints
     grib: Grib,
 }
 
@@ -514,8 +513,13 @@ impl Snapshot for Rib {
     /// route, then the selections as the Loc-RIB map, NLRI → (peer,
     /// route). Kinds and `sent` go in the speaker's sections.
     fn encode(&self, enc: &mut Enc) {
-        enc.seq(self.table.values().map(|row| row.heard().count()).sum());
-        for (nlri, row) in &self.table {
+        let Self {
+            table,
+            // the trie is rebuilt from the table on decode; the drain is empty across checkpoints
+            grib: _,
+        } = self;
+        enc.seq(table.values().map(|row| row.heard().count()).sum());
+        for (nlri, row) in table {
             for h in row.heard() {
                 (*nlri, h.peer).encode(enc);
                 h.route.encode(enc);

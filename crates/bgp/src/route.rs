@@ -11,7 +11,6 @@
 //!   bound to its root domain, forming the G-RIB.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use mcast_addr::Prefix;
@@ -29,7 +28,12 @@ thread_local! {
     /// allocation per distinct path and lets equality shortcut on
     /// pointer identity. Thread-local so the table needs no locking
     /// (parallel harnesses run one simulation per thread).
-    static AS_PATH_INTERN: RefCell<HashSet<Arc<[Asn]>>> = RefCell::new(HashSet::new());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the intern table is only probed by key, never iterated"
+    )]
+    static AS_PATH_INTERN: RefCell<std::collections::HashSet<Arc<[Asn]>>> =
+        RefCell::new(std::collections::HashSet::new());
     /// The path being decoded, so that only one not yet interned allocates.
     static DECODING: RefCell<Vec<Asn>> = const { RefCell::new(Vec::new()) };
 }
@@ -254,11 +258,18 @@ impl snapshot::Snapshot for Nlri {
 
 impl snapshot::Snapshot for Route {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.nlri.encode(enc);
-        self.as_path.encode(enc);
-        enc.u32(self.next_hop);
-        enc.bool(self.local);
-        enc.bool(self.ebgp);
+        let Self {
+            nlri,
+            as_path,
+            next_hop,
+            local,
+            ebgp,
+        } = self;
+        nlri.encode(enc);
+        as_path.encode(enc);
+        enc.u32(*next_hop);
+        enc.bool(*local);
+        enc.bool(*ebgp);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(Route {

@@ -200,9 +200,14 @@ impl snapshot::Snapshot for SessionState {
 
 impl snapshot::Snapshot for SessionTimers {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u64(self.keepalive);
-        enc.u64(self.hold);
-        enc.u64(self.retry);
+        let Self {
+            keepalive,
+            hold,
+            retry,
+        } = self;
+        enc.u64(*keepalive);
+        enc.u64(*hold);
+        enc.u64(*retry);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let t = SessionTimers {
@@ -221,11 +226,18 @@ impl snapshot::Snapshot for SessionTimers {
 
 impl snapshot::Snapshot for Session {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.state.encode(enc);
-        self.timers.encode(enc);
-        enc.u64(self.last_heard);
-        enc.u64(self.last_sent);
-        enc.u64(self.retry_at);
+        let Self {
+            state,
+            timers,
+            last_heard,
+            last_sent,
+            retry_at,
+        } = self;
+        state.encode(enc);
+        timers.encode(enc);
+        enc.u64(*last_heard);
+        enc.u64(*last_sent);
+        enc.u64(*retry_at);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(Session {

@@ -51,13 +51,13 @@ pub enum BgpEvent {
 pub struct BgpSpeaker {
     /// Identity: stays with the rebuilt instance across a restore.
     router: RouterId,
-    asn: Asn, // lint:allow(snapshot-field-coverage) — identity; stays with the rebuilt instance
-    peers: BTreeMap<RouterId, PeerConfig>, // lint:allow(snapshot-field-coverage) — peering config; stays with the rebuilt instance
+    asn: Asn,
+    peers: BTreeMap<RouterId, PeerConfig>,
     /// Per NLRI: the candidates heard with their domain-entry kinds,
     /// the selection, and the Adj-RIB-Out (what each peer was last
     /// told, to emit minimal diffs).
     rib: Rib,
-    policy: ExportPolicy, // lint:allow(snapshot-field-coverage) — static policy config; stays with the rebuilt instance
+    policy: ExportPolicy,
     /// Suppress exporting customer group routes covered by our own
     /// originations (§4.2/§4.3.2). On by default.
     pub aggregate_suppress: bool,
@@ -315,22 +315,44 @@ impl snapshot::SnapshotState for BgpSpeaker {
     /// instance.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
-        self.rib.encode(enc);
-        self.rib.encode_kinds(enc);
-        self.local_groups.encode(enc);
-        self.rib.encode_told(enc, self.router);
-        self.down.encode(enc);
-        enc.bool(self.aggregate_suppress);
+        let Self {
+            router,
+            rib,
+            local_groups,
+            down,
+            aggregate_suppress,
+            // identity and peering configuration stay with the rebuilt instance
+            asn: _,
+            peers: _,
+            policy: _,
+        } = self;
+        rib.encode(enc);
+        rib.encode_kinds(enc);
+        local_groups.encode(enc);
+        rib.encode_told(enc, *router);
+        down.encode(enc);
+        enc.bool(*aggregate_suppress);
     }
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
-        self.rib = Rib::decode(dec)?;
-        self.rib.decode_kinds(dec)?;
-        self.local_groups = Snapshot::decode(dec)?;
-        self.rib.decode_told(dec, self.router)?;
-        self.down = Snapshot::decode(dec)?;
-        self.aggregate_suppress = dec.bool()?;
+        let Self {
+            router,
+            rib,
+            local_groups,
+            down,
+            aggregate_suppress,
+            // identity and peering configuration stay with the rebuilt instance
+            asn: _,
+            peers: _,
+            policy: _,
+        } = self;
+        *rib = Rib::decode(dec)?;
+        rib.decode_kinds(dec)?;
+        *local_groups = Snapshot::decode(dec)?;
+        rib.decode_told(dec, *router)?;
+        *down = Snapshot::decode(dec)?;
+        *aggregate_suppress = dec.bool()?;
         Ok(())
     }
 }

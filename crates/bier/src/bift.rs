@@ -27,8 +27,9 @@ pub struct BiftEntry {
 
 impl Snapshot for BiftEntry {
     fn encode(&self, enc: &mut Enc) {
-        enc.usize(self.neighbor.0);
-        self.fbm.encode(enc);
+        let Self { neighbor, fbm } = self;
+        enc.usize(neighbor.0);
+        fbm.encode(enc);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let neighbor = DomainId(dec.usize()?);
@@ -99,8 +100,9 @@ impl Bift {
 
 impl Snapshot for Bift {
     fn encode(&self, enc: &mut Enc) {
-        enc.usize(self.at.0);
-        self.sets.encode(enc);
+        let Self { at, sets } = self;
+        enc.usize(at.0);
+        sets.encode(enc);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let at = DomainId(dec.usize()?);

@@ -150,8 +150,9 @@ impl snapshot::Snapshot for SetId {
 
 impl snapshot::Snapshot for BitString {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.usize(self.bsl);
-        self.words.encode(enc);
+        let Self { bsl, words } = self;
+        enc.usize(*bsl);
+        words.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let bsl = dec.usize()?;
@@ -268,8 +269,9 @@ impl SubDomain {
 
 impl snapshot::Snapshot for SubDomain {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.usize(self.n);
-        enc.usize(self.bsl);
+        let Self { n, bsl } = self;
+        enc.usize(*n);
+        enc.usize(*bsl);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let n = dec.usize()?;

@@ -38,9 +38,9 @@ pub struct Delivery {
 /// A full set of BIFTs plus the fault view they forward under.
 #[derive(Debug, Clone)]
 pub struct Network {
-    sub: SubDomain, // lint:allow(snapshot-field-coverage) — static; rebuilt from topology on restore
+    sub: SubDomain,
     /// `bifts[d]` = the BIFT at domain `d`.
-    bifts: Vec<Bift>, // lint:allow(snapshot-field-coverage) — pure function of topology; rebuilt on restore
+    bifts: Vec<Bift>,
     /// Links administratively/faultily down, stored with endpoints
     /// ordered low-high.
     down_links: Vec<(DomainId, DomainId)>,
@@ -230,13 +230,20 @@ impl Network {
 
 impl snapshot::SnapshotState for Network {
     fn encode_state(&self, enc: &mut snapshot::Enc) {
-        enc.seq(self.down_links.len());
-        for (a, b) in &self.down_links {
+        let Self {
+            down_links,
+            down_nodes,
+            // the sub-domain and its BIFTs are a function of the topology, rebuilt on restore
+            sub: _,
+            bifts: _,
+        } = self;
+        enc.seq(down_links.len());
+        for (a, b) in down_links {
             enc.usize(a.0);
             enc.usize(b.0);
         }
-        enc.seq(self.down_nodes.len());
-        for d in &self.down_nodes {
+        enc.seq(down_nodes.len());
+        for d in down_nodes {
             enc.usize(d.0);
         }
     }
@@ -251,8 +258,15 @@ impl snapshot::SnapshotState for Network {
         for _ in 0..n {
             down_nodes.push(DomainId(dec.usize()?));
         }
-        self.down_links = down_links;
-        self.down_nodes = down_nodes;
+        let Self {
+            // the sub-domain and its BIFTs are a function of the topology, rebuilt on restore
+            sub: _,
+            bifts: _,
+            down_links: links,
+            down_nodes: nodes,
+        } = self;
+        *links = down_links;
+        *nodes = down_nodes;
         Ok(())
     }
 }

@@ -34,7 +34,7 @@
 //!   `topology::ChaosSchedule` through the stateless planes, yielding
 //!   delivery ratio and recovery time for the fault ablation;
 //! * [`msg`] — the wire codec for BIER messages in the house style
-//!   (total decode, no panics; repolint `panicky-decode` scope);
+//!   (total decode; clippy's panicking lints denied);
 //! * [`snap`] — `Snapshot`/`SnapshotState` impls and the checkpoint
 //!   kind tag, so checkpoints carry BIER plane state like everything
 //!   else.

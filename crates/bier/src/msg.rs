@@ -9,10 +9,20 @@
 //!   (sub-domain implicit, SI + bitstring) and the adjacency up/down
 //!   events the 1:1 protection switchover reacts to.
 //!
-//! Decoding is total: this file is in repolint's `panicky-decode`
-//! scope, so malformed frames surface as [`snapshot::SnapError`], never
-//! a panic. Roundtrip and corruption tests live in
+//! Decoding is total: this file denies clippy's panicking lints, so
+//! malformed frames surface as [`snapshot::SnapError`], never a panic. Roundtrip and corruption tests live in
 //! `tests/wire_roundtrip.rs` (asserts are banned in decode files).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::bitstring::{BfrId, BitString, SetId};
 use snapshot::{Dec, Enc, SnapError, Snapshot};

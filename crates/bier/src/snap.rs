@@ -106,8 +106,9 @@ impl BierPlane {
 
 impl Snapshot for BierPlane {
     fn encode(&self, enc: &mut Enc) {
-        self.sub.encode(enc);
-        self.groups.encode(enc);
+        let Self { sub, groups } = self;
+        sub.encode(enc);
+        groups.encode(enc);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let sub = SubDomain::decode(dec)?;

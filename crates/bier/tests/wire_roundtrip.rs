@@ -1,7 +1,6 @@
 //! BIER wire-codec tests: roundtrip of every frame variant, a committed
 //! golden byte image, and corruption totality. They live here — not in
-//! `src/msg.rs` — because that file is in repolint's `panicky-decode`
-//! scope, where assert macros are banned.
+//! `src/msg.rs` — because that file denies clippy's panicking lints.
 
 use bier::bitstring::{BfrId, BitString, SetId};
 use bier::BierMsg;

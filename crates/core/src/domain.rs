@@ -252,7 +252,7 @@ pub struct DeliveryLog {
 /// One domain in the integrated architecture. See module docs.
 pub struct DomainActor {
     /// This domain's ASN.
-    pub asn: Asn, // lint:allow(snapshot-field-coverage) — identity; stays with the rebuilt instance
+    pub asn: Asn,
     /// Border routers, in creation order.
     pub routers: Vec<BorderRouter>,
     /// The intra-domain multicast protocol.
@@ -260,16 +260,12 @@ pub struct DomainActor {
     /// MASC node (when dynamic allocation is enabled).
     pub masc: Option<MascNode>,
     /// Router ids of this domain (for internal/external tests).
-    // lint:allow(snapshot-field-coverage) — wiring derived from router creation; rebuilt by the harness
     own_routers: BTreeSet<RouterId>,
     /// router id -> index in `routers`.
-    // lint:allow(snapshot-field-coverage) — wiring derived from router creation; rebuilt by the harness
     router_index: BTreeMap<RouterId, usize>,
     /// router id -> owning domain actor node, for every known peer.
-    // lint:allow(snapshot-field-coverage) — topology wiring; re-established when the harness rebuilds links
     peer_node: BTreeMap<RouterId, NodeId>,
     /// domain asn -> actor node (for MASC messaging).
-    // lint:allow(snapshot-field-coverage) — topology wiring; re-established when the harness rebuilds links
     domain_node: BTreeMap<Asn, NodeId>,
     /// Local group members: group -> hosts.
     members: BTreeMap<McastAddr, BTreeSet<HostId>>,
@@ -292,14 +288,12 @@ pub struct DomainActor {
     /// `alloc_group_addr`), flushed on the next pump.
     masc_outbox: Vec<MascAction>,
     /// Statically assigned range (when MASC is not running).
-    // lint:allow(snapshot-field-coverage) — scenario config; stays with the rebuilt instance
     pub static_range: Option<Prefix>,
     /// Next address offset handed out from the static range.
     static_next: u64,
     /// Session liveness timers. `None` disables the keepalive/hold
     /// machinery: peering failures then arrive only as explicit
     /// `PeerLinkDown`/`PeerLinkUp` wires.
-    // lint:allow(snapshot-field-coverage) — scenario config; stays with the rebuilt instance
     pub session_timers: Option<SessionTimers>,
     /// Liveness session per (local border router, external peer).
     sessions: BTreeMap<(RouterId, RouterId), PeerSession>,
@@ -313,11 +307,9 @@ pub struct DomainActor {
     /// three records the group (or the G-RIB prefix) here, and a
     /// repair pass drains the set as its scope. Groups outside it are
     /// exactly as the last pass left them.
-    // lint:allow(snapshot-field-coverage) — transient work list; a restore marks every group instead, which the next repair pass drains
     dirty: BTreeSet<Prefix>,
     /// How deeply `forward_at` is nested inside the event being
     /// handled.
-    // lint:allow(snapshot-field-coverage) — zero between events, the only time a checkpoint can be taken
     forward_depth: usize,
 }
 
@@ -1740,8 +1732,9 @@ impl Node<Wire> for DomainActor {
 
 impl snapshot::Snapshot for HostId {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.domain);
-        enc.u32(self.host);
+        let Self { domain, host } = self;
+        enc.u32(*domain);
+        enc.u32(*host);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(HostId {
@@ -1753,9 +1746,10 @@ impl snapshot::Snapshot for HostId {
 
 impl snapshot::Snapshot for DataPacket {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.source.encode(enc);
-        self.group.encode(enc);
-        enc.u64(self.id);
+        let Self { source, group, id } = self;
+        source.encode(enc);
+        group.encode(enc);
+        enc.u64(*id);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(DataPacket {
@@ -1889,10 +1883,16 @@ impl snapshot::Snapshot for Wire {
 
 impl snapshot::Snapshot for DeliveryLog {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.received.encode(enc);
-        enc.u64(self.duplicates);
-        enc.u64(self.dropped);
-        enc.u64(self.encapsulations);
+        let Self {
+            received,
+            duplicates,
+            dropped,
+            encapsulations,
+        } = self;
+        received.encode(enc);
+        enc.u64(*duplicates);
+        enc.u64(*dropped);
+        enc.u64(*encapsulations);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(DeliveryLog {
@@ -1906,9 +1906,14 @@ impl snapshot::Snapshot for DeliveryLog {
 
 impl snapshot::Snapshot for PeerSession {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.sess.encode(enc);
-        self.peer_gen.encode(enc);
-        enc.u64(self.local_epoch);
+        let Self {
+            sess,
+            peer_gen,
+            local_epoch,
+        } = self;
+        sess.encode(enc);
+        peer_gen.encode(enc);
+        enc.u64(*local_epoch);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(PeerSession {
@@ -1929,46 +1934,101 @@ impl snapshot::SnapshotState for DomainActor {
     /// kind) come from the rebuilt topology.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
-        enc.seq(self.routers.len());
-        for r in &self.routers {
+        let Self {
+            routers,
+            migp,
+            masc,
+            members,
+            log,
+            seen,
+            encap_from,
+            native_sg,
+            source_branches,
+            masc_scheduled,
+            masc_outbox,
+            static_next,
+            sessions,
+            boot_gen,
+            // identity, wiring and scenario config come from the rebuilt topology
+            asn: _,
+            own_routers: _,
+            router_index: _,
+            peer_node: _,
+            domain_node: _,
+            static_range: _,
+            session_timers: _,
+            // transient work list; a restore marks every group instead
+            dirty: _,
+            // zero between events, the only time a checkpoint can be taken
+            forward_depth: _,
+        } = self;
+        enc.seq(routers.len());
+        for r in routers {
             r.speaker.encode_state(enc);
             r.bgmp.encode_state(enc);
         }
-        self.migp.membership().encode(enc);
-        match &self.masc {
+        migp.membership().encode(enc);
+        match masc {
             Some(node) => {
                 enc.u8(1);
                 node.encode_state(enc);
             }
             None => enc.u8(0),
         }
-        self.members.encode(enc);
-        self.log.encode(enc);
-        self.seen.encode(enc);
-        self.encap_from.encode(enc);
-        self.native_sg.encode(enc);
-        enc.bool(self.source_branches);
-        self.masc_scheduled.encode(enc);
-        self.masc_outbox.encode(enc);
-        enc.u64(self.static_next);
-        self.sessions.encode(enc);
-        enc.u64(self.boot_gen);
+        members.encode(enc);
+        log.encode(enc);
+        seen.encode(enc);
+        encap_from.encode(enc);
+        native_sg.encode(enc);
+        enc.bool(*source_branches);
+        masc_scheduled.encode(enc);
+        masc_outbox.encode(enc);
+        enc.u64(*static_next);
+        sessions.encode(enc);
+        enc.u64(*boot_gen);
     }
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
+        let Self {
+            routers,
+            migp,
+            masc,
+            members,
+            log,
+            seen,
+            encap_from,
+            native_sg,
+            source_branches,
+            masc_scheduled,
+            masc_outbox,
+            static_next,
+            sessions,
+            boot_gen,
+            dirty,
+            // identity, wiring and scenario config come from the rebuilt topology
+            asn: _,
+            own_routers: _,
+            router_index: _,
+            peer_node: _,
+            domain_node: _,
+            static_range: _,
+            session_timers: _,
+            // zero between events, the only time a checkpoint can be taken
+            forward_depth: _,
+        } = self;
         let n = dec.seq()?;
-        if n != self.routers.len() {
+        if n != routers.len() {
             return Err(snapshot::SnapError::Invalid(
                 "border router count differs from snapshot",
             ));
         }
-        for r in &mut self.routers {
+        for r in routers {
             r.speaker.restore_state(dec)?;
             r.bgmp.restore_state(dec)?;
         }
-        *self.migp.membership_mut() = Snapshot::decode(dec)?;
-        match (dec.u8()?, &mut self.masc) {
+        *migp.membership_mut() = Snapshot::decode(dec)?;
+        match (dec.u8()?, masc) {
             (1, Some(node)) => node.restore_state(dec)?,
             (0, None) => {}
             _ => {
@@ -1977,18 +2037,18 @@ impl snapshot::SnapshotState for DomainActor {
                 ))
             }
         }
-        self.members = Snapshot::decode(dec)?;
-        self.log = DeliveryLog::decode(dec)?;
-        self.seen = Snapshot::decode(dec)?;
-        self.encap_from = Snapshot::decode(dec)?;
-        self.native_sg = Snapshot::decode(dec)?;
-        self.source_branches = dec.bool()?;
-        self.masc_scheduled = Snapshot::decode(dec)?;
-        self.masc_outbox = Snapshot::decode(dec)?;
-        self.static_next = dec.u64()?;
-        self.sessions = Snapshot::decode(dec)?;
-        self.boot_gen = dec.u64()?;
-        self.dirty = BTreeSet::from([all_groups()]);
+        *members = Snapshot::decode(dec)?;
+        *log = DeliveryLog::decode(dec)?;
+        *seen = Snapshot::decode(dec)?;
+        *encap_from = Snapshot::decode(dec)?;
+        *native_sg = Snapshot::decode(dec)?;
+        *source_branches = dec.bool()?;
+        *masc_scheduled = Snapshot::decode(dec)?;
+        *masc_outbox = Snapshot::decode(dec)?;
+        *static_next = dec.u64()?;
+        *sessions = Snapshot::decode(dec)?;
+        *boot_gen = dec.u64()?;
+        *dirty = BTreeSet::from([all_groups()]);
         Ok(())
     }
 }

@@ -465,7 +465,10 @@ mod random_cases {
 
     /// Replays [from_ms, to_ms) of the schedule. Cuts and restores
     /// are edge-index based; sends are interleaved by time.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "test driver; each argument is one axis of the schedule"
+    )]
     fn drive_window(
         net: &mut Internet,
         ids: &[DomainId],

@@ -68,7 +68,6 @@ pub struct OuterSpace {
     /// Derived: the earliest expiry among `claims`, kept exact across
     /// every mutation so the per-event deadline probe is O(1) instead
     /// of a scan. Recomputed on decode; never serialized.
-    // lint:allow(snapshot-field-coverage) — derived minimum, recomputed from claims on decode
     min_expiry: Option<Secs>,
 }
 
@@ -414,10 +413,16 @@ impl OwnClaim {
 
 impl snapshot::Snapshot for KnownClaim {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.owner);
-        self.prefix.encode(enc);
-        enc.u64(self.expires);
-        enc.u64(self.at);
+        let Self {
+            owner,
+            prefix,
+            expires,
+            at,
+        } = self;
+        enc.u32(*owner);
+        prefix.encode(enc);
+        enc.u64(*expires);
+        enc.u64(*at);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(KnownClaim {
@@ -473,11 +478,18 @@ impl snapshot::Snapshot for ClaimPurpose {
 
 impl snapshot::Snapshot for OwnClaim {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.prefix.encode(enc);
-        self.phase.encode(enc);
-        self.purpose.encode(enc);
-        enc.u64(self.expires);
-        enc.u64(self.at);
+        let Self {
+            prefix,
+            phase,
+            purpose,
+            expires,
+            at,
+        } = self;
+        prefix.encode(enc);
+        phase.encode(enc);
+        purpose.encode(enc);
+        enc.u64(*expires);
+        enc.u64(*at);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(OwnClaim {
@@ -495,14 +507,20 @@ impl snapshot::Snapshot for OuterSpace {
     /// it — its root's run of the sorted claims, so one pass over them
     /// for disjoint roots — then the claims as `KnownClaim`s.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.seq(self.ranges.len());
-        for (i, (exp, act, f)) in self.ranges.iter().enumerate() {
+        let Self {
+            ranges,
+            claims,
+            // derived minimum, recomputed from claims on decode
+            min_expiry: _,
+        } = self;
+        enc.seq(ranges.len());
+        for (i, (exp, act, f)) in ranges.iter().enumerate() {
             enc.u64(*exp);
             enc.bool(*act);
             f.encode_tracker(self.held_in(i), enc);
         }
-        enc.seq(self.claims.len());
-        self.claims.iter().for_each(|c| c.known().encode(enc));
+        enc.seq(claims.len());
+        claims.iter().for_each(|c| c.known().encode(enc));
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         use snapshot::SnapError::Invalid;

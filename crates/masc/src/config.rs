@@ -55,13 +55,22 @@ impl MascConfig {
 
 impl snapshot::Snapshot for MascConfig {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u64(self.wait_period);
-        enc.u64(self.range_lifetime);
-        enc.u64(self.renew_margin);
-        enc.f64(self.target_occupancy);
-        enc.usize(self.max_active_prefixes);
-        enc.u8(self.min_claim_len);
-        enc.u64(self.claim_retry_backoff);
+        let Self {
+            wait_period,
+            range_lifetime,
+            renew_margin,
+            target_occupancy,
+            max_active_prefixes,
+            min_claim_len,
+            claim_retry_backoff,
+        } = self;
+        enc.u64(*wait_period);
+        enc.u64(*range_lifetime);
+        enc.u64(*renew_margin);
+        enc.f64(*target_occupancy);
+        enc.usize(*max_active_prefixes);
+        enc.u8(*min_claim_len);
+        enc.u64(*claim_retry_backoff);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(MascConfig {

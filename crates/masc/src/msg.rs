@@ -6,6 +6,17 @@
 //! the sans-io engine for the host (simulator or actor runtime) to
 //! execute.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use mcast_addr::{Prefix, Secs};
 use serde::{Deserialize, Serialize};
 

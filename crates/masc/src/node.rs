@@ -82,11 +82,11 @@ pub enum BlockOutcome {
 /// The MASC engine for one domain. See module docs.
 #[derive(Debug)]
 pub struct MascNode {
-    domain: DomainAsn, // lint:allow(snapshot-field-coverage) — identity; stays with the rebuilt instance
-    cfg: MascConfig, // lint:allow(snapshot-field-coverage) — timer/sizing config; stays with the rebuilt instance
-    parent: Option<DomainAsn>, // lint:allow(snapshot-field-coverage) — hierarchy wiring; re-established by the harness
-    children: Vec<DomainAsn>, // lint:allow(snapshot-field-coverage) — hierarchy wiring; re-established by the harness
-    siblings: Vec<DomainAsn>, // lint:allow(snapshot-field-coverage) — hierarchy wiring; re-established by the harness
+    domain: DomainAsn,
+    cfg: MascConfig,
+    parent: Option<DomainAsn>,
+    children: Vec<DomainAsn>,
+    siblings: Vec<DomainAsn>,
     /// The space we claim from (parent ranges or bootstrap ranges).
     outer: OuterSpace,
     /// Our claims (waiting and granted).
@@ -97,7 +97,6 @@ pub struct MascNode {
     child_claims: Vec<KnownClaim>,
     /// Derived: earliest expiry among `child_claims`, kept exact so
     /// the per-event deadline probe is O(1). Rebuilt on restore.
-    // lint:allow(snapshot-field-coverage) — derived minimum, recomputed from child_claims on restore
     child_min_expiry: Option<Secs>,
     /// Block leases to local clients.
     leases: LeaseTable<Prefix>,
@@ -118,7 +117,6 @@ pub struct MascNode {
     /// Derived: [`MascNode::next_deadline`] less the outer claims' expiry,
     /// `None` until rescanned; every `&mut` entry point clears it but the
     /// messages that change only the outer claims.
-    // lint:allow(snapshot-field-coverage) — derived minimum, cleared on restore and rescanned on the next probe
     own_deadline: Cell<Option<Option<Secs>>>,
 }
 
@@ -689,7 +687,10 @@ impl MascNode {
         actions
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one decoded Claim message"
+    )]
     fn handle_claim(
         &mut self,
         now: Secs,
@@ -1213,11 +1214,18 @@ impl MascNode {
 
 impl snapshot::Snapshot for MascStats {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u64(self.claims_made);
-        enc.u64(self.collisions);
-        enc.u64(self.grants);
-        enc.u64(self.failures);
-        enc.u64(self.releases);
+        let Self {
+            claims_made,
+            collisions,
+            grants,
+            failures,
+            releases,
+        } = self;
+        enc.u64(*claims_made);
+        enc.u64(*collisions);
+        enc.u64(*grants);
+        enc.u64(*failures);
+        enc.u64(*releases);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(MascStats {
@@ -1232,9 +1240,10 @@ impl snapshot::Snapshot for MascStats {
 
 impl snapshot::Snapshot for PendingReq {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u64(self.id);
-        enc.u8(self.len);
-        enc.u64(self.lifetime);
+        let Self { id, len, lifetime } = self;
+        enc.u64(*id);
+        enc.u8(*len);
+        enc.u64(*lifetime);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(PendingReq {
@@ -1254,36 +1263,81 @@ impl snapshot::SnapshotState for MascNode {
     /// `siblings`) stay with the rebuilt instance.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
-        self.outer.encode(enc);
-        self.own.encode(enc);
-        self.alloc.encode(enc);
-        self.child_claims.encode(enc);
-        self.leases.encode(enc);
-        self.pending.encode(enc);
-        enc.u64(self.next_req_id);
-        self.retry_at.encode(enc);
-        self.deferred_demand.encode(enc);
-        self.signalled.encode(enc);
-        self.stats.encode(enc);
-        self.rng.state().encode(enc);
+        let Self {
+            outer,
+            own,
+            alloc,
+            child_claims,
+            leases,
+            pending,
+            next_req_id,
+            retry_at,
+            deferred_demand,
+            signalled,
+            stats,
+            rng,
+            // identity, config and hierarchy wiring stay with the rebuilt instance
+            domain: _,
+            cfg: _,
+            parent: _,
+            children: _,
+            siblings: _,
+            // derived minima, rebuilt on restore
+            child_min_expiry: _,
+            own_deadline: _,
+        } = self;
+        outer.encode(enc);
+        own.encode(enc);
+        alloc.encode(enc);
+        child_claims.encode(enc);
+        leases.encode(enc);
+        pending.encode(enc);
+        enc.u64(*next_req_id);
+        retry_at.encode(enc);
+        deferred_demand.encode(enc);
+        signalled.encode(enc);
+        stats.encode(enc);
+        rng.state().encode(enc);
     }
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
-        self.own_deadline.take();
-        self.outer = Snapshot::decode(dec)?;
-        self.own = Snapshot::decode(dec)?;
-        self.alloc = Snapshot::decode(dec)?;
-        self.child_claims = Snapshot::decode(dec)?;
-        self.child_min_expiry = self.child_claims.iter().map(|c| c.expires).min();
-        self.leases = Snapshot::decode(dec)?;
-        self.pending = Snapshot::decode(dec)?;
-        self.next_req_id = dec.u64()?;
-        self.retry_at = Snapshot::decode(dec)?;
-        self.deferred_demand = Snapshot::decode(dec)?;
-        self.signalled = Snapshot::decode(dec)?;
-        self.stats = Snapshot::decode(dec)?;
-        self.rng = StdRng::from_state(Snapshot::decode(dec)?);
+        let Self {
+            outer,
+            own,
+            alloc,
+            child_claims,
+            leases,
+            pending,
+            next_req_id,
+            retry_at,
+            deferred_demand,
+            signalled,
+            stats,
+            rng,
+            child_min_expiry,
+            own_deadline,
+            // identity, config and hierarchy wiring stay with the rebuilt instance
+            domain: _,
+            cfg: _,
+            parent: _,
+            children: _,
+            siblings: _,
+        } = self;
+        own_deadline.take();
+        *outer = Snapshot::decode(dec)?;
+        *own = Snapshot::decode(dec)?;
+        *alloc = Snapshot::decode(dec)?;
+        *child_claims = Snapshot::decode(dec)?;
+        *child_min_expiry = child_claims.iter().map(|c| c.expires).min();
+        *leases = Snapshot::decode(dec)?;
+        *pending = Snapshot::decode(dec)?;
+        *next_req_id = dec.u64()?;
+        *retry_at = Snapshot::decode(dec)?;
+        *deferred_demand = Snapshot::decode(dec)?;
+        *signalled = Snapshot::decode(dec)?;
+        *stats = Snapshot::decode(dec)?;
+        *rng = StdRng::from_state(Snapshot::decode(dec)?);
         Ok(())
     }
 }

@@ -80,14 +80,12 @@ pub struct MascActor {
     /// The protocol engine.
     pub node: MascNode,
     /// Optional self-scheduling workload.
-    // lint:allow(snapshot-field-coverage) — scenario config; stays with the rebuilt instance
     pub workload: Option<Workload>,
     /// Counters.
     pub stats: ActorStats,
     /// Deadlines already scheduled as timers (dedupe).
     scheduled: BTreeSet<Secs>,
     /// Bootstrap ranges applied at start (top-level domains).
-    // lint:allow(snapshot-field-coverage) — scenario config applied at start; stays with the rebuilt instance
     bootstrap: Vec<(Prefix, Secs)>,
 }
 
@@ -514,10 +512,16 @@ impl snapshot::Snapshot for MascWire {
 
 impl snapshot::Snapshot for Workload {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u8(self.block_len);
-        enc.u64(self.block_lifetime);
-        enc.u64(self.min_gap);
-        enc.u64(self.max_gap);
+        let Self {
+            block_len,
+            block_lifetime,
+            min_gap,
+            max_gap,
+        } = self;
+        enc.u8(*block_len);
+        enc.u64(*block_lifetime);
+        enc.u64(*min_gap);
+        enc.u64(*max_gap);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let w = Workload {
@@ -535,10 +539,16 @@ impl snapshot::Snapshot for Workload {
 
 impl snapshot::Snapshot for ActorStats {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u64(self.leased_addrs);
-        enc.u64(self.blocks_obtained);
-        enc.u64(self.blocks_pending);
-        enc.u64(self.blocks_lost);
+        let Self {
+            leased_addrs,
+            blocks_obtained,
+            blocks_pending,
+            blocks_lost,
+        } = self;
+        enc.u64(*leased_addrs);
+        enc.u64(*blocks_obtained);
+        enc.u64(*blocks_pending);
+        enc.u64(*blocks_lost);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(ActorStats {
@@ -557,16 +567,32 @@ impl snapshot::SnapshotState for MascActor {
     /// consumes `bootstrap`) is not replayed on resume.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
-        self.node.encode_state(enc);
-        self.stats.encode(enc);
-        self.scheduled.encode(enc);
+        let Self {
+            node,
+            stats,
+            scheduled,
+            // scenario config; stays with the rebuilt instance
+            workload: _,
+            bootstrap: _,
+        } = self;
+        node.encode_state(enc);
+        stats.encode(enc);
+        scheduled.encode(enc);
     }
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
-        self.node.restore_state(dec)?;
-        self.stats = ActorStats::decode(dec)?;
-        self.scheduled = Snapshot::decode(dec)?;
+        let Self {
+            node,
+            stats,
+            scheduled,
+            // scenario config; stays with the rebuilt instance
+            workload: _,
+            bootstrap: _,
+        } = self;
+        node.restore_state(dec)?;
+        *stats = ActorStats::decode(dec)?;
+        *scheduled = Snapshot::decode(dec)?;
         Ok(())
     }
 }

@@ -239,9 +239,14 @@ impl BlockAllocator {
 
 impl snapshot::Snapshot for OwnedPrefix {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.prefix.encode(enc);
-        enc.bool(self.active);
-        self.blocks.encode(enc);
+        let Self {
+            prefix,
+            active,
+            blocks,
+        } = self;
+        prefix.encode(enc);
+        enc.bool(*active);
+        blocks.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(OwnedPrefix {
@@ -254,7 +259,8 @@ impl snapshot::Snapshot for OwnedPrefix {
 
 impl snapshot::Snapshot for BlockAllocator {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.owned.encode(enc);
+        let Self { owned } = self;
+        owned.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(BlockAllocator {

@@ -19,7 +19,6 @@ pub type Secs = u64;
 #[derive(Debug, Clone)]
 pub struct LeaseTable<T: Ord + Clone> {
     by_expiry: BTreeMap<Secs, Vec<T>>,
-    // lint:allow(snapshot-field-coverage) — derived reverse index, rebuilt from by_expiry on decode
     expiry_of: BTreeMap<T, Secs>,
 }
 
@@ -131,7 +130,12 @@ impl<T: Ord + Clone + snapshot::Snapshot> snapshot::Snapshot for LeaseTable<T> {
     /// downstream protocol code turns into message order, so it must
     /// survive a round-trip exactly. The reverse index is recomputed.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.by_expiry.encode(enc);
+        let Self {
+            by_expiry,
+            // derived reverse index, rebuilt from by_expiry on decode
+            expiry_of: _,
+        } = self;
+        by_expiry.encode(enc);
     }
 
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {

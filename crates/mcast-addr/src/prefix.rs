@@ -162,7 +162,10 @@ impl Prefix {
 
     /// The mask length. (A prefix always covers at least one address,
     /// so there is no `is_empty` counterpart.)
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "a prefix always covers at least one address"
+    )]
     pub fn len(&self) -> u8 {
         self.len
     }
@@ -367,8 +370,9 @@ impl snapshot::Snapshot for McastAddr {
 
 impl snapshot::Snapshot for Prefix {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.base);
-        enc.u8(self.len);
+        let Self { base, len } = self;
+        enc.u32(*base);
+        enc.u8(*len);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let base = dec.u32()?;

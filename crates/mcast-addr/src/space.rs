@@ -381,7 +381,8 @@ impl snapshot::Snapshot for SpaceTracker {
     /// sorted vectors serialize byte-identically to the tree sets
     /// earlier revisions stored.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.space.encode_tracker(self.in_use.iter().copied(), enc);
+        let Self { space, in_use } = self;
+        space.encode_tracker(in_use.iter().copied(), enc);
     }
 
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {

@@ -106,8 +106,9 @@ impl Membership {
 
 impl snapshot::Snapshot for Membership {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.members.encode(enc);
-        self.borders.encode(enc);
+        let Self { members, borders } = self;
+        members.encode(enc);
+        borders.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(Membership {

@@ -33,7 +33,7 @@ use crate::findings::Finding;
 use crate::lexer::Lexed;
 use crate::parser::{ident_in_span, EnumDef, FnDef, ImplDef, Items, StructDef};
 
-/// One file's parsed view, as assembled by [`crate::lint_files`].
+/// One file's parsed view.
 pub struct FileCtx<'a> {
     /// Workspace-relative, `/`-separated path.
     pub path: &'a str,

@@ -1,7 +1,7 @@
 //! A minimal Rust source lexer: just enough to know, for every byte of
 //! a source file, whether it is code, comment, or literal content.
 //!
-//! The rule engine ([`crate::rules`]) scans the *code view* — the
+//! The retired rule engine scanned the *code view* — the
 //! original source with comment bodies and string/char literal contents
 //! blanked to spaces — so a forbidden token inside a doc comment or a
 //! string literal never fires. Newlines are preserved everywhere, so

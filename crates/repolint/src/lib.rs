@@ -1,205 +1,16 @@
-//! repolint — workspace determinism & robustness lints.
+//! What remains of repolint: its source lexer, item parser and
+//! coverage analysis, with their unit tests. Nothing calls this crate.
 //!
-//! The experiment harness promises byte-identical CSV/JSON at any
-//! `--threads`, the protocol decode paths promise never to panic on
-//! peer-controlled input, and the snapshot layer promises lossless
-//! checkpoint/resume. All three contracts are conventions the compiler
-//! cannot check, so this crate checks them: a small Rust source lexer
-//! ([`lexer`]) plus a token-level rule engine ([`rules`]) and an
-//! item-level coverage analysis ([`parser`] + [`coverage`]) walk
-//! `crates/**/*.rs` and report violations with `file:line` spans,
-//! suppressible only via `// lint:allow(rule) — justification` comments
-//! ([`allow`]). An allow that suppresses nothing is itself reported
-//! (`stale-allow`), so suppressions cannot rot.
-//!
-//! Wired in twice: as a tier-1 integration test (the root package and
-//! `cargo test -p repolint` both lint the whole workspace) and as a CI
-//! job (`cargo run -p repolint`, deny-by-default, JSON artifact on
-//! failure). See DESIGN.md §"Determinism & robustness contract".
+//! The rules it enforced now live in the compiler's lints
+//! (`clippy.toml`, `[workspace.lints]`, `#![deny]` atop each decode
+//! module) and in exhaustive destructuring of `Self` in every manual
+//! snapshot impl (DESIGN.md §9). The rule engine, the `lint:allow`
+//! machinery, the binary and the fixtures are gone; this library goes
+//! with the next change that can retire its tests (ROADMAP item 8).
 
-pub mod allow;
 pub mod coverage;
 pub mod findings;
 pub mod lexer;
 pub mod parser;
-pub mod rules;
 
-use std::path::{Path, PathBuf};
-
-pub use findings::{
-    render_human, render_json, Finding, BAD_ALLOW, JSON_SCHEMA_VERSION, RULES, STALE_ALLOW,
-};
-
-/// Lints a set of files as one unit. `path`s are workspace-relative and
-/// `/`-separated (they select which rules apply). Linting is
-/// whole-set because the coverage rules pair items across files of a
-/// crate (a `Snapshot` impl in `snap.rs` covers a struct defined in
-/// `engine.rs`), and because `stale-allow` needs the full finding set
-/// before it can call an allow dead.
-pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
-    let lexed: Vec<lexer::Lexed> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
-    let items: Vec<parser::Items> = lexed.iter().map(|l| parser::parse_items(&l.code)).collect();
-
-    // Per-file token rules, then cross-file coverage rules, pooled.
-    let mut pool: Vec<Finding> = Vec::new();
-    for ((path, _), lx) in files.iter().zip(&lexed) {
-        pool.extend(rules::lint_code(path, lx));
-    }
-    let ctxs: Vec<coverage::FileCtx<'_>> = files
-        .iter()
-        .zip(lexed.iter().zip(items.iter()))
-        .map(|((path, _), (lx, it))| coverage::FileCtx {
-            path,
-            lexed: lx,
-            items: it,
-        })
-        .collect();
-    pool.extend(coverage::lint_coverage(&ctxs));
-
-    // Apply allows file by file, tracking which allows earned their
-    // keep; a valid allow that suppressed nothing becomes a finding.
-    let mut out = Vec::new();
-    for ((path, _), lx) in files.iter().zip(&lexed) {
-        let (allows, mut bad) = allow::collect_allows(path, lx);
-        bad.retain(|f| !lx.is_test_line(f.line));
-        let mine: Vec<Finding> = pool.iter().filter(|f| &f.path == path).cloned().collect();
-        let (kept, used) = allow::apply_allows(mine, &allows);
-        out.extend(kept);
-        out.append(&mut bad);
-        for (a, n) in allows.iter().zip(used) {
-            if n == 0 && !lx.is_test_line(a.comment_line) {
-                out.push(Finding {
-                    path: path.clone(),
-                    line: a.comment_line,
-                    rule: STALE_ALLOW,
-                    message: format!(
-                        "lint:allow({}) suppressed no findings in this run — delete the \
-                         dead suppression (or fix the rule name/placement if it was \
-                         meant to catch something)",
-                        a.rules.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Lints one file's source text (single-file view of [`lint_files`]).
-pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
-    lint_files(&[(path.to_string(), src.to_string())])
-}
-
-/// Lints every non-test Rust source under `<root>/crates`. Skips
-/// `tests/`, `benches/`, `examples/`, `fixtures/`, and `target/`
-/// directories (unit-test modules inside linted files are excluded by
-/// `#[cfg(test)]` detection instead). Findings are sorted by path then
-/// line; the walk itself is sorted, so output is deterministic.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let crates_dir = root.join("crates");
-    let mut paths = Vec::new();
-    collect_rs_files(&crates_dir, &mut paths)?;
-    paths.sort();
-    let mut files = Vec::new();
-    for f in paths {
-        let src = std::fs::read_to_string(&f)?;
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        files.push((rel, src));
-    }
-    Ok(lint_files(&files))
-}
-
-const SKIP_DIRS: &[&str] = &["tests", "benches", "examples", "fixtures", "target"];
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
-                continue;
-            }
-            collect_rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn allow_with_justification_suppresses() {
-        let src = "fn f() {\n    let t = std::time::Instant::now(); // lint:allow(wall-clock) — test scaffolding outside the sim\n}\n";
-        assert!(lint_source("crates/masc/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn allow_without_justification_suppresses_nothing() {
-        let src = "// lint:allow(wall-clock)\nlet t = std::time::Instant::now();\n";
-        let f = lint_source("crates/masc/src/x.rs", src);
-        let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"bad-allow"), "{f:?}");
-        assert!(rules.contains(&"wall-clock"), "{f:?}");
-    }
-
-    #[test]
-    fn allow_for_wrong_rule_does_not_suppress() {
-        let src =
-            "let t = std::time::Instant::now(); // lint:allow(ambient-rng) — wrong rule named\n";
-        let f = lint_source("crates/masc/src/x.rs", src);
-        // The wall-clock finding survives, and the useless allow is
-        // itself reported as stale.
-        let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec![STALE_ALLOW, "wall-clock"], "{f:?}");
-    }
-
-    #[test]
-    fn stale_allow_is_reported_at_the_comment_line() {
-        let src = "// lint:allow(wall-clock) — leftover from a deleted call\nlet t = 1;\n";
-        let f = lint_source("crates/masc/src/x.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, STALE_ALLOW);
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn live_allow_is_not_stale() {
-        let src = "fn f() {\n    let t = std::time::Instant::now(); // lint:allow(wall-clock) — scaffolding\n}\n";
-        assert!(lint_source("crates/masc/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn stale_allow_in_cfg_test_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    // lint:allow(wall-clock) — harmless here\n    fn f() {}\n}\n";
-        assert!(lint_source("crates/masc/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn stale_allow_is_not_suppressible() {
-        // An allow cannot name `stale-allow`: it is not in RULES, so
-        // this is a bad-allow.
-        let src = "// lint:allow(stale-allow) — trying to allow the auditor\nlet t = 1;\n";
-        let f = lint_source("crates/masc/src/x.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, BAD_ALLOW);
-    }
-}
+pub use findings::Finding;

@@ -1,6 +1,6 @@
 //! A lightweight item-level parser over the lexed code view.
 //!
-//! The token rules in [`crate::rules`] need no structure, but the
+//! Token rules need no structure, but the
 //! coverage rules ([`crate::coverage`]) do: "every field of `FaultStats`
 //! is referenced in its `Snapshot::encode` body" is a statement about
 //! *items* — a struct definition here, an `impl` block there, a fn body

@@ -884,10 +884,12 @@ mod tests {
 
     impl SnapshotState for Echo {
         fn encode_state(&self, enc: &mut snapshot::Enc) {
-            enc.u32(self.pings);
+            let Self { pings } = self;
+            enc.u32(*pings);
         }
         fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), SnapError> {
-            self.pings = dec.u32()?;
+            let Self { pings } = self;
+            *pings = dec.u32()?;
             Ok(())
         }
     }
@@ -1036,14 +1038,24 @@ mod tests {
 
     impl SnapshotState for Gossip {
         fn encode_state(&self, enc: &mut snapshot::Enc) {
-            enc.usize(self.peers);
-            enc.u64(self.digest);
-            enc.u64(self.hops);
+            let Self {
+                peers,
+                digest,
+                hops,
+            } = self;
+            enc.usize(*peers);
+            enc.u64(*digest);
+            enc.u64(*hops);
         }
         fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), SnapError> {
-            self.peers = dec.usize()?;
-            self.digest = dec.u64()?;
-            self.hops = dec.u64()?;
+            let Self {
+                peers,
+                digest,
+                hops,
+            } = self;
+            *peers = dec.usize()?;
+            *digest = dec.u64()?;
+            *hops = dec.u64()?;
             Ok(())
         }
     }

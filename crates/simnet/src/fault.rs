@@ -25,8 +25,8 @@
 //! is faultable. A run with no models configured performs zero draws,
 //! so enabling the fault plane for one link leaves every other
 //! simulation byte-identical. No wall-clock time and no ambient RNG is
-//! consulted anywhere (repolint's `wall-clock`/`ambient-rng` rules
-//! cover this module like the rest of `simnet`).
+//! consulted anywhere (`clippy.toml` bans the wall clock here as in
+//! the rest of the workspace).
 //!
 //! The faultable-class filter is a plain `fn(&M) -> bool`, not a
 //! closure, so a fault plane carries no hidden captured state. Harness
@@ -105,7 +105,6 @@ pub struct FaultPlane<M> {
     default_model: FaultModel,
     per_link: BTreeMap<LinkKey, FaultModel>,
     down: BTreeSet<NodeId>,
-    // lint:allow(snapshot-field-coverage) — fn-pointer filter, volatile by design; resume keeps the rebuilt plane's filter
     pub(crate) faultable: fn(&M) -> bool,
     pub(crate) stats: FaultStats,
 }
@@ -197,17 +196,33 @@ impl<M> snapshot::SnapshotState for FaultPlane<M> {
     /// harness's message type — volatile by design; resume keeps
     /// whatever filter the rebuilt plane was configured with.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
-        self.default_model.encode(enc);
-        self.per_link.encode(enc);
-        self.down.encode(enc);
-        self.stats.encode(enc);
+        let Self {
+            default_model,
+            per_link,
+            down,
+            stats,
+            // fn-pointer filter, volatile by design; resume keeps the rebuilt plane's filter
+            faultable: _,
+        } = self;
+        default_model.encode(enc);
+        per_link.encode(enc);
+        down.encode(enc);
+        stats.encode(enc);
     }
 
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
-        self.default_model = FaultModel::decode(dec)?;
-        self.per_link = Snapshot::decode(dec)?;
-        self.down = Snapshot::decode(dec)?;
-        self.stats = FaultStats::decode(dec)?;
+        let Self {
+            default_model,
+            per_link,
+            down,
+            stats,
+            // fn-pointer filter, volatile by design; resume keeps the rebuilt plane's filter
+            faultable: _,
+        } = self;
+        *default_model = FaultModel::decode(dec)?;
+        *per_link = Snapshot::decode(dec)?;
+        *down = Snapshot::decode(dec)?;
+        *stats = FaultStats::decode(dec)?;
         Ok(())
     }
 }

@@ -41,7 +41,7 @@ pub struct Link {
 /// Backed by a `BTreeMap` so the table has a deterministic iteration
 /// order if one is ever added — `simnet` carries the workspace's
 /// determinism contract, so no hash-ordered container may live here
-/// (enforced by repolint's `unordered-iter` rule with zero allows).
+/// (`clippy.toml` bans them).
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     links: BTreeMap<LinkKey, Link>,
@@ -120,8 +120,9 @@ impl snapshot::Snapshot for LinkKey {
 
 impl snapshot::Snapshot for Link {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.latency.encode(enc);
-        enc.bool(self.up);
+        let Self { latency, up } = self;
+        latency.encode(enc);
+        enc.bool(*up);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(Link {
@@ -133,8 +134,12 @@ impl snapshot::Snapshot for Link {
 
 impl snapshot::Snapshot for LinkTable {
     fn encode(&self, enc: &mut snapshot::Enc) {
-        self.links.encode(enc);
-        self.default_latency.encode(enc);
+        let Self {
+            links,
+            default_latency,
+        } = self;
+        links.encode(enc);
+        default_latency.encode(enc);
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         Ok(LinkTable {

@@ -41,9 +41,14 @@ impl Snapshot for NodeId {
 
 impl Snapshot for FaultModel {
     fn encode(&self, enc: &mut Enc) {
-        enc.f64(self.loss);
-        enc.f64(self.dup);
-        enc.u64(self.jitter_ms);
+        let Self {
+            loss,
+            dup,
+            jitter_ms,
+        } = self;
+        enc.f64(*loss);
+        enc.f64(*dup);
+        enc.u64(*jitter_ms);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(FaultModel {
@@ -56,13 +61,22 @@ impl Snapshot for FaultModel {
 
 impl Snapshot for FaultStats {
     fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.lost);
-        enc.u64(self.duplicated);
-        enc.u64(self.jittered);
-        enc.u64(self.dropped_at_down_node);
-        enc.u64(self.timers_suppressed);
-        enc.u64(self.crashes);
-        enc.u64(self.restarts);
+        let Self {
+            lost,
+            duplicated,
+            jittered,
+            dropped_at_down_node,
+            timers_suppressed,
+            crashes,
+            restarts,
+        } = self;
+        enc.u64(*lost);
+        enc.u64(*duplicated);
+        enc.u64(*jittered);
+        enc.u64(*dropped_at_down_node);
+        enc.u64(*timers_suppressed);
+        enc.u64(*crashes);
+        enc.u64(*restarts);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(FaultStats {
@@ -79,10 +93,16 @@ impl Snapshot for FaultStats {
 
 impl Snapshot for EngineStats {
     fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.delivered);
-        enc.u64(self.dropped);
-        enc.u64(self.timers);
-        enc.u64(self.events);
+        let Self {
+            delivered,
+            dropped,
+            timers,
+            events,
+        } = self;
+        enc.u64(*delivered);
+        enc.u64(*dropped);
+        enc.u64(*timers);
+        enc.u64(*events);
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(EngineStats {

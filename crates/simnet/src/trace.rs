@@ -84,10 +84,11 @@ impl snapshot::Snapshot for Trace {
     /// trace reports the same [`Trace::total`] as the uninterrupted
     /// run instead of silently resetting to the window length.
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.usize(self.cap);
-        enc.u64(self.pushed);
-        enc.seq(self.ring.len());
-        for (t, line) in &self.ring {
+        let Self { cap, ring, pushed } = self;
+        enc.usize(*cap);
+        enc.u64(*pushed);
+        enc.seq(ring.len());
+        for (t, line) in ring {
             t.encode(enc);
             enc.str(line);
         }

@@ -16,7 +16,18 @@
 //!
 //! Decoding is total: every read is bounds-checked and returns
 //! [`SnapError`] on truncation or corruption. No `unwrap`, no
-//! indexing — this module is in repolint's `panicky-decode` scope.
+//! indexing — the `deny` below makes clippy refuse both.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -39,7 +50,6 @@ pub const FORMAT_VERSION: u16 = 3;
 /// Decode failure. Every variant is a recoverable error — corrupt or
 /// truncated snapshots must never panic the host.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// lint:allow(wire-variant-coverage) — error type returned to callers; never itself serialized
 pub enum SnapError {
     /// Input ended before the value did.
     Truncated {

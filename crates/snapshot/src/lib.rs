@@ -29,8 +29,8 @@
 //! `run(0→T2) == checkpoint(T1) + resume(T1→T2)`, byte-identical.
 //!
 //! Decoding is total: malformed, truncated, or corrupt input surfaces
-//! as a [`SnapError`], never a panic (enforced by repolint's
-//! `panicky-decode` rule on [`codec`]).
+//! as a [`SnapError`], never a panic ([`codec`] denies clippy's
+//! panicking lints).
 
 pub mod bisect;
 pub mod codec;

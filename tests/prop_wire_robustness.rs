@@ -15,6 +15,10 @@
 //!   (never panic), and when it returns `Ok(v)`, re-encoding `v` must
 //!   decode back to `v`.
 //!
+//! Every variant of those four, and of the snapshot-only enums with a
+//! hand-written tagged codec, re-encodes to its own bytes, so a decode
+//! arm whose tag differs from its encode arm fails.
+//!
 //! The BGP speaker's snapshot state gets the same treatment at the end
 //! of the file: its blob is the five maps the speaker once held, and a
 //! `kinds` or `out` section that disagrees with the Adj-RIB-In section
@@ -23,17 +27,21 @@
 //! The vendored proptest is seeded and deterministic; rerun a failure
 //! with `PROPTEST_SEED`.
 
-use bgmp::{BgmpMsg, SourceId};
+use bgmp::{BgmpMsg, SourceId, Target};
 use bgp::{
     AsPath, BgpEvent, BgpMsg, BgpSpeaker, ExportPolicy, Nlri, OutMsg, PeerConfig, PeerRel, Route,
-    RouteSourceKind, RouterId,
+    RouteSourceKind, RouterId, SessionState,
 };
 use bier::{BfrId, BierMsg, BitString, SetId};
-use masc::MascMsg;
+use masc::claims::{ClaimPhase, ClaimPurpose};
+use masc::{MascAction, MascMsg, MascWire, Workload};
+use masc_bgmp_core::{DataPacket, HostId, Wire};
 use mcast_addr::{McastAddr, Prefix};
 use proptest::prelude::*;
+use simnet::{Event, NodeId};
 use snapshot::{Dec, Enc, SnapError, Snapshot, SnapshotState};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
 
 /// Encodes one message the way every session layer frames it: bare
 /// payload from a fresh encoder, no snapshot header.
@@ -43,26 +51,44 @@ fn enc_of<T: Snapshot>(msg: &T) -> Vec<u8> {
     enc.finish()
 }
 
-/// Full strict decode: value + `finish()` (trailing bytes are a
-/// corruption too). Returns the re-encoding when the frame was legal.
-fn probe<T: Snapshot>(bytes: &[u8]) -> Option<(T, Vec<u8>)> {
+/// Full strict decode as `T` (trailing bytes are a corruption too),
+/// then the re-encoding: `None` unless `bytes` is one legal frame.
+fn reencode<T: Snapshot>(bytes: &[u8]) -> Option<Vec<u8>> {
     let mut dec = Dec::new(bytes);
     let v = T::decode(&mut dec).ok()?;
     dec.finish().ok()?;
-    let bytes = enc_of(&v);
-    Some((v, bytes))
+    Some(enc_of(&v))
 }
 
 fn prefix(base: u32, len: u8) -> Prefix {
     Prefix::new(base, len).expect("aligned test prefix")
 }
 
-/// A corpus entry: protocol tag, one valid encoding, and a bitflip
-/// check. `fn` pointers erase the message type so one property loop
-/// covers all four codecs.
-type Entry = (&'static str, Vec<u8>, fn(&[u8]) -> bool);
+/// Returns `values` after checking that entry `i` is the variant `arm`
+/// numbers `i`. `arm` matches with no wildcard, so a new variant does
+/// not compile until it is numbered here, beside the list it joins.
+fn listed<T>(values: Vec<T>, arm: fn(&T) -> usize) -> Vec<T> {
+    for (i, v) in values.iter().enumerate() {
+        assert_eq!(arm(v), i, "variant list out of order at entry {i}");
+    }
+    values
+}
 
-/// One encoding per enum variant, per protocol.
+/// A corpus entry: protocol tag, one valid encoding, and the strict
+/// re-encoder of its message type. The `fn` pointer erases the type so
+/// one loop covers all four codecs.
+type Entry = (&'static str, Vec<u8>, fn(&[u8]) -> Option<Vec<u8>>);
+
+fn entries<'a, T: Snapshot>(
+    proto: &'static str,
+    msgs: &'a [T],
+) -> impl Iterator<Item = Entry> + 'a {
+    msgs.iter()
+        .map(move |m| (proto, enc_of(m), reencode::<T> as _))
+}
+
+/// One encoding per enum variant, per protocol, each list checked by
+/// [`listed`].
 fn corpus() -> Vec<Entry> {
     let route = Route {
         nlri: Nlri::Group(prefix(0xE100_0000, 12)),
@@ -71,130 +97,272 @@ fn corpus() -> Vec<Entry> {
         local: false,
         ebgp: true,
     };
-    let bgp_msgs = vec![
-        BgpMsg::Update {
-            route,
-            kind: RouteSourceKind::Customer,
+    let kind = RouteSourceKind::Customer;
+    let bgp_msgs = listed(
+        vec![
+            BgpMsg::Update { route, kind },
+            BgpMsg::Withdraw(Nlri::Domain(19)),
+        ],
+        |m| match m {
+            BgpMsg::Update { .. } => 0,
+            BgpMsg::Withdraw(_) => 1,
         },
-        BgpMsg::Withdraw(Nlri::Domain(19)),
-    ];
+    );
     let src = SourceId { domain: 5, host: 2 };
     let g = McastAddr(0xE100_0001);
-    let bgmp_msgs = vec![
-        BgmpMsg::Join(g),
-        BgmpMsg::Prune(g),
-        BgmpMsg::SourceJoin(src, g),
-        BgmpMsg::SourcePrune(src, g),
+    let bgmp_msgs = listed(
+        vec![
+            BgmpMsg::Join(g),
+            BgmpMsg::Prune(g),
+            BgmpMsg::SourceJoin(src, g),
+            BgmpMsg::SourcePrune(src, g),
+        ],
+        |m| match m {
+            BgmpMsg::Join(_) => 0,
+            BgmpMsg::Prune(_) => 1,
+            BgmpMsg::SourceJoin(..) => 2,
+            BgmpMsg::SourcePrune(..) => 3,
+        },
+    );
+    let ranges = vec![
+        (prefix(0xE000_0000, 8), 3_600, true),
+        (prefix(0xE200_0000, 10), 120, false),
     ];
-    let masc_msgs = vec![
-        MascMsg::ParentAdvertise {
-            ranges: vec![
-                (prefix(0xE000_0000, 8), 3_600, true),
-                (prefix(0xE200_0000, 10), 120, false),
-            ],
+    let (claimer, holder, prefix, demand) = (11, 4, prefix(0xE140_0000, 16), 512);
+    let masc_msgs = listed(
+        vec![
+            MascMsg::ParentAdvertise { ranges },
+            MascMsg::Claim {
+                claimer,
+                prefix,
+                expires: 9_000,
+                at: 41,
+            },
+            MascMsg::Collision { holder, prefix },
+            MascMsg::Renew {
+                claimer,
+                prefix,
+                expires: 18_000,
+            },
+            MascMsg::SpaceNeeded { claimer, demand },
+            MascMsg::Release { claimer, prefix },
+        ],
+        |m| match m {
+            MascMsg::ParentAdvertise { .. } => 0,
+            MascMsg::Claim { .. } => 1,
+            MascMsg::Collision { .. } => 2,
+            MascMsg::Renew { .. } => 3,
+            MascMsg::SpaceNeeded { .. } => 4,
+            MascMsg::Release { .. } => 5,
         },
-        MascMsg::Claim {
-            claimer: 11,
-            prefix: prefix(0xE140_0000, 16),
-            expires: 9_000,
-            at: 41,
-        },
-        MascMsg::Collision {
-            holder: 4,
-            prefix: prefix(0xE140_0000, 16),
-        },
-        MascMsg::Renew {
-            claimer: 11,
-            prefix: prefix(0xE140_0000, 16),
-            expires: 18_000,
-        },
-        MascMsg::SpaceNeeded {
-            claimer: 23,
-            demand: 512,
-        },
-        MascMsg::Release {
-            claimer: 11,
-            prefix: prefix(0xE140_0000, 16),
-        },
-    ];
+    );
     let mut bits = BitString::new(256);
     bits.set(0);
     bits.set(37);
     bits.set(255);
-    let bier_msgs = vec![
-        BierMsg::Subscribe {
-            group: 6,
-            bfr: BfrId(12),
+    let (group, bfr, si, from, to) = (6, BfrId(12), SetId(1), BfrId(3), BfrId(4));
+    let bier_msgs = listed(
+        vec![
+            BierMsg::Subscribe { group, bfr },
+            BierMsg::Unsubscribe { group, bfr },
+            BierMsg::Packet { group, si, bits },
+            BierMsg::AdjDown { from, to },
+            BierMsg::AdjUp { from, to },
+        ],
+        |m| match m {
+            BierMsg::Subscribe { .. } => 0,
+            BierMsg::Unsubscribe { .. } => 1,
+            BierMsg::Packet { .. } => 2,
+            BierMsg::AdjDown { .. } => 3,
+            BierMsg::AdjUp { .. } => 4,
         },
-        BierMsg::Unsubscribe {
-            group: 6,
-            bfr: BfrId(12),
-        },
-        BierMsg::Packet {
-            group: 6,
-            si: SetId(1),
-            bits,
-        },
-        BierMsg::AdjDown {
-            from: BfrId(3),
-            to: BfrId(4),
-        },
-        BierMsg::AdjUp {
-            from: BfrId(3),
-            to: BfrId(4),
-        },
-    ];
-
-    let mut out: Vec<Entry> = Vec::new();
-    for m in &bgp_msgs {
-        out.push(("bgp", enc_of(m), |b| {
-            probe::<BgpMsg>(b).is_none_or(|(v, re)| probe::<BgpMsg>(&re).map(|(w, _)| w) == Some(v))
-        }));
-    }
-    for m in &bgmp_msgs {
-        out.push(("bgmp", enc_of(m), |b| {
-            probe::<BgmpMsg>(b)
-                .is_none_or(|(v, re)| probe::<BgmpMsg>(&re).map(|(w, _)| w) == Some(v))
-        }));
-    }
-    for m in &masc_msgs {
-        out.push(("masc", enc_of(m), |b| {
-            probe::<MascMsg>(b)
-                .is_none_or(|(v, re)| probe::<MascMsg>(&re).map(|(w, _)| w) == Some(v))
-        }));
-    }
-    for m in &bier_msgs {
-        out.push(("bier", enc_of(m), |b| {
-            probe::<BierMsg>(b)
-                .is_none_or(|(v, re)| probe::<BierMsg>(&re).map(|(w, _)| w) == Some(v))
-        }));
-    }
-    out
+    );
+    (entries("bgp", &bgp_msgs).chain(entries("bgmp", &bgmp_msgs)))
+        .chain(entries("masc", &masc_msgs))
+        .chain(entries("bier", &bier_msgs))
+        .collect()
 }
 
-/// Decodes `bytes` as the corpus entry's message type and reports
-/// whether a full strict decode succeeded (used by truncation, where
-/// success itself is the failure).
-fn decodes(entry: &Entry, bytes: &[u8]) -> bool {
-    match entry.0 {
-        "bgp" => probe::<BgpMsg>(bytes).is_some(),
-        "bgmp" => probe::<BgmpMsg>(bytes).is_some(),
-        "masc" => probe::<MascMsg>(bytes).is_some(),
-        _ => probe::<BierMsg>(bytes).is_some(),
+/// `encode(v)` decodes strictly and re-encodes to the same bytes.
+fn reencodes<T: Snapshot + Debug>(values: &[T]) {
+    for v in values {
+        let bytes = enc_of(v);
+        let re = reencode::<T>(&bytes);
+        assert_eq!(re, Some(bytes), "{v:?} does not re-encode to its own bytes");
     }
+}
+
+/// The same round trip for every variant of each enum that only a
+/// snapshot carries, each listed through a wildcard-free `match`.
+#[test]
+fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
+    let (from, to, router, peer, gen, id) = (1, 2, 1, 2, 3, 5);
+    let (host, group) = (HostId { domain: 3, host: 8 }, McastAddr(0xE100_0002));
+    let source = SourceId { domain: 5, host: 2 };
+    let packet = DataPacket { source, group, id };
+    let (claimer, prefix) = (11, prefix(0xE140_0000, 16));
+    let (claim, join) = (MascMsg::Release { claimer, prefix }, BgmpMsg::Join(group));
+    let msg = BgpMsg::Withdraw(Nlri::Domain(4));
+    let out = OutMsg {
+        to,
+        msg: msg.clone(),
+    };
+    reencodes(&listed(
+        vec![
+            Wire::Bgp { from, to, msg },
+            Wire::Bgmp {
+                from,
+                to,
+                msg: join,
+            },
+            Wire::Masc {
+                from,
+                msg: claim.clone(),
+            },
+            Wire::Data { from, to, packet },
+            Wire::HostJoin { host, group },
+            Wire::HostLeave { host, group },
+            Wire::PeerLinkDown { router, peer },
+            Wire::PeerLinkUp { router, peer },
+            Wire::Keepalive { from, to, gen },
+            Wire::BgpRefresh { from, to },
+            Wire::SendData { host, group, id },
+        ],
+        |w| match w {
+            Wire::Bgp { .. } => 0,
+            Wire::Bgmp { .. } => 1,
+            Wire::Masc { .. } => 2,
+            Wire::Data { .. } => 3,
+            Wire::HostJoin { .. } => 4,
+            Wire::HostLeave { .. } => 5,
+            Wire::PeerLinkDown { .. } => 6,
+            Wire::PeerLinkUp { .. } => 7,
+            Wire::Keepalive { .. } => 8,
+            Wire::BgpRefresh { .. } => 9,
+            Wire::SendData { .. } => 10,
+        },
+    ));
+    let (len, lifetime) = (24, 600);
+    reencodes(&listed(
+        vec![
+            MascWire::Proto {
+                from,
+                msg: claim.clone(),
+            },
+            MascWire::RequestBlock { len, lifetime },
+        ],
+        |w| match w {
+            MascWire::Proto { .. } => 0,
+            MascWire::RequestBlock { .. } => 1,
+        },
+    ));
+    reencodes(&[Workload::paper_fig2()]);
+    let (block, expires, request, demand) = (self::prefix(0xE141_0000, 24), 90, 4, 256);
+    reencodes(&listed(
+        vec![
+            MascAction::Send { to, msg: claim },
+            MascAction::RangeGranted { prefix, expires },
+            MascAction::RangeLost { prefix },
+            MascAction::BlockReady {
+                request,
+                block,
+                expires,
+            },
+            MascAction::BlockExpired { block },
+            MascAction::ClaimFailed { demand },
+        ],
+        |a| match a {
+            MascAction::Send { .. } => 0,
+            MascAction::RangeGranted { .. } => 1,
+            MascAction::RangeLost { .. } => 2,
+            MascAction::BlockReady { .. } => 3,
+            MascAction::BlockExpired { .. } => 4,
+            MascAction::ClaimFailed { .. } => 5,
+        },
+    ));
+    reencodes(&[out]);
+    let (a, b, node, key) = (NodeId(1), NodeId(2), NodeId(3), 12);
+    reencodes(&listed(
+        vec![
+            Event::Message {
+                from: a,
+                to: b,
+                msg: 11u64,
+            },
+            Event::Timer { node, key },
+            Event::LinkDown(a, b),
+            Event::LinkUp(a, b),
+            Event::NodeDown(a),
+            Event::NodeUp(a),
+        ],
+        |e| match e {
+            Event::Message { .. } => 0,
+            Event::Timer { .. } => 1,
+            Event::LinkDown(..) => 2,
+            Event::LinkUp(..) => 3,
+            Event::NodeDown(_) => 4,
+            Event::NodeUp(_) => 5,
+        },
+    ));
+    reencodes(&listed(vec![Target::Peer(4), Target::Migp], |t| match t {
+        Target::Peer(_) => 0,
+        Target::Migp => 1,
+    }));
+    let until = 30;
+    reencodes(&listed(
+        vec![ClaimPhase::Waiting { until }, ClaimPhase::Granted],
+        |c| match c {
+            ClaimPhase::Waiting { .. } => 0,
+            ClaimPhase::Granted => 1,
+        },
+    ));
+    use ClaimPurpose::{Consolidate, Double, New};
+    reencodes(&listed(
+        vec![New, Double { of: prefix }, Consolidate],
+        |c| match c {
+            New => 0,
+            Double { .. } => 1,
+            Consolidate => 2,
+        },
+    ));
+    use SessionState::{Connecting, Established, Idle};
+    reencodes(&listed(vec![Idle, Connecting, Established], |s| match s {
+        Idle => 0,
+        Connecting => 1,
+        Established => 2,
+    }));
+    use RouteSourceKind::{Customer, Local, Peer, Provider};
+    reencodes(&listed(
+        vec![Local, Customer, Provider, Peer],
+        |k| match k {
+            Local => 0,
+            Customer => 1,
+            Provider => 2,
+            Peer => 3,
+        },
+    ));
+    reencodes(&listed(
+        vec![Nlri::Domain(4), Nlri::Group(prefix)],
+        |n| match n {
+            Nlri::Domain(_) => 0,
+            Nlri::Group(_) => 1,
+        },
+    ));
 }
 
 #[test]
 fn every_strict_prefix_of_every_message_fails_to_decode() {
-    for entry in &corpus() {
-        let (proto, bytes, _) = entry;
-        assert!(
-            decodes(entry, bytes),
-            "{proto}: corpus entry no longer decodes whole"
+    for (proto, bytes, reencode) in &corpus() {
+        // encode(decode(encode(v))) == encode(v): a decode arm that
+        // reads another arm's tag fails here.
+        assert_eq!(
+            reencode(bytes).as_ref(),
+            Some(bytes),
+            "{proto}: corpus entry does not decode whole to its own bytes"
         );
         for cut in 0..bytes.len() {
             assert!(
-                !decodes(entry, &bytes[..cut]),
+                reencode(&bytes[..cut]).is_none(),
                 "{proto}: truncation to {cut}/{} bytes decoded successfully",
                 bytes.len()
             );
@@ -215,12 +383,12 @@ proptest! {
         bit in 0u32..8,
     ) {
         let corpus = corpus();
-        let (proto, bytes, check) = &corpus[pick as usize % corpus.len()];
+        let (proto, bytes, reencode) = &corpus[pick as usize % corpus.len()];
         let mut mutated = bytes.clone();
         let i = pos as usize % mutated.len();
         mutated[i] ^= 1 << bit;
         prop_assert!(
-            check(&mutated),
+            reencode(&mutated).is_none_or(|re| reencode(&re).as_ref() == Some(&re)),
             "{} frame with bit {} of byte {} flipped decoded to a value that does not round-trip",
             proto, bit, i
         );
