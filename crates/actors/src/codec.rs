@@ -1,8 +1,13 @@
-//! Length-delimited JSON framing over TCP.
+//! Length-delimited framing of snapshot bytes over TCP.
 //!
-//! Each frame is a 4-byte big-endian length followed by a JSON-encoded
-//! [`WireMsg`](crate::wire::WireMsg). Frames are capped to keep a
-//! misbehaving peer from ballooning memory.
+//! Each frame is a 4-byte big-endian length followed by the canonical
+//! [`Snapshot`] encoding of one value — a [`core::Wire`] between two
+//! border-router shells, or the sender's ASN in the hello frame that
+//! opens a connection. The body decoder is the snapshot codec's, so
+//! its totality, fuzzing and allocation bounds carry over; the length
+//! is checked against [`MAX_FRAME`] before anything is allocated.
+//!
+//! [`core::Wire`]: masc_bgmp_core::Wire
 
 #![deny(
     clippy::unwrap_used,
@@ -15,10 +20,8 @@
     clippy::unimplemented
 )]
 
-use bytes::{Buf, BufMut, BytesMut};
+use snapshot::{Dec, Enc, SnapError, Snapshot};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
-
-use crate::wire::WireMsg;
 
 /// Upper bound on a single frame (control messages are tiny; this is
 /// generous headroom).
@@ -31,8 +34,8 @@ pub enum CodecError {
     Io(std::io::Error),
     /// Peer sent an oversized frame.
     TooLarge(usize),
-    /// Peer sent malformed JSON.
-    Malformed(serde_json::Error),
+    /// The frame body is not one whole encoded value.
+    Malformed(SnapError),
     /// The connection closed.
     Closed,
 }
@@ -56,138 +59,156 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// Encodes a message into a length-prefixed frame.
-pub fn encode(msg: &WireMsg) -> BytesMut {
-    #[expect(
-        clippy::expect_used,
-        reason = "encode side: a locally built WireMsg always serializes"
-    )]
-    let body = serde_json::to_vec(msg).expect("WireMsg serializes");
-    let mut buf = BytesMut::with_capacity(4 + body.len());
-    buf.put_u32(body.len() as u32);
-    buf.put_slice(&body);
+/// Encodes a value into a length-prefixed frame.
+pub fn encode<T: Snapshot>(msg: &T) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.u32(0);
+    msg.encode(&mut enc);
+    let mut buf = enc.finish();
+    let len = (buf.len() - 4) as u32;
+    if let Some(header) = buf.get_mut(..4) {
+        header.copy_from_slice(&len.to_be_bytes());
+    }
     buf
 }
 
 /// Writes one frame.
-pub async fn write_frame<W: AsyncWriteExt + Unpin>(
+pub async fn write_frame<T: Snapshot, W: AsyncWriteExt + Unpin>(
     w: &mut W,
-    msg: &WireMsg,
+    msg: &T,
 ) -> Result<(), CodecError> {
-    let buf = encode(msg);
-    w.write_all(&buf).await?;
+    w.write_all(&encode(msg)).await?;
     Ok(())
 }
 
 /// Reads one frame.
-pub async fn read_frame<R: AsyncReadExt + Unpin>(r: &mut R) -> Result<WireMsg, CodecError> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf).await {
+pub async fn read_frame<T: Snapshot, R: AsyncReadExt + Unpin>(r: &mut R) -> Result<T, CodecError> {
+    let mut header = [0u8; 4];
+    match r.read_exact(&mut header).await {
         Ok(_) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Err(CodecError::Closed),
         Err(e) => return Err(e.into()),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
+    let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME {
         return Err(CodecError::TooLarge(len));
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body).await?;
-    serde_json::from_slice(&body).map_err(CodecError::Malformed)
-}
-
-/// Decodes a frame from a buffer (sans-io variant for tests).
-pub fn decode_buf(buf: &mut BytesMut) -> Result<Option<WireMsg>, CodecError> {
-    let Some(header) = buf.get(0..4) else {
-        return Ok(None);
-    };
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(header);
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(CodecError::TooLarge(len));
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    buf.advance(4);
-    let body = buf.split_to(len);
-    serde_json::from_slice(&body)
-        .map(Some)
-        .map_err(CodecError::Malformed)
+    let mut dec = Dec::new(&body);
+    let msg = T::decode(&mut dec).map_err(CodecError::Malformed)?;
+    dec.finish().map_err(CodecError::Malformed)?;
+    Ok(msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgmp::BgmpMsg;
+    use masc_bgmp_core::Wire;
     use mcast_addr::McastAddr;
 
-    #[test]
-    fn encode_decode_buffer() {
-        let m = WireMsg::Bgmp(bgmp::BgmpMsg::Join(McastAddr(0xE000_0005)));
-        let mut buf = encode(&m);
-        // Partial reads yield None until the frame is complete.
-        let mut partial = BytesMut::from(&buf[..3]);
-        assert!(matches!(decode_buf(&mut partial), Ok(None)));
-        let out = decode_buf(&mut buf).unwrap().unwrap();
-        assert!(matches!(out, WireMsg::Bgmp(bgmp::BgmpMsg::Join(_))));
-        assert!(buf.is_empty());
+    fn join() -> Wire {
+        Wire::Bgmp {
+            from: 3,
+            to: 4,
+            msg: BgmpMsg::Join(McastAddr(0xE000_0005)),
+        }
     }
 
-    #[test]
-    fn garbage_json_body_is_malformed_not_panic() {
-        // A peer can put arbitrary bytes in a well-framed body; decode
-        // must surface a typed error.
-        let body = b"{\"definitely\": not json";
-        let mut buf = BytesMut::new();
-        buf.put_u32(body.len() as u32);
-        buf.put_slice(body);
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    /// Reads one frame from a stream that carries `bytes` in pieces
+    /// split at `cuts`, a pause between each, and then closes.
+    async fn read_in_pieces(bytes: &[u8], cuts: &[usize]) -> Result<Wire, CodecError> {
+        let (mut a, mut b) = tokio::io::duplex(4096);
+        let bytes = bytes.to_vec();
+        let cuts = cuts.to_vec();
+        let writer = tokio::spawn(async move {
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                a.write_all(&bytes[at..cut]).await.unwrap();
+                at = cut;
+                tokio::time::sleep(std::time::Duration::from_millis(5)).await;
+            }
+        });
+        let got = read_frame(&mut b).await;
+        writer.await.unwrap();
+        got
+    }
+
+    #[tokio::test]
+    async fn encode_decode_buffer() {
+        // A frame that arrives in pieces — inside the header, inside
+        // the body — is read once it is whole.
+        let buf = encode(&join());
+        let out = read_in_pieces(&buf, &[2, 5, buf.len() - 1]).await.unwrap();
         assert!(matches!(
-            decode_buf(&mut buf),
-            Err(CodecError::Malformed(_))
+            out,
+            Wire::Bgmp {
+                msg: BgmpMsg::Join(_),
+                ..
+            }
         ));
     }
 
-    #[test]
-    fn truncated_header_yields_none_not_panic() {
-        // Fewer than 4 header bytes: wait for more input, never index
-        // past the end.
+    #[tokio::test]
+    async fn garbage_body_is_malformed_not_panic() {
+        // A peer can put arbitrary bytes in a well-framed body; decode
+        // must surface a typed error.
+        let got = read_in_pieces(&framed(b"\xFF definitely not a wire message"), &[]).await;
+        assert!(matches!(got, Err(CodecError::Malformed(_))));
+    }
+
+    #[tokio::test]
+    async fn truncated_header_yields_none_not_panic() {
+        // Fewer than 4 header bytes, in pieces, then the stream ends:
+        // `Closed`, never an index past the end.
         for n in 0..4usize {
-            let mut buf = BytesMut::from(&[0xFFu8; 4][..n]);
-            assert!(matches!(decode_buf(&mut buf), Ok(None)), "n={n}");
+            let cuts: Vec<usize> = (0..n).collect();
+            let got = read_in_pieces(&[0xFFu8; 4][..n], &cuts).await;
+            assert!(matches!(got, Err(CodecError::Closed)), "n={n}");
         }
     }
 
     #[tokio::test]
     async fn malformed_frame_over_socket_is_typed_error() {
         let (mut a, mut b) = tokio::io::duplex(4096);
-        let body = b"\x00\x01\x02 not json at all";
-        let mut frame = BytesMut::new();
-        frame.put_u32(body.len() as u32);
-        frame.put_slice(body);
-        a.write_all(&frame).await.unwrap();
+        a.write_all(&framed(b"\x00\x01\x02 not a wire message"))
+            .await
+            .unwrap();
         assert!(matches!(
-            read_frame(&mut b).await,
+            read_frame::<Wire, _>(&mut b).await,
             Err(CodecError::Malformed(_))
         ));
     }
 
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32((MAX_FRAME + 1) as u32);
-        buf.put_slice(&[0u8; 8]);
-        assert!(matches!(decode_buf(&mut buf), Err(CodecError::TooLarge(_))));
+    #[tokio::test]
+    async fn oversized_frame_rejected() {
+        let mut buf = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(&[0u8; 8]);
+        assert!(matches!(
+            read_in_pieces(&buf, &[]).await,
+            Err(CodecError::TooLarge(_))
+        ));
     }
 
     #[tokio::test]
     async fn roundtrip_over_duplex() {
         let (mut a, mut b) = tokio::io::duplex(4096);
-        let m = WireMsg::Hello { router: 42 };
-        write_frame(&mut a, &m).await.unwrap();
-        let got = read_frame(&mut b).await.unwrap();
-        assert!(matches!(got, WireMsg::Hello { router: 42 }));
+        write_frame(&mut a, &42u32).await.unwrap();
+        write_frame(&mut a, &join()).await.unwrap();
+        assert_eq!(read_frame::<u32, _>(&mut b).await.unwrap(), 42);
+        let got: Wire = read_frame(&mut b).await.unwrap();
+        assert_eq!(encode(&got), encode(&join()));
         drop(a);
-        assert!(matches!(read_frame(&mut b).await, Err(CodecError::Closed)));
+        assert!(matches!(
+            read_frame::<Wire, _>(&mut b).await,
+            Err(CodecError::Closed)
+        ));
     }
 }

@@ -1,20 +1,78 @@
-//! Convenience for standing up a small internet of router actors on
-//! localhost.
+//! Standing up a localhost internet of border-router shells, and the
+//! host-level API that drives it.
 
 use std::net::SocketAddr;
 
-use bgp::{ExportPolicy, PeerConfig, PeerRel, RouterId};
-use mcast_addr::Prefix;
-use topology::{DomainGraph, Rel};
+use bgmp::GroupEntry;
+use bgp::session::SessionTimers;
+use bgp::{Asn, ExportPolicy, RouterId};
+use masc_bgmp_core::{asn_of, domain_actors, DomainActor, HostId, InternetConfig, Wire};
+use mcast_addr::{McastAddr, Prefix};
+use topology::DomainGraph;
 
-use crate::router_task::{spawn_router, RouterHandle, RouterSpec};
+use crate::router_task::{spawn_router, Cmd, RouterHandle, RouterSpec};
 
-/// A running localhost internet: one router actor per domain.
+/// The configuration every shell's actor is built from: the
+/// simulator's defaults (a border router per peering, static ranges)
+/// with session liveness on — keepalive every 2 s, a peer dead after
+/// 6 s of silence, a failed session retried after 3 s.
+pub fn config(policy: ExportPolicy) -> InternetConfig {
+    InternetConfig {
+        policy,
+        sessions: Some(SessionTimers {
+            keepalive: 2,
+            hold: 6,
+            retry: 3,
+        }),
+        ..InternetConfig::default()
+    }
+}
+
+/// What a test sees of one domain, read the same way from a shell and
+/// from a simulated `Internet`'s actor.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct View {
+    /// Selected group routes: (border router, prefix, origin ASN).
+    pub grib: Vec<(RouterId, Prefix, Option<Asn>)>,
+    /// (*,G) and (*,G-prefix) entries: (border router, key, entry).
+    pub star: Vec<(RouterId, Prefix, GroupEntry)>,
+    /// Packets delivered to local hosts: (packet id, host), sorted.
+    pub received: Vec<(u64, HostId)>,
+    /// Neighbour domains connected now (empty from [`View::of`]).
+    pub peers_up: Vec<Asn>,
+}
+
+impl View {
+    /// The protocol state of `actor`.
+    pub fn of(actor: &DomainActor) -> View {
+        let mut received = actor.log.received.clone();
+        received.sort();
+        View {
+            grib: (actor.routers.iter())
+                .flat_map(|br| {
+                    let routes = br.speaker.rib().group_routes();
+                    routes.map(|(p, r)| (br.id, *p, r.origin_asn()))
+                })
+                .collect(),
+            star: (actor.routers.iter())
+                .flat_map(|br| {
+                    let entries = br.bgmp.table().star_entries();
+                    entries.map(|(p, e)| (br.id, *p, e.clone()))
+                })
+                .collect(),
+            received,
+            peers_up: Vec::new(),
+        }
+    }
+}
+
+/// A running localhost internet: one shell per domain.
 pub struct ActorNet {
     /// Handles, indexed by `DomainId.0`.
     pub routers: Vec<RouterHandle>,
     /// Each domain's statically assigned group range.
     pub ranges: Vec<Prefix>,
+    next_packet: u64,
 }
 
 /// Picks a free localhost port per router by binding ephemeral
@@ -32,95 +90,79 @@ async fn free_addrs(n: usize) -> std::io::Result<Vec<SocketAddr>> {
 }
 
 impl ActorNet {
-    /// Builds and starts one router actor per domain of `graph`, wiring
-    /// TCP peerings along its edges, originating a static group range
-    /// per domain.
+    /// Builds every domain's actor from [`config`], starts one shell
+    /// per domain with TCP peerings along the edges of `graph`, and
+    /// starts the engines once every peering is connected.
     pub async fn start(graph: &DomainGraph, policy: ExportPolicy) -> std::io::Result<ActorNet> {
-        let n = graph.len();
-        let addrs = free_addrs(n).await?;
-        let bits = (usize::BITS - (n.max(1) - 1).leading_zeros()).max(1) as u8;
-        let ranges: Vec<Prefix> = Prefix::MULTICAST.subprefixes(4 + bits).take(n).collect();
-
-        let mut handles = Vec::with_capacity(n);
-        for d in graph.domains() {
-            let id = d.0 as RouterId + 1;
-            let peers = graph
-                .neighbors(d)
-                .iter()
-                .map(|&(nb, rel)| {
-                    let peer_id = nb.0 as RouterId + 1;
-                    let rel = match rel {
-                        Rel::Provider => PeerRel::Provider,
-                        Rel::Customer => PeerRel::Customer,
-                        Rel::Peer => PeerRel::Peer,
-                    };
-                    let dial = id > peer_id; // higher id dials
-                    (
-                        PeerConfig {
-                            router: peer_id,
-                            asn: nb.0 as u32 + 1,
-                            rel,
-                        },
-                        addrs[nb.0],
-                        dial,
-                    )
-                })
+        let cfg = config(policy);
+        let (actors, ranges) = domain_actors(graph, &cfg);
+        let addrs = free_addrs(graph.len()).await?;
+        let mut routers = Vec::with_capacity(graph.len());
+        for (d, actor) in graph.domains().zip(actors) {
+            let peers = (graph.neighbors(d).iter())
+                .map(|&(nb, _)| (asn_of(nb), addrs[nb.0], d.0 > nb.0)) // higher id dials
                 .collect();
             let spec = RouterSpec {
-                id,
-                asn: d.0 as u32 + 1,
+                actor,
+                domains: graph.len(),
+                seed: cfg.seed,
                 listen: addrs[d.0],
                 peers,
-                policy,
             };
-            handles.push(spawn_router(spec).await?);
+            routers.push(spawn_router(spec).await?);
         }
-
         let net = ActorNet {
-            routers: handles,
-            ranges,
+            routers,
+            ranges: ranges.into_iter().flatten().collect(),
+            next_packet: 0,
         };
-        net.wait_peers(graph).await;
-        // Originate ranges once sessions are up.
-        for (i, h) in net.routers.iter().enumerate() {
-            let _ = h
-                .cmd
-                .send(crate::router_task::Cmd::OriginateGroup(net.ranges[i]))
-                .await;
+        let all_up = net
+            .wait_until(|d, v| v.peers_up.len() == graph.degree(topology::DomainId(d)))
+            .await;
+        if !all_up {
+            let e = std::io::ErrorKind::TimedOut;
+            return Err(std::io::Error::new(e, "peerings did not come up"));
+        }
+        for h in &net.routers {
+            h.send(Cmd::Start).await;
         }
         Ok(net)
     }
 
-    /// Waits until every router sees all its peers connected.
-    async fn wait_peers(&self, graph: &DomainGraph) {
-        for _ in 0..200 {
-            let mut all_up = true;
-            for (i, h) in self.routers.iter().enumerate() {
-                let snap = h.snapshot().await;
-                if snap.peers_up.len() < graph.degree(topology::DomainId(i)) {
-                    all_up = false;
-                    break;
-                }
-            }
-            if all_up {
-                return;
-            }
-            tokio::time::sleep(std::time::Duration::from_millis(20)).await;
-        }
-        panic!("actor peerings did not come up");
+    async fn inject(&self, host: HostId, wire: Wire) {
+        let d = masc_bgmp_core::domain_of(host.domain).0;
+        self.routers[d].send(Cmd::Inject(wire)).await;
     }
 
-    /// Polls until `check` passes on every router or the budget runs
-    /// out (protocol convergence over real sockets is asynchronous).
+    /// A host joins a group.
+    pub async fn host_join(&self, host: HostId, group: McastAddr) {
+        self.inject(host, Wire::HostJoin { host, group }).await;
+    }
+
+    /// A host leaves a group.
+    pub async fn host_leave(&self, host: HostId, group: McastAddr) {
+        self.inject(host, Wire::HostLeave { host, group }).await;
+    }
+
+    /// A host multicasts one packet; returns its id (numbered from 0,
+    /// as `Internet::send_data` numbers them).
+    pub async fn send_data(&mut self, host: HostId, group: McastAddr) -> u64 {
+        let id = self.next_packet;
+        self.next_packet += 1;
+        self.inject(host, Wire::SendData { host, group, id }).await;
+        id
+    }
+
+    /// Polls until `check` passes on every domain's view or the budget
+    /// runs out (convergence over real sockets is asynchronous).
     pub async fn wait_until<F>(&self, mut check: F) -> bool
     where
-        F: FnMut(usize, &crate::router_task::Snapshot) -> bool,
+        F: FnMut(usize, &View) -> bool,
     {
-        for _ in 0..300 {
+        for _ in 0..500 {
             let mut ok = true;
             for (i, h) in self.routers.iter().enumerate() {
-                let snap = h.snapshot().await;
-                if !check(i, &snap) {
+                if !check(i, &h.view().await) {
                     ok = false;
                     break;
                 }
@@ -133,7 +175,7 @@ impl ActorNet {
         false
     }
 
-    /// Shuts every router down.
+    /// Shuts every shell down.
     pub async fn stop(self) {
         for h in self.routers {
             h.shutdown().await;

@@ -1,23 +1,23 @@
-//! Tokio async-actor deployment of the MASC/BGMP protocol engines.
+//! The MASC/BGMP border-router host over real TCP.
 //!
-//! The calibration target for this reproduction is "async actors for
-//! border routers": each border router runs as a tokio task, speaking
-//! the same sans-io BGP and BGMP engines the deterministic simulator
-//! drives — but over real TCP sessions on localhost, with the
-//! persistent peering connections §5.2 of the paper describes.
+//! One tokio task per domain runs the simulator's own
+//! [`masc_bgmp_core::DomainActor`] in a one-domain engine, behind a
+//! socket shell: the persistent peering connections §5.2 of the paper
+//! describes carry the simulator's [`masc_bgmp_core::Wire`] messages.
+//! The actor knows nothing of its transport; the shell turns frames,
+//! connection changes and ticks into engine events.
 //!
-//! * [`wire`] — the multiplexed message enum;
-//! * [`codec`] — length-delimited JSON framing;
-//! * [`router_task`] — the per-router actor: accept/dial loops,
-//!   session pumps, command channel;
-//! * [`harness`] — building a localhost internet from a
-//!   [`topology::DomainGraph`].
+//! * [`codec`] — length-delimited framing of snapshot bytes;
+//! * `conn` — one peering connection: the hello handshake and the
+//!   frame pumps;
+//! * [`router_task`] — the per-domain shell around the engine;
+//! * [`harness`] — a localhost internet built from a
+//!   [`topology::DomainGraph`], and its host-level API.
 
 pub mod codec;
+mod conn;
 pub mod harness;
 pub mod router_task;
-pub mod wire;
 
-pub use harness::ActorNet;
-pub use router_task::{spawn_router, Cmd, RouterHandle, RouterSpec, Snapshot};
-pub use wire::WireMsg;
+pub use harness::{config, ActorNet, View};
+pub use router_task::RouterHandle;

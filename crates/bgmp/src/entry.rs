@@ -15,13 +15,12 @@ use std::collections::BTreeSet;
 
 use bgp::{Asn, RouterId};
 use mcast_addr::{McastAddr, Prefix};
-use serde::{Deserialize, Serialize};
 
 use crate::slab::Slab;
 
 /// A forwarding target: a BGMP peer router or the local MIGP
 /// component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Target {
     /// Another border router (internal or external BGMP peer).
     Peer(RouterId),
@@ -31,7 +30,7 @@ pub enum Target {
 
 /// A multicast source: a host within a domain. Routing toward a source
 /// uses the M-RIB route toward its domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId {
     /// The source's domain.
     pub domain: Asn,

@@ -13,13 +13,12 @@
 
 use bgp::RouterId;
 use mcast_addr::McastAddr;
-use serde::{Deserialize, Serialize};
 
 use crate::entry::SourceId;
 
 /// A BGMP message between peering border routers (carried over their
 /// persistent TCP session, §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BgmpMsg {
     /// Join the shared tree for the group (sets up (*,G) state toward
     /// the root domain).

@@ -11,13 +11,11 @@
     clippy::unimplemented
 )]
 
-use serde::{Deserialize, Serialize};
-
 use crate::policy::RouteSourceKind;
 use crate::route::{Nlri, Route, RouterId};
 
 /// A message from one speaker to a specific peer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BgpMsg {
     /// Advertise (or replace) a route. `kind` classifies how the route
     /// entered the sender's domain; it is meaningful only on iBGP

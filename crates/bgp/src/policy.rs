@@ -6,12 +6,10 @@
 //! its customers' networks, so only traffic to/from customers transits
 //! it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::route::{Asn, RouterId};
 
 /// Commercial relationship of a *peer* to this speaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerRel {
     /// The peer is our provider.
     Provider,
@@ -25,7 +23,7 @@ pub enum PeerRel {
 
 /// The external-facing classification of a route regardless of iBGP
 /// hops: how it entered this *domain*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteSourceKind {
     /// Originated in this domain.
     Local,
@@ -38,7 +36,7 @@ pub enum RouteSourceKind {
 }
 
 /// Export policy configuration for a speaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExportPolicy {
     /// Advertise everything to everyone (a policy-free internet; used
     /// by experiments that measure pure tree shape).
@@ -78,7 +76,7 @@ pub fn classify(rel: PeerRel) -> RouteSourceKind {
 }
 
 /// Per-peer static configuration held by a speaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerConfig {
     /// The peer's router id.
     pub router: RouterId,

@@ -14,7 +14,6 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use mcast_addr::Prefix;
-use serde::{Deserialize, Serialize};
 
 /// A BGP router (border router) identity, unique across a simulation.
 pub type RouterId = u32;
@@ -40,8 +39,8 @@ thread_local! {
 
 /// An interned, immutable AS path. Behaves like `[Asn]` via `Deref`;
 /// construct with [`AsPath::new`] / `From<Vec<Asn>>` and extend with
-/// [`AsPath::prepend`]. Serde and snapshot encodings are element-wise
-/// and identical to a plain `Vec<Asn>`.
+/// [`AsPath::prepend`]. The snapshot encoding is element-wise and
+/// identical to a plain `Vec<Asn>`'s.
 #[derive(Clone, Eq)]
 pub struct AsPath(Arc<[Asn]>);
 
@@ -120,18 +119,6 @@ impl std::fmt::Debug for AsPath {
     }
 }
 
-impl Serialize for AsPath {
-    fn to_value(&self) -> serde::Value {
-        self.0[..].to_value()
-    }
-}
-
-impl Deserialize for AsPath {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self::from(Vec::<Asn>::from_value(v)?))
-    }
-}
-
 impl snapshot::Snapshot for AsPath {
     /// Framed exactly like `Vec<Asn>` (length, then elements), so the
     /// wire format is unchanged by interning.
@@ -154,7 +141,7 @@ impl snapshot::Snapshot for AsPath {
 }
 
 /// Network-layer reachability information: what a route is *for*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Nlri {
     /// Reachability to a whole domain (unicast / M-RIB view).
     Domain(Asn),
@@ -174,7 +161,7 @@ impl Nlri {
 }
 
 /// A route to an NLRI as stored in a RIB.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// What the route reaches.
     pub nlri: Nlri,
@@ -191,7 +178,6 @@ pub struct Route {
     /// the receiving speaker). Real BGP prefers eBGP over iBGP; so do
     /// we — without this rule two border routers can circularly prefer
     /// each other's next-hop-self iBGP routes.
-    #[serde(default)]
     pub ebgp: bool,
 }
 

@@ -6,11 +6,9 @@
 //! keepalive/hold-timer machinery: transport-agnostic, driven by
 //! explicit time like every other engine in this workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Session states (condensed from RFC 1771's six to the three that
 /// matter for behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// No connection; retry at the recorded time.
     Idle,

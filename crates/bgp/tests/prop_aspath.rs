@@ -1,7 +1,7 @@
 //! Equivalence properties for the interned [`AsPath`]: under arbitrary
 //! construction and churn it must be observationally identical to the
 //! owned `Vec<Asn>` representation it replaced — equality, ordering,
-//! hashing, prepend, and both wire encodings.
+//! hashing, prepend, and the snapshot encoding.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -70,18 +70,6 @@ proptest! {
 
         let mut dec = Dec::new(&via_interned);
         let back = AsPath::decode(&mut dec).unwrap();
-        prop_assert_eq!(back, interned);
-    }
-
-    /// The serde value tree is element-wise identical to the owned
-    /// representation and round-trips.
-    #[test]
-    fn serde_value_matches_vec(path in arb_path()) {
-        use serde::{Deserialize, Serialize};
-        let interned = AsPath::from(path.clone());
-        let v = interned.to_value();
-        prop_assert_eq!(format!("{:?}", v), format!("{:?}", path[..].to_value()));
-        let back = AsPath::from_value(&v).unwrap();
         prop_assert_eq!(back, interned);
     }
 

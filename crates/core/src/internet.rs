@@ -160,155 +160,162 @@ fn nested_ranges(graph: &DomainGraph) -> Vec<Option<Prefix>> {
     ranges
 }
 
+/// The construction half of [`Internet::build`]: router-id plan,
+/// static ranges, one wired [`DomainActor`] per domain (indexed by
+/// `DomainId.0`) and each domain's static range. The wiring addresses
+/// domain `d` as `NodeId(d.0)`, so a host registers the actors in
+/// order into a fresh engine — or registers one of them there and
+/// stands in for the rest, as the TCP border-router shell does.
+pub fn domain_actors(
+    graph: &DomainGraph,
+    cfg: &InternetConfig,
+) -> (Vec<DomainActor>, Vec<Option<Prefix>>) {
+    let n = graph.len();
+    // ---- Router id plan ----------------------------------------
+    // Per domain: list of (router id, peer domain(s)).
+    let mut next_router: RouterId = 1;
+    // (domain, neighbor) -> router id handling that edge.
+    let mut edge_router: BTreeMap<(usize, usize), RouterId> = BTreeMap::new();
+    let mut routers_of: Vec<Vec<RouterId>> = vec![Vec::new(); n];
+    for d in graph.domains() {
+        match cfg.borders {
+            BorderPlan::PerEdge => {
+                for &(nb, _) in graph.neighbors(d) {
+                    let id = next_router;
+                    next_router += 1;
+                    edge_router.insert((d.0, nb.0), id);
+                    routers_of[d.0].push(id);
+                }
+                if graph.neighbors(d).is_empty() {
+                    let id = next_router;
+                    next_router += 1;
+                    routers_of[d.0].push(id);
+                }
+            }
+            BorderPlan::Single => {
+                let id = next_router;
+                next_router += 1;
+                for &(nb, _) in graph.neighbors(d) {
+                    edge_router.insert((d.0, nb.0), id);
+                }
+                routers_of[d.0].push(id);
+            }
+        }
+    }
+
+    // ---- Static ranges ------------------------------------------
+    let static_ranges: Vec<Option<Prefix>> = match cfg.addressing {
+        Addressing::Static => {
+            let bits = (usize::BITS - (n.max(1) - 1).leading_zeros()).max(1) as u8;
+            let len = 4 + bits;
+            assert!(len <= 24, "too many domains for static /{len} carving");
+            let mut it = Prefix::MULTICAST.subprefixes(len);
+            (0..n).map(|_| it.next()).collect()
+        }
+        Addressing::StaticNested => nested_ranges(graph),
+        _ => vec![None; n],
+    };
+
+    // ---- MASC hierarchy -----------------------------------------
+    let masc_cfg = match &cfg.addressing {
+        Addressing::Masc(mc) => Some(mc.clone()),
+        _ => None,
+    };
+    let hierarchy = masc_cfg.as_ref().map(|_| MascHierarchy::derive(graph));
+
+    // ---- Actors --------------------------------------------------
+    let mut actors = Vec::with_capacity(n);
+    for d in graph.domains() {
+        let borders = routers_of[d.0].len();
+        let net = if borders <= 1 {
+            DomainNet::star(2, 1)
+        } else {
+            DomainNet::random(borders + 2, borders, 2, cfg.seed ^ d.0 as u64)
+        };
+        let mut actor = DomainActor::new(asn_of(d), cfg.migp.build(net.clone()));
+        actor.static_range = static_ranges[d.0];
+        actor.session_timers = cfg.sessions;
+
+        // Border routers with their peer configs.
+        for (i, &rid) in routers_of[d.0].iter().enumerate() {
+            let mut peers: Vec<PeerConfig> = routers_of[d.0]
+                .iter()
+                .filter(|r| **r != rid)
+                .map(|r| PeerConfig {
+                    router: *r,
+                    asn: asn_of(d),
+                    rel: PeerRel::Internal,
+                })
+                .collect();
+            // External peers handled by this router.
+            for &(nb, rel) in graph.neighbors(d) {
+                let handles_edge = edge_router[&(d.0, nb.0)] == rid;
+                if handles_edge {
+                    let peer_router = edge_router[&(nb.0, d.0)];
+                    let peer_rel = match rel {
+                        Rel::Provider => PeerRel::Provider,
+                        Rel::Customer => PeerRel::Customer,
+                        Rel::Peer => PeerRel::Peer,
+                    };
+                    peers.push(PeerConfig {
+                        router: peer_router,
+                        asn: asn_of(nb),
+                        rel: peer_rel,
+                    });
+                }
+            }
+            let mut speaker = BgpSpeaker::new(rid, asn_of(d), peers, cfg.policy);
+            speaker.aggregate_suppress = cfg.aggregate_suppress;
+            actor.add_router(BorderRouter {
+                id: rid,
+                local: net.border_routers()[i.min(net.border_routers().len() - 1)],
+                speaker,
+                bgmp: BgmpRouter::new(rid),
+            });
+        }
+
+        // MASC node.
+        if let (Some(mc), Some(h)) = (&masc_cfg, &hierarchy) {
+            let parent = h.parent_of(d).map(asn_of);
+            let children: Vec<Asn> = h.children_of(d).iter().map(|c| asn_of(*c)).collect();
+            let siblings: Vec<Asn> = h.siblings_of(d).iter().map(|s| asn_of(*s)).collect();
+            let mut node =
+                MascNode::new(asn_of(d), parent, children, siblings, mc.clone(), cfg.seed);
+            if parent.is_none() {
+                node.bootstrap_ranges(&[(Prefix::MULTICAST, Secs::MAX)]);
+            }
+            actor.masc = Some(node);
+        }
+
+        actors.push(actor);
+    }
+
+    // ---- Wire address maps ---------------------------------------
+    // Domain `d` runs as simulator node `d`.
+    let domain_node: BTreeMap<Asn, NodeId> =
+        graph.domains().map(|d| (asn_of(d), NodeId(d.0))).collect();
+    for (d, actor) in graph.domains().zip(&mut actors) {
+        let peer_node = graph
+            .neighbors(d)
+            .iter()
+            .map(|&(nb, _)| (edge_router[&(nb.0, d.0)], NodeId(nb.0)))
+            .collect();
+        actor.wire(peer_node, domain_node.clone());
+    }
+    (actors, static_ranges)
+}
+
 impl Internet {
     /// Builds the internet; call [`Internet::converge`] afterwards to
     /// let BGP settle.
     pub fn build(graph: DomainGraph, cfg: &InternetConfig) -> Internet {
-        let n = graph.len();
+        let (actors, static_ranges) = domain_actors(&graph, cfg);
         let mut engine: Engine<Wire> =
             Engine::new(cfg.seed, SimDuration::from_millis(cfg.link_latency_ms));
-
-        // ---- Router id plan ----------------------------------------
-        // Per domain: list of (router id, peer domain(s)).
-        let mut next_router: RouterId = 1;
-        // (domain, neighbor) -> router id handling that edge.
-        let mut edge_router: BTreeMap<(usize, usize), RouterId> = BTreeMap::new();
-        let mut routers_of: Vec<Vec<RouterId>> = vec![Vec::new(); n];
-        for d in graph.domains() {
-            match cfg.borders {
-                BorderPlan::PerEdge => {
-                    for &(nb, _) in graph.neighbors(d) {
-                        let id = next_router;
-                        next_router += 1;
-                        edge_router.insert((d.0, nb.0), id);
-                        routers_of[d.0].push(id);
-                    }
-                    if graph.neighbors(d).is_empty() {
-                        let id = next_router;
-                        next_router += 1;
-                        routers_of[d.0].push(id);
-                    }
-                }
-                BorderPlan::Single => {
-                    let id = next_router;
-                    next_router += 1;
-                    for &(nb, _) in graph.neighbors(d) {
-                        edge_router.insert((d.0, nb.0), id);
-                    }
-                    routers_of[d.0].push(id);
-                }
-            }
-        }
-
-        // ---- Static ranges ------------------------------------------
-        let static_ranges: Vec<Option<Prefix>> = match cfg.addressing {
-            Addressing::Static => {
-                let bits = (usize::BITS - (n.max(1) - 1).leading_zeros()).max(1) as u8;
-                let len = 4 + bits;
-                assert!(len <= 24, "too many domains for static /{len} carving");
-                let mut it = Prefix::MULTICAST.subprefixes(len);
-                (0..n).map(|_| it.next()).collect()
-            }
-            Addressing::StaticNested => nested_ranges(&graph),
-            _ => vec![None; n],
-        };
-
-        // ---- MASC hierarchy -----------------------------------------
-        let masc_cfg = match &cfg.addressing {
-            Addressing::Masc(mc) => Some(mc.clone()),
-            _ => None,
-        };
-        let hierarchy = masc_cfg.as_ref().map(|_| MascHierarchy::derive(&graph));
-
-        // ---- Actors --------------------------------------------------
-        let mut nodes = Vec::with_capacity(n);
-        for d in graph.domains() {
-            let borders = routers_of[d.0].len();
-            let net = if borders <= 1 {
-                DomainNet::star(2, 1)
-            } else {
-                DomainNet::random(borders + 2, borders, 2, cfg.seed ^ d.0 as u64)
-            };
-            let mut actor = DomainActor::new(asn_of(d), cfg.migp.build(net.clone()));
-            actor.static_range = static_ranges[d.0];
-            actor.session_timers = cfg.sessions;
-
-            // Border routers with their peer configs.
-            for (i, &rid) in routers_of[d.0].iter().enumerate() {
-                let mut peers: Vec<PeerConfig> = routers_of[d.0]
-                    .iter()
-                    .filter(|r| **r != rid)
-                    .map(|r| PeerConfig {
-                        router: *r,
-                        asn: asn_of(d),
-                        rel: PeerRel::Internal,
-                    })
-                    .collect();
-                // External peers handled by this router.
-                for &(nb, rel) in graph.neighbors(d) {
-                    let handles_edge = edge_router[&(d.0, nb.0)] == rid;
-                    if handles_edge {
-                        let peer_router = edge_router[&(nb.0, d.0)];
-                        let peer_rel = match rel {
-                            Rel::Provider => PeerRel::Provider,
-                            Rel::Customer => PeerRel::Customer,
-                            Rel::Peer => PeerRel::Peer,
-                        };
-                        peers.push(PeerConfig {
-                            router: peer_router,
-                            asn: asn_of(nb),
-                            rel: peer_rel,
-                        });
-                    }
-                }
-                let mut speaker = BgpSpeaker::new(rid, asn_of(d), peers, cfg.policy);
-                speaker.aggregate_suppress = cfg.aggregate_suppress;
-                actor.add_router(BorderRouter {
-                    id: rid,
-                    local: net.border_routers()[i.min(net.border_routers().len() - 1)],
-                    speaker,
-                    bgmp: BgmpRouter::new(rid),
-                });
-            }
-
-            // MASC node.
-            if let (Some(mc), Some(h)) = (&masc_cfg, &hierarchy) {
-                let parent = h.parent_of(d).map(asn_of);
-                let children: Vec<Asn> = h.children_of(d).iter().map(|c| asn_of(*c)).collect();
-                let siblings: Vec<Asn> = h.siblings_of(d).iter().map(|s| asn_of(*s)).collect();
-                let mut node =
-                    MascNode::new(asn_of(d), parent, children, siblings, mc.clone(), cfg.seed);
-                if parent.is_none() {
-                    node.bootstrap_ranges(&[(Prefix::MULTICAST, Secs::MAX)]);
-                }
-                actor.masc = Some(node);
-            }
-
-            let node = engine.add_node(Box::new(actor));
-            nodes.push(node);
-        }
-
-        // ---- Wire address maps ---------------------------------------
-        // router id -> owning node.
-        let mut router_node: BTreeMap<RouterId, NodeId> = BTreeMap::new();
-        for d in graph.domains() {
-            for &rid in &routers_of[d.0] {
-                router_node.insert(rid, nodes[d.0]);
-            }
-        }
-        let domain_node: BTreeMap<Asn, NodeId> =
-            graph.domains().map(|d| (asn_of(d), nodes[d.0])).collect();
-        for d in graph.domains() {
-            let mut peer_node = BTreeMap::new();
-            for &(nb, _) in graph.neighbors(d) {
-                let peer_router = edge_router[&(nb.0, d.0)];
-                peer_node.insert(peer_router, nodes[nb.0]);
-            }
-            let node = nodes[d.0];
-            let actor = engine.node_as_mut::<DomainActor>(node).expect("actor type");
-            actor.wire(peer_node, domain_node.clone());
-        }
-
+        let nodes = actors
+            .into_iter()
+            .map(|actor| engine.add_node(Box::new(actor)))
+            .collect();
         Internet {
             engine,
             graph,

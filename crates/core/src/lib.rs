@@ -22,7 +22,8 @@ pub mod trees;
 
 pub use domain::{BorderRouter, DataPacket, DeliveryLog, DomainActor, HostId, Wire};
 pub use internet::{
-    asn_of, domain_of, Addressing, BorderPlan, Internet, InternetConfig, SNAP_KIND_INTERNET,
+    asn_of, domain_actors, domain_of, Addressing, BorderPlan, Internet, InternetConfig,
+    SNAP_KIND_INTERNET,
 };
 pub use invariants::Violation;
 pub use trees::{compare_trees, compare_trees_full, BidirTree, PathLengths, TreeComparison};

@@ -18,13 +18,12 @@
 )]
 
 use mcast_addr::{Prefix, Secs};
-use serde::{Deserialize, Serialize};
 
 /// Domain identity used at the MASC layer (the domain's ASN).
 pub type DomainAsn = u32;
 
 /// A MASC protocol message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MascMsg {
     /// Parent → children: the parent's current address ranges with
     /// their expiry times (§4.1 "A advertises its address range ... to

@@ -8,10 +8,8 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A single IPv4 multicast address (class D, `224.0.0.0/4`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct McastAddr(pub u32);
 
 impl McastAddr {
@@ -88,7 +86,7 @@ impl std::error::Error for PrefixError {}
 ///
 /// Invariants (enforced by [`Prefix::new`]): `len <= 32` and all bits of
 /// `base` below the mask are zero. A `/32` prefix is a single address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     base: u32,
     len: u8,

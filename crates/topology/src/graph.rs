@@ -5,14 +5,12 @@
 //! the commercial relationship that drives both BGP export policy and
 //! the MASC hierarchy: provider–customer or settlement-free peering.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a domain (autonomous system) in the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainId(pub usize);
 
 /// The relationship of a neighbor *to* a domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rel {
     /// The neighbor is this domain's provider (we are its customer).
     Provider,
@@ -34,7 +32,7 @@ impl Rel {
 }
 
 /// An undirected inter-domain graph with typed edges.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainGraph {
     names: Vec<String>,
     adj: Vec<Vec<(DomainId, Rel)>>,

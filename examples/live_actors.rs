@@ -1,12 +1,21 @@
-//! The protocol engines over real TCP: each border router is a tokio
-//! task with persistent peering sessions (§5.2), exchanging BGP group
-//! routes, BGMP joins, and multicast data on localhost.
+//! The simulator's domain actors over real TCP: each domain is a tokio
+//! task hosting its `DomainActor` behind persistent peering
+//! connections (§5.2), exchanging BGP group routes, BGMP joins and
+//! multicast data on localhost.
 //!
 //! Run with: `cargo run --example live_actors`
 
-use masc_bgmp::actors::{ActorNet, Cmd};
+use masc_bgmp::actors::ActorNet;
 use masc_bgmp::bgp::ExportPolicy;
-use masc_bgmp::topology::DomainGraph;
+use masc_bgmp::core::{asn_of, HostId};
+use masc_bgmp::topology::{DomainGraph, DomainId};
+
+fn host(d: usize, host: u32) -> HostId {
+    HostId {
+        domain: asn_of(DomainId(d)),
+        host,
+    }
+}
 
 #[tokio::main]
 async fn main() {
@@ -23,64 +32,50 @@ async fn main() {
     g.add_provider_customer(b, f);
     g.add_provider_customer(c, gg);
 
-    println!("starting 5 border-router actors on localhost...");
-    let net = ActorNet::start(&g, ExportPolicy::Open)
+    println!("starting 5 border-router hosts on localhost...");
+    let mut net = ActorNet::start(&g, ExportPolicy::Open)
         .await
         .expect("start actors");
     for (i, h) in net.routers.iter().enumerate() {
         println!(
             "  {} listening on {} advertising {}",
-            g.name(topology::DomainId(i)),
-            h.spec.listen,
+            g.name(DomainId(i)),
+            h.listen,
             net.ranges[i]
         );
     }
 
     // Wait for BGP to converge over the real sockets.
-    let n = g.len();
+    let ranges = net.ranges.clone();
     assert!(
-        net.wait_until(|_, s| s.grib.len() >= n).await,
+        net.wait_until(|_, v| ranges.iter().all(|p| v.grib.iter().any(|r| r.1 == *p)))
+            .await,
         "BGP convergence"
     );
-    println!("BGP converged: every router holds {n} group routes");
+    println!("BGP converged: every domain holds {} group routes", g.len());
 
-    // A group rooted in B; F and G join.
+    // A group rooted in B; members in B, F and G join.
     let group = net.ranges[1].base();
     println!("group {group} rooted in B (address from B's range)");
-    for i in [1usize, 3, 4] {
-        net.routers[i]
-            .cmd
-            .send(Cmd::JoinGroup(group))
-            .await
-            .unwrap();
+    for d in [1, 3, 4] {
+        net.host_join(host(d, 0), group).await;
     }
     assert!(
-        net.wait_until(|i, s| if i <= 4 {
-            s.star_groups.contains(&group)
-        } else {
-            true
-        })
-        .await,
+        net.wait_until(|_, v| v.star.iter().any(|e| e.1.base() == group))
+            .await,
         "tree formation"
     );
     println!("shared tree spans A, B, C, F, G (BGMP joins travelled over TCP)");
 
-    // G multicasts; B and F receive.
-    net.routers[4]
-        .cmd
-        .send(Cmd::SendData { group, id: 7 })
-        .await
-        .unwrap();
+    // A host in G multicasts; the members in B and F receive.
+    let id = net.send_data(host(4, 1), group).await;
     assert!(
-        net.wait_until(|i, s| match i {
-            1 | 3 => s.delivered.contains(&(7, group)),
-            _ => true,
-        })
-        .await,
+        net.wait_until(|d, v| d != 1 && d != 3 || v.received.contains(&(id, host(d, 0))))
+            .await,
         "delivery"
     );
     println!("data from G delivered to members in B and F — bidirectionally, without");
     println!("detouring through any third-party root.");
     net.stop().await;
-    println!("actors shut down cleanly.");
+    println!("hosts shut down cleanly.");
 }

@@ -13,7 +13,9 @@
 //!   address arithmetic ([`mcast_addr`]), a deterministic
 //!   discrete-event simulator ([`simnet`]), AS-level topologies
 //!   ([`topology`]), and the integrated architecture gluing it all
-//!   together ([`core`]).
+//!   together ([`core`]);
+//! * the same domain actor over real TCP, one tokio task per domain
+//!   behind a socket shell ([`actors`]).
 //!
 //! Quick start (see `examples/quickstart.rs` for the runnable
 //! version):

@@ -19,6 +19,11 @@
 //! hand-written tagged codec, re-encodes to its own bytes, so a decode
 //! arm whose tag differs from its encode arm fails.
 //!
+//! The border-router frame — a 4-byte length, then one `Wire`'s bytes,
+//! as the TCP shells exchange them — is cut at every length, flipped
+//! at every bit, given a length field that disagrees with its body or
+//! exceeds the cap; each case ends in a typed `CodecError`.
+//!
 //! The BGP speaker's snapshot state gets the same treatment at the end
 //! of the file: its blob is the five maps the speaker once held, and a
 //! `kinds` or `out` section that disagrees with the Adj-RIB-In section
@@ -35,6 +40,7 @@ use bgp::{
 use bier::{BfrId, BierMsg, BitString, SetId};
 use masc::claims::{ClaimPhase, ClaimPurpose};
 use masc::{MascAction, MascMsg, MascWire, Workload};
+use masc_bgmp_actors::codec::{self, CodecError};
 use masc_bgmp_core::{DataPacket, HostId, Wire};
 use mcast_addr::{McastAddr, Prefix};
 use proptest::prelude::*;
@@ -42,6 +48,7 @@ use simnet::{Event, NodeId};
 use snapshot::{Dec, Enc, SnapError, Snapshot, SnapshotState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
+use tokio::io::AsyncWriteExt;
 
 /// Encodes one message the way every session layer frames it: bare
 /// payload from a fresh encoder, no snapshot header.
@@ -392,6 +399,136 @@ proptest! {
             "{} frame with bit {} of byte {} flipped decoded to a value that does not round-trip",
             proto, bit, i
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The border-router frame
+// ---------------------------------------------------------------------
+
+/// One frame per peer-facing [`Wire`] variant, as a shell sends it.
+fn frames() -> Vec<Vec<u8>> {
+    let route = Route {
+        nlri: Nlri::Group(prefix(0xE100_0000, 12)),
+        as_path: AsPath::new(&[7, 3, 9]),
+        next_hop: 42,
+        local: false,
+        ebgp: true,
+    };
+    let kind = RouteSourceKind::Customer;
+    let (from, to, group) = (3, 4, McastAddr(0xE100_0001));
+    let source = SourceId { domain: 5, host: 2 };
+    let packet = DataPacket {
+        source,
+        group,
+        id: 9,
+    };
+    let (claimer, prefix) = (11, prefix(0xE140_0000, 16));
+    let wires = [
+        Wire::Bgp {
+            from,
+            to,
+            msg: BgpMsg::Update { route, kind },
+        },
+        Wire::Bgmp {
+            from,
+            to,
+            msg: BgmpMsg::SourceJoin(source, group),
+        },
+        Wire::Masc {
+            from,
+            msg: MascMsg::Release { claimer, prefix },
+        },
+        Wire::Data { from, to, packet },
+        Wire::Keepalive {
+            from,
+            to,
+            gen: 1 << 32,
+        },
+        Wire::BgpRefresh { from, to },
+    ];
+    wires.iter().map(codec::encode).collect()
+}
+
+/// Reads one frame from a stream that carries `bytes` and then closes.
+async fn read_closed(bytes: &[u8]) -> Result<Wire, CodecError> {
+    let (mut tx, mut rx) = tokio::io::duplex(1 << 16);
+    tx.write_all(bytes).await.expect("duplex write");
+    drop(tx);
+    codec::read_frame(&mut rx).await
+}
+
+/// `bytes` with its length field replaced.
+fn with_len(bytes: &[u8], len: u32) -> Vec<u8> {
+    let mut out = len.to_be_bytes().to_vec();
+    out.extend_from_slice(&bytes[4..]);
+    out
+}
+
+/// A frame cut anywhere ends in a typed error once the stream closes:
+/// `Closed` inside the length field, an I/O error inside the body.
+#[tokio::test]
+async fn truncated_frames_end_in_a_typed_error() {
+    for frame in frames() {
+        for cut in 0..frame.len() {
+            let got = read_closed(&frame[..cut]).await;
+            match cut {
+                0..4 => assert!(matches!(got, Err(CodecError::Closed)), "cut {cut}"),
+                _ => assert!(matches!(got, Err(CodecError::Io(_))), "cut {cut}"),
+            }
+        }
+        assert!(read_closed(&frame).await.is_ok());
+    }
+}
+
+/// Every single-bit flip of every frame either decodes to a frame that
+/// re-encodes to itself or ends in a typed error.
+#[tokio::test]
+async fn single_bitflips_of_a_frame_never_panic() {
+    for frame in frames() {
+        for i in 0..frame.len() * 8 {
+            let mut flipped = frame.clone();
+            flipped[i / 8] ^= 1 << (i % 8);
+            if let Ok(wire) = read_closed(&flipped).await {
+                let again = codec::encode(&wire);
+                assert!(matches!(read_closed(&again).await, Ok(w) if codec::encode(&w) == again));
+            }
+        }
+    }
+}
+
+/// A length field that disagrees with its body: longer runs into the
+/// next frame (trailing bytes) or the end of the stream, shorter cuts
+/// the value short. Both are typed errors.
+#[tokio::test]
+async fn length_field_disagreeing_with_the_body_is_an_error() {
+    for frame in frames() {
+        let len = (frame.len() - 4) as u32;
+        let mut longer = with_len(&frame, len + 1);
+        assert!(matches!(read_closed(&longer).await, Err(CodecError::Io(_))));
+        longer.extend_from_slice(&frame);
+        let got = read_closed(&longer).await;
+        assert!(matches!(
+            got,
+            Err(CodecError::Malformed(SnapError::Trailing { .. }))
+        ));
+        for short in 0..len {
+            let got = read_closed(&with_len(&frame, short)).await;
+            assert!(
+                matches!(got, Err(CodecError::Malformed(_))),
+                "{short}/{len}"
+            );
+        }
+    }
+}
+
+/// A length over the cap is refused from the header alone: the reader
+/// neither allocates the body nor waits for it.
+#[tokio::test]
+async fn oversized_length_is_refused_before_allocating() {
+    for len in [codec::MAX_FRAME as u32 + 1, u32::MAX] {
+        let got = read_closed(&len.to_be_bytes()).await;
+        assert!(matches!(got, Err(CodecError::TooLarge(n)) if n == len as usize));
     }
 }
 
