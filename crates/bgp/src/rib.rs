@@ -223,12 +223,15 @@ impl Rib {
     /// process for its NLRI. Returns the new best route if the
     /// selection *changed* (including changing to `None`).
     pub fn update_from(&mut self, peer: RouterId, route: Route) -> Option<Option<&Route>> {
-        self.set_heard(route.nlri, peer, Some((route, None)))
+        let nlri = route.nlri;
+        self.set_heard(nlri, peer, Some((route, None)))?;
+        Some(self.best(nlri))
     }
 
     /// Removes `peer`'s route for `nlri` (a withdraw) and re-decides.
     pub fn withdraw_from(&mut self, peer: RouterId, nlri: Nlri) -> Option<Option<&Route>> {
-        self.set_heard(nlri, peer, None)
+        self.set_heard(nlri, peer, None)?;
+        Some(self.best(nlri))
     }
 
     /// Installs or replaces a locally originated route and re-decides.
@@ -243,23 +246,29 @@ impl Rib {
     }
 
     /// Puts (`Some`, with its entry kind) or removes (`None`) `peer`'s
-    /// candidate for `nlri` and re-decides; returns what
-    /// [`Rib::update_from`] does.
+    /// candidate for `nlri` and re-decides. `None` if the selection
+    /// stands; otherwise the entry kind of the selection it replaced
+    /// (`None` inside when there was none, or it had no kind).
     pub(crate) fn set_heard(
         &mut self,
         nlri: Nlri,
         peer: RouterId,
         new: Option<(Route, Option<RouteSourceKind>)>,
-    ) -> Option<Option<&Route>> {
+    ) -> Option<Option<RouteSourceKind>> {
         let row = row_mut(&mut self.table, nlri, new.is_some())?;
-        let was = row.best.as_ref().map(|h| h.peer);
+        let (was, was_kind) = row
+            .best
+            .as_ref()
+            .map_or((None, None), |h| (Some(h.peer), h.kind));
         let old = row.put_heard(peer, new.map(|(route, kind)| Heard { peer, kind, route }));
         row.decide();
         let now = row.best.as_ref();
-        // A selection is a (peer, route) pair: it stands if the same
-        // peer wins and, where that is `peer`, with an equal route.
+        // A selection is a (peer, route, kind) triple: it stands if the
+        // same peer wins and, where that is `peer`, with an equal route
+        // of the same kind.
         let same = was == now.map(|h| h.peer)
-            && (was != Some(peer) || old.map(|o| o.route).as_ref() == now.map(|h| &h.route));
+            && (was != Some(peer)
+                || old.as_ref().map(|o| (&o.route, o.kind)) == now.map(|h| (&h.route, h.kind)));
         let selected = now.is_some();
         if row.tidy() {
             self.table.remove(&nlri);
@@ -268,7 +277,7 @@ impl Rib {
             return None;
         }
         self.grib.note(nlri, selected);
-        Some(self.best(nlri))
+        Some(was_kind)
     }
 
     /// Drops everything heard from `peer` and everything it was told
@@ -304,23 +313,53 @@ impl Rib {
         });
     }
 
-    /// Records the path and `ebgp` flag `to` is told for `nlri` now
-    /// (`None`: the route is withdrawn from it). False if that is what
-    /// it was last told.
-    pub(crate) fn tell(&mut self, to: RouterId, nlri: Nlri, now: Option<(AsPath, bool)>) -> bool {
-        let Some(row) = row_mut(&mut self.table, nlri, now.is_some()) else {
-            return false;
+    /// Brings what peers were told about `nlri` up to date in one probe
+    /// of the table. `peers` yields, in peer order, each peer with the
+    /// route it should hold now (`None`: none); `told` hears each peer
+    /// whose record that changed, in the same order. The routes are made
+    /// from `nlri`'s selection, so with no row there is nothing to tell.
+    pub(crate) fn tell_all<'r>(
+        &mut self,
+        nlri: Nlri,
+        peers: impl IntoIterator<Item = (RouterId, Option<&'r Route>)>,
+        mut told: impl FnMut(RouterId, Option<&'r Route>),
+    ) {
+        let Some(row) = self.table.get_mut(&nlri) else {
+            return;
         };
-        let now = now.map(|(path, ebgp)| Sent { to, path, ebgp });
-        let at = row.sent().binary_search_by_key(&to, |s| s.to);
-        if at.ok().map(|i| &row.sent()[i]) == now.as_ref() {
-            return false;
+        let mut at = 0;
+        for (to, want) in peers {
+            let sent = row.sent();
+            while sent.get(at).is_some_and(|s| s.to < to) {
+                at += 1;
+            }
+            let had = sent.get(at).filter(|s| s.to == to);
+            let same = had.map(|s| (&s.path, s.ebgp)) == want.map(|r| (&r.as_path, r.ebgp));
+            if same {
+                continue;
+            }
+            let (had, list) = (had.is_some(), &mut row.other().sent);
+            match want {
+                Some(r) => {
+                    let now = Sent {
+                        to,
+                        path: r.as_path.clone(),
+                        ebgp: r.ebgp,
+                    };
+                    if had {
+                        list[at] = now;
+                    } else {
+                        list.reserve_exact(1);
+                        list.insert(at, now);
+                    }
+                }
+                None => drop(list.remove(at)),
+            }
+            told(to, want);
         }
-        put(&mut row.other().sent, to, |s| s.to, now);
         if row.tidy() {
             self.table.remove(&nlri);
         }
-        true
     }
 
     /// Drains the group prefixes whose selection changed since the
@@ -475,7 +514,8 @@ impl Rib {
         })?;
         // A pair nobody advertised is legitimate: its row is made once the walk is over.
         for (nlri, s) in unheard {
-            self.tell(s.to, nlri, Some((s.path, s.ebgp)));
+            let row = self.table.entry(nlri).or_default();
+            put(&mut row.other().sent, s.to, |s| s.to, Some(s));
         }
         Ok(())
     }

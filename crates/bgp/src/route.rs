@@ -31,10 +31,47 @@ thread_local! {
         clippy::disallowed_types,
         reason = "the intern table is only probed by key, never iterated"
     )]
-    static AS_PATH_INTERN: RefCell<std::collections::HashSet<Arc<[Asn]>>> =
-        RefCell::new(std::collections::HashSet::new());
-    /// The path being decoded, so that only one not yet interned allocates.
-    static DECODING: RefCell<Vec<Asn>> = const { RefCell::new(Vec::new()) };
+    static AS_PATH_INTERN: RefCell<std::collections::HashSet<Arc<[Asn]>, PathHash>> =
+        RefCell::new(std::collections::HashSet::default());
+    /// The path being decoded or prepended, so that only one not yet
+    /// interned allocates.
+    static BUILDING: RefCell<Vec<Asn>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The intern table's hasher: a fixed multiply-rotate over the path's
+/// words. The table is only probed by key, and its paths come from the
+/// simulation or from configured BGP neighbours, so `RandomState`'s
+/// per-process keys and collision-flooding resistance buy it nothing
+/// but SipHash's cost.
+type PathHash = std::hash::BuildHasherDefault<WordHasher>;
+
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(4) {
+            let mut word = [0; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u32::from_ne_bytes(word).into());
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The multiply leaves its best bits high; the table indexes by the
+    /// low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// An interned, immutable AS path. Behaves like `[Asn]` via `Deref`;
@@ -63,10 +100,12 @@ impl AsPath {
     /// The path `[asn]` followed by this path (advertisement across a
     /// domain boundary).
     pub fn prepend(&self, asn: Asn) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.push(asn);
-        v.extend_from_slice(&self.0);
-        Self::new(&v)
+        BUILDING.with_borrow_mut(|path| {
+            path.clear();
+            path.push(asn);
+            path.extend_from_slice(&self.0);
+            Self::new(path)
+        })
     }
 }
 
@@ -130,7 +169,7 @@ impl snapshot::Snapshot for AsPath {
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let n = dec.seq()?;
-        DECODING.with_borrow_mut(|path| {
+        BUILDING.with_borrow_mut(|path| {
             path.clear();
             for _ in 0..n {
                 path.push(dec.u32()?);

@@ -20,6 +20,7 @@
 //!   exported to external peers (§4.2: "A's border routers need not
 //!   propagate 224.0.128.0/24 to other domains").
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use mcast_addr::Prefix;
@@ -114,8 +115,7 @@ impl BgpSpeaker {
     /// Originates a group route for `prefix` (MASC finished a claim).
     pub fn originate_group(&mut self, prefix: Prefix) -> Vec<OutMsg> {
         self.local_groups.insert(prefix);
-        // A new covering origin may newly suppress child routes.
-        self.originate(Nlri::Group(prefix), Some(prefix))
+        self.originate(Nlri::Group(prefix))
     }
 
     /// Withdraws a previously originated group route (lifetime expiry
@@ -123,165 +123,157 @@ impl BgpSpeaker {
     pub fn withdraw_group(&mut self, prefix: Prefix) -> Vec<OutMsg> {
         self.local_groups.remove(&prefix);
         let nlri = Nlri::Group(prefix);
-        let changed = self.rib.withdraw_local(nlri).is_some();
-        self.announce(nlri, changed, Some(prefix))
+        let was = self.rib.set_heard(nlri, RouterId::MAX, None);
+        let mut msgs = Vec::new();
+        self.announce(nlri, was, true, &mut msgs);
+        msgs
     }
 
     /// Originates the domain-reachability route for our own domain.
     pub fn originate_domain(&mut self) -> Vec<OutMsg> {
-        self.originate(Nlri::Domain(self.asn), None)
+        self.originate(Nlri::Domain(self.asn))
     }
 
-    fn originate(&mut self, nlri: Nlri, cover: Option<Prefix>) -> Vec<OutMsg> {
+    fn originate(&mut self, nlri: Nlri) -> Vec<OutMsg> {
         let route = Route::originate(nlri, self.asn, self.router);
         let local = Some((route, Some(RouteSourceKind::Local)));
-        let changed = self.rib.set_heard(nlri, RouterId::MAX, local).is_some();
-        self.announce(nlri, changed, cover)
+        let was = self.rib.set_heard(nlri, RouterId::MAX, local);
+        let mut msgs = Vec::new();
+        // A new covering origin may newly suppress child routes.
+        self.announce(nlri, was, true, &mut msgs);
+        msgs
     }
 
     /// What to send once `nlri`'s decision has run: its own diffs if
-    /// the selection `changed`, then those of the group routes under
-    /// `cover`, whose suppression may have flipped.
-    fn announce(&mut self, nlri: Nlri, changed: bool, cover: Option<Prefix>) -> Vec<OutMsg> {
-        let mut msgs = Vec::new();
-        if changed {
-            msgs.extend(self.export(nlri));
+    /// the selection changed from one of kind `was`, then, for a group,
+    /// those of the group routes it covers if their suppression may
+    /// have flipped: when a domain origin came or went, or whenever
+    /// `cover` says so.
+    fn announce(
+        &mut self,
+        nlri: Nlri,
+        was: Option<Option<RouteSourceKind>>,
+        mut cover: bool,
+        msgs: &mut Vec<OutMsg>,
+    ) {
+        if let Some(was) = was {
+            let now = self.export(nlri, None, msgs);
+            let origin = Some(RouteSourceKind::Local);
+            cover |= was == origin || now == origin;
         }
-        if let Some(prefix) = cover {
-            msgs.extend(self.re_export_covered(prefix));
+        if let Some(prefix) = nlri.as_group().filter(|_| cover) {
+            self.re_export_covered(prefix, msgs);
         }
-        msgs
     }
 
     /// Feeds one event, returning the messages to send.
     pub fn handle(&mut self, ev: BgpEvent) -> Vec<OutMsg> {
+        let mut msgs = Vec::new();
         match ev {
-            BgpEvent::FromPeer { from, msg } => self.handle_msg(from, msg),
+            BgpEvent::FromPeer { from, msg } => self.handle_msg(from, msg, &mut msgs),
             BgpEvent::PeerDown(peer) => {
                 self.down.insert(peer);
                 // Forget its routes and what we advertised to it; on
-                // PeerUp we resend.
-                let changed = self.rib.flush_peer(peer);
-                changed.into_iter().flat_map(|n| self.export(n)).collect()
+                // PeerUp we resend. The flush names the selections it
+                // changed, not their kinds: an internal peer's routes
+                // may have been domain origins, an external peer's not.
+                let internal = self.peers.get(&peer).is_some_and(|p| p.is_internal());
+                for nlri in self.rib.flush_peer(peer) {
+                    self.announce(nlri, Some(None), internal, &mut msgs);
+                }
             }
             BgpEvent::PeerUp(peer) => {
                 self.down.remove(&peer);
                 // The peer lost its session state; resend from scratch.
                 self.rib.forget_told(peer);
-                let Some(to) = self.peers.get(&peer).copied() else {
-                    return Vec::new();
-                };
                 let nlris: Vec<Nlri> = self.rib.loc_rib().map(|r| r.nlri).collect();
-                let mut msgs = Vec::new();
-                for n in nlris {
-                    let desired = self.desired_route(&to, n);
-                    msgs.extend(Self::sync_one(&mut self.rib, desired, peer, n));
+                for nlri in nlris {
+                    self.export(nlri, Some(peer), &mut msgs);
                 }
-                msgs
-            }
-        }
-    }
-
-    fn handle_msg(&mut self, from: RouterId, msg: BgpMsg) -> Vec<OutMsg> {
-        let Some(peer) = self.peers.get(&from).copied() else {
-            return Vec::new(); // unknown peer: drop
-        };
-        let (nlri, changed, may_suppress) = match msg {
-            BgpMsg::Update { mut route, kind } => {
-                let external = !peer.is_internal();
-                if external && route.path_contains(self.asn) {
-                    return Vec::new(); // eBGP loop
-                }
-                // eBGP-vs-iBGP is a receiver-side attribute.
-                route.ebgp = external;
-                let kind = if external { classify(peer.rel) } else { kind };
-                let (nlri, new) = (route.nlri, Some((route, Some(kind))));
-                // A domain-origin group route arriving over iBGP can
-                // newly suppress covered customer routes.
-                let changed = self.rib.set_heard(nlri, from, new).is_some();
-                (nlri, changed, kind == RouteSourceKind::Local)
-            }
-            BgpMsg::Withdraw(nlri) => (nlri, self.rib.withdraw_from(from, nlri).is_some(), true),
-        };
-        if !changed {
-            return Vec::new();
-        }
-        self.announce(nlri, true, nlri.as_group().filter(|_| may_suppress))
-    }
-
-    /// Recomputes what each peer should see for `nlri` and emits diffs
-    /// against the Adj-RIB-Out.
-    fn export(&mut self, nlri: Nlri) -> Vec<OutMsg> {
-        let mut msgs = Vec::new();
-        for (to, peer) in &self.peers {
-            if !self.down.contains(to) {
-                let desired = self.desired_route(peer, nlri);
-                msgs.extend(Self::sync_one(&mut self.rib, desired, *to, nlri));
             }
         }
         msgs
     }
 
+    fn handle_msg(&mut self, from: RouterId, msg: BgpMsg, msgs: &mut Vec<OutMsg>) {
+        let Some(peer) = self.peers.get(&from).copied() else {
+            return; // unknown peer: drop
+        };
+        let (nlri, new) = match msg {
+            BgpMsg::Update { mut route, kind } => {
+                let external = !peer.is_internal();
+                if external && route.path_contains(self.asn) {
+                    return; // eBGP loop
+                }
+                // eBGP-vs-iBGP is a receiver-side attribute.
+                route.ebgp = external;
+                let kind = if external { classify(peer.rel) } else { kind };
+                (route.nlri, Some((route, Some(kind))))
+            }
+            BgpMsg::Withdraw(nlri) => (nlri, None),
+        };
+        let was = self.rib.set_heard(nlri, from, new);
+        self.announce(nlri, was, false, msgs);
+    }
+
+    /// Brings what the up peers (or only `to`) were told about `nlri`
+    /// in line with its selection, pushing the diffs onto `msgs` in
+    /// peer order. Returns the selection's entry kind.
+    fn export(
+        &mut self,
+        nlri: Nlri,
+        to: Option<RouterId>,
+        msgs: &mut Vec<OutMsg>,
+    ) -> Option<RouteSourceKind> {
+        let plan = self.plan(nlri);
+        let peers = match to {
+            Some(to) => self.peers.range(to..=to),
+            None => self.peers.range(..),
+        };
+        let up = peers.filter(|(to, _)| !self.down.contains(to));
+        let wants = up.map(|(to, peer)| (*to, plan.as_ref().and_then(|p| p.route_for(peer))));
+        self.rib.tell_all(nlri, wants, |to, route| {
+            let msg = match (route, &plan) {
+                (Some(route), Some(plan)) => BgpMsg::Update {
+                    route: route.clone(),
+                    kind: plan.kind,
+                },
+                _ => BgpMsg::Withdraw(nlri),
+            };
+            msgs.push(OutMsg { to, msg });
+        });
+        plan.map(|p| p.kind)
+    }
+
     /// Re-exports every group NLRI covered by `prefix` (suppression may
     /// have flipped).
-    fn re_export_covered(&mut self, prefix: Prefix) -> Vec<OutMsg> {
+    fn re_export_covered(&mut self, prefix: Prefix, msgs: &mut Vec<OutMsg>) {
         let covered: Vec<Nlri> = self
             .rib
             .group_routes()
             .filter(|(p, _)| prefix.covers(p) && **p != prefix)
             .map(|(p, _)| Nlri::Group(*p))
             .collect();
-        covered.into_iter().flat_map(|n| self.export(n)).collect()
-    }
-
-    /// Emits a message iff `desired`, the advertisement of `nlri` that
-    /// `to` should now hold, differs from what it was last told.
-    fn sync_one(
-        rib: &mut Rib,
-        desired: Option<(Route, RouteSourceKind)>,
-        to: RouterId,
-        nlri: Nlri,
-    ) -> Option<OutMsg> {
-        let want = desired.as_ref().map(|(r, _)| (r.as_path.clone(), r.ebgp));
-        if !rib.tell(to, nlri, want) {
-            return None;
+        for nlri in covered {
+            self.export(nlri, None, msgs);
         }
-        let msg = match desired {
-            Some((route, kind)) => BgpMsg::Update { route, kind },
-            None => BgpMsg::Withdraw(nlri),
-        };
-        Some(OutMsg { to, msg })
     }
 
-    /// The route (if any) that `peer` should currently be told for
-    /// `nlri`, with the domain-entry kind of the best route behind it.
-    fn desired_route(&self, peer: &PeerConfig, nlri: Nlri) -> Option<(Route, RouteSourceKind)> {
+    /// What every peer may be told of `nlri`'s selection: the export
+    /// rules' verdicts that do not depend on the peer, worked out once.
+    /// `None` when nothing is selected, or its entry kind is unknown.
+    fn plan(&self, nlri: Nlri) -> Option<Plan> {
         let best = self.rib.selected(nlri)?;
-        // Split horizon: never echo a route back to its contributor.
-        if best.peer == peer.router {
-            return None;
-        }
-        let src_internal = best.peer != RouterId::MAX
-            && self.peers.get(&best.peer).is_some_and(|p| p.is_internal());
-        // iBGP no-reflection: internal-learned routes don't go to
-        // internal peers.
-        if src_internal && peer.is_internal() {
-            return None;
-        }
         let kind = best.kind?;
-        if !peer.is_internal() {
-            // Export policy.
-            if !self.policy.allows(kind, peer.rel) {
-                return None;
-            }
-            // Aggregation suppression: our *domain's* origin covers
-            // this more-specific customer route; outsiders follow the
-            // aggregate (§4.2). A covering origin is visible either as
-            // our own origination or as an iBGP-learned route whose
-            // domain-entry kind is Local.
-            if let (true, RouteSourceKind::Customer, Nlri::Group(g)) =
-                (self.aggregate_suppress, kind, nlri)
-            {
+        let internal_learned = best.peer != RouterId::MAX
+            && self.peers.get(&best.peer).is_some_and(|p| p.is_internal());
+        // Aggregation suppression: our *domain's* origin covers this
+        // more-specific customer route; outsiders follow the aggregate
+        // (§4.2). A covering origin is visible either as our own
+        // origination or as an iBGP-learned route whose domain-entry
+        // kind is Local.
+        let suppressed = match (self.aggregate_suppress, kind, nlri) {
+            (true, RouteSourceKind::Customer, Nlri::Group(g)) => {
                 let origin = Some(RouteSourceKind::Local);
                 let is_origin = |o: Prefix| {
                     self.local_groups.contains(&o)
@@ -290,20 +282,68 @@ impl BgpSpeaker {
                             .selected(Nlri::Group(o))
                             .is_some_and(|h| h.kind == origin)
                 };
-                if self.rib.covering_groups(&g).any(is_origin) {
-                    return None;
-                }
+                self.rib.covering_groups(&g).any(is_origin)
             }
+            _ => false,
+        };
+        // Next-hop-self (paper §4.2).
+        let mut internal = best.route.clone();
+        internal.local = false;
+        internal.next_hop = self.router;
+        Some(Plan {
+            from: best.peer,
+            internal_learned,
+            kind,
+            policy: self.policy,
+            suppressed,
+            asn: self.asn,
+            internal,
+            external: OnceCell::new(),
+        })
+    }
+}
+
+/// The export rules applied to one selection. Everything that does not
+/// depend on the receiving peer is decided when the plan is made; the
+/// route with our ASN in front is built at the first external peer that
+/// may have it, so a selection no outsider hears prepends nothing.
+struct Plan {
+    /// Split horizon: the route never goes back to its contributor.
+    from: RouterId,
+    /// iBGP no-reflection: an internal-learned route goes to no
+    /// internal peer.
+    internal_learned: bool,
+    /// How the selected route entered the domain.
+    kind: RouteSourceKind,
+    policy: ExportPolicy,
+    /// A covering origin of ours hides the route from external peers.
+    suppressed: bool,
+    asn: Asn,
+    /// The route as internal peers are told it.
+    internal: Route,
+    /// The route as external peers are told it.
+    external: OnceCell<Route>,
+}
+
+impl Plan {
+    /// The route `peer` should hold, if any.
+    fn route_for(&self, peer: &PeerConfig) -> Option<&Route> {
+        if peer.router == self.from {
+            return None;
         }
-        // Build the outgoing route: next-hop-self (paper §4.2), and
-        // our ASN in front when it leaves the domain.
-        let mut route = best.route.clone();
-        route.local = false;
-        route.next_hop = self.router;
-        if !peer.is_internal() && route.as_path.first() != Some(&self.asn) {
-            route.as_path = route.as_path.prepend(self.asn);
+        if peer.is_internal() {
+            return (!self.internal_learned).then_some(&self.internal);
         }
-        Some((route, kind))
+        if self.suppressed || !self.policy.allows(self.kind, peer.rel) {
+            return None;
+        }
+        Some(self.external.get_or_init(|| {
+            let mut route = self.internal.clone();
+            if route.as_path.first() != Some(&self.asn) {
+                route.as_path = route.as_path.prepend(self.asn);
+            }
+            route
+        }))
     }
 }
 
