@@ -112,18 +112,28 @@ impl BitString {
 
     /// Iterates set bit positions in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let mut w = *w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(wi * 64 + bit)
-            })
-        })
+        ones(&self.words)
     }
+
+    /// The storage words: bit `i` is word `i / 64`, bit `i % 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// Set bit positions of little-endian `words`, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, w)| {
+        let mut w = *w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(wi * 64 + bit)
+        })
+    })
 }
 
 impl snapshot::Snapshot for BfrId {

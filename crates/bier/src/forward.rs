@@ -8,6 +8,13 @@
 //! siblings', delivery is exactly-once and the walk terminates without
 //! any duplicate-suppression state — properties the tests pin down.
 //!
+//! The loop runs in place: the queued copies' bitstrings share one word
+//! arena (copy *i* at words `i·w..(i+1)·w`), an entry is tested for
+//! intersection before anything is copied, the working bitstring is
+//! cleared where it lies, and a router's entries are left as soon as it
+//! is empty. The arena and queue are kept per thread, so a send
+//! allocates nothing but its result once they have grown.
+//!
 //! [`Network`] also accepts a *fault view* (down links / down routers)
 //! and an optional [`Protection`] table so the fault ablation can
 //! replay flap windows: on a down link the router tunnels the copy
@@ -16,8 +23,10 @@
 //! the far end (rather than handing to an arbitrary alternate next
 //! hop) is what keeps repair loop-free.
 
+use std::cell::RefCell;
+
 use crate::bift::Bift;
-use crate::bitstring::{BitString, SetId, SubDomain};
+use crate::bitstring::{self, BitString, SetId, SubDomain};
 use crate::protect::Protection;
 use topology::{DomainGraph, DomainId};
 
@@ -46,6 +55,25 @@ pub struct Network {
     down_links: Vec<(DomainId, DomainId)>,
     /// Routers currently down.
     down_nodes: Vec<DomainId>,
+}
+
+/// One walk's buffers, reused by every send on the thread.
+#[derive(Default)]
+struct Walk {
+    /// Copies in FIFO order: `(router, hops from ingress)`; the head
+    /// index, not removal, marks what has been forwarded.
+    queue: Vec<(DomainId, u32)>,
+    /// Copy `i`'s bitstring is `words[i·w..(i+1)·w]`.
+    words: Vec<u64>,
+    /// Requested bits not yet delivered.
+    undelivered: Vec<u64>,
+    /// [`Network::deliver_all`]'s request: set `si`'s bitstring is
+    /// `request[si·w..(si+1)·w]`.
+    request: Vec<u64>,
+}
+
+thread_local! {
+    static WALK: RefCell<Walk> = RefCell::new(Walk::default());
 }
 
 impl Network {
@@ -131,69 +159,27 @@ impl Network {
         bs: &BitString,
         prot: Option<&Protection>,
     ) -> Delivery {
-        let mut reached = Vec::new();
-        let mut link_copies = 0usize;
-        let mut undelivered = bs.clone();
-        if !self.node_ok(ingress) {
-            return Delivery {
-                reached,
-                link_copies,
-                lost: self.owners(si, &undelivered),
-            };
-        }
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back((ingress, bs.clone(), 0u32));
-        while let Some((at, mut cur, hops)) = queue.pop_front() {
-            // Local delivery: my own bit.
-            if let Some(owner_bit) = self.bit_of(si, at) {
-                if cur.get(owner_bit) {
-                    reached.push((at, hops));
-                    cur.clear(owner_bit);
-                    undelivered.clear(owner_bit);
-                }
-            }
-            if cur.is_empty() {
-                continue;
-            }
-            for entry in self.bifts[at.0].entries(si.0) {
-                let send = cur.and(&entry.fbm);
-                if send.is_empty() {
-                    continue;
-                }
-                cur.and_not_assign(&entry.fbm);
-                if !self.node_ok(entry.neighbor) {
-                    // 1:1 protection covers links, not a dead far end.
-                    continue;
-                }
-                if self.link_ok(at, entry.neighbor) {
-                    link_copies += 1;
-                    queue.push_back((entry.neighbor, send, hops + 1));
-                    continue;
-                }
-                // Primary link down: tunnel along the 1:1 backup path
-                // to the adjacency's far end, if the whole detour is
-                // healthy (single-failure coverage).
-                let Some(path) = prot.and_then(|p| p.backup_path(at, entry.neighbor)) else {
-                    continue;
-                };
-                let healthy = path.windows(2).all(|w| self.link_ok(w[0], w[1]))
-                    && path.iter().skip(1).all(|d| self.node_ok(*d));
-                if healthy {
-                    let detour_links = (path.len() - 1) as u32;
-                    link_copies += detour_links as usize;
-                    queue.push_back((entry.neighbor, send, hops + detour_links));
-                }
-            }
-        }
-        Delivery {
-            reached,
-            link_copies,
-            lost: self.owners(si, &undelivered),
-        }
+        let mut out = Delivery {
+            reached: Vec::with_capacity(bs.count_ones()),
+            link_copies: 0,
+            lost: Vec::new(),
+        };
+        WALK.with(|walk| {
+            self.walk(
+                ingress,
+                si,
+                bs.words(),
+                prot,
+                &mut walk.borrow_mut(),
+                &mut out,
+            )
+        });
+        out
     }
 
     /// Forwards to an arbitrary receiver list: encodes it into per-set
-    /// bitstrings and delivers each set's packet.
+    /// bitstrings and delivers each set's packet, in ascending set
+    /// order (one arena and queue serve every set).
     pub fn deliver_all(
         &self,
         ingress: DomainId,
@@ -201,30 +187,128 @@ impl Network {
         prot: Option<&Protection>,
     ) -> Delivery {
         let mut out = Delivery {
-            reached: Vec::new(),
+            reached: Vec::with_capacity(receivers.len()),
             link_copies: 0,
             lost: Vec::new(),
         };
-        for (si, bs) in self.sub.bitstrings_for(receivers) {
-            let d = self.deliver(ingress, si, &bs, prot);
-            out.reached.extend(d.reached);
-            out.link_copies += d.link_copies;
-            out.lost.extend(d.lost);
-        }
+        WALK.with(|walk| {
+            let walk = &mut *walk.borrow_mut();
+            let w = self.sub.bsl().div_ceil(64);
+            let mut request = std::mem::take(&mut walk.request);
+            request.clear();
+            request.resize(self.sub.sets() * w, 0);
+            for &r in receivers {
+                let (si, pos) = self.sub.position(self.sub.bfr_of(r));
+                request[si.0 as usize * w + pos / 64] |= 1u64 << (pos % 64);
+            }
+            for (si, bs) in request.chunks_exact(w).enumerate() {
+                if bs.iter().any(|x| *x != 0) {
+                    self.walk(ingress, SetId(si as u32), bs, prot, walk, &mut out);
+                }
+            }
+            walk.request = request;
+        });
         out
+    }
+
+    /// The in-place forwarding loop for one set's bitstring `bs`,
+    /// appending to `out`.
+    fn walk(
+        &self,
+        ingress: DomainId,
+        si: SetId,
+        bs: &[u64],
+        prot: Option<&Protection>,
+        walk: &mut Walk,
+        out: &mut Delivery,
+    ) {
+        // Domains owning the set bits of a bitstring in set `si`.
+        let base = si.0 as usize * self.sub.bsl();
+        let owner = |pos| DomainId(base + pos);
+        if !self.node_ok(ingress) {
+            out.lost.extend(bitstring::ones(bs).map(owner));
+            return;
+        }
+        let w = bs.len();
+        let Walk {
+            queue,
+            words,
+            undelivered,
+            request: _,
+        } = walk;
+        queue.clear();
+        queue.push((ingress, 0));
+        words.clear();
+        words.extend_from_slice(bs);
+        undelivered.clear();
+        undelivered.extend_from_slice(bs);
+        let mut head = 0;
+        while let Some(&(at, hops)) = queue.get(head) {
+            let cur = head * w;
+            head += 1;
+            // Local delivery: my own bit.
+            if let Some(pos) = self.bit_of(si, at) {
+                let (k, bit) = (pos / 64, 1u64 << (pos % 64));
+                if words[cur + k] & bit != 0 {
+                    out.reached.push((at, hops));
+                    words[cur + k] &= !bit;
+                    undelivered[k] &= !bit;
+                }
+            }
+            if words[cur..cur + w].iter().all(|x| *x == 0) {
+                continue;
+            }
+            for row in self.bifts[at.0].rows(si.0) {
+                let (neighbor, fbm) = (DomainId(row[0] as usize), &row[1..]);
+                if !(0..w).any(|k| words[cur + k] & fbm[k] != 0) {
+                    continue;
+                }
+                let copy = words.len();
+                let mut rest = 0;
+                for (k, &f) in fbm.iter().enumerate() {
+                    let x = words[cur + k];
+                    words.push(x & f);
+                    words[cur + k] = x & !f;
+                    rest |= x & !f;
+                }
+                match self.hop(at, neighbor, prot) {
+                    Some(links) => {
+                        out.link_copies += links;
+                        queue.push((neighbor, hops + links as u32));
+                    }
+                    None => words.truncate(copy),
+                }
+                if rest == 0 {
+                    break;
+                }
+            }
+        }
+        out.lost.extend(bitstring::ones(undelivered).map(owner));
+    }
+
+    /// Links a copy from `at` costs to reach `neighbor`: 1 over a
+    /// healthy adjacency, the length of the 1:1 backup path when the
+    /// adjacency is down and the whole detour is healthy (single-failure
+    /// coverage); `None` when the copy is dropped — a dead neighbor
+    /// (protection covers links, not a dead far end) or no healthy way
+    /// around.
+    fn hop(&self, at: DomainId, neighbor: DomainId, prot: Option<&Protection>) -> Option<usize> {
+        if !self.node_ok(neighbor) {
+            return None;
+        }
+        if self.link_ok(at, neighbor) {
+            return Some(1);
+        }
+        let path = prot?.backup_path(at, neighbor)?;
+        let healthy = path.windows(2).all(|w| self.link_ok(w[0], w[1]))
+            && path.iter().skip(1).all(|d| self.node_ok(*d));
+        healthy.then(|| path.len() - 1)
     }
 
     /// Bit position of `d` within set `si`, if it belongs to that set.
     fn bit_of(&self, si: SetId, d: DomainId) -> Option<usize> {
         let (dsi, pos) = self.sub.position(self.sub.bfr_of(d));
         (dsi == si).then_some(pos)
-    }
-
-    /// Domains owning the set bits of `bs` in set `si`.
-    fn owners(&self, si: SetId, bs: &BitString) -> Vec<DomainId> {
-        bs.ones()
-            .map(|pos| DomainId(si.0 as usize * self.sub.bsl() + pos))
-            .collect()
     }
 }
 

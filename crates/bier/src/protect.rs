@@ -36,9 +36,10 @@ impl Protection {
     /// `a–b` (BFS, adjacency-order tie-break — deterministic).
     pub fn build(g: &DomainGraph) -> Self {
         let mut paths = BTreeMap::new();
+        let mut search = Detours::new(g.len());
         for a in g.domains() {
             for &(b, _) in g.neighbors(a) {
-                if let Some(p) = detour(g, a, b) {
+                if let Some(p) = search.detour(g, a, b) {
                     paths.insert((a.0, b.0), p);
                 }
             }
@@ -63,38 +64,72 @@ impl Protection {
     }
 }
 
-/// Shortest path `a → b` in `g` with the direct link `a–b` removed.
-fn detour(g: &DomainGraph, a: DomainId, b: DomainId) -> Option<Vec<DomainId>> {
-    let n = g.len();
-    let mut parent: Vec<Option<DomainId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[a.0] = true;
-    queue.push_back(a);
-    while let Some(d) = queue.pop_front() {
-        for &(nb, _) in g.neighbors(d) {
-            // Skip the protected link itself (both directions).
-            if (d == a && nb == b) || (d == b && nb == a) {
-                continue;
-            }
-            if !seen[nb.0] {
-                seen[nb.0] = true;
-                parent[nb.0] = Some(d);
-                if nb == b {
-                    let mut path = vec![b];
-                    let mut cur = b;
-                    while let Some(p) = parent[cur.0] {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(nb);
-            }
+/// The buffers every detour search of one build shares, so a search
+/// costs what it visits rather than two `n`-sized arrays: a domain is
+/// seen in the current search iff its stamp equals `search`.
+struct Detours {
+    /// Search that last saw each domain.
+    stamp: Vec<u32>,
+    /// BFS parent of each domain the current search has seen.
+    parent: Vec<DomainId>,
+    queue: Vec<DomainId>,
+    /// The current search's stamp.
+    search: u32,
+}
+
+impl Detours {
+    fn new(n: usize) -> Self {
+        Detours {
+            stamp: vec![0; n],
+            parent: vec![DomainId(0); n],
+            queue: Vec::new(),
+            search: 0,
         }
     }
-    None
+
+    /// Shortest path `a → b` in `g` with the direct link `a–b` removed.
+    fn detour(&mut self, g: &DomainGraph, a: DomainId, b: DomainId) -> Option<Vec<DomainId>> {
+        if self.search == u32::MAX {
+            self.stamp.fill(0);
+            self.search = 0;
+        }
+        self.search += 1;
+        let Detours {
+            stamp,
+            parent,
+            queue,
+            search,
+        } = self;
+        queue.clear();
+        stamp[a.0] = *search;
+        queue.push(a);
+        let mut head = 0;
+        while let Some(&d) = queue.get(head) {
+            head += 1;
+            for &(nb, _) in g.neighbors(d) {
+                // Skip the protected link itself (both directions).
+                if (d == a && nb == b) || (d == b && nb == a) {
+                    continue;
+                }
+                if stamp[nb.0] != *search {
+                    stamp[nb.0] = *search;
+                    parent[nb.0] = d;
+                    if nb == b {
+                        let mut path = vec![b];
+                        let mut cur = b;
+                        while cur != a {
+                            cur = parent[cur.0];
+                            path.push(cur);
+                        }
+                        path.reverse();
+                        return Some(path);
+                    }
+                    queue.push(nb);
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]

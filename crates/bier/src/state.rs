@@ -22,8 +22,6 @@
 //! [`crate::sim::replay`] iterate [`Plane::ALL`] and ask each plane for
 //! its numbers, so the model is written once.
 
-use std::collections::BTreeMap;
-
 use crate::bitstring::SubDomain;
 use crate::protect::Protection;
 use topology::{DomainId, LinkWindow, SpTree};
@@ -126,29 +124,27 @@ pub fn repair_ms(covered: bool, dur_s: u64) -> u64 {
 /// ingress's shortest-path tree `t`: one packet per touched set, each
 /// traversing the SPT subtree spanning that set's receivers (forwarding
 /// follows unicast next hops and shares links until bits diverge —
-/// pinned by the forwarding tests). Mark-walk per set, O(k·depth);
-/// unreachable receivers contribute nothing.
+/// pinned by the forwarding tests). Mark-walk per set, O(k·depth), over
+/// one stamp buffer: receivers are taken set by set, and a domain is
+/// marked for the current set iff its stamp is that set's index.
+/// Unreachable receivers contribute nothing.
 fn bier_link_copies(t: &SpTree, sub: &SubDomain, receivers: &[DomainId]) -> usize {
-    let mut by_set: BTreeMap<u32, Vec<DomainId>> = BTreeMap::new();
-    for &r in receivers {
-        if t.dist_to(r).is_none() {
-            continue;
-        }
-        let (si, _) = sub.position(sub.bfr_of(r));
-        by_set.entry(si.0).or_default().push(r);
-    }
+    let mut by_set: Vec<(u32, DomainId)> = receivers
+        .iter()
+        .filter(|r| t.dist_to(**r).is_some())
+        .map(|&r| (sub.position(sub.bfr_of(r)).0 .0, r))
+        .collect();
+    by_set.sort_unstable();
+    let mut stamp = vec![u32::MAX; t.dist.len()];
     let mut total = 0usize;
-    for rs in by_set.values() {
-        let mut marked = vec![false; t.dist.len()];
-        for &r in rs {
-            let mut cur = r;
-            while cur != t.src && !marked[cur.0] {
-                marked[cur.0] = true;
-                total += 1;
-                match t.toward_src[cur.0] {
-                    Some(p) => cur = p,
-                    None => break,
-                }
+    for (si, r) in by_set {
+        let mut cur = r;
+        while cur != t.src && stamp[cur.0] != si {
+            stamp[cur.0] = si;
+            total += 1;
+            match t.toward_src[cur.0] {
+                Some(p) => cur = p,
+                None => break,
             }
         }
     }

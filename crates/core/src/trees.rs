@@ -28,11 +28,10 @@ use topology::{bfs, DomainGraph, DomainId, SpTree};
 pub struct BidirTree {
     /// The root domain.
     pub root: DomainId,
-    /// BFS routing state toward the root (shared by all domains).
+    /// BFS routing state toward the root (shared by all domains). Its
+    /// `dist[d]` is also `d`'s depth on the tree: an on-tree domain's
+    /// tree path to the root is its BFS path.
     toward_root: SpTree,
-    /// `depth[d]` = hops from `d` to the root along the tree, only
-    /// meaningful for on-tree domains.
-    depth: Vec<u32>,
     /// Whether each domain is on the tree.
     on_tree: Vec<bool>,
 }
@@ -55,11 +54,9 @@ impl BidirTree {
                 }
             }
         }
-        let depth = toward_root.dist.clone();
         BidirTree {
             root,
             toward_root,
-            depth,
             on_tree,
         }
     }
@@ -95,21 +92,27 @@ impl BidirTree {
             return None;
         }
         let lca = self.lca(a, b)?;
-        Some(self.depth[a.0] + self.depth[b.0] - 2 * self.depth[lca.0])
+        let depth = &self.toward_root.dist;
+        Some(depth[a.0] + depth[b.0] - 2 * depth[lca.0])
     }
 
     fn lca(&self, a: DomainId, b: DomainId) -> Option<DomainId> {
+        let SpTree {
+            dist: depth,
+            toward_src: up,
+            ..
+        } = &self.toward_root;
         let (mut x, mut y) = (a, b);
         // Standard two-pointer LCA on parent pointers with depths.
-        while self.depth[x.0] > self.depth[y.0] {
-            x = self.toward_root.toward_src[x.0]?;
+        while depth[x.0] > depth[y.0] {
+            x = up[x.0]?;
         }
-        while self.depth[y.0] > self.depth[x.0] {
-            y = self.toward_root.toward_src[y.0]?;
+        while depth[y.0] > depth[x.0] {
+            y = up[y.0]?;
         }
         while x != y {
-            x = self.toward_root.toward_src[x.0]?;
-            y = self.toward_root.toward_src[y.0]?;
+            x = up[x.0]?;
+            y = up[y.0]?;
         }
         Some(x)
     }

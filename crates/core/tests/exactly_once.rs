@@ -43,6 +43,26 @@ fn eight_domains() -> DomainGraph {
 /// then one member leaves, and a non-member host in D1 sends last. That
 /// last packet reaches D5 twice: two of D5's border routers both inject
 /// it into its MIGP.
+///
+/// Which two, and by which entry. D5's border routers are 15 (toward
+/// D2), 16 (toward D3) and 17 (toward D6), on local routers 0, 1 and 2;
+/// the member sits behind local router 0. Printing their tables before
+/// the last send, and D5's data path during it, gives:
+///
+/// * **Router 16** injects the packet as the shared tree says: its
+///   (\*,G) entry is `parent: Peer(12)` (D3's router), `children:
+///   {Migp}`. The MIGP delivers it to the member, and also hands it to
+///   local router 2, which is subscribed to G.
+/// * **Router 17** holds no (\*,G) entry and no (S,G) entry for this
+///   source. Its two (S,G) entries are for the earlier senders' sources:
+///   D2's (`parent: Migp, via_exit: 15`, child `Peer(19)`) and D6's
+///   (`parent: Peer(19)`, child `Migp`). Those legs subscribed it to G
+///   in the MIGP, which keeps one subscription per group, not per
+///   source. With nothing matching, `forward` answers `TowardRoot(
+///   Internal { exit: 16 })` for the copy that came from the MIGP, and
+///   17 injects it again. RPF rejects that entry (it expects local 1),
+///   so the copy is encapsulated to router 16 and injected there a
+///   second time, and the member receives it twice.
 #[test]
 #[ignore = "ROADMAP item 1(a): a fault-free run delivers the last packet twice at D5"]
 fn fault_free_script_delivers_each_packet_once() {

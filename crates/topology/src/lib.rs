@@ -22,5 +22,7 @@ pub use gen_hier::{hierarchical, HierSpec, Hierarchy};
 pub use gen_internet::{internet_like, InternetSpec};
 pub use graph::{DomainGraph, DomainId, Rel};
 pub use hierarchy::MascHierarchy;
-pub use routing::{bfs, bfs_first_hops, hop_dist, policy_bfs, PolicyDists, SpTree};
+pub use routing::{
+    bfs, bfs_first_hop_slots, bfs_first_hops, hop_dist, policy_bfs, PolicyDists, SpTree, NO_HOP,
+};
 pub use schedule::{ChaosSchedule, LinkWindow, NodeWindow};

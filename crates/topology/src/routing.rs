@@ -56,23 +56,50 @@ impl SpTree {
 /// from (each bit's forwarding neighbor is the unicast first hop toward
 /// that bit's router).
 pub fn bfs_first_hops(g: &DomainGraph, src: DomainId) -> Vec<Option<DomainId>> {
-    let n = g.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut first = vec![None; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[src.0] = 0;
-    queue.push_back(src);
-    while let Some(d) = queue.pop_front() {
+    let out = g.neighbors(src);
+    bfs_first_hop_slots(g, src)
+        .into_iter()
+        .map(|slot| out.get(slot as usize).map(|&(nb, _)| nb))
+        .collect()
+}
+
+/// [`bfs_first_hops`] as positions in `g.neighbors(src)`: `slots[d]` is
+/// the index of the first hop toward `d` in `src`'s adjacency list, or
+/// [`NO_HOP`] at `src` itself and at unreachable domains. A table keyed
+/// by (destination set, neighbor) indexes by slot directly instead of
+/// searching the adjacency list per destination.
+pub fn bfs_first_hop_slots(g: &DomainGraph, src: DomainId) -> Vec<u32> {
+    const UNSEEN: u32 = u32::MAX - 1;
+    let mut slot = vec![UNSEEN; g.len()];
+    let mut queue = Vec::with_capacity(g.len());
+    slot[src.0] = NO_HOP;
+    for (i, &(nb, _)) in g.neighbors(src).iter().enumerate() {
+        if slot[nb.0] == UNSEEN {
+            slot[nb.0] = i as u32;
+            queue.push(nb);
+        }
+    }
+    let mut head = 0;
+    while let Some(&d) = queue.get(head) {
+        head += 1;
+        let via = slot[d.0];
         for &(nb, _) in g.neighbors(d) {
-            if dist[nb.0] == u32::MAX {
-                dist[nb.0] = dist[d.0] + 1;
-                first[nb.0] = if d == src { Some(nb) } else { first[d.0] };
-                queue.push_back(nb);
+            if slot[nb.0] == UNSEEN {
+                slot[nb.0] = via;
+                queue.push(nb);
             }
         }
     }
-    first
+    for s in &mut slot {
+        if *s == UNSEEN {
+            *s = NO_HOP;
+        }
+    }
+    slot
 }
+
+/// [`bfs_first_hop_slots`]'s value where there is no first hop.
+pub const NO_HOP: u32 = u32::MAX;
 
 /// BFS shortest-path tree from `src` by hop count. Deterministic:
 /// neighbors are visited in adjacency order, so ties break identically
