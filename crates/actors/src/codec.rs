@@ -21,7 +21,7 @@
 )]
 
 use snapshot::{Dec, Enc, SnapError, Snapshot};
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use std::io::{Read, Write};
 
 /// Upper bound on a single frame (control messages are tiny; this is
 /// generous headroom).
@@ -73,18 +73,15 @@ pub fn encode<T: Snapshot>(msg: &T) -> Vec<u8> {
 }
 
 /// Writes one frame.
-pub async fn write_frame<T: Snapshot, W: AsyncWriteExt + Unpin>(
-    w: &mut W,
-    msg: &T,
-) -> Result<(), CodecError> {
-    w.write_all(&encode(msg)).await?;
+pub fn write_frame<T: Snapshot, W: Write>(w: &mut W, msg: &T) -> Result<(), CodecError> {
+    w.write_all(&encode(msg))?;
     Ok(())
 }
 
 /// Reads one frame.
-pub async fn read_frame<T: Snapshot, R: AsyncReadExt + Unpin>(r: &mut R) -> Result<T, CodecError> {
+pub fn read_frame<T: Snapshot, R: Read>(r: &mut R) -> Result<T, CodecError> {
     let mut header = [0u8; 4];
-    match r.read_exact(&mut header).await {
+    match r.read_exact(&mut header) {
         Ok(_) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Err(CodecError::Closed),
         Err(e) => return Err(e.into()),
@@ -94,7 +91,7 @@ pub async fn read_frame<T: Snapshot, R: AsyncReadExt + Unpin>(r: &mut R) -> Resu
         return Err(CodecError::TooLarge(len));
     }
     let mut body = vec![0u8; len];
-    r.read_exact(&mut body).await?;
+    r.read_exact(&mut body)?;
     let mut dec = Dec::new(&body);
     let msg = T::decode(&mut dec).map_err(CodecError::Malformed)?;
     dec.finish().map_err(CodecError::Malformed)?;
@@ -123,30 +120,36 @@ mod tests {
     }
 
     /// Reads one frame from a stream that carries `bytes` in pieces
-    /// split at `cuts`, a pause between each, and then closes.
-    async fn read_in_pieces(bytes: &[u8], cuts: &[usize]) -> Result<Wire, CodecError> {
-        let (mut a, mut b) = tokio::io::duplex(4096);
-        let bytes = bytes.to_vec();
-        let cuts = cuts.to_vec();
-        let writer = tokio::spawn(async move {
-            let mut at = 0;
-            for cut in cuts.into_iter().chain([bytes.len()]) {
-                a.write_all(&bytes[at..cut]).await.unwrap();
-                at = cut;
-                tokio::time::sleep(std::time::Duration::from_millis(5)).await;
-            }
-        });
-        let got = read_frame(&mut b).await;
-        writer.await.unwrap();
-        got
+    /// split at `cuts`, and then closes.
+    fn read_in_pieces(bytes: &[u8], cuts: &[usize]) -> Result<Wire, CodecError> {
+        read_frame(&mut Pieces { bytes, cuts, at: 0 })
     }
 
-    #[tokio::test]
-    async fn encode_decode_buffer() {
+    /// A reader that returns at most the bytes up to the next cut, so
+    /// each cut is a short read.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        cuts: &'a [usize],
+        at: usize,
+    }
+
+    impl std::io::Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let next = self.cuts.iter().find(|&&c| c > self.at);
+            let end = next.map_or(self.bytes.len(), |&c| c.min(self.bytes.len()));
+            let n = buf.len().min(end - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn encode_decode_buffer() {
         // A frame that arrives in pieces — inside the header, inside
         // the body — is read once it is whole.
         let buf = encode(&join());
-        let out = read_in_pieces(&buf, &[2, 5, buf.len() - 1]).await.unwrap();
+        let out = read_in_pieces(&buf, &[2, 5, buf.len() - 1]).unwrap();
         assert!(matches!(
             out,
             Wire::Bgmp {
@@ -156,58 +159,55 @@ mod tests {
         ));
     }
 
-    #[tokio::test]
-    async fn garbage_body_is_malformed_not_panic() {
+    #[test]
+    fn garbage_body_is_malformed_not_panic() {
         // A peer can put arbitrary bytes in a well-framed body; decode
         // must surface a typed error.
-        let got = read_in_pieces(&framed(b"\xFF definitely not a wire message"), &[]).await;
+        let got = read_in_pieces(&framed(b"\xFF definitely not a wire message"), &[]);
         assert!(matches!(got, Err(CodecError::Malformed(_))));
     }
 
-    #[tokio::test]
-    async fn truncated_header_yields_none_not_panic() {
+    #[test]
+    fn truncated_header_yields_none_not_panic() {
         // Fewer than 4 header bytes, in pieces, then the stream ends:
         // `Closed`, never an index past the end.
         for n in 0..4usize {
             let cuts: Vec<usize> = (0..n).collect();
-            let got = read_in_pieces(&[0xFFu8; 4][..n], &cuts).await;
+            let got = read_in_pieces(&[0xFFu8; 4][..n], &cuts);
             assert!(matches!(got, Err(CodecError::Closed)), "n={n}");
         }
     }
 
-    #[tokio::test]
-    async fn malformed_frame_over_socket_is_typed_error() {
-        let (mut a, mut b) = tokio::io::duplex(4096);
-        a.write_all(&framed(b"\x00\x01\x02 not a wire message"))
-            .await
-            .unwrap();
+    #[test]
+    fn malformed_frame_over_socket_is_typed_error() {
+        let mut b = &framed(b"\x00\x01\x02 not a wire message")[..];
         assert!(matches!(
-            read_frame::<Wire, _>(&mut b).await,
+            read_frame::<Wire, _>(&mut b),
             Err(CodecError::Malformed(_))
         ));
     }
 
-    #[tokio::test]
-    async fn oversized_frame_rejected() {
+    #[test]
+    fn oversized_frame_rejected() {
         let mut buf = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            read_in_pieces(&buf, &[]).await,
+            read_in_pieces(&buf, &[]),
             Err(CodecError::TooLarge(_))
         ));
     }
 
-    #[tokio::test]
-    async fn roundtrip_over_duplex() {
-        let (mut a, mut b) = tokio::io::duplex(4096);
-        write_frame(&mut a, &42u32).await.unwrap();
-        write_frame(&mut a, &join()).await.unwrap();
-        assert_eq!(read_frame::<u32, _>(&mut b).await.unwrap(), 42);
-        let got: Wire = read_frame(&mut b).await.unwrap();
+    #[test]
+    fn roundtrip_over_duplex() {
+        let mut a = Vec::new();
+        write_frame(&mut a, &42u32).unwrap();
+        write_frame(&mut a, &join()).unwrap();
+        let mut b = &a[..];
+        assert_eq!(read_frame::<u32, _>(&mut b).unwrap(), 42);
+        let got: Wire = read_frame(&mut b).unwrap();
         assert_eq!(encode(&got), encode(&join()));
-        drop(a);
         assert!(matches!(
-            read_frame::<Wire, _>(&mut b).await,
+            read_frame::<Wire, _>(&mut b),
             Err(CodecError::Closed)
         ));
     }

@@ -1,7 +1,7 @@
 //! Standing up a localhost internet of border-router shells, and the
 //! host-level API that drives it.
 
-use std::net::SocketAddr;
+use std::net::TcpListener;
 
 use bgmp::GroupEntry;
 use bgp::session::SessionTimers;
@@ -10,7 +10,7 @@ use masc_bgmp_core::{asn_of, domain_actors, DomainActor, HostId, InternetConfig,
 use mcast_addr::{McastAddr, Prefix};
 use topology::DomainGraph;
 
-use crate::router_task::{spawn_router, Cmd, RouterHandle, RouterSpec};
+use crate::router_task::{spawn_router, Msg, RouterHandle, RouterSpec};
 
 /// The configuration every shell's actor is built from: the
 /// simulator's defaults (a border router per peering, static ranges)
@@ -75,30 +75,21 @@ pub struct ActorNet {
     next_packet: u64,
 }
 
-/// Picks a free localhost port per router by binding ephemeral
-/// listeners up front.
-async fn free_addrs(n: usize) -> std::io::Result<Vec<SocketAddr>> {
-    let mut addrs = Vec::with_capacity(n);
-    let mut keep = Vec::new();
-    for _ in 0..n {
-        let l = tokio::net::TcpListener::bind("127.0.0.1:0").await?;
-        addrs.push(l.local_addr()?);
-        keep.push(l); // hold until all are chosen to avoid reuse
-    }
-    drop(keep);
-    Ok(addrs)
-}
-
 impl ActorNet {
     /// Builds every domain's actor from [`config`], starts one shell
     /// per domain with TCP peerings along the edges of `graph`, and
     /// starts the engines once every peering is connected.
-    pub async fn start(graph: &DomainGraph, policy: ExportPolicy) -> std::io::Result<ActorNet> {
+    pub fn start(graph: &DomainGraph, policy: ExportPolicy) -> std::io::Result<ActorNet> {
         let cfg = config(policy);
         let (actors, ranges) = domain_actors(graph, &cfg);
-        let addrs = free_addrs(graph.len()).await?;
+        let listeners = (graph.domains())
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let addrs = (listeners.iter())
+            .map(TcpListener::local_addr)
+            .collect::<std::io::Result<Vec<_>>>()?;
         let mut routers = Vec::with_capacity(graph.len());
-        for (d, actor) in graph.domains().zip(actors) {
+        for ((d, actor), listener) in graph.domains().zip(actors).zip(listeners) {
             let peers = (graph.neighbors(d).iter())
                 .map(|&(nb, _)| (asn_of(nb), addrs[nb.0], d.0 > nb.0)) // higher id dials
                 .collect();
@@ -106,63 +97,61 @@ impl ActorNet {
                 actor,
                 domains: graph.len(),
                 seed: cfg.seed,
-                listen: addrs[d.0],
+                listener,
                 peers,
             };
-            routers.push(spawn_router(spec).await?);
+            routers.push(spawn_router(spec)?);
         }
         let net = ActorNet {
             routers,
             ranges: ranges.into_iter().flatten().collect(),
             next_packet: 0,
         };
-        let all_up = net
-            .wait_until(|d, v| v.peers_up.len() == graph.degree(topology::DomainId(d)))
-            .await;
+        let all_up = net.wait_until(|d, v| v.peers_up.len() == graph.degree(topology::DomainId(d)));
         if !all_up {
             let e = std::io::ErrorKind::TimedOut;
             return Err(std::io::Error::new(e, "peerings did not come up"));
         }
         for h in &net.routers {
-            h.send(Cmd::Start).await;
+            h.send(Msg::Start);
         }
         Ok(net)
     }
 
-    async fn inject(&self, host: HostId, wire: Wire) {
+    fn inject(&self, host: HostId, wire: Wire) {
         let d = masc_bgmp_core::domain_of(host.domain).0;
-        self.routers[d].send(Cmd::Inject(wire)).await;
+        self.routers[d].send(Msg::Inject(wire));
     }
 
     /// A host joins a group.
-    pub async fn host_join(&self, host: HostId, group: McastAddr) {
-        self.inject(host, Wire::HostJoin { host, group }).await;
+    pub fn host_join(&self, host: HostId, group: McastAddr) {
+        self.inject(host, Wire::HostJoin { host, group });
     }
 
     /// A host leaves a group.
-    pub async fn host_leave(&self, host: HostId, group: McastAddr) {
-        self.inject(host, Wire::HostLeave { host, group }).await;
+    pub fn host_leave(&self, host: HostId, group: McastAddr) {
+        self.inject(host, Wire::HostLeave { host, group });
     }
 
     /// A host multicasts one packet; returns its id (numbered from 0,
     /// as `Internet::send_data` numbers them).
-    pub async fn send_data(&mut self, host: HostId, group: McastAddr) -> u64 {
+    pub fn send_data(&mut self, host: HostId, group: McastAddr) -> u64 {
         let id = self.next_packet;
         self.next_packet += 1;
-        self.inject(host, Wire::SendData { host, group, id }).await;
+        self.inject(host, Wire::SendData { host, group, id });
         id
     }
 
     /// Polls until `check` passes on every domain's view or the budget
     /// runs out (convergence over real sockets is asynchronous).
-    pub async fn wait_until<F>(&self, mut check: F) -> bool
+    pub fn wait_until<F>(&self, mut check: F) -> bool
     where
         F: FnMut(usize, &View) -> bool,
     {
         for _ in 0..500 {
             let mut ok = true;
             for (i, h) in self.routers.iter().enumerate() {
-                if !check(i, &h.view().await) {
+                if !check(i, &h.view()) {
                     ok = false;
                     break;
                 }
@@ -170,15 +159,15 @@ impl ActorNet {
             if ok {
                 return true;
             }
-            tokio::time::sleep(std::time::Duration::from_millis(20)).await;
+            std::thread::sleep(std::time::Duration::from_millis(20));
         }
         false
     }
 
     /// Shuts every shell down.
-    pub async fn stop(self) {
+    pub fn stop(self) {
         for h in self.routers {
-            h.shutdown().await;
+            h.shutdown();
         }
     }
 }

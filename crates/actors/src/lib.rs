@@ -1,6 +1,6 @@
 //! The MASC/BGMP border-router host over real TCP.
 //!
-//! One tokio task per domain runs the simulator's own
+//! One thread per domain runs the simulator's own
 //! [`masc_bgmp_core::DomainActor`] in a one-domain engine, behind a
 //! socket shell: the persistent peering connections §5.2 of the paper
 //! describes carry the simulator's [`masc_bgmp_core::Wire`] messages.
@@ -8,8 +8,8 @@
 //! connection changes and ticks into engine events.
 //!
 //! * [`codec`] — length-delimited framing of snapshot bytes;
-//! * `conn` — one peering connection: the hello handshake and the
-//!   frame pumps;
+//! * `conn` — the shell's clock, acceptor, dialers and one reader per
+//!   peering connection (the hello handshake, then frames);
 //! * [`router_task`] — the per-domain shell around the engine;
 //! * [`harness`] — a localhost internet built from a
 //!   [`topology::DomainGraph`], and its host-level API.

@@ -3,20 +3,22 @@
 //!
 //! The engine holds the domain's actor at its global `NodeId`; every
 //! other domain is a [`Remote`] whose `on_message` only queues the
-//! wire for its socket. Inbound frames, connection changes and
-//! commands become engine events at the shell's clock, which a tokio
-//! tick advances, so session timers are the simulator's own.
+//! wire for its socket. One thread owns the engine and reads one
+//! mailbox: inbound frames, connection changes and commands become
+//! engine events at the shell's clock, which a tick thread advances,
+//! so session timers are the simulator's own. That thread writes each
+//! peer's frames itself.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{self, Receiver, Sender};
 
 use bgp::Asn;
 use masc_bgmp_core::{domain_of, DomainActor, Wire};
 use simnet::{Ctx, Engine, Node, NodeId, SimDuration};
-use tokio::net::TcpListener;
-use tokio::sync::{mpsc, oneshot};
 
-use crate::conn::{self, Event};
+use crate::codec::write_frame;
+use crate::conn::{self, Threads};
 use crate::harness::View;
 
 /// Real (and simulated) milliseconds per shell tick.
@@ -30,8 +32,8 @@ pub(crate) struct RouterSpec {
     pub(crate) domains: usize,
     /// Engine seed (the internet config's).
     pub(crate) seed: u64,
-    /// Local listen address.
-    pub(crate) listen: SocketAddr,
+    /// Where it accepts peer connections, bound.
+    pub(crate) listener: TcpListener,
     /// Neighbour domains: ASN, address, and whether this side dials.
     pub(crate) peers: Vec<(Asn, SocketAddr, bool)>,
 }
@@ -48,10 +50,31 @@ impl Node<Wire> for Remote {
     }
 }
 
-pub(crate) enum Cmd {
+/// A shell's mailbox: what its sockets, its clock and its handle tell
+/// the domain thread.
+pub(crate) enum Msg {
+    /// A wire arrived from the peer.
+    Frame(Asn, Wire),
+    /// A peering connected, and `out` writes to it. The shell answers
+    /// on `taken` whether it takes the connection, and first sends the
+    /// acceptor's `hello` if it does.
+    Up {
+        peer: Asn,
+        out: TcpStream,
+        hello: bool,
+        taken: Sender<bool>,
+    },
+    /// The peering's connection closed or failed.
+    Gone(Asn),
+    /// The shell's clock ticked.
+    Tick,
+    /// Every peering is connected: the engine starts.
     Start,
+    /// A host or link event for the local domain.
     Inject(Wire),
-    View(oneshot::Sender<View>),
+    /// The actor's state and the peers connected now, please.
+    View(Sender<View>),
+    /// Stop.
     Shutdown,
 }
 
@@ -59,33 +82,34 @@ pub(crate) enum Cmd {
 pub struct RouterHandle {
     /// Where it accepts peer connections.
     pub listen: SocketAddr,
-    cmd: mpsc::Sender<Cmd>,
-    task: tokio::task::JoinHandle<()>,
+    mailbox: Sender<Msg>,
+    threads: Threads,
 }
 
 impl RouterHandle {
-    pub(crate) async fn send(&self, cmd: Cmd) {
-        let _ = self.cmd.send(cmd).await;
+    pub(crate) fn send(&self, msg: Msg) {
+        let _ = self.mailbox.send(msg);
     }
 
     /// The actor's current state and the neighbours connected now.
-    pub async fn view(&self) -> View {
-        let (tx, rx) = oneshot::channel();
-        self.send(Cmd::View(tx)).await;
-        rx.await.unwrap_or_default()
+    pub fn view(&self) -> View {
+        let (tx, rx) = mpsc::channel();
+        self.send(Msg::View(tx));
+        rx.recv().unwrap_or_default()
     }
 
-    /// Stops the shell, closing its connections.
-    pub async fn shutdown(self) {
-        self.send(Cmd::Shutdown).await;
-        let _ = self.task.await;
+    /// Stops the shell: closes every peering socket both ways, stops
+    /// listening, and joins the shell's threads.
+    pub fn shutdown(self) {
+        self.send(Msg::Shutdown);
+        self.threads.stop(self.listen);
     }
 }
 
-/// Spawns a shell; resolves once it is listening. Its engine starts on
-/// the first `Cmd::Start`, once every peering is connected.
-pub(crate) async fn spawn_router(spec: RouterSpec) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(spec.listen).await?;
+/// Starts a shell on its bound listener. Its engine starts on the
+/// first `Msg::Start`, once every peering is connected.
+pub(crate) fn spawn_router(spec: RouterSpec) -> std::io::Result<RouterHandle> {
+    let listen = spec.listener.local_addr()?;
     let (asn, me) = (spec.actor.asn, domain_of(spec.actor.asn).0);
     let mut nodes: Vec<Box<dyn Node<Wire> + Send>> = (0..spec.domains)
         .map(|_| Box::new(Remote::default()) as _)
@@ -96,74 +120,77 @@ pub(crate) async fn spawn_router(spec: RouterSpec) -> std::io::Result<RouterHand
         engine.add_node(node);
     }
 
-    let (ev_tx, ev_rx) = mpsc::channel(1024);
-    tokio::spawn(conn::tick(TICK_MS, ev_tx.clone()));
+    let (mailbox, rx) = mpsc::channel();
+    let threads = Threads::default();
+    threads.spawn(move || run(engine, NodeId(me), asn, rx));
+    let tick = mailbox.clone();
+    threads.spawn(move || conn::tick(TICK_MS, tick));
     let neighbours = spec.peers.iter().map(|p| p.0).collect();
-    tokio::spawn(conn::accept(listener, asn, neighbours, ev_tx.clone()));
+    let (tx, t) = (mailbox.clone(), threads.clone());
+    threads.spawn(move || conn::accept(spec.listener, asn, neighbours, tx, t));
     for &(peer, addr, _) in spec.peers.iter().filter(|p| p.2) {
-        tokio::spawn(conn::dial(addr, asn, peer, ev_tx.clone()));
+        let (tx, t) = (mailbox.clone(), threads.clone());
+        threads.spawn(move || conn::dial(addr, asn, peer, tx, t));
     }
-    let (cmd, cmd_rx) = mpsc::channel(256);
-    let task = tokio::spawn(run(engine, NodeId(me), ev_rx, cmd_rx));
     Ok(RouterHandle {
-        listen: spec.listen,
-        cmd,
-        task,
+        listen,
+        mailbox,
+        threads,
     })
 }
 
-async fn run(
-    mut engine: Engine<Wire>,
-    me: NodeId,
-    mut ev_rx: mpsc::Receiver<Event>,
-    mut cmd_rx: mpsc::Receiver<Cmd>,
-) {
-    let mut writers: BTreeMap<Asn, mpsc::Sender<Wire>> = BTreeMap::new();
+fn run(mut engine: Engine<Wire>, me: NodeId, asn: Asn, mailbox: Receiver<Msg>) {
+    let mut peers: BTreeMap<Asn, TcpStream> = BTreeMap::new();
     let mut started = false;
     let node_of = |asn: Asn| NodeId(domain_of(asn).0);
-    loop {
+    while let Ok(msg) = mailbox.recv() {
         let now = engine.now();
         let mut until = now;
-        let inject = tokio::select! {
-            Some(ev) = ev_rx.recv() => match ev {
-                Event::Frame(peer, wire) => {
-                    let actor = engine.node_as::<DomainActor>(me);
-                    let ok = actor.is_some_and(|a| conn::from_peer(a, peer, &wire));
-                    ok.then_some((node_of(peer), wire))
+        let inject = match msg {
+            Msg::Frame(peer, wire) => {
+                let actor = engine.node_as::<DomainActor>(me);
+                let ok = actor.is_some_and(|a| conn::from_peer(a, peer, &wire));
+                ok.then_some((node_of(peer), wire))
+            }
+            Msg::Tick => {
+                until = now + SimDuration::from_millis(TICK_MS);
+                None
+            }
+            Msg::Up {
+                peer,
+                mut out,
+                hello,
+                taken,
+            } => {
+                let took = !peers.contains_key(&peer)
+                    && (!hello || write_frame(&mut out, &asn).is_ok())
+                    && taken.send(true).is_ok();
+                if took {
+                    engine.links_mut().set_up(me, node_of(peer));
+                    peers.insert(peer, out);
                 }
-                Event::Tick => {
-                    until = now + SimDuration::from_millis(TICK_MS);
-                    None
-                }
-                Event::Up(peer, tx, taken) => {
-                    let took = !writers.contains_key(&peer) && taken.send(true).is_ok();
-                    if took {
-                        engine.links_mut().set_up(me, node_of(peer));
-                        writers.insert(peer, tx);
-                    }
-                    link_event(&engine, me, peer, true).filter(|_| took && started)
-                }
-                Event::Gone(peer) => {
-                    engine.links_mut().set_down(me, node_of(peer));
-                    writers.remove(&peer);
-                    link_event(&engine, me, peer, false).filter(|_| started)
-                }
-            },
-            Some(cmd) = cmd_rx.recv() => match cmd {
-                Cmd::Start => {
-                    started = true;
-                    None
-                }
-                Cmd::Inject(wire) => Some((NodeId::EXTERNAL, wire)),
-                Cmd::View(tx) => {
-                    let peers_up = writers.keys().copied().collect();
-                    let view = engine.node_as::<DomainActor>(me).map(View::of);
-                    let _ = tx.send(View { peers_up, ..view.unwrap_or_default() });
-                    None
-                }
-                Cmd::Shutdown => break,
-            },
-            else => break,
+                link_event(&engine, me, peer, true).filter(|_| took && started)
+            }
+            Msg::Gone(peer) => {
+                engine.links_mut().set_down(me, node_of(peer));
+                peers.remove(&peer);
+                link_event(&engine, me, peer, false).filter(|_| started)
+            }
+            Msg::Start => {
+                started = true;
+                None
+            }
+            Msg::Inject(wire) => Some((NodeId::EXTERNAL, wire)),
+            Msg::View(tx) => {
+                let peers_up = peers.keys().copied().collect();
+                let view = engine.node_as::<DomainActor>(me).map(View::of);
+                let _ = tx.send(View {
+                    peers_up,
+                    ..view.unwrap_or_default()
+                });
+                None
+            }
+            Msg::Shutdown => break,
         };
         if let Some((from, wire)) = inject {
             engine.schedule_message_from(now, from, me, wire);
@@ -172,13 +199,13 @@ async fn run(
             continue;
         }
         engine.run_until(until);
-        for (&peer, tx) in &writers {
+        for (&peer, out) in &mut peers {
             let remote = engine.node_as_mut::<Remote>(node_of(peer));
             for wire in remote
                 .map(|r| std::mem::take(&mut r.outbox))
                 .unwrap_or_default()
             {
-                let _ = tx.send(wire).await;
+                let _ = write_frame(out, &wire);
             }
         }
     }

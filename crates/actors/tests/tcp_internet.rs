@@ -4,6 +4,7 @@
 //! the result matches the simulator's run of the same script.
 
 use std::collections::BTreeMap;
+use std::net::TcpStream;
 
 use bgmp::BgmpMsg;
 use bgp::{AsPath, BgpMsg, ExportPolicy, Nlri, Route, RouteSourceKind};
@@ -45,18 +46,14 @@ fn small_graph() -> DomainGraph {
     g
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn group_routes_tree_and_data_over_tcp() {
+#[test]
+fn group_routes_tree_and_data_over_tcp() {
     let graph = small_graph();
-    let mut net = ActorNet::start(&graph, ExportPolicy::Open)
-        .await
-        .expect("start");
+    let mut net = ActorNet::start(&graph, ExportPolicy::Open).expect("start");
 
     // 1. BGP converges: every domain's G-RIB holds every range.
     let ranges = net.ranges.clone();
-    let converged = net
-        .wait_until(|_, v| ranges.iter().all(|p| routes_to(v, *p)))
-        .await;
+    let converged = net.wait_until(|_, v| ranges.iter().all(|p| routes_to(v, *p)));
     assert!(converged, "group routes must reach every domain");
 
     // 2. Members in B (the root domain), D and E join the first group
@@ -64,26 +61,24 @@ async fn group_routes_tree_and_data_over_tcp() {
     // through their providers, through A).
     let g = net.ranges[1].base();
     for d in [1, 3, 4] {
-        net.host_join(host(d, 0), g).await;
+        net.host_join(host(d, 0), g);
     }
     assert!(
-        net.wait_until(|_, v| on_tree(v, g)).await,
+        net.wait_until(|_, v| on_tree(v, g)),
         "shared tree must span all five domains"
     );
 
     // 3. A non-member host in E sends: every member receives it.
-    let id = net.send_data(host(4, 1), g).await;
-    let delivered = net
-        .wait_until(|d, v| match d {
-            1 | 3 | 4 => v.received.contains(&(id, host(d, 0))),
-            _ => true,
-        })
-        .await;
+    let id = net.send_data(host(4, 1), g);
+    let delivered = net.wait_until(|d, v| match d {
+        1 | 3 | 4 => v.received.contains(&(id, host(d, 0))),
+        _ => true,
+    });
     assert!(
         delivered,
         "E's data must reach B, D and E's member over TCP"
     );
-    let in_e = net.routers[4].view().await;
+    let in_e = net.routers[4].view();
     assert!(
         !in_e.received.contains(&(id, host(4, 1))),
         "not to the sender"
@@ -91,26 +86,24 @@ async fn group_routes_tree_and_data_over_tcp() {
 
     // 4. D's member leaves: D's state goes, new data reaches only B
     // and E.
-    net.host_leave(host(3, 0), g).await;
+    net.host_leave(host(3, 0), g);
     assert!(
-        net.wait_until(|d, v| d != 3 || !on_tree(v, g)).await,
+        net.wait_until(|d, v| d != 3 || !on_tree(v, g)),
         "D's state must go away after leave"
     );
-    let id = net.send_data(host(4, 1), g).await;
-    let ok = net
-        .wait_until(|d, v| d != 1 || v.received.contains(&(id, host(1, 0))))
-        .await;
+    let id = net.send_data(host(4, 1), g);
+    let ok = net.wait_until(|d, v| d != 1 || v.received.contains(&(id, host(1, 0))));
     assert!(ok, "B still receives after D left");
-    let in_d = net.routers[3].view().await;
+    let in_d = net.routers[3].view();
     assert!(
         !in_d.received.iter().any(|(p, _)| *p == id),
         "D must not receive after leaving"
     );
-    net.stop().await;
+    net.stop();
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn provider_customer_policy_over_tcp() {
+#[test]
+fn provider_customer_policy_over_tcp() {
     // Three backbones in a chain of peerings, one customer on the
     // first: with Gao-Rexford export the customer's route reaches its
     // provider's peer (customer->provider->peer is valley-free) but
@@ -124,53 +117,62 @@ async fn provider_customer_policy_over_tcp() {
     let c1 = g.add_domain("C1");
     g.add_provider_customer(p1, c1);
 
-    let net = ActorNet::start(&g, ExportPolicy::ProviderCustomer)
-        .await
-        .expect("start");
+    let net = ActorNet::start(&g, ExportPolicy::ProviderCustomer).expect("start");
     let c1_range = net.ranges[3];
-    let ok = net
-        .wait_until(|d, v| d == 2 || routes_to(v, c1_range))
-        .await;
+    let ok = net.wait_until(|d, v| d == 2 || routes_to(v, c1_range));
     assert!(ok, "C1's route must reach P1 and P2");
     // Give any stray propagation a moment, then assert P3 never saw it.
-    tokio::time::sleep(std::time::Duration::from_millis(200)).await;
+    std::thread::sleep(std::time::Duration::from_millis(200));
     assert!(
-        !routes_to(&net.routers[2].view().await, c1_range),
+        !routes_to(&net.routers[2].view(), c1_range),
         "peer-learned routes must not be re-exported to another peer"
     );
-    net.stop().await;
+    net.stop();
 }
 
 /// A peer that dies closes its connections, and the survivor flushes
 /// the routes learned over them.
-#[tokio::test(flavor = "multi_thread")]
-async fn hold_timer_flushes_dead_peer() {
+#[test]
+fn hold_timer_flushes_dead_peer() {
     let mut g = DomainGraph::new();
     let a = g.add_domain("A");
     let b = g.add_domain("B");
     g.add_provider_customer(a, b);
-    let net = ActorNet::start(&g, ExportPolicy::Open)
-        .await
-        .expect("start");
+    let net = ActorNet::start(&g, ExportPolicy::Open).expect("start");
     let b_range = net.ranges[1];
-    assert!(net.wait_until(|_, v| routes_to(v, b_range)).await);
+    assert!(net.wait_until(|_, v| routes_to(v, b_range)));
 
     let mut routers = net.routers;
-    routers.remove(1).shutdown().await;
-    let flushed = eventually(&routers[0], |v| !routes_to(v, b_range)).await;
+    routers.remove(1).shutdown();
+    let flushed = eventually(&routers[0], |v| !routes_to(v, b_range));
     assert!(flushed, "A must flush the dead peer's routes");
     for h in routers {
-        h.shutdown().await;
+        h.shutdown();
+    }
+}
+
+/// A stopped shell stops listening: connecting to its address fails.
+#[test]
+fn stopped_shell_refuses_connections() {
+    let mut g = DomainGraph::new();
+    let a = g.add_domain("A");
+    let b = g.add_domain("B");
+    g.add_provider_customer(a, b);
+    let net = ActorNet::start(&g, ExportPolicy::Open).expect("start");
+    let addrs: Vec<_> = net.routers.iter().map(|h| h.listen).collect();
+    net.stop();
+    for addr in addrs {
+        assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts");
     }
 }
 
 /// Polls one shell until `check` passes on its view or 8 s run out.
-async fn eventually(h: &RouterHandle, check: impl Fn(&View) -> bool) -> bool {
+fn eventually(h: &RouterHandle, check: impl Fn(&View) -> bool) -> bool {
     for _ in 0..80 {
-        if check(&h.view().await) {
+        if check(&h.view()) {
             return true;
         }
-        tokio::time::sleep(std::time::Duration::from_millis(100)).await;
+        std::thread::sleep(std::time::Duration::from_millis(100));
     }
     false
 }
@@ -179,28 +181,25 @@ async fn eventually(h: &RouterHandle, check: impl Fn(&View) -> bool) -> bool {
 /// a neighbour that is already connected, is closed before the shell
 /// sees it: the peer view does not change, and the peering it
 /// duplicated stays up.
-#[tokio::test(flavor = "multi_thread")]
-async fn hello_from_a_non_neighbour_is_refused() {
+#[test]
+fn hello_from_a_non_neighbour_is_refused() {
     let graph = small_graph();
-    let net = ActorNet::start(&graph, ExportPolicy::Open)
-        .await
-        .expect("start");
+    let net = ActorNet::start(&graph, ExportPolicy::Open).expect("start");
     let a = &net.routers[0];
-    let before = a.view().await.peers_up;
+    let before = a.view().peers_up;
     assert_eq!(before, vec![asn_of(DomainId(1)), asn_of(DomainId(2))]);
     // D is in the graph but not A's neighbour; 99 is nobody; B is a
     // neighbour with its peering up.
     for claim in [asn_of(DomainId(3)), 99, asn_of(DomainId(1))] {
-        let sock = tokio::net::TcpStream::connect(a.listen).await.unwrap();
-        let (mut rd, mut wr) = sock.into_split();
-        write_frame(&mut wr, &claim).await.unwrap();
-        let answer = read_frame::<u32, _>(&mut rd).await;
+        let mut sock = TcpStream::connect(a.listen).unwrap();
+        write_frame(&mut sock, &claim).unwrap();
+        let answer = read_frame::<u32, _>(&mut sock);
         assert!(matches!(answer, Err(CodecError::Closed)), "{claim}");
-        assert_eq!(a.view().await.peers_up, before, "{claim}");
+        assert_eq!(a.view().peers_up, before, "{claim}");
     }
-    tokio::time::sleep(std::time::Duration::from_millis(200)).await;
-    assert_eq!(a.view().await.peers_up, before);
-    net.stop().await;
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    assert_eq!(a.view().peers_up, before);
+    net.stop();
 }
 
 /// Over a peering, only the two routers at its ends speak: a frame
@@ -209,32 +208,24 @@ async fn hello_from_a_non_neighbour_is_refused() {
 /// carry a route kind of the sender's choosing), or a host or link
 /// event, is dropped. The shell keeps answering and its G-RIB holds
 /// until a frame from the peering's own router arrives.
-#[tokio::test(flavor = "multi_thread")]
-async fn frames_off_the_peering_are_dropped() {
+#[test]
+fn frames_off_the_peering_are_dropped() {
     let graph = small_graph();
     let (b, d) = (DomainId(1), DomainId(3));
-    let net = ActorNet::start(&graph, ExportPolicy::Open)
-        .await
-        .expect("start");
+    let net = ActorNet::start(&graph, ExportPolicy::Open).expect("start");
     let ranges = net.ranges.clone();
-    assert!(
-        net.wait_until(|_, v| ranges.iter().all(|p| routes_to(v, *p)))
-            .await
-    );
+    assert!(net.wait_until(|_, v| ranges.iter().all(|p| routes_to(v, *p))));
     // D goes away; a raw socket takes its place at B.
     let mut routers = net.routers;
-    routers.remove(d.0).shutdown().await;
+    routers.remove(d.0).shutdown();
     let shell_b = &routers[b.0];
     let d_gone = |v: &View| !v.peers_up.contains(&asn_of(d)) && !routes_to(v, ranges[d.0]);
-    assert!(eventually(shell_b, d_gone).await, "B must drop D");
-    let sock = tokio::net::TcpStream::connect(shell_b.listen)
-        .await
-        .unwrap();
-    let (mut rd, mut wr) = sock.into_split();
-    write_frame(&mut wr, &asn_of(d)).await.unwrap();
-    assert_eq!(read_frame::<u32, _>(&mut rd).await.unwrap(), asn_of(b));
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
-    let before = shell_b.view().await;
+    assert!(eventually(shell_b, d_gone), "B must drop D");
+    let mut sock = TcpStream::connect(shell_b.listen).unwrap();
+    write_frame(&mut sock, &asn_of(d)).unwrap();
+    assert_eq!(read_frame::<u32, _>(&mut sock).unwrap(), asn_of(b));
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let before = shell_b.view();
     assert!(before.peers_up.contains(&asn_of(d)));
 
     // The peerings as every shell builds them: B's router facing D (D's
@@ -294,22 +285,22 @@ async fn frames_off_the_peering_are_dropped() {
         },
     ];
     for wire in &bad {
-        write_frame(&mut wr, wire).await.unwrap();
+        write_frame(&mut sock, wire).unwrap();
     }
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
-    let after = shell_b.view().await;
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let after = shell_b.view();
     assert_eq!(
         after.grib, before.grib,
         "the shell answers, its G-RIB unchanged"
     );
     assert_eq!((after.star, after.peers_up), (before.star, before.peers_up));
 
-    write_frame(&mut wr, &bgp(d_router, b_to_d)).await.unwrap();
-    let learned = eventually(shell_b, |v| routes_to(v, group)).await;
+    write_frame(&mut sock, &bgp(d_router, b_to_d)).unwrap();
+    let learned = eventually(shell_b, |v| routes_to(v, group));
     assert!(learned, "the peering's own router is heard");
-    drop((rd, wr));
+    drop(sock);
     for h in routers {
-        h.shutdown().await;
+        h.shutdown();
     }
 }
 
@@ -340,7 +331,7 @@ fn eight_domains() -> DomainGraph {
 /// entries and deliveries, then checks they stay that way. Duplicate
 /// counts are not compared: on this script they depend on message
 /// timing, in the simulator too.
-async fn agree(net: &ActorNet, sim: &Internet, step: &str) {
+fn agree(net: &ActorNet, sim: &Internet, step: &str) {
     let want: Vec<View> = (sim.graph.domains())
         .map(|d| View::of(sim.domain(d)))
         .collect();
@@ -351,59 +342,57 @@ async fn agree(net: &ActorNet, sim: &Internet, step: &str) {
         };
         v == want[d]
     };
-    let converged = net.wait_until(same).await;
-    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+    let converged = net.wait_until(same);
+    std::thread::sleep(std::time::Duration::from_millis(300));
     for (d, h) in net.routers.iter().enumerate() {
         let got = View {
             peers_up: Vec::new(),
-            ..h.view().await
+            ..h.view()
         };
         assert_eq!(got, want[d], "{step}: domain {d} (converged: {converged})");
     }
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn tcp_plane_matches_the_simulator() {
+#[test]
+fn tcp_plane_matches_the_simulator() {
     let graph = eight_domains();
     let mut sim = Internet::build(graph.clone(), &config(ExportPolicy::Open));
     sim.converge();
-    let mut net = ActorNet::start(&graph, ExportPolicy::Open)
-        .await
-        .expect("start");
-    agree(&net, &sim, "converged").await;
+    let mut net = ActorNet::start(&graph, ExportPolicy::Open).expect("start");
+    agree(&net, &sim, "converged");
 
     let g = net.ranges[3].base();
     let members = [host(5, 0), host(7, 1), host(3, 2), host(0, 0), host(6, 3)];
     for h in members {
         sim.host_join(h, g);
-        net.host_join(h, g).await;
+        net.host_join(h, g);
     }
     sim.converge();
-    agree(&net, &sim, "joined").await;
+    agree(&net, &sim, "joined");
 
     for (sender, leaver) in [(host(6, 1), host(7, 1)), (host(2, 0), host(0, 0))] {
         let id = sim.send_data(sender, g);
-        assert_eq!(net.send_data(sender, g).await, id);
+        assert_eq!(net.send_data(sender, g), id);
         sim.converge();
-        agree(&net, &sim, "sent").await;
+        agree(&net, &sim, "sent");
         sim.host_leave(leaver, g);
-        net.host_leave(leaver, g).await;
+        net.host_leave(leaver, g);
         sim.converge();
-        agree(&net, &sim, "left").await;
+        agree(&net, &sim, "left");
     }
     let id = sim.send_data(host(1, 0), g);
-    assert_eq!(net.send_data(host(1, 0), g).await, id);
+    assert_eq!(net.send_data(host(1, 0), g), id);
     sim.converge();
-    agree(&net, &sim, "sent after leaves").await;
+    agree(&net, &sim, "sent after leaves");
 
     let mut by_packet: BTreeMap<u64, Vec<HostId>> = BTreeMap::new();
     for h in &net.routers {
-        for (id, host) in h.view().await.received {
+        for (id, host) in h.view().received {
             by_packet.entry(id).or_default().push(host);
         }
     }
     by_packet.values_mut().for_each(|hosts| hosts.sort());
     assert_eq!(by_packet, sim.deliveries_by_packet());
     assert_eq!(by_packet.len(), 3, "every packet reached someone");
-    net.stop().await;
+    net.stop();
 }

@@ -15,7 +15,7 @@
 //! * [`aggregate`] — CIDR aggregation of group routes (§4.3.2);
 //! * [`msg`] — update/withdraw messages;
 //! * [`speaker`] — the sans-io speaker engine shared by the simulator
-//!   and the tokio actor runtime.
+//!   and the TCP border-router host.
 
 pub mod aggregate;
 pub mod msg;

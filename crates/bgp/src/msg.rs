@@ -33,7 +33,7 @@ pub enum BgpMsg {
 }
 
 /// An outbound message with its destination, as emitted by the sans-io
-/// speaker. The host (simulator or tokio actor) owns delivery.
+/// speaker. The host (simulator or TCP shell) owns delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutMsg {
     /// Destination router.

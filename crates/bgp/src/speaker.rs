@@ -3,7 +3,7 @@
 //! A [`BgpSpeaker`] is a plain state machine: feed it events (received
 //! updates, peer transitions, local originations) and it returns the
 //! messages to transmit. The same engine runs inside the discrete-event
-//! simulator and the tokio actor runtime.
+//! simulator and the TCP border-router host.
 //!
 //! Semantics implemented (deliberately simplified from RFC 1771 to what
 //! the paper's architecture needs — see DESIGN.md):

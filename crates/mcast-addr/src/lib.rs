@@ -16,7 +16,7 @@
 //!
 //! Everything here is pure data structure: no I/O, no clock, no
 //! randomness, so the same code serves the deterministic simulator and
-//! the tokio actor runtime.
+//! the TCP border-router host.
 
 pub mod block;
 pub mod kampai;

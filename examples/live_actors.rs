@@ -1,5 +1,5 @@
-//! The simulator's domain actors over real TCP: each domain is a tokio
-//! task hosting its `DomainActor` behind persistent peering
+//! The simulator's domain actors over real TCP: each domain is a
+//! thread hosting its `DomainActor` behind persistent peering
 //! connections (§5.2), exchanging BGP group routes, BGMP joins and
 //! multicast data on localhost.
 //!
@@ -17,8 +17,7 @@ fn host(d: usize, host: u32) -> HostId {
     }
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // The paper's figure-1 skeleton: backbone A; regionals B and C;
     // F under B; G under C.
     let mut g = DomainGraph::new();
@@ -33,9 +32,7 @@ async fn main() {
     g.add_provider_customer(c, gg);
 
     println!("starting 5 border-router hosts on localhost...");
-    let mut net = ActorNet::start(&g, ExportPolicy::Open)
-        .await
-        .expect("start actors");
+    let mut net = ActorNet::start(&g, ExportPolicy::Open).expect("start actors");
     for (i, h) in net.routers.iter().enumerate() {
         println!(
             "  {} listening on {} advertising {}",
@@ -48,8 +45,7 @@ async fn main() {
     // Wait for BGP to converge over the real sockets.
     let ranges = net.ranges.clone();
     assert!(
-        net.wait_until(|_, v| ranges.iter().all(|p| v.grib.iter().any(|r| r.1 == *p)))
-            .await,
+        net.wait_until(|_, v| ranges.iter().all(|p| v.grib.iter().any(|r| r.1 == *p))),
         "BGP convergence"
     );
     println!("BGP converged: every domain holds {} group routes", g.len());
@@ -58,24 +54,22 @@ async fn main() {
     let group = net.ranges[1].base();
     println!("group {group} rooted in B (address from B's range)");
     for d in [1, 3, 4] {
-        net.host_join(host(d, 0), group).await;
+        net.host_join(host(d, 0), group);
     }
     assert!(
-        net.wait_until(|_, v| v.star.iter().any(|e| e.1.base() == group))
-            .await,
+        net.wait_until(|_, v| v.star.iter().any(|e| e.1.base() == group)),
         "tree formation"
     );
     println!("shared tree spans A, B, C, F, G (BGMP joins travelled over TCP)");
 
     // A host in G multicasts; the members in B and F receive.
-    let id = net.send_data(host(4, 1), group).await;
+    let id = net.send_data(host(4, 1), group);
     assert!(
-        net.wait_until(|d, v| d != 1 && d != 3 || v.received.contains(&(id, host(d, 0))))
-            .await,
+        net.wait_until(|d, v| d != 1 && d != 3 || v.received.contains(&(id, host(d, 0)))),
         "delivery"
     );
     println!("data from G delivered to members in B and F — bidirectionally, without");
     println!("detouring through any third-party root.");
-    net.stop().await;
+    net.stop();
     println!("hosts shut down cleanly.");
 }

@@ -14,7 +14,7 @@
 //!   discrete-event simulator ([`simnet`]), AS-level topologies
 //!   ([`topology`]), and the integrated architecture gluing it all
 //!   together ([`core`]);
-//! * the same domain actor over real TCP, one tokio task per domain
+//! * the same domain actor over real TCP, one thread per domain
 //!   behind a socket shell ([`actors`]).
 //!
 //! Quick start (see `examples/quickstart.rs` for the runnable

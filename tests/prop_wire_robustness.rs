@@ -48,7 +48,6 @@ use simnet::{Event, NodeId};
 use snapshot::{Dec, Enc, SnapError, Snapshot, SnapshotState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
-use tokio::io::AsyncWriteExt;
 
 /// Encodes one message the way every session layer frames it: bare
 /// payload from a fresh encoder, no snapshot header.
@@ -451,11 +450,8 @@ fn frames() -> Vec<Vec<u8>> {
 }
 
 /// Reads one frame from a stream that carries `bytes` and then closes.
-async fn read_closed(bytes: &[u8]) -> Result<Wire, CodecError> {
-    let (mut tx, mut rx) = tokio::io::duplex(1 << 16);
-    tx.write_all(bytes).await.expect("duplex write");
-    drop(tx);
-    codec::read_frame(&mut rx).await
+fn read_closed(mut bytes: &[u8]) -> Result<Wire, CodecError> {
+    codec::read_frame(&mut bytes)
 }
 
 /// `bytes` with its length field replaced.
@@ -467,31 +463,31 @@ fn with_len(bytes: &[u8], len: u32) -> Vec<u8> {
 
 /// A frame cut anywhere ends in a typed error once the stream closes:
 /// `Closed` inside the length field, an I/O error inside the body.
-#[tokio::test]
-async fn truncated_frames_end_in_a_typed_error() {
+#[test]
+fn truncated_frames_end_in_a_typed_error() {
     for frame in frames() {
         for cut in 0..frame.len() {
-            let got = read_closed(&frame[..cut]).await;
+            let got = read_closed(&frame[..cut]);
             match cut {
                 0..4 => assert!(matches!(got, Err(CodecError::Closed)), "cut {cut}"),
                 _ => assert!(matches!(got, Err(CodecError::Io(_))), "cut {cut}"),
             }
         }
-        assert!(read_closed(&frame).await.is_ok());
+        assert!(read_closed(&frame).is_ok());
     }
 }
 
 /// Every single-bit flip of every frame either decodes to a frame that
 /// re-encodes to itself or ends in a typed error.
-#[tokio::test]
-async fn single_bitflips_of_a_frame_never_panic() {
+#[test]
+fn single_bitflips_of_a_frame_never_panic() {
     for frame in frames() {
         for i in 0..frame.len() * 8 {
             let mut flipped = frame.clone();
             flipped[i / 8] ^= 1 << (i % 8);
-            if let Ok(wire) = read_closed(&flipped).await {
+            if let Ok(wire) = read_closed(&flipped) {
                 let again = codec::encode(&wire);
-                assert!(matches!(read_closed(&again).await, Ok(w) if codec::encode(&w) == again));
+                assert!(matches!(read_closed(&again), Ok(w) if codec::encode(&w) == again));
             }
         }
     }
@@ -500,20 +496,20 @@ async fn single_bitflips_of_a_frame_never_panic() {
 /// A length field that disagrees with its body: longer runs into the
 /// next frame (trailing bytes) or the end of the stream, shorter cuts
 /// the value short. Both are typed errors.
-#[tokio::test]
-async fn length_field_disagreeing_with_the_body_is_an_error() {
+#[test]
+fn length_field_disagreeing_with_the_body_is_an_error() {
     for frame in frames() {
         let len = (frame.len() - 4) as u32;
         let mut longer = with_len(&frame, len + 1);
-        assert!(matches!(read_closed(&longer).await, Err(CodecError::Io(_))));
+        assert!(matches!(read_closed(&longer), Err(CodecError::Io(_))));
         longer.extend_from_slice(&frame);
-        let got = read_closed(&longer).await;
+        let got = read_closed(&longer);
         assert!(matches!(
             got,
             Err(CodecError::Malformed(SnapError::Trailing { .. }))
         ));
         for short in 0..len {
-            let got = read_closed(&with_len(&frame, short)).await;
+            let got = read_closed(&with_len(&frame, short));
             assert!(
                 matches!(got, Err(CodecError::Malformed(_))),
                 "{short}/{len}"
@@ -524,10 +520,10 @@ async fn length_field_disagreeing_with_the_body_is_an_error() {
 
 /// A length over the cap is refused from the header alone: the reader
 /// neither allocates the body nor waits for it.
-#[tokio::test]
-async fn oversized_length_is_refused_before_allocating() {
+#[test]
+fn oversized_length_is_refused_before_allocating() {
     for len in [codec::MAX_FRAME as u32 + 1, u32::MAX] {
-        let got = read_closed(&len.to_be_bytes()).await;
+        let got = read_closed(&len.to_be_bytes());
         assert!(matches!(got, Err(CodecError::TooLarge(n)) if n == len as usize));
     }
 }
