@@ -178,6 +178,17 @@ mod tests {
         assert_eq!(Fig2Checkpoint::from_bytes(&ck.to_bytes()).unwrap(), ck);
     }
 
+    /// The sample's bytes, pinned by length and FNV-1a; computed before
+    /// `Fig2Row`'s codec was derived.
+    #[test]
+    fn sample_bytes_are_pinned() {
+        let bytes = sample().to_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (131, 16_958_113_466_018_331_973));
+    }
+
     #[test]
     fn truncations_error() {
         let bytes = sample().to_bytes();

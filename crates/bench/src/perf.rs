@@ -300,6 +300,37 @@ mod tests {
         assert!(kb > 100, "peak RSS {kb} kB implausibly small");
     }
 
+    /// `write_record`'s exact text, fields in `BENCH_scale.json`'s
+    /// order; a missing RSS reading prints `null`.
+    #[test]
+    fn record_json_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("masc_bgmp_perf_{}", std::process::id()));
+        let mut record = BenchRecord {
+            area: "wheel".to_string(),
+            params: "8 spokes, seed 3".to_string(),
+            unit: "engine-events".to_string(),
+            quick: true,
+            seed: 3,
+            events: 1_000,
+            wall_ms: 2.5,
+            events_per_sec: 400_000.0,
+            ns_per_event: 2_500.25,
+            peak_rss_kb: Some(4_096),
+        };
+        let text = |record: &BenchRecord| {
+            let path = write_record(&dir, record).unwrap();
+            std::fs::read_to_string(path).unwrap()
+        };
+        let head = "{\n  \"area\": \"wheel\",\n  \"params\": \"8 spokes, seed 3\",\n  \
+                    \"unit\": \"engine-events\",\n  \"quick\": true,\n  \"seed\": 3,\n  \
+                    \"events\": 1000,\n  \"wall_ms\": 2.5,\n  \"events_per_sec\": 400000.0,\n  \
+                    \"ns_per_event\": 2500.25,\n  \"peak_rss_kb\": ";
+        assert_eq!(text(&record), format!("{head}4096\n}}\n"));
+        record.peak_rss_kb = None;
+        assert_eq!(text(&record), format!("{head}null\n}}\n"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn wheel_workload_is_deterministic() {
         let cfg = PerfConfig {

@@ -15,9 +15,9 @@
 //!   (never panic), and when it returns `Ok(v)`, re-encoding `v` must
 //!   decode back to `v`.
 //!
-//! Every variant of those four, and of the snapshot-only enums with a
-//! hand-written tagged codec, re-encodes to its own bytes, so a decode
-//! arm whose tag differs from its encode arm fails.
+//! Every variant of those four, and of the snapshot-only enums, re-encodes
+//! to its own bytes, so a decode arm whose tag differs from its encode
+//! arm fails; the encodings of both lists are pinned byte for byte.
 //!
 //! The border-router frame — a 4-byte length, then one `Wire`'s bytes,
 //! as the TCP shells exchange them — is cut at every length, flipped
@@ -47,7 +47,6 @@ use proptest::prelude::*;
 use simnet::{Event, NodeId};
 use snapshot::{Dec, Enc, SnapError, Snapshot, SnapshotState};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Debug;
 
 /// Encodes one message the way every session layer frames it: bare
 /// payload from a fresh encoder, no snapshot header.
@@ -189,19 +188,9 @@ fn corpus() -> Vec<Entry> {
         .collect()
 }
 
-/// `encode(v)` decodes strictly and re-encodes to the same bytes.
-fn reencodes<T: Snapshot + Debug>(values: &[T]) {
-    for v in values {
-        let bytes = enc_of(v);
-        let re = reencode::<T>(&bytes);
-        assert_eq!(re, Some(bytes), "{v:?} does not re-encode to its own bytes");
-    }
-}
-
-/// The same round trip for every variant of each enum that only a
-/// snapshot carries, each listed through a wildcard-free `match`.
-#[test]
-fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
+/// One encoding per variant of each enum that only a snapshot carries,
+/// each list checked by [`listed`].
+fn snapshot_only() -> Vec<Entry> {
     let (from, to, router, peer, gen, id) = (1, 2, 1, 2, 3, 5);
     let (host, group) = (HostId { domain: 3, host: 8 }, McastAddr(0xE100_0002));
     let source = SourceId { domain: 5, host: 2 };
@@ -213,7 +202,7 @@ fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
         to,
         msg: msg.clone(),
     };
-    reencodes(&listed(
+    let wires = listed(
         vec![
             Wire::Bgp { from, to, msg },
             Wire::Bgmp {
@@ -247,9 +236,9 @@ fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
             Wire::BgpRefresh { .. } => 9,
             Wire::SendData { .. } => 10,
         },
-    ));
+    );
     let (len, lifetime) = (24, 600);
-    reencodes(&listed(
+    let masc_wires = listed(
         vec![
             MascWire::Proto {
                 from,
@@ -261,10 +250,10 @@ fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
             MascWire::Proto { .. } => 0,
             MascWire::RequestBlock { .. } => 1,
         },
-    ));
-    reencodes(&[Workload::paper_fig2()]);
+    );
+    let workloads = [Workload::paper_fig2()];
     let (block, expires, request, demand) = (self::prefix(0xE141_0000, 24), 90, 4, 256);
-    reencodes(&listed(
+    let actions = listed(
         vec![
             MascAction::Send { to, msg: claim },
             MascAction::RangeGranted { prefix, expires },
@@ -285,10 +274,10 @@ fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
             MascAction::BlockExpired { .. } => 4,
             MascAction::ClaimFailed { .. } => 5,
         },
-    ));
-    reencodes(&[out]);
+    );
+    let outs = [out];
     let (a, b, node, key) = (NodeId(1), NodeId(2), NodeId(3), 12);
-    reencodes(&listed(
+    let events = listed(
         vec![
             Event::Message {
                 from: a,
@@ -309,51 +298,93 @@ fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
             Event::NodeDown(_) => 4,
             Event::NodeUp(_) => 5,
         },
-    ));
-    reencodes(&listed(vec![Target::Peer(4), Target::Migp], |t| match t {
+    );
+    let targets = listed(vec![Target::Peer(4), Target::Migp], |t| match t {
         Target::Peer(_) => 0,
         Target::Migp => 1,
-    }));
+    });
     let until = 30;
-    reencodes(&listed(
+    let phases = listed(
         vec![ClaimPhase::Waiting { until }, ClaimPhase::Granted],
         |c| match c {
             ClaimPhase::Waiting { .. } => 0,
             ClaimPhase::Granted => 1,
         },
-    ));
+    );
     use ClaimPurpose::{Consolidate, Double, New};
-    reencodes(&listed(
-        vec![New, Double { of: prefix }, Consolidate],
-        |c| match c {
-            New => 0,
-            Double { .. } => 1,
-            Consolidate => 2,
-        },
-    ));
+    let purposes = listed(vec![New, Double { of: prefix }, Consolidate], |c| match c {
+        New => 0,
+        Double { .. } => 1,
+        Consolidate => 2,
+    });
     use SessionState::{Connecting, Established, Idle};
-    reencodes(&listed(vec![Idle, Connecting, Established], |s| match s {
+    let states = listed(vec![Idle, Connecting, Established], |s| match s {
         Idle => 0,
         Connecting => 1,
         Established => 2,
-    }));
+    });
     use RouteSourceKind::{Customer, Local, Peer, Provider};
-    reencodes(&listed(
-        vec![Local, Customer, Provider, Peer],
-        |k| match k {
-            Local => 0,
-            Customer => 1,
-            Provider => 2,
-            Peer => 3,
-        },
-    ));
-    reencodes(&listed(
-        vec![Nlri::Domain(4), Nlri::Group(prefix)],
-        |n| match n {
-            Nlri::Domain(_) => 0,
-            Nlri::Group(_) => 1,
-        },
-    ));
+    let kinds = listed(vec![Local, Customer, Provider, Peer], |k| match k {
+        Local => 0,
+        Customer => 1,
+        Provider => 2,
+        Peer => 3,
+    });
+    let nlris = listed(vec![Nlri::Domain(4), Nlri::Group(prefix)], |n| match n {
+        Nlri::Domain(_) => 0,
+        Nlri::Group(_) => 1,
+    });
+    let mut all = Vec::new();
+    all.extend(entries("wire", &wires));
+    all.extend(entries("masc-wire", &masc_wires));
+    all.extend(entries("workload", &workloads));
+    all.extend(entries("masc-action", &actions));
+    all.extend(entries("out-msg", &outs));
+    all.extend(entries("event", &events));
+    all.extend(entries("target", &targets));
+    all.extend(entries("claim-phase", &phases));
+    all.extend(entries("claim-purpose", &purposes));
+    all.extend(entries("session-state", &states));
+    all.extend(entries("route-kind", &kinds));
+    all.extend(entries("nlri", &nlris));
+    all
+}
+
+/// Every variant of each snapshot-only enum decodes strictly and
+/// re-encodes to its own bytes.
+#[test]
+fn every_snapshot_enum_variant_reencodes_to_its_own_bytes() {
+    for (proto, bytes, reencode) in &snapshot_only() {
+        assert_eq!(
+            reencode(bytes).as_ref(),
+            Some(bytes),
+            "{proto}: entry does not re-encode to its own bytes"
+        );
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Both lists' encodings, concatenated, pinned by length and FNV-1a: a
+/// field written out of order still round-trips, so only the bytes
+/// show it. The constants were computed before any codec was derived
+/// and must not move.
+#[test]
+fn every_listed_encoding_is_pinned() {
+    const LEN: usize = 715;
+    const FNV1A: u64 = 9_249_612_854_215_274_733;
+    let bytes: Vec<u8> = (corpus().into_iter().chain(snapshot_only()))
+        .flat_map(|(_, bytes, _)| bytes)
+        .collect();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (LEN, FNV1A),
+        "the listed encodings' bytes changed"
+    );
 }
 
 #[test]
