@@ -11,7 +11,8 @@
 //! * sequences are a `u64` element count followed by the elements in
 //!   container iteration order — which is why only *ordered*
 //!   containers (`BTreeMap`, `BTreeSet`, `Vec`, `VecDeque`) may be
-//!   encoded;
+//!   encoded; a set's or map's keys must be strictly increasing, so a
+//!   repeated or out-of-order key is refused rather than merged;
 //! * enums are a `u8` tag followed by the variant's fields.
 //!
 //! Decoding is total: every read is bounds-checked and returns
@@ -453,7 +454,11 @@ impl<T: Snapshot + Ord> Snapshot for BTreeSet<T> {
         let n = dec.seq()?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            out.insert(T::decode(dec)?);
+            let v = T::decode(dec)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(SnapError::Invalid("BTreeSet out of order"));
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -472,6 +477,9 @@ impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
         let mut out = BTreeMap::new();
         for _ in 0..n {
             let k = K::decode(dec)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapError::Invalid("BTreeMap keys out of order"));
+            }
             let v = V::decode(dec)?;
             out.insert(k, v);
         }
@@ -627,6 +635,46 @@ mod tests {
         let mut d = Dec::new(&bytes);
         let _ = d.u8().unwrap();
         assert_eq!(d.finish(), Err(SnapError::Trailing { remaining: 1 }));
+    }
+
+    fn map_of(pairs: &[(u32, u64)]) -> Result<BTreeMap<u32, u64>, SnapError> {
+        let mut e = Enc::new();
+        e.seq(pairs.len());
+        for (k, v) in pairs {
+            e.u32(*k);
+            e.u64(*v);
+        }
+        BTreeMap::decode(&mut Dec::new(&e.finish()))
+    }
+
+    #[test]
+    fn a_repeated_map_key_is_refused_not_merged() {
+        assert_eq!(
+            map_of(&[(5, 1), (5, 2)]),
+            Err(SnapError::Invalid("BTreeMap keys out of order"))
+        );
+    }
+
+    #[test]
+    fn map_keys_out_of_order_are_refused() {
+        assert_eq!(
+            map_of(&[(6, 1), (5, 2)]),
+            Err(SnapError::Invalid("BTreeMap keys out of order"))
+        );
+        assert_eq!(map_of(&[(5, 2), (6, 1)]).map(|m| m.len()), Ok(2));
+    }
+
+    #[test]
+    fn a_repeated_set_element_is_refused() {
+        let mut e = Enc::new();
+        e.seq(3);
+        for _ in 0..3 {
+            e.u32(1);
+        }
+        assert_eq!(
+            BTreeSet::<u32>::decode(&mut Dec::new(&e.finish())),
+            Err(SnapError::Invalid("BTreeSet out of order"))
+        );
     }
 
     #[test]
