@@ -17,7 +17,7 @@ pub const SNAP_KIND_FIG2_RUN: u16 = 4;
 
 /// One sampled day of one replication, all-f64 so replications
 /// average without casts.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Snapshot)]
 pub struct Fig2Row {
     /// Simulated day of the sample.
     pub day: f64,
@@ -35,41 +35,6 @@ pub struct Fig2Row {
     pub global: f64,
     /// Outstanding unsatisfied block requests.
     pub pending: f64,
-}
-
-impl Snapshot for Fig2Row {
-    fn encode(&self, enc: &mut Enc) {
-        let Self {
-            day,
-            util,
-            leased,
-            claimed,
-            grib_avg,
-            grib_max,
-            global,
-            pending,
-        } = self;
-        enc.f64(*day);
-        enc.f64(*util);
-        enc.f64(*leased);
-        enc.f64(*claimed);
-        enc.f64(*grib_avg);
-        enc.f64(*grib_max);
-        enc.f64(*global);
-        enc.f64(*pending);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(Fig2Row {
-            day: dec.f64()?,
-            util: dec.f64()?,
-            leased: dec.f64()?,
-            claimed: dec.f64()?,
-            grib_avg: dec.f64()?,
-            grib_max: dec.f64()?,
-            global: dec.f64()?,
-            pending: dec.f64()?,
-        })
-    }
 }
 
 /// A mid-run fig2 replication, ready to be written to disk.

@@ -20,7 +20,7 @@ use crate::slab::Slab;
 
 /// A forwarding target: a BGMP peer router or the local MIGP
 /// component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, snapshot::Snapshot)]
 pub enum Target {
     /// Another border router (internal or external BGMP peer).
     Peer(RouterId),
@@ -30,7 +30,7 @@ pub enum Target {
 
 /// A multicast source: a host within a domain. Routing toward a source
 /// uses the M-RIB route toward its domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, snapshot::Snapshot)]
 pub struct SourceId {
     /// The source's domain.
     pub domain: Asn,
@@ -39,7 +39,7 @@ pub struct SourceId {
 }
 
 /// A shared-tree forwarding entry: (*,G) or (*,G-prefix).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub struct GroupEntry {
     /// The target toward the group's root domain (`None` only in the
     /// root domain itself, where the MIGP component is stored as the
@@ -72,7 +72,7 @@ impl GroupEntry {
 }
 
 /// A source-specific entry, (S,G).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub struct SgEntry {
     /// Toward the source (or the MIGP component in the source's own
     /// domain). `None` when the entry was created on the shared tree
@@ -293,83 +293,6 @@ impl ForwardingTable {
             }
         }
         before - self.star.len()
-    }
-}
-
-impl snapshot::Snapshot for Target {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            Target::Peer(r) => {
-                enc.u8(0);
-                enc.u32(*r);
-            }
-            Target::Migp => enc.u8(1),
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(Target::Peer(dec.u32()?)),
-            1 => Ok(Target::Migp),
-            _ => Err(snapshot::SnapError::Invalid("Target tag")),
-        }
-    }
-}
-
-impl snapshot::Snapshot for SourceId {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { domain, host } = self;
-        enc.u32(*domain);
-        enc.u32(*host);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(SourceId {
-            domain: dec.u32()?,
-            host: dec.u32()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for GroupEntry {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            parent,
-            via_exit,
-            children,
-        } = self;
-        parent.encode(enc);
-        via_exit.encode(enc);
-        children.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let parent = snapshot::Snapshot::decode(dec)?;
-        let via_exit: Option<RouterId> = snapshot::Snapshot::decode(dec)?;
-        Ok(GroupEntry {
-            parent,
-            via_exit,
-            children: snapshot::Snapshot::decode(dec)?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for SgEntry {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            parent,
-            via_exit,
-            children,
-        } = self;
-        parent.encode(enc);
-        via_exit.encode(enc);
-        children.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let parent = snapshot::Snapshot::decode(dec)?;
-        let via_exit: Option<RouterId> = snapshot::Snapshot::decode(dec)?;
-        Ok(SgEntry {
-            parent,
-            via_exit,
-            children: snapshot::Snapshot::decode(dec)?,
-        })
     }
 }
 

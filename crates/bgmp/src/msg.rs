@@ -18,7 +18,7 @@ use crate::entry::SourceId;
 
 /// A BGMP message between peering border routers (carried over their
 /// persistent TCP session, §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub enum BgmpMsg {
     /// Join the shared tree for the group (sets up (*,G) state toward
     /// the root domain).
@@ -29,46 +29,6 @@ pub enum BgmpMsg {
     SourceJoin(SourceId, McastAddr),
     /// Prune a source's data from this direction.
     SourcePrune(SourceId, McastAddr),
-}
-
-impl snapshot::Snapshot for BgmpMsg {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            BgmpMsg::Join(g) => {
-                enc.u8(0);
-                g.encode(enc);
-            }
-            BgmpMsg::Prune(g) => {
-                enc.u8(1);
-                g.encode(enc);
-            }
-            BgmpMsg::SourceJoin(s, g) => {
-                enc.u8(2);
-                s.encode(enc);
-                g.encode(enc);
-            }
-            BgmpMsg::SourcePrune(s, g) => {
-                enc.u8(3);
-                s.encode(enc);
-                g.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(BgmpMsg::Join(McastAddr::decode(dec)?)),
-            1 => Ok(BgmpMsg::Prune(McastAddr::decode(dec)?)),
-            2 => Ok(BgmpMsg::SourceJoin(
-                SourceId::decode(dec)?,
-                McastAddr::decode(dec)?,
-            )),
-            3 => Ok(BgmpMsg::SourcePrune(
-                SourceId::decode(dec)?,
-                McastAddr::decode(dec)?,
-            )),
-            _ => Err(snapshot::SnapError::Invalid("BgmpMsg tag")),
-        }
-    }
 }
 
 /// How a group join/prune resolves toward its root domain.

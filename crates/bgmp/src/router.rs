@@ -20,7 +20,7 @@ use crate::entry::{ForwardingTable, GroupEntry, SgEntry, SourceId, Target};
 use crate::msg::{BgmpAction, BgmpMsg, NextHop, RouteLookup};
 
 /// Counters for analysis.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, snapshot::Snapshot)]
 pub struct BgmpStats {
     /// Shared-tree joins processed.
     pub joins: u64,
@@ -536,29 +536,6 @@ impl BgmpRouter {
         }
         memo.insert(g, resolved);
         resolved
-    }
-}
-
-impl snapshot::Snapshot for BgmpStats {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            joins,
-            prunes,
-            source_joins,
-            source_prunes,
-        } = self;
-        enc.u64(*joins);
-        enc.u64(*prunes);
-        enc.u64(*source_joins);
-        enc.u64(*source_prunes);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(BgmpStats {
-            joins: dec.u64()?,
-            prunes: dec.u64()?,
-            source_joins: dec.u64()?,
-            source_prunes: dec.u64()?,
-        })
     }
 }
 

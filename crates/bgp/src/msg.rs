@@ -15,7 +15,7 @@ use crate::policy::RouteSourceKind;
 use crate::route::{Nlri, Route, RouterId};
 
 /// A message from one speaker to a specific peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub enum BgpMsg {
     /// Advertise (or replace) a route. `kind` classifies how the route
     /// entered the sender's domain; it is meaningful only on iBGP
@@ -34,50 +34,10 @@ pub enum BgpMsg {
 
 /// An outbound message with its destination, as emitted by the sans-io
 /// speaker. The host (simulator or TCP shell) owns delivery.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub struct OutMsg {
     /// Destination router.
     pub to: RouterId,
     /// Payload.
     pub msg: BgpMsg,
-}
-
-impl snapshot::Snapshot for BgpMsg {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            BgpMsg::Update { route, kind } => {
-                enc.u8(0);
-                route.encode(enc);
-                kind.encode(enc);
-            }
-            BgpMsg::Withdraw(nlri) => {
-                enc.u8(1);
-                nlri.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(BgpMsg::Update {
-                route: Route::decode(dec)?,
-                kind: snapshot::Snapshot::decode(dec)?,
-            }),
-            1 => Ok(BgpMsg::Withdraw(Nlri::decode(dec)?)),
-            _ => Err(snapshot::SnapError::Invalid("BgpMsg tag")),
-        }
-    }
-}
-
-impl snapshot::Snapshot for OutMsg {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { to, msg } = self;
-        enc.u32(*to);
-        msg.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(OutMsg {
-            to: dec.u32()?,
-            msg: BgpMsg::decode(dec)?,
-        })
-    }
 }

@@ -23,7 +23,7 @@ pub enum PeerRel {
 
 /// The external-facing classification of a route regardless of iBGP
 /// hops: how it entered this *domain*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub enum RouteSourceKind {
     /// Originated in this domain.
     Local,
@@ -90,26 +90,6 @@ impl PeerConfig {
     /// Is this an iBGP (same-domain) peer?
     pub fn is_internal(&self) -> bool {
         self.rel == PeerRel::Internal
-    }
-}
-
-impl snapshot::Snapshot for RouteSourceKind {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u8(match self {
-            RouteSourceKind::Local => 0,
-            RouteSourceKind::Customer => 1,
-            RouteSourceKind::Provider => 2,
-            RouteSourceKind::Peer => 3,
-        });
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(RouteSourceKind::Local),
-            1 => Ok(RouteSourceKind::Customer),
-            2 => Ok(RouteSourceKind::Provider),
-            3 => Ok(RouteSourceKind::Peer),
-            _ => Err(snapshot::SnapError::Invalid("RouteSourceKind tag")),
-        }
     }
 }
 

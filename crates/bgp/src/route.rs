@@ -180,7 +180,7 @@ impl snapshot::Snapshot for AsPath {
 }
 
 /// Network-layer reachability information: what a route is *for*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, snapshot::Snapshot)]
 pub enum Nlri {
     /// Reachability to a whole domain (unicast / M-RIB view).
     Domain(Asn),
@@ -200,7 +200,7 @@ impl Nlri {
 }
 
 /// A route to an NLRI as stored in a RIB.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub struct Route {
     /// What the route reaches.
     pub nlri: Nlri,
@@ -257,54 +257,6 @@ pub fn prefer(a: &Route, b: &Route) -> bool {
         !a.ebgp,
         a.next_hop,
     ) < (!b.local, b.as_path.len(), !b.ebgp, b.next_hop)
-}
-
-impl snapshot::Snapshot for Nlri {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            Nlri::Domain(asn) => {
-                enc.u8(0);
-                enc.u32(*asn);
-            }
-            Nlri::Group(p) => {
-                enc.u8(1);
-                p.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(Nlri::Domain(dec.u32()?)),
-            1 => Ok(Nlri::Group(Prefix::decode(dec)?)),
-            _ => Err(snapshot::SnapError::Invalid("Nlri tag")),
-        }
-    }
-}
-
-impl snapshot::Snapshot for Route {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            nlri,
-            as_path,
-            next_hop,
-            local,
-            ebgp,
-        } = self;
-        nlri.encode(enc);
-        as_path.encode(enc);
-        enc.u32(*next_hop);
-        enc.bool(*local);
-        enc.bool(*ebgp);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(Route {
-            nlri: Nlri::decode(dec)?,
-            as_path: snapshot::Snapshot::decode(dec)?,
-            next_hop: dec.u32()?,
-            local: dec.bool()?,
-            ebgp: dec.bool()?,
-        })
-    }
 }
 
 #[cfg(test)]

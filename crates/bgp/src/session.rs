@@ -8,7 +8,7 @@
 
 /// Session states (condensed from RFC 1771's six to the three that
 /// matter for behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub enum SessionState {
     /// No connection; retry at the recorded time.
     Idle,
@@ -65,7 +65,7 @@ impl Default for SessionTimers {
 }
 
 /// A peering session with explicit-time liveness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, snapshot::Snapshot)]
 pub struct Session {
     state: SessionState,
     timers: SessionTimers,
@@ -178,24 +178,6 @@ impl Session {
     }
 }
 
-impl snapshot::Snapshot for SessionState {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u8(match self {
-            SessionState::Idle => 0,
-            SessionState::Connecting => 1,
-            SessionState::Established => 2,
-        });
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(SessionState::Idle),
-            1 => Ok(SessionState::Connecting),
-            2 => Ok(SessionState::Established),
-            _ => Err(snapshot::SnapError::Invalid("SessionState tag")),
-        }
-    }
-}
-
 impl snapshot::Snapshot for SessionTimers {
     fn encode(&self, enc: &mut snapshot::Enc) {
         let Self {
@@ -219,32 +201,6 @@ impl snapshot::Snapshot for SessionTimers {
             return Err(snapshot::SnapError::Invalid("hold must exceed keepalive"));
         }
         Ok(t)
-    }
-}
-
-impl snapshot::Snapshot for Session {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            state,
-            timers,
-            last_heard,
-            last_sent,
-            retry_at,
-        } = self;
-        state.encode(enc);
-        timers.encode(enc);
-        enc.u64(*last_heard);
-        enc.u64(*last_sent);
-        enc.u64(*retry_at);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(Session {
-            state: SessionState::decode(dec)?,
-            timers: SessionTimers::decode(dec)?,
-            last_heard: dec.u64()?,
-            last_sent: dec.u64()?,
-            retry_at: dec.u64()?,
-        })
     }
 }
 

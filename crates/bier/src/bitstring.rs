@@ -20,7 +20,7 @@ pub const DEFAULT_BSL: usize = 256;
 pub struct BfrId(pub u32);
 
 /// A set index (SI): which `bsl`-sized block of BFR-ids a bit lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, snapshot::Snapshot)]
 pub struct SetId(pub u32);
 
 /// A fixed-capacity bitstring of `bsl` bits, backed by u64 words.
@@ -146,15 +146,6 @@ impl snapshot::Snapshot for BfrId {
             return Err(snapshot::SnapError::Invalid("BfrId zero"));
         }
         Ok(BfrId(v))
-    }
-}
-
-impl snapshot::Snapshot for SetId {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.0);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(SetId(dec.u32()?))
     }
 }
 

@@ -25,11 +25,11 @@
 )]
 
 use crate::bitstring::{BfrId, BitString, SetId};
-use snapshot::{Dec, Enc, SnapError, Snapshot};
+use snapshot::Snapshot;
 
 /// A BIER frame: overlay signaling, a data packet header, or an
 /// adjacency fault notification.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Snapshot)]
 pub enum BierMsg {
     /// Receiver `bfr` joins `group` (overlay signaling to the ingress).
     Subscribe {
@@ -70,63 +70,4 @@ pub enum BierMsg {
         /// Far end of the restored adjacency.
         to: BfrId,
     },
-}
-
-impl Snapshot for BierMsg {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            BierMsg::Subscribe { group, bfr } => {
-                enc.u8(0);
-                enc.u32(*group);
-                bfr.encode(enc);
-            }
-            BierMsg::Unsubscribe { group, bfr } => {
-                enc.u8(1);
-                enc.u32(*group);
-                bfr.encode(enc);
-            }
-            BierMsg::Packet { group, si, bits } => {
-                enc.u8(2);
-                enc.u32(*group);
-                si.encode(enc);
-                bits.encode(enc);
-            }
-            BierMsg::AdjDown { from, to } => {
-                enc.u8(3);
-                from.encode(enc);
-                to.encode(enc);
-            }
-            BierMsg::AdjUp { from, to } => {
-                enc.u8(4);
-                from.encode(enc);
-                to.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        match dec.u8()? {
-            0 => Ok(BierMsg::Subscribe {
-                group: dec.u32()?,
-                bfr: BfrId::decode(dec)?,
-            }),
-            1 => Ok(BierMsg::Unsubscribe {
-                group: dec.u32()?,
-                bfr: BfrId::decode(dec)?,
-            }),
-            2 => Ok(BierMsg::Packet {
-                group: dec.u32()?,
-                si: SetId::decode(dec)?,
-                bits: BitString::decode(dec)?,
-            }),
-            3 => Ok(BierMsg::AdjDown {
-                from: BfrId::decode(dec)?,
-                to: BfrId::decode(dec)?,
-            }),
-            4 => Ok(BierMsg::AdjUp {
-                from: BfrId::decode(dec)?,
-                to: BfrId::decode(dec)?,
-            }),
-            _ => Err(SnapError::Invalid("BierMsg tag")),
-        }
-    }
 }

@@ -21,7 +21,7 @@ use migp::{Delivery, LocalRouter, Migp, MigpEvent};
 use simnet::{Ctx, Node, NodeId, SimDuration};
 
 /// A host identity: lives in a domain, attached to an internal router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, snapshot::Snapshot)]
 pub struct HostId {
     /// The host's domain.
     pub domain: Asn,
@@ -30,7 +30,7 @@ pub struct HostId {
 }
 
 /// A multicast data packet crossing domain boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub struct DataPacket {
     /// Originating host.
     pub source: SourceId,
@@ -41,7 +41,7 @@ pub struct DataPacket {
 }
 
 /// Messages between domain actors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, snapshot::Snapshot)]
 pub enum Wire {
     /// BGP between border routers of adjacent domains.
     Bgp {
@@ -213,6 +213,7 @@ const KEY_SESSION_TICK: u64 = u64::MAX - 1;
 
 /// One liveness session toward an external peer router, plus the last
 /// incarnation seen from that peer.
+#[derive(snapshot::Snapshot)]
 struct PeerSession {
     sess: Session,
     peer_gen: Option<u64>,
@@ -237,7 +238,7 @@ impl PeerSession {
 }
 
 /// Delivery bookkeeping shared with tests and harnesses.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, snapshot::Snapshot)]
 pub struct DeliveryLog {
     /// (packet id, receiving host) pairs, in arrival order.
     pub received: Vec<(u64, HostId)>,
@@ -1729,200 +1730,6 @@ impl Node<Wire> for DomainActor {
 // ----------------------------------------------------------------------
 // Snapshot support
 // ----------------------------------------------------------------------
-
-impl snapshot::Snapshot for HostId {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { domain, host } = self;
-        enc.u32(*domain);
-        enc.u32(*host);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(HostId {
-            domain: dec.u32()?,
-            host: dec.u32()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for DataPacket {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { source, group, id } = self;
-        source.encode(enc);
-        group.encode(enc);
-        enc.u64(*id);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(DataPacket {
-            source: SourceId::decode(dec)?,
-            group: McastAddr::decode(dec)?,
-            id: dec.u64()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for Wire {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            Wire::Bgp { from, to, msg } => {
-                enc.u8(0);
-                enc.u32(*from);
-                enc.u32(*to);
-                msg.encode(enc);
-            }
-            Wire::Bgmp { from, to, msg } => {
-                enc.u8(1);
-                enc.u32(*from);
-                enc.u32(*to);
-                msg.encode(enc);
-            }
-            Wire::Masc { from, msg } => {
-                enc.u8(2);
-                enc.u32(*from);
-                msg.encode(enc);
-            }
-            Wire::Data { from, to, packet } => {
-                enc.u8(3);
-                enc.u32(*from);
-                enc.u32(*to);
-                packet.encode(enc);
-            }
-            Wire::HostJoin { host, group } => {
-                enc.u8(4);
-                host.encode(enc);
-                group.encode(enc);
-            }
-            Wire::HostLeave { host, group } => {
-                enc.u8(5);
-                host.encode(enc);
-                group.encode(enc);
-            }
-            Wire::PeerLinkDown { router, peer } => {
-                enc.u8(6);
-                enc.u32(*router);
-                enc.u32(*peer);
-            }
-            Wire::PeerLinkUp { router, peer } => {
-                enc.u8(7);
-                enc.u32(*router);
-                enc.u32(*peer);
-            }
-            Wire::Keepalive { from, to, gen } => {
-                enc.u8(8);
-                enc.u32(*from);
-                enc.u32(*to);
-                enc.u64(*gen);
-            }
-            Wire::BgpRefresh { from, to } => {
-                enc.u8(9);
-                enc.u32(*from);
-                enc.u32(*to);
-            }
-            Wire::SendData { host, group, id } => {
-                enc.u8(10);
-                host.encode(enc);
-                group.encode(enc);
-                enc.u64(*id);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(Wire::Bgp {
-                from: dec.u32()?,
-                to: dec.u32()?,
-                msg: BgpMsg::decode(dec)?,
-            }),
-            1 => Ok(Wire::Bgmp {
-                from: dec.u32()?,
-                to: dec.u32()?,
-                msg: BgmpMsg::decode(dec)?,
-            }),
-            2 => Ok(Wire::Masc {
-                from: dec.u32()?,
-                msg: MascMsg::decode(dec)?,
-            }),
-            3 => Ok(Wire::Data {
-                from: dec.u32()?,
-                to: dec.u32()?,
-                packet: DataPacket::decode(dec)?,
-            }),
-            4 => Ok(Wire::HostJoin {
-                host: HostId::decode(dec)?,
-                group: McastAddr::decode(dec)?,
-            }),
-            5 => Ok(Wire::HostLeave {
-                host: HostId::decode(dec)?,
-                group: McastAddr::decode(dec)?,
-            }),
-            6 => Ok(Wire::PeerLinkDown {
-                router: dec.u32()?,
-                peer: dec.u32()?,
-            }),
-            7 => Ok(Wire::PeerLinkUp {
-                router: dec.u32()?,
-                peer: dec.u32()?,
-            }),
-            8 => Ok(Wire::Keepalive {
-                from: dec.u32()?,
-                to: dec.u32()?,
-                gen: dec.u64()?,
-            }),
-            9 => Ok(Wire::BgpRefresh {
-                from: dec.u32()?,
-                to: dec.u32()?,
-            }),
-            10 => Ok(Wire::SendData {
-                host: HostId::decode(dec)?,
-                group: McastAddr::decode(dec)?,
-                id: dec.u64()?,
-            }),
-            _ => Err(snapshot::SnapError::Invalid("Wire tag")),
-        }
-    }
-}
-
-impl snapshot::Snapshot for DeliveryLog {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            received,
-            duplicates,
-            dropped,
-            encapsulations,
-        } = self;
-        received.encode(enc);
-        enc.u64(*duplicates);
-        enc.u64(*dropped);
-        enc.u64(*encapsulations);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(DeliveryLog {
-            received: snapshot::Snapshot::decode(dec)?,
-            duplicates: dec.u64()?,
-            dropped: dec.u64()?,
-            encapsulations: dec.u64()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for PeerSession {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            sess,
-            peer_gen,
-            local_epoch,
-        } = self;
-        sess.encode(enc);
-        peer_gen.encode(enc);
-        enc.u64(*local_epoch);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(PeerSession {
-            sess: Session::decode(dec)?,
-            peer_gen: snapshot::Snapshot::decode(dec)?,
-            local_epoch: dec.u64()?,
-        })
-    }
-}
 
 impl snapshot::SnapshotState for DomainActor {
     /// Everything routed or learned since boot: every border router's

@@ -6,7 +6,7 @@ use mcast_addr::{FreeSpace, Prefix, Secs, SpaceTracker};
 use crate::msg::DomainAsn;
 
 /// A claim known to exist in the outer space (a sibling's, or our own).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub struct KnownClaim {
     /// The claiming domain.
     pub owner: DomainAsn,
@@ -363,7 +363,7 @@ impl OuterSpace {
 }
 
 /// Lifecycle state of one of our own claims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub enum ClaimPhase {
     /// In the collision-detection waiting period, granted at the time
     /// given.
@@ -376,7 +376,7 @@ pub enum ClaimPhase {
 }
 
 /// Why we made a claim — determines what happens on grant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub enum ClaimPurpose {
     /// A fresh range.
     New,
@@ -390,7 +390,7 @@ pub enum ClaimPurpose {
 }
 
 /// One of our own claims, waiting or granted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, snapshot::Snapshot)]
 pub struct OwnClaim {
     /// The range.
     pub prefix: Prefix,
@@ -408,97 +408,6 @@ impl OwnClaim {
     /// Is the claim still in its waiting period?
     pub fn is_waiting(&self) -> bool {
         matches!(self.phase, ClaimPhase::Waiting { .. })
-    }
-}
-
-impl snapshot::Snapshot for KnownClaim {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            owner,
-            prefix,
-            expires,
-            at,
-        } = self;
-        enc.u32(*owner);
-        prefix.encode(enc);
-        enc.u64(*expires);
-        enc.u64(*at);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(KnownClaim {
-            owner: dec.u32()?,
-            prefix: Prefix::decode(dec)?,
-            expires: dec.u64()?,
-            at: dec.u64()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for ClaimPhase {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            ClaimPhase::Waiting { until } => {
-                enc.u8(0);
-                enc.u64(*until);
-            }
-            ClaimPhase::Granted => enc.u8(1),
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(ClaimPhase::Waiting { until: dec.u64()? }),
-            1 => Ok(ClaimPhase::Granted),
-            _ => Err(snapshot::SnapError::Invalid("ClaimPhase tag")),
-        }
-    }
-}
-
-impl snapshot::Snapshot for ClaimPurpose {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            ClaimPurpose::New => enc.u8(0),
-            ClaimPurpose::Double { of } => {
-                enc.u8(1);
-                of.encode(enc);
-            }
-            ClaimPurpose::Consolidate => enc.u8(2),
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(ClaimPurpose::New),
-            1 => Ok(ClaimPurpose::Double {
-                of: Prefix::decode(dec)?,
-            }),
-            2 => Ok(ClaimPurpose::Consolidate),
-            _ => Err(snapshot::SnapError::Invalid("ClaimPurpose tag")),
-        }
-    }
-}
-
-impl snapshot::Snapshot for OwnClaim {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            prefix,
-            phase,
-            purpose,
-            expires,
-            at,
-        } = self;
-        prefix.encode(enc);
-        phase.encode(enc);
-        purpose.encode(enc);
-        enc.u64(*expires);
-        enc.u64(*at);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(OwnClaim {
-            prefix: Prefix::decode(dec)?,
-            phase: ClaimPhase::decode(dec)?,
-            purpose: ClaimPurpose::decode(dec)?,
-            expires: dec.u64()?,
-            at: dec.u64()?,
-        })
     }
 }
 

@@ -4,7 +4,7 @@
 use mcast_addr::Secs;
 
 /// Configuration for a [`crate::node::MascNode`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, snapshot::Snapshot)]
 pub struct MascConfig {
     /// Collision-detection waiting period before a claim is granted.
     /// Paper §4.1: "we believe 48 hours to be a realistic period".
@@ -50,38 +50,6 @@ impl MascConfig {
             claim_retry_backoff: 20,
             ..Default::default()
         }
-    }
-}
-
-impl snapshot::Snapshot for MascConfig {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            wait_period,
-            range_lifetime,
-            renew_margin,
-            target_occupancy,
-            max_active_prefixes,
-            min_claim_len,
-            claim_retry_backoff,
-        } = self;
-        enc.u64(*wait_period);
-        enc.u64(*range_lifetime);
-        enc.u64(*renew_margin);
-        enc.f64(*target_occupancy);
-        enc.usize(*max_active_prefixes);
-        enc.u8(*min_claim_len);
-        enc.u64(*claim_retry_backoff);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(MascConfig {
-            wait_period: dec.u64()?,
-            range_lifetime: dec.u64()?,
-            renew_margin: dec.u64()?,
-            target_occupancy: dec.f64()?,
-            max_active_prefixes: dec.usize()?,
-            min_claim_len: dec.u8()?,
-            claim_retry_backoff: dec.u64()?,
-        })
     }
 }
 

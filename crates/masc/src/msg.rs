@@ -23,7 +23,7 @@ use mcast_addr::{Prefix, Secs};
 pub type DomainAsn = u32;
 
 /// A MASC protocol message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub enum MascMsg {
     /// Parent → children: the parent's current address ranges with
     /// their expiry times (§4.1 "A advertises its address range ... to
@@ -86,87 +86,8 @@ pub enum MascMsg {
     },
 }
 
-impl snapshot::Snapshot for MascMsg {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            MascMsg::ParentAdvertise { ranges } => {
-                enc.u8(0);
-                ranges.encode(enc);
-            }
-            MascMsg::Claim {
-                claimer,
-                prefix,
-                expires,
-                at,
-            } => {
-                enc.u8(1);
-                enc.u32(*claimer);
-                prefix.encode(enc);
-                enc.u64(*expires);
-                enc.u64(*at);
-            }
-            MascMsg::Collision { holder, prefix } => {
-                enc.u8(2);
-                enc.u32(*holder);
-                prefix.encode(enc);
-            }
-            MascMsg::Renew {
-                claimer,
-                prefix,
-                expires,
-            } => {
-                enc.u8(3);
-                enc.u32(*claimer);
-                prefix.encode(enc);
-                enc.u64(*expires);
-            }
-            MascMsg::SpaceNeeded { claimer, demand } => {
-                enc.u8(4);
-                enc.u32(*claimer);
-                enc.u64(*demand);
-            }
-            MascMsg::Release { claimer, prefix } => {
-                enc.u8(5);
-                enc.u32(*claimer);
-                prefix.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(MascMsg::ParentAdvertise {
-                ranges: snapshot::Snapshot::decode(dec)?,
-            }),
-            1 => Ok(MascMsg::Claim {
-                claimer: dec.u32()?,
-                prefix: Prefix::decode(dec)?,
-                expires: dec.u64()?,
-                at: dec.u64()?,
-            }),
-            2 => Ok(MascMsg::Collision {
-                holder: dec.u32()?,
-                prefix: Prefix::decode(dec)?,
-            }),
-            3 => Ok(MascMsg::Renew {
-                claimer: dec.u32()?,
-                prefix: Prefix::decode(dec)?,
-                expires: dec.u64()?,
-            }),
-            4 => Ok(MascMsg::SpaceNeeded {
-                claimer: dec.u32()?,
-                demand: dec.u64()?,
-            }),
-            5 => Ok(MascMsg::Release {
-                claimer: dec.u32()?,
-                prefix: Prefix::decode(dec)?,
-            }),
-            _ => Err(snapshot::SnapError::Invalid("MascMsg tag")),
-        }
-    }
-}
-
 /// An effect requested by the MASC engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, snapshot::Snapshot)]
 pub enum MascAction {
     /// Transmit `msg` to the MASC node of domain `to`.
     Send {
@@ -211,68 +132,4 @@ pub enum MascAction {
         /// Addresses that could not be obtained.
         demand: u64,
     },
-}
-
-impl snapshot::Snapshot for MascAction {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            MascAction::Send { to, msg } => {
-                enc.u8(0);
-                enc.u32(*to);
-                msg.encode(enc);
-            }
-            MascAction::RangeGranted { prefix, expires } => {
-                enc.u8(1);
-                prefix.encode(enc);
-                enc.u64(*expires);
-            }
-            MascAction::RangeLost { prefix } => {
-                enc.u8(2);
-                prefix.encode(enc);
-            }
-            MascAction::BlockReady {
-                request,
-                block,
-                expires,
-            } => {
-                enc.u8(3);
-                enc.u64(*request);
-                block.encode(enc);
-                enc.u64(*expires);
-            }
-            MascAction::BlockExpired { block } => {
-                enc.u8(4);
-                block.encode(enc);
-            }
-            MascAction::ClaimFailed { demand } => {
-                enc.u8(5);
-                enc.u64(*demand);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(MascAction::Send {
-                to: dec.u32()?,
-                msg: MascMsg::decode(dec)?,
-            }),
-            1 => Ok(MascAction::RangeGranted {
-                prefix: Prefix::decode(dec)?,
-                expires: dec.u64()?,
-            }),
-            2 => Ok(MascAction::RangeLost {
-                prefix: Prefix::decode(dec)?,
-            }),
-            3 => Ok(MascAction::BlockReady {
-                request: dec.u64()?,
-                block: Prefix::decode(dec)?,
-                expires: dec.u64()?,
-            }),
-            4 => Ok(MascAction::BlockExpired {
-                block: Prefix::decode(dec)?,
-            }),
-            5 => Ok(MascAction::ClaimFailed { demand: dec.u64()? }),
-            _ => Err(snapshot::SnapError::Invalid("MascAction tag")),
-        }
-    }
 }

@@ -39,7 +39,7 @@ use crate::config::MascConfig;
 use crate::msg::{DomainAsn, MascAction, MascMsg};
 
 /// Counters for analysis and the collision ablation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, snapshot::Snapshot)]
 pub struct MascStats {
     /// Claims initiated (including retries).
     pub claims_made: u64,
@@ -54,7 +54,7 @@ pub struct MascStats {
 }
 
 /// A queued MAAS block request.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, snapshot::Snapshot)]
 struct PendingReq {
     id: u64,
     len: u8,
@@ -1209,48 +1209,6 @@ impl MascNode {
     /// Recorded child claims (for G-RIB accounting at parents).
     pub fn child_claim_count(&self) -> usize {
         self.child_claims.len()
-    }
-}
-
-impl snapshot::Snapshot for MascStats {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            claims_made,
-            collisions,
-            grants,
-            failures,
-            releases,
-        } = self;
-        enc.u64(*claims_made);
-        enc.u64(*collisions);
-        enc.u64(*grants);
-        enc.u64(*failures);
-        enc.u64(*releases);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(MascStats {
-            claims_made: dec.u64()?,
-            collisions: dec.u64()?,
-            grants: dec.u64()?,
-            failures: dec.u64()?,
-            releases: dec.u64()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for PendingReq {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { id, len, lifetime } = self;
-        enc.u64(*id);
-        enc.u8(*len);
-        enc.u64(*lifetime);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(PendingReq {
-            id: dec.u64()?,
-            len: dec.u8()?,
-            lifetime: dec.u64()?,
-        })
     }
 }
 

@@ -13,7 +13,7 @@ use crate::msg::{DomainAsn, MascAction, MascMsg};
 use crate::node::MascNode;
 
 /// Messages carried by the simulator between MASC actors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, snapshot::Snapshot)]
 pub enum MascWire {
     /// A protocol message from another domain.
     Proto {
@@ -63,7 +63,7 @@ impl Workload {
 const WORKLOAD_TIMER: u64 = u64::MAX;
 
 /// Running counters kept by a [`MascActor`] for analysis.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, snapshot::Snapshot)]
 pub struct ActorStats {
     /// Blocks currently leased (addresses).
     pub leased_addrs: u64,
@@ -480,36 +480,6 @@ impl HierarchySim {
 /// Snapshot kind tag for [`HierarchySim::checkpoint`] blobs.
 pub const SNAP_KIND_HIERARCHY: u16 = 2;
 
-impl snapshot::Snapshot for MascWire {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        match self {
-            MascWire::Proto { from, msg } => {
-                enc.u8(0);
-                enc.u32(*from);
-                msg.encode(enc);
-            }
-            MascWire::RequestBlock { len, lifetime } => {
-                enc.u8(1);
-                enc.u8(*len);
-                enc.u64(*lifetime);
-            }
-        }
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        match dec.u8()? {
-            0 => Ok(MascWire::Proto {
-                from: dec.u32()?,
-                msg: MascMsg::decode(dec)?,
-            }),
-            1 => Ok(MascWire::RequestBlock {
-                len: dec.u8()?,
-                lifetime: dec.u64()?,
-            }),
-            _ => Err(snapshot::SnapError::Invalid("MascWire tag")),
-        }
-    }
-}
-
 impl snapshot::Snapshot for Workload {
     fn encode(&self, enc: &mut snapshot::Enc) {
         let Self {
@@ -534,29 +504,6 @@ impl snapshot::Snapshot for Workload {
             return Err(snapshot::SnapError::Invalid("workload gap range"));
         }
         Ok(w)
-    }
-}
-
-impl snapshot::Snapshot for ActorStats {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            leased_addrs,
-            blocks_obtained,
-            blocks_pending,
-            blocks_lost,
-        } = self;
-        enc.u64(*leased_addrs);
-        enc.u64(*blocks_obtained);
-        enc.u64(*blocks_pending);
-        enc.u64(*blocks_lost);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(ActorStats {
-            leased_addrs: dec.u64()?,
-            blocks_obtained: dec.u64()?,
-            blocks_pending: dec.u64()?,
-            blocks_lost: dec.u64()?,
-        })
     }
 }
 

@@ -11,7 +11,7 @@ use crate::prefix::Prefix;
 use crate::space::SpaceTracker;
 
 /// One prefix owned by the domain, with its allocation state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, snapshot::Snapshot)]
 pub struct OwnedPrefix {
     /// The claimed range.
     pub prefix: Prefix,
@@ -43,7 +43,7 @@ impl OwnedPrefix {
 }
 
 /// First-fit block allocator over a domain's owned prefixes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, snapshot::Snapshot)]
 pub struct BlockAllocator {
     owned: Vec<OwnedPrefix>,
 }
@@ -234,38 +234,6 @@ impl BlockAllocator {
         } else {
             self.used() as f64 / cap as f64
         }
-    }
-}
-
-impl snapshot::Snapshot for OwnedPrefix {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            prefix,
-            active,
-            blocks,
-        } = self;
-        prefix.encode(enc);
-        enc.bool(*active);
-        blocks.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(OwnedPrefix {
-            prefix: Prefix::decode(dec)?,
-            active: dec.bool()?,
-            blocks: SpaceTracker::decode(dec)?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for BlockAllocator {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { owned } = self;
-        owned.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(BlockAllocator {
-            owned: snapshot::Snapshot::decode(dec)?,
-        })
     }
 }
 

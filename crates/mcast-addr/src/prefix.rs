@@ -9,7 +9,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// A single IPv4 multicast address (class D, `224.0.0.0/4`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, snapshot::Snapshot)]
 pub struct McastAddr(pub u32);
 
 impl McastAddr {
@@ -354,15 +354,6 @@ impl FromStr for Prefix {
         }
         let base = u32::from_be_bytes(octets);
         Prefix::new(base, len)
-    }
-}
-
-impl snapshot::Snapshot for McastAddr {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.u32(self.0);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(McastAddr(dec.u32()?))
     }
 }
 

@@ -9,7 +9,7 @@ use crate::domain_net::LocalRouter;
 
 /// Per-group membership and border-subscription state common to every
 /// protocol implementation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, snapshot::Snapshot)]
 pub struct Membership {
     members: BTreeMap<McastAddr, BTreeSet<LocalRouter>>,
     borders: BTreeMap<McastAddr, BTreeSet<LocalRouter>>,
@@ -101,20 +101,6 @@ impl Membership {
             .filter(|r| Some(*r) != exclude)
             .collect();
         (members, borders)
-    }
-}
-
-impl snapshot::Snapshot for Membership {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { members, borders } = self;
-        members.encode(enc);
-        borders.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(Membership {
-            members: snapshot::Snapshot::decode(dec)?,
-            borders: snapshot::Snapshot::decode(dec)?,
-        })
     }
 }
 

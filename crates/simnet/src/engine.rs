@@ -75,7 +75,7 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// Running counters maintained by the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Snapshot)]
 pub struct EngineStats {
     /// Messages delivered to a node's `on_message`.
     pub delivered: u64,

@@ -42,7 +42,7 @@ use crate::link::LinkKey;
 use crate::node::NodeId;
 
 /// Per-link fault model. Probabilities are independent per message.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Snapshot)]
 pub struct FaultModel {
     /// Probability a message is silently lost.
     pub loss: f64,
@@ -77,7 +77,7 @@ impl FaultModel {
 }
 
 /// Counters for every fault the plane has injected.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Snapshot)]
 pub struct FaultStats {
     /// Messages dropped by a loss model.
     pub lost: u64,

@@ -22,7 +22,6 @@ pub mod event;
 pub mod fault;
 pub mod link;
 pub mod node;
-mod snap;
 pub mod time;
 pub mod trace;
 

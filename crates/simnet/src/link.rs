@@ -28,7 +28,7 @@ impl LinkKey {
 }
 
 /// Configured state of one link.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, snapshot::Snapshot)]
 pub struct Link {
     /// One-way propagation delay.
     pub latency: SimDuration,
@@ -42,7 +42,7 @@ pub struct Link {
 /// order if one is ever added — `simnet` carries the workspace's
 /// determinism contract, so no hash-ordered container may live here
 /// (`clippy.toml` bans them).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, snapshot::Snapshot)]
 pub struct LinkTable {
     links: BTreeMap<LinkKey, Link>,
     default_latency: SimDuration,
@@ -115,37 +115,6 @@ impl snapshot::Snapshot for LinkKey {
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         // Re-canonicalise rather than trusting the input ordering.
         Ok(LinkKey::new(NodeId::decode(dec)?, NodeId::decode(dec)?))
-    }
-}
-
-impl snapshot::Snapshot for Link {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self { latency, up } = self;
-        latency.encode(enc);
-        enc.bool(*up);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(Link {
-            latency: SimDuration::decode(dec)?,
-            up: dec.bool()?,
-        })
-    }
-}
-
-impl snapshot::Snapshot for LinkTable {
-    fn encode(&self, enc: &mut snapshot::Enc) {
-        let Self {
-            links,
-            default_latency,
-        } = self;
-        links.encode(enc);
-        default_latency.encode(enc);
-    }
-    fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Ok(LinkTable {
-            links: snapshot::Snapshot::decode(dec)?,
-            default_latency: SimDuration::decode(dec)?,
-        })
     }
 }
 

@@ -11,7 +11,7 @@ use crate::link::LinkTable;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node registered with the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, snapshot::Snapshot)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

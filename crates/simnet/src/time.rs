@@ -8,11 +8,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant in simulated time (milliseconds since simulation start).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, snapshot::Snapshot)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time (milliseconds).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, snapshot::Snapshot)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

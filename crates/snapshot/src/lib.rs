@@ -13,7 +13,11 @@
 //!   state-bearing crate (`simnet`, `bgp`, `bgmp`, `masc`, `mcast-addr`,
 //!   `migp`, `core`) implements them for its own types, with private
 //!   field access and no orphan-rule contortions — this crate is a leaf
-//!   dependency;
+//!   dependency. A plain-data type writes `#[derive(Snapshot)]` (the
+//!   derive of the same name, from `snapshot-derive`): each field in
+//!   declaration order, an enum's declaration index as its `u8` tag. A
+//!   type that skips, recomputes or validates a field, or is generic,
+//!   implements the trait by hand;
 //! * [`bisect`] — O(log T) localisation of a failing invariant to one
 //!   checkpoint interval, generic over how checkpoints are resumed and
 //!   replayed.
@@ -37,6 +41,7 @@ pub mod codec;
 
 pub use bisect::{bisect, BisectReport, Probe};
 pub use codec::{Dec, Enc, SnapError, FORMAT_VERSION, MAGIC};
+pub use snapshot_derive::Snapshot;
 
 /// A value type with a canonical byte encoding.
 ///
