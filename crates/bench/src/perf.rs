@@ -33,7 +33,7 @@ use std::time::Duration;
 use std::time::Instant;
 
 use masc::sim::{HierarchySim, HierarchySimParams};
-use serde::Serialize;
+use serde::{Serialize, Value};
 use simnet::{Engine, NodeId, SimDuration, SimTime};
 
 use crate::faults::{self, FaultsParams};
@@ -48,7 +48,7 @@ pub struct PerfConfig {
 }
 
 /// One emitted `BENCH_<area>.json` record.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BenchRecord {
     /// Workload id: one of [`AREAS`].
     pub area: String,
@@ -75,6 +75,38 @@ pub struct BenchRecord {
     /// — never a fabricated `0`, which would read as an impossibly
     /// good number.
     pub peak_rss_kb: Option<u64>,
+}
+
+/// The fields in declaration order, as `results/perf/BENCH_scale.json`
+/// shows them.
+impl Serialize for BenchRecord {
+    fn to_value(&self) -> Value {
+        let Self {
+            area,
+            params,
+            unit,
+            quick,
+            seed,
+            events,
+            wall_ms,
+            events_per_sec,
+            ns_per_event,
+            peak_rss_kb,
+        } = self;
+        let field = |name: &str, v: &dyn Serialize| (name.to_string(), v.to_value());
+        Value::Obj(vec![
+            field("area", area),
+            field("params", params),
+            field("unit", unit),
+            field("quick", quick),
+            field("seed", seed),
+            field("events", events),
+            field("wall_ms", wall_ms),
+            field("events_per_sec", events_per_sec),
+            field("ns_per_event", ns_per_event),
+            field("peak_rss_kb", peak_rss_kb),
+        ])
+    }
 }
 
 impl BenchRecord {

@@ -1,9 +1,9 @@
 //! Named time series of (x, y) samples.
 
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 
 /// One sample point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// X coordinate (time in days, receiver count, …).
     pub x: f64,
@@ -12,12 +12,34 @@ pub struct Sample {
 }
 
 /// A named series of samples, e.g. one curve of a figure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Curve label as it appears in the figure legend.
     pub name: String,
     /// Samples in x order.
     pub samples: Vec<Sample>,
+}
+
+/// `{"x": …, "y": …}`.
+impl Serialize for Sample {
+    fn to_value(&self) -> Value {
+        let Self { x, y } = self;
+        Value::Obj(vec![
+            ("x".to_string(), x.to_value()),
+            ("y".to_string(), y.to_value()),
+        ])
+    }
+}
+
+/// `{"name": …, "samples": […]}`.
+impl Serialize for Series {
+    fn to_value(&self) -> Value {
+        let Self { name, samples } = self;
+        Value::Obj(vec![
+            ("name".to_string(), name.to_value()),
+            ("samples".to_string(), samples.to_value()),
+        ])
+    }
 }
 
 impl Series {

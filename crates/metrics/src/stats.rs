@@ -1,9 +1,7 @@
 //! Summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a set of observations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Observation count.
     pub n: usize,
