@@ -2,7 +2,7 @@
 //! simulator's own — in a one-domain [`Engine`], behind a socket shell.
 //!
 //! The engine holds the domain's actor at its global `NodeId`; every
-//! other domain is a [`Remote`] whose `on_message` only queues the
+//! other domain is a `Remote` whose `on_message` only queues the
 //! wire for its socket. One thread owns the engine and reads one
 //! mailbox: inbound frames, connection changes and commands become
 //! engine events at the shell's clock, which a tick thread advances,

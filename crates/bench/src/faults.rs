@@ -24,9 +24,9 @@ pub struct FaultsParams {
     pub domains: usize,
     /// Chaos-phase length per cell, seconds [120; smoke 60].
     pub chaos_secs: u64,
-    /// Base seed; cell seeds derive via [`task_seed`] [7].
+    /// Base seed; cell seeds derive via [`task_seed`] \[7\].
     pub seed: u64,
-    /// Harness workers; 1 = serial [1].
+    /// Harness workers; 1 = serial \[1\].
     pub threads: usize,
     /// Small grid for CI (diffed against the committed golden CSV).
     pub smoke: bool,

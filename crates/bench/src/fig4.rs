@@ -20,15 +20,15 @@ use crate::par::{run_tasks, task_seed};
 /// Inputs of a FIG4 run (`fig4_trees` CLI defaults in brackets).
 #[derive(Clone, Copy, Debug)]
 pub struct Fig4Params {
-    /// Topology size [3326].
+    /// Topology size \[3326\].
     pub domains: usize,
-    /// Trials per receiver-count point [10].
+    /// Trials per receiver-count point \[10\].
     pub trials: usize,
-    /// Base seed; cell seeds derive via [`task_seed`] [7].
+    /// Base seed; cell seeds derive via [`task_seed`] \[7\].
     pub seed: u64,
-    /// Largest receiver set swept [1000].
+    /// Largest receiver set swept \[1000\].
     pub maxrx: usize,
-    /// Harness workers; 1 = serial [1].
+    /// Harness workers; 1 = serial \[1\].
     pub threads: usize,
 }
 

@@ -12,7 +12,7 @@
 //!   queries;
 //! * [`policy`] — provider/customer export rules and peer
 //!   relationships;
-//! * [`aggregate`] — CIDR aggregation of group routes (§4.3.2);
+//! * [`aggregate`](mod@aggregate) — CIDR aggregation of group routes (§4.3.2);
 //! * [`msg`] — update/withdraw messages;
 //! * [`speaker`] — the sans-io speaker engine shared by the simulator
 //!   and the TCP border-router host.

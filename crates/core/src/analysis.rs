@@ -1,8 +1,8 @@
 //! Extraction and verification of protocol-built state.
 //!
 //! These helpers read the (*,G)/(S,G) state out of a running
-//! [`Internet`](crate::internet::Internet) and check the invariants the
-//! architecture promises: the per-group state forms a tree rooted at
+//! [`Internet`] and check the invariants the architecture promises:
+//! the per-group state forms a tree rooted at
 //! the group's root domain, every member domain is on it, and G-RIB
 //! sizes can be measured per router (figure 2(b)'s metric at the
 //! protocol level).

@@ -720,7 +720,7 @@ impl DomainActor {
 
     /// Originates a group route at every border router (the MASC range
     /// was granted; §4.2: the range "is sent to the other border
-    /// routers of the domain, which then inject [it] into BGP").
+    /// routers of the domain, which then inject \[it\] into BGP").
     pub fn originate_group_route(&mut self, ctx: &mut Ctx<'_, Wire>, prefix: Prefix) {
         let ids: Vec<RouterId> = self.routers.iter().map(|r| r.id).collect();
         for id in ids {

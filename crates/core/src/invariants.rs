@@ -1,7 +1,7 @@
 //! Tree-invariant checking for chaos runs.
 //!
 //! The fault-injection harnesses assert two invariant sets over a
-//! running [`Internet`](crate::internet::Internet):
+//! running [`Internet`]:
 //!
 //! - [`check_running`] holds at *any* instant, even mid-repair with
 //!   control messages in flight: referential integrity of every

@@ -14,7 +14,7 @@ use crate::domain_net::{DomainNet, LocalRouter};
 use crate::membership::Membership;
 
 /// Events the MIGP reports upward to the BGMP component (the paper's
-/// Domain-Wide Report role, [22]).
+/// Domain-Wide Report role, \[22\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigpEvent {
     /// The domain gained its first member of the group: the best exit

@@ -334,7 +334,7 @@ impl<M: Send + 'static> Engine<M> {
     /// load — on the plain path: batching only engages when another
     /// same-tick event is actually pending, and consecutive same-tick
     /// events for one node are delivered in a single node borrow
-    /// ([`Engine::dispatch_node_batch`]).
+    /// (`Engine::dispatch_node_batch`).
     pub fn run_until(&mut self, until: SimTime) {
         self.start();
         while let Some((at, event)) = self.queue.pop_le(until) {

@@ -18,7 +18,7 @@
 //!   declaration order, an enum's declaration index as its `u8` tag. A
 //!   type that skips, recomputes or validates a field, or is generic,
 //!   implements the trait by hand;
-//! * [`bisect`] — O(log T) localisation of a failing invariant to one
+//! * [`bisect`](mod@bisect) — O(log T) localisation of a failing invariant to one
 //!   checkpoint interval, generic over how checkpoints are resumed and
 //!   replayed.
 //!
