@@ -1,13 +1,14 @@
 //! Byte pins for two whole-simulation checkpoints taken mid-run: a
 //! MASC hierarchy with claims waiting out their collision period, and
-//! an internet with live MASC addressing and session liveness. Between
+//! an internet with live MASC addressing and session liveness; and a
+//! small hierarchy whose engine keeps a dispatch trace. Between
 //! them and the message lists pinned in `prop_wire_robustness.rs`,
 //! every type with a derived snapshot codec is in a pinned image, so a
 //! field written out of order changes a hash here even though it would
 //! round-trip.
 //!
-//! The constants were computed before any codec was derived and must
-//! not move.
+//! The constants were computed at the commit before any codec was
+//! derived and must not move.
 
 use masc_bgmp::core::chaos::chaos_session_timers;
 use masc_bgmp::core::{asn_of, Addressing, BorderPlan, HostId, Internet, InternetConfig};
@@ -68,6 +69,29 @@ fn mid_run_hierarchy_checkpoint_is_pinned() {
         (blob.len(), fnv1a(&blob)),
         (BLOB_LEN, BLOB_FNV1A),
         "the hierarchy checkpoint's bytes changed"
+    );
+}
+
+/// A two-by-two hierarchy with the engine's dispatch trace on, run to
+/// day 1: the trace is the one place a `SimTime` is snapshotted.
+#[test]
+fn traced_hierarchy_checkpoint_is_pinned() {
+    const BLOB_LEN: usize = 3_049;
+    const BLOB_FNV1A: u64 = 10_270_183_239_701_891_695;
+
+    let mut sim = HierarchySim::new(HierarchySimParams {
+        top_level: 2,
+        children_per: 2,
+        ..HierarchySimParams::paper_fig2(3)
+    });
+    sim.engine.enable_trace(8);
+    sim.run_to_day(1);
+    assert_eq!(sim.engine.trace().map(|t| t.len()), Some(8));
+    let blob = sim.checkpoint().expect("checkpoint");
+    assert_eq!(
+        (blob.len(), fnv1a(&blob)),
+        (BLOB_LEN, BLOB_FNV1A),
+        "the traced hierarchy checkpoint's bytes changed"
     );
 }
 
