@@ -136,36 +136,43 @@ impl Enc {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as `u64`.
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Appends a bool as one byte (0 or 1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -195,6 +202,7 @@ impl Enc {
     }
 
     /// Writes a sequence length prefix; follow with that many elements.
+    #[inline]
     pub fn seq(&mut self, len: usize) {
         self.usize(len);
     }
@@ -229,11 +237,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Unconsumed byte count.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
 
     /// Takes the next `n` bytes.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos
@@ -268,11 +278,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?.first().copied().unwrap_or(0))
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, SnapError> {
         let b = self.take(2)?;
         let mut a = [0u8; 2];
@@ -281,6 +293,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         let b = self.take(4)?;
         let mut a = [0u8; 4];
@@ -289,6 +302,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         let b = self.take(8)?;
         let mut a = [0u8; 8];
@@ -297,12 +311,14 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a `usize` (encoded as `u64`).
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapError::Invalid("usize out of range"))
     }
 
     /// Reads a bool (one byte, must be 0 or 1).
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
@@ -312,6 +328,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads an `f64` from its bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -330,6 +347,7 @@ impl<'a> Dec<'a> {
 
     /// Reads a sequence length prefix, sanity-checked against the
     /// remaining input: every element costs at least one byte.
+    #[inline]
     pub fn seq(&mut self) -> Result<usize, SnapError> {
         let n = self.usize()?;
         if n > self.remaining() {
@@ -362,9 +380,11 @@ impl<'a> Dec<'a> {
 macro_rules! snap_int {
     ($($t:ty => $enc:ident / $dec:ident),* $(,)?) => {$(
         impl Snapshot for $t {
+            #[inline]
             fn encode(&self, enc: &mut Enc) {
                 enc.$enc(*self);
             }
+            #[inline]
             fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
                 dec.$dec()
             }

@@ -10,17 +10,22 @@
 # metrics). `all` runs every workload BENCHMARK.json lists, one verdict
 # block each, and ends with one line naming every (workload, metric)
 # whose verdict is not ok; the exit status is non-zero if there is one.
+# A comma-separated seed list (1,1998) builds both sides once and runs
+# the pairs at each seed in turn, one verdict block per seed and
+# workload; the last line then names the seed too.
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload>|all [pairs=10] [seed=1]
+#   scripts/bench_pairs.sh <parent-ref> <workload>|all [pairs=10] [seeds=1]
 #
 # Everything it writes lives under .bench_build/pairs/ (ignored).
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
-parent="$1" workload="$2" pairs="${3:-10}" seed="${4:-1}"
+parent="$1" workload="$2" pairs="${3:-10}"
+IFS=, read -ra seeds <<<"${4:-1}"
+[ "${#seeds[@]}" -gt 0 ] || { echo "bench_pairs.sh: empty seed list" >&2; exit 2; }
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/.bench_build/pairs"
@@ -42,14 +47,14 @@ run() { # <workload> <side> <pair>
     local src="$root" bin="$change_bin"
     if [ "$2" = parent ]; then src="$work/parent_src" bin="$parent_bin"; fi
     (cd "$src" && BENCH_COMMIT="$2" "$bin" --workload "$1" --seed "$seed" \
-        --seconds "$seconds" --trace 0 --detail "$work/runs/$1/$2_$3.json") >/dev/null 2>&1 ||
+        --seconds "$seconds" --trace 0 --detail "$runs/$1/$2_$3.json") >/dev/null 2>&1 ||
         echo "pair $3: the $2 run of $1 reported a failed check" >&2
 }
 
 values() { # <workload> <side> <metric> -> one value per pair, in pair order
     for i in $(seq 1 "$pairs"); do
         # The record is one line without a newline; printf supplies it.
-        printf '%s\n' "$(sed -n "s/.*\"$3\":{\"value\":\([^,]*\),.*/\1/p" "$work/runs/$1/$2_$i.json")"
+        printf '%s\n' "$(sed -n "s/.*\"$3\":{\"value\":\([^,]*\),.*/\1/p" "$runs/$1/$2_$i.json")"
     done
 }
 # median, Q1 and Q3 by the rule of Python's statistics.quantiles(n=4),
@@ -66,7 +71,7 @@ quartiles() {
 flagged=""
 pairs_of() { # <workload>: runs its pairs and prints its verdict block
     local w="$1" i side metric better spec pm pq1 pq3 cm cq1 cq3 verdict
-    mkdir -p "$work/runs/$w"
+    mkdir -p "$runs/$w"
     for i in $(seq 1 "$pairs"); do
         if [ $((i % 2)) -eq 1 ]; then run "$w" parent "$i"; run "$w" change "$i"; else run "$w" change "$i"; run "$w" parent "$i"; fi
         echo "$w: pair $i/$pairs done" >&2
@@ -93,13 +98,13 @@ pairs_of() { # <workload>: runs its pairs and prints its verdict block
     # and identical count metrics.
     for side in parent change; do
         { printf '{"host":{},"runs":['; for i in $(seq 1 "$pairs"); do
-            [ "$i" -gt 1 ] && printf ','; cat "$work/runs/$w/${side}_$i.json"; done; printf ']}\n'; } >"$work/runs/$w/$side.json"
+            [ "$i" -gt 1 ] && printf ','; cat "$runs/$w/${side}_$i.json"; done; printf ']}\n'; } >"$runs/$w/$side.json"
     done
-    verdict="$("$change_bin" --compare "$work/runs/$w/parent.json" "$work/runs/$w/change.json" || true)"
+    verdict="$("$change_bin" --compare "$runs/$w/parent.json" "$runs/$w/change.json" || true)"
     printf '%s\n' "$verdict"
-    flagged="$flagged$(printf '%s\n' "$verdict" | awk '
-        / (regressed|unresolved)( |$)/ { printf " (%s, %s)", $1, $2 }
-        /^COUNT DIFFERS/ { sub(/:$/, "", $6); printf " (%s, %s)", $3, $6 }')"
+    flagged="$flagged$(printf '%s\n' "$verdict" | awk -v at="$at" '
+        / (regressed|unresolved)( |$)/ { printf " (%s, %s%s)", $1, $2, at }
+        /^COUNT DIFFERS/ { sub(/:$/, "", $6); printf " (%s, %s%s)", $3, $6, at }')"
 }
 
 if [ "$workload" = all ]; then
@@ -108,8 +113,12 @@ if [ "$workload" = all ]; then
 else
     workloads="$workload"
 fi
-for w in $workloads; do
-    pairs_of "$w"
+at="" runs="$work/runs"
+for seed in "${seeds[@]}"; do
+    if [ "${#seeds[@]}" -gt 1 ]; then at=", seed $seed" runs="$work/runs/seed$seed"; fi
+    for w in $workloads; do
+        pairs_of "$w"
+    done
 done
 if [ "$workload" = all ]; then
     printf '\noutside bound:%s\n' "${flagged:- none}"

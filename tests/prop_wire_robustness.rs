@@ -852,6 +852,82 @@ fn out_entries_stand_alone_or_are_refused() {
     ));
 }
 
+/// An Adj-RIB-In record keyed by one NLRI must hold a route for it: the
+/// live table keys every candidate by its route's NLRI, so a record
+/// that does not is refused, even with a Loc-RIB record that matches it.
+#[test]
+fn adj_in_route_for_another_nlri_is_refused() {
+    let key = (Nlri::Domain(1), 5);
+    let route = Route {
+        nlri: Nlri::Domain(2),
+        as_path: AsPath::new(&[2]),
+        next_hop: 5,
+        local: false,
+        ebgp: true,
+    };
+    let mut bad = FiveMaps::default();
+    bad.adj_in.insert(key, route.clone());
+    bad.loc.insert(key.0, (key.1, route.clone()));
+    assert_eq!(
+        through_speaker(&bad.blob()),
+        Err(SnapError::Invalid("Adj-RIB-In route for another NLRI"))
+    );
+    // The same record keyed by its own NLRI restores.
+    let mut good = FiveMaps::default();
+    good.adj_in.insert((route.nlri, key.1), route.clone());
+    good.loc.insert(route.nlri, (key.1, route));
+    let blob = good.blob();
+    assert!(through_speaker(&blob).expect("restores") == blob);
+}
+
+/// The restore takes `loc` and `out` paths from the row when one there
+/// is equal, so a path that only nearly matches must not pass for one:
+/// a Loc-RIB path one ASN off is refused, and an `out` path swapped for
+/// one its row holds, or for one no row holds, comes back as written.
+#[test]
+fn paths_matched_against_the_row_are_matched_exactly() {
+    let (_, maps) = live_speaker();
+    let nearly = |path: &[u32]| -> [Vec<u32>; 3] {
+        let mut changed = path.to_vec();
+        changed[0] += 1;
+        let appended = [path, &[99]].concat();
+        let dropped = path[..path.len() - 1].to_vec();
+        [changed, appended, dropped]
+    };
+    for (nlri, (_, route)) in &maps.loc {
+        for path in nearly(&route.as_path) {
+            let mut bad = maps.clone();
+            bad.loc.get_mut(nlri).expect("selected").1.as_path = AsPath::new(&path);
+            let got = through_speaker(&bad.blob());
+            assert!(
+                matches!(got, Err(SnapError::Invalid(_))),
+                "{nlri:?} with {path:?}: {got:?}"
+            );
+        }
+    }
+    let mut swaps = [0; 3];
+    for ((to, nlri), route) in &maps.out {
+        let selected = maps.loc.get(nlri).map(|(_, r)| r.as_path.clone());
+        let others = maps.out.iter().filter(|((t, n), _)| n == nlri && t != to);
+        let other = others.map(|(_, r)| r.as_path.clone()).next();
+        let unheld = Some(AsPath::new(&[MY_ASN, 4242, 4243]));
+        for (i, path) in [selected, other, unheld].into_iter().enumerate() {
+            let Some(path) = path.filter(|p| *p != route.as_path) else {
+                continue;
+            };
+            let mut odd = maps.clone();
+            odd.out.get_mut(&(*to, *nlri)).expect("told").as_path = path.clone();
+            let blob = odd.blob();
+            assert!(
+                through_speaker(&blob).expect("restores") == blob,
+                "({to}, {nlri:?}) told {path:?} moved bytes"
+            );
+            swaps[i] += 1;
+        }
+    }
+    assert!(swaps.iter().all(|&n| n > 0), "a swap never ran: {swaps:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
