@@ -462,8 +462,7 @@ impl Rib {
 
     /// Reads the `kinds` section onto the candidates already decoded.
     pub(crate) fn decode_kinds(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        decode_in_step(&mut self.table, dec, |peer, _, dec, row| {
-            let kind = RouteSourceKind::decode(dec)?;
+        decode_in_step(&mut self.table, dec, |peer, _, kind, row| {
             row.and_then(|row| row.heard_mut(peer))
                 .ok_or(SnapError::Invalid("kind of a route Adj-RIB-In lacks"))?
                 .kind = Some(kind);
@@ -492,21 +491,14 @@ impl Rib {
     }
 
     /// Reads the `out` section; an entry `router` cannot have sent is
-    /// invalid. A path is looked for among those the row holds — its
-    /// selection's, then those of the peers read before — before the
-    /// intern table is asked.
+    /// invalid.
     pub(crate) fn decode_told(
         &mut self,
         dec: &mut Dec<'_>,
         router: RouterId,
     ) -> Result<(), SnapError> {
         let mut unheard = Vec::new();
-        decode_in_step(&mut self.table, dec, |to, nlri, dec, row| {
-            let held = row.as_deref().into_iter().flat_map(|row| {
-                let best = row.best.iter().map(|h| &h.route.as_path);
-                best.chain(row.sent().iter().map(|s| &s.path))
-            });
-            let route = Route::decode_among(dec, held)?;
+        decode_in_step(&mut self.table, dec, |to, nlri, route: Route, row| {
             if route.nlri != nlri || route.next_hop != router || route.local {
                 return Err(SnapError::Invalid(
                     "Adj-RIB-Out entry this router never sent",
@@ -534,17 +526,16 @@ impl Rib {
 const DISORDER: SnapError = SnapError::Invalid("RIB section out of order");
 
 /// Reads a speaker section of `((peer, NLRI), T)` records, handing each
-/// key to `each` with the NLRI's row if there is one, for it to read the
-/// `T` that follows: one walk of the table per peer, not one probe per
-/// record.
-fn decode_in_step(
+/// to `each` with the NLRI's row if there is one: one walk of the table
+/// per peer, not one probe per record.
+fn decode_in_step<T: Snapshot>(
     table: &mut BTreeMap<Nlri, Row>,
     dec: &mut Dec<'_>,
-    mut each: impl FnMut(RouterId, Nlri, &mut Dec<'_>, Option<&mut Row>) -> Result<(), SnapError>,
+    mut each: impl FnMut(RouterId, Nlri, T, Option<&mut Row>) -> Result<(), SnapError>,
 ) -> Result<(), SnapError> {
     let (mut last, mut rows) = (None, table.iter_mut().peekable());
     for _ in 0..dec.seq()? {
-        let (peer, nlri) = <(RouterId, Nlri)>::decode(dec)?;
+        let ((peer, nlri), item) = <((RouterId, Nlri), T)>::decode(dec)?;
         match last.replace((peer, nlri)) {
             Some(l) if l >= (peer, nlri) => return Err(DISORDER),
             Some((p, _)) if p != peer => rows = table.iter_mut().peekable(),
@@ -552,7 +543,7 @@ fn decode_in_step(
         }
         while rows.next_if(|(n, _)| **n < nlri).is_some() {}
         let row = rows.next_if(|(n, _)| **n == nlri).map(|(_, row)| row);
-        each(peer, nlri, dec, row)?;
+        each(peer, nlri, item, row)?;
     }
     Ok(())
 }
@@ -583,8 +574,7 @@ impl Snapshot for Rib {
 
     /// One pass: a row is decided once, when the last of its candidates
     /// is read, and the table built from the rows as they came. A Loc-RIB
-    /// section that is not what the candidates select is invalid; its
-    /// paths are matched against the selections before the intern table.
+    /// section that is not what the candidates select is invalid.
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let mut rows: Vec<(Nlri, Row)> = Vec::new();
         let (mut heard, mut last) = (Vec::new(), None);
@@ -611,8 +601,7 @@ impl Snapshot for Rib {
             return Err(differs);
         }
         for (nlri, row) in &rib.table {
-            let at = <(Nlri, RouterId)>::decode(dec)?;
-            let route = Route::decode_among(dec, row.best.iter().map(|h| &h.route.as_path))?;
+            let (at, route) = <((Nlri, RouterId), Route)>::decode(dec)?;
             if row.best.as_ref().map(|h| ((*nlri, h.peer), &h.route)) != Some((at, &route)) {
                 return Err(differs);
             }

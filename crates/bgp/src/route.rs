@@ -107,28 +107,6 @@ impl AsPath {
             Self::new(path)
         })
     }
-
-    /// Reads a path as [`snapshot::Snapshot::decode`] does, but returns
-    /// the first of `known` that equals it before asking the intern
-    /// table. Every live path is interned, so the result is the same
-    /// `Arc` either way; only the probe is saved.
-    pub(crate) fn decode_among<'k>(
-        dec: &mut snapshot::Dec<'_>,
-        known: impl IntoIterator<Item = &'k AsPath>,
-    ) -> Result<Self, snapshot::SnapError> {
-        let n = dec.seq()?;
-        BUILDING.with_borrow_mut(|path| {
-            path.clear();
-            for _ in 0..n {
-                path.push(dec.u32()?);
-            }
-            let mut known = known.into_iter();
-            Ok(match known.find(|k| *k.0 == path[..]) {
-                Some(k) => k.clone(),
-                None => Self::new(path),
-            })
-        })
-    }
 }
 
 impl std::ops::Deref for AsPath {
@@ -190,7 +168,14 @@ impl snapshot::Snapshot for AsPath {
         }
     }
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        Self::decode_among(dec, [])
+        let n = dec.seq()?;
+        BUILDING.with_borrow_mut(|path| {
+            path.clear();
+            for _ in 0..n {
+                path.push(dec.u32()?);
+            }
+            Ok(Self::new(path))
+        })
     }
 }
 
@@ -256,23 +241,6 @@ impl Route {
     /// routes).
     pub fn origin_asn(&self) -> Option<Asn> {
         self.as_path.last().copied()
-    }
-
-    /// Reads a route as its derived `decode` does, field by field, with
-    /// the path taken from `known` where one equals it
-    /// ([`AsPath::decode_among`]).
-    pub(crate) fn decode_among<'k>(
-        dec: &mut snapshot::Dec<'_>,
-        known: impl IntoIterator<Item = &'k AsPath>,
-    ) -> Result<Self, snapshot::SnapError> {
-        use snapshot::Snapshot;
-        Ok(Route {
-            nlri: Nlri::decode(dec)?,
-            as_path: AsPath::decode_among(dec, known)?,
-            next_hop: Snapshot::decode(dec)?,
-            local: Snapshot::decode(dec)?,
-            ebgp: Snapshot::decode(dec)?,
-        })
     }
 }
 

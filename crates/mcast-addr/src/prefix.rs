@@ -358,13 +358,11 @@ impl FromStr for Prefix {
 }
 
 impl snapshot::Snapshot for Prefix {
-    #[inline]
     fn encode(&self, enc: &mut snapshot::Enc) {
         let Self { base, len } = self;
         enc.u32(*base);
         enc.u8(*len);
     }
-    #[inline]
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
         let base = dec.u32()?;
         let len = dec.u8()?;

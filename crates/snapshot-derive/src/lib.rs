@@ -8,10 +8,6 @@
 //!   variant's fields the same way. Any other tag decodes to
 //!   `SnapError::Invalid("<Type> tag")`.
 //!
-//! Both generated methods are `#[inline]`, as the codec's primitives
-//! are: the workspace builds without LTO, and a field's codec is
-//! usually called from another crate (DESIGN.md §12).
-//!
 //! There are no helper attributes and no options. A type that skips or
 //! recomputes a field, checks more than the tag on decode, or writes
 //! its fields in another order keeps a hand-written impl, where the
@@ -255,8 +251,8 @@ fn expand(name: &str, body: &Body) -> String {
     format!(
         "#[automatically_derived] \
          impl ::snapshot::Snapshot for {name} {{ \
-             #[inline] fn encode(&self, __enc: &mut ::snapshot::Enc) {{ {encode} }} \
-             #[inline] fn decode(__dec: &mut ::snapshot::Dec<'_>) \
+             fn encode(&self, __enc: &mut ::snapshot::Enc) {{ {encode} }} \
+             fn decode(__dec: &mut ::snapshot::Dec<'_>) \
                  -> ::core::result::Result<Self, ::snapshot::SnapError> {{ {decode} }} \
          }}"
     )

@@ -880,10 +880,10 @@ fn adj_in_route_for_another_nlri_is_refused() {
     assert!(through_speaker(&blob).expect("restores") == blob);
 }
 
-/// The restore takes `loc` and `out` paths from the row when one there
-/// is equal, so a path that only nearly matches must not pass for one:
-/// a Loc-RIB path one ASN off is refused, and an `out` path swapped for
-/// one its row holds, or for one no row holds, comes back as written.
+/// A `loc` or `out` path is restored exactly as written, never as a
+/// near match of a path the row holds: a Loc-RIB path one ASN off,
+/// longer or shorter is refused, and an `out` path swapped for one its
+/// row holds, or for one no row holds, comes back as written.
 #[test]
 fn paths_matched_against_the_row_are_matched_exactly() {
     let (_, maps) = live_speaker();
