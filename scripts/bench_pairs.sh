@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Interleaved parent/change pairs of one benchmark workload, or of each
 # in turn (choosing-metrics §8): builds the benchmark from the committed
-# files of <parent-ref> and from this checkout into separate target
+# files of <parent-ref> and from a copy of this checkout into separate target
 # directories, runs them alternately — the side that goes first swaps
 # every pair — and prints, per end-to-end metric, each side's median and
 # quartiles, how many pairs the change won, and whether the medians
@@ -31,20 +31,26 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/.bench_build/pairs"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")"
 
-# The parent as the driver sees it: committed files only.
-rm -rf "$work/parent_src" "$work/runs"
-mkdir -p "$work/parent_src" "$work/runs"
-git -C "$root" archive "$parent" | tar -x -C "$work/parent_src"
+# The parent as the driver sees it: committed files only. The change is
+# this checkout's files, tracked or not ignored. Both are extracted with
+# fresh times (-m): `git archive` stamps a file with its commit's time,
+# and cargo rebuilds only a source newer than its last build, so a
+# parent older than the one built before would run the old binary.
+rm -rf "$work/parent_src" "$work/change_src" "$work/runs"
+mkdir -p "$work/parent_src" "$work/change_src" "$work/runs"
+git -C "$root" archive "$parent" | tar -x -m -C "$work/parent_src"
+(cd "$root" && git ls-files -z --cached --others --exclude-standard |
+    tar -c --null --ignore-failed-read -T -) | tar -x -m -C "$work/change_src"
 
 build() { # <source root> <target dir> -> path of the built binary
     CARGO_TARGET_DIR="$2" bash "$1/benchmark/run.sh" --manifest >/dev/null
     echo "$2/release/masc-bgmp-benchmark"
 }
 parent_bin="$(build "$work/parent_src" "$work/parent_target")"
-change_bin="$(build "$root" "$work/change_target")"
+change_bin="$(build "$work/change_src" "$work/change_target")"
 
 run() { # <workload> <side> <pair>
-    local src="$root" bin="$change_bin"
+    local src="$work/change_src" bin="$change_bin"
     if [ "$2" = parent ]; then src="$work/parent_src" bin="$parent_bin"; fi
     (cd "$src" && BENCH_COMMIT="$2" "$bin" --workload "$1" --seed "$seed" \
         --seconds "$seconds" --trace 0 --detail "$runs/$1/$2_$3.json") >/dev/null 2>&1 ||
