@@ -31,7 +31,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/.bench_build/pairs"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")"
 
-# The parent as the driver sees it: committed files only. The change is
+# The parent is its committed files only. The change is
 # this checkout's files, tracked or not ignored. Both are extracted with
 # fresh times (-m): `git archive` stamps a file with its commit's time,
 # and cargo rebuilds only a source newer than its last build, so a

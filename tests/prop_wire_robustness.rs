@@ -885,7 +885,7 @@ fn adj_in_route_for_another_nlri_is_refused() {
 /// longer or shorter is refused, and an `out` path swapped for one its
 /// row holds, or for one no row holds, comes back as written.
 #[test]
-fn paths_matched_against_the_row_are_matched_exactly() {
+fn loc_and_out_paths_restore_exactly() {
     let (_, maps) = live_speaker();
     let nearly = |path: &[u32]| -> [Vec<u32>; 3] {
         let mut changed = path.to_vec();
