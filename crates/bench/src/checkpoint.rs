@@ -144,14 +144,16 @@ mod tests {
     }
 
     /// The sample's bytes, pinned by length and FNV-1a; computed before
-    /// `Fig2Row`'s codec was derived.
+    /// `Fig2Row`'s codec was derived, then recomputed when
+    /// `FORMAT_VERSION` went from 3 to 4 by rewriting the header's
+    /// version. They must not move.
     #[test]
     fn sample_bytes_are_pinned() {
         let bytes = sample().to_bytes();
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv), (131, 16_958_113_466_018_331_973));
+        assert_eq!((bytes.len(), fnv), (131, 12_059_563_413_510_575_496));
     }
 
     #[test]

@@ -42,11 +42,12 @@ pub const MAGIC: [u8; 4] = *b"MBSN";
 /// loudly instead of misdecoding.
 ///
 /// Only the current version decodes: [`Dec::header`] rejects every
-/// other with [`SnapError::BadVersion`]. (v3 is the node-major
-/// engine blob with keyed events and per-node RNG streams; v1 and v2
-/// engine blobs carried a single shared RNG stream and unkeyed events
-/// that the engine cannot continue.)
-pub const FORMAT_VERSION: u16 = 3;
+/// other with [`SnapError::BadVersion`]. (v4 writes a BGP speaker's
+/// route table row by row; v3 framed it as five separate maps. v3
+/// brought the node-major engine blob with keyed events and per-node
+/// RNG streams; v1 and v2 engine blobs carried a single shared RNG
+/// stream and unkeyed events that the engine cannot continue.)
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Decode failure. Every variant is a recoverable error — corrupt or
 /// truncated snapshots must never panic the host.

@@ -4,15 +4,19 @@
 //! encodings makes this test fail before it can silently invalidate
 //! checkpoints on disk.
 //!
-//! One golden is committed, for the one version that decodes; an
-//! image with any other version in its header is a deterministic
-//! `BadVersion`.
+//! The golden of the one version that decodes is pinned; an image
+//! with any other version in its header is a deterministic
+//! `BadVersion`. The v3 image stays committed to show that.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use snapshot::{Dec, Enc, SnapError, Snapshot, FORMAT_VERSION, MAGIC};
 
-const GOLDEN: &[u8] = include_bytes!("golden/wire_v3.bin");
+const GOLDEN: &[u8] = include_bytes!("golden/wire_v4.bin");
+
+/// The same exemplar as version 3 wrote it: header aside, the bytes
+/// are `GOLDEN`'s.
+const GOLDEN_V3: &[u8] = include_bytes!("golden/wire_v3.bin");
 
 /// Kind tag reserved for this test; never a real subsystem.
 const KIND: u16 = 0x7e57;
@@ -140,4 +144,13 @@ fn every_other_version_is_rejected_not_misread() {
             Err(SnapError::BadVersion { found })
         );
     }
+}
+
+#[test]
+fn the_v3_golden_is_refused_as_bad_version() {
+    assert_eq!(GOLDEN_V3[8..], GOLDEN[8..], "only the header differs");
+    assert!(matches!(
+        Dec::new(GOLDEN_V3).header(KIND),
+        Err(SnapError::BadVersion { found: 3, .. })
+    ));
 }
