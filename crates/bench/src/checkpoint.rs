@@ -144,8 +144,8 @@ mod tests {
     }
 
     /// The sample's bytes, pinned by length and FNV-1a; computed before
-    /// `Fig2Row`'s codec was derived, then recomputed when
-    /// `FORMAT_VERSION` went from 3 to 4 by rewriting the header's
+    /// `Fig2Row`'s codec was derived, then recomputed at commit 5d8e5b9,
+    /// where `FORMAT_VERSION` went from 3 to 4, by rewriting the header's
     /// version. They must not move.
     #[test]
     fn sample_bytes_are_pinned() {

@@ -78,17 +78,6 @@ impl Row {
         low.iter().chain(&self.best).chain(high)
     }
 
-    fn heard_mut(&mut self, peer: RouterId) -> Option<&mut Heard> {
-        match &mut self.best {
-            Some(b) if b.peer == peer => Some(b),
-            _ => {
-                let rest = &mut self.other.as_deref_mut()?.rest;
-                let i = rest.binary_search_by_key(&peer, |h| h.peer).ok()?;
-                rest.get_mut(i)
-            }
-        }
-    }
-
     /// Puts (`Some`) or removes (`None`) `peer`'s candidate and returns
     /// the one that was there. Leaves `best` to [`Row::decide`].
     fn put_heard(&mut self, peer: RouterId, new: Option<Heard>) -> Option<Heard> {
@@ -125,13 +114,12 @@ impl Row {
         }
     }
 
-    /// The row that `heard` (in peer order; drained) makes: the first
-    /// leads until [`Row::decide`], run once over them all, says otherwise.
-    fn decided(heard: &mut Vec<Heard>) -> Row {
-        let mut rest = heard.drain(..);
-        let best = rest.next();
-        let (rest, sent): (Vec<_>, _) = (rest.collect(), Vec::new());
-        let other = (!rest.is_empty()).then(|| Box::new(Other { rest, sent }));
+    /// The row that the candidates `best` then `rest` (in peer order)
+    /// make with `sent`: the first leads until [`Row::decide`], run once
+    /// over them all, says otherwise.
+    fn decided(best: Option<Heard>, rest: Vec<Heard>, sent: Vec<Sent>) -> Row {
+        let lists = !rest.is_empty() || !sent.is_empty();
+        let other = lists.then(|| Box::new(Other { rest, sent }));
         let mut row = Row { best, other };
         row.decide();
         row
@@ -449,167 +437,147 @@ impl Rib {
         let in_trie: BTreeSet<Prefix> = self.grib.index.iter().map(|(p, _)| p).collect();
         in_loc == in_trie && self.grib.index.len() == in_loc.len()
     }
-
-    /// The speaker's `kinds` section: (peer, NLRI) → entry kind.
-    pub(crate) fn encode_kinds(&self, enc: &mut Enc) {
-        let mut kinds = Vec::new();
-        for (nlri, row) in &self.table {
-            kinds.extend(row.heard().filter_map(|h| Some(((h.peer, *nlri), h.kind?))));
-        }
-        kinds.sort_by_key(|((peer, _), _)| *peer); // stable: NLRI order stands within a peer
-        kinds.encode(enc);
-    }
-
-    /// Reads the `kinds` section onto the candidates already decoded.
-    pub(crate) fn decode_kinds(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        decode_in_step(&mut self.table, dec, |peer, _, kind, row| {
-            row.and_then(|row| row.heard_mut(peer))
-                .ok_or(SnapError::Invalid("kind of a route Adj-RIB-In lacks"))?
-                .kind = Some(kind);
-            Ok(())
-        })
-    }
-
-    /// The speaker's `out` section: (peer, NLRI) → the route `router`
-    /// advertised.
-    pub(crate) fn encode_told(&self, enc: &mut Enc, router: RouterId) {
-        let rows = self.table.iter();
-        let mut told: Vec<_> = rows
-            .flat_map(|(n, row)| row.sent().iter().map(|s| (*n, s)))
-            .collect();
-        told.sort_by_key(|(_, s)| s.to); // stable, as for `kinds`
-        enc.seq(told.len());
-        for (nlri, s) in told {
-            (s.to, nlri).encode(enc);
-            // A `Route`, field by field as `Route::encode` writes it.
-            nlri.encode(enc);
-            s.path.encode(enc);
-            enc.u32(router);
-            enc.bool(false);
-            enc.bool(s.ebgp);
-        }
-    }
-
-    /// Reads the `out` section; an entry `router` cannot have sent is
-    /// invalid.
-    pub(crate) fn decode_told(
-        &mut self,
-        dec: &mut Dec<'_>,
-        router: RouterId,
-    ) -> Result<(), SnapError> {
-        let mut unheard = Vec::new();
-        decode_in_step(&mut self.table, dec, |to, nlri, route: Route, row| {
-            if route.nlri != nlri || route.next_hop != router || route.local {
-                return Err(SnapError::Invalid(
-                    "Adj-RIB-Out entry this router never sent",
-                ));
-            }
-            let (path, ebgp) = (route.as_path, route.ebgp);
-            let sent = Sent { to, path, ebgp };
-            match row {
-                Some(row) => drop(put(&mut row.other().sent, to, |s| s.to, Some(sent))),
-                None => unheard.push((nlri, sent)),
-            }
-            Ok(())
-        })?;
-        // A pair nobody advertised is legitimate: its row is made once the walk is over.
-        for (nlri, s) in unheard {
-            let row = self.table.entry(nlri).or_default();
-            put(&mut row.other().sent, s.to, |s| s.to, Some(s));
-        }
-        Ok(())
-    }
 }
 
-/// A record that is not after the one before it: `encode` writes the
-/// candidates in strict (NLRI, peer) order, `kinds` and `out` in (peer, NLRI).
-const DISORDER: SnapError = SnapError::Invalid("RIB section out of order");
+/// Tags of a `sent` entry's path: written out, or the entry before's.
+const NEW_PATH: u8 = 0;
+const SAME_PATH: u8 = 1;
 
-/// Reads a speaker section of `((peer, NLRI), T)` records, handing each
-/// to `each` with the NLRI's row if there is one: one walk of the table
-/// per peer, not one probe per record.
-fn decode_in_step<T: Snapshot>(
-    table: &mut BTreeMap<Nlri, Row>,
-    dec: &mut Dec<'_>,
-    mut each: impl FnMut(RouterId, Nlri, T, Option<&mut Row>) -> Result<(), SnapError>,
-) -> Result<(), SnapError> {
-    let (mut last, mut rows) = (None, table.iter_mut().peekable());
-    for _ in 0..dec.seq()? {
-        let ((peer, nlri), item) = <((RouterId, Nlri), T)>::decode(dec)?;
-        match last.replace((peer, nlri)) {
-            Some(l) if l >= (peer, nlri) => return Err(DISORDER),
-            Some((p, _)) if p != peer => rows = table.iter_mut().peekable(),
-            _ => {}
+/// A row, candidate or `sent` entry that is not after the one before
+/// it: `encode` writes rows in NLRI order and a row's lists in peer order.
+const DISORDER: SnapError = SnapError::Invalid("RIB row out of order");
+
+impl Row {
+    /// Writes the row of `nlri`, which the reader knows: the candidates
+    /// in peer order (a route less its NLRI), the selected peer, then
+    /// `sent` in peer order, each path that the entry before holds too
+    /// tagged rather than written again.
+    fn encode(&self, enc: &mut Enc) {
+        enc.seq(usize::from(self.best.is_some()) + self.rest().len());
+        for Heard { peer, kind, route } in self.heard() {
+            let Route {
+                as_path,
+                next_hop,
+                local,
+                ebgp,
+                // the row's key
+                nlri: _,
+            } = route;
+            enc.u32(*peer);
+            kind.encode(enc);
+            as_path.encode(enc);
+            enc.u32(*next_hop);
+            enc.bool(*local);
+            enc.bool(*ebgp);
         }
-        while rows.next_if(|(n, _)| **n < nlri).is_some() {}
-        let row = rows.next_if(|(n, _)| **n == nlri).map(|(_, row)| row);
-        each(peer, nlri, item, row)?;
+        self.best.as_ref().map(|h| h.peer).encode(enc);
+        enc.seq(self.sent().len());
+        let mut before = None;
+        for Sent { to, path, ebgp } in self.sent() {
+            enc.u32(*to);
+            enc.bool(*ebgp);
+            if before.replace(path) == Some(path) {
+                enc.u8(SAME_PATH);
+            } else {
+                enc.u8(NEW_PATH);
+                path.encode(enc);
+            }
+        }
     }
-    Ok(())
+
+    /// Reads the row of `nlri` and decides it, with `rest` and `sent`
+    /// allocated at their final size. Refused: an entry out of order, a
+    /// selected peer that is not the one the candidates select, a `sent`
+    /// path tag that is neither, or names no entry before, and a row
+    /// with nothing in it.
+    fn decode(dec: &mut Dec<'_>, nlri: Nlri) -> Result<Row, SnapError> {
+        let heard = dec.seq()?;
+        let mut best: Option<Heard> = None;
+        let mut rest = Vec::with_capacity(dec.reserve::<Heard>(heard.saturating_sub(1)));
+        for _ in 0..heard {
+            let peer = dec.u32()?;
+            let last = rest.last().or(best.as_ref());
+            if last.is_some_and(|h| h.peer >= peer) {
+                return Err(DISORDER);
+            }
+            let kind = Snapshot::decode(dec)?;
+            let route = Route {
+                nlri,
+                as_path: AsPath::decode(dec)?,
+                next_hop: dec.u32()?,
+                local: dec.bool()?,
+                ebgp: dec.bool()?,
+            };
+            let h = Heard { peer, kind, route };
+            match best {
+                None => best = Some(h),
+                Some(_) => rest.push(h),
+            }
+        }
+        let selected = Option::<RouterId>::decode(dec)?;
+        let told = dec.seq()?;
+        let mut sent: Vec<Sent> = Vec::with_capacity(dec.reserve::<Sent>(told));
+        for _ in 0..told {
+            let (to, ebgp) = (dec.u32()?, dec.bool()?);
+            let before = sent.last();
+            if before.is_some_and(|s| s.to >= to) {
+                return Err(DISORDER);
+            }
+            let path = match (dec.u8()?, before) {
+                (NEW_PATH, _) => AsPath::decode(dec)?,
+                (SAME_PATH, Some(s)) => s.path.clone(),
+                _ => return Err(SnapError::Invalid("sent path tag")),
+            };
+            sent.push(Sent { to, path, ebgp });
+        }
+        if heard == 0 && told == 0 {
+            return Err(SnapError::Invalid("RIB row with nothing in it"));
+        }
+        let row = Row::decided(best, rest, sent);
+        if row.best.as_ref().map(|h| h.peer) != selected {
+            return Err(SnapError::Invalid(
+                "selection is not what the candidates select",
+            ));
+        }
+        Ok(row)
+    }
 }
 
 impl Snapshot for Rib {
-    /// Frames the candidates as the Adj-RIB-In map, (NLRI, peer) →
-    /// route, then the selections as the Loc-RIB map, NLRI → (peer,
-    /// route). Kinds and `sent` go in the speaker's sections.
+    /// The table in one walk, row by row in NLRI order: each NLRI, then
+    /// its row as [`Row::encode`] writes it.
     fn encode(&self, enc: &mut Enc) {
         let Self {
             table,
             // the trie is rebuilt from the table on decode; the drain is empty across checkpoints
             grib: _,
         } = self;
-        enc.seq(table.values().map(|row| row.heard().count()).sum());
+        enc.seq(table.len());
         for (nlri, row) in table {
-            for h in row.heard() {
-                (*nlri, h.peer).encode(enc);
-                h.route.encode(enc);
-            }
-        }
-        enc.seq(self.selections().count());
-        for (nlri, h) in self.selections() {
-            (*nlri, h.peer).encode(enc);
-            h.route.encode(enc);
+            nlri.encode(enc);
+            row.encode(enc);
         }
     }
 
-    /// One pass: a row is decided once, when the last of its candidates
-    /// is read, and the table built from the rows as they came. A Loc-RIB
-    /// section that is not what the candidates select is invalid.
+    /// One pass: each row is decided as it is read, the trie filled in
+    /// the same loop and the `BTreeMap` built from the rows as they came.
     fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let mut rows: Vec<(Nlri, Row)> = Vec::new();
-        let (mut heard, mut last) = (Vec::new(), None);
-        for _ in 0..dec.seq()? {
-            let ((nlri, peer), route) = <((Nlri, RouterId), Route)>::decode(dec)?;
-            match last.replace((nlri, peer)) {
-                Some(l) if l >= (nlri, peer) => return Err(DISORDER),
-                Some((n, _)) if n != nlri => rows.push((n, Row::decided(&mut heard))),
-                _ => {}
+        let n = dec.seq()?;
+        let mut rows: Vec<(Nlri, Row)> = Vec::with_capacity(dec.reserve::<(Nlri, Row)>(n));
+        let mut grib = Grib::default();
+        for _ in 0..n {
+            let nlri = Nlri::decode(dec)?;
+            if rows.last().is_some_and(|(last, _)| *last >= nlri) {
+                return Err(DISORDER);
             }
-            if route.nlri != nlri {
-                return Err(SnapError::Invalid("Adj-RIB-In route for another NLRI"));
+            let row = Row::decode(dec, nlri)?;
+            if let (Nlri::Group(p), Some(_)) = (nlri, &row.best) {
+                grib.index.insert(p, ());
             }
-            let kind = None;
-            heard.push(Heard { peer, kind, route });
+            rows.push((nlri, row));
         }
-        if let Some((n, _)) = last {
-            rows.push((n, Row::decided(&mut heard)));
-        }
-        let (table, grib) = (rows.into_iter().collect(), Grib::default());
-        let mut rib = Rib { table, grib };
-        let differs = SnapError::Invalid("Loc-RIB is not what Adj-RIB-In selects");
-        if dec.seq()? != rib.table.len() {
-            return Err(differs);
-        }
-        for (nlri, row) in &rib.table {
-            let (at, route) = <((Nlri, RouterId), Route)>::decode(dec)?;
-            if row.best.as_ref().map(|h| ((*nlri, h.peer), &h.route)) != Some((at, &route)) {
-                return Err(differs);
-            }
-            if let Nlri::Group(p) = nlri {
-                rib.grib.index.insert(*p, ());
-            }
-        }
-        Ok(rib)
+        let table = rows.into_iter().collect();
+        Ok(Rib { table, grib })
     }
 }
 

@@ -348,28 +348,26 @@ impl Plan {
 }
 
 impl snapshot::SnapshotState for BgpSpeaker {
-    /// Dynamic state only: the RIB, entry-kind classifications, local
-    /// originations, Adj-RIB-Out, and down-peer set, framed as the
-    /// separate maps they once were. Identity and peering configuration
-    /// (`router`, `asn`, `peers`, `policy`) stay with the rebuilt
-    /// instance.
+    /// Dynamic state only: the route table (candidates with their entry
+    /// kinds, selections and Adj-RIB-Out, row by row), local
+    /// originations and the down-peer set. Identity and peering
+    /// configuration (`router`, `asn`, `peers`, `policy`) stay with the
+    /// rebuilt instance.
     fn encode_state(&self, enc: &mut snapshot::Enc) {
         use snapshot::Snapshot;
         let Self {
-            router,
             rib,
             local_groups,
             down,
             aggregate_suppress,
             // identity and peering configuration stay with the rebuilt instance
+            router: _,
             asn: _,
             peers: _,
             policy: _,
         } = self;
         rib.encode(enc);
-        rib.encode_kinds(enc);
         local_groups.encode(enc);
-        rib.encode_told(enc, *router);
         down.encode(enc);
         enc.bool(*aggregate_suppress);
     }
@@ -377,20 +375,18 @@ impl snapshot::SnapshotState for BgpSpeaker {
     fn restore_state(&mut self, dec: &mut snapshot::Dec<'_>) -> Result<(), snapshot::SnapError> {
         use snapshot::Snapshot;
         let Self {
-            router,
             rib,
             local_groups,
             down,
             aggregate_suppress,
             // identity and peering configuration stay with the rebuilt instance
+            router: _,
             asn: _,
             peers: _,
             policy: _,
         } = self;
         *rib = Rib::decode(dec)?;
-        rib.decode_kinds(dec)?;
         *local_groups = Snapshot::decode(dec)?;
-        rib.decode_told(dec, *router)?;
         *down = Snapshot::decode(dec)?;
         *aggregate_suppress = dec.bool()?;
         Ok(())

@@ -586,13 +586,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// every entry kind occur) with one backbone link signalled down: its
 /// checkpoint is pinned byte for byte. The constants were computed at
 /// commit 4993540, before the BGP speaker's five maps became one
-/// table, then recomputed when `FORMAT_VERSION` went from 3 to 4 by
-/// rewriting the version of both headers in that image; the speaker
-/// section of the blob must not move.
+/// table; recomputed at commit 5d8e5b9, where `FORMAT_VERSION` went
+/// from 3 to 4, by rewriting the version of both headers in that image;
+/// and recomputed after it, when each speaker's table came to be
+/// written row by row (2 746 887 → 1 525 395 bytes). The blob must not
+/// move again.
 #[test]
 fn converged_internet_blob_is_pinned() {
-    const BLOB_LEN: usize = 2_746_887;
-    const BLOB_FNV1A: u64 = 10_677_401_880_891_044_364;
+    const BLOB_LEN: usize = 1_525_395;
+    const BLOB_FNV1A: u64 = 11_615_650_533_761_912_781;
 
     let build = || {
         let graph = internet_like(&InternetSpec {

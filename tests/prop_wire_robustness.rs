@@ -25,9 +25,9 @@
 //! exceeds the cap; each case ends in a typed `CodecError`.
 //!
 //! The BGP speaker's snapshot state gets the same treatment at the end
-//! of the file: its blob is the five maps the speaker once held, and a
-//! `kinds` or `out` section that disagrees with the Adj-RIB-In section
-//! is either refused or carried through unchanged.
+//! of the file: its blob is pinned to rows written here by hand from
+//! what a scenario must leave behind, and a row that breaks the
+//! layout's rules is refused with the rule's own error.
 //!
 //! The vendored proptest is seeded and deterministic; rerun a failure
 //! with `PROPTEST_SEED`.
@@ -563,49 +563,125 @@ fn oversized_length_is_refused_before_allocating() {
 // The BGP speaker's snapshot state
 // ---------------------------------------------------------------------
 
-/// The speaker's dynamic state as the separate maps it was before they
-/// became one NLRI-keyed table — and still the layout of its blob.
+/// What a speaker must hold after a scenario, as plain maps: every
+/// candidate with its entry kind, and the route each peer was last told.
 #[derive(Clone, Default)]
-struct FiveMaps {
-    adj_in: BTreeMap<(Nlri, RouterId), Route>,
-    loc: BTreeMap<Nlri, (RouterId, Route)>,
-    kinds: BTreeMap<(RouterId, Nlri), RouteSourceKind>,
+struct Mirror {
+    heard: BTreeMap<(Nlri, RouterId), (Option<RouteSourceKind>, Route)>,
+    told: BTreeMap<(Nlri, RouterId), Route>,
     local_groups: BTreeSet<Prefix>,
-    out: BTreeMap<(RouterId, Nlri), Route>,
     down: BTreeSet<RouterId>,
 }
 
-/// The three sections a restore walks in step with the table, as
-/// record lists: a list is framed as the map it came from, in whatever
-/// order it is in.
-#[derive(Clone)]
-struct Walked {
-    adj_in: Vec<((Nlri, RouterId), Route)>,
-    kinds: Vec<((RouterId, Nlri), RouteSourceKind)>,
-    out: Vec<((RouterId, Nlri), Route)>,
+/// One `sent` entry as written: the path follows only under tag 0.
+#[derive(Clone, Debug)]
+struct SentRec {
+    to: RouterId,
+    ebgp: bool,
+    tag: u8,
+    path: AsPath,
 }
 
-impl FiveMaps {
-    fn walked(&self) -> Walked {
-        Walked {
-            adj_in: self.adj_in.clone().into_iter().collect(),
-            kinds: self.kinds.clone().into_iter().collect(),
-            out: self.out.clone().into_iter().collect(),
+/// One row as written.
+#[derive(Clone, Debug)]
+struct RowRec {
+    nlri: Nlri,
+    heard: Vec<(RouterId, Option<RouteSourceKind>, Route)>,
+    selected: Option<RouterId>,
+    sent: Vec<SentRec>,
+}
+
+/// The speaker's blob as records, written out by [`Rows::blob`] in
+/// whatever order and with whatever values they hold.
+#[derive(Clone)]
+struct Rows {
+    rows: Vec<RowRec>,
+    local_groups: BTreeSet<Prefix>,
+    down: BTreeSet<RouterId>,
+}
+
+impl Mirror {
+    /// The rows this state is written as: NLRI order, candidates and
+    /// `sent` in peer order, the selection worked out here (the first
+    /// candidate in peer order that no other is preferred to), and a
+    /// `sent` path tagged 1 when the entry before it in the row holds
+    /// the same path.
+    fn rows(&self) -> Rows {
+        let keys = self.heard.keys().chain(self.told.keys());
+        let nlris: BTreeSet<Nlri> = keys.map(|(nlri, _)| *nlri).collect();
+        let of = |nlri: Nlri| (nlri, RouterId::MIN)..=(nlri, RouterId::MAX);
+        let rows = nlris.into_iter().map(|nlri| {
+            let heard = self.heard.range(of(nlri));
+            let heard: Vec<_> = heard
+                .map(|((_, peer), (kind, route))| (*peer, *kind, route.clone()))
+                .collect();
+            let mut selected: Option<&(RouterId, _, Route)> = None;
+            for h in &heard {
+                if selected.is_none_or(|s| bgp::route::prefer(&h.2, &s.2)) {
+                    selected = Some(h);
+                }
+            }
+            let mut sent: Vec<SentRec> = Vec::new();
+            for ((_, to), route) in self.told.range(of(nlri)) {
+                let same = sent.last().is_some_and(|s| s.path == route.as_path);
+                sent.push(SentRec {
+                    to: *to,
+                    ebgp: route.ebgp,
+                    tag: u8::from(same),
+                    path: route.as_path.clone(),
+                });
+            }
+            let selected = selected.map(|s| s.0);
+            RowRec {
+                nlri,
+                heard,
+                selected,
+                sent,
+            }
+        });
+        Rows {
+            rows: rows.collect(),
+            local_groups: self.local_groups.clone(),
+            down: self.down.clone(),
         }
     }
 
     fn blob(&self) -> Vec<u8> {
-        self.blob_with(&self.walked())
+        self.rows().blob()
     }
+}
 
-    /// The blob with `lists` where the maps they came from go.
-    fn blob_with(&self, lists: &Walked) -> Vec<u8> {
+impl Rows {
+    /// The layout, field by field: the row count, then per row its
+    /// NLRI, the candidates (peer, kind, then the route less its NLRI),
+    /// the selected peer and the `sent` entries (peer, `ebgp`, path
+    /// tag, path); then `local_groups`, `down` and `aggregate_suppress`.
+    fn blob(&self) -> Vec<u8> {
         let mut enc = Enc::new();
-        lists.adj_in.encode(&mut enc);
-        self.loc.encode(&mut enc);
-        lists.kinds.encode(&mut enc);
+        enc.seq(self.rows.len());
+        for row in &self.rows {
+            row.nlri.encode(&mut enc);
+            enc.seq(row.heard.len());
+            for (peer, kind, route) in &row.heard {
+                enc.u32(*peer);
+                kind.encode(&mut enc);
+                route.as_path.encode(&mut enc);
+                enc.u32(route.next_hop);
+                enc.bool(route.local);
+                enc.bool(route.ebgp);
+            }
+            row.selected.encode(&mut enc);
+            enc.seq(row.sent.len());
+            for s in &row.sent {
+                enc.u32(s.to);
+                enc.bool(s.ebgp);
+                enc.u8(s.tag);
+                if s.tag == 0 {
+                    s.path.encode(&mut enc);
+                }
+            }
+        }
         self.local_groups.encode(&mut enc);
-        lists.out.encode(&mut enc);
         self.down.encode(&mut enc);
         enc.bool(true); // aggregate_suppress
         enc.finish()
@@ -638,35 +714,35 @@ fn through_speaker(blob: &[u8]) -> Result<Vec<u8>, SnapError> {
 }
 
 /// Drives a speaker through originations, updates from every kind of
-/// peer, a withdraw and a session loss, mirroring into [`FiveMaps`]
-/// what each event must leave behind: what was fed in (with the
-/// receiver-side `ebgp` flag and entry kind), and the last thing each
-/// peer was told.
-fn live_speaker() -> (BgpSpeaker, FiveMaps) {
+/// peer, a withdraw and a session loss, mirroring what each event must
+/// leave behind: what was fed in (with the receiver-side `ebgp` flag and
+/// entry kind), and the last thing each peer was told.
+fn live_speaker() -> (BgpSpeaker, Mirror) {
     let mut sp = fresh_speaker();
-    let mut maps = FiveMaps::default();
-    fn told(maps: &mut FiveMaps, msgs: Vec<OutMsg>) {
+    let mut mirror = Mirror::default();
+    fn told(mirror: &mut Mirror, msgs: Vec<OutMsg>) {
         for OutMsg { to, msg } in msgs {
             match msg {
-                BgpMsg::Update { route, .. } => maps.out.insert((to, route.nlri), route),
-                BgpMsg::Withdraw(nlri) => maps.out.remove(&(to, nlri)),
+                BgpMsg::Update { route, .. } => mirror.told.insert((route.nlri, to), route),
+                BgpMsg::Withdraw(nlri) => mirror.told.remove(&(nlri, to)),
             };
         }
     }
     let own = prefix(0xE100_0000, 12);
     let local = |nlri| Route::originate(nlri, MY_ASN, ME);
-    maps.local_groups.insert(own);
+    mirror.local_groups.insert(own);
     for nlri in [Nlri::Group(own), Nlri::Domain(MY_ASN)] {
-        maps.adj_in.insert((nlri, RouterId::MAX), local(nlri));
-        maps.kinds
-            .insert((RouterId::MAX, nlri), RouteSourceKind::Local);
+        let kind = Some(RouteSourceKind::Local);
+        mirror
+            .heard
+            .insert((nlri, RouterId::MAX), (kind, local(nlri)));
     }
     let msgs = sp.originate_group(own);
-    told(&mut maps, msgs);
+    told(&mut mirror, msgs);
     let msgs = sp.originate_domain();
-    told(&mut maps, msgs);
+    told(&mut mirror, msgs);
 
-    let heard: [(RouterId, Nlri, &[u32], RouteSourceKind); 7] = [
+    let heard: [(RouterId, Nlri, &[u32], RouteSourceKind); 8] = [
         (
             20,
             Nlri::Group(prefix(0xE100_8000, 24)),
@@ -689,6 +765,12 @@ fn live_speaker() -> (BgpSpeaker, FiveMaps) {
         (40, Nlri::Domain(2), &[4, 7, 2], RouteSourceKind::Peer),
         (
             11,
+            Nlri::Group(prefix(0xE200_0000, 8)),
+            &[6, 9],
+            RouteSourceKind::Peer,
+        ),
+        (
+            11,
             Nlri::Group(prefix(0xE300_0000, 16)),
             &[5],
             RouteSourceKind::Peer,
@@ -708,215 +790,249 @@ fn live_speaker() -> (BgpSpeaker, FiveMaps) {
             kind,
         };
         let msgs = sp.handle(BgpEvent::FromPeer { from, msg });
-        told(&mut maps, msgs);
+        told(&mut mirror, msgs);
         route.ebgp = from != 11;
-        maps.adj_in.insert((nlri, from), route);
-        maps.kinds.insert((from, nlri), kind);
+        mirror.heard.insert((nlri, from), (Some(kind), route));
     }
     let gone = Nlri::Domain(2);
     let msgs = sp.handle(BgpEvent::FromPeer {
         from: 40,
         msg: BgpMsg::Withdraw(gone),
     });
-    told(&mut maps, msgs);
-    maps.adj_in.remove(&(gone, 40));
-    maps.kinds.remove(&(40, gone));
+    told(&mut mirror, msgs);
+    mirror.heard.remove(&(gone, 40));
 
     let msgs = sp.handle(BgpEvent::PeerDown(30));
-    told(&mut maps, msgs);
-    maps.down.insert(30);
-    maps.adj_in.retain(|(_, peer), _| *peer != 30);
-    maps.kinds.retain(|(peer, _), _| *peer != 30);
-    maps.out.retain(|(peer, _), _| *peer != 30);
-
-    for r in sp.rib().loc_rib() {
-        let (src, best) = sp.rib().best_with_source(r.nlri).expect("selected");
-        maps.loc.insert(r.nlri, (src, best.clone()));
-    }
-    (sp, maps)
+    told(&mut mirror, msgs);
+    mirror.down.insert(30);
+    mirror.heard.retain(|(_, peer), _| *peer != 30);
+    mirror.told.retain(|(_, to), _| *to != 30);
+    (sp, mirror)
 }
 
-/// The blob is the five maps, framed by the generic map codec.
+/// The blob is the rows written by hand, and comes back byte for byte.
 #[test]
-fn speaker_blob_is_the_five_maps_it_replaced() {
-    let (sp, maps) = live_speaker();
+fn speaker_blob_is_the_reference_rows() {
+    let (sp, mirror) = live_speaker();
     assert!(
-        maps.adj_in.len() >= 7 && maps.out.len() >= 6,
+        mirror.heard.len() >= 7 && mirror.told.len() >= 6,
         "the scenario went quiet"
+    );
+    let rows = mirror.rows();
+    assert!(
+        rows.rows.iter().any(|r| r.heard.len() >= 2),
+        "no row holds a candidate that lost"
+    );
+    assert!(
+        rows.rows.iter().flat_map(|r| &r.sent).any(|s| s.tag == 1),
+        "no path is told to two peers of a row"
     );
     let mut enc = Enc::new();
     sp.encode_state(&mut enc);
     let blob = enc.finish();
     assert!(
-        blob == maps.blob(),
-        "speaker state is no longer framed as the five maps"
+        blob == rows.blob(),
+        "speaker state is no longer written as the reference rows"
     );
     assert!(through_speaker(&blob).expect("own blob restores") == blob);
 }
 
-/// A `kinds` entry for a route the Adj-RIB-In section does not hold has
-/// nowhere to live: refused, not dropped.
+/// The restore reads the rows once, in order, so a row, candidate or
+/// `sent` entry that is not after the one before it — which
+/// `encode_state` never writes — is refused, not sorted into place or
+/// merged.
 #[test]
-fn kind_of_an_unheard_route_is_refused() {
-    let (_, maps) = live_speaker();
-    for stray in [
-        (40, Nlri::Domain(2)),                     // peer known, route withdrawn
-        (20, Nlri::Group(prefix(0xE200_0000, 8))), // NLRI known, not from this peer
-        (20, Nlri::Group(prefix(0xEE00_0000, 8))), // NLRI unknown
-        (77, Nlri::Domain(2)),                     // peer unknown
-    ] {
-        let mut bad = maps.clone();
-        bad.kinds.insert(stray, RouteSourceKind::Peer);
+fn speaker_sections_out_of_order_are_refused() {
+    let (_, mirror) = live_speaker();
+    let rows = mirror.rows();
+    let i = rows.rows.iter().position(|r| r.heard.len() >= 2);
+    let i = i.expect("a row with two candidates");
+    let j = rows.rows.iter().position(|r| r.sent.len() >= 2);
+    let j = j.expect("a row told to two peers");
+    let refused = |what: &str, edit: &dyn Fn(&mut Vec<RowRec>)| {
+        let mut bad = rows.clone();
+        edit(&mut bad.rows);
         let got = through_speaker(&bad.blob());
-        assert!(
-            matches!(got, Err(SnapError::Invalid(_))),
-            "{stray:?}: {got:?}"
+        assert_eq!(
+            got,
+            Err(SnapError::Invalid("RIB row out of order")),
+            "{what}"
         );
+    };
+    refused("two rows swapped", &|r| r.swap(0, 1));
+    refused("a row twice", &|r| r.insert(1, r[0].clone()));
+    refused("two candidates swapped", &|r| r[i].heard.swap(0, 1));
+    refused("a candidate twice", &|r| {
+        let again = r[i].heard[0].clone();
+        r[i].heard.insert(1, again);
+    });
+    refused("two sent entries swapped", &|r| {
+        r[j].sent.swap(0, 1);
+        r[j].sent.iter_mut().for_each(|s| s.tag = 0);
+    });
+    refused("a sent entry twice", &|r| {
+        let again = r[j].sent[0].clone();
+        r[j].sent.insert(1, again);
+    });
+}
+
+/// The selected peer is written so that a restore can check it: any
+/// other than the one the candidates select — another candidate's, an
+/// absent peer's, none, or one for a row with no candidates — is refused.
+#[test]
+fn a_selection_the_candidates_do_not_make_is_refused() {
+    let (_, mut mirror) = live_speaker();
+    let unheard = Nlri::Group(prefix(0xEE00_0000, 8));
+    let told = mirror.told.values().next().cloned().expect("told");
+    mirror.told.insert(
+        (unheard, 20),
+        Route {
+            nlri: unheard,
+            ..told
+        },
+    );
+    let rows = mirror.rows();
+    let mut tried = [0; 2];
+    for (i, row) in rows.rows.iter().enumerate() {
+        let peers = row.heard.iter().map(|h| Some(h.0));
+        let wrong = peers.chain([None, Some(77)]).filter(|p| *p != row.selected);
+        for selected in wrong {
+            let mut bad = rows.clone();
+            bad.rows[i].selected = selected;
+            assert_eq!(
+                through_speaker(&bad.blob()),
+                Err(SnapError::Invalid(
+                    "selection is not what the candidates select"
+                )),
+                "{:?} given {selected:?}",
+                row.nlri
+            );
+            tried[usize::from(row.heard.len() >= 2)] += 1;
+        }
+    }
+    assert!(tried.iter().all(|&n| n > 0), "a case never ran: {tried:?}");
+}
+
+/// A `sent` path tag is 0 (the path follows) or 1 (the entry before
+/// it in the row holds it): a 1 on a row's first entry, which has no
+/// entry before it, or any other tag is refused.
+#[test]
+fn sent_path_tags_are_checked() {
+    let (_, mirror) = live_speaker();
+    let rows = mirror.rows();
+    let refused = |i: usize, k: usize, tag: u8| {
+        let mut bad = rows.clone();
+        bad.rows[i].sent[k].tag = tag;
+        let got = through_speaker(&bad.blob());
+        assert_eq!(
+            got,
+            Err(SnapError::Invalid("sent path tag")),
+            "row {i} entry {k} tag {tag}"
+        );
+    };
+    let told: Vec<usize> = (0..rows.rows.len())
+        .filter(|&i| !rows.rows[i].sent.is_empty())
+        .collect();
+    assert!(
+        told.len() >= 2,
+        "the second row told is what shows a tag 1 looks only within its row"
+    );
+    for &i in &told {
+        refused(i, 0, 1);
+        for k in 0..rows.rows[i].sent.len() {
+            for tag in [2, 3, 255] {
+                refused(i, k, tag);
+            }
+        }
     }
 }
 
-/// The restore reads each section once, in step with the table, so a
-/// record that is not after the one before it — which `encode_state`
-/// never writes — is refused, not sorted into place.
-#[test]
-fn speaker_sections_out_of_order_are_refused() {
-    let (_, maps) = live_speaker();
-    let sorted = maps.walked();
-    let twice = sorted.kinds.windows(2).position(|w| w[0].0 .0 == w[1].0 .0);
-    let i = twice.expect("a peer with two kinds");
-    let refused = |what: &str, edit: &dyn Fn(&mut Walked)| {
-        let mut lists = sorted.clone();
-        edit(&mut lists);
-        let got = through_speaker(&maps.blob_with(&lists));
-        assert!(matches!(got, Err(SnapError::Invalid(_))), "{what}: {got:?}");
-    };
-    refused("two Adj-RIB-In records swapped", &|l| l.adj_in.swap(0, 1));
-    refused("an Adj-RIB-In record twice", &|l| {
-        l.adj_in.insert(0, l.adj_in[0].clone())
-    });
-    refused("two kinds of one peer swapped", &|l| l.kinds.swap(i, i + 1));
-    refused("two out records swapped", &|l| l.out.swap(0, 1));
-}
-
-/// An `out` entry is independent of what the peer advertised: one for a
-/// pair — even an NLRI — the Adj-RIB-In section lacks survives a
-/// restore byte for byte. One this router cannot have sent is refused.
+/// A `sent` entry is independent of what the peer advertised: one for a
+/// pair — even an NLRI — nobody advertised survives a restore byte for
+/// byte, as a row with no candidates. A row with nothing in it at all is
+/// refused: the table never holds one.
 #[test]
 fn out_entries_stand_alone_or_are_refused() {
-    let (_, maps) = live_speaker();
-    let sent = |nlri, next_hop, local| Route {
+    let (_, mirror) = live_speaker();
+    let sent = |nlri| Route {
         nlri,
         as_path: AsPath::new(&[MY_ASN, 6]),
-        next_hop,
-        local,
+        next_hop: ME,
+        local: false,
         ebgp: true,
     };
     for stray in [
-        (20, Nlri::Group(prefix(0xE200_0000, 8))),
-        (40, Nlri::Group(prefix(0xEE00_0000, 8))),
-        (77, Nlri::Domain(9)),
+        (Nlri::Group(prefix(0xE200_0000, 8)), 20),
+        (Nlri::Group(prefix(0xEE00_0000, 8)), 40),
+        (Nlri::Domain(9), 77),
     ] {
-        let mut odd = maps.clone();
-        odd.out.insert(stray, sent(stray.1, ME, false));
+        let mut odd = mirror.clone();
+        odd.told.insert(stray, sent(stray.0));
         let blob = odd.blob();
         assert!(
             through_speaker(&blob).expect("restores") == blob,
             "{stray:?} moved bytes"
         );
     }
-    // Two peers told of an NLRI nobody advertised share the row made for it.
-    let mut odd = maps.clone();
+    // Two peers told of an NLRI nobody advertised share the row made
+    // for it, and the path is written once.
+    let mut odd = mirror.clone();
     let unheard = Nlri::Group(prefix(0xEE00_0000, 8));
     for to in [20, 40] {
-        odd.out.insert((to, unheard), sent(unheard, ME, false));
+        odd.told.insert((unheard, to), sent(unheard));
     }
-    let blob = odd.blob();
+    let rows = odd.rows();
+    let row = rows.rows.iter().find(|r| r.nlri == unheard).expect("row");
+    assert!(row.heard.is_empty() && row.selected.is_none());
+    assert_eq!(row.sent.iter().map(|s| s.tag).collect::<Vec<_>>(), [0, 1]);
+    let blob = rows.blob();
     assert!(through_speaker(&blob).expect("restores") == blob);
-    let at = (20, Nlri::Domain(9));
-    for forged in [
-        sent(at.1, 99, false),
-        sent(at.1, ME, true),
-        sent(Nlri::Domain(8), ME, false),
-    ] {
-        let mut bad = maps.clone();
-        bad.out.insert(at, forged);
-        let got = through_speaker(&bad.blob());
-        assert!(matches!(got, Err(SnapError::Invalid(_))), "{got:?}");
-    }
-    // A Loc-RIB section that is not what the candidates select.
-    let mut bad = maps.clone();
-    bad.loc.remove(&Nlri::Domain(MY_ASN));
-    assert!(matches!(
-        through_speaker(&bad.blob()),
-        Err(SnapError::Invalid(_))
-    ));
-}
 
-/// An Adj-RIB-In record keyed by one NLRI must hold a route for it: the
-/// live table keys every candidate by its route's NLRI, so a record
-/// that does not is refused, even with a Loc-RIB record that matches it.
-#[test]
-fn adj_in_route_for_another_nlri_is_refused() {
-    let key = (Nlri::Domain(1), 5);
-    let route = Route {
-        nlri: Nlri::Domain(2),
-        as_path: AsPath::new(&[2]),
-        next_hop: 5,
-        local: false,
-        ebgp: true,
+    let mut bad = mirror.rows();
+    let first = bad.rows[0].nlri;
+    assert!(
+        Nlri::Domain(0) < first,
+        "the empty row would be out of order"
+    );
+    let empty = RowRec {
+        nlri: Nlri::Domain(0),
+        heard: Vec::new(),
+        selected: None,
+        sent: Vec::new(),
     };
-    let mut bad = FiveMaps::default();
-    bad.adj_in.insert(key, route.clone());
-    bad.loc.insert(key.0, (key.1, route.clone()));
+    bad.rows.insert(0, empty);
     assert_eq!(
         through_speaker(&bad.blob()),
-        Err(SnapError::Invalid("Adj-RIB-In route for another NLRI"))
+        Err(SnapError::Invalid("RIB row with nothing in it"))
     );
-    // The same record keyed by its own NLRI restores.
-    let mut good = FiveMaps::default();
-    good.adj_in.insert((route.nlri, key.1), route.clone());
-    good.loc.insert(route.nlri, (key.1, route));
-    let blob = good.blob();
-    assert!(through_speaker(&blob).expect("restores") == blob);
 }
 
-/// A `loc` or `out` path is restored exactly as written, never as a
-/// near match of a path the row holds: a Loc-RIB path one ASN off,
-/// longer or shorter is refused, and an `out` path swapped for one its
-/// row holds, or for one no row holds, comes back as written.
+/// A `sent` path is restored exactly as written, never as a near match:
+/// swapped for the selection's path, for another peer's in the same row
+/// or for one no row holds, it comes back as written.
 #[test]
-fn loc_and_out_paths_restore_exactly() {
-    let (_, maps) = live_speaker();
-    let nearly = |path: &[u32]| -> [Vec<u32>; 3] {
-        let mut changed = path.to_vec();
-        changed[0] += 1;
-        let appended = [path, &[99]].concat();
-        let dropped = path[..path.len() - 1].to_vec();
-        [changed, appended, dropped]
-    };
-    for (nlri, (_, route)) in &maps.loc {
-        for path in nearly(&route.as_path) {
-            let mut bad = maps.clone();
-            bad.loc.get_mut(nlri).expect("selected").1.as_path = AsPath::new(&path);
-            let got = through_speaker(&bad.blob());
-            assert!(
-                matches!(got, Err(SnapError::Invalid(_))),
-                "{nlri:?} with {path:?}: {got:?}"
-            );
-        }
-    }
+fn sent_paths_restore_as_written() {
+    let (_, mirror) = live_speaker();
     let mut swaps = [0; 3];
-    for ((to, nlri), route) in &maps.out {
-        let selected = maps.loc.get(nlri).map(|(_, r)| r.as_path.clone());
-        let others = maps.out.iter().filter(|((t, n), _)| n == nlri && t != to);
+    for ((nlri, to), route) in &mirror.told {
+        let selected = mirror.rows().rows.into_iter().find(|r| r.nlri == *nlri);
+        let selected = selected.and_then(|r| {
+            let peer = r.selected?;
+            let h = r.heard.into_iter().find(|h| h.0 == peer)?;
+            Some(h.2.as_path)
+        });
+        let others = mirror
+            .told
+            .iter()
+            .filter(|((n, t), _)| n == nlri && t != to);
         let other = others.map(|(_, r)| r.as_path.clone()).next();
         let unheld = Some(AsPath::new(&[MY_ASN, 4242, 4243]));
         for (i, path) in [selected, other, unheld].into_iter().enumerate() {
             let Some(path) = path.filter(|p| *p != route.as_path) else {
                 continue;
             };
-            let mut odd = maps.clone();
-            odd.out.get_mut(&(*to, *nlri)).expect("told").as_path = path.clone();
+            let mut odd = mirror.clone();
+            odd.told.get_mut(&(*nlri, *to)).expect("told").as_path = path.clone();
             let blob = odd.blob();
             assert!(
                 through_speaker(&blob).expect("restores") == blob,
@@ -931,37 +1047,36 @@ fn loc_and_out_paths_restore_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Stray `kinds` and `out` entries in any mix, then a flipped bit:
-    /// the restore never panics, and whatever it accepts it writes back
-    /// unchanged — nothing is silently dropped.
+    /// Stray candidates (with or without an entry kind) and `sent`
+    /// entries in any mix make a blob the restore carries through byte
+    /// for byte; then, with a flipped bit, it never panics, and whatever
+    /// it accepts it writes as a blob it carries through unchanged.
     #[test]
     fn speaker_blob_is_refused_or_carried_through(
         strays in prop::collection::vec((any::<bool>(), 0u32..6, 0u32..8), 0..4),
         flip in (any::<bool>(), any::<u32>(), 0u32..8),
     ) {
-        let (_, mut maps) = live_speaker();
+        let (_, mut mirror) = live_speaker();
         let peers = [11, 20, 30, 40, 77, RouterId::MAX];
-        for (is_kind, peer, n) in strays {
+        for (heard, peer, n) in strays {
             let nlri = if n < 4 { Nlri::Domain(n) } else { Nlri::Group(prefix(0xE000_0000 + (n << 24), 8)) };
-            let key = (peers[peer as usize], nlri);
-            if is_kind {
-                maps.kinds.insert(key, RouteSourceKind::Customer);
+            let key = (nlri, peers[peer as usize]);
+            let route = Route { nlri, as_path: AsPath::new(&[MY_ASN, n]), next_hop: key.1, local: false, ebgp: n % 2 == 0 };
+            if heard {
+                let kind = (n % 3 != 0).then_some(RouteSourceKind::Customer);
+                mirror.heard.insert(key, (kind, route));
             } else {
-                let route = Route { nlri, as_path: AsPath::new(&[MY_ASN]), next_hop: ME, local: false, ebgp: n % 2 == 0 };
-                maps.out.insert(key, route);
+                mirror.told.insert(key, Route { next_hop: ME, ..route });
             }
         }
-        let mut blob = maps.blob();
-        let unflipped = through_speaker(&blob);
-        if let Ok(again) = &unflipped {
-            prop_assert!(*again == blob, "an accepted blob came back different");
-        }
+        let mut blob = mirror.blob();
+        prop_assert!(through_speaker(&blob) == Ok(blob.clone()), "a reference blob came back different");
         if flip.0 {
             let i = flip.1 as usize % blob.len();
             blob[i] ^= 1 << flip.2;
-            // Totality only: a flipped key can reorder `local_groups`
-            // or `down`, which the set codec re-encodes sorted.
-            let _ = through_speaker(&blob);
+            if let Ok(again) = through_speaker(&blob) {
+                prop_assert!(through_speaker(&again) == Ok(again.clone()), "a re-encoded blob moved");
+            }
         }
     }
 }
