@@ -178,11 +178,16 @@ struct Grib {
 }
 
 impl Grib {
-    /// Records that `nlri`'s selection changed, and whether it has one.
-    fn note(&mut self, nlri: Nlri, selected: bool) {
+    /// Records that `nlri`'s selection changed, and whether it had one
+    /// (`was`) and has one now: the index moves only when a selection
+    /// appears or goes.
+    fn note(&mut self, nlri: Nlri, was: bool, now: bool) {
         if let Nlri::Group(p) = nlri {
             self.changed.push(p);
-            if selected {
+            if was == now {
+                return;
+            }
+            if now {
                 self.index.insert(p, ());
             } else {
                 self.index.remove(&p);
@@ -264,7 +269,7 @@ impl Rib {
         if same {
             return None;
         }
-        self.grib.note(nlri, selected);
+        self.grib.note(nlri, was.is_some(), selected);
         Some(was_kind)
     }
 
@@ -283,7 +288,7 @@ impl Rib {
             if led {
                 row.decide();
                 changed.push(*nlri);
-                self.grib.note(*nlri, row.best.is_some());
+                self.grib.note(*nlri, true, row.best.is_some());
             }
             !row.tidy()
         });
