@@ -453,10 +453,8 @@ const SAME_PATH: u8 = 1;
 const DISORDER: SnapError = SnapError::Invalid("RIB row out of order");
 
 impl Row {
-    /// Writes the row of `nlri`, which the reader knows: the candidates
-    /// in peer order (a route less its NLRI), the selected peer, then
-    /// `sent` in peer order, each path that the entry before holds too
-    /// tagged rather than written again.
+    /// Writes the row as `Rib::encode` describes, less its NLRI, which
+    /// the reader already has.
     fn encode(&self, enc: &mut Enc) {
         enc.seq(usize::from(self.best.is_some()) + self.rest().len());
         for Heard { peer, kind, route } in self.heard() {
@@ -550,7 +548,9 @@ impl Row {
 
 impl Snapshot for Rib {
     /// The table in one walk, row by row in NLRI order: each NLRI, then
-    /// its row as [`Row::encode`] writes it.
+    /// its candidates in peer order (peer, entry kind, the route less its
+    /// NLRI), the selected peer, and what each peer was told, in peer
+    /// order, a path the entry before holds too tagged, not written again.
     fn encode(&self, enc: &mut Enc) {
         let Self {
             table,
