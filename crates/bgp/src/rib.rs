@@ -336,7 +336,7 @@ impl Rib {
                 Some(r) => {
                     let now = Sent {
                         to,
-                        path: r.as_path.clone(),
+                        path: r.as_path,
                         ebgp: r.ebgp,
                     };
                     if had {
@@ -528,7 +528,7 @@ impl Row {
             }
             let path = match (dec.u8()?, before) {
                 (NEW_PATH, _) => AsPath::decode(dec)?,
-                (SAME_PATH, Some(s)) => s.path.clone(),
+                (SAME_PATH, Some(s)) => s.path,
                 _ => return Err(SnapError::Invalid("sent path tag")),
             };
             sent.push(Sent { to, path, ebgp });

@@ -11,7 +11,6 @@
 //!   bound to its root domain, forming the G-RIB.
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use mcast_addr::Prefix;
 
@@ -23,15 +22,17 @@ pub type Asn = u32;
 
 thread_local! {
     /// Per-thread AS-path intern table. Simulations carry the same few
-    /// distinct paths in thousands of RIB entries; interning shares one
+    /// distinct paths in thousands of RIB entries; interning keeps one
     /// allocation per distinct path and lets equality shortcut on
-    /// pointer identity. Thread-local so the table needs no locking
-    /// (parallel harnesses run one simulation per thread).
+    /// pointer identity. The table never frees a path, so each one is
+    /// leaked once and handed out as a plain `&'static` slice. Thread-local
+    /// so the table needs no locking (parallel harnesses run one
+    /// simulation per thread).
     #[expect(
         clippy::disallowed_types,
         reason = "the intern table is only probed by key, never iterated"
     )]
-    static AS_PATH_INTERN: RefCell<std::collections::HashSet<Arc<[Asn]>, PathHash>> =
+    static AS_PATH_INTERN: RefCell<std::collections::HashSet<&'static [Asn], PathHash>> =
         RefCell::new(std::collections::HashSet::default());
     /// The path being decoded or prepended, so that only one not yet
     /// interned allocates.
@@ -74,26 +75,27 @@ impl std::hash::Hasher for WordHasher {
     }
 }
 
-/// An interned, immutable AS path. Behaves like `[Asn]` via `Deref`;
+/// An interned, immutable AS path: a `Copy` handle to the one copy of
+/// its ASNs this thread keeps. Behaves like `[Asn]` via `Deref`;
 /// construct with [`AsPath::new`] / `From<Vec<Asn>>` and extend with
 /// [`AsPath::prepend`]. The snapshot encoding is element-wise and
 /// identical to a plain `Vec<Asn>`'s.
-#[derive(Clone, Eq)]
-pub struct AsPath(Arc<[Asn]>);
+#[derive(Clone, Copy, Eq)]
+pub struct AsPath(&'static [Asn]);
 
 impl AsPath {
     /// Interns `path`, sharing storage with all equal paths on this
     /// thread.
     pub fn new(path: &[Asn]) -> Self {
-        AS_PATH_INTERN.with(|t| {
-            let mut t = t.borrow_mut();
-            if let Some(a) = t.get(path) {
-                AsPath(a.clone())
-            } else {
-                let a: Arc<[Asn]> = Arc::from(path);
-                t.insert(a.clone());
-                AsPath(a)
-            }
+        AS_PATH_INTERN.with_borrow_mut(|t| {
+            AsPath(match t.get(path) {
+                Some(&a) => a,
+                None => {
+                    let a: &'static [Asn] = Box::leak(path.into());
+                    t.insert(a);
+                    a
+                }
+            })
         })
     }
 
@@ -103,7 +105,7 @@ impl AsPath {
         BUILDING.with_borrow_mut(|path| {
             path.clear();
             path.push(asn);
-            path.extend_from_slice(&self.0);
+            path.extend_from_slice(self.0);
             Self::new(path)
         })
     }
@@ -112,13 +114,13 @@ impl AsPath {
 impl std::ops::Deref for AsPath {
     type Target = [Asn];
     fn deref(&self) -> &[Asn] {
-        &self.0
+        self.0
     }
 }
 
 impl PartialEq for AsPath {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        std::ptr::eq(self.0, other.0) || self.0 == other.0
     }
 }
 
@@ -130,7 +132,7 @@ impl std::hash::Hash for AsPath {
 
 impl PartialEq<Vec<Asn>> for AsPath {
     fn eq(&self, other: &Vec<Asn>) -> bool {
-        *self.0 == other[..]
+        self.0 == &other[..]
     }
 }
 

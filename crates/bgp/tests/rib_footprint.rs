@@ -79,7 +79,7 @@ fn speaker_holds_at_most_120_bytes_per_peer_and_nlri() {
         for (from, path) in PEERS.iter().zip(&paths) {
             let route = Route {
                 nlri,
-                as_path: path.clone(),
+                as_path: *path,
                 next_hop: *from,
                 local: false,
                 ebgp: true,

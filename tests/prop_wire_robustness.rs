@@ -628,7 +628,7 @@ impl Mirror {
                     to: *to,
                     ebgp: route.ebgp,
                     tag: u8::from(same),
-                    path: route.as_path.clone(),
+                    path: route.as_path,
                 });
             }
             let selected = selected.map(|s| s.0);
@@ -1025,14 +1025,14 @@ fn sent_paths_restore_as_written() {
             .told
             .iter()
             .filter(|((n, t), _)| n == nlri && t != to);
-        let other = others.map(|(_, r)| r.as_path.clone()).next();
+        let other = others.map(|(_, r)| r.as_path).next();
         let unheld = Some(AsPath::new(&[MY_ASN, 4242, 4243]));
         for (i, path) in [selected, other, unheld].into_iter().enumerate() {
             let Some(path) = path.filter(|p| *p != route.as_path) else {
                 continue;
             };
             let mut odd = mirror.clone();
-            odd.told.get_mut(&(*nlri, *to)).expect("told").as_path = path.clone();
+            odd.told.get_mut(&(*nlri, *to)).expect("told").as_path = path;
             let blob = odd.blob();
             assert!(
                 through_speaker(&blob).expect("restores") == blob,
