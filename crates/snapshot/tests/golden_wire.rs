@@ -6,13 +6,17 @@
 //!
 //! The golden of the one version that decodes is pinned; an image
 //! with any other version in its header is a deterministic
-//! `BadVersion`. The v3 image stays committed to show that.
+//! `BadVersion`. The v3 and v4 images stay committed to show that.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use snapshot::{Dec, Enc, SnapError, Snapshot, FORMAT_VERSION, MAGIC};
 
-const GOLDEN: &[u8] = include_bytes!("golden/wire_v4.bin");
+const GOLDEN: &[u8] = include_bytes!("golden/wire_v5.bin");
+
+/// The same exemplar as version 4 wrote it: header aside, the bytes
+/// are `GOLDEN`'s.
+const GOLDEN_V4: &[u8] = include_bytes!("golden/wire_v4.bin");
 
 /// The same exemplar as version 3 wrote it: header aside, the bytes
 /// are `GOLDEN`'s.
@@ -152,5 +156,14 @@ fn the_v3_golden_is_refused_as_bad_version() {
     assert!(matches!(
         Dec::new(GOLDEN_V3).header(KIND),
         Err(SnapError::BadVersion { found: 3, .. })
+    ));
+}
+
+#[test]
+fn the_v4_golden_is_refused_as_bad_version() {
+    assert_eq!(GOLDEN_V4[8..], GOLDEN[8..], "only the header differs");
+    assert!(matches!(
+        Dec::new(GOLDEN_V4).header(KIND),
+        Err(SnapError::BadVersion { found: 4, .. })
     ));
 }
