@@ -444,10 +444,6 @@ impl Rib {
     }
 }
 
-/// Tags of a `sent` entry's path: written out, or the entry before's.
-const NEW_PATH: u8 = 0;
-const SAME_PATH: u8 = 1;
-
 /// A row, candidate or `sent` entry that is not after the one before
 /// it: `encode` writes rows in NLRI order and a row's lists in peer order.
 const DISORDER: SnapError = SnapError::Invalid("RIB row out of order");
@@ -475,24 +471,17 @@ impl Row {
         }
         self.best.as_ref().map(|h| h.peer).encode(enc);
         enc.seq(self.sent().len());
-        let mut before = None;
         for Sent { to, path, ebgp } in self.sent() {
             enc.u32(*to);
             enc.bool(*ebgp);
-            if before.replace(path) == Some(path) {
-                enc.u8(SAME_PATH);
-            } else {
-                enc.u8(NEW_PATH);
-                path.encode(enc);
-            }
+            path.encode(enc);
         }
     }
 
     /// Reads the row of `nlri` and decides it, with `rest` and `sent`
     /// allocated at their final size. Refused: an entry out of order, a
-    /// selected peer that is not the one the candidates select, a `sent`
-    /// path tag that is neither, or names no entry before, and a row
-    /// with nothing in it.
+    /// selected peer that is not the one the candidates select, and a
+    /// row with nothing in it.
     fn decode(dec: &mut Dec<'_>, nlri: Nlri) -> Result<Row, SnapError> {
         let heard = dec.seq()?;
         let mut best: Option<Heard> = None;
@@ -522,15 +511,10 @@ impl Row {
         let mut sent: Vec<Sent> = Vec::with_capacity(dec.reserve::<Sent>(told));
         for _ in 0..told {
             let (to, ebgp) = (dec.u32()?, dec.bool()?);
-            let before = sent.last();
-            if before.is_some_and(|s| s.to >= to) {
+            if sent.last().is_some_and(|s| s.to >= to) {
                 return Err(DISORDER);
             }
-            let path = match (dec.u8()?, before) {
-                (NEW_PATH, _) => AsPath::decode(dec)?,
-                (SAME_PATH, Some(s)) => s.path,
-                _ => return Err(SnapError::Invalid("sent path tag")),
-            };
+            let path = AsPath::decode(dec)?;
             sent.push(Sent { to, path, ebgp });
         }
         if heard == 0 && told == 0 {
@@ -550,7 +534,8 @@ impl Snapshot for Rib {
     /// The table in one walk, row by row in NLRI order: each NLRI, then
     /// its candidates in peer order (peer, entry kind, the route less its
     /// NLRI), the selected peer, and what each peer was told, in peer
-    /// order, a path the entry before holds too tagged, not written again.
+    /// order. Each path is written in full only the first time the blob
+    /// holds it ([`snapshot::Enc::interned`]).
     fn encode(&self, enc: &mut Enc) {
         let Self {
             table,

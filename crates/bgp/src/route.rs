@@ -34,8 +34,8 @@ thread_local! {
     )]
     static AS_PATH_INTERN: RefCell<std::collections::HashSet<&'static [Asn], PathHash>> =
         RefCell::new(std::collections::HashSet::default());
-    /// The path being decoded or prepended, so that only one not yet
-    /// interned allocates.
+    /// The path being prepended, so that only one not yet interned
+    /// allocates.
     static BUILDING: RefCell<Vec<Asn>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -78,8 +78,8 @@ impl std::hash::Hasher for WordHasher {
 /// An interned, immutable AS path: a `Copy` handle to the one copy of
 /// its ASNs this thread keeps. Behaves like `[Asn]` via `Deref`;
 /// construct with [`AsPath::new`] / `From<Vec<Asn>>` and extend with
-/// [`AsPath::prepend`]. The snapshot encoding is element-wise and
-/// identical to a plain `Vec<Asn>`'s.
+/// [`AsPath::prepend`]. A snapshot writes each path in full once per
+/// blob and refers back to it after ([`snapshot::Enc::interned`]).
 #[derive(Clone, Copy, Eq)]
 pub struct AsPath(&'static [Asn]);
 
@@ -161,23 +161,18 @@ impl std::fmt::Debug for AsPath {
 }
 
 impl snapshot::Snapshot for AsPath {
-    /// Framed exactly like `Vec<Asn>` (length, then elements), so the
-    /// wire format is unchanged by interning.
+    /// The first time the path appears in the blob, tag 0 and the path
+    /// framed like a `Vec<Asn>` (length, then elements); after that,
+    /// tag 1 and its index.
+    #[inline]
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.seq(self.0.len());
-        for a in self.0.iter() {
-            enc.u32(*a);
-        }
+        enc.interned(self.0);
     }
+    /// Interns only a path written in full; a reference back is the
+    /// path already read.
+    #[inline]
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        let n = dec.seq()?;
-        BUILDING.with_borrow_mut(|path| {
-            path.clear();
-            for _ in 0..n {
-                path.push(dec.u32()?);
-            }
-            Ok(Self::new(path))
-        })
+        dec.interned(|path| AsPath::new(path).0).map(AsPath)
     }
 }
 

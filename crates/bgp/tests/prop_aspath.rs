@@ -53,24 +53,39 @@ proptest! {
         prop_assert_eq!(interned, AsPath::from(owned));
     }
 
-    /// The snapshot encoding is byte-identical to `Vec<Asn>` framing
-    /// and round-trips, so checkpoints taken before interning restore
-    /// after it (and vice versa).
+    /// The first time a blob holds a path, it is tag 0 and then the
+    /// path framed exactly like `Vec<Asn>`; every later time, tag 1 and
+    /// the index of that first time. Both round-trip to the same path.
     #[test]
-    fn snapshot_encoding_matches_vec(path in arb_path()) {
+    fn snapshot_encoding_matches_vec(path in arb_path(), other in arb_path()) {
         let interned = AsPath::from(path.clone());
         let mut enc = Enc::new();
         interned.encode(&mut enc);
+        AsPath::from(other.clone()).encode(&mut enc);
+        AsPath::from(path.clone()).encode(&mut enc);
         let via_interned = enc.finish();
 
         let mut enc = Enc::new();
+        enc.u8(0);
         path.encode(&mut enc);
+        if other != path {
+            enc.u8(0);
+            other.encode(&mut enc);
+        } else {
+            enc.u8(1);
+            enc.u32(0);
+        }
+        enc.u8(1);
+        enc.u32(0);
         let via_vec = enc.finish();
         prop_assert_eq!(&via_interned, &via_vec);
 
         let mut dec = Dec::new(&via_interned);
+        prop_assert_eq!(AsPath::decode(&mut dec).unwrap(), interned);
+        prop_assert_eq!(AsPath::decode(&mut dec).unwrap(), other);
         let back = AsPath::decode(&mut dec).unwrap();
-        prop_assert_eq!(back, interned);
+        prop_assert!(std::ptr::eq(&back[..], &interned[..]), "a reference back is the path read before");
+        prop_assert!(dec.finish().is_ok());
     }
 
     /// Churn: building the same path many times (in any interleaving

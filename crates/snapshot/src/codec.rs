@@ -13,7 +13,9 @@
 //!   containers (`BTreeMap`, `BTreeSet`, `Vec`, `VecDeque`) may be
 //!   encoded; a set's or map's keys must be strictly increasing, so a
 //!   repeated or out-of-order key is refused rather than merged;
-//! * enums are a `u8` tag followed by the variant's fields.
+//! * enums are a `u8` tag followed by the variant's fields;
+//! * an interned slice ([`Enc::interned`]) is written in full once per
+//!   blob, under tag 0, and as tag 1 and its index at every later use.
 //!
 //! Decoding is total: every read is bounds-checked and returns
 //! [`SnapError`] on truncation or corruption. No `unwrap`, no
@@ -32,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::interned::Written;
 use crate::Snapshot;
 
 /// Snapshot file magic: "MASC/BGMP SNapshot".
@@ -112,16 +115,22 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
+/// Tags of an interned slice: written out, or the index of one that was.
+const IN_FULL: u8 = 0;
+const BACK_REF: u8 = 1;
+
 /// Append-only encoder over a byte buffer.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    /// The interned slices this blob holds so far.
+    written: Written,
 }
 
 impl Enc {
     /// Creates an empty encoder.
     pub fn new() -> Self {
-        Enc { buf: Vec::new() }
+        Enc::default()
     }
 
     /// Creates an encoder and writes the snapshot header for `kind`.
@@ -187,11 +196,16 @@ impl Enc {
     }
 
     /// Appends what `body` writes as a length-prefixed byte string: the
-    /// bytes of `self.bytes(&inner)` with no `inner`, the length put in last.
+    /// bytes of `self.bytes(&inner)` with no `inner`, the length put in
+    /// last. Like `inner`, the frame is a blob of its own, so its
+    /// interned slices refer back only within it.
     pub fn frame<E>(&mut self, body: impl FnOnce(&mut Enc) -> Result<(), E>) -> Result<(), E> {
         let at = self.buf.len();
         self.u64(0);
-        body(self)?;
+        let outer = std::mem::take(&mut self.written);
+        let wrote = body(self);
+        self.written = outer;
+        wrote?;
         let len = (self.buf.len() - at - 8) as u64;
         if let Some(slot) = self.buf.get_mut(at..at + 8) {
             slot.copy_from_slice(&len.to_le_bytes());
@@ -208,6 +222,30 @@ impl Enc {
     #[inline]
     pub fn seq(&mut self, len: usize) {
         self.usize(len);
+    }
+
+    /// Writes an interned slice, one that lives as long as the program
+    /// and is shared by every equal value (an AS path): the first time
+    /// its contents appear in this blob, tag 0 and the words as a
+    /// sequence, and it takes the next index, counting from 0; after
+    /// that, tag 1 and the index as a `u32`. Equal contents get one
+    /// index whatever their address, so the bytes depend on the values
+    /// alone. Read back with [`Dec::interned`].
+    #[inline]
+    pub fn interned(&mut self, words: &'static [u32]) {
+        match self.written.find_or_add(words) {
+            Some(i) => {
+                self.u8(BACK_REF);
+                self.u32(i);
+            }
+            None => {
+                self.u8(IN_FULL);
+                self.seq(words.len());
+                for w in words {
+                    self.u32(*w);
+                }
+            }
+        }
     }
 
     /// The encoded bytes.
@@ -231,12 +269,21 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The interned slices read so far, by index.
+    read: Vec<&'static [u32]>,
+    /// The words of the slice being read.
+    words: Vec<u32>,
 }
 
 impl<'a> Dec<'a> {
     /// Creates a decoder over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            read: Vec::new(),
+            words: Vec::new(),
+        }
     }
 
     /// Unconsumed byte count.
@@ -357,6 +404,38 @@ impl<'a> Dec<'a> {
             return Err(SnapError::Invalid("sequence length exceeds input"));
         }
         Ok(n)
+    }
+
+    /// Reads a slice [`Enc::interned`] wrote: under tag 0 its words,
+    /// which `intern` turns into the slice that the next index names;
+    /// under tag 1 the slice an index read before names. Refused: any
+    /// other tag, and an index no slice has yet.
+    #[inline]
+    pub fn interned(
+        &mut self,
+        intern: impl FnOnce(&[u32]) -> &'static [u32],
+    ) -> Result<&'static [u32], SnapError> {
+        match self.u8()? {
+            IN_FULL => {
+                let n = self.seq()?;
+                let mut words = std::mem::take(&mut self.words);
+                words.clear();
+                words.reserve(self.reserve::<u32>(n));
+                for _ in 0..n {
+                    words.push(self.u32()?);
+                }
+                let slice = intern(&words);
+                self.words = words;
+                self.read.push(slice);
+                Ok(slice)
+            }
+            BACK_REF => {
+                let i = self.u32()?;
+                let slice = self.read.get(i as usize).copied();
+                slice.ok_or(SnapError::Invalid("interned slice index"))
+            }
+            _ => Err(SnapError::Invalid("interned slice tag")),
+        }
     }
 
     /// How many `T` to reserve for a stated count of `n`: no more memory

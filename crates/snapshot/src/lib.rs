@@ -38,6 +38,7 @@
 
 pub mod bisect;
 pub mod codec;
+mod interned;
 
 pub use bisect::{bisect, BisectReport, Probe};
 pub use codec::{Dec, Enc, SnapError, FORMAT_VERSION, MAGIC};

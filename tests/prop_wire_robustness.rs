@@ -371,12 +371,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Both lists' encodings, concatenated, pinned by length and FNV-1a: a
 /// field written out of order still round-trips, so only the bytes
-/// show it. The constants were computed before any codec was derived
-/// and must not move.
+/// show it. The constants were computed before any codec was derived,
+/// then recomputed in format 5, when the one AS path in the lists
+/// gained its tag byte (715 → 716 bytes). They must not move again.
 #[test]
 fn every_listed_encoding_is_pinned() {
-    const LEN: usize = 715;
-    const FNV1A: u64 = 9_249_612_854_215_274_733;
+    const LEN: usize = 716;
+    const FNV1A: u64 = 352_153_854_603_989_251;
     let bytes: Vec<u8> = (corpus().into_iter().chain(snapshot_only()))
         .flat_map(|(_, bytes, _)| bytes)
         .collect();
@@ -573,13 +574,14 @@ struct Mirror {
     down: BTreeSet<RouterId>,
 }
 
-/// One `sent` entry as written: the path follows only under tag 0.
+/// One `sent` entry as written. `raw`, when set, is written where the
+/// path would be.
 #[derive(Clone, Debug)]
 struct SentRec {
     to: RouterId,
     ebgp: bool,
-    tag: u8,
     path: AsPath,
+    raw: Option<Vec<u8>>,
 }
 
 /// One row as written.
@@ -603,9 +605,7 @@ struct Rows {
 impl Mirror {
     /// The rows this state is written as: NLRI order, candidates and
     /// `sent` in peer order, the selection worked out here (the first
-    /// candidate in peer order that no other is preferred to), and a
-    /// `sent` path tagged 1 when the entry before it in the row holds
-    /// the same path.
+    /// candidate in peer order that no other is preferred to).
     fn rows(&self) -> Rows {
         let keys = self.heard.keys().chain(self.told.keys());
         let nlris: BTreeSet<Nlri> = keys.map(|(nlri, _)| *nlri).collect();
@@ -621,16 +621,13 @@ impl Mirror {
                     selected = Some(h);
                 }
             }
-            let mut sent: Vec<SentRec> = Vec::new();
-            for ((_, to), route) in self.told.range(of(nlri)) {
-                let same = sent.last().is_some_and(|s| s.path == route.as_path);
-                sent.push(SentRec {
-                    to: *to,
-                    ebgp: route.ebgp,
-                    tag: u8::from(same),
-                    path: route.as_path,
-                });
-            }
+            let sent = self.told.range(of(nlri)).map(|((_, to), route)| SentRec {
+                to: *to,
+                ebgp: route.ebgp,
+                path: route.as_path,
+                raw: None,
+            });
+            let sent = sent.collect();
             let selected = selected.map(|s| s.0);
             RowRec {
                 nlri,
@@ -651,13 +648,34 @@ impl Mirror {
     }
 }
 
+/// The paths a blob has written in full, by the index each was given.
+type Written = BTreeMap<Vec<u32>, u32>;
+
+/// Writes `path` as the blob's first holder of it does (tag 0, then the
+/// path framed like a `Vec`), or as each later one refers back to it
+/// (tag 1, then its index as a `u32`), counting the paths written in
+/// full from 0 in blob order.
+fn write_path(enc: &mut Enc, written: &mut Written, path: &AsPath) {
+    if let Some(i) = written.get(&path[..]) {
+        enc.u8(1);
+        enc.u32(*i);
+    } else {
+        let i = u32::try_from(written.len()).expect("few paths");
+        written.insert(path.to_vec(), i);
+        enc.u8(0);
+        path.to_vec().encode(enc);
+    }
+}
+
 impl Rows {
     /// The layout, field by field: the row count, then per row its
     /// NLRI, the candidates (peer, kind, then the route less its NLRI),
-    /// the selected peer and the `sent` entries (peer, `ebgp`, path
-    /// tag, path); then `local_groups`, `down` and `aggregate_suppress`.
+    /// the selected peer and the `sent` entries (peer, `ebgp`, path);
+    /// then `local_groups`, `down` and `aggregate_suppress`. Each path
+    /// is written by [`write_path`].
     fn blob(&self) -> Vec<u8> {
         let mut enc = Enc::new();
+        let mut written = Written::new();
         enc.seq(self.rows.len());
         for row in &self.rows {
             row.nlri.encode(&mut enc);
@@ -665,7 +683,7 @@ impl Rows {
             for (peer, kind, route) in &row.heard {
                 enc.u32(*peer);
                 kind.encode(&mut enc);
-                route.as_path.encode(&mut enc);
+                write_path(&mut enc, &mut written, &route.as_path);
                 enc.u32(route.next_hop);
                 enc.bool(route.local);
                 enc.bool(route.ebgp);
@@ -675,9 +693,9 @@ impl Rows {
             for s in &row.sent {
                 enc.u32(s.to);
                 enc.bool(s.ebgp);
-                enc.u8(s.tag);
-                if s.tag == 0 {
-                    s.path.encode(&mut enc);
+                match &s.raw {
+                    Some(raw) => raw.iter().for_each(|b| enc.u8(*b)),
+                    None => write_path(&mut enc, &mut written, &s.path),
                 }
             }
         }
@@ -824,7 +842,9 @@ fn speaker_blob_is_the_reference_rows() {
         "no row holds a candidate that lost"
     );
     assert!(
-        rows.rows.iter().flat_map(|r| &r.sent).any(|s| s.tag == 1),
+        rows.rows
+            .iter()
+            .any(|r| r.sent.windows(2).any(|w| w[0].path == w[1].path)),
         "no path is told to two peers of a row"
     );
     let mut enc = Enc::new();
@@ -866,10 +886,7 @@ fn speaker_sections_out_of_order_are_refused() {
         let again = r[i].heard[0].clone();
         r[i].heard.insert(1, again);
     });
-    refused("two sent entries swapped", &|r| {
-        r[j].sent.swap(0, 1);
-        r[j].sent.iter_mut().for_each(|s| s.tag = 0);
-    });
+    refused("two sent entries swapped", &|r| r[j].sent.swap(0, 1));
     refused("a sent entry twice", &|r| {
         let again = r[j].sent[0].clone();
         r[j].sent.insert(1, again);
@@ -913,38 +930,69 @@ fn a_selection_the_candidates_do_not_make_is_refused() {
     assert!(tried.iter().all(|&n| n > 0), "a case never ran: {tried:?}");
 }
 
-/// A `sent` path tag is 0 (the path follows) or 1 (the entry before
-/// it in the row holds it): a 1 on a row's first entry, which has no
-/// entry before it, or any other tag is refused.
+/// A `sent` path's tag is 0 (the path follows) or 1 (the index of a
+/// path the blob wrote in full before follows, in any row): a 1 with an
+/// index no path has yet, the next one included, or any other tag is
+/// refused; a 1 naming a path written before restores as that path.
 #[test]
 fn sent_path_tags_are_checked() {
     let (_, mirror) = live_speaker();
     let rows = mirror.rows();
-    let refused = |i: usize, k: usize, tag: u8| {
+    let with_raw = |i: usize, k: usize, raw: Vec<u8>| {
         let mut bad = rows.clone();
-        bad.rows[i].sent[k].tag = tag;
-        let got = through_speaker(&bad.blob());
-        assert_eq!(
-            got,
-            Err(SnapError::Invalid("sent path tag")),
-            "row {i} entry {k} tag {tag}"
-        );
+        bad.rows[i].sent[k].raw = Some(raw);
+        through_speaker(&bad.blob())
+    };
+    let back_ref = |index: u32| [&[1][..], &index.to_le_bytes()].concat();
+    // The paths written in full before row `i`'s `sent` entry `k`.
+    let defined = |i: usize, k: usize| {
+        let before = rows.rows[..i].iter().flat_map(|r| {
+            let heard = r.heard.iter().map(|h| h.2.as_path);
+            heard.chain(r.sent.iter().map(|s| s.path))
+        });
+        let row = &rows.rows[i];
+        let row = row.heard.iter().map(|h| h.2.as_path);
+        let row = row.chain(rows.rows[i].sent[..k].iter().map(|s| s.path));
+        let paths: BTreeSet<Vec<u32>> = before.chain(row).map(|p| p.to_vec()).collect();
+        u32::try_from(paths.len()).expect("few paths")
     };
     let told: Vec<usize> = (0..rows.rows.len())
         .filter(|&i| !rows.rows[i].sent.is_empty())
         .collect();
-    assert!(
-        told.len() >= 2,
-        "the second row told is what shows a tag 1 looks only within its row"
-    );
+    assert!(told.len() >= 2, "the scenario went quiet");
+    let first = rows.rows[0].heard.first().map(|h| h.2.as_path);
+    let first = first.unwrap_or_else(|| rows.rows[0].sent[0].path);
+    let mut named = 0;
     for &i in &told {
-        refused(i, 0, 1);
         for k in 0..rows.rows[i].sent.len() {
+            let n = defined(i, k);
+            for index in [n, n + 1, u32::MAX] {
+                assert_eq!(
+                    with_raw(i, k, back_ref(index)),
+                    Err(SnapError::Invalid("interned slice index")),
+                    "row {i} entry {k} index {index} of {n}"
+                );
+            }
             for tag in [2, 3, 255] {
-                refused(i, k, tag);
+                assert_eq!(
+                    with_raw(i, k, vec![tag]),
+                    Err(SnapError::Invalid("interned slice tag")),
+                    "row {i} entry {k} tag {tag}"
+                );
+            }
+            if n > 0 {
+                let mut odd = rows.clone();
+                odd.rows[i].sent[k].raw = Some(back_ref(0));
+                let mut plain = rows.clone();
+                plain.rows[i].sent[k].path = first;
+                assert!(odd.blob() == plain.blob(), "row {i} entry {k}");
+                let got = through_speaker(&odd.blob());
+                assert!(got == Ok(plain.blob()), "row {i} entry {k}");
+                named += 1;
             }
         }
     }
+    assert!(named > 0, "no entry named a path written before");
 }
 
 /// A `sent` entry is independent of what the peer advertised: one for a
@@ -975,7 +1023,7 @@ fn out_entries_stand_alone_or_are_refused() {
         );
     }
     // Two peers told of an NLRI nobody advertised share the row made
-    // for it, and the path is written once.
+    // for it, and the path, held by no other row, is written once.
     let mut odd = mirror.clone();
     let unheard = Nlri::Group(prefix(0xEE00_0000, 8));
     for to in [20, 40] {
@@ -984,8 +1032,20 @@ fn out_entries_stand_alone_or_are_refused() {
     let rows = odd.rows();
     let row = rows.rows.iter().find(|r| r.nlri == unheard).expect("row");
     assert!(row.heard.is_empty() && row.selected.is_none());
-    assert_eq!(row.sent.iter().map(|s| s.tag).collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(row.sent.len(), 2);
     let blob = rows.blob();
+    let in_full = [
+        &[0][..],
+        &2u64.to_le_bytes(),
+        &MY_ASN.to_le_bytes(),
+        &6u32.to_le_bytes(),
+    ]
+    .concat();
+    let times = blob
+        .windows(in_full.len())
+        .filter(|w| *w == in_full)
+        .count();
+    assert_eq!(times, 1, "the path is written in full once");
     assert!(through_speaker(&blob).expect("restores") == blob);
 
     let mut bad = mirror.rows();

@@ -13,8 +13,10 @@
 //! images; nothing else in them moved. The internet's moved once more
 //! when the BGP speaker's table came to be written row by row (its
 //! doc says so). All three were recomputed again when `FORMAT_VERSION`
-//! went from 4 to 5, the same way and with the same result. They must
-//! not move again.
+//! went from 4 to 5, the same way and with the same result; then the
+//! internet's moved once more when each AS path came to be written once
+//! per blob (its doc says so). The hierarchies hold no AS path and did
+//! not move. They must not move again.
 
 use masc_bgmp::core::chaos::chaos_session_timers;
 use masc_bgmp::core::{asn_of, Addressing, BorderPlan, HostId, Internet, InternetConfig};
@@ -108,11 +110,13 @@ fn traced_hierarchy_checkpoint_is_pinned() {
 /// checkpoint is taken one millisecond later, with BGP, BGMP, MASC and
 /// data messages all in flight. Recomputed after commit 5d8e5b9, when
 /// each speaker's table came to be written row by row (318 602 →
-/// 184 503 bytes).
+/// 184 503 bytes), and in format 5, when each AS path came to be
+/// written once per blob and referred back to after (184 503 →
+/// 143 831 bytes).
 #[test]
 fn live_masc_internet_checkpoint_is_pinned() {
-    const BLOB_LEN: usize = 184_503;
-    const BLOB_FNV1A: u64 = 671_448_535_944_767_704;
+    const BLOB_LEN: usize = 143_831;
+    const BLOB_FNV1A: u64 = 15_876_099_862_410_576_393;
 
     let graph = internet_like(&InternetSpec {
         n: 16,
