@@ -2,11 +2,14 @@
 //! each is written in full once and referred to by index after (see
 //! [`Enc::interned`](crate::Enc::interned)).
 //!
-//! Two open-addressed tables of `u32` slots index one list of slices:
-//! one keyed by a slice's address, which an interned slice shares with
-//! every equal one made on its thread, and one keyed by its contents,
-//! for an equal slice interned on another thread. Nothing is iterated
-//! but the list, in the order the slices were written.
+//! Two open-addressed tables index one list of slices: one keyed by a
+//! slice's address, which an interned slice shares with every equal one
+//! made on its thread, and one keyed by its contents, for an equal slice
+//! interned on another thread. An address slot holds the address it is
+//! for, so a hit reads one slot and nothing else; the slice written last
+//! is checked before either, since a slice is often written twice in a
+//! row. Nothing is iterated but the list, in the order the slices were
+//! written.
 
 #![deny(
     clippy::unwrap_used,
@@ -21,12 +24,27 @@
 /// A free slot; slot `i + 1` names the slice at index `i`.
 const FREE: u32 = 0;
 
+/// Where a slice lies, its address and length in one word: exact while
+/// the address fits in 48 bits and the length in 16, as every slice an
+/// AS path holds does. Any other slice is found by contents only.
+fn addr_of(words: &[u32]) -> Option<u64> {
+    let at = words.as_ptr() as u64;
+    let len = u64::try_from(words.len()).ok()?;
+    (at >> 48 == 0 && len >> 16 == 0).then_some(at | len << 48)
+}
+
 /// The slices written so far in one blob, by the index each was given.
 #[derive(Debug, Default)]
 pub(crate) struct Written {
     slices: Vec<&'static [u32]>,
-    by_addr: Vec<u32>,
-    by_words: Vec<u32>,
+    /// The address of the slice written last, and its slot.
+    last: (u64, u32),
+    /// Slots keyed by address, each with the address it is for.
+    by_addr: Vec<(u64, u32)>,
+    /// Slots keyed by contents, each with its slice's contents hash, so
+    /// that a probe reads a slice only when the hashes agree and growth
+    /// reads none.
+    by_words: Vec<(u32, u32)>,
 }
 
 impl Written {
@@ -35,88 +53,107 @@ impl Written {
     /// left to give.
     #[inline]
     pub(crate) fn find_or_add(&mut self, words: &'static [u32]) -> Option<u32> {
-        let slices = &self.slices;
-        let same_addr = |i: usize| slices.get(i).is_some_and(|s| std::ptr::eq(*s, words));
-        if let Some(i) = find(&self.by_addr, addr_hash(words), same_addr) {
-            return Some(i);
+        let addr = addr_of(words);
+        if let Some(addr) = addr {
+            let (last, slot) = self.last;
+            if last == addr && slot != FREE {
+                return Some(slot - 1);
+            }
+            let slot = self.find_addr(addr);
+            if slot != FREE {
+                self.last = (addr, slot);
+                return Some(slot - 1);
+            }
         }
-        let same_words = |i: usize| slices.get(i).is_some_and(|s| *s == words);
-        if let Some(i) = find(&self.by_words, words_hash(words), same_words) {
-            return Some(i);
+        let hash = words_hash(words);
+        let slot = self.find_words(hash, words);
+        if slot != FREE {
+            return Some(slot - 1);
         }
-        self.add(words);
+        self.add(words, addr, hash);
         None
     }
 
-    fn add(&mut self, words: &'static [u32]) {
+    /// The slot keyed by `addr`, or [`FREE`].
+    #[inline]
+    fn find_addr(&self, addr: u64) -> u32 {
+        let mask = self.by_addr.len().wrapping_sub(1);
+        let mut at = hash(addr) as usize;
+        while let Some(&(key, slot)) = self.by_addr.get(at & mask) {
+            if slot == FREE || key == addr {
+                return slot;
+            }
+            at = at.wrapping_add(1);
+        }
+        FREE
+    }
+
+    /// The slot of a slice with `words`' contents, or [`FREE`].
+    fn find_words(&self, hash: u32, words: &[u32]) -> u32 {
+        let mask = self.by_words.len().wrapping_sub(1);
+        let mut at = hash as usize;
+        while let Some(&(held, slot)) = self.by_words.get(at & mask) {
+            if slot == FREE {
+                return FREE;
+            }
+            let same = || self.slices.get(slot as usize - 1) == Some(&words);
+            if held == hash && same() {
+                return slot;
+            }
+            at = at.wrapping_add(1);
+        }
+        FREE
+    }
+
+    fn add(&mut self, words: &'static [u32], addr: Option<u64>, contents: u32) {
         let Ok(slot) = u32::try_from(self.slices.len() + 1) else {
             return;
         };
         // At most three slots in four are taken, so probes stay short
         // and always reach a free slot.
-        if self.slices.len() * 4 >= self.by_addr.len() * 3 {
-            let len = (self.by_addr.len() * 2).max(64);
-            self.by_addr = vec![FREE; len];
-            self.by_words = vec![FREE; len];
-            for (i, s) in self.slices.iter().enumerate() {
-                let slot = i as u32 + 1;
-                put(&mut self.by_addr, addr_hash(s), slot);
-                put(&mut self.by_words, words_hash(s), slot);
+        if self.slices.len() * 4 >= self.by_words.len() * 3 {
+            let len = (self.by_words.len() * 2).max(16);
+            let by_addr = std::mem::replace(&mut self.by_addr, vec![(0, FREE); len]);
+            let by_words = std::mem::replace(&mut self.by_words, vec![(0, FREE); len]);
+            for (addr, slot) in by_addr.into_iter().filter(|e| e.1 != FREE) {
+                put(&mut self.by_addr, hash(addr) as usize, (addr, slot));
+            }
+            for (held, slot) in by_words.into_iter().filter(|e| e.1 != FREE) {
+                put(&mut self.by_words, held as usize, (held, slot));
             }
         }
         self.slices.push(words);
-        put(&mut self.by_addr, addr_hash(words), slot);
-        put(&mut self.by_words, words_hash(words), slot);
-    }
-}
-
-/// Walks `table` from `hash` to the first free slot and returns the
-/// index of the first slice on the way that `is` accepts.
-#[inline]
-fn find(table: &[u32], hash: u64, is: impl Fn(usize) -> bool) -> Option<u32> {
-    let mask = table.len().wrapping_sub(1);
-    let mut at = hash as usize & mask;
-    loop {
-        match table.get(at).copied() {
-            Some(slot) if slot != FREE => {
-                if is(slot as usize - 1) {
-                    return Some(slot - 1);
-                }
-            }
-            _ => return None,
+        if let Some(addr) = addr {
+            put(&mut self.by_addr, hash(addr) as usize, (addr, slot));
+            self.last = (addr, slot);
         }
-        at = (at + 1) & mask;
+        put(&mut self.by_words, contents as usize, (contents, slot));
     }
 }
 
-/// Puts `slot` in the first free slot from `hash` on.
-fn put(table: &mut [u32], hash: u64, slot: u32) {
+/// Puts `entry` in the first free slot of `table` from `at` on.
+fn put<K>(table: &mut [(K, u32)], mut at: usize, entry: (K, u32)) {
     let mask = table.len().wrapping_sub(1);
-    let mut at = hash as usize & mask;
-    while let Some(taken) = table.get_mut(at) {
-        if *taken == FREE {
-            *taken = slot;
+    while let Some(free) = table.get_mut(at & mask) {
+        if free.1 == FREE {
+            *free = entry;
             return;
         }
-        at = (at + 1) & mask;
+        at = at.wrapping_add(1);
     }
 }
 
 /// Multiplies in the odd constant of Fibonacci hashing; the best bits
 /// end up high, and the tables index by the low ones.
 #[inline]
-fn mix(word: u64) -> u64 {
+fn hash(word: u64) -> u64 {
     word.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
 }
 
-#[inline]
-fn addr_hash(words: &[u32]) -> u64 {
-    mix(words.as_ptr() as u64 ^ (words.len() as u64).rotate_left(48))
-}
-
-fn words_hash(words: &[u32]) -> u64 {
+/// A hash of the contents; the tables index by its low bits.
+fn words_hash(words: &[u32]) -> u32 {
     let h = words.len() as u64;
-    mix(words.iter().fold(h, |h, &w| mix(h ^ u64::from(w))))
+    hash(words.iter().fold(h, |h, &w| hash(h ^ u64::from(w)))) as u32
 }
 
 #[cfg(test)]
