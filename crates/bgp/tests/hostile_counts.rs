@@ -1,14 +1,16 @@
 //! A speaker blob whose row, candidate or `sent` count is more than the
 //! bytes after it can hold is refused, and what its decode asks of the
 //! allocator is bounded by those bytes, whatever the count says
-//! (DESIGN.md §11). Counted by this binary's own allocator, per thread
-//! and in requested bytes, so the figure is the same on every run.
+//! (DESIGN.md §11). So is one whose AS path refers back to an index no
+//! path has, or carries a tag that is neither "in full" nor "back".
+//! Counted by this binary's own allocator, per thread and in requested
+//! bytes, so the figure is the same on every run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bgp::{BgpSpeaker, ExportPolicy, Nlri, PeerConfig, PeerRel, RouteSourceKind};
-use snapshot::{Dec, Enc, Snapshot, SnapshotState};
+use snapshot::{Dec, Enc, SnapError, Snapshot, SnapshotState};
 
 thread_local! {
     /// Bytes this thread has asked for, returned or not.
@@ -62,8 +64,8 @@ fn blob(head: impl Fn(&mut Enc)) -> Vec<u8> {
 }
 
 /// Restoring `input` onto a speaker is refused, having asked the
-/// allocator for no more than twice its length.
-fn refused_within_bound(what: &str, input: &[u8]) {
+/// allocator for no more than twice its length; returns why.
+fn refused_within_bound(what: &str, input: &[u8]) -> SnapError {
     let peer = PeerConfig {
         router: 2,
         asn: 2,
@@ -73,12 +75,37 @@ fn refused_within_bound(what: &str, input: &[u8]) {
     let before = REQUESTED.get();
     let got = sp.restore_state(&mut Dec::new(input));
     let requested = REQUESTED.get() - before;
-    assert!(got.is_err(), "{what}: {got:?}");
     assert!(
         requested <= 2 * input.len(),
         "{what}: {requested} B requested for {} B of input",
         input.len()
     );
+    got.expect_err(what)
+}
+
+/// The row of `Nlri::Domain(7)`, up to its candidate count.
+fn row(enc: &mut Enc) {
+    enc.seq(1);
+    Nlri::Domain(7).encode(enc);
+}
+
+/// A candidate from `peer` up to its path.
+fn candidate(enc: &mut Enc, peer: u32) {
+    enc.u32(peer);
+    Some(RouteSourceKind::Customer).encode(enc);
+}
+
+/// The path `[2]` written in full: tag 0, then framed like a `Vec`.
+fn path_in_full(enc: &mut Enc) {
+    enc.u8(0);
+    vec![2u32].encode(enc);
+}
+
+/// The rest of a candidate after its path: next hop, `local`, `ebgp`.
+fn candidate_tail(enc: &mut Enc) {
+    enc.u32(2);
+    enc.bool(false);
+    enc.bool(true);
 }
 
 /// Each count is tried at the bytes left after it (believable by
@@ -86,7 +113,6 @@ fn refused_within_bound(what: &str, input: &[u8]) {
 /// more, and `u64::MAX`.
 #[test]
 fn counts_past_the_input_are_refused_within_bound() {
-    let nlri = Nlri::Domain(7);
     let counts = |at: usize| [LEN - at - 8, LEN - at - 7, u64::MAX as usize];
     for rows in counts(0) {
         let input = blob(|enc| enc.u64(rows as u64));
@@ -96,10 +122,6 @@ fn counts_past_the_input_are_refused_within_bound() {
         let mut enc = Enc::new();
         head(&mut enc);
         enc.len()
-    };
-    let row = |enc: &mut Enc| {
-        enc.seq(1);
-        nlri.encode(enc);
     };
     for heard in counts(len_of(&row)) {
         let input = blob(|enc| {
@@ -112,19 +134,61 @@ fn counts_past_the_input_are_refused_within_bound() {
     let told = |enc: &mut Enc| {
         row(enc);
         enc.seq(1);
-        enc.u32(2);
-        Some(RouteSourceKind::Customer).encode(enc);
-        vec![2u32].encode(enc);
-        enc.u32(2);
-        enc.bool(false);
-        enc.bool(true);
+        candidate(enc, 2);
+        path_in_full(enc);
+        candidate_tail(enc);
         Some(2u32).encode(enc);
     };
-    for sent in counts(len_of(&told)) {
+    let at = len_of(&told);
+    for sent in counts(at) {
         let input = blob(|enc| {
             told(enc);
             enc.u64(sent as u64);
         });
-        refused_within_bound(&format!("{sent} sent entries"), &input);
+        // A believable count reaches the first entry's `ebgp`: the fill.
+        let got = refused_within_bound(&format!("{sent} sent entries"), &input);
+        let why = if sent == LEN - at - 8 {
+            "bool byte"
+        } else {
+            "sequence length exceeds input"
+        };
+        assert_eq!(got, SnapError::Invalid(why), "{sent} sent entries");
     }
+}
+
+/// Two candidates: the first writes its path in full, the second refers
+/// back. An index not yet defined (the next one), one past the table
+/// and `u32::MAX` are refused, as is a tag other than 0 or 1, without
+/// allocating for what the index claims; index 0 reads the path back.
+#[test]
+fn hostile_path_references_are_refused_within_bound() {
+    let two = |path: &dyn Fn(&mut Enc)| {
+        blob(|enc| {
+            row(enc);
+            enc.seq(2);
+            candidate(enc, 2);
+            path_in_full(enc);
+            candidate_tail(enc);
+            candidate(enc, 3);
+            path(enc);
+        })
+    };
+    let back = |index: u32| {
+        move |enc: &mut Enc| {
+            enc.u8(1);
+            enc.u32(index);
+        }
+    };
+    for index in [1, 2, u32::MAX] {
+        let got = refused_within_bound(&format!("index {index}"), &two(&back(index)));
+        assert_eq!(got, SnapError::Invalid("interned slice index"), "{index}");
+    }
+    for tag in [2, 3, 0xA5, 0xFF] {
+        let got = refused_within_bound(&format!("tag {tag}"), &two(&|enc| enc.u8(tag)));
+        assert_eq!(got, SnapError::Invalid("interned slice tag"), "{tag}");
+    }
+    // The same blob with index 0 gets past both paths and is refused
+    // only at the fill after the second candidate's next hop.
+    let got = refused_within_bound("index 0", &two(&back(0)));
+    assert_eq!(got, SnapError::Invalid("bool byte"));
 }

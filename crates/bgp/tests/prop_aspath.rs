@@ -6,7 +6,8 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use bgp::{AsPath, Asn};
+use bgp::{AsPath, Asn, Nlri, Rib, Route};
+use mcast_addr::Prefix;
 use proptest::prelude::*;
 use snapshot::{Dec, Enc, Snapshot};
 
@@ -109,4 +110,62 @@ proptest! {
             prop_assert_eq!(a, owned);
         }
     }
+}
+
+/// The routes of a small table: four group prefixes heard from three
+/// peers, over five distinct paths that repeat across rows.
+fn routes(path: fn(&[Asn]) -> AsPath) -> Vec<(u32, Route)> {
+    let paths: [&[Asn]; 5] = [&[2], &[2, 7], &[3, 7], &[4, 3, 7], &[3, 9, 9]];
+    let mut out = Vec::new();
+    for g in 0..4u32 {
+        let nlri = Nlri::Group(Prefix::new(0xE000_0000 + (g << 16), 16).expect("aligned"));
+        for peer in 1..=3u32 {
+            let route = Route {
+                nlri,
+                as_path: path(paths[((g + peer) % 5) as usize]),
+                next_hop: peer,
+                local: false,
+                ebgp: true,
+            };
+            out.push((peer, route));
+        }
+    }
+    out
+}
+
+fn blob_of(routes: Vec<(u32, Route)>) -> Vec<u8> {
+    let mut rib = Rib::new();
+    for (peer, route) in routes {
+        rib.update_from(peer, route);
+    }
+    let mut enc = Enc::new();
+    rib.encode(&mut enc);
+    enc.finish()
+}
+
+/// A path interned on another thread is another allocation of equal
+/// contents; a blob holding both writes the path in full once and refers
+/// back to it from either, so it is byte for byte the blob of a table
+/// built on one thread. (Keyed by address alone, the encoder would write
+/// each such path in full twice.)
+#[test]
+fn the_interning_thread_does_not_reach_the_bytes() {
+    let here = routes(AsPath::new);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the point is a second thread's intern table"
+    )]
+    let there = std::thread::spawn(|| routes(AsPath::new))
+        .join()
+        .expect("the other thread builds its routes");
+    let apart =
+        |(a, b): (&(u32, Route), &(u32, Route))| !std::ptr::eq(&a.1.as_path[..], &b.1.as_path[..]);
+    assert!(here.iter().zip(&there).all(apart), "paths share a thread");
+    // Every other route from the other thread, so both tables hold both.
+    let mixed: Vec<(u32, Route)> = (here.iter().zip(&there).enumerate())
+        .map(|(i, (h, t))| if i % 2 == 0 { h.clone() } else { t.clone() })
+        .collect();
+    let one_thread = blob_of(here);
+    assert_eq!(blob_of(mixed), one_thread);
+    assert_eq!(blob_of(there), one_thread);
 }
