@@ -3,8 +3,9 @@
 //!
 //! 1. run a 20-domain network with sessions and members, taking a
 //!    checkpoint every 10 simulated seconds;
-//! 2. "kill" the process (drop the network mid-run);
-//! 3. resume the latest checkpoint onto a freshly built shell and
+//! 2. "kill" the process (drop the network mid-run), leaving the
+//!    latest checkpoint only as a file in the temp directory;
+//! 3. read that file back, resume it onto a freshly built shell and
 //!    finish the run — landing on the exact state fingerprint an
 //!    uninterrupted run reaches;
 //! 4. seed a structural violation and let `snapshot::bisect` localise
@@ -94,12 +95,22 @@ fn main() {
     }
     let reference = state_fingerprint(&net);
     drop(net);
-    println!("process killed at 30 s (state dropped); resuming from disk image...");
+    // The latest checkpoint survives only on disk.
+    let (tick, blob) = checkpoints.pop().expect("have a checkpoint");
+    let image =
+        std::env::temp_dir().join(format!("masc_bgmp_checkpoint_{}.snap", std::process::id()));
+    std::fs::write(&image, &blob).expect("write the disk image");
+    drop(blob);
+    println!(
+        "process killed at 30 s (state dropped); resuming from disk image {}...",
+        image.display()
+    );
 
     // ---- 3. Resume the latest checkpoint and finish --------------
-    let (tick, blob) = checkpoints.last().expect("have a checkpoint");
+    let blob = std::fs::read(&image).expect("read the disk image");
+    std::fs::remove_file(&image).expect("remove the disk image");
     let (mut resumed, _ids2) = build();
-    resumed.resume_from(blob).expect("resume");
+    resumed.resume_from(&blob).expect("resume");
     assert_eq!(
         state_fingerprint(&resumed),
         reference,
@@ -109,6 +120,7 @@ fn main() {
         "resumed @ {} s: fingerprint matches the killed run",
         tick / 1000
     );
+    checkpoints.push((tick, blob));
     for k in (tick / CP_EVERY_MS + 1)..=(END_MS / CP_EVERY_MS) {
         let at = k * CP_EVERY_MS;
         resumed.engine.run_until(t0 + SimDuration::from_millis(at));

@@ -9,7 +9,9 @@
 # benchmark's own `--compare` verdict (bounds, fail_ratio and count
 # metrics). `all` runs every workload BENCHMARK.json lists, one verdict
 # block each, and ends with one line naming every (workload, metric)
-# whose verdict is not ok; the exit status is non-zero if there is one.
+# whose verdict is not ok, each once; the exit status is non-zero if
+# there is one. A count that differs is printed once per distinct line,
+# with how many (parent run, change run) pairs showed it.
 # A comma-separated seed list (1,1998) builds both sides once and runs
 # the pairs at each seed in turn, one verdict block per seed and
 # workload; the last line then names the seed too.
@@ -20,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" workload="$2" pairs="${3:-10}"
@@ -107,10 +109,20 @@ pairs_of() { # <workload>: runs its pairs and prints its verdict block
             [ "$i" -gt 1 ] && printf ','; cat "$runs/$w/${side}_$i.json"; done; printf ']}\n'; } >"$runs/$w/$side.json"
     done
     verdict="$("$change_bin" --compare "$runs/$w/parent.json" "$runs/$w/change.json" || true)"
-    printf '%s\n' "$verdict"
+    # `--compare` prints a count that differs once per (parent run,
+    # change run) pair: print each such line once, with how many times.
+    printf '%s\n' "$verdict" | awk '
+        function flush(i) {
+            for (i = 1; i <= k; i++) print order[i] (n[order[i]] > 1 ? " [" n[order[i]] " times]" : "")
+            k = 0; delete n
+        }
+        /^COUNT DIFFERS/ { if (!($0 in n)) order[++k] = $0; n[$0]++; next }
+        { flush(); print }
+        END { flush() }'
     flagged="$flagged$(printf '%s\n' "$verdict" | awk -v at="$at" '
-        / (regressed|unresolved)( |$)/ { printf " (%s, %s%s)", $1, $2, at }
-        /^COUNT DIFFERS/ { sub(/:$/, "", $6); printf " (%s, %s%s)", $3, $6, at }')"
+        function flag(w, m) { if (!((w, m) in seen)) { seen[w, m]; printf " (%s, %s%s)", w, m, at } }
+        / (regressed|unresolved)( |$)/ { flag($1, $2) }
+        /^COUNT DIFFERS/ { sub(/:$/, "", $6); flag($3, $6) }')"
 }
 
 if [ "$workload" = all ]; then
