@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::interned::Written;
+use crate::interned::{Chunks, Written};
 use crate::Snapshot;
 
 /// Snapshot file magic: "MASC/BGMP SNapshot".
@@ -270,7 +270,7 @@ pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
     /// The interned slices read so far, by index.
-    read: Vec<&'static [u32]>,
+    read: Chunks<&'static [u32]>,
     /// The words of the slice being read.
     words: Vec<u32>,
 }
@@ -281,7 +281,7 @@ impl<'a> Dec<'a> {
         Dec {
             buf,
             pos: 0,
-            read: Vec::new(),
+            read: Chunks::default(),
             words: Vec::new(),
         }
     }
@@ -431,7 +431,7 @@ impl<'a> Dec<'a> {
             }
             BACK_REF => {
                 let i = self.u32()?;
-                let slice = self.read.get(i as usize).copied();
+                let slice = self.read.get(i as usize);
                 slice.ok_or(SnapError::Invalid("interned slice index"))
             }
             _ => Err(SnapError::Invalid("interned slice tag")),

@@ -5,11 +5,13 @@
 //! Two open-addressed tables index one list of slices: one keyed by a
 //! slice's address, which an interned slice shares with every equal one
 //! made on its thread, and one keyed by its contents, for an equal slice
-//! interned on another thread. An address slot holds the address it is
-//! for, so a hit reads one slot and nothing else; the slice written last
-//! is checked before either, since a slice is often written twice in a
-//! row. Nothing is iterated but the list, in the order the slices were
-//! written.
+//! interned on another thread. A hit by address reads a slot and the
+//! slice's packed address, both in compact arrays that stay in cache; the
+//! slice written last is checked before either table, since a slice is
+//! often written twice in a row. Indices follow the order in which slices are first written;
+//! where a slot lies never reaches the bytes. The hashes are fixed, like
+//! the AS-path intern table's: the slices come from the simulation or
+//! from configured BGP neighbours, and a decoder hashes nothing.
 
 #![deny(
     clippy::unwrap_used,
@@ -33,18 +35,24 @@ fn addr_of(words: &[u32]) -> Option<u64> {
     (at >> 48 == 0 && len >> 16 == 0).then_some(at | len << 48)
 }
 
+/// What [`Written::addrs`] holds for a slice [`addr_of`] cannot pack,
+/// and no packed address is: the address of a `u32` is even.
+const NO_ADDR: u64 = u64::MAX;
+
 /// The slices written so far in one blob, by the index each was given.
 #[derive(Debug, Default)]
 pub(crate) struct Written {
-    slices: Vec<&'static [u32]>,
+    slices: Chunks<&'static [u32]>,
+    /// Each slice's packed address, by index.
+    addrs: Chunks<u64>,
     /// The address of the slice written last, and its slot.
     last: (u64, u32),
-    /// Slots keyed by address, each with the address it is for.
-    by_addr: Vec<(u64, u32)>,
+    /// Slots keyed by address.
+    by_addr: Chunks<u32>,
     /// Slots keyed by contents, each with its slice's contents hash, so
     /// that a probe reads a slice only when the hashes agree and growth
     /// reads none.
-    by_words: Vec<(u32, u32)>,
+    by_words: Chunks<(u32, u32)>,
 }
 
 impl Written {
@@ -79,8 +87,8 @@ impl Written {
     fn find_addr(&self, addr: u64) -> u32 {
         let mask = self.by_addr.len().wrapping_sub(1);
         let mut at = hash(addr) as usize;
-        while let Some(&(key, slot)) = self.by_addr.get(at & mask) {
-            if slot == FREE || key == addr {
+        while let Some(slot) = self.by_addr.get(at & mask) {
+            if slot == FREE || self.addrs.get(slot as usize - 1) == Some(addr) {
                 return slot;
             }
             at = at.wrapping_add(1);
@@ -92,11 +100,11 @@ impl Written {
     fn find_words(&self, hash: u32, words: &[u32]) -> u32 {
         let mask = self.by_words.len().wrapping_sub(1);
         let mut at = hash as usize;
-        while let Some(&(held, slot)) = self.by_words.get(at & mask) {
+        while let Some((held, slot)) = self.by_words.get(at & mask) {
             if slot == FREE {
                 return FREE;
             }
-            let same = || self.slices.get(slot as usize - 1) == Some(&words);
+            let same = || self.slices.get(slot as usize - 1) == Some(words);
             if held == hash && same() {
                 return slot;
             }
@@ -113,33 +121,105 @@ impl Written {
         // and always reach a free slot.
         if self.slices.len() * 4 >= self.by_words.len() * 3 {
             let len = (self.by_words.len() * 2).max(16);
-            let by_addr = std::mem::replace(&mut self.by_addr, vec![(0, FREE); len]);
-            let by_words = std::mem::replace(&mut self.by_words, vec![(0, FREE); len]);
-            for (addr, slot) in by_addr.into_iter().filter(|e| e.1 != FREE) {
-                put(&mut self.by_addr, hash(addr) as usize, (addr, slot));
+            self.by_addr = Chunks::filled(len, FREE);
+            let by_words = std::mem::replace(&mut self.by_words, Chunks::filled(len, (0, FREE)));
+            for (i, addr) in self.addrs.iter().enumerate() {
+                if addr != NO_ADDR {
+                    let slot = i as u32 + 1;
+                    put(&mut self.by_addr, hash(addr) as usize, slot, |s| *s == FREE);
+                }
             }
-            for (held, slot) in by_words.into_iter().filter(|e| e.1 != FREE) {
-                put(&mut self.by_words, held as usize, (held, slot));
+            for entry in by_words.iter().filter(|e| e.1 != FREE) {
+                put(&mut self.by_words, entry.0 as usize, entry, |e| e.1 == FREE);
             }
         }
         self.slices.push(words);
+        self.addrs.push(addr.unwrap_or(NO_ADDR));
         if let Some(addr) = addr {
-            put(&mut self.by_addr, hash(addr) as usize, (addr, slot));
+            put(&mut self.by_addr, hash(addr) as usize, slot, |s| *s == FREE);
             self.last = (addr, slot);
         }
-        put(&mut self.by_words, contents as usize, (contents, slot));
+        let entry = (contents, slot);
+        put(&mut self.by_words, contents as usize, entry, |e| {
+            e.1 == FREE
+        });
     }
 }
 
-/// Puts `entry` in the first free slot of `table` from `at` on.
-fn put<K>(table: &mut [(K, u32)], mut at: usize, entry: (K, u32)) {
+/// Puts `entry` in the first slot of `table` from `at` on that `free`
+/// accepts.
+fn put<T: Copy>(table: &mut Chunks<T>, mut at: usize, entry: T, free: impl Fn(&T) -> bool) {
     let mask = table.len().wrapping_sub(1);
-    while let Some(free) = table.get_mut(at & mask) {
-        if free.1 == FREE {
-            *free = entry;
+    while let Some(slot) = table.get_mut(at & mask) {
+        if free(slot) {
+            *slot = entry;
             return;
         }
         at = at.wrapping_add(1);
+    }
+}
+
+/// A list of `T` kept in buffers of at most 64 KiB, so that no buffer
+/// is ever large enough for the allocator to map it on its own. Freeing
+/// such a mapping raises glibc's threshold for the next ones, and the
+/// codec's lists then land on the main heap among the state being
+/// decoded: one list of 2 MB grown by doubling cost `snap_cycle` 15 MB
+/// of peak RSS (EXPERIMENTS.md SNAP, "Format v5").
+#[derive(Debug)]
+pub(crate) struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Chunks {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Copy> Chunks<T> {
+    /// Elements per full buffer: a power of two for every `T` used.
+    const PER: usize = (64 << 10) / std::mem::size_of::<T>();
+
+    /// `len` copies of `value`.
+    fn filled(len: usize, value: T) -> Self {
+        let full = std::iter::repeat_n(Self::PER, len / Self::PER);
+        let sizes = full.chain(Some(len % Self::PER).filter(|n| *n > 0));
+        Chunks {
+            chunks: sizes.map(|n| vec![value; n]).collect(),
+            len,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Option<T> {
+        self.chunks.get(i / Self::PER)?.get(i % Self::PER).copied()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.chunks.get_mut(i / Self::PER)?.get_mut(i % Self::PER)
+    }
+
+    pub(crate) fn push(&mut self, value: T) {
+        if self.len.is_multiple_of(Self::PER) {
+            self.chunks.push(Vec::new());
+        }
+        if let Some(chunk) = self.chunks.last_mut() {
+            chunk.push(value);
+            self.len += 1;
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.chunks.iter().flatten().copied()
     }
 }
 

@@ -167,3 +167,48 @@ fn the_v4_golden_is_refused_as_bad_version() {
         Err(SnapError::BadVersion { found: 4, .. })
     ));
 }
+
+/// An interned slice is written in full the first time its contents
+/// appear (tag 0, then framed like a `Vec<u32>`) and as tag 1 and the
+/// index of that first time after, whatever its address; decode hands
+/// back the slice it interned at that index.
+#[test]
+fn interned_slices_are_written_once_then_referred_to() {
+    let a: &'static [u32] = &[7, 3];
+    let b: &'static [u32] = &[9];
+    let a_elsewhere: &'static [u32] = Box::leak(Box::new([7, 3]));
+    let mut enc = Enc::new();
+    for s in [a, b, a, a_elsewhere, b] {
+        enc.interned(s);
+    }
+    let bytes = enc.finish();
+    let mut want = vec![0];
+    want.extend(2u64.to_le_bytes());
+    want.extend([7, 0, 0, 0, 3, 0, 0, 0]);
+    want.push(0);
+    want.extend(1u64.to_le_bytes());
+    want.extend([9, 0, 0, 0]);
+    want.extend([1, 0, 0, 0, 0]);
+    want.extend([1, 0, 0, 0, 0]);
+    want.extend([1, 1, 0, 0, 0]);
+    assert_eq!(bytes, want);
+
+    let mut interned = 0;
+    let mut intern = |words: &[u32]| -> &'static [u32] {
+        interned += 1;
+        Box::leak(words.into())
+    };
+    let mut dec = Dec::new(&bytes);
+    let first = dec.interned(&mut intern).expect("in full");
+    let second = dec.interned(&mut intern).expect("in full");
+    assert_eq!((first, second), (a, b));
+    for want in [first, first, second] {
+        let got = dec.interned(&mut intern).expect("back");
+        assert!(
+            std::ptr::eq(got, want),
+            "a reference back is the slice read"
+        );
+    }
+    assert_eq!(dec.finish(), Ok(()));
+    assert_eq!(interned, 2, "only a slice written in full is interned");
+}
