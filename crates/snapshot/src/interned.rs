@@ -208,9 +208,12 @@ impl<T: Copy> Chunks<T> {
         self.chunks.get_mut(i / Self::PER)?.get_mut(i % Self::PER)
     }
 
+    /// Appends `value`. The first buffer grows as it fills, so a short
+    /// list stays small; every later one is made full at once.
     pub(crate) fn push(&mut self, value: T) {
         if self.len.is_multiple_of(Self::PER) {
-            self.chunks.push(Vec::new());
+            let room = if self.len == 0 { 0 } else { Self::PER };
+            self.chunks.push(Vec::with_capacity(room));
         }
         if let Some(chunk) = self.chunks.last_mut() {
             chunk.push(value);
