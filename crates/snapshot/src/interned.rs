@@ -160,11 +160,11 @@ fn put<T: Copy>(table: &mut Chunks<T>, mut at: usize, entry: T, free: impl Fn(&T
 }
 
 /// A list of `T` kept in buffers of at most 64 KiB, so that no buffer
-/// is ever large enough for the allocator to map it on its own. Freeing
-/// such a mapping raises glibc's threshold for the next ones, and the
-/// codec's lists then land on the main heap among the state being
-/// decoded: one list of 2 MB grown by doubling cost `snap_cycle` 15 MB
-/// of peak RSS (EXPERIMENTS.md SNAP, "Format v5").
+/// is ever large enough for the allocator to map it on its own: freeing
+/// such a mapping raises glibc's threshold for the next ones, and lists
+/// of 1–2 MB then land on the main heap among the state being decoded.
+/// As single buffers, the codec's lists cost `snap_cycle` 11–15 MB of
+/// peak RSS over the parent's (EXPERIMENTS.md SNAP, "Format v5").
 #[derive(Debug)]
 pub(crate) struct Chunks<T> {
     chunks: Vec<Vec<T>>,
