@@ -19,6 +19,7 @@
 
 pub mod aggregate;
 pub mod msg;
+mod paths;
 pub mod policy;
 pub mod rib;
 pub mod route;

@@ -10,9 +10,11 @@
 //! * **group routes** — the paper's new type: a multicast address range
 //!   bound to its root domain, forming the G-RIB.
 
-use std::cell::RefCell;
+use std::num::NonZeroU32;
 
 use mcast_addr::Prefix;
+
+use crate::paths;
 
 /// A BGP router (border router) identity, unique across a simulation.
 pub type RouterId = u32;
@@ -20,119 +22,59 @@ pub type RouterId = u32;
 /// An autonomous-system (domain) number.
 pub type Asn = u32;
 
-thread_local! {
-    /// Per-thread AS-path intern table. Simulations carry the same few
-    /// distinct paths in thousands of RIB entries; interning keeps one
-    /// allocation per distinct path and lets equality shortcut on
-    /// pointer identity. The table never frees a path, so each one is
-    /// leaked once and handed out as a plain `&'static` slice. Thread-local
-    /// so the table needs no locking (parallel harnesses run one
-    /// simulation per thread).
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the intern table is only probed by key, never iterated"
-    )]
-    static AS_PATH_INTERN: RefCell<std::collections::HashSet<&'static [Asn], PathHash>> =
-        RefCell::new(std::collections::HashSet::default());
-    /// The path being prepended, so that only one not yet interned
-    /// allocates.
-    static BUILDING: RefCell<Vec<Asn>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The intern table's hasher: a fixed multiply-rotate over the path's
-/// words. The table is only probed by key, and its paths come from the
-/// simulation or from configured BGP neighbours, so `RandomState`'s
-/// per-process keys and collision-flooding resistance buy it nothing
-/// but SipHash's cost.
-type PathHash = std::hash::BuildHasherDefault<WordHasher>;
-
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(4) {
-            let mut word = [0; 4];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u32::from_ne_bytes(word).into());
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    /// The multiply leaves its best bits high; the table indexes by the
-    /// low ones.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// An interned, immutable AS path: a `Copy` handle to the one copy of
-/// its ASNs this thread keeps. Behaves like `[Asn]` via `Deref`;
-/// construct with [`AsPath::new`] / `From<Vec<Asn>>` and extend with
-/// [`AsPath::prepend`]. A snapshot writes each path in full once per
-/// blob and refers back to it after ([`snapshot::Enc::interned`]).
-#[derive(Clone, Copy, Eq)]
-pub struct AsPath(&'static [Asn]);
+/// An interned, immutable AS path: a `Copy` 4-byte id of the one copy
+/// of its ASNs the process keeps. Equal paths have one id on every
+/// thread, so equality and hashing look at the id alone, and the id
+/// holds the path's length (up to 30) too. Behaves like `[Asn]` via
+/// `Deref`; construct with [`AsPath::new`] / `From<Vec<Asn>>` and extend
+/// with [`AsPath::prepend`]. A snapshot writes each path in full once
+/// per blob and refers back to it after ([`snapshot::Enc::interned`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AsPath(NonZeroU32);
 
 impl AsPath {
-    /// Interns `path`, sharing storage with all equal paths on this
-    /// thread.
+    /// Interns `path`: the id every equal path has, in this process.
     pub fn new(path: &[Asn]) -> Self {
-        AS_PATH_INTERN.with_borrow_mut(|t| {
-            AsPath(match t.get(path) {
-                Some(&a) => a,
-                None => {
-                    let a: &'static [Asn] = Box::leak(path.into());
-                    t.insert(a);
-                    a
-                }
-            })
-        })
+        AsPath(paths::intern(path))
     }
 
     /// The path `[asn]` followed by this path (advertisement across a
     /// domain boundary).
     pub fn prepend(&self, asn: Asn) -> Self {
-        BUILDING.with_borrow_mut(|path| {
-            path.clear();
-            path.push(asn);
-            path.extend_from_slice(self.0);
-            Self::new(path)
-        })
+        AsPath(paths::prepend(asn, self.0))
+    }
+
+    /// The number of ASNs on the path, read from the id itself unless
+    /// the path is longer than the id can say.
+    #[inline]
+    pub fn len(&self) -> usize {
+        paths::len_of(self.0).unwrap_or_else(|| self.words().len())
+    }
+
+    /// Whether the path holds no ASN.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The path's ASNs, nearest first.
+    #[inline]
+    fn words(&self) -> &'static [Asn] {
+        paths::words(self.0)
     }
 }
 
 impl std::ops::Deref for AsPath {
     type Target = [Asn];
+    #[inline]
     fn deref(&self) -> &[Asn] {
-        self.0
-    }
-}
-
-impl PartialEq for AsPath {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.0, other.0) || self.0 == other.0
-    }
-}
-
-impl std::hash::Hash for AsPath {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.words()
     }
 }
 
 impl PartialEq<Vec<Asn>> for AsPath {
     fn eq(&self, other: &Vec<Asn>) -> bool {
-        self.0 == &other[..]
+        self.words() == &other[..]
     }
 }
 
@@ -156,23 +98,24 @@ impl FromIterator<Asn> for AsPath {
 
 impl std::fmt::Debug for AsPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+        self.words().fmt(f)
     }
 }
 
 impl snapshot::Snapshot for AsPath {
     /// The first time the path appears in the blob, tag 0 and the path
     /// framed like a `Vec<Asn>` (length, then elements); after that,
-    /// tag 1 and its index.
+    /// tag 1 and its index. Keyed by the id, so a path's words are read
+    /// only to be written.
     #[inline]
     fn encode(&self, enc: &mut snapshot::Enc) {
-        enc.interned(self.0);
+        enc.interned(self.0, || self.words());
     }
     /// Interns only a path written in full; a reference back is the
     /// path already read.
     #[inline]
     fn decode(dec: &mut snapshot::Dec<'_>) -> Result<Self, snapshot::SnapError> {
-        dec.interned(|path| AsPath::new(path).0).map(AsPath)
+        dec.interned(paths::intern).map(AsPath)
     }
 }
 

@@ -4,7 +4,10 @@
 //! (DESIGN.md §11). So is one whose AS path refers back to an index no
 //! path has, or carries a tag that is neither "in full" nor "back".
 //! Counted by this binary's own allocator, per thread and in requested
-//! bytes, so the figure is the same on every run.
+//! bytes, so the figure is the same on every run. The AS-path intern
+//! table is the process's, and the thread that grows it pays: the first
+//! path interned here costs under 1 KiB of table, charged to whichever
+//! test runs first, and the bound holds with it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

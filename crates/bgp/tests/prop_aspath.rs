@@ -143,24 +143,28 @@ fn blob_of(routes: Vec<(u32, Route)>) -> Vec<u8> {
     enc.finish()
 }
 
-/// A path interned on another thread is another allocation of equal
-/// contents; a blob holding both writes the path in full once and refers
-/// back to it from either, so it is byte for byte the blob of a table
-/// built on one thread. (Keyed by address alone, the encoder would write
-/// each such path in full twice.)
+/// A path interned on another thread is the same path: one id, one copy
+/// of its words. A blob holding routes built on both threads writes each
+/// path in full once and refers back to it from either, so it is byte
+/// for byte the blob of a table built on one thread.
 #[test]
 fn the_interning_thread_does_not_reach_the_bytes() {
     let here = routes(AsPath::new);
     #[expect(
         clippy::disallowed_methods,
-        reason = "the point is a second thread's intern table"
+        reason = "the point is a second interning thread"
     )]
     let there = std::thread::spawn(|| routes(AsPath::new))
         .join()
         .expect("the other thread builds its routes");
-    let apart =
-        |(a, b): (&(u32, Route), &(u32, Route))| !std::ptr::eq(&a.1.as_path[..], &b.1.as_path[..]);
-    assert!(here.iter().zip(&there).all(apart), "paths share a thread");
+    for (h, t) in here.iter().zip(&there) {
+        let (h, t) = (h.1.as_path, t.1.as_path);
+        assert!(
+            h == t && hash_of(&h) == hash_of(&t),
+            "one id on both threads"
+        );
+        assert!(std::ptr::eq(&h[..], &t[..]), "one copy of the words");
+    }
     // Every other route from the other thread, so both tables hold both.
     let mixed: Vec<(u32, Route)> = (here.iter().zip(&there).enumerate())
         .map(|(i, (h, t))| if i % 2 == 0 { h.clone() } else { t.clone() })
@@ -168,4 +172,73 @@ fn the_interning_thread_does_not_reach_the_bytes() {
     let one_thread = blob_of(here);
     assert_eq!(blob_of(mixed), one_thread);
     assert_eq!(blob_of(there), one_thread);
+}
+
+/// Paths no other test makes: three ASNs past any a test uses, then
+/// `n`'s digits in base 7 as ASNs, so that each `n` is its own path.
+fn fresh_path(n: u32) -> Vec<Asn> {
+    let mut path = vec![900_001, 900_002, 900_003];
+    let mut rest = n;
+    loop {
+        path.push(rest % 7);
+        rest /= 7;
+        if rest == 0 {
+            return path;
+        }
+    }
+}
+
+/// Four threads intern overlapping sets of paths at once, each in its
+/// own order, half of them by `new` and half by `prepend`. Every thread
+/// gets one id per path, the id names that path's words, and no two
+/// paths share an id.
+#[test]
+fn threads_interning_at_once_agree_on_every_id() {
+    const THREADS: u32 = 4;
+    const PER: u32 = 1_500;
+    let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let start = start.clone();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the point is threads interning at once"
+            )]
+            std::thread::spawn(move || {
+                // Thread t takes paths [t * PER / 2, t * PER / 2 + PER):
+                // half shared with the thread before, half with the one after.
+                let mine: Vec<u32> = (0..PER).map(|i| t * PER / 2 + i).collect();
+                let order = mine.iter().map(|&n| (n, n.wrapping_mul(2_654_435_761) ^ t));
+                let mut order: Vec<(u32, u32)> = order.collect();
+                order.sort_by_key(|o| o.1);
+                start.wait();
+                let got = order.into_iter().map(|(n, _)| {
+                    let path = fresh_path(n);
+                    let id = if n % 2 == 0 {
+                        AsPath::new(&path)
+                    } else {
+                        AsPath::new(&path[1..]).prepend(path[0])
+                    };
+                    (n, id)
+                });
+                got.collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut by_path: std::collections::BTreeMap<u32, AsPath> = Default::default();
+    for worker in workers {
+        for (n, id) in worker.join().expect("the thread interns its paths") {
+            assert_eq!(id, fresh_path(n), "the id names path {n}'s words");
+            let first = *by_path.entry(n).or_insert(id);
+            assert_eq!(id, first, "every thread has one id for path {n}");
+        }
+    }
+    assert_eq!(by_path.len() as u32, PER * (THREADS + 1) / 2);
+    let ids: Vec<AsPath> = by_path.values().copied().collect();
+    for (i, a) in ids.iter().enumerate() {
+        assert!(
+            ids[i + 1..].iter().all(|b| a != b),
+            "an id given to two paths"
+        );
+    }
 }

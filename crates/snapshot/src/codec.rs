@@ -14,7 +14,7 @@
 //!   encoded; a set's or map's keys must be strictly increasing, so a
 //!   repeated or out-of-order key is refused rather than merged;
 //! * enums are a `u8` tag followed by the variant's fields;
-//! * an interned slice ([`Enc::interned`]) is written in full once per
+//! * an interned value ([`Enc::interned`]) is written in full once per
 //!   blob, under tag 0, and as tag 1 and its index at every later use.
 //!
 //! Decoding is total: every read is bounds-checked and returns
@@ -33,6 +33,7 @@
 )]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::num::NonZeroU32;
 
 use crate::interned::{Chunks, Written};
 use crate::Snapshot;
@@ -115,7 +116,7 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// Tags of an interned slice: written out, or the index of one that was.
+/// Tags of an interned value: written out, or the index of one that was.
 const IN_FULL: u8 = 0;
 const BACK_REF: u8 = 1;
 
@@ -123,7 +124,7 @@ const BACK_REF: u8 = 1;
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
-    /// The interned slices this blob holds so far.
+    /// The interned values this blob holds so far.
     written: Written,
 }
 
@@ -198,7 +199,7 @@ impl Enc {
     /// Appends what `body` writes as a length-prefixed byte string: the
     /// bytes of `self.bytes(&inner)` with no `inner`, the length put in
     /// last. Like `inner`, the frame is a blob of its own, so its
-    /// interned slices refer back only within it.
+    /// interned values refer back only within it.
     pub fn frame<E>(&mut self, body: impl FnOnce(&mut Enc) -> Result<(), E>) -> Result<(), E> {
         let at = self.buf.len();
         self.u64(0);
@@ -224,21 +225,22 @@ impl Enc {
         self.usize(len);
     }
 
-    /// Writes an interned slice, one that lives as long as the program
-    /// and is shared by every equal value (an AS path): the first time
-    /// its contents appear in this blob, tag 0 and the words as a
-    /// sequence, and it takes the next index, counting from 0; after
-    /// that, tag 1 and the index as a `u32`. Equal contents get one
-    /// index whatever their address, so the bytes depend on the values
-    /// alone. Read back with [`Dec::interned`].
+    /// Writes an interned value, one named by an `id` that every equal
+    /// value shares for the life of the process (an AS path): the first
+    /// time the id appears in this blob, tag 0 and the value's `words`
+    /// as a sequence, and it takes the next index, counting from 0;
+    /// after that, tag 1 and the index as a `u32`. Since equal values
+    /// have one id, the bytes depend on the values alone; `words` is
+    /// called only to write them. Read back with [`Dec::interned`].
     #[inline]
-    pub fn interned(&mut self, words: &'static [u32]) {
-        match self.written.find_or_add(words) {
+    pub fn interned<'w>(&mut self, id: NonZeroU32, words: impl FnOnce() -> &'w [u32]) {
+        match self.written.find_or_add(id) {
             Some(i) => {
                 self.u8(BACK_REF);
                 self.u32(i);
             }
             None => {
+                let words = words();
                 self.u8(IN_FULL);
                 self.seq(words.len());
                 for w in words {
@@ -269,9 +271,9 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// The interned slices read so far, by index.
-    read: Chunks<&'static [u32]>,
-    /// The words of the slice being read.
+    /// The ids of the interned values read so far, by index.
+    read: Chunks<NonZeroU32>,
+    /// The words of the value being read.
     words: Vec<u32>,
 }
 
@@ -406,15 +408,15 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
-    /// Reads a slice [`Enc::interned`] wrote: under tag 0 its words,
-    /// which `intern` turns into the slice that the next index names;
-    /// under tag 1 the slice an index read before names. Refused: any
-    /// other tag, and an index no slice has yet.
+    /// Reads a value [`Enc::interned`] wrote: under tag 0 its words,
+    /// which `intern` turns into the id that the next index names; under
+    /// tag 1 the id an index read before names. Refused: any other tag,
+    /// and an index no value has yet.
     #[inline]
     pub fn interned(
         &mut self,
-        intern: impl FnOnce(&[u32]) -> &'static [u32],
-    ) -> Result<&'static [u32], SnapError> {
+        intern: impl FnOnce(&[u32]) -> NonZeroU32,
+    ) -> Result<NonZeroU32, SnapError> {
         match self.u8()? {
             IN_FULL => {
                 let n = self.seq()?;
@@ -424,15 +426,15 @@ impl<'a> Dec<'a> {
                 for _ in 0..n {
                     words.push(self.u32()?);
                 }
-                let slice = intern(&words);
+                let id = intern(&words);
                 self.words = words;
-                self.read.push(slice);
-                Ok(slice)
+                self.read.push(id);
+                Ok(id)
             }
             BACK_REF => {
                 let i = self.u32()?;
-                let slice = self.read.get(i as usize);
-                slice.ok_or(SnapError::Invalid("interned slice index"))
+                let id = self.read.get(i as usize);
+                id.ok_or(SnapError::Invalid("interned slice index"))
             }
             _ => Err(SnapError::Invalid("interned slice tag")),
         }

@@ -9,6 +9,7 @@
 //! `BadVersion`. The v3 and v4 images stay committed to show that.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::num::NonZeroU32;
 
 use snapshot::{Dec, Enc, SnapError, Snapshot, FORMAT_VERSION, MAGIC};
 
@@ -168,19 +169,23 @@ fn the_v4_golden_is_refused_as_bad_version() {
     ));
 }
 
-/// An interned slice is written in full the first time its contents
-/// appear (tag 0, then framed like a `Vec<u32>`) and as tag 1 and the
-/// index of that first time after, whatever its address; decode hands
-/// back the slice it interned at that index.
+/// An interned value is written in full the first time its id appears
+/// (tag 0, then its words framed like a `Vec<u32>`) and as tag 1 and
+/// the index of that first time after; its words are read only to be
+/// written. Decode hands back the id it interned at that index.
 #[test]
 fn interned_slices_are_written_once_then_referred_to() {
-    let a: &'static [u32] = &[7, 3];
-    let b: &'static [u32] = &[9];
-    let a_elsewhere: &'static [u32] = Box::leak(Box::new([7, 3]));
+    let id = |n| NonZeroU32::new(n).expect("non-zero");
+    let (a, b) = ((id(5), &[7, 3][..]), (id(9), &[9][..]));
     let mut enc = Enc::new();
-    for s in [a, b, a, a_elsewhere, b] {
-        enc.interned(s);
+    let mut reads = 0;
+    for (id, words) in [a, b, a, a, b] {
+        enc.interned(id, || {
+            reads += 1;
+            words
+        });
     }
+    assert_eq!(reads, 2, "only a value written in full is read");
     let bytes = enc.finish();
     let mut want = vec![0];
     want.extend(2u64.to_le_bytes());
@@ -193,22 +198,23 @@ fn interned_slices_are_written_once_then_referred_to() {
     want.extend([1, 1, 0, 0, 0]);
     assert_eq!(bytes, want);
 
-    let mut interned = 0;
-    let mut intern = |words: &[u32]| -> &'static [u32] {
-        interned += 1;
-        Box::leak(words.into())
+    let mut interned = Vec::new();
+    let mut intern = |words: &[u32]| {
+        interned.push(words.to_vec());
+        id(100 + interned.len() as u32)
     };
     let mut dec = Dec::new(&bytes);
     let first = dec.interned(&mut intern).expect("in full");
     let second = dec.interned(&mut intern).expect("in full");
-    assert_eq!((first, second), (a, b));
+    assert_eq!((first, second), (id(101), id(102)));
     for want in [first, first, second] {
         let got = dec.interned(&mut intern).expect("back");
-        assert!(
-            std::ptr::eq(got, want),
-            "a reference back is the slice read"
-        );
+        assert_eq!(got, want, "a reference back is the id read");
     }
     assert_eq!(dec.finish(), Ok(()));
-    assert_eq!(interned, 2, "only a slice written in full is interned");
+    assert_eq!(
+        interned,
+        [vec![7, 3], vec![9]],
+        "only a value written in full is interned"
+    );
 }

@@ -18,11 +18,12 @@
 #
 #   scripts/bench_pairs.sh <parent-ref> <workload>|all [pairs=10] [seeds=1]
 #
-# Everything it writes lives under .bench_build/pairs/ (ignored).
+# Everything it writes lives under .bench_build/pairs/ (ignored). Only one
+# set runs at a time: a second invocation exits 1 and says so.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" workload="$2" pairs="${3:-10}"
@@ -38,6 +39,14 @@ seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json
 # fresh times (-m): `git archive` stamps a file with its commit's time,
 # and cargo rebuilds only a source newer than its last build, so a
 # parent older than the one built before would run the old binary.
+# One set at a time: the next lines delete what a running set reads and
+# writes. The lock is held until this script exits.
+mkdir -p "$work"
+exec 9>"$work/.lock"
+if ! flock -n 9; then
+    echo "bench_pairs.sh: a set is running (lock $work/.lock held); wait for it to finish" >&2
+    exit 1
+fi
 rm -rf "$work/parent_src" "$work/change_src" "$work/runs"
 mkdir -p "$work/parent_src" "$work/change_src" "$work/runs"
 git -C "$root" archive "$parent" | tar -x -m -C "$work/parent_src"
