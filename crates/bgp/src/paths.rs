@@ -19,10 +19,10 @@ use std::sync::{Mutex, OnceLock};
 use crate::route::Asn;
 
 /// Bits of an id that number its path; the bits above hold its length.
-pub(crate) const INDEX_BITS: u32 = 27;
+const INDEX_BITS: u32 = 27;
 const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
 /// The longest length an id holds exactly; a longer path's id holds this.
-pub(crate) const LEN_CAP: usize = (1 << (32 - INDEX_BITS)) - 1;
+const LEN_CAP: usize = (1 << (32 - INDEX_BITS)) - 1;
 
 /// Paths in the first segment, `1 << FIRST_BITS`: small, since whichever
 /// thread interns the first path pays for it.
