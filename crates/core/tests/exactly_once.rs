@@ -7,6 +7,7 @@
 //! peering and default 10 ms links.
 
 use bgp::{ExportPolicy, SessionTimers};
+use masc_bgmp_core::chaos::state_fingerprint;
 use masc_bgmp_core::{asn_of, BorderPlan, HostId, Internet, InternetConfig};
 use simnet::{NodeId, SimDuration};
 use topology::{DomainGraph, DomainId};
@@ -67,7 +68,7 @@ fn eight_domains() -> DomainGraph {
 #[test]
 #[ignore = "ROADMAP item 1(a): a fault-free run delivers the last packet twice at D5"]
 fn fault_free_script_delivers_each_packet_once() {
-    let duplicates = run_script(|_, _| None);
+    let duplicates = duplicates(&run_script(|_, _| None));
     assert!(
         duplicates.iter().all(|&(_, n)| n == 0),
         "packets delivered twice, per domain: {duplicates:?}"
@@ -105,7 +106,7 @@ fn latency_draws_deliver_each_packet_once() {
     // Per domain: draws with a duplicate there, and duplicates in all.
     let mut draws = [(0, 0); 8];
     for draw in 0..150u64 {
-        let duplicates = run_script(|a, b| Some(1 + splitmix64(draw << 32 ^ a << 16 ^ b) % 30));
+        let duplicates = duplicates(&run_script(|a, b| Some(latency_draw(draw, a, b))));
         for (d, n) in duplicates {
             draws[d].0 += u64::from(n > 0);
             draws[d].1 += n;
@@ -117,6 +118,55 @@ fn latency_draws_deliver_each_packet_once() {
     );
 }
 
+/// The data path's footprint on the script, pinned: the 10 ms run,
+/// then latency draws 0..4. Each packet's walk through a domain (MIGP
+/// floods, RPF rejects and their encapsulations, hand-offs between
+/// border routers, drops) shows in these counts, and the fingerprint
+/// holds every tree entry and delivery log. A reordering or a lost or
+/// extra step in a transit moves them; `group_churn` never reaches
+/// the RPF-reject path that this script does.
+///
+/// D5's duplicate (the first entry of D5's row) is ROADMAP item
+/// 1(a)'s defect, pinned as it stands. Item 16(b)'s one-flood-per-
+/// router rule, its fix, changes that entry and these pins with it on
+/// purpose.
+#[test]
+fn script_outcomes_are_pinned() {
+    let runs: Vec<Outcome> = std::iter::once(outcome(&run_script(|_, _| None)))
+        .chain((0..4).map(|draw| outcome(&run_script(|a, b| Some(latency_draw(draw, a, b))))))
+        .collect();
+    assert_eq!(runs, PINNED);
+}
+
+#[rustfmt::skip]
+const PINNED: [Outcome; 5] = [
+    // 10 ms
+    ([(0, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3),
+      (0, 0, 0, 0), (1, 3, 0, 3), (0, 1, 0, 3), (0, 0, 0, 1)],
+     3_554_007_779_009_848_919, (126_472, 0, 100_800, 227_272)),
+    // draw 0
+    ([(0, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3),
+      (0, 0, 0, 0), (1, 3, 0, 3), (1, 1, 0, 3), (0, 0, 0, 1)],
+     4_067_936_333_177_733_492, (126_621, 0, 100_800, 227_421)),
+    // draw 1
+    ([(0, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3),
+      (0, 0, 0, 0), (1, 3, 0, 3), (0, 1, 0, 3), (0, 0, 0, 1)],
+     1_139_836_469_526_570_279, (126_584, 0, 100_800, 227_384)),
+    // draw 2
+    ([(0, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3),
+      (0, 0, 0, 0), (1, 3, 0, 3), (1, 1, 0, 3), (0, 0, 0, 1)],
+     3_596_157_158_609_525_882, (126_659, 0, 100_800, 227_459)),
+    // draw 3
+    ([(0, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3),
+      (0, 0, 0, 0), (1, 3, 0, 3), (0, 1, 0, 3), (0, 0, 0, 1)],
+     5_161_153_201_073_718_887, (126_648, 0, 100_800, 227_448)),
+];
+
+/// Draw `draw`'s latency in ms for the link between domains `a < b`.
+fn latency_draw(draw: u64, a: u64, b: u64) -> u64 {
+    1 + splitmix64(draw << 32 ^ a << 16 ^ b) % 30
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -126,8 +176,8 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Runs the script with each link's latency in ms from `latency(a, b)`
 /// (`a < b`, domain indices; `None` keeps the default 10 ms), and
-/// returns each domain's duplicate count.
-fn run_script(latency: impl Fn(u64, u64) -> Option<u64>) -> Vec<(usize, u64)> {
+/// returns the settled internet.
+fn run_script(latency: impl Fn(u64, u64) -> Option<u64>) -> Internet {
     let cfg = InternetConfig {
         policy: ExportPolicy::Open,
         borders: BorderPlan::PerEdge,
@@ -162,7 +212,35 @@ fn run_script(latency: impl Fn(u64, u64) -> Option<u64>) -> Vec<(usize, u64)> {
     }
     net.send_data(host(1, 0), g);
     net.converge();
+    net
+}
+
+/// Each domain's duplicate count.
+fn duplicates(net: &Internet) -> Vec<(usize, u64)> {
     (0..8)
         .map(|d| (d, net.domain(DomainId(d)).log.duplicates))
         .collect()
+}
+
+/// What one run of the script leaves behind: per domain `(duplicates,
+/// encapsulations, dropped, received)`, the state fingerprint, and the
+/// engine's `(delivered, dropped, timers, events)`.
+type Outcome = ([(u64, u64, u64, usize); 8], u64, (u64, u64, u64, u64));
+
+fn outcome(net: &Internet) -> Outcome {
+    let logs = std::array::from_fn(|d| {
+        let log = &net.domain(DomainId(d)).log;
+        (
+            log.duplicates,
+            log.encapsulations,
+            log.dropped,
+            log.received.len(),
+        )
+    });
+    let s = net.engine.stats();
+    (
+        logs,
+        state_fingerprint(net),
+        (s.delivered, s.dropped, s.timers, s.events),
+    )
 }

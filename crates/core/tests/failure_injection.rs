@@ -271,8 +271,13 @@ fn stale_migp_subscriptions_cannot_bounce_a_packet_forever() {
     // but are (still) subscribed to the group inside the domain — the
     // residue join/prune churn can leave behind — and both route the
     // group through the third. Each re-injects what the MIGP hands it,
-    // which reaches the other: before the depth bound in
-    // `forward_at` this recursed until the stack ran out.
+    // which reaches the other, so the transit's worklist never empties
+    // by itself. The depth a step carries ends it: each of the two
+    // bouncing branches is dropped once it is 4 × routers + 16 hops
+    // deep. The bounce stays inside the one `SendData` event, so the
+    // engine's event count is that of the run without it. Until a
+    // transit floods the domain at most once per router (ROADMAP item
+    // 16(b)), the bound is what stops it.
     let mut graph = DomainGraph::new();
     let hub = graph.add_domain("H");
     let spokes: Vec<DomainId> = ["R", "S", "T"]
@@ -310,8 +315,9 @@ fn stale_migp_subscriptions_cannot_bounce_a_packet_forever() {
     };
     net.send_data(sender, g);
     net.converge();
-    assert!(
-        net.domain(hub).log.dropped > 0,
+    assert_eq!(
+        (net.domain(hub).log.dropped, net.engine.stats().events),
+        (2, 25),
         "the bouncing copy is dropped, not followed"
     );
 }
