@@ -205,6 +205,31 @@ fn group_range(g: McastAddr) -> Prefix {
     Prefix::containing(g, 32).expect("/32 always valid")
 }
 
+/// One step of a packet's transit through a domain
+/// (`DomainActor::transit`). On the stack each is paired with the
+/// depth of the hops it leads to: how many hops lie between them and
+/// the transit's first.
+#[derive(Clone, Copy)]
+enum Step {
+    /// `Hop(router, from)`: a border router's BGMP forwarding decision
+    /// for a copy that reached it from `from`.
+    Hop(RouterId, Target),
+    /// `Ship(from, to)`: border router `from` ships a copy to peer
+    /// router `to`: a hop if `to` is one of this domain's, a
+    /// `Wire::Data` send otherwise.
+    Ship(RouterId, RouterId),
+    /// `Flood(router, exit)`: `router` injects a copy into the MIGP. If
+    /// nobody inside the domain receives it, `exit`'s hop takes it on
+    /// toward the root.
+    Flood(RouterId, Option<RouterId>),
+    /// After a decapsulated flood at this router, the copy continues
+    /// to its (*,G) child peers.
+    DecapChildren(RouterId),
+}
+
+/// A transit's stack of (depth, step) pairs.
+type Steps = Vec<(usize, Step)>;
+
 /// Timer key for the 1 s session-liveness tick. MASC deadline timers
 /// are keyed by their deadline in seconds and the external poke uses
 /// `u64::MAX`, so the top few values below it are free for control
@@ -309,9 +334,6 @@ pub struct DomainActor {
     /// repair pass drains the set as its scope. Groups outside it are
     /// exactly as the last pass left them.
     dirty: BTreeSet<Prefix>,
-    /// How deeply `forward_at` is nested inside the event being
-    /// handled.
-    forward_depth: usize,
 }
 
 impl DomainActor {
@@ -341,7 +363,6 @@ impl DomainActor {
             sessions: BTreeMap::new(),
             boot_gen: 0,
             dirty: BTreeSet::new(),
-            forward_depth: 0,
         }
     }
 
@@ -950,16 +971,142 @@ impl DomainActor {
         }
     }
 
-    /// Injects a packet into the MIGP at a border router and fans the
-    /// result out (members recorded, subscribed borders forwarded).
-    /// Returns whether anyone (member or border) received a copy.
-    fn inject_via_migp(
+    /// Walks one packet through this domain (§5): it enters at a border
+    /// router or at a sending host, the MIGP carries it, and every
+    /// on-tree border router forwards a copy. `steps` is a stack, so a
+    /// step's whole subtree runs before its next sibling, and what a
+    /// step leads to is pushed in reverse.
+    fn transit(&mut self, ctx: &mut Ctx<'_, Wire>, packet: DataPacket, mut steps: Steps) {
+        // Join/prune churn can leave border routers subscribed inside
+        // the domain with no tree state; each re-injects what the MIGP
+        // hands it, and two of them bounce one packet between each
+        // other without end. A chain through a domain visits a router
+        // once per arrival target, so a hop this deep is that loop:
+        // drop the copy instead of following it.
+        let max_depth = 4 * self.routers.len() + 16;
+        while let Some((depth, step)) = steps.pop() {
+            match step {
+                Step::Hop(..) if depth > max_depth => self.log.dropped += 1,
+                Step::Hop(router, from) => {
+                    self.hop(ctx, &mut steps, packet, router, from, depth + 1);
+                }
+                // Internal peer target (rare): hand over directly.
+                Step::Ship(from, to) if self.own_routers.contains(&to) => {
+                    steps.push((depth, Step::Hop(to, Target::Peer(from))));
+                }
+                Step::Ship(from, to) => {
+                    if let Some(&node) = self.peer_node.get(&to) {
+                        ctx.send(node, Wire::Data { from, to, packet });
+                    }
+                }
+                Step::Flood(router, exit) => {
+                    let reached = self.flood(ctx, &mut steps, packet, router, depth);
+                    if let (false, Some(exit)) = (reached, exit) {
+                        steps.push((depth, Step::Hop(exit, Target::Migp)));
+                    }
+                }
+                Step::DecapChildren(router) => {
+                    // `deliver` lists the borders reached *from* the
+                    // entry, never the entry itself — but the
+                    // decapsulating router can hold the domain's tree
+                    // attachment, and the decapsulated data must
+                    // continue down the shared tree to its child peer
+                    // targets. Only the (*,G) children count: members
+                    // were just delivered through the MIGP, and an
+                    // (S,G) entry here points *toward* the source, so
+                    // climbing it would ship the data backwards.
+                    let table = self.routers[self.router_index[&router]].bgmp.table();
+                    if let Some((_, e)) = table.star_lookup(packet.group) {
+                        for t in e.children.iter().rev() {
+                            if let Target::Peer(p) = *t {
+                                steps.push((depth, Step::Ship(router, p)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs the BGMP forwarding decision at a border router; the copies
+    /// it ships onward become steps at `depth`.
+    fn hop(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
-        entry_router: RouterId,
+        steps: &mut Steps,
         packet: DataPacket,
+        router: RouterId,
+        from: Target,
+        depth: usize,
+    ) {
+        // Native (S,G) data arriving from a peer ends the need for
+        // encapsulated copies: send the source-specific prune to the
+        // encapsulating router (§5.3, F2 -> F1). "Native" means the
+        // source branch works: the data reached the entry router the
+        // domain's RPF check expects. Shared-tree data hitting an
+        // sg-holding router on the wrong side must not count — the
+        // still-building branch hasn't delivered anything yet, and
+        // flagging it would drop the packet's own decapsulated copy.
+        if let Target::Peer(_) = from {
+            let key = (packet.source, packet.group);
+            let idx = self.router_index[&router];
+            let has_sg = self.routers[idx]
+                .bgmp
+                .table()
+                .sg(packet.source, packet.group)
+                .is_some();
+            if has_sg && self.best_exit_for_domain(packet.source.domain) == Some(router) {
+                self.native_sg.insert(key);
+                if let Some(&encap) = self.encap_from.get(&key) {
+                    self.encap_from.remove(&key);
+                    self.bgmp_from_peer_send_prune(ctx, router, encap, packet);
+                }
+            }
+        }
+        // The route view is consulted only off-tree: (S,G) and (*,G)
+        // hits, and the BGMP lookup memo, answer without the RIB.
+        let (bgmp, routes) = self.bgmp_with_routes(router);
+        let step = match bgmp.forward(Some(from), packet.source, packet.group, &routes) {
+            ForwardDecision::Targets(targets) => {
+                steps.extend(targets.into_iter().rev().map(|t| match t {
+                    Target::Peer(p) => (depth, Step::Ship(router, p)),
+                    Target::Migp => (depth, Step::Flood(router, None)),
+                }));
+                return;
+            }
+            ForwardDecision::TowardRoot(NextHop::ExternalPeer(p)) => Step::Ship(router, p),
+            // Data transits the domain through the MIGP (§5: DVMRP
+            // broadcasts through A, and every on-tree border router of
+            // A forwards a copy). If nothing inside the domain wants
+            // it, the next-hop border router toward the root takes it.
+            ForwardDecision::TowardRoot(NextHop::Internal { exit }) => {
+                Step::Flood(router, Some(exit))
+            }
+            // We are the root domain; deliver internally if anyone
+            // listens.
+            ForwardDecision::TowardRoot(NextHop::Local) if self.migp.has_members(packet.group) => {
+                Step::Flood(router, None)
+            }
+            ForwardDecision::TowardRoot(NextHop::Local) | ForwardDecision::Drop => {
+                self.log.dropped += 1;
+                return;
+            }
+        };
+        steps.push((depth, step));
+    }
+
+    /// Injects a packet into the MIGP at border router `router`: members
+    /// are recorded and the subscribed borders' hops pushed at `depth`.
+    /// Returns whether anyone (member or border) received a copy.
+    fn flood(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        steps: &mut Steps,
+        packet: DataPacket,
+        router: RouterId,
+        depth: usize,
     ) -> bool {
-        let entry_local = self.router(entry_router).local;
+        let entry = self.router(router).local;
         // RPF expectation: the border router unicast routing would use
         // toward the source's domain (§5.3).
         let expected = if packet.source.domain == self.asn {
@@ -968,26 +1115,15 @@ impl DomainActor {
             self.best_exit_for_domain(packet.source.domain)
                 .map(|r| self.router(r).local)
         };
-        match self.migp.deliver(entry_local, packet.group, expected) {
+        match self.migp.deliver(entry, packet.group, expected) {
             Delivery::Delivered {
                 member_routers,
                 borders,
                 ..
             } => {
                 self.record_deliveries(packet, &member_routers);
-                // Hand to subscribed border routers (BGMP child/parent
-                // targets reached through the domain).
-                let border_ids: Vec<RouterId> = self
-                    .routers
-                    .iter()
-                    .filter(|br| borders.contains(&br.local) && br.id != entry_router)
-                    .map(|br| br.id)
-                    .collect();
-                let any = !member_routers.is_empty() || !border_ids.is_empty();
-                for b in border_ids {
-                    self.forward_at(ctx, b, Some(Target::Migp), packet);
-                }
-                any
+                let handed = self.push_borders(steps, &borders, Some(router), depth);
+                handed || !member_routers.is_empty()
             }
             Delivery::RpfReject { required_entry } => {
                 // Once the branch carries native data, encapsulated
@@ -998,82 +1134,51 @@ impl DomainActor {
                 // §5.3: encapsulate to the border router internal RPF
                 // expects, which decapsulates and injects.
                 self.log.encapsulations += 1;
-                let required_id = self
-                    .routers
-                    .iter()
-                    .find(|br| br.local == required_entry)
-                    .map(|br| br.id);
-                if let Some(req) = required_id {
-                    if self.source_branches {
-                        self.maybe_start_source_branch(ctx, req, entry_router, packet);
-                    }
-                    // Decapsulated injection at the required entry.
-                    let entry_local2 = self.router(req).local;
-                    if let Delivery::Delivered {
-                        member_routers,
-                        borders,
-                        ..
-                    } = self
-                        .migp
-                        .deliver(entry_local2, packet.group, Some(entry_local2))
-                    {
-                        self.record_deliveries(packet, &member_routers);
-                        let border_ids: Vec<RouterId> = self
-                            .routers
-                            .iter()
-                            .filter(|br| borders.contains(&br.local) && br.id != entry_router)
-                            .map(|br| br.id)
-                            .collect();
-                        for b in border_ids {
-                            self.forward_at(ctx, b, Some(Target::Migp), packet);
-                        }
-                    }
-                    // `deliver` lists the borders reached *from* the
-                    // entry, never the entry itself — but the
-                    // decapsulating router can hold the domain's tree
-                    // attachment, and the decapsulated data must
-                    // continue down the shared tree to its child peer
-                    // targets. Only the (*,G) children count: members
-                    // were just delivered through the MIGP, and an
-                    // (S,G) entry here points *toward* the source, so
-                    // climbing it would ship the data backwards.
-                    let child_peers: Vec<RouterId> = {
-                        let idx = self.router_index[&req];
-                        self.routers[idx]
-                            .bgmp
-                            .table()
-                            .star_lookup(packet.group)
-                            .map(|(_, e)| {
-                                e.children
-                                    .iter()
-                                    .filter_map(|c| match c {
-                                        Target::Peer(p) => Some(*p),
-                                        Target::Migp => None,
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default()
-                    };
-                    for p in child_peers {
-                        if self.own_routers.contains(&p) {
-                            self.forward_at(ctx, p, Some(Target::Peer(req)), packet);
-                        } else if let Some(&node) = self.peer_node.get(&p) {
-                            ctx.send(
-                                node,
-                                Wire::Data {
-                                    from: req,
-                                    to: p,
-                                    packet,
-                                },
-                            );
-                        }
-                    }
-                } else {
+                let required = self.routers.iter().find(|br| br.local == required_entry);
+                let Some(req) = required.map(|br| br.id) else {
                     self.log.dropped += 1;
+                    return true;
+                };
+                if self.source_branches {
+                    self.maybe_start_source_branch(ctx, req, router, packet);
+                }
+                // Decapsulated injection at the required entry; the
+                // copy goes on to its child peers after the flood's
+                // hops.
+                steps.push((depth, Step::DecapChildren(req)));
+                let req_local = self.router(req).local;
+                if let Delivery::Delivered {
+                    member_routers,
+                    borders,
+                    ..
+                } = self.migp.deliver(req_local, packet.group, Some(req_local))
+                {
+                    self.record_deliveries(packet, &member_routers);
+                    self.push_borders(steps, &borders, Some(router), depth);
                 }
                 true
             }
         }
+    }
+
+    /// Pushes a hop at `depth` for each border router a flood reached
+    /// (BGMP child/parent targets subscribed in the MIGP), in router
+    /// order, except `entry`, the router that injected the copy.
+    /// Returns whether it pushed any.
+    fn push_borders(
+        &self,
+        steps: &mut Steps,
+        borders: &[LocalRouter],
+        entry: Option<RouterId>,
+        depth: usize,
+    ) -> bool {
+        let before = steps.len();
+        for br in self.routers.iter().rev() {
+            if borders.contains(&br.local) && Some(br.id) != entry {
+                steps.push((depth, Step::Hop(br.id, Target::Migp)));
+            }
+        }
+        steps.len() > before
     }
 
     /// The decapsulating router may build a source-specific branch to
@@ -1102,130 +1207,6 @@ impl DomainActor {
         let (bgmp, routes) = self.bgmp_with_routes(decap_router);
         let actions = bgmp.source_join(Target::Migp, packet.source, packet.group, &routes);
         self.apply_bgmp_actions(ctx, decap_router, actions);
-    }
-
-    /// Runs the BGMP forwarding decision at a border router and ships
-    /// copies onward.
-    fn forward_at(
-        &mut self,
-        ctx: &mut Ctx<'_, Wire>,
-        router: RouterId,
-        from: Option<Target>,
-        packet: DataPacket,
-    ) {
-        // Join/prune churn can leave border routers subscribed inside
-        // the domain with no tree state; each re-injects what the MIGP
-        // hands it, and two of them bounce one packet between each
-        // other without end. A chain through a domain visits a router
-        // once per arrival target, so anything this deep is that loop:
-        // drop the copy instead of exhausting the stack.
-        if self.forward_depth > 4 * self.routers.len() + 16 {
-            self.log.dropped += 1;
-            return;
-        }
-        self.forward_depth += 1;
-        self.forward_hop(ctx, router, from, packet);
-        self.forward_depth -= 1;
-    }
-
-    fn forward_hop(
-        &mut self,
-        ctx: &mut Ctx<'_, Wire>,
-        router: RouterId,
-        from: Option<Target>,
-        packet: DataPacket,
-    ) {
-        // Native (S,G) data arriving from a peer ends the need for
-        // encapsulated copies: send the source-specific prune to the
-        // encapsulating router (§5.3, F2 -> F1). "Native" means the
-        // source branch works: the data reached the entry router the
-        // domain's RPF check expects. Shared-tree data hitting an
-        // sg-holding router on the wrong side must not count — the
-        // still-building branch hasn't delivered anything yet, and
-        // flagging it would drop the packet's own decapsulated copy.
-        if let Some(Target::Peer(_)) = from {
-            let key = (packet.source, packet.group);
-            let idx = self.router_index[&router];
-            let has_sg = self.routers[idx]
-                .bgmp
-                .table()
-                .sg(packet.source, packet.group)
-                .is_some();
-            if has_sg && self.best_exit_for_domain(packet.source.domain) == Some(router) {
-                self.native_sg.insert(key);
-                if let Some(&encap) = self.encap_from.get(&key) {
-                    self.encap_from.remove(&key);
-                    self.bgmp_from_peer_send_prune(ctx, router, encap, packet);
-                }
-            }
-        }
-        // The route view is consulted only off-tree: (S,G) and (*,G)
-        // hits, and the BGMP lookup memo, answer without the RIB.
-        let (bgmp, routes) = self.bgmp_with_routes(router);
-        let decision = bgmp.forward(from, packet.source, packet.group, &routes);
-        match decision {
-            ForwardDecision::Targets(targets) => {
-                for t in targets {
-                    match t {
-                        Target::Peer(p) => {
-                            if self.own_routers.contains(&p) {
-                                // Internal peer target (rare): hand over
-                                // directly.
-                                self.forward_at(ctx, p, Some(Target::Peer(router)), packet);
-                            } else if let Some(&node) = self.peer_node.get(&p) {
-                                ctx.send(
-                                    node,
-                                    Wire::Data {
-                                        from: router,
-                                        to: p,
-                                        packet,
-                                    },
-                                );
-                            }
-                        }
-                        Target::Migp => {
-                            self.inject_via_migp(ctx, router, packet);
-                        }
-                    }
-                }
-            }
-            ForwardDecision::TowardRoot(nh) => match nh {
-                NextHop::ExternalPeer(p) => {
-                    if let Some(&node) = self.peer_node.get(&p) {
-                        ctx.send(
-                            node,
-                            Wire::Data {
-                                from: router,
-                                to: p,
-                                packet,
-                            },
-                        );
-                    }
-                }
-                NextHop::Internal { exit } => {
-                    // Data transits the domain through the MIGP (§5:
-                    // DVMRP broadcasts through A, and every on-tree
-                    // border router of A forwards a copy). If nothing
-                    // inside the domain wants it, hand it straight to
-                    // the next-hop border router toward the root.
-                    if !self.inject_via_migp(ctx, router, packet) {
-                        self.forward_at(ctx, exit, Some(Target::Migp), packet);
-                    }
-                }
-                NextHop::Local => {
-                    // We are the root domain; deliver internally if
-                    // anyone listens.
-                    if self.migp.has_members(packet.group) {
-                        self.inject_via_migp(ctx, router, packet);
-                    } else {
-                        self.log.dropped += 1;
-                    }
-                }
-            },
-            ForwardDecision::Drop => {
-                self.log.dropped += 1;
-            }
-        }
     }
 
     fn bgmp_from_peer_send_prune(
@@ -1271,24 +1252,16 @@ impl DomainActor {
         } = self.migp.deliver(entry, g, None)
         {
             self.record_deliveries(packet, &member_routers);
-            let border_ids: Vec<RouterId> = self
-                .routers
-                .iter()
-                .filter(|br| borders.contains(&br.local))
-                .map(|br| br.id)
-                .collect();
-            if border_ids.is_empty() {
+            let mut steps = Vec::new();
+            if !self.push_borders(&mut steps, &borders, None, 0) {
                 // No subscribed border: push toward the root domain via
                 // the best exit router (§5: DVMRP floods internally and
                 // non-exit borders prune).
                 if let Some(exit) = self.best_exit_for_group(g) {
-                    self.forward_at(ctx, exit, Some(Target::Migp), packet);
-                }
-            } else {
-                for b in border_ids {
-                    self.forward_at(ctx, b, Some(Target::Migp), packet);
+                    steps.push((0, Step::Hop(exit, Target::Migp)));
                 }
             }
+            self.transit(ctx, packet, steps);
         }
     }
 
@@ -1656,7 +1629,8 @@ impl Node<Wire> for DomainActor {
                 }
             }
             Wire::Data { from, to, packet } => {
-                self.forward_at(ctx, to, Some(Target::Peer(from)), packet);
+                let entry = (0, Step::Hop(to, Target::Peer(from)));
+                self.transit(ctx, packet, vec![entry]);
             }
             Wire::PeerLinkDown { router, peer } => {
                 if let Some(ps) = self.sessions.get_mut(&(router, peer)) {
@@ -1766,8 +1740,6 @@ impl snapshot::SnapshotState for DomainActor {
             session_timers: _,
             // transient work list; a restore marks every group instead
             dirty: _,
-            // zero between events, the only time a checkpoint can be taken
-            forward_depth: _,
         } = self;
         enc.seq(routers.len());
         for r in routers {
@@ -1821,8 +1793,6 @@ impl snapshot::SnapshotState for DomainActor {
             domain_node: _,
             static_range: _,
             session_timers: _,
-            // zero between events, the only time a checkpoint can be taken
-            forward_depth: _,
         } = self;
         let n = dec.seq()?;
         if n != routers.len() {
