@@ -206,10 +206,8 @@ fn group_range(g: McastAddr) -> Prefix {
 }
 
 /// One step of a packet's transit through a domain
-/// (`DomainActor::transit`). On the stack each is paired with the
-/// depth of the hops it leads to: how many hops lie between them and
-/// the transit's first.
-#[derive(Clone, Copy)]
+/// (`DomainActor::transit`). On the stack each is paired with its
+/// depth: the number of hops on the chain that led to it.
 enum Step {
     /// `Hop(router, from)`: a border router's BGMP forwarding decision
     /// for a copy that reached it from `from`.

@@ -272,12 +272,11 @@ fn stale_migp_subscriptions_cannot_bounce_a_packet_forever() {
     // residue join/prune churn can leave behind — and both route the
     // group through the third. Each re-injects what the MIGP hands it,
     // which reaches the other, so the transit's worklist never empties
-    // by itself. The depth a step carries ends it: each of the two
-    // bouncing branches is dropped once it is 4 × routers + 16 hops
-    // deep. The bounce stays inside the one `SendData` event, so the
-    // engine's event count is that of the run without it. Until a
-    // transit floods the domain at most once per router (ROADMAP item
-    // 16(b)), the bound is what stops it.
+    // by itself. The depth a step carries ends it: a hop deeper than
+    // 4 × routers + 16 is dropped, twice here. Both counts are exact:
+    // the copies dropped and the engine's events. Until a transit
+    // floods the domain at most once per router (ROADMAP item 16(b)),
+    // the bound is what stops it.
     let mut graph = DomainGraph::new();
     let hub = graph.add_domain("H");
     let spokes: Vec<DomainId> = ["R", "S", "T"]
