@@ -2,19 +2,21 @@
 //! the G-RIB view with longest-prefix match.
 //!
 //! One [`BTreeMap`] keyed by NLRI holds a row per destination: the
-//! selected candidate inline, the candidates that lost to it, and what
-//! each peer was last told. A binary [`PrefixTrie`] indexes the
-//! *selected* group prefixes, kept in step whenever a selection appears
-//! or goes. DESIGN.md "RIB internals" has the layout, what is derived
-//! and how snapshots frame it.
+//! selected candidate inline, and one block of per-peer slots holding
+//! the candidates that lost to it, less the NLRI, and what each peer was
+//! last told. A binary [`PrefixTrie`] indexes the *selected* group
+//! prefixes with their entry kinds, kept in step whenever a selection
+//! appears, goes or changes kind. DESIGN.md "RIB internals" has the
+//! layout, what is derived and how snapshots frame it.
 
+use std::collections::btree_map::{Entry, OccupiedEntry};
 use std::collections::{BTreeMap, BTreeSet};
 
 use mcast_addr::{McastAddr, Prefix};
 use snapshot::{Dec, Enc, SnapError, Snapshot};
 
 use crate::policy::RouteSourceKind;
-use crate::route::{prefer, AsPath, Nlri, Route, RouterId};
+use crate::route::{rank, AsPath, Nlri, Rank, Route, RouterId};
 use crate::trie::PrefixTrie;
 
 /// A candidate route and who advertised it.
@@ -27,13 +29,115 @@ pub(crate) struct Heard {
     pub(crate) route: Route,
 }
 
-/// What one peer was last told about an NLRI: the fields advertisements
-/// differ in (the next hop is the speaker, `local` is never set).
-#[derive(Debug, Clone, PartialEq)]
-struct Sent {
-    to: RouterId,
-    path: AsPath,
+/// One peer's share of a row besides the selection: its candidate if
+/// that lost, stored without the row's NLRI, and what the peer was last
+/// told, as the two fields advertisements differ in (the next hop is the
+/// speaker, `local` is never set). A slot with neither is vacant.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    peer: RouterId,
+    /// The losing candidate's path; `None`: the peer's candidate is not
+    /// here (it has none, or it is the selection).
+    path: Option<AsPath>,
+    next_hop: RouterId,
+    /// The path the peer was last told; `None`: nothing.
+    told: Option<AsPath>,
+    kind: Option<RouteSourceKind>,
+    local: bool,
     ebgp: bool,
+    told_ebgp: bool,
+}
+
+/// A slot holding nothing: the spare room at the end of a block.
+const VACANT: Slot = Slot {
+    peer: RouterId::MAX,
+    path: None,
+    next_hop: 0,
+    told: None,
+    kind: None,
+    local: false,
+    ebgp: false,
+    told_ebgp: false,
+};
+
+/// Slots a full block grows by, so that it is not reallocated once per
+/// peer.
+const GROWTH: usize = 2;
+
+impl Slot {
+    /// A slot holding `h` as its candidate.
+    fn of(h: &Heard) -> Slot {
+        let mut s = Slot {
+            peer: h.peer,
+            ..VACANT
+        };
+        s.hold(Some(h));
+        s
+    }
+
+    fn is_vacant(&self) -> bool {
+        self.path.is_none() && self.told.is_none()
+    }
+
+    /// Holds `h` as the peer's losing candidate (`None`: none).
+    fn hold(&mut self, h: Option<&Heard>) {
+        let Some(Heard { kind, route, .. }) = h else {
+            self.path = None;
+            return;
+        };
+        let Route {
+            as_path,
+            next_hop,
+            local,
+            ebgp,
+            // the row's key
+            nlri: _,
+        } = *route;
+        (self.path, self.next_hop, self.kind) = (Some(as_path), next_hop, *kind);
+        (self.local, self.ebgp) = (local, ebgp);
+    }
+
+    /// The candidate held here, rebuilt as a route for `nlri`.
+    fn heard(&self, nlri: Nlri) -> Option<Heard> {
+        let route = Route {
+            nlri,
+            as_path: self.path?,
+            next_hop: self.next_hop,
+            local: self.local,
+            ebgp: self.ebgp,
+        };
+        let (peer, kind) = (self.peer, self.kind);
+        Some(Heard { peer, kind, route })
+    }
+
+    fn rank(&self) -> Option<Rank> {
+        Some(rank(self.local, self.path?, self.ebgp, self.next_hop))
+    }
+
+    /// Writes the candidate held here as `Rib::encode` describes.
+    fn encode_heard(&self, enc: &mut Enc) {
+        if let Some(path) = self.path {
+            enc.u32(self.peer);
+            self.kind.encode(enc);
+            path.encode(enc);
+            enc.u32(self.next_hop);
+            enc.bool(self.local);
+            enc.bool(self.ebgp);
+        }
+    }
+}
+
+/// Where, among `slots` in peer order, the first candidate that no
+/// other one there is preferred to is, and its rank.
+fn top(slots: &[Slot]) -> Option<(usize, Rank)> {
+    let mut top: Option<(usize, Rank)> = None;
+    for (i, s) in slots.iter().enumerate() {
+        let Some(r) = s.rank() else { continue };
+        if top.is_none_or(|(_, t)| r < t) {
+            top = Some((i, r));
+        }
+    }
+    top
 }
 
 /// Everything known about one NLRI.
@@ -43,130 +147,236 @@ struct Row {
     /// one map probe and nothing more. `None` only when no candidate
     /// lost either.
     best: Option<Heard>,
-    /// What reads never look at, out of line so that rows stay small.
-    /// `None` when both lists are empty (see [`Row::tidy`]).
-    other: Option<Box<Other>>,
-}
-
-/// The lists are sorted by peer and grow one slot at a time: they are
-/// short and there are many.
-#[derive(Debug, Default, Clone)]
-struct Other {
-    /// The candidates that lost.
-    rest: Vec<Heard>,
-    sent: Vec<Sent>,
+    /// The row's one heap block: a slot per peer with a losing candidate
+    /// here or a record of what it was told, in peer order, then the
+    /// vacant ones. Empty, and no block, when no slot is in use.
+    slots: Box<[Slot]>,
 }
 
 impl Row {
-    fn rest(&self) -> &[Heard] {
-        self.other.as_deref().map_or(&[], |o| &o.rest)
+    /// The slots in use, in peer order.
+    fn used(&self) -> &[Slot] {
+        &self.slots[..self.slots.partition_point(|s| !s.is_vacant())]
     }
 
-    fn sent(&self) -> &[Sent] {
-        self.other.as_deref().map_or(&[], |o| &o.sent)
+    /// Where `peer`'s slot is among those in use, or would go.
+    fn find(&self, peer: RouterId) -> Result<usize, usize> {
+        self.used().binary_search_by_key(&peer, |s| s.peer)
     }
 
-    /// The lists, to put an entry in.
-    fn other(&mut self) -> &mut Other {
-        self.other.get_or_insert_with(Box::default)
+    /// Whether a slot for `peer` would have to be made with no room
+    /// left for it.
+    fn full_without(&self, peer: RouterId) -> bool {
+        self.used().len() == self.slots.len() && self.find(peer).is_err()
     }
 
-    /// Every candidate, in peer order.
-    fn heard(&self) -> impl Iterator<Item = &Heard> {
-        let before = |b: &Heard| self.rest().partition_point(|h| h.peer < b.peer);
-        let (low, high) = self.rest().split_at(self.best.as_ref().map_or(0, before));
-        low.iter().chain(&self.best).chain(high)
+    /// Runs `f` on `peer`'s slot, first making one if `make` and there
+    /// is none (without `make`, nothing runs then), and keeps the slots
+    /// in peer order with the vacant ones last.
+    fn edit<R>(&mut self, peer: RouterId, make: bool, f: impl FnOnce(&mut Slot) -> R) -> Option<R> {
+        let mut used = self.used().len();
+        let i = match self.slots[..used].binary_search_by_key(&peer, |s| s.peer) {
+            Ok(i) => i,
+            Err(_) if !make => return None,
+            Err(i) => {
+                if used == self.slots.len() {
+                    self.grow(GROWTH);
+                }
+                self.slots[i..=used].rotate_right(1);
+                self.slots[i].peer = peer;
+                used += 1;
+                i
+            }
+        };
+        let out = f(&mut self.slots[i]);
+        if self.slots[i].is_vacant() {
+            self.slots[i..used].rotate_left(1);
+        }
+        Some(out)
     }
 
-    /// Puts (`Some`) or removes (`None`) `peer`'s candidate and returns
-    /// the one that was there. Leaves `best` to [`Row::decide`].
+    /// Room for `more` slots, in one reallocation.
+    fn grow(&mut self, more: usize) {
+        let mut slots = std::mem::take(&mut self.slots).into_vec();
+        slots.reserve_exact(more);
+        slots.resize(slots.len() + more, VACANT);
+        self.slots = slots.into_boxed_slice();
+    }
+
+    /// Puts (`Some`) or removes (`None`) `peer`'s candidate. Returns the
+    /// selection it replaced if that was `peer`'s; leaves `best` to
+    /// [`Row::decide`].
     fn put_heard(&mut self, peer: RouterId, new: Option<Heard>) -> Option<Heard> {
         match &self.best {
-            Some(b) if b.peer != peer => match new {
-                Some(_) => put(&mut self.other().rest, peer, |h| h.peer, new),
-                None => put(&mut self.other.as_deref_mut()?.rest, peer, |h| h.peer, None),
-            },
+            Some(b) if b.peer != peer => {
+                self.edit(peer, new.is_some(), |s| s.hold(new.as_ref()));
+                None
+            }
             _ => std::mem::replace(&mut self.best, new),
         }
     }
 
     /// The decision process: `best` becomes the first candidate in peer
-    /// order that no other is preferred to.
-    fn decide(&mut self) {
-        let Some(Other { rest, .. }) = self.other.as_deref_mut() else {
+    /// order that no other is preferred to. A loser that wins is rebuilt
+    /// as a `Route` for `nlri`, and the selection it beat takes its
+    /// place among the slots.
+    fn decide(&mut self, nlri: Nlri) {
+        let Some((i, rank)) = top(self.used()) else {
             return;
         };
-        let mut top = 0;
-        for (i, h) in rest.iter().enumerate().skip(1) {
-            if prefer(&h.route, &rest[top].route) {
-                top = i;
-            }
-        }
-        let Some(c) = rest.get(top) else { return };
-        let stays = |b: &Heard| {
-            prefer(&b.route, &c.route) || (!prefer(&c.route, &b.route) && b.peer < c.peer)
-        };
+        // Ties go to the lower peer.
+        let peer = self.slots[i].peer;
+        let stays = |b: &Heard| (b.route.rank(), b.peer) < (rank, peer);
         if !self.best.as_ref().is_some_and(stays) {
-            let winner = rest.remove(top);
-            if let Some(loser) = self.best.replace(winner) {
-                put(rest, loser.peer, |h| h.peer, Some(loser));
+            let winner = self.edit(peer, false, |s| {
+                let h = s.heard(nlri);
+                s.path = None;
+                h
+            });
+            if let Some(loser) = std::mem::replace(&mut self.best, winner.flatten()) {
+                self.edit(loser.peer, true, |s| s.hold(Some(&loser)));
             }
         }
     }
 
-    /// The row that the candidates `best` then `rest` (in peer order)
-    /// make with `sent`: the first leads until [`Row::decide`], run once
-    /// over them all, says otherwise.
-    fn decided(best: Option<Heard>, rest: Vec<Heard>, sent: Vec<Sent>) -> Row {
-        let lists = !rest.is_empty() || !sent.is_empty();
-        let other = lists.then(|| Box::new(Other { rest, sent }));
-        let mut row = Row { best, other };
-        row.decide();
-        row
+    /// Records that `to` now holds `want` (`None`: nothing); false if
+    /// that is what it was told already.
+    fn tell(&mut self, to: RouterId, want: Option<&Route>) -> bool {
+        let want = want.map(|r| (r.as_path, r.ebgp));
+        let changed = self.edit(to, want.is_some(), |s| {
+            let had = s.told.map(|path| (path, s.told_ebgp));
+            s.told = want.map(|(path, _)| path);
+            s.told_ebgp = want.is_some_and(|(_, ebgp)| ebgp);
+            had != want
+        });
+        changed.unwrap_or(false)
     }
 
-    /// Lets go of the lists if both are empty; true if the row then
+    /// Lets go of the block if no slot is in use; true if the row then
     /// holds nothing at all.
     fn tidy(&mut self) -> bool {
-        if self.rest().is_empty() && self.sent().is_empty() {
-            self.other = None;
+        if self.used().is_empty() {
+            self.slots = Box::default();
         }
-        self.best.is_none() && self.other.is_none()
+        self.best.is_none() && self.slots.is_empty()
     }
 }
 
-/// Puts (`Some`) or removes (`None`) `peer`'s entry in a peer-sorted
-/// list and returns the entry that was there.
-fn put<T>(list: &mut Vec<T>, peer: RouterId, of: fn(&T) -> RouterId, new: Option<T>) -> Option<T> {
-    match (list.binary_search_by_key(&peer, of), new) {
-        (Ok(i), Some(e)) => Some(std::mem::replace(&mut list[i], e)),
-        (Ok(i), None) => Some(list.remove(i)),
-        (Err(i), Some(e)) => {
-            list.reserve_exact(1);
-            list.insert(i, e);
-            None
+/// How a [`RowMut`] holds its row.
+enum Held<'a> {
+    /// A row that was in the table: it goes once it holds nothing.
+    Old(OccupiedEntry<'a, Nlri, Row>),
+    /// A row a decision just made: it holds that selection, which
+    /// nothing but another decision takes away.
+    New(&'a mut Row),
+}
+
+impl<'a> Held<'a> {
+    fn row(&self) -> &Row {
+        match self {
+            Held::Old(e) => e.get(),
+            Held::New(row) => row,
         }
-        (Err(_), None) => None,
+    }
+
+    fn row_mut(&mut self) -> &mut Row {
+        match self {
+            Held::Old(e) => e.get_mut(),
+            Held::New(row) => row,
+        }
+    }
+
+    fn into_row(self) -> &'a mut Row {
+        match self {
+            Held::Old(e) => e.into_mut(),
+            Held::New(row) => row,
+        }
+    }
+
+    /// Tidies the row and, if it then holds nothing, takes it out of
+    /// the table; `None` then.
+    fn keep(mut self) -> Option<Self> {
+        if !self.row_mut().tidy() {
+            return Some(self);
+        }
+        if let Held::Old(e) = self {
+            e.remove();
+        }
+        None
     }
 }
 
-/// The row to put an entry in (`make`) or take one from.
-fn row_mut(table: &mut BTreeMap<Nlri, Row>, nlri: Nlri, make: bool) -> Option<&mut Row> {
-    if make {
-        Some(table.entry(nlri).or_default())
-    } else {
-        table.get_mut(&nlri)
+/// A row held from its decision, or from one lookup, through its
+/// export: neither the export plan nor the peers' records probe the
+/// table again.
+pub(crate) struct RowMut<'a> {
+    nlri: Nlri,
+    row: Held<'a>,
+    grib: &'a Grib,
+}
+
+impl<'a> RowMut<'a> {
+    pub(crate) fn nlri(&self) -> Nlri {
+        self.nlri
+    }
+
+    /// The selected candidate.
+    pub(crate) fn selected(&self) -> Option<&Heard> {
+        self.row.row().best.as_ref()
+    }
+
+    /// The selected group prefixes that strictly cover `g`, each with
+    /// its selection's entry kind.
+    pub(crate) fn covering_groups(
+        &self,
+        g: &Prefix,
+    ) -> impl Iterator<Item = (Prefix, Option<RouteSourceKind>)> + '_ {
+        self.grib.index.covering(g).map(|(p, kind)| (p, *kind))
+    }
+
+    /// Brings what peers were told about the row's NLRI up to date.
+    /// `peers` yields, in peer order, each peer with the route it should
+    /// hold now (`None`: none); `told` hears each peer whose record that
+    /// changed, in the same order. The routes are made from the row's
+    /// selection, so a row that is gone has nothing to tell.
+    pub(crate) fn tell_all<'r>(
+        mut self,
+        mut peers: impl Iterator<Item = (RouterId, Option<&'r Route>)> + Clone,
+        mut told: impl FnMut(RouterId, Option<&'r Route>),
+    ) {
+        let row = self.row.row_mut();
+        while let Some((to, want)) = peers.next() {
+            if want.is_some() && row.full_without(to) {
+                // Room at once for this peer and every one after it
+                // that will need a slot too.
+                let new = |(to, want): &(RouterId, Option<&Route>)| {
+                    want.is_some() && row.find(*to).is_err()
+                };
+                let more = peers.clone().filter(new).count();
+                row.grow(1 + more);
+            }
+            if row.tell(to, want) {
+                told(to, want);
+            }
+        }
+        self.row.keep();
+    }
+
+    /// The selected route, for as long as the table stays borrowed.
+    fn into_best(self) -> Option<&'a Route> {
+        self.row.into_row().best.as_ref().map(|h| &h.route)
     }
 }
 
-/// The G-RIB side of the table: what longest-prefix match and the
-/// hosts' caches need to hear of a decision.
+/// The G-RIB side of the table: what longest-prefix match, the export
+/// plan and the hosts' caches need to hear of a decision.
 #[derive(Debug, Default, Clone)]
 struct Grib {
-    /// Selected group prefixes, for O(prefix-len) LPM in
-    /// `lookup_group`. Invariant: contains exactly the prefixes `p`
-    /// whose `Nlri::Group(p)` row has a selection.
-    index: PrefixTrie<()>,
+    /// Selected group prefixes with their selections' entry kinds, for
+    /// O(prefix-len) LPM in `lookup_group` and the export plan's
+    /// covering-origin check. Invariant: holds exactly the prefixes `p`
+    /// whose `Nlri::Group(p)` row has a selection, each with its kind.
+    index: PrefixTrie<Option<RouteSourceKind>>,
     /// Group prefixes whose Loc-RIB selection changed since the last
     /// [`Rib::take_changed_groups`] drain. An LPM answer for an
     /// address can only change when some prefix covering that address
@@ -178,20 +388,24 @@ struct Grib {
 }
 
 impl Grib {
-    /// Records that `nlri`'s selection changed, and whether it had one
-    /// (`was`) and has one now: the index moves only when a selection
-    /// appears or goes.
-    fn note(&mut self, nlri: Nlri, was: bool, now: bool) {
+    /// Records that `nlri`'s selection changed from `was` to `now`, each
+    /// the selection's entry kind if there is one: the index moves only
+    /// when a selection appears or goes, or its kind changes.
+    fn note(
+        &mut self,
+        nlri: Nlri,
+        was: Option<Option<RouteSourceKind>>,
+        now: Option<Option<RouteSourceKind>>,
+    ) {
         if let Nlri::Group(p) = nlri {
             self.changed.push(p);
             if was == now {
                 return;
             }
-            if now {
-                self.index.insert(p, ());
-            } else {
-                self.index.remove(&p);
-            }
+            match now {
+                Some(kind) => self.index.insert(p, kind),
+                None => self.index.remove(&p),
+            };
         }
     }
 }
@@ -216,15 +430,14 @@ impl Rib {
     /// process for its NLRI. Returns the new best route if the
     /// selection *changed* (including changing to `None`).
     pub fn update_from(&mut self, peer: RouterId, route: Route) -> Option<Option<&Route>> {
-        let nlri = route.nlri;
-        self.set_heard(nlri, peer, Some((route, None)))?;
-        Some(self.best(nlri))
+        let (_, row) = self.set_heard(route.nlri, peer, Some((route, None)))?;
+        Some(row.and_then(RowMut::into_best))
     }
 
     /// Removes `peer`'s route for `nlri` (a withdraw) and re-decides.
     pub fn withdraw_from(&mut self, peer: RouterId, nlri: Nlri) -> Option<Option<&Route>> {
-        self.set_heard(nlri, peer, None)?;
-        Some(self.best(nlri))
+        let (_, row) = self.set_heard(nlri, peer, None)?;
+        Some(row.and_then(RowMut::into_best))
     }
 
     /// Installs or replaces a locally originated route and re-decides.
@@ -239,38 +452,63 @@ impl Rib {
     }
 
     /// Puts (`Some`, with its entry kind) or removes (`None`) `peer`'s
-    /// candidate for `nlri` and re-decides. `None` if the selection
-    /// stands; otherwise the entry kind of the selection it replaced
-    /// (`None` inside when there was none, or it had no kind).
+    /// candidate for `nlri` and re-decides, in one probe of the table.
+    /// `None` if the selection stands; otherwise the entry kind of the
+    /// selection it replaced (`None` inside when there was none, or it
+    /// had no kind) and the row, held for its export (`None` once it
+    /// holds nothing and is gone).
     pub(crate) fn set_heard(
         &mut self,
         nlri: Nlri,
         peer: RouterId,
         new: Option<(Route, Option<RouteSourceKind>)>,
-    ) -> Option<Option<RouteSourceKind>> {
-        let row = row_mut(&mut self.table, nlri, new.is_some())?;
-        let (was, was_kind) = row
-            .best
-            .as_ref()
-            .map_or((None, None), |h| (Some(h.peer), h.kind));
-        let old = row.put_heard(peer, new.map(|(route, kind)| Heard { peer, kind, route }));
-        row.decide();
-        let now = row.best.as_ref();
+    ) -> Option<(Option<RouteSourceKind>, Option<RowMut<'_>>)> {
+        let new = new.map(|(route, kind)| Heard { peer, kind, route });
+        let (held, was, old) = match self.table.entry(nlri) {
+            Entry::Occupied(mut e) => {
+                let row = e.get_mut();
+                let was = row.best.as_ref().map(|h| (h.peer, h.kind));
+                let old = row.put_heard(peer, new);
+                row.decide(nlri);
+                (Held::Old(e), was, old)
+            }
+            Entry::Vacant(e) => {
+                let row = Row {
+                    best: Some(new?),
+                    slots: Box::default(),
+                };
+                (Held::New(e.insert(row)), None, None)
+            }
+        };
+        let now = held.row().best.as_ref();
         // A selection is a (peer, route, kind) triple: it stands if the
         // same peer wins and, where that is `peer`, with an equal route
         // of the same kind.
-        let same = was == now.map(|h| h.peer)
-            && (was != Some(peer)
+        let same = was.map(|(p, _)| p) == now.map(|h| h.peer)
+            && (was.map(|(p, _)| p) != Some(peer)
                 || old.as_ref().map(|o| (&o.route, o.kind)) == now.map(|h| (&h.route, h.kind)));
-        let selected = now.is_some();
-        if row.tidy() {
-            self.table.remove(&nlri);
-        }
+        let now = now.map(|h| h.kind);
+        let held = held.keep();
         if same {
             return None;
         }
-        self.grib.note(nlri, was.is_some(), selected);
-        Some(was_kind)
+        let was = was.map(|(_, kind)| kind);
+        self.grib.note(nlri, was, now);
+        let grib = &self.grib;
+        let row = held.map(|row| RowMut { nlri, row, grib });
+        Some((was.flatten(), row))
+    }
+
+    /// The row of `nlri`, held for its export.
+    pub(crate) fn row_mut(&mut self, nlri: Nlri) -> Option<RowMut<'_>> {
+        match self.table.entry(nlri) {
+            Entry::Occupied(e) => Some(RowMut {
+                nlri,
+                row: Held::Old(e),
+                grib: &self.grib,
+            }),
+            Entry::Vacant(_) => None,
+        }
     }
 
     /// Drops everything heard from `peer` and everything it was told
@@ -279,16 +517,16 @@ impl Rib {
     pub fn flush_peer(&mut self, peer: RouterId) -> Vec<Nlri> {
         let mut changed = Vec::new();
         self.table.retain(|nlri, row| {
-            if let Some(o) = row.other.as_deref_mut() {
-                put(&mut o.sent, peer, |s| s.to, None);
-            }
-            let led = row.best.as_ref().is_some_and(|h| h.peer == peer);
+            row.tell(peer, None);
+            let led = row.best.as_ref().filter(|h| h.peer == peer);
+            let was = led.map(|h| h.kind);
             row.put_heard(peer, None);
             // Taking a loser away leaves the winner where it was.
-            if led {
-                row.decide();
+            if was.is_some() {
+                row.decide(*nlri);
                 changed.push(*nlri);
-                self.grib.note(*nlri, true, row.best.is_some());
+                self.grib
+                    .note(*nlri, was, row.best.as_ref().map(|h| h.kind));
             }
             !row.tidy()
         });
@@ -299,60 +537,9 @@ impl Rib {
     /// back without state).
     pub(crate) fn forget_told(&mut self, to: RouterId) {
         self.table.retain(|_, row| {
-            if let Some(o) = row.other.as_deref_mut() {
-                put(&mut o.sent, to, |s| s.to, None);
-            }
+            row.tell(to, None);
             !row.tidy()
         });
-    }
-
-    /// Brings what peers were told about `nlri` up to date in one probe
-    /// of the table. `peers` yields, in peer order, each peer with the
-    /// route it should hold now (`None`: none); `told` hears each peer
-    /// whose record that changed, in the same order. The routes are made
-    /// from `nlri`'s selection, so with no row there is nothing to tell.
-    pub(crate) fn tell_all<'r>(
-        &mut self,
-        nlri: Nlri,
-        peers: impl IntoIterator<Item = (RouterId, Option<&'r Route>)>,
-        mut told: impl FnMut(RouterId, Option<&'r Route>),
-    ) {
-        let Some(row) = self.table.get_mut(&nlri) else {
-            return;
-        };
-        let mut at = 0;
-        for (to, want) in peers {
-            let sent = row.sent();
-            while sent.get(at).is_some_and(|s| s.to < to) {
-                at += 1;
-            }
-            let had = sent.get(at).filter(|s| s.to == to);
-            let same = had.map(|s| (&s.path, s.ebgp)) == want.map(|r| (&r.as_path, r.ebgp));
-            if same {
-                continue;
-            }
-            let (had, list) = (had.is_some(), &mut row.other().sent);
-            match want {
-                Some(r) => {
-                    let now = Sent {
-                        to,
-                        path: r.as_path,
-                        ebgp: r.ebgp,
-                    };
-                    if had {
-                        list[at] = now;
-                    } else {
-                        list.reserve_exact(1);
-                        list.insert(at, now);
-                    }
-                }
-                None => drop(list.remove(at)),
-            }
-            told(to, want);
-        }
-        if row.tidy() {
-            self.table.remove(&nlri);
-        }
     }
 
     /// Drains the group prefixes whose selection changed since the
@@ -369,7 +556,7 @@ impl Rib {
     }
 
     /// The selected candidate for an NLRI.
-    pub(crate) fn selected(&self, nlri: Nlri) -> Option<&Heard> {
+    fn selected(&self, nlri: Nlri) -> Option<&Heard> {
         self.table.get(&nlri)?.best.as_ref()
     }
 
@@ -395,18 +582,13 @@ impl Rib {
     /// construction; the rule is stated so callers and reference
     /// implementations agree on the contract.)
     pub fn lookup_group(&self, addr: McastAddr) -> Option<&Route> {
-        let (prefix, ()) = self.grib.index.lookup(addr)?;
+        let (prefix, _) = self.grib.index.lookup(addr)?;
         self.best(Nlri::Group(prefix))
     }
 
     /// Best route toward a domain (the unicast/M-RIB view).
     pub fn lookup_domain(&self, asn: u32) -> Option<&Route> {
         self.best(Nlri::Domain(asn))
-    }
-
-    /// The selected group prefixes that strictly cover `g`.
-    pub(crate) fn covering_groups(&self, g: &Prefix) -> impl Iterator<Item = Prefix> + '_ {
-        self.grib.index.covering(g).map(|(p, ())| p)
     }
 
     /// Every selection with its NLRI, in NLRI order.
@@ -435,12 +617,17 @@ impl Rib {
     }
 
     /// Internal consistency check used by the property tests: the trie
-    /// must mirror the Loc-RIB's group entries exactly.
+    /// must mirror the Loc-RIB's group entries exactly, each with its
+    /// selection's entry kind.
     #[doc(hidden)]
     pub fn check_grib_index(&self) -> bool {
         let in_loc: BTreeSet<Prefix> = self.group_routes().map(|(p, _)| *p).collect();
         let in_trie: BTreeSet<Prefix> = self.grib.index.iter().map(|(p, _)| p).collect();
-        in_loc == in_trie && self.grib.index.len() == in_loc.len()
+        let kinds = (self.grib.index.iter()).all(|(p, kind)| {
+            self.selected(Nlri::Group(p))
+                .is_some_and(|h| h.kind == *kind)
+        });
+        in_loc == in_trie && self.grib.index.len() == in_loc.len() && kinds
     }
 }
 
@@ -452,81 +639,95 @@ impl Row {
     /// Writes the row as `Rib::encode` describes, less its NLRI, which
     /// the reader already has.
     fn encode(&self, enc: &mut Enc) {
-        enc.seq(usize::from(self.best.is_some()) + self.rest().len());
-        for Heard { peer, kind, route } in self.heard() {
-            let Route {
-                as_path,
-                next_hop,
-                local,
-                ebgp,
-                // the row's key
-                nlri: _,
-            } = route;
-            enc.u32(*peer);
-            kind.encode(enc);
-            as_path.encode(enc);
-            enc.u32(*next_hop);
-            enc.bool(*local);
-            enc.bool(*ebgp);
+        let used = self.used();
+        let losers = used.iter().filter(|s| s.path.is_some());
+        enc.seq(usize::from(self.best.is_some()) + losers.clone().count());
+        let best = self.best.as_ref().map(Slot::of);
+        let mut best = best.as_ref();
+        for s in losers {
+            if let Some(b) = best.take_if(|b| b.peer < s.peer) {
+                b.encode_heard(enc);
+            }
+            s.encode_heard(enc);
+        }
+        if let Some(b) = best {
+            b.encode_heard(enc);
         }
         self.best.as_ref().map(|h| h.peer).encode(enc);
-        enc.seq(self.sent().len());
-        for Sent { to, path, ebgp } in self.sent() {
-            enc.u32(*to);
-            enc.bool(*ebgp);
+        let told = used
+            .iter()
+            .filter_map(|s| Some((s.peer, s.told?, s.told_ebgp)));
+        enc.seq(told.clone().count());
+        for (to, path, ebgp) in told {
+            enc.u32(to);
+            enc.bool(ebgp);
             path.encode(enc);
         }
     }
 
-    /// Reads the row of `nlri` and decides it, with `rest` and `sent`
-    /// allocated at their final size. Refused: an entry out of order, a
-    /// selected peer that is not the one the candidates select, and a
-    /// row with nothing in it.
-    fn decode(dec: &mut Dec<'_>, nlri: Nlri) -> Result<Row, SnapError> {
+    /// Reads the row of `nlri` into `scratch`, decides it there and
+    /// sizes its block once. Refused: an entry out of order, a selected
+    /// peer that is not the one the candidates select, and a row with
+    /// nothing in it.
+    fn decode(dec: &mut Dec<'_>, nlri: Nlri, scratch: &mut Vec<Slot>) -> Result<Row, SnapError> {
+        scratch.clear();
         let heard = dec.seq()?;
-        let mut best: Option<Heard> = None;
-        let mut rest = Vec::with_capacity(dec.reserve::<Heard>(heard.saturating_sub(1)));
+        scratch.reserve(dec.reserve::<Slot>(heard));
         for _ in 0..heard {
             let peer = dec.u32()?;
-            let last = rest.last().or(best.as_ref());
-            if last.is_some_and(|h| h.peer >= peer) {
+            if scratch.last().is_some_and(|s| s.peer >= peer) {
                 return Err(DISORDER);
             }
-            let kind = Snapshot::decode(dec)?;
-            let route = Route {
-                nlri,
-                as_path: AsPath::decode(dec)?,
+            scratch.push(Slot {
+                peer,
+                kind: Snapshot::decode(dec)?,
+                path: Some(AsPath::decode(dec)?),
                 next_hop: dec.u32()?,
                 local: dec.bool()?,
                 ebgp: dec.bool()?,
-            };
-            let h = Heard { peer, kind, route };
-            match best {
-                None => best = Some(h),
-                Some(_) => rest.push(h),
-            }
+                ..VACANT
+            });
         }
         let selected = Option::<RouterId>::decode(dec)?;
         let told = dec.seq()?;
-        let mut sent: Vec<Sent> = Vec::with_capacity(dec.reserve::<Sent>(told));
+        scratch.reserve(dec.reserve::<Slot>(told));
+        let (mut at, mut last) = (0, None);
         for _ in 0..told {
             let (to, ebgp) = (dec.u32()?, dec.bool()?);
-            if sent.last().is_some_and(|s| s.to >= to) {
+            if last.is_some_and(|last| last >= to) {
                 return Err(DISORDER);
             }
+            last = Some(to);
             let path = AsPath::decode(dec)?;
-            sent.push(Sent { to, path, ebgp });
+            while scratch.get(at).is_some_and(|s| s.peer < to) {
+                at += 1;
+            }
+            if scratch.get(at).is_none_or(|s| s.peer != to) {
+                scratch.insert(at, Slot { peer: to, ..VACANT });
+            }
+            if let Some(s) = scratch.get_mut(at) {
+                (s.told, s.told_ebgp) = (Some(path), ebgp);
+            }
         }
         if heard == 0 && told == 0 {
             return Err(SnapError::Invalid("RIB row with nothing in it"));
         }
-        let row = Row::decided(best, rest, sent);
-        if row.best.as_ref().map(|h| h.peer) != selected {
+        let best = top(scratch).and_then(|(i, _)| {
+            let s = scratch.get_mut(i)?;
+            let h = s.heard(nlri);
+            s.path = None;
+            if s.is_vacant() {
+                scratch.remove(i);
+            }
+            h
+        });
+        if best.as_ref().map(|h| h.peer) != selected {
             return Err(SnapError::Invalid(
                 "selection is not what the candidates select",
             ));
         }
-        Ok(row)
+        let slots = scratch.as_slice().into();
+        Ok(Row { best, slots })
     }
 }
 
@@ -555,14 +756,15 @@ impl Snapshot for Rib {
         let n = dec.seq()?;
         let mut rows: Vec<(Nlri, Row)> = Vec::with_capacity(dec.reserve::<(Nlri, Row)>(n));
         let mut grib = Grib::default();
+        let mut scratch = Vec::new();
         for _ in 0..n {
             let nlri = Nlri::decode(dec)?;
             if rows.last().is_some_and(|(last, _)| *last >= nlri) {
                 return Err(DISORDER);
             }
-            let row = Row::decode(dec, nlri)?;
-            if let (Nlri::Group(p), Some(_)) = (nlri, &row.best) {
-                grib.index.insert(p, ());
+            let row = Row::decode(dec, nlri, &mut scratch)?;
+            if let (Nlri::Group(p), Some(h)) = (nlri, &row.best) {
+                grib.index.insert(p, h.kind);
             }
             rows.push((nlri, row));
         }
@@ -705,6 +907,26 @@ mod tests {
         let r = route("224.0.0.0/16", &[5], 1);
         assert!(rib.update_from(1, r.clone()).is_some());
         assert!(rib.update_from(1, r).is_none());
+    }
+
+    /// A row is the selection inline and one pointer to its block; a
+    /// slot holds a loser without its NLRI and what its peer was told. A
+    /// field that widens either fails here before it shows in
+    /// `rib_footprint` or the benchmark's peak memory.
+    #[test]
+    fn row_and_slot_keep_their_sizes() {
+        use std::mem::size_of;
+        let sizes = [
+            ("Row", size_of::<Row>(), 48),
+            ("Option<Heard>", size_of::<Option<Heard>>(), 32),
+            ("Slot", size_of::<Slot>(), 20),
+        ];
+        for (name, size, most) in sizes {
+            println!("{name}: {size} B (at most {most})");
+        }
+        for (name, size, most) in sizes {
+            assert!(size <= most, "{name} is {size} B, more than {most}");
+        }
     }
 
     #[test]

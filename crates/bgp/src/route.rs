@@ -191,12 +191,24 @@ impl Route {
 /// (stands in for BGP's lowest-router-id rule and keeps simulations
 /// reproducible).
 pub fn prefer(a: &Route, b: &Route) -> bool {
-    (
-        !a.local, // false sorts first
-        a.as_path.len(),
-        !a.ebgp,
-        a.next_hop,
-    ) < (!b.local, b.as_path.len(), !b.ebgp, b.next_hop)
+    a.rank() < b.rank()
+}
+
+/// The key [`prefer`] orders candidates by, lowest first.
+pub(crate) type Rank = (bool, usize, bool, RouterId);
+
+/// A candidate's [`Rank`] from the fields `prefer` reads, so that a
+/// candidate stored without its NLRI has one too.
+pub(crate) fn rank(local: bool, as_path: AsPath, ebgp: bool, next_hop: RouterId) -> Rank {
+    // false sorts first
+    (!local, as_path.len(), !ebgp, next_hop)
+}
+
+impl Route {
+    /// This route's [`Rank`].
+    pub(crate) fn rank(&self) -> Rank {
+        rank(self.local, self.as_path, self.ebgp, self.next_hop)
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use mcast_addr::Prefix;
 
 use crate::msg::{BgpMsg, OutMsg};
 use crate::policy::{classify, ExportPolicy, PeerConfig, RouteSourceKind};
-use crate::rib::Rib;
+use crate::rib::{Rib, RowMut};
 use crate::route::{Asn, Nlri, Route, RouterId};
 
 /// Events a speaker consumes.
@@ -122,10 +122,8 @@ impl BgpSpeaker {
     /// or range release).
     pub fn withdraw_group(&mut self, prefix: Prefix) -> Vec<OutMsg> {
         self.local_groups.remove(&prefix);
-        let nlri = Nlri::Group(prefix);
-        let was = self.rib.set_heard(nlri, RouterId::MAX, None);
         let mut msgs = Vec::new();
-        self.announce(nlri, was, true, &mut msgs);
+        self.learn(Nlri::Group(prefix), RouterId::MAX, None, true, &mut msgs);
         msgs
     }
 
@@ -137,27 +135,44 @@ impl BgpSpeaker {
     fn originate(&mut self, nlri: Nlri) -> Vec<OutMsg> {
         let route = Route::originate(nlri, self.asn, self.router);
         let local = Some((route, Some(RouteSourceKind::Local)));
-        let was = self.rib.set_heard(nlri, RouterId::MAX, local);
         let mut msgs = Vec::new();
         // A new covering origin may newly suppress child routes.
-        self.announce(nlri, was, true, &mut msgs);
+        self.learn(nlri, RouterId::MAX, local, true, &mut msgs);
         msgs
     }
 
-    /// What to send once `nlri`'s decision has run: its own diffs if
-    /// the selection changed from one of kind `was`, then, for a group,
-    /// those of the group routes it covers if their suppression may
-    /// have flipped: when a domain origin came or went, or whenever
-    /// `cover` says so.
-    fn announce(
+    /// Puts (`Some`, with its entry kind) or removes (`None`) `peer`'s
+    /// candidate for `nlri`, then sends what the decision changed: the
+    /// diffs of `nlri`, worked out on the row the decision left, then
+    /// those [`BgpSpeaker::cover`] adds.
+    fn learn(
         &mut self,
         nlri: Nlri,
-        was: Option<Option<RouteSourceKind>>,
+        peer: RouterId,
+        new: Option<(Route, Option<RouteSourceKind>)>,
+        cover: bool,
+        msgs: &mut Vec<OutMsg>,
+    ) {
+        let (rib, exports) = self.split();
+        let kinds = rib.set_heard(nlri, peer, new).map(|(was, row)| {
+            let now = row.and_then(|row| exports.export(row, None, msgs));
+            (was, now)
+        });
+        self.cover(nlri, kinds, cover, msgs);
+    }
+
+    /// Re-exports the group routes `nlri` covers if their suppression
+    /// may have flipped: when a domain origin came or went (`kinds`: the
+    /// selection's entry kind before and after, if it changed), or
+    /// whenever `cover` says so.
+    fn cover(
+        &mut self,
+        nlri: Nlri,
+        kinds: Option<(Option<RouteSourceKind>, Option<RouteSourceKind>)>,
         mut cover: bool,
         msgs: &mut Vec<OutMsg>,
     ) {
-        if let Some(was) = was {
-            let now = self.export(nlri, None, msgs);
+        if let Some((was, now)) = kinds {
             let origin = Some(RouteSourceKind::Local);
             cover |= was == origin || now == origin;
         }
@@ -179,7 +194,8 @@ impl BgpSpeaker {
                 // may have been domain origins, an external peer's not.
                 let internal = self.peers.get(&peer).is_some_and(|p| p.is_internal());
                 for nlri in self.rib.flush_peer(peer) {
-                    self.announce(nlri, Some(None), internal, &mut msgs);
+                    let now = self.export(nlri, None, &mut msgs);
+                    self.cover(nlri, Some((None, now)), internal, &mut msgs);
                 }
             }
             BgpEvent::PeerUp(peer) => {
@@ -212,37 +228,18 @@ impl BgpSpeaker {
             }
             BgpMsg::Withdraw(nlri) => (nlri, None),
         };
-        let was = self.rib.set_heard(nlri, from, new);
-        self.announce(nlri, was, false, msgs);
+        self.learn(nlri, from, new, false, msgs);
     }
 
-    /// Brings what the up peers (or only `to`) were told about `nlri`
-    /// in line with its selection, pushing the diffs onto `msgs` in
-    /// peer order. Returns the selection's entry kind.
+    /// [`Exports::export`] of `nlri`'s row, found in one probe.
     fn export(
         &mut self,
         nlri: Nlri,
         to: Option<RouterId>,
         msgs: &mut Vec<OutMsg>,
     ) -> Option<RouteSourceKind> {
-        let plan = self.plan(nlri);
-        let peers = match to {
-            Some(to) => self.peers.range(to..=to),
-            None => self.peers.range(..),
-        };
-        let up = peers.filter(|(to, _)| !self.down.contains(to));
-        let wants = up.map(|(to, peer)| (*to, plan.as_ref().and_then(|p| p.route_for(peer))));
-        self.rib.tell_all(nlri, wants, |to, route| {
-            let msg = match (route, &plan) {
-                (Some(route), Some(plan)) => BgpMsg::Update {
-                    route: route.clone(),
-                    kind: plan.kind,
-                },
-                _ => BgpMsg::Withdraw(nlri),
-            };
-            msgs.push(OutMsg { to, msg });
-        });
-        plan.map(|p| p.kind)
+        let (rib, exports) = self.split();
+        exports.export(rib.row_mut(nlri)?, to, msgs)
     }
 
     /// Re-exports every group NLRI covered by `prefix` (suppression may
@@ -259,11 +256,78 @@ impl BgpSpeaker {
         }
     }
 
-    /// What every peer may be told of `nlri`'s selection: the export
+    /// The table, and apart from it what export reads of the rest.
+    fn split(&mut self) -> (&mut Rib, Exports<'_>) {
+        let BgpSpeaker {
+            router,
+            asn,
+            peers,
+            rib,
+            policy,
+            aggregate_suppress,
+            local_groups,
+            down,
+        } = self;
+        let exports = Exports {
+            router: *router,
+            asn: *asn,
+            peers,
+            policy: *policy,
+            aggregate_suppress: *aggregate_suppress,
+            local_groups,
+            down,
+        };
+        (rib, exports)
+    }
+}
+
+/// What export reads of a speaker besides its table, borrowed apart
+/// from the table so that a row can be held while its export runs.
+struct Exports<'s> {
+    router: RouterId,
+    asn: Asn,
+    peers: &'s BTreeMap<RouterId, PeerConfig>,
+    policy: ExportPolicy,
+    aggregate_suppress: bool,
+    local_groups: &'s BTreeSet<Prefix>,
+    down: &'s BTreeSet<RouterId>,
+}
+
+impl Exports<'_> {
+    /// Brings what the up peers (or only `to`) were told about `row`'s
+    /// NLRI in line with its selection, pushing the diffs onto `msgs` in
+    /// peer order. Returns the selection's entry kind.
+    fn export(
+        &self,
+        row: RowMut<'_>,
+        to: Option<RouterId>,
+        msgs: &mut Vec<OutMsg>,
+    ) -> Option<RouteSourceKind> {
+        let (nlri, plan) = (row.nlri(), self.plan(&row));
+        let peers = match to {
+            Some(to) => self.peers.range(to..=to),
+            None => self.peers.range(..),
+        };
+        let up = peers.filter(|(to, _)| !self.down.contains(to));
+        let wants = up.map(|(to, peer)| (*to, plan.as_ref().and_then(|p| p.route_for(peer))));
+        row.tell_all(wants, |to, route| {
+            let msg = match (route, &plan) {
+                (Some(route), Some(plan)) => BgpMsg::Update {
+                    route: route.clone(),
+                    kind: plan.kind,
+                },
+                _ => BgpMsg::Withdraw(nlri),
+            };
+            msgs.push(OutMsg { to, msg });
+        });
+        plan.map(|p| p.kind)
+    }
+
+    /// What every peer may be told of `row`'s selection: the export
     /// rules' verdicts that do not depend on the peer, worked out once.
     /// `None` when nothing is selected, or its entry kind is unknown.
-    fn plan(&self, nlri: Nlri) -> Option<Plan> {
-        let best = self.rib.selected(nlri)?;
+    fn plan(&self, row: &RowMut<'_>) -> Option<Plan> {
+        let best = row.selected()?;
         let kind = best.kind?;
         let internal_learned = best.peer != RouterId::MAX
             && self.peers.get(&best.peer).is_some_and(|p| p.is_internal());
@@ -272,17 +336,11 @@ impl BgpSpeaker {
         // (§4.2). A covering origin is visible either as our own
         // origination or as an iBGP-learned route whose domain-entry
         // kind is Local.
-        let suppressed = match (self.aggregate_suppress, kind, nlri) {
+        let suppressed = match (self.aggregate_suppress, kind, row.nlri()) {
             (true, RouteSourceKind::Customer, Nlri::Group(g)) => {
                 let origin = Some(RouteSourceKind::Local);
-                let is_origin = |o: Prefix| {
-                    self.local_groups.contains(&o)
-                        || self
-                            .rib
-                            .selected(Nlri::Group(o))
-                            .is_some_and(|h| h.kind == origin)
-                };
-                self.rib.covering_groups(&g).any(is_origin)
+                row.covering_groups(&g)
+                    .any(|(o, kind)| self.local_groups.contains(&o) || kind == origin)
             }
             _ => false,
         };

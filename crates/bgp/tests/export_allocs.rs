@@ -4,12 +4,13 @@
 //!
 //! One update that changes a selection is counted at a speaker with 2
 //! and with 16 external peers, every path involved interned beforehand.
-//! With the export worked out once per change, the counts are 3 and 5:
-//! the new candidate's slot, the old source's Adj-RIB-Out slot and the
-//! message vector's first block, then that vector's two growth steps.
-//! When each peer's advertisement was built separately they were 5 and
-//! 21: one path vector per external peer to prepend into, and a second
-//! message vector per change.
+//! With the export worked out once per change, the counts are 2 and 4:
+//! one growth of the row's block, where the old selection becomes a
+//! loser, and the message vector's first block, then that vector's two
+//! growth steps. They were 3 and 5 while a row kept its losers and its
+//! Adj-RIB-Out in two lists. When each peer's advertisement was built
+//! separately they were 5 and 21: one path vector per external peer to
+//! prepend into, and a second message vector per change.
 //!
 //! The counter is per thread, so tests running beside this one do not
 //! disturb it.

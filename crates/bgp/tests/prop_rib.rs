@@ -764,3 +764,206 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Format v5 written from a naive model of the table
+// ---------------------------------------------------------------------
+
+/// The table as the snapshot format sees it, kept the plainest way: per
+/// NLRI, each peer's candidate with its entry kind, and what each peer
+/// was last told as (path, `ebgp`).
+#[derive(Default)]
+struct Model {
+    heard: BTreeMap<Nlri, BTreeMap<RouterId, (Option<RouteSourceKind>, Route)>>,
+    sent: BTreeMap<Nlri, BTreeMap<RouterId, (bgp::AsPath, bool)>>,
+}
+
+impl Model {
+    fn hear(&mut self, peer: RouterId, kind: Option<RouteSourceKind>, route: Route) {
+        let row = self.heard.entry(route.nlri).or_default();
+        row.insert(peer, (kind, route));
+    }
+
+    fn forget(&mut self, peer: RouterId, nlri: Nlri) {
+        if let Some(row) = self.heard.get_mut(&nlri) {
+            row.remove(&peer);
+        }
+    }
+
+    /// What a speaker's messages told each peer.
+    fn tell(&mut self, msgs: &[OutMsg]) {
+        for OutMsg { to, msg } in msgs {
+            match msg {
+                BgpMsg::Update { route, .. } => {
+                    let row = self.sent.entry(route.nlri).or_default();
+                    row.insert(*to, (route.as_path, route.ebgp));
+                }
+                BgpMsg::Withdraw(nlri) => {
+                    self.sent.entry(*nlri).or_default().remove(to);
+                }
+            }
+        }
+    }
+
+    /// A session reset: `peer`'s candidates and its records go.
+    fn flush(&mut self, peer: RouterId) {
+        for row in self.heard.values_mut() {
+            row.remove(&peer);
+        }
+        self.forget_told(peer);
+    }
+
+    fn forget_told(&mut self, peer: RouterId) {
+        for row in self.sent.values_mut() {
+            row.remove(&peer);
+        }
+    }
+
+    /// Format v5 of the model, written from the format's description:
+    /// rows in NLRI order; each row's candidates in peer order, the peer
+    /// of the first one no other is preferred to, and what each peer was
+    /// told, in peer order. A row with nothing in it is not written.
+    fn v5(&self) -> Vec<u8> {
+        let empty = BTreeMap::new();
+        let heard = self
+            .heard
+            .iter()
+            .filter(|(_, r)| !r.is_empty())
+            .map(|(n, _)| *n);
+        let sent = self
+            .sent
+            .iter()
+            .filter(|(_, r)| !r.is_empty())
+            .map(|(n, _)| *n);
+        let nlris: BTreeSet<Nlri> = heard.chain(sent).collect();
+        let mut enc = Enc::new();
+        enc.seq(nlris.len());
+        for nlri in &nlris {
+            nlri.encode(&mut enc);
+            let heard = self.heard.get(nlri).unwrap_or(&empty);
+            enc.seq(heard.len());
+            let mut best: Option<(RouterId, &Route)> = None;
+            for (peer, (kind, route)) in heard {
+                enc.u32(*peer);
+                kind.encode(&mut enc);
+                route.as_path.encode(&mut enc);
+                enc.u32(route.next_hop);
+                enc.bool(route.local);
+                enc.bool(route.ebgp);
+                if best.is_none_or(|(_, b)| bgp::route::prefer(route, b)) {
+                    best = Some((*peer, route));
+                }
+            }
+            best.map(|(peer, _)| peer).encode(&mut enc);
+            let sent = self.sent.get(nlri);
+            enc.seq(sent.map_or(0, BTreeMap::len));
+            for (to, (path, ebgp)) in sent.into_iter().flatten() {
+                enc.u32(*to);
+                enc.bool(*ebgp);
+                path.encode(&mut enc);
+            }
+        }
+        enc.finish()
+    }
+}
+
+fn rib_bytes(rib: &Rib) -> Vec<u8> {
+    let mut enc = Enc::new();
+    rib.encode(&mut enc);
+    enc.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After every update, withdraw, origination and flush, `Rib::encode`
+    /// writes the bytes a v5 writer over the naive model writes: format
+    /// v5 holds for every table the operations make, not only for the
+    /// pinned blobs.
+    #[test]
+    fn rib_bytes_equal_a_v5_writer_over_the_model(ops in prop::collection::vec(arb_rib_op(), 1..120)) {
+        let mut rib = Rib::new();
+        let mut model = Model::default();
+        for op in &ops {
+            match op {
+                RibOp::Update { peer, nlri, path_len, next_hop, ebgp } => {
+                    let route = Route {
+                        nlri: *nlri,
+                        as_path: (0..*path_len as u32).map(|i| i + 10 + peer).collect(),
+                        next_hop: *next_hop,
+                        local: false,
+                        ebgp: *ebgp,
+                    };
+                    model.hear(*peer, None, route.clone());
+                    rib.update_from(*peer, route);
+                }
+                RibOp::Withdraw { peer, nlri } => {
+                    model.forget(*peer, *nlri);
+                    rib.withdraw_from(*peer, *nlri);
+                }
+                RibOp::Originate { nlri } => {
+                    let route = Route::originate(*nlri, 7, 70);
+                    model.hear(RouterId::MAX, None, route.clone());
+                    rib.originate(route);
+                }
+                RibOp::WithdrawLocal { nlri } => {
+                    model.forget(RouterId::MAX, *nlri);
+                    rib.withdraw_local(*nlri);
+                }
+                RibOp::Flush { peer } => {
+                    model.flush(*peer);
+                    rib.flush_peer(*peer);
+                }
+                RibOp::Drain => {
+                    rib.take_changed_groups();
+                }
+            }
+            prop_assert_eq!(rib_bytes(&rib), model.v5(), "after {:?}", op);
+        }
+    }
+
+    /// The same through a speaker, whose table also records what each
+    /// peer was told: the model hears what the speaker is fed (an
+    /// external peer's entry kind is its relationship) and learns what
+    /// each peer was told from the messages the speaker sends; a session
+    /// that goes down drops the peer's candidates and records, one that
+    /// comes up its records. After every event the speaker's table
+    /// writes the model's bytes.
+    #[test]
+    fn speaker_bytes_equal_a_v5_writer_over_the_model(ops in prop::collection::vec(arb_speaker_op(), 1..120)) {
+        let mut sp = speaker();
+        let mut model = Model::default();
+        for op in &ops {
+            match *op {
+                SpeakerOp::Update { peer, nlri, hops, kind } => {
+                    let (from, asn, rel) = PEERS[peer];
+                    let external = rel != PeerRel::Internal;
+                    let route = Route {
+                        nlri,
+                        as_path: std::iter::once(asn).chain(500..500 + hops).collect(),
+                        next_hop: from,
+                        local: false,
+                        ebgp: external,
+                    };
+                    let kind = if external { bgp::policy::classify(rel) } else { KINDS[kind] };
+                    model.hear(from, Some(kind), route);
+                }
+                SpeakerOp::Withdraw { peer, nlri } => model.forget(PEERS[peer].0, nlri),
+                SpeakerOp::Down(peer) => model.flush(PEERS[peer].0),
+                SpeakerOp::Up(peer) => model.forget_told(PEERS[peer].0),
+                SpeakerOp::Originate(prefix, on) => {
+                    let nlri = Nlri::Group(prefix);
+                    match on {
+                        true => {
+                            let route = Route::originate(nlri, ASN, ME);
+                            model.hear(RouterId::MAX, Some(RouteSourceKind::Local), route);
+                        }
+                        false => model.forget(RouterId::MAX, nlri),
+                    }
+                }
+            }
+            model.tell(&apply(&mut sp, op));
+            prop_assert_eq!(rib_bytes(sp.rib()), model.v5(), "after {:?}", op);
+        }
+    }
+}

@@ -18,12 +18,13 @@
 #
 #   scripts/bench_pairs.sh <parent-ref> <workload>|all [pairs=10] [seeds=1]
 #
+# Prefix MALLOC_MMAP_THRESHOLD_=131072 to read peak_rss_mb with glibc's mapping threshold pinned.
 # Everything it writes lives under .bench_build/pairs/ (ignored). Only one
 # set runs at a time: a second invocation exits 1 and says so.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$1" workload="$2" pairs="${3:-10}"
